@@ -166,6 +166,27 @@ pub enum Event {
         /// Deepest branching recursion reached in the batch.
         max_depth: u64,
     },
+    /// One round's task assembly: the marginal-utility evaluations
+    /// (Definition 6) UBS/HHS ran to pick each object's expression. Emitted
+    /// once per round that selects fresh tasks; under FBS nothing is scored
+    /// and only `nanos` is non-zero.
+    UtilityBatch {
+        /// Candidate expressions scored.
+        candidates: u64,
+        /// Solver invocations: one per candidate whose `Pr(e)` lies
+        /// strictly inside `(0, 1)`, plus failed attempts re-solved by the
+        /// fallback.
+        solver_calls: u64,
+        /// Value-branching decisions taken by those solves.
+        decisions: u64,
+        /// Component probabilities served from the solver's cache.
+        cache_hits: u64,
+        /// Candidates the configured solver failed on and a fresh ADPLL
+        /// re-solved.
+        fallbacks: u64,
+        /// Task-assembly wall-clock time (scoring plus candidate ordering).
+        nanos: u128,
+    },
     /// Crowd answers were propagated through the constraint store.
     Propagated {
         /// Answers folded in.
@@ -257,6 +278,7 @@ impl Event {
             Event::RoundStarted { .. } => "RoundStarted",
             Event::ProbabilityBatch { .. } => "ProbabilityBatch",
             Event::SolverSearch { .. } => "SolverSearch",
+            Event::UtilityBatch { .. } => "UtilityBatch",
             Event::Propagated { .. } => "Propagated",
             Event::RoundFinished { .. } => "RoundFinished",
             Event::SpanFinished { .. } => "SpanFinished",
@@ -275,6 +297,7 @@ impl Event {
             Event::ModelTrained { nanos, .. }
             | Event::CTableBuilt { nanos, .. }
             | Event::ProbabilityBatch { nanos, .. }
+            | Event::UtilityBatch { nanos, .. }
             | Event::Propagated { nanos, .. }
             | Event::RoundFinished { nanos, .. }
             | Event::SpanFinished { nanos, .. }
@@ -378,6 +401,21 @@ impl Event {
                 field_u(&mut s, "cache_hits", *cache_hits as u128);
                 field_u(&mut s, "cache_misses", *cache_misses as u128);
                 field_u(&mut s, "max_depth", *max_depth as u128);
+            }
+            Event::UtilityBatch {
+                candidates,
+                solver_calls,
+                decisions,
+                cache_hits,
+                fallbacks,
+                nanos,
+            } => {
+                field_u(&mut s, "candidates", *candidates as u128);
+                field_u(&mut s, "solver_calls", *solver_calls as u128);
+                field_u(&mut s, "decisions", *decisions as u128);
+                field_u(&mut s, "cache_hits", *cache_hits as u128);
+                field_u(&mut s, "fallbacks", *fallbacks as u128);
+                field_u(&mut s, "nanos", *nanos);
             }
             Event::Propagated {
                 answers,
@@ -508,6 +546,14 @@ impl Event {
                 cache_hits: get_u64("cache_hits")?,
                 cache_misses: get_u64("cache_misses")?,
                 max_depth: get_u64("max_depth")?,
+            },
+            "UtilityBatch" => Event::UtilityBatch {
+                candidates: get_u64("candidates")?,
+                solver_calls: get_u64("solver_calls")?,
+                decisions: get_u64("decisions")?,
+                cache_hits: get_u64("cache_hits")?,
+                fallbacks: get_u64("fallbacks")?,
+                nanos: get_n("nanos")?,
             },
             "Propagated" => Event::Propagated {
                 answers: get_u("answers")?,
@@ -675,6 +721,14 @@ mod tests {
                 cache_misses: 5,
                 max_depth: 3,
             },
+            Event::UtilityBatch {
+                candidates: 9,
+                solver_calls: 8,
+                decisions: 41,
+                cache_hits: 5,
+                fallbacks: 1,
+                nanos: 6_543,
+            },
             Event::Propagated {
                 answers: 2,
                 decided: 1,
@@ -753,6 +807,25 @@ mod tests {
         // Events without timing are untouched.
         let s = Event::RoundStarted { round: 7 };
         assert_eq!(s.redact_timing(), s);
+        let u = Event::UtilityBatch {
+            candidates: 3,
+            solver_calls: 2,
+            decisions: 7,
+            cache_hits: 1,
+            fallbacks: 0,
+            nanos: 99,
+        };
+        assert_eq!(
+            u.redact_timing(),
+            Event::UtilityBatch {
+                candidates: 3,
+                solver_calls: 2,
+                decisions: 7,
+                cache_hits: 1,
+                fallbacks: 0,
+                nanos: 0,
+            }
+        );
     }
 
     #[test]

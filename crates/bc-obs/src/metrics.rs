@@ -186,6 +186,15 @@ pub struct Counters {
     pub solver_fallbacks: u64,
     /// Durable checkpoints written.
     pub checkpoints_written: u64,
+    /// Candidate expressions scored by marginal utility. From
+    /// `UtilityBatch` events, like the two counters below; the `solver_*`
+    /// counters above cover probability batches only.
+    pub utility_evals: u64,
+    /// Solver invocations behind those scores (one per candidate whose
+    /// `Pr(e)` is strictly inside `(0, 1)`, plus fallback attempts).
+    pub utility_solver_calls: u64,
+    /// Value-branching decisions taken by utility solves.
+    pub utility_decisions: u64,
 }
 
 /// An [`Observer`] that aggregates the event stream in memory.
@@ -279,6 +288,11 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
+            "utility evals {}  utility solver calls {} (decisions {})",
+            c.utility_evals, c.utility_solver_calls, c.utility_decisions
+        );
+        let _ = writeln!(
+            s,
             "propagated {} answers, {} conditions decided",
             c.answers_propagated, c.conditions_decided
         );
@@ -341,6 +355,16 @@ impl Observer for MetricsRecorder {
                 self.counters.solver_component_splits += component_splits;
                 self.counters.solver_cache_misses += cache_misses;
                 self.counters.solver_max_depth = self.counters.solver_max_depth.max(*max_depth);
+            }
+            Event::UtilityBatch {
+                candidates,
+                solver_calls,
+                decisions,
+                ..
+            } => {
+                self.counters.utility_evals += candidates;
+                self.counters.utility_solver_calls += solver_calls;
+                self.counters.utility_decisions += decisions;
             }
             Event::Propagated {
                 answers,
@@ -460,6 +484,14 @@ mod tests {
             cache_misses: 7,
             max_depth: 4,
         });
+        rec.event(&Event::UtilityBatch {
+            candidates: 6,
+            solver_calls: 5,
+            decisions: 12,
+            cache_hits: 2,
+            fallbacks: 0,
+            nanos: 40,
+        });
         rec.event(&Event::Propagated {
             answers: 2,
             decided: 1,
@@ -494,11 +526,16 @@ mod tests {
         assert_eq!(c.solver_direct_components, 6);
         assert_eq!(c.solver_max_depth, 4);
         assert_eq!(c.answers_propagated, 2);
+        assert_eq!(c.utility_evals, 6);
+        assert_eq!(c.utility_solver_calls, 5);
+        assert_eq!(c.utility_decisions, 12);
+        // Utility work stays out of the probability-batch counters.
+        assert_eq!(c.solver_calls, 4);
         assert_eq!(rec.phase_nanos(RunPhase::Select), 150);
         assert_eq!(rec.phase_nanos(RunPhase::Post), 0);
         assert_eq!(rec.tasks_per_round().count(), 1);
         assert_eq!(rec.propagation_depth().max(), 3);
-        assert_eq!(rec.events().len(), 7);
+        assert_eq!(rec.events().len(), 8);
         assert!(rec.summary().contains("posted 2"));
     }
 

@@ -446,8 +446,10 @@ fn solve_path(phase: RunPhase) -> String {
 /// │   └── build        (CTableBuilt)
 /// ├── round            (RoundFinished; count = rounds)
 /// │   ├── select       (SpanFinished, summed over rounds)
-/// │   │   └── solve    (ProbabilityBatch; count = solver calls)
-/// │   │       └── adpll  (SolverSearch; count = decisions, nanos 0)
+/// │   │   ├── solve    (ProbabilityBatch; count = solver calls)
+/// │   │   │   └── adpll  (SolverSearch; count = decisions, nanos 0)
+/// │   │   └── utility  (UtilityBatch; count = solver calls)
+/// │   │       └── adpll  (count = decisions, nanos 0)
 /// │   ├── post
 /// │   └── propagate
 /// │       └── fixpoint (Propagated)
@@ -510,6 +512,17 @@ impl Observer for RunProfiler {
             } => {
                 let path = format!("{}/adpll", solve_path(*phase));
                 self.profiler.record_with(&path, 0, *decisions);
+            }
+            Event::UtilityBatch {
+                solver_calls,
+                decisions,
+                nanos,
+                ..
+            } => {
+                self.profiler
+                    .record_with("round/select/utility", *nanos, *solver_calls);
+                self.profiler
+                    .record_with("round/select/utility/adpll", 0, *decisions);
             }
             Event::Propagated { nanos, .. } => {
                 self.profiler.record("round/propagate/fixpoint", *nanos);
@@ -647,6 +660,14 @@ mod tests {
             cache_misses: 4,
             max_depth: 3,
         });
+        rp.event(&Event::UtilityBatch {
+            candidates: 4,
+            solver_calls: 3,
+            decisions: 11,
+            cache_hits: 0,
+            fallbacks: 0,
+            nanos: 300,
+        });
         rp.event(&Event::RoundFinished {
             round: 1,
             posted: 2,
@@ -678,6 +699,9 @@ mod tests {
         let adpll = r.node("round/select/solve/adpll").unwrap();
         assert_eq!(adpll.count, 9);
         assert_eq!(adpll.nanos, 0);
+        let utility = r.node("round/select/utility").unwrap();
+        assert_eq!((utility.nanos, utility.count), (300, 3));
+        assert_eq!(r.node("round/select/utility/adpll").unwrap().count, 11);
         let text = r.render_text();
         assert!(text.contains("adpll"), "text: {text}");
     }

@@ -8,7 +8,7 @@
 //! Replays every committed corpus instance, then `--cases` fresh random
 //! instances from the deterministic seed stream `seed, seed+1, ...`,
 //! through the differential harness (every solver vs the possible-worlds
-//! oracle). Every `--metamorphic-every`-th instance additionally runs the
+//! oracle) and the marginal-utility check. Every `--metamorphic-every`-th instance additionally runs the
 //! run-level metamorphic suite. On the first divergence the driver
 //! greedily minimizes the failing instance, writes it (with the divergence
 //! record) to `--artifact`, prints the replay instructions, and exits 1 —
@@ -20,8 +20,8 @@
 
 use bc_oracle::{
     check_instance, load_corpus, metamorphic, minimize_divergence, random_instance,
-    regression_instances, save_divergence, save_instance, DiffConfig, Divergence, GenConfig,
-    Instance,
+    regression_instances, save_divergence, save_instance, utility_matches_worlds, DiffConfig,
+    Divergence, GenConfig, Instance,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -97,20 +97,25 @@ fn parse_args() -> Result<Args, String> {
 /// the metamorphic suite. Returns the first divergence.
 fn fuzz_one(inst: &Instance, cfg: &DiffConfig, deep: bool) -> Result<(), Box<Divergence>> {
     check_instance(inst, cfg)?;
-    if deep {
-        // Metamorphic failures have no solver/object coordinates; wrap
-        // them as a pseudo-divergence so the one artifact path covers both.
-        let wrap = |detail: String| {
+    // Utility and metamorphic failures carry their coordinates in the
+    // message; wrap them as a pseudo-divergence so the one artifact path
+    // covers every check.
+    let wrapper = |solver: &'static str| {
+        move |detail: String| {
             Box::new(Divergence {
                 instance: inst.clone(),
-                solver: "metamorphic".into(),
+                solver: solver.into(),
                 object: bc_data::ObjectId(0),
                 got: f64::NAN,
                 want: f64::NAN,
                 tolerance: 0.0,
                 detail,
             })
-        };
+        }
+    };
+    utility_matches_worlds(inst, cfg.eps).map_err(wrapper("utility"))?;
+    if deep {
+        let wrap = wrapper("metamorphic");
         metamorphic::conditioning_decomposes(inst, cfg.eps).map_err(&wrap)?;
         if inst.data.n_attrs() >= 2 {
             let dirs: Vec<bc_data::Direction> = (0..inst.data.n_attrs())

@@ -27,7 +27,9 @@
 //! * [`metamorphic`] — run-level invariants: constraint propagation
 //!   preserves model counts, preference-direction reflection preserves
 //!   skyline probabilities, certain answers grow monotonically, and
-//!   checkpoint/resume preserves oracle-checked probabilities at any round.
+//!   checkpoint/resume preserves oracle-checked probabilities at any round,
+//! * [`utility`] — the marginal utility `G(o, e)` of every open object's
+//!   every expression, recomputed from possible-worlds joint probabilities.
 //!
 //! The `oracle-fuzz` binary wires it all into CI: it replays the committed
 //! corpus, then a fixed-seed stream of fresh instances, and on the first
@@ -39,12 +41,14 @@ pub mod diff;
 pub mod gen;
 pub mod metamorphic;
 pub mod replay;
+pub mod utility;
 pub mod worlds;
 
 pub use corpus::{regression_instances, GENERATED_SEEDS};
 pub use diff::{check_instance, minimize_divergence, DiffConfig, Divergence, InstanceSummary};
 pub use gen::{random_instance, GenConfig, Instance};
 pub use replay::{load_corpus, load_instance, save_divergence, save_instance};
+pub use utility::utility_matches_worlds;
 pub use worlds::{OracleError, PossibleWorlds, WorldReport};
 
 /// Whether two probabilities agree within `eps` — the one comparison rule

@@ -1,5 +1,19 @@
 //! Object entropy and the marginal-utility function (Definition 6).
+//!
+//! `G(o, e) = H(o) − E[H(o | e)]` needs three probabilities:
+//!
+//! * `Pr(e)`, read off the variable distributions (no solve),
+//! * `Pr(φ ∧ e)`, one solve of `φ` with the unit clause `[e]` conjoined,
+//! * `Pr(φ ∧ ¬e) = Pr(φ) − Pr(φ ∧ e)`, clamped to `[0, 1]` (no solve).
+//!
+//! So every candidate whose `Pr(e)` lies strictly inside `(0, 1)` costs
+//! exactly one solver call, and a decided candidate costs none.
+//!
+//! **Precondition.** The `p_phi` passed to [`marginal_utility_with_prior`]
+//! must be `Pr(φ)` under the *same* `dists`. A stale `p_phi` does not fail:
+//! it silently skews every utility of that object.
 
+use crate::adpll::SolveStats;
 use crate::dists::VarDists;
 use crate::{Solver, SolverError};
 use bc_bayes::pmf::binary_entropy;
@@ -11,13 +25,20 @@ pub fn object_entropy(p: f64) -> f64 {
     binary_entropy(p)
 }
 
+/// One marginal-utility evaluation plus the solver effort behind it.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct UtilityEval {
+    /// `G(o, e)`.
+    pub utility: f64,
+    /// Effort of the one `Pr(φ ∧ e)` solve; `None` when `e` was already
+    /// decided and nothing was solved.
+    pub solve: Option<SolveStats>,
+}
+
 /// The expected marginal utility `G(o, e) = H(o) − E[H(o | e)]` of
-/// crowdsourcing expression `e` from condition `φ(o)` (Eq. 4/5).
-///
-/// `Pr(e)` comes from the variable distributions; the conditional
-/// probabilities are computed exactly as `Pr(φ ∧ e) / Pr(e)` and
-/// `Pr(φ ∧ ¬e) / Pr(¬e)`. When `e` is (probabilistically) already decided,
-/// the utility is zero.
+/// crowdsourcing expression `e` from condition `φ(o)` (Eq. 4/5), solving
+/// `Pr(φ)` first. When `e` is (probabilistically) already decided, the
+/// utility is zero.
 pub fn marginal_utility(
     solver: &dyn Solver,
     cond: &Condition,
@@ -25,29 +46,39 @@ pub fn marginal_utility(
     dists: &VarDists,
 ) -> Result<f64, SolverError> {
     let p_phi = solver.probability(cond, dists)?;
-    marginal_utility_with_prior(solver, cond, e, dists, p_phi)
+    marginal_utility_with_prior(solver, cond, e, dists, p_phi).map(|eval| eval.utility)
 }
 
 /// [`marginal_utility`] with `Pr(φ)` already known (the framework computes
-/// it once per round for the entropy ranking and reuses it here).
+/// it once per round for the entropy ranking and reuses it here), plus the
+/// solver effort it took. `p_phi` must be `Pr(φ)` under `dists`; see the
+/// module docs.
 pub fn marginal_utility_with_prior(
     solver: &dyn Solver,
     cond: &Condition,
     e: &Expr,
     dists: &VarDists,
     p_phi: f64,
-) -> Result<f64, SolverError> {
+) -> Result<UtilityEval, SolverError> {
     let p_e = dists.expr_prob(e)?;
-    let h = object_entropy(p_phi);
     if p_e <= f64::EPSILON || p_e >= 1.0 - f64::EPSILON {
-        return Ok(0.0);
+        return Ok(UtilityEval::default());
     }
-    let p_and_true = solver.probability(&cond.and_expr(*e), dists)?;
-    let p_and_false = solver.probability(&cond.and_expr(e.negated()), dists)?;
+    let (p_and_true, stats) = solver.probability_with_stats(&cond.and_expr(*e), dists)?;
+    let p_and_false = (p_phi - p_and_true).clamp(0.0, 1.0);
+    Ok(UtilityEval {
+        utility: utility_from_joint(p_phi, p_e, p_and_true, p_and_false),
+        solve: Some(stats),
+    })
+}
+
+/// `G` from `Pr(φ)`, `Pr(e)` (strictly inside `(0, 1)`), `Pr(φ ∧ e)` and
+/// `Pr(φ ∧ ¬e)`.
+fn utility_from_joint(p_phi: f64, p_e: f64, p_and_true: f64, p_and_false: f64) -> f64 {
     let p_true = (p_and_true / p_e).clamp(0.0, 1.0);
     let p_false = (p_and_false / (1.0 - p_e)).clamp(0.0, 1.0);
     let expected = p_e * binary_entropy(p_true) + (1.0 - p_e) * binary_entropy(p_false);
-    Ok((h - expected).max(0.0))
+    (object_entropy(p_phi) - expected).max(0.0)
 }
 
 #[cfg(test)]
@@ -56,9 +87,65 @@ mod tests {
     use crate::adpll::AdpllSolver;
     use bc_bayes::Pmf;
     use bc_data::VarId;
+    use std::cell::Cell;
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
+    }
+
+    /// ADPLL that counts how often it is asked to solve.
+    struct CountingSolver {
+        inner: AdpllSolver,
+        calls: Cell<u64>,
+    }
+
+    impl Solver for CountingSolver {
+        fn probability(&self, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.probability(cond, dists)
+        }
+
+        fn probability_with_stats(
+            &self,
+            cond: &Condition,
+            dists: &VarDists,
+        ) -> Result<(f64, SolveStats), SolverError> {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.probability_with_stats(cond, dists)
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    /// The pre-identity formula: `Pr(φ ∧ e)` and `Pr(φ ∧ ¬e)` both solved.
+    fn two_solve_utility(s: &dyn Solver, cond: &Condition, e: &Expr, d: &VarDists) -> f64 {
+        let p_phi = s.probability(cond, d).unwrap();
+        let p_e = d.expr_prob(e).unwrap();
+        if p_e <= f64::EPSILON || p_e >= 1.0 - f64::EPSILON {
+            return 0.0;
+        }
+        let p_and_true = s.probability(&cond.and_expr(*e), d).unwrap();
+        let p_and_false = s.probability(&cond.and_expr(e.negated()), d).unwrap();
+        utility_from_joint(p_phi, p_e, p_and_true, p_and_false)
+    }
+
+    /// The one-solve utility of every expression of `cond` equals the
+    /// two-solve reference within 1e-12.
+    fn assert_identity(cond: &Condition, d: &VarDists) {
+        let s = AdpllSolver::new();
+        let p_phi = s.probability(cond, d).unwrap();
+        for e in cond.exprs() {
+            let one = marginal_utility_with_prior(&s, cond, e, d, p_phi)
+                .unwrap()
+                .utility;
+            let two = two_solve_utility(&s, cond, e, d);
+            assert!(
+                (one - two).abs() <= 1e-12,
+                "{e} in {cond}: one-solve {one} vs two-solve {two}"
+            );
+        }
     }
 
     #[test]
@@ -114,6 +201,34 @@ mod tests {
         .collect();
         let s = AdpllSolver::new();
         assert_eq!(marginal_utility(&s, &cond, &e, &d).unwrap(), 0.0);
+        // A decided expression costs no solve at all.
+        let p = s.probability(&cond, &d).unwrap();
+        let eval = marginal_utility_with_prior(&s, &cond, &e, &d, p).unwrap();
+        assert_eq!(eval, UtilityEval::default());
+    }
+
+    #[test]
+    fn open_expression_costs_exactly_one_solve() {
+        let x = v(0, 0);
+        let y = v(1, 0);
+        let cond = Condition::from_clauses(vec![
+            vec![Expr::lt(x, 3), Expr::var_gt(x, y)],
+            vec![Expr::gt(y, 1), Expr::lt(x, 6)],
+        ]);
+        let d: VarDists = [(x, Pmf::uniform(8)), (y, Pmf::uniform(8))]
+            .into_iter()
+            .collect();
+        let s = CountingSolver {
+            inner: AdpllSolver::new(),
+            calls: Cell::new(0),
+        };
+        let p = s.probability(&cond, &d).unwrap();
+        for e in cond.exprs() {
+            s.calls.set(0);
+            let eval = marginal_utility_with_prior(&s, &cond, e, &d, p).unwrap();
+            assert_eq!(s.calls.get(), 1, "{e}");
+            assert!(eval.solve.is_some(), "{e}");
+        }
     }
 
     #[test]
@@ -135,5 +250,73 @@ mod tests {
             assert!(g <= h + 1e-9, "G={g} exceeds H={h}");
             assert!(g >= 0.0);
         }
+    }
+
+    #[test]
+    fn one_solve_matches_two_solves_on_var_const_conditions() {
+        let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
+        let d: VarDists = [
+            (x, Pmf::uniform(6)),
+            (y, Pmf::from_weights(vec![5.0, 1.0, 1.0, 2.0, 0.5, 3.0])),
+            (z, Pmf::from_weights(vec![0.2, 4.0, 1.0, 1.0, 1.0, 0.3])),
+        ]
+        .into_iter()
+        .collect();
+        for cond in [
+            Condition::from_clauses(vec![vec![Expr::lt(x, 3)]]),
+            Condition::from_clauses(vec![vec![Expr::lt(x, 3), Expr::gt(y, 2)]]),
+            Condition::from_clauses(vec![
+                vec![Expr::lt(x, 4), Expr::gt(y, 1)],
+                vec![Expr::gt(z, 2)],
+                vec![Expr::lt(y, 5), Expr::gt(x, 0), Expr::lt(z, 4)],
+            ]),
+        ] {
+            assert_identity(&cond, &d);
+        }
+    }
+
+    #[test]
+    fn one_solve_matches_two_solves_on_var_var_conditions() {
+        let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
+        let d: VarDists = [
+            (x, Pmf::from_weights(vec![1.0, 2.0, 3.0, 4.0, 5.0])),
+            (y, Pmf::uniform(5)),
+            (z, Pmf::from_weights(vec![3.0, 0.5, 0.5, 2.0, 1.0])),
+        ]
+        .into_iter()
+        .collect();
+        for cond in [
+            Condition::from_clauses(vec![vec![Expr::var_gt(x, y)]]),
+            Condition::from_clauses(vec![
+                vec![Expr::var_gt(x, y), Expr::lt(z, 2)],
+                vec![Expr::var_gt(z, x), Expr::gt(y, 1)],
+            ]),
+        ] {
+            assert_identity(&cond, &d);
+        }
+    }
+
+    #[test]
+    fn one_solve_matches_two_solves_when_e_subsumes_its_clauses() {
+        // `x < 2` appears in two clauses; conjoining the unit clause [x < 2]
+        // subsumes both, so φ ∧ e collapses to [x < 2] ∧ (z > 1) while
+        // φ ∧ ¬e keeps every clause.
+        let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
+        let e = Expr::lt(x, 2);
+        let cond = Condition::from_clauses(vec![
+            vec![e, Expr::gt(y, 3)],
+            vec![e, Expr::var_gt(y, z)],
+            vec![Expr::gt(z, 1)],
+        ]);
+        let conjoined = cond.and_expr(e);
+        assert_eq!(conjoined.clauses().len(), 2, "{conjoined}");
+        let d: VarDists = [
+            (x, Pmf::uniform(5)),
+            (y, Pmf::from_weights(vec![1.0, 1.0, 2.0, 3.0, 1.0])),
+            (z, Pmf::uniform(5)),
+        ]
+        .into_iter()
+        .collect();
+        assert_identity(&cond, &d);
     }
 }

@@ -5,7 +5,7 @@ use crate::strategy::TaskStrategy;
 use bc_bayes::ModelConfig;
 use bc_crowd::RetryPolicy;
 use bc_ctable::{CTableConfig, DominatorStrategy};
-use bc_solver::{AdpllSolver, BranchHeuristic, MonteCarloSolver, NaiveSolver, Solver};
+use bc_solver::{AdpllSolver, BranchHeuristic, MonteCarloSolver, NaiveSolver, Solver, SolverError};
 use std::fmt;
 
 /// Why a configuration was rejected by [`BayesCrowdConfig::validate`] (and
@@ -66,6 +66,25 @@ impl SolverKind {
             }
             SolverKind::Naive => Box::new(NaiveSolver::new()),
             SolverKind::MonteCarlo => Box::new(MonteCarloSolver::default()),
+        }
+    }
+}
+
+/// Runs `solve` on `solver` and, if that fails, once more on a fresh ADPLL
+/// built with `heuristic` and `caching`: the one fallback policy for every
+/// solve of a run. Returns the result and whether the fallback ran; an
+/// error from the fallback itself is returned.
+pub(crate) fn solve_with_fallback<T>(
+    solver: &dyn Solver,
+    heuristic: BranchHeuristic,
+    caching: bool,
+    solve: impl Fn(&dyn Solver) -> Result<T, SolverError>,
+) -> Result<(T, bool), SolverError> {
+    match solve(solver) {
+        Ok(out) => Ok((out, false)),
+        Err(_) => {
+            let fallback = SolverKind::Adpll.build(heuristic, caching);
+            Ok((solve(fallback.as_ref())?, true))
         }
     }
 }

@@ -1,12 +1,12 @@
 //! Per-round object ranking and conflict-free task assembly (the two steps
 //! of Section 6.2).
 
-use crate::strategy::{expression_frequencies, select_expression, TaskStrategy};
+use crate::strategy::{expression_frequencies, select_expression, TaskStrategy, UtilityScorer};
 use bc_crowd::Task;
 use bc_ctable::CTable;
 use bc_data::{ObjectId, VarId};
 use bc_solver::utility::object_entropy;
-use bc_solver::{Solver, VarDists};
+use bc_solver::SolverError;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -84,19 +84,22 @@ pub fn rank_objects(probs: &[(ObjectId, f64)], ranking: ObjectRanking) -> Vec<Ra
 /// `blocked` vars are off-limits from the start, in both modes: the
 /// framework reserves the variables of tasks already in flight (queued
 /// retries) so a round never asks about them twice.
-#[allow(clippy::too_many_arguments)] // the paper's Algorithm 4 inputs, passed as-is
+///
+/// UBS/HHS score candidates through `scorer`, whose tally then holds the
+/// round's utility effort. Each ranked probability must be `Pr(φ(o))`
+/// under the scorer's distributions. A solver error that survives the
+/// scorer's fallback aborts the round.
 pub fn assemble_round(
     ranked: &[RankedObject],
     ctable: &CTable,
     strategy: TaskStrategy,
-    solver: &dyn Solver,
-    dists: &VarDists,
+    scorer: &mut UtilityScorer<'_>,
     limit: usize,
     conflict_free: bool,
     blocked: &BTreeSet<VarId>,
-) -> Vec<Task> {
+) -> Result<Vec<Task>, SolverError> {
     if limit == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     // Frequencies are counted over the conditions of the objects considered
     // this round (the paper's "chosen top-k objects").
@@ -114,15 +117,9 @@ pub fn assemble_round(
             continue;
         }
         let off_limits = if conflict_free { &used_vars } else { blocked };
-        let Some(expr) = select_expression(
-            strategy,
-            cond,
-            &freq,
-            off_limits,
-            solver,
-            dists,
-            r.probability,
-        ) else {
+        let Some(expr) =
+            select_expression(strategy, cond, &freq, off_limits, scorer, r.probability)?
+        else {
             continue;
         };
         let task = Task::from_expr(&expr);
@@ -131,7 +128,7 @@ pub fn assemble_round(
         }
         tasks.push(task);
     }
-    tasks
+    Ok(tasks)
 }
 
 #[cfg(test)]
@@ -139,7 +136,7 @@ mod tests {
     use super::*;
     use bc_bayes::Pmf;
     use bc_ctable::{Condition, Expr};
-    use bc_solver::AdpllSolver;
+    use bc_solver::{AdpllSolver, BranchHeuristic, Solver, VarDists};
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
@@ -175,6 +172,31 @@ mod tests {
         assert_eq!(ranked[0].object, ObjectId(1));
     }
 
+    /// [`assemble_round`] with a fresh scorer over `solver`.
+    #[allow(clippy::too_many_arguments)]
+    fn round(
+        ranked: &[RankedObject],
+        ctable: &CTable,
+        strategy: TaskStrategy,
+        solver: &dyn Solver,
+        dists: &VarDists,
+        limit: usize,
+        conflict_free: bool,
+        blocked: &BTreeSet<VarId>,
+    ) -> Vec<Task> {
+        let mut scorer = UtilityScorer::new(solver, dists, BranchHeuristic::default(), true);
+        assemble_round(
+            ranked,
+            ctable,
+            strategy,
+            &mut scorer,
+            limit,
+            conflict_free,
+            blocked,
+        )
+        .unwrap()
+    }
+
     fn two_object_setup() -> (CTable, VarDists) {
         // o0: (x < 5), o1: (x > 2 ∨ y < 3) — they share variable x.
         let x = v(9, 0);
@@ -194,7 +216,7 @@ mod tests {
         let (ct, dists) = two_object_setup();
         let solver = AdpllSolver::new();
         let ranked = rank_by_entropy(&[(ObjectId(0), 0.5), (ObjectId(1), 0.6)]);
-        let tasks = assemble_round(
+        let tasks = round(
             &ranked,
             &ct,
             TaskStrategy::Fbs,
@@ -215,7 +237,7 @@ mod tests {
         let ranked = rank_by_entropy(&[(ObjectId(0), 0.5), (ObjectId(1), 0.6)]);
         // FBS picks the x-expression for both objects when not blocked
         // (x-expressions are the most frequent across the two conditions).
-        let tasks = assemble_round(
+        let tasks = round(
             &ranked,
             &ct,
             TaskStrategy::Fbs,
@@ -237,7 +259,7 @@ mod tests {
         // Reserving x forces every selected task onto other variables.
         let blocked: BTreeSet<VarId> = [v(9, 0)].into_iter().collect();
         for conflict_free in [true, false] {
-            let tasks = assemble_round(
+            let tasks = round(
                 &ranked,
                 &ct,
                 TaskStrategy::Fbs,
@@ -259,11 +281,67 @@ mod tests {
     }
 
     #[test]
+    fn a_ubs_round_solves_once_per_open_candidate() {
+        // z is confined to {0, 1}, so "z < 7" is decided in both conditions;
+        // every other distinct candidate costs exactly one solve.
+        let (x, y, z) = (v(9, 0), v(9, 1), v(9, 2));
+        let ct = CTable::new(vec![
+            Condition::from_clauses(vec![
+                vec![Expr::lt(x, 5)],
+                vec![Expr::lt(z, 7), Expr::gt(y, 1)],
+            ]),
+            Condition::from_clauses(vec![vec![Expr::gt(x, 2), Expr::lt(y, 3), Expr::lt(z, 7)]]),
+        ]);
+        let dists: VarDists = [
+            (x, Pmf::uniform(10)),
+            (y, Pmf::uniform(10)),
+            (z, Pmf::uniform(10).conditioned(0b11).unwrap()),
+        ]
+        .into_iter()
+        .collect();
+        let solver = AdpllSolver::new();
+        let probs: Vec<(ObjectId, f64)> = [ObjectId(0), ObjectId(1)]
+            .into_iter()
+            .map(|o| (o, solver.probability(ct.condition(o), &dists).unwrap()))
+            .collect();
+        let ranked = rank_by_entropy(&probs);
+        let mut scorer = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
+        let tasks = assemble_round(
+            &ranked,
+            &ct,
+            TaskStrategy::Ubs,
+            &mut scorer,
+            2,
+            false,
+            &BTreeSet::new(),
+        )
+        .unwrap();
+        assert_eq!(tasks.len(), 2);
+        let mut candidates = 0;
+        let mut open = 0;
+        for o in [ObjectId(0), ObjectId(1)] {
+            let distinct: BTreeSet<Expr> = ct.condition(o).exprs().copied().collect();
+            candidates += distinct.len() as u64;
+            open += distinct
+                .iter()
+                .filter(|e| {
+                    let p = dists.expr_prob(e).unwrap();
+                    p > f64::EPSILON && p < 1.0 - f64::EPSILON
+                })
+                .count() as u64;
+        }
+        let tally = scorer.tally();
+        assert_eq!((candidates, open), (6, 4));
+        assert_eq!(tally.candidates, candidates);
+        assert_eq!(tally.solver_calls, open);
+    }
+
+    #[test]
     fn limit_caps_the_batch() {
         let (ct, dists) = two_object_setup();
         let solver = AdpllSolver::new();
         let ranked = rank_by_entropy(&[(ObjectId(0), 0.5), (ObjectId(1), 0.6)]);
-        let tasks = assemble_round(
+        let tasks = round(
             &ranked,
             &ct,
             TaskStrategy::Fbs,
@@ -274,7 +352,7 @@ mod tests {
             &BTreeSet::new(),
         );
         assert_eq!(tasks.len(), 1);
-        assert!(assemble_round(
+        assert!(round(
             &ranked,
             &ct,
             TaskStrategy::Fbs,

@@ -19,11 +19,11 @@
 //! [`BayesCrowd::try_run`](crate::BayesCrowd::try_run) are thin loops over
 //! this type.
 
-use crate::config::{BayesCrowdConfig, SolverKind};
+use crate::config::{solve_with_fallback, BayesCrowdConfig, SolverKind};
 use crate::error::RunError;
 use crate::report::RunReport;
 use crate::selection::{assemble_round, rank_objects, ObjectRanking};
-use crate::strategy::TaskStrategy;
+use crate::strategy::{TaskStrategy, UtilityScorer};
 use bc_bayes::anneal::AnnealConfig;
 use bc_bayes::em::EmConfig;
 use bc_bayes::learn::LearnConfig;
@@ -119,9 +119,7 @@ fn solve_batch(
     dists: &VarDists,
 ) -> SolvedBatch {
     // One worker's share: solve sequentially, attributing per-call effort
-    // via snapshot diffs and counting fallback re-solves. The fallback is
-    // built through `SolverKind::build` so the configured branching
-    // heuristic and caching flag survive it.
+    // via snapshot diffs and counting fallback re-solves.
     fn solve_chunk(
         heuristic: BranchHeuristic,
         caching: bool,
@@ -136,17 +134,11 @@ fn solve_batch(
         let mut fallbacks = 0u64;
         for &o in objects {
             let cond = ctable.condition(o);
-            calls += 1;
-            let (p, s) = match solver.probability_with_stats(cond, dists) {
-                Ok(solved) => solved,
-                Err(_) => {
-                    calls += 1;
-                    fallbacks += 1;
-                    SolverKind::Adpll
-                        .build(heuristic, caching)
-                        .probability_with_stats(cond, dists)?
-                }
-            };
+            let ((p, s), fell_back) = solve_with_fallback(solver, heuristic, caching, |s| {
+                s.probability_with_stats(cond, dists)
+            })?;
+            calls += 1 + u64::from(fell_back);
+            fallbacks += u64::from(fell_back);
             stats += s;
             out.push((o, p));
         }
@@ -526,18 +518,37 @@ impl<'a> Session<'a> {
             )?;
             *evals += fresh.len() as u64;
             prob_cache.extend(fresh);
+            // Utilities take `Pr(φ)` from the cache: an entry survives only
+            // while no answered variable touches its condition, and only the
+            // answered variables' masks (hence pmfs) change, so every entry
+            // is `Pr(φ)` under the current `dists`.
             let probs: Vec<(ObjectId, f64)> = open.iter().map(|o| (*o, prob_cache[o])).collect();
             let ranked = rank_objects(&probs, config.ranking);
+            let t = Instant::now();
+            let mut scorer = UtilityScorer::new(
+                solver.as_ref(),
+                dists,
+                config.branch_heuristic,
+                config.solver_caching,
+            );
             let fresh_tasks = assemble_round(
                 &ranked,
                 ctable,
                 config.strategy,
-                solver.as_ref(),
-                dists,
+                &mut scorer,
                 limit - batch.len(),
                 config.conflict_free,
                 &reserved,
-            );
+            )?;
+            let tally = scorer.tally();
+            observer.event(&Event::UtilityBatch {
+                candidates: tally.candidates,
+                solver_calls: tally.solver_calls,
+                decisions: tally.stats.branches,
+                cache_hits: tally.stats.cache_hits,
+                fallbacks: tally.fallbacks,
+                nanos: t.elapsed().as_nanos(),
+            });
             attempts_in_batch.resize(batch.len() + fresh_tasks.len(), 0);
             batch.extend(fresh_tasks);
         }

@@ -131,6 +131,83 @@ fn json_lines_trace_reconciles_with_the_report() {
     }
 }
 
+/// An HHS run on NBA-like data large enough that selection time is
+/// dominated by solver work, observed by a recorder and a profiler at once.
+fn profiled_hhs_run() -> (MetricsRecorder, ProfileReport) {
+    let complete = bc_data::generators::nba::nba_like(150, 3);
+    let (incomplete, _) = bc_data::missing::inject_mcar(&complete, 0.1, 4);
+    let mut platform = SimulatedPlatform::new(GroundTruthOracle::new(complete), 1.0, 5);
+    let config = BayesCrowdConfig::builder()
+        .budget(40)
+        .latency(8)
+        .alpha(0.2)
+        .strategy(TaskStrategy::Hhs { m: 5 })
+        .build()
+        .expect("valid configuration");
+    let mut metrics = MetricsRecorder::new();
+    let mut profiler = RunProfiler::new();
+    match BayesCrowd::new(config).try_run(
+        &incomplete,
+        &mut platform,
+        &mut Tee::new(&mut metrics, &mut profiler),
+    ) {
+        Ok(_) | Err(RunError::PlatformExhausted { .. }) => {}
+        Err(e) => panic!("unexpected run error: {e}"),
+    }
+    (metrics, profiler.report())
+}
+
+/// Selection time is attributed: on an HHS run the probability batches
+/// (`round/select/solve`) and the utility batches (`round/select/utility`)
+/// together cover at least 90% of `round/select`, leaving only object
+/// ranking and bookkeeping unnamed.
+#[test]
+fn select_children_account_for_select_time_on_hhs() {
+    let (metrics, profile) = profiled_hhs_run();
+    assert!(metrics.counters().utility_evals > 0, "HHS scored nothing");
+    let select = profile.node("round/select").expect("rounds ran");
+    let names: Vec<&str> = select.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(names, ["solve", "utility"]);
+    let children: u128 = select.children.iter().map(|c| c.nanos).sum();
+    assert!(
+        children * 10 >= select.nanos * 9,
+        "children cover {children} of {} select nanos",
+        select.nanos
+    );
+}
+
+/// Utility work is counted apart from probability batches, one
+/// `UtilityBatch` per selecting round, and every scored candidate costs at
+/// most one solve (none when its expression is already decided).
+#[test]
+fn utility_counters_reconcile_with_utility_batches() {
+    let (metrics, profile) = profiled_hhs_run();
+    let c = metrics.counters();
+    let (mut batches, mut calls, mut decisions, mut fallbacks) = (0u64, 0u64, 0u64, 0u64);
+    for e in metrics.events() {
+        if let Event::UtilityBatch {
+            solver_calls,
+            decisions: d,
+            fallbacks: f,
+            ..
+        } = *e
+        {
+            batches += 1;
+            calls += solver_calls;
+            decisions += d;
+            fallbacks += f;
+        }
+    }
+    assert_eq!(batches, c.rounds, "one utility batch per selecting round");
+    assert_eq!(c.utility_solver_calls, calls);
+    assert_eq!(c.utility_decisions, decisions);
+    assert_eq!(fallbacks, 0, "ADPLL never needs its own fallback");
+    assert!(c.utility_solver_calls > 0);
+    assert!(c.utility_solver_calls <= c.utility_evals);
+    let utility = profile.node("round/select/utility").unwrap();
+    assert_eq!(utility.count, c.utility_solver_calls);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

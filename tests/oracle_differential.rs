@@ -8,10 +8,15 @@
 
 use bayescrowd::{BayesCrowd, BayesCrowdConfig, TaskStrategy};
 use bc_crowd::{GroundTruthOracle, SimulatedPlatform};
+use bc_ctable::Operand;
 use bc_data::domain::uniform_domains;
 use bc_data::skyline::skyline_bnl;
 use bc_data::{normalize_directions, AttrId, Dataset, Direction, ObjectId};
-use bc_oracle::{check_instance, metamorphic, random_instance, DiffConfig, GenConfig};
+use bc_oracle::diff::exact_ctable;
+use bc_oracle::{
+    check_instance, load_corpus, metamorphic, random_instance, utility_matches_worlds, DiffConfig,
+    GenConfig,
+};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -38,6 +43,40 @@ fn five_hundred_random_instances_match_the_oracle() {
         worlds_total > 1_000,
         "only {worlds_total} worlds enumerated"
     );
+}
+
+/// The marginal utility `G(o, e)` that UBS/HHS rank by — one solve plus
+/// the complement `Pr(φ ∧ ¬e) = Pr(φ) − Pr(φ ∧ e)` — matches the
+/// possible-worlds value for ADPLL and naive enumeration, on every open
+/// object's every expression, over the committed corpus and 500 seeded
+/// instances. Both var-const and var-var expressions must be exercised.
+#[test]
+fn utilities_match_the_oracle_on_corpus_and_random_instances() {
+    let eps = DiffConfig::default().eps;
+    let corpus_dir =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bc-oracle/corpus");
+    let corpus = load_corpus(&corpus_dir).expect("the committed corpus loads");
+    assert!(!corpus.is_empty(), "no corpus at {}", corpus_dir.display());
+    let instances = corpus
+        .into_iter()
+        .map(|(_, inst)| inst)
+        .chain((20_000..20_500u64).map(|seed| random_instance(seed, &GenConfig::default())));
+    let (mut pairs, mut var_var) = (0usize, 0usize);
+    for inst in instances {
+        pairs += utility_matches_worlds(&inst, eps).unwrap_or_else(|e| panic!("{e}"));
+        let ct = exact_ctable(&inst.data);
+        var_var += ct
+            .open_objects()
+            .iter()
+            .flat_map(|&o| ct.condition(o).exprs())
+            .filter(|e| matches!(e.rhs(), Operand::Var(_)))
+            .count();
+    }
+    assert!(
+        pairs > 1_000,
+        "only {pairs} (object, expression) pairs checked"
+    );
+    assert!(var_var > 0, "no var-var expression was exercised");
 }
 
 /// Satellite: checkpoint/resume preserves the *per-object probabilities*,

@@ -3,8 +3,8 @@
 //! ADPLL is the paper's contribution; Naive enumeration is ground truth by
 //! construction. On arbitrary random conditions and distributions the two
 //! must agree exactly (they are both exact), and Monte-Carlo must land
-//! nearby. Also checks the complement law and branching-heuristic
-//! independence.
+//! nearby. Also checks the complement law, the complement identity the
+//! marginal utility relies on, and branching-heuristic independence.
 
 use bc_bayes::Pmf;
 use bc_ctable::{CmpOp, Condition, Expr, Operand};
@@ -125,6 +125,24 @@ proptest! {
         let pt = s.probability(&cond.and_expr(e), &dists).unwrap();
         let pf = s.probability(&cond.and_expr(e.negated()), &dists).unwrap();
         bc_oracle::assert_prob_close!(p, pt + pf, 1e-9, "total probability over {}", e);
+    }
+
+    #[test]
+    fn complement_identity_adpll_against_naive(
+        cond in arb_condition(),
+        e in arb_expr(),
+        dists in arb_dists(),
+    ) {
+        // The identity the marginal utility relies on:
+        // Pr(φ ∧ e) + Pr(φ ∧ ¬e) = Pr(φ), with Pr(φ) and Pr(φ ∧ e) from
+        // ADPLL and Pr(φ ∧ ¬e) solved directly by naive enumeration.
+        let adpll = AdpllSolver::new();
+        let p = adpll.probability(&cond, &dists).unwrap();
+        let pt = adpll.probability(&cond.and_expr(e), &dists).unwrap();
+        let pf = NaiveSolver::new()
+            .probability(&cond.and_expr(e.negated()), &dists)
+            .unwrap();
+        bc_oracle::assert_prob_close!(pt + pf, p, 1e-9, "complement identity over {} in {}", e, cond);
     }
 
     #[test]
