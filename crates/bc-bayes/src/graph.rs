@@ -101,16 +101,38 @@ impl Dag {
         false
     }
 
-    /// A topological order (parents before children).
-    pub fn topological_order(&self) -> Vec<usize> {
-        let n = self.n_nodes();
-        let mut remaining_parents: Vec<usize> = (0..n).map(|v| self.parents[v].len()).collect();
-        let mut children = vec![Vec::new(); n];
-        for c in 0..n {
+    /// Sorted children of every node, indexed by node.
+    pub(crate) fn children(&self) -> Vec<Vec<usize>> {
+        let mut children = vec![Vec::new(); self.n_nodes()];
+        for c in 0..self.n_nodes() {
             for &p in &self.parents[c] {
                 children[p].push(c);
             }
         }
+        children
+    }
+
+    /// The Markov blanket of `node`, sorted: its parents, its children and
+    /// its children's other parents. Given values for all of them, `node`
+    /// is independent of every other node.
+    pub(crate) fn markov_blanket(&self, node: usize) -> Vec<usize> {
+        let mut blanket: Vec<usize> = self.parents[node].clone();
+        for c in 0..self.n_nodes() {
+            if self.has_edge(node, c) {
+                blanket.push(c);
+                blanket.extend(self.parents[c].iter().filter(|&&p| p != node));
+            }
+        }
+        blanket.sort_unstable();
+        blanket.dedup();
+        blanket
+    }
+
+    /// A topological order (parents before children).
+    pub fn topological_order(&self) -> Vec<usize> {
+        let n = self.n_nodes();
+        let mut remaining_parents: Vec<usize> = (0..n).map(|v| self.parents[v].len()).collect();
+        let children = self.children();
         let mut ready: Vec<usize> = (0..n).filter(|&v| remaining_parents[v] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(v) = ready.pop() {
@@ -181,6 +203,20 @@ mod tests {
         for (p, c) in g.edges() {
             assert!(pos[p] < pos[c], "edge ({p},{c}) violates topo order");
         }
+    }
+
+    #[test]
+    fn children_and_markov_blanket() {
+        // 0 -> 2 <- 1, 2 -> 3, 4 isolated.
+        let g = Dag::from_edges(5, &[(0, 2), (1, 2), (2, 3)]);
+        assert_eq!(
+            g.children(),
+            vec![vec![2], vec![2], vec![3], vec![], vec![]]
+        );
+        assert_eq!(g.markov_blanket(0), vec![1, 2], "child plus co-parent");
+        assert_eq!(g.markov_blanket(2), vec![0, 1, 3]);
+        assert_eq!(g.markov_blanket(3), vec![2]);
+        assert!(g.markov_blanket(4).is_empty());
     }
 
     #[test]

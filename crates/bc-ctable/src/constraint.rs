@@ -125,12 +125,21 @@ impl ConstraintStore {
         }
     }
 
-    /// Records the answer to a task comparing `var` against `rhs`.
+    /// Records the answer to a task comparing `var` against `rhs` and
+    /// returns the variables whose candidate mask actually changed (none,
+    /// one, or for a var-var answer both sides), in ascending order.
     ///
     /// Var-const answers shrink `var`'s mask. Var-var answers record a fact
     /// and additionally tighten both masks by interval reasoning (`l < r`
     /// implies `l < max(r)` and `r > min(l)`).
-    pub fn record(&mut self, var: VarId, rhs: Operand, relation: Relation) {
+    pub fn record(&mut self, var: VarId, rhs: Operand, relation: Relation) -> Vec<VarId> {
+        let mut changed = Vec::new();
+        let mut narrow = |store: &mut ConstraintStore, v: VarId, m: u64| {
+            if store.mask(v) != m {
+                changed.push(v);
+            }
+            store.masks.insert(v, m);
+        };
         match rhs {
             Operand::Const(c) => {
                 let keep = match relation {
@@ -145,7 +154,7 @@ impl ConstraintStore {
                     Relation::Gt => above_mask(c),
                 };
                 let m = self.mask(var) & keep;
-                self.masks.insert(var, m);
+                narrow(self, var, m);
             }
             Operand::Var(other) => {
                 let (a, b, rel) = if var <= other {
@@ -162,11 +171,12 @@ impl ConstraintStore {
                         Relation::Gt => (ma & above_mask(bmin), mb & below_mask(amax)),
                         Relation::Eq => (ma & mb, mb & ma),
                     };
-                    self.masks.insert(a, na);
-                    self.masks.insert(b, nb);
+                    narrow(self, a, na);
+                    narrow(self, b, nb);
                 }
             }
         }
+        changed
     }
 
     /// The recorded fact between two variables, if any (expressed from
@@ -315,6 +325,24 @@ mod tests {
         assert_eq!(s.mask(l), 0b0111);
         // And r > min(l) = 0 → r in {1..3}.
         assert_eq!(s.mask(r), 0b1110);
+    }
+
+    #[test]
+    fn record_reports_exactly_the_narrowed_masks() {
+        let mut s = store();
+        let l = v(5, 1);
+        let r = v(2, 1);
+        assert_eq!(s.record(l, Operand::Const(5), Relation::Lt), vec![l]);
+        // Already known: nothing narrows.
+        assert_eq!(s.record(l, Operand::Const(7), Relation::Lt), vec![]);
+        // l in {0..4}, r full {0..9}: l < r narrows r to {1..9} only.
+        assert_eq!(s.record(l, Operand::Var(r), Relation::Lt), vec![r]);
+        // r in {1..9} vs l in {0..4}: l = r narrows both, smaller var first.
+        assert_eq!(s.record(l, Operand::Var(r), Relation::Eq), vec![r, l]);
+        assert_eq!(s.mask(l), 0b11110);
+        assert_eq!(s.mask(r), 0b11110);
+        // A repeated var-var answer changes nothing.
+        assert_eq!(s.record(r, Operand::Var(l), Relation::Eq), vec![]);
     }
 
     #[test]

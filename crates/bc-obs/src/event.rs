@@ -97,6 +97,13 @@ pub enum Event {
         /// Structure-search moves applied (hill-climb improving moves or
         /// accepted annealing moves).
         search_iters: usize,
+        /// Missing cells whose conditional came from the Markov-blanket
+        /// closed form.
+        blanket_cells: usize,
+        /// Missing cells whose conditional needed variable elimination.
+        ve_cells: usize,
+        /// Distinct `(attribute, blanket values)` closed-form evaluations.
+        blanket_keys: usize,
         /// Training wall-clock time.
         nanos: u128,
     },
@@ -338,12 +345,18 @@ impl Event {
                 edges,
                 em_iters,
                 search_iters,
+                blanket_cells,
+                ve_cells,
+                blanket_keys,
                 nanos,
             } => {
                 s.push_str(&format!(", \"bic\": {}", json_f64(*bic)));
                 field_u(&mut s, "edges", *edges as u128);
                 field_u(&mut s, "em_iters", *em_iters as u128);
                 field_u(&mut s, "search_iters", *search_iters as u128);
+                field_u(&mut s, "blanket_cells", *blanket_cells as u128);
+                field_u(&mut s, "ve_cells", *ve_cells as u128);
+                field_u(&mut s, "blanket_keys", *blanket_keys as u128);
                 field_u(&mut s, "nanos", *nanos);
             }
             Event::CTableBuilt {
@@ -514,6 +527,9 @@ impl Event {
                 edges: get_u("edges")?,
                 em_iters: get_u("em_iters")?,
                 search_iters: get_u("search_iters")?,
+                blanket_cells: get_u("blanket_cells")?,
+                ve_cells: get_u("ve_cells")?,
+                blanket_keys: get_u("blanket_keys")?,
                 nanos: get_n("nanos")?,
             },
             "CTableBuilt" => Event::CTableBuilt {
@@ -690,6 +706,9 @@ mod tests {
                 edges: 2,
                 em_iters: 0,
                 search_iters: 3,
+                blanket_cells: 4,
+                ve_cells: 1,
+                blanket_keys: 3,
                 nanos: 1234,
             },
             Event::CTableBuilt {
@@ -829,6 +848,32 @@ mod tests {
     }
 
     #[test]
+    fn model_trained_carries_the_conditional_counts() {
+        let e = Event::ModelTrained {
+            bic: -3.0,
+            edges: 1,
+            em_iters: 0,
+            search_iters: 2,
+            blanket_cells: 198,
+            ve_cells: 4,
+            blanket_keys: 37,
+            nanos: 9,
+        };
+        let line = e.to_json_line(7);
+        for field in [
+            "\"blanket_cells\": 198",
+            "\"ve_cells\": 4",
+            "\"blanket_keys\": 37",
+        ] {
+            assert!(line.contains(field), "{line}");
+        }
+        assert_eq!(Event::from_json_line(&line), Some((7, e)));
+        // A line without the counts is rejected, not defaulted.
+        let old = line.replace(", \"blanket_keys\": 37", "");
+        assert!(Event::from_json_line(&old).is_none());
+    }
+
+    #[test]
     fn phase_names_round_trip() {
         for p in RunPhase::ALL {
             assert_eq!(RunPhase::from_name(p.name()), Some(p));
@@ -854,6 +899,9 @@ mod tests {
             edges: 0,
             em_iters: 0,
             search_iters: 0,
+            blanket_cells: 0,
+            ve_cells: 0,
+            blanket_keys: 0,
             nanos: 0,
         };
         let line = e.to_json_line(0);

@@ -195,6 +195,13 @@ pub struct Counters {
     pub utility_solver_calls: u64,
     /// Value-branching decisions taken by utility solves.
     pub utility_decisions: u64,
+    /// Missing cells whose conditional came from the Markov-blanket closed
+    /// form. From `ModelTrained` events, like the two counters below.
+    pub model_blanket_cells: u64,
+    /// Missing cells whose conditional needed variable elimination.
+    pub model_ve_cells: u64,
+    /// Distinct `(attribute, blanket values)` closed-form evaluations.
+    pub model_blanket_keys: u64,
 }
 
 /// An [`Observer`] that aggregates the event stream in memory.
@@ -288,6 +295,11 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
+            "model conditionals: {} blanket cells ({} distinct), {} by elimination",
+            c.model_blanket_cells, c.model_blanket_keys, c.model_ve_cells
+        );
+        let _ = writeln!(
+            s,
             "utility evals {}  utility solver calls {} (decisions {})",
             c.utility_evals, c.utility_solver_calls, c.utility_decisions
         );
@@ -355,6 +367,16 @@ impl Observer for MetricsRecorder {
                 self.counters.solver_component_splits += component_splits;
                 self.counters.solver_cache_misses += cache_misses;
                 self.counters.solver_max_depth = self.counters.solver_max_depth.max(*max_depth);
+            }
+            Event::ModelTrained {
+                blanket_cells,
+                ve_cells,
+                blanket_keys,
+                ..
+            } => {
+                self.counters.model_blanket_cells += *blanket_cells as u64;
+                self.counters.model_ve_cells += *ve_cells as u64;
+                self.counters.model_blanket_keys += *blanket_keys as u64;
             }
             Event::UtilityBatch {
                 candidates,
@@ -484,6 +506,16 @@ mod tests {
             cache_misses: 7,
             max_depth: 4,
         });
+        rec.event(&Event::ModelTrained {
+            bic: -1.0,
+            edges: 0,
+            em_iters: 0,
+            search_iters: 0,
+            blanket_cells: 9,
+            ve_cells: 2,
+            blanket_keys: 3,
+            nanos: 10,
+        });
         rec.event(&Event::UtilityBatch {
             candidates: 6,
             solver_calls: 5,
@@ -529,13 +561,21 @@ mod tests {
         assert_eq!(c.utility_evals, 6);
         assert_eq!(c.utility_solver_calls, 5);
         assert_eq!(c.utility_decisions, 12);
+        assert_eq!(
+            (
+                c.model_blanket_cells,
+                c.model_ve_cells,
+                c.model_blanket_keys
+            ),
+            (9, 2, 3)
+        );
         // Utility work stays out of the probability-batch counters.
         assert_eq!(c.solver_calls, 4);
         assert_eq!(rec.phase_nanos(RunPhase::Select), 150);
         assert_eq!(rec.phase_nanos(RunPhase::Post), 0);
         assert_eq!(rec.tasks_per_round().count(), 1);
         assert_eq!(rec.propagation_depth().max(), 3);
-        assert_eq!(rec.events().len(), 8);
+        assert_eq!(rec.events().len(), 9);
         assert!(rec.summary().contains("posted 2"));
     }
 

@@ -636,6 +636,9 @@ mod tests {
             edges: 2,
             em_iters: 4,
             search_iters: 3,
+            blanket_cells: 5,
+            ve_cells: 1,
+            blanket_keys: 2,
             nanos: 500,
         });
         rp.event(&Event::SpanFinished {

@@ -34,7 +34,7 @@ use bc_ctable::Condition;
 use std::fmt;
 
 /// Errors raised by probability computation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SolverError {
     /// A variable in the condition has no distribution.
     MissingDistribution(bc_data::VarId),
@@ -45,6 +45,9 @@ pub enum SolverError {
         /// The configured cap.
         limit: u128,
     },
+    /// A solver returned a probability that is not finite or lies outside
+    /// `[0, 1]` by more than rounding slack.
+    InvalidProbability(f64),
 }
 
 impl fmt::Display for SolverError {
@@ -55,6 +58,9 @@ impl fmt::Display for SolverError {
             }
             SolverError::StateSpaceTooLarge { states, limit } => {
                 write!(f, "enumeration needs {states} states (limit {limit})")
+            }
+            SolverError::InvalidProbability(p) => {
+                write!(f, "solver returned {p}, which is not a probability")
             }
         }
     }

@@ -4,8 +4,11 @@ use crate::selection::ObjectRanking;
 use crate::strategy::TaskStrategy;
 use bc_bayes::ModelConfig;
 use bc_crowd::RetryPolicy;
-use bc_ctable::{CTableConfig, DominatorStrategy};
-use bc_solver::{AdpllSolver, BranchHeuristic, MonteCarloSolver, NaiveSolver, Solver, SolverError};
+use bc_ctable::{CTableConfig, Condition, DominatorStrategy};
+use bc_solver::{
+    AdpllSolver, BranchHeuristic, MonteCarloSolver, NaiveSolver, SolveStats, Solver, SolverError,
+    VarDists,
+};
 use std::fmt;
 
 /// Why a configuration was rejected by [`BayesCrowdConfig::validate`] (and
@@ -74,18 +77,74 @@ impl SolverKind {
 /// built with `heuristic` and `caching`: the one fallback policy for every
 /// solve of a run. Returns the result and whether the fallback ran; an
 /// error from the fallback itself is returned.
+///
+/// Every probability either solver returns is checked: a non-finite value,
+/// or one outside `[0, 1]` by more than `1e-9`, is
+/// [`SolverError::InvalidProbability`]. That error is returned at once, not
+/// retried: it means broken inputs or a broken solver, which a re-solve
+/// would only hide.
 pub(crate) fn solve_with_fallback<T>(
     solver: &dyn Solver,
     heuristic: BranchHeuristic,
     caching: bool,
     solve: impl Fn(&dyn Solver) -> Result<T, SolverError>,
 ) -> Result<(T, bool), SolverError> {
-    match solve(solver) {
+    match solve(&Checked(solver)) {
         Ok(out) => Ok((out, false)),
+        Err(e @ SolverError::InvalidProbability(_)) => Err(e),
         Err(_) => {
             let fallback = SolverKind::Adpll.build(heuristic, caching);
-            Ok((solve(fallback.as_ref())?, true))
+            Ok((solve(&Checked(fallback.as_ref()))?, true))
         }
+    }
+}
+
+/// A solver whose every probability passes [`checked_probability`].
+struct Checked<'a>(&'a dyn Solver);
+
+/// `p` if it is a probability up to rounding slack, else
+/// [`SolverError::InvalidProbability`].
+fn checked_probability(p: f64) -> Result<f64, SolverError> {
+    const SLACK: f64 = 1e-9;
+    if p.is_finite() && (-SLACK..=1.0 + SLACK).contains(&p) {
+        Ok(p)
+    } else {
+        Err(SolverError::InvalidProbability(p))
+    }
+}
+
+impl Solver for Checked<'_> {
+    fn probability(&self, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
+        checked_probability(self.0.probability(cond, dists)?)
+    }
+
+    fn probability_with_stats(
+        &self,
+        cond: &Condition,
+        dists: &VarDists,
+    ) -> Result<(f64, SolveStats), SolverError> {
+        let (p, stats) = self.0.probability_with_stats(cond, dists)?;
+        Ok((checked_probability(p)?, stats))
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
+/// A stub solver answering every condition with the same value: the way
+/// tests feed a broken probability into the run.
+#[cfg(test)]
+pub(crate) struct FixedSolver(pub f64);
+
+#[cfg(test)]
+impl Solver for FixedSolver {
+    fn probability(&self, _: &Condition, _: &VarDists) -> Result<f64, SolverError> {
+        Ok(self.0)
+    }
+
+    fn name(&self) -> &'static str {
+        "fixed"
     }
 }
 
@@ -494,6 +553,33 @@ mod tests {
         assert_eq!(SolverKind::Adpll.build(h, c).name(), "ADPLL");
         assert_eq!(SolverKind::Naive.build(h, c).name(), "Naive");
         assert_eq!(SolverKind::MonteCarlo.build(h, c).name(), "MonteCarlo");
+    }
+
+    #[test]
+    fn invalid_probabilities_are_typed_errors_without_fallback() {
+        let cond = Condition::True;
+        let dists = VarDists::default();
+        for bad in [f64::NAN, f64::INFINITY, -0.01, 1.0 + 1e-6] {
+            let got =
+                solve_with_fallback(&FixedSolver(bad), BranchHeuristic::default(), true, |s| {
+                    s.probability(&cond, &dists)
+                });
+            match got {
+                Err(SolverError::InvalidProbability(p)) => {
+                    assert!(p.is_nan() == bad.is_nan() && (p.is_nan() || p == bad))
+                }
+                other => panic!("{bad} accepted: {other:?}"),
+            }
+        }
+        // Rounding slack is tolerated and passed through unchanged.
+        for ok in [0.0, 1.0, -1e-12, 1.0 + 1e-12] {
+            let (p, fell_back) =
+                solve_with_fallback(&FixedSolver(ok), BranchHeuristic::default(), true, |s| {
+                    s.probability(&cond, &dists)
+                })
+                .unwrap();
+            assert_eq!((p, fell_back), (ok, false));
+        }
     }
 
     #[test]

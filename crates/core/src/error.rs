@@ -27,6 +27,9 @@ pub enum RunError {
     /// Writing or restoring a checkpoint failed (I/O, corruption, or a
     /// snapshot that does not belong to this run).
     Snapshot(SnapshotErrorShared),
+    /// A worker thread of the parallel probability batch panicked; carries
+    /// the panic message.
+    WorkerPanicked(String),
 }
 
 /// [`SnapshotError`] wrapped for `RunError`, which is `Clone` while
@@ -45,6 +48,7 @@ impl fmt::Display for RunError {
                 report.crowd.tasks_posted, report.open_exprs_left
             ),
             RunError::Snapshot(e) => write!(f, "checkpoint failed: {e}"),
+            RunError::WorkerPanicked(m) => write!(f, "probability worker panicked: {m}"),
         }
     }
 }

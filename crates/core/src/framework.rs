@@ -7,7 +7,7 @@
 //! Callers that want to checkpoint mid-run use [`BayesCrowd::session`]
 //! directly.
 
-use crate::config::BayesCrowdConfig;
+use crate::config::{solve_with_fallback, BayesCrowdConfig};
 use crate::error::RunError;
 use crate::report::RunReport;
 use crate::session::Session;
@@ -140,22 +140,31 @@ pub(crate) fn expr_truth(op: CmpOp, rel: Relation) -> bool {
 /// Convenience used by tests and examples: the answer set a machine-only
 /// pass would return (no crowdsourcing at all) — certain answers plus
 /// high-probability open objects.
-pub fn machine_only_answers(data: &Dataset, config: &BayesCrowdConfig) -> (Vec<ObjectId>, CTable) {
+///
+/// Probabilities go through the run's solve-with-fallback policy; an error
+/// that survives the fallback is [`RunError::Solver`], never a silent 0.
+pub fn machine_only_answers(
+    data: &Dataset,
+    config: &BayesCrowdConfig,
+) -> Result<(Vec<ObjectId>, CTable), RunError> {
     let model = MissingValueModel::learn(data, &config.model);
-    let dists: VarDists = model.pmfs().iter().map(|(k, v)| (*k, v.clone())).collect();
+    let dists: VarDists = model.into_pmfs().into_iter().collect();
     let ctable = build_ctable(data, &config.ctable_config());
     let solver = config.build_solver();
     let mut result = ctable.certain_answers();
     for o in ctable.open_objects() {
-        let p = solver
-            .probability(ctable.condition(o), &dists)
-            .unwrap_or(0.0);
+        let (p, _) = solve_with_fallback(
+            solver.as_ref(),
+            config.branch_heuristic,
+            config.solver_caching,
+            |s| s.probability(ctable.condition(o), &dists),
+        )?;
         if p > config.answer_threshold {
             result.push(o);
         }
     }
     result.sort_unstable();
-    (result, ctable)
+    Ok((result, ctable))
 }
 
 #[cfg(test)]
@@ -307,7 +316,8 @@ mod tests {
     #[test]
     fn machine_only_pass_returns_probable_answers() {
         let data = paper_dataset();
-        let (answers, ctable) = machine_only_answers(&data, &sample_config(TaskStrategy::Fbs));
+        let (answers, ctable) =
+            machine_only_answers(&data, &sample_config(TaskStrategy::Fbs)).unwrap();
         // o2, o3 certain; o1 and o5 have probability > 0.5 under uniform-ish
         // priors (φ(o1) ≈ 0.9+, φ(o5) ≈ 0.8).
         assert!(answers.contains(&ObjectId(1)));

@@ -48,8 +48,7 @@ pub fn rank_by_entropy(probs: &[(ObjectId, f64)]) -> Vec<RankedObject> {
         .collect();
     ranked.sort_by(|a, b| {
         b.entropy
-            .partial_cmp(&a.entropy)
-            .expect("entropies are finite")
+            .total_cmp(&a.entropy)
             .then(a.object.cmp(&b.object))
     });
     ranked

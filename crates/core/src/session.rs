@@ -36,7 +36,7 @@ use bc_ctable::{
 use bc_data::{Accuracy, Dataset, Domain, ObjectId, VarId};
 use bc_obs::{Event, NoopObserver, Observer, RunPhase, Span};
 use bc_snapshot::{fnv1a64, Snapshot, SnapshotError, SnapshotWriter, Value};
-use bc_solver::{BranchHeuristic, SolveStats, Solver, SolverError, VarDists};
+use bc_solver::{BranchHeuristic, SolveStats, Solver, VarDists};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 /// Per-object probabilities plus the solver effort behind them: aggregated
 /// stats, the number of solver calls, and how many of those calls were
 /// fallback re-solves after the configured solver failed.
-type SolvedBatch = Result<(Vec<(ObjectId, f64)>, SolveStats, u64, u64), SolverError>;
+type SolvedBatch = Result<(Vec<(ObjectId, f64)>, SolveStats, u64, u64), RunError>;
 
 /// A failed task waiting in the retry queue.
 #[derive(Clone, Copy, Debug)]
@@ -156,7 +156,7 @@ fn solve_batch(
         let mut stats = SolveStats::default();
         let mut calls = 0u64;
         let mut fallbacks = 0u64;
-        let mut first_err: Option<SolverError> = None;
+        let mut first_err: Option<RunError> = None;
         std::thread::scope(|s| {
             let handles: Vec<_> = objects
                 .chunks(chunk)
@@ -170,7 +170,7 @@ fn solve_batch(
                 })
                 .collect();
             for h in handles {
-                match h.join().expect("probability worker panicked") {
+                match join_worker(h).and_then(|r| r) {
                     Ok((chunk_out, chunk_stats, chunk_calls, chunk_fallbacks)) => {
                         out.extend(chunk_out);
                         stats += chunk_stats;
@@ -188,6 +188,19 @@ fn solve_batch(
     } else {
         solve_chunk(heuristic, caching, ctable, objects, solver, dists)
     }
+}
+
+/// Joins a worker thread; a panic becomes [`RunError::WorkerPanicked`]
+/// carrying the panic message.
+fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> Result<T, RunError> {
+    handle.join().map_err(|panic| {
+        let message = panic
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        RunError::WorkerPanicked(message)
+    })
 }
 
 /// An in-flight crowd run: the crowdsourcing phase of Algorithm 4, paused
@@ -268,6 +281,9 @@ impl<'a> Session<'a> {
             edges: model_stats.edges,
             em_iters: model_stats.em_iters,
             search_iters: model_stats.search_iters,
+            blanket_cells: model_stats.blanket_cells,
+            ve_cells: model_stats.ve_cells,
+            blanket_keys: model_stats.blanket_keys,
             nanos: model_span.elapsed_nanos(),
         });
         model_span.finish(obs);
@@ -630,16 +646,18 @@ impl<'a> Session<'a> {
             !cond.is_decided() && cond.vars().is_disjoint(&touched)
         });
         if config.propagate_answers {
+            let mut narrowed = BTreeSet::new();
             for a in &answers {
-                store.record(a.task.var, a.task.rhs, a.relation);
+                narrowed.extend(store.record(a.task.var, a.task.rhs, a.relation));
             }
             let prop_stats = ctable.propagate(store);
-            // Re-condition each touched variable's distribution on its
-            // narrowed candidate set.
-            for (var, base) in base_pmfs.iter() {
-                let mask = store.mask(*var);
-                if let Some(pmf) = base.conditioned(mask) {
-                    dists.insert(*var, pmf);
+            // Re-condition only the variables whose candidate set narrowed;
+            // every other distribution is unchanged (the base pmf while the
+            // mask is the full domain).
+            for var in narrowed {
+                let base = base_pmfs.get(&var);
+                if let Some(pmf) = base.and_then(|b| b.conditioned(store.mask(var))) {
+                    dists.insert(var, pmf);
                 }
             }
             observer.event(&Event::Propagated {
@@ -1747,6 +1765,102 @@ fn dec_config(v: &Value) -> Result<BayesCrowdConfig, SnapshotError> {
 mod tests {
     use super::*;
     use bc_bayes::anneal::AnnealConfig;
+
+    /// Every distribution is its base pmf while its mask is the full
+    /// domain, and the base conditioned on its mask once narrowed —
+    /// bit-for-bit.
+    fn assert_dists_follow_masks(session: &Session<'_>, ctx: &str) {
+        let bits = |p: &Pmf| p.probs().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (&var, base) in &session.base_pmfs {
+            let got = session
+                .dists
+                .pmf(var)
+                .expect("every missing cell has a pmf");
+            let mask = session.store.mask(var);
+            let full = (1u64 << base.card()) - 1;
+            if mask == full {
+                assert_eq!(bits(got), bits(base), "{ctx}: {var} untouched");
+            } else if let Some(want) = base.conditioned(mask) {
+                assert_eq!(bits(got), bits(&want), "{ctx}: {var} narrowed");
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_probability_fails_the_run_instead_of_panicking() {
+        use bc_crowd::{GroundTruthOracle, SimulatedPlatform};
+        use bc_data::generators::sample::{paper_completion, paper_dataset};
+        let config = BayesCrowdConfig {
+            budget: 6,
+            latency: 3,
+            alpha: 1.0,
+            strategy: TaskStrategy::Hhs { m: 2 },
+            ..Default::default()
+        };
+        let data = paper_dataset();
+        let mut platform =
+            SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 1.0, 7);
+        let mut session = Session::start(config, &data, &mut platform, None).unwrap();
+        assert!(!session.ctable.open_objects().is_empty());
+        session.solver = Box::new(crate::config::FixedSolver(f64::NAN));
+        match session.step() {
+            Err(RunError::Solver(bc_solver::SolverError::InvalidProbability(p))) => {
+                assert!(p.is_nan())
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a NaN probability was accepted"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_becomes_a_run_error() {
+        let err = std::thread::scope(|s| {
+            let handle = s.spawn(|| -> u32 { panic!("worker blew up") });
+            join_worker(handle).unwrap_err()
+        });
+        match err {
+            RunError::WorkerPanicked(message) => assert_eq!(message, "worker blew up"),
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn only_narrowed_variables_are_reconditioned_across_resume() {
+        use bc_crowd::{GroundTruthOracle, SimulatedPlatform};
+        let complete = bc_data::generators::nba::nba_like(60, 5);
+        let (data, _) = bc_data::missing::inject_mcar(&complete, 0.15, 9);
+        for strategy in [TaskStrategy::Fbs, TaskStrategy::Hhs { m: 3 }] {
+            let config = BayesCrowdConfig {
+                budget: 40,
+                latency: 8,
+                alpha: 0.3,
+                strategy,
+                ..Default::default()
+            };
+            let platform =
+                || SimulatedPlatform::new(GroundTruthOracle::new(complete.clone()), 1.0, 3);
+            let mut first = platform();
+            let mut session = Session::start(config, &data, &mut first, None).unwrap();
+            assert_dists_follow_masks(&session, "start");
+            let mut snapshot = Vec::new();
+            for _ in 0..3 {
+                session.step().unwrap();
+                assert_dists_follow_masks(&session, "before checkpoint");
+            }
+            assert!(
+                !session.store.masks().is_empty(),
+                "the crowd narrowed something"
+            );
+            session.checkpoint(&mut snapshot).unwrap();
+            drop(session);
+            let mut second = platform();
+            let mut resumed = Session::resume(snapshot.as_slice(), &mut second).unwrap();
+            assert_dists_follow_masks(&resumed, "resumed");
+            while resumed.step().unwrap() {
+                assert_dists_follow_masks(&resumed, "after resume");
+            }
+        }
+    }
 
     #[test]
     fn config_round_trips_through_the_codec() {

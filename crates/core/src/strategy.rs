@@ -229,6 +229,23 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_utility_solve_is_an_error_not_zero_utility() {
+        let (cond, dists) = simple_setup();
+        let nan = crate::config::FixedSolver(f64::NAN);
+        let mut scorer = UtilityScorer::new(&nan, &dists, BranchHeuristic::default(), true);
+        let e = *cond.exprs().next().unwrap();
+        assert!(matches!(
+            scorer.score(&cond, &e, 0.5),
+            Err(SolverError::InvalidProbability(p)) if p.is_nan()
+        ));
+        assert_eq!(
+            scorer.tally().fallbacks,
+            0,
+            "a broken answer is not retried"
+        );
+    }
+
+    #[test]
     fn fbs_follows_frequency() {
         let (cond, dists) = simple_setup();
         // Make y's expression globally frequent.

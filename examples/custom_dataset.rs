@@ -63,7 +63,8 @@ fn main() {
         alpha: 1.0,
         ..Default::default()
     };
-    let (answers, ctable) = machine_only_answers(&normalized, &config);
+    let (answers, ctable) =
+        machine_only_answers(&normalized, &config).expect("the machine-only pass solves");
     println!("recommended (skyline) hotels:");
     for o in &answers {
         println!("  {} — {}", o, names[o.index()]);

@@ -41,7 +41,8 @@ fn main() {
         .expect("the example configuration is valid");
 
     // Machine-only: no crowd at all, answer from the learned distributions.
-    let (machine, _) = machine_only_answers(&incomplete, &config);
+    let (machine, _) =
+        machine_only_answers(&incomplete, &config).expect("the machine-only pass solves");
     let macc = Accuracy::of(&machine, &truth);
     println!(
         "\nmachine only:   {} answers, F1 = {:.3} (precision {:.3}, recall {:.3})",

@@ -305,7 +305,10 @@ fn main() {
 
     match args.mode.as_str() {
         "machine" => {
-            let (answers, ctable) = machine_only_answers(&data, &config);
+            let (answers, ctable) = machine_only_answers(&data, &config).unwrap_or_else(|e| {
+                eprintln!("machine-only pass failed: {e}");
+                exit(1);
+            });
             println!("answers ({} objects):", answers.len());
             for o in &answers {
                 println!("  {o}");

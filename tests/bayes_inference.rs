@@ -1,9 +1,11 @@
 //! Property tests for the Bayesian-network substrate: variable elimination
-//! against brute-force enumeration of the joint distribution.
+//! against brute-force enumeration of the joint distribution, and the
+//! missing-value model's Markov-blanket conditionals against both.
 
-use bc_bayes::{BayesianNetwork, Cpt, Dag, Pmf};
+use bc_bayes::{BayesianNetwork, Cpt, Dag, MissingValueModel, Pmf};
+use bc_data::{AttrId, ObjectId, VarId};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Builds a random network over `n` nodes with random-ish CPTs. Structure:
 /// each node may take one or two of the previous nodes as parents, so the
@@ -120,6 +122,55 @@ proptest! {
                 ve.p(v), brute.p(v)
             );
         }
+    }
+
+    #[test]
+    fn blanket_conditionals_match_elimination_and_enumeration(
+        n in 2usize..6,
+        card in 2usize..4,
+        parent_choices in prop::collection::vec(0u8..6, 1..6),
+        weights in prop::collection::vec(0.01f64..1.0, 8),
+        rows in 1usize..12,
+        missing_rate in 0.05f64..0.8,
+        seed in any::<u64>(),
+    ) {
+        let bn = random_network(n, card, &parent_choices, &weights);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut data = bn.sample_dataset("random", rows, &mut rng).unwrap();
+        for o in 0..rows as u32 {
+            for a in 0..n as u16 {
+                if rng.gen_bool(missing_rate) {
+                    data.set(ObjectId(o), AttrId(a), None).unwrap();
+                }
+            }
+        }
+        let (model, stats) = MissingValueModel::from_network_with_stats(bn.clone(), &data);
+        prop_assert_eq!(stats.blanket_cells + stats.ve_cells, data.n_missing());
+        prop_assert_eq!(model.pmfs().len(), data.n_missing());
+        prop_assert!(stats.blanket_keys <= stats.blanket_cells);
+        for var in data.missing_vars() {
+            let evidence: Vec<(usize, u16)> = data
+                .row(var.object)
+                .iter()
+                .enumerate()
+                .filter_map(|(a, cell)| cell.map(|v| (a, v)))
+                .collect();
+            let target = var.attr.index();
+            let got = model.pmf(var).unwrap();
+            let ve = bn.posterior(target, &evidence);
+            let brute = posterior_by_enumeration(&bn, target, &evidence);
+            for v in 0..card as u16 {
+                prop_assert!(
+                    (got.p(v) - ve.p(v)).abs() < 1e-12,
+                    "{var} = {v}: model {} vs VE {}", got.p(v), ve.p(v)
+                );
+                prop_assert!(
+                    (got.p(v) - brute.p(v)).abs() < 1e-9,
+                    "{var} = {v}: model {} vs enumeration {}", got.p(v), brute.p(v)
+                );
+            }
+        }
+        prop_assert!(model.pmf(VarId::new(rows as u32, 0)).is_none());
     }
 
     #[test]

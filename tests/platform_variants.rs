@@ -104,7 +104,7 @@ fn paper_scale_modeling_smoke() {
         alpha: 0.003,
         ..BayesCrowdConfig::nba_defaults()
     };
-    let (answers, ctable) = machine_only_answers(&incomplete, &cfg);
+    let (answers, ctable) = machine_only_answers(&incomplete, &cfg).expect("machine-only pass");
     let truth = bc_data::skyline::skyline_sfs(&complete).unwrap();
     let acc = bc_data::Accuracy::of(&answers, &truth);
     assert!(acc.f1 > 0.5, "paper-scale machine-only F1 = {}", acc.f1);
