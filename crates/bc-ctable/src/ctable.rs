@@ -2,6 +2,7 @@
 
 use crate::condition::Condition;
 use crate::constraint::ConstraintStore;
+use crate::expr::Expr;
 use bc_data::{ObjectId, Value, VarId};
 use std::collections::BTreeSet;
 
@@ -99,23 +100,53 @@ impl CTable {
     /// variable pinned to a single value, iterating to a fixpoint per
     /// condition. Returns counters describing the pass.
     pub fn propagate(&mut self, store: &ConstraintStore) -> PropagateStats {
+        self.propagate_where(store, |_| true)
+    }
+
+    /// [`CTable::propagate`] restricted to the open conditions that mention
+    /// a variable of `sorted_vars` (sorted ascending): the variables whose
+    /// store knowledge changed since the last pass.
+    ///
+    /// A condition's fixpoint depends only on the store's masks and facts
+    /// for its own variables. So if the previous pass left every open
+    /// condition at its fixpoint, and the store changed only on
+    /// `sorted_vars`, the conditions skipped here are already at the new
+    /// fixpoint. The c-table then ends exactly as after a full pass, and
+    /// only [`PropagateStats::examined`] differs.
+    pub fn propagate_touching(
+        &mut self,
+        store: &ConstraintStore,
+        sorted_vars: &[VarId],
+    ) -> PropagateStats {
+        self.propagate_where(store, |c| c.mentions_any(sorted_vars))
+    }
+
+    fn propagate_where(
+        &mut self,
+        store: &ConstraintStore,
+        examine: impl Fn(&Condition) -> bool,
+    ) -> PropagateStats {
         let mut stats = PropagateStats::default();
         for cond in &mut self.entries {
-            if cond.is_decided() {
+            if cond.is_decided() || !examine(cond) {
                 continue;
             }
             stats.examined += 1;
-            let mut current = cond.clone();
+            let mut current = std::mem::replace(cond, Condition::True);
             let mut depth = 0;
             loop {
-                let simplified = current.simplify(|e| store.decide(e));
+                let mut next = current.simplify(|e| store.decide(e));
                 // Substitute pinned variables to expose further collapses
                 // (e.g. a var-var expression becoming var-const).
-                let mut next = simplified.clone();
-                for v in simplified.vars() {
-                    if let Some(val) = store.pinned_value(v) {
-                        next = next.substitute(v, val);
-                    }
+                let mut pinned: Vec<(VarId, Value)> = next
+                    .exprs()
+                    .flat_map(Expr::vars)
+                    .filter_map(|v| store.pinned_value(v).map(|val| (v, val)))
+                    .collect();
+                pinned.sort_unstable();
+                pinned.dedup();
+                for &(v, val) in &pinned {
+                    next = next.substitute(v, val);
                 }
                 let done = next == current;
                 current = next;
@@ -123,6 +154,12 @@ impl CTable {
                     break;
                 }
                 depth += 1;
+                // `simplify` leaves only undecided expressions, so with
+                // nothing substituted another iteration would change
+                // nothing: `current` is the fixpoint.
+                if pinned.is_empty() {
+                    break;
+                }
             }
             stats.max_depth = stats.max_depth.max(depth);
             if current.is_decided() {

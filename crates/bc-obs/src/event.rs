@@ -198,6 +198,9 @@ pub enum Event {
     Propagated {
         /// Answers folded in.
         answers: usize,
+        /// Open conditions re-simplified: every open condition on a run's
+        /// first pass, then only those mentioning an answered variable.
+        examined: usize,
         /// Conditions that became decided.
         decided: usize,
         /// Deepest per-condition simplify/substitute fixpoint iteration.
@@ -432,11 +435,13 @@ impl Event {
             }
             Event::Propagated {
                 answers,
+                examined,
                 decided,
                 depth,
                 nanos,
             } => {
                 field_u(&mut s, "answers", *answers as u128);
+                field_u(&mut s, "examined", *examined as u128);
                 field_u(&mut s, "decided", *decided as u128);
                 field_u(&mut s, "depth", *depth as u128);
                 field_u(&mut s, "nanos", *nanos);
@@ -573,6 +578,7 @@ impl Event {
             },
             "Propagated" => Event::Propagated {
                 answers: get_u("answers")?,
+                examined: get_u("examined")?,
                 decided: get_u("decided")?,
                 depth: get_u("depth")?,
                 nanos: get_n("nanos")?,
@@ -750,6 +756,7 @@ mod tests {
             },
             Event::Propagated {
                 answers: 2,
+                examined: 5,
                 decided: 1,
                 depth: 2,
                 nanos: 55,
@@ -870,6 +877,23 @@ mod tests {
         assert_eq!(Event::from_json_line(&line), Some((7, e)));
         // A line without the counts is rejected, not defaulted.
         let old = line.replace(", \"blanket_keys\": 37", "");
+        assert!(Event::from_json_line(&old).is_none());
+    }
+
+    #[test]
+    fn propagated_carries_the_examined_count() {
+        let e = Event::Propagated {
+            answers: 3,
+            examined: 41,
+            decided: 2,
+            depth: 1,
+            nanos: 9,
+        };
+        let line = e.to_json_line(4);
+        assert!(line.contains("\"examined\": 41"), "{line}");
+        assert_eq!(Event::from_json_line(&line), Some((4, e)));
+        // A line without the count is rejected, not defaulted.
+        let old = line.replace(", \"examined\": 41", "");
         assert!(Event::from_json_line(&old).is_none());
     }
 

@@ -179,6 +179,10 @@ pub struct Counters {
     pub answers_propagated: u64,
     /// Conditions decided by propagation.
     pub conditions_decided: u64,
+    /// Open conditions re-simplified by propagation passes: every open
+    /// condition on a run's first pass, then only those mentioning an
+    /// answered variable. From `Propagated` events.
+    pub propagate_examined: u64,
     /// Tasks abandoned at finalization (from `Degraded`).
     pub tasks_abandoned: u64,
     /// Conditions re-solved by the ADPLL fallback after the configured
@@ -305,8 +309,8 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
-            "propagated {} answers, {} conditions decided",
-            c.answers_propagated, c.conditions_decided
+            "propagated {} answers ({} conditions examined), {} conditions decided",
+            c.answers_propagated, c.propagate_examined, c.conditions_decided
         );
         let _ = writeln!(s, "tasks/round: {}", self.tasks_per_round);
         let _ = writeln!(s, "propagation depth: {}", self.propagation_depth);
@@ -390,11 +394,13 @@ impl Observer for MetricsRecorder {
             }
             Event::Propagated {
                 answers,
+                examined,
                 decided,
                 depth,
                 ..
             } => {
                 self.counters.answers_propagated += *answers as u64;
+                self.counters.propagate_examined += *examined as u64;
                 self.counters.conditions_decided += *decided as u64;
                 self.propagation_depth.record(*depth as u64);
             }
@@ -526,6 +532,7 @@ mod tests {
         });
         rec.event(&Event::Propagated {
             answers: 2,
+            examined: 6,
             decided: 1,
             depth: 3,
             nanos: 50,
@@ -558,6 +565,7 @@ mod tests {
         assert_eq!(c.solver_direct_components, 6);
         assert_eq!(c.solver_max_depth, 4);
         assert_eq!(c.answers_propagated, 2);
+        assert_eq!(c.propagate_examined, 6);
         assert_eq!(c.utility_evals, 6);
         assert_eq!(c.utility_solver_calls, 5);
         assert_eq!(c.utility_decisions, 12);

@@ -8,7 +8,8 @@
 //! Replays every committed corpus instance, then `--cases` fresh random
 //! instances from the deterministic seed stream `seed, seed+1, ...`,
 //! through the differential harness (every solver vs the possible-worlds
-//! oracle) and the marginal-utility check. Every `--metamorphic-every`-th instance additionally runs the
+//! oracle, and every condition's incremental rewrites vs full
+//! normalization) and the marginal-utility check. Every `--metamorphic-every`-th instance additionally runs the
 //! run-level metamorphic suite. On the first divergence the driver
 //! greedily minimizes the failing instance, writes it (with the divergence
 //! record) to `--artifact`, prints the replay instructions, and exits 1 —

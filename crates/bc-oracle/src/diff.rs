@@ -9,6 +9,9 @@
 //!
 //! * **c-table construction** — in every tie-free world, `φ(o)` must equal
 //!   actual skyline membership ([`crate::worlds::WorldReport`]),
+//! * **normalization** — every incremental rewrite of `φ(o)` equals the
+//!   full normalization of the raw rewrite
+//!   ([`crate::kernel::normalization_matches_reference`]),
 //! * **ADPLL**, **naive enumeration**, **ApproxCount** — must match the
 //!   oracle to [`DiffConfig::eps`] (ApproxCount falls back to exact
 //!   enumeration below its cutoff, which every in-envelope instance is),
@@ -24,6 +27,7 @@
 //! seed corpus.
 
 use crate::gen::Instance;
+use crate::kernel::normalization_matches_reference;
 use crate::worlds::PossibleWorlds;
 use crate::{prob_close, OracleError};
 use bc_bayes::Pmf;
@@ -78,8 +82,9 @@ pub struct InstanceSummary {
 pub struct Divergence {
     /// The instance that produced it.
     pub instance: Instance,
-    /// Which check failed (`"ctable"`, `"adpll"`, `"naive"`,
-    /// `"naive-count"`, `"approxcount"`, `"montecarlo"`, `"oracle"`).
+    /// Which check failed (`"ctable"`, `"normalization"`, `"adpll"`,
+    /// `"naive"`, `"naive-count"`, `"approxcount"`, `"montecarlo"`,
+    /// `"oracle"`).
     pub solver: String,
     /// The object whose probability diverged.
     pub object: ObjectId,
@@ -190,6 +195,9 @@ pub fn check_instance(
     for o in inst.data.objects() {
         let cond = ctable.condition(o);
         let want = oracle[o.index()];
+
+        normalization_matches_reference(cond, &inst.data)
+            .map_err(|detail| diverge("normalization", o, f64::NAN, want, 0.0, detail))?;
 
         for (name, got) in [
             ("adpll", adpll.probability(cond, &dists)),

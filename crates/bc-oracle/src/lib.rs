@@ -24,6 +24,9 @@
 //! * [`corpus`] — the handcrafted regression instances folded in from the
 //!   recorded `*.proptest-regressions` cases, plus the generator seeds of
 //!   the committed random corpus,
+//! * [`kernel`] — the condition kernel checked against a from-scratch
+//!   reference: every incremental rewrite equals full normalization, and
+//!   ADPLL's counters on the corpus are pinned,
 //! * [`metamorphic`] — run-level invariants: constraint propagation
 //!   preserves model counts, preference-direction reflection preserves
 //!   skyline probabilities, certain answers grow monotonically, and
@@ -39,6 +42,7 @@
 pub mod corpus;
 pub mod diff;
 pub mod gen;
+pub mod kernel;
 pub mod metamorphic;
 pub mod replay;
 pub mod utility;

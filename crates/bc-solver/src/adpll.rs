@@ -13,10 +13,83 @@
 
 use crate::dists::VarDists;
 use crate::{Solver, SolverError};
-use bc_ctable::{Clause, Condition};
-use bc_data::VarId;
+use bc_ctable::{Clause, Condition, Expr};
+use bc_data::{Value, VarId};
+use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A probability memo hashed with [`FxHasher`].
+type FxMap<K> = HashMap<K, f64, BuildHasherDefault<FxHasher>>;
+
+/// What one `probability` call memoizes: each correlated component it
+/// branched on, keyed by its canonical condition, and each
+/// variable-disjoint clause it closed by the disjunctive rule. Sibling
+/// branches recompute the latter for every clause the branching variable
+/// does not touch.
+#[derive(Default)]
+struct ComponentCache {
+    components: FxMap<Condition>,
+    clauses: FxMap<Clause>,
+}
+
+/// A multiply-rotate word hasher in the style of rustc's `FxHasher`: a few
+/// cycles per word and no per-process seed. It is used only for the
+/// component cache, which lives for one `probability` call and holds
+/// components the solver derives from that call's condition.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
 
 /// Which variable to branch on when a component is correlated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -112,8 +185,10 @@ impl std::ops::AddAssign for SolveStats {
 /// `probability` call* (component/formula caching in the style of Sang,
 /// Beame & Kautz — reference \[32\] of the paper). Sibling branches whose
 /// substitutions collapse to the same residual component are then solved
-/// once. Caching is sound per call because the distributions are fixed for
-/// its duration; it is cleared between calls.
+/// once. It also memoizes the disjunctive-rule probability of each clause
+/// it closes directly; that memo is invisible to [`SolveStats`], which
+/// counts every direct closure. Caching is sound per call because the
+/// distributions are fixed for its duration; it is cleared between calls.
 #[derive(Clone, Debug)]
 pub struct AdpllSolver {
     heuristic: BranchHeuristic,
@@ -159,7 +234,8 @@ impl AdpllSolver {
         }
     }
 
-    /// Enables or disables per-call component caching (the ablation knob).
+    /// Enables or disables per-call component caching, clause memo
+    /// included (the ablation knob).
     pub fn with_caching(mut self, caching: bool) -> AdpllSolver {
         self.caching = caching;
         self
@@ -187,42 +263,49 @@ impl AdpllSolver {
         self.max_depth.set(0);
     }
 
-    fn clause_probability(&self, clause: &Clause, dists: &VarDists) -> Result<f64, SolverError> {
+    fn clause_probability(
+        &self,
+        clause: &Clause,
+        dists: &VarDists,
+        cache: &mut ComponentCache,
+    ) -> Result<f64, SolverError> {
         // Within-clause expressions are variable-disjoint by construction;
         // verify and fall back to local branching if a manually built clause
         // violates it.
-        let mut seen: Vec<VarId> = Vec::with_capacity(clause.len() * 2);
-        let mut disjoint = true;
-        'outer: for e in clause.exprs() {
-            for v in e.vars() {
-                if seen.contains(&v) {
-                    disjoint = false;
-                    break 'outer;
-                }
-                seen.push(v);
-            }
-        }
+        let exprs = clause.exprs();
+        let disjoint = exprs.iter().enumerate().all(|(i, e)| {
+            e.rhs_var() != Some(e.var())
+                && e.vars().all(|v| !exprs[..i].iter().any(|f| f.mentions(v)))
+        });
         if disjoint {
+            if self.caching {
+                if let Some(&p) = cache.clauses.get(clause) {
+                    return Ok(p);
+                }
+            }
             // General disjunctive rule (clamped: pmf normalization can
             // leave 1e-16-scale slack in the complement products).
             let mut none = 1.0;
-            for e in clause.exprs() {
+            for e in exprs {
                 none *= (1.0 - dists.expr_prob(e)?).clamp(0.0, 1.0);
             }
-            Ok((1.0 - none).clamp(0.0, 1.0))
+            let p = (1.0 - none).clamp(0.0, 1.0);
+            if self.caching {
+                cache.clauses.insert(clause.clone(), p);
+            }
+            Ok(p)
         } else {
             // Shared variables inside one clause: treat it as a one-clause
             // condition and branch.
-            let cond = Condition::from_clauses(vec![clause.exprs().to_vec()]);
-            let mut cache = HashMap::new();
-            self.branch(&cond, dists, &mut cache)
+            let cond = Condition::Cnf(vec![clause.clone()]);
+            self.branch(&cond, dists, &mut ComponentCache::default())
         }
     }
 
     fn pick_branch_var(&self, cond: &Condition) -> Option<VarId> {
         match self.heuristic {
             BranchHeuristic::MostFrequent => cond.most_frequent_var(),
-            BranchHeuristic::First => cond.vars().into_iter().next(),
+            BranchHeuristic::First => cond.exprs().flat_map(Expr::vars).min(),
         }
     }
 
@@ -230,22 +313,22 @@ impl AdpllSolver {
         &self,
         cond: &Condition,
         dists: &VarDists,
-        cache: &mut HashMap<Condition, f64>,
+        cache: &mut ComponentCache,
     ) -> Result<f64, SolverError> {
         let v = self
             .pick_branch_var(cond)
             .expect("branch() is only called on undecided conditions");
-        let pmf = dists.pmf(v)?.clone();
+        let pmf = dists.pmf(v)?;
         let d = self.depth.get() + 1;
         self.depth.set(d);
         self.max_depth.set(self.max_depth.get().max(d));
         let mut total = 0.0;
-        for value in pmf.support() {
+        // The support in value order: the values with nonzero probability.
+        for (value, &p_value) in pmf.probs().iter().enumerate().filter(|(_, &p)| p > 0.0) {
             self.branches.set(self.branches.get() + 1);
-            let sub = cond.substitute(v, value);
-            let p = self.solve(&sub, dists, cache);
-            match p {
-                Ok(p) => total += pmf.p(value) * p,
+            let sub = cond.substitute(v, value as Value);
+            match self.solve(&sub, dists, cache) {
+                Ok(p) => total += p_value * p,
                 Err(e) => {
                     self.depth.set(d - 1);
                     return Err(e);
@@ -260,46 +343,36 @@ impl AdpllSolver {
         &self,
         cond: &Condition,
         dists: &VarDists,
-        cache: &mut HashMap<Condition, f64>,
+        cache: &mut ComponentCache,
     ) -> Result<f64, SolverError> {
         let clauses = match cond {
             Condition::True => return Ok(1.0),
             Condition::False => return Ok(0.0),
             Condition::Cnf(clauses) => clauses,
         };
+        if let [clause] = clauses.as_slice() {
+            self.direct.set(self.direct.get() + 1);
+            return self.clause_probability(clause, dists, cache);
+        }
 
         // Split clauses into variable-connected components.
-        let components = connected_components(clauses);
-        if components.len() > 1 {
+        let (order, root) = connected_components(clauses);
+        if root[order[0]] != root[order[order.len() - 1]] {
             self.splits.set(self.splits.get() + 1);
         }
         let mut total = 1.0;
-        for comp in components {
-            let p = if comp.len() == 1 {
+        for comp in order.chunk_by(|&a, &b| root[a] == root[b]) {
+            let p = if let [i] = comp {
                 self.direct.set(self.direct.get() + 1);
-                self.clause_probability(comp[0], dists)?
+                self.clause_probability(&clauses[*i], dists, cache)?
+            } else if comp.len() == clauses.len() {
+                // One component holding every clause: `cond` itself is
+                // its canonical form and cache key.
+                self.component_probability(Cow::Borrowed(cond), dists, cache)?
             } else {
-                let cond = Condition::from_clauses(comp.iter().map(|c| c.exprs().to_vec()));
-                match &cond {
-                    Condition::True => 1.0,
-                    Condition::False => 0.0,
-                    Condition::Cnf(_) => {
-                        if self.caching {
-                            if let Some(&hit) = cache.get(&cond) {
-                                self.cache_hits.set(self.cache_hits.get() + 1);
-                                hit
-                            } else {
-                                self.cache_misses.set(self.cache_misses.get() + 1);
-                                let p = self.branch(&cond, dists, cache)?;
-                                cache.insert(cond, p);
-                                p
-                            }
-                        } else {
-                            self.cache_misses.set(self.cache_misses.get() + 1);
-                            self.branch(&cond, dists, cache)?
-                        }
-                    }
-                }
+                // A subsequence of canonical clauses is canonical as is.
+                let sub = Condition::Cnf(comp.iter().map(|&i| clauses[i].clone()).collect());
+                self.component_probability(Cow::Owned(sub), dists, cache)?
             };
             total *= p;
             if total == 0.0 {
@@ -308,13 +381,35 @@ impl AdpllSolver {
         }
         Ok(total.clamp(0.0, 1.0))
     }
+
+    /// `Pr` of a correlated component, from the cache or by branching.
+    fn component_probability(
+        &self,
+        comp: Cow<'_, Condition>,
+        dists: &VarDists,
+        cache: &mut ComponentCache,
+    ) -> Result<f64, SolverError> {
+        if !self.caching {
+            self.cache_misses.set(self.cache_misses.get() + 1);
+            return self.branch(&comp, dists, cache);
+        }
+        if let Some(&hit) = cache.components.get(comp.as_ref()) {
+            self.cache_hits.set(self.cache_hits.get() + 1);
+            return Ok(hit);
+        }
+        self.cache_misses.set(self.cache_misses.get() + 1);
+        let p = self.branch(&comp, dists, cache)?;
+        cache.components.insert(comp.into_owned(), p);
+        Ok(p)
+    }
 }
 
-/// Groups clauses into variable-connected components.
-fn connected_components(clauses: &[Clause]) -> Vec<Vec<&Clause>> {
-    let n = clauses.len();
-    // Union-find over clause indices.
-    let mut parent: Vec<usize> = (0..n).collect();
+/// Orders clause indices by variable-connected component. Clauses sharing
+/// a variable are joined by union-find, each with the first clause that
+/// mentioned the variable, in clause order. Components come in order of
+/// their root index, and a component's clauses in index order. Returns that
+/// order and each clause's root.
+fn connected_components(clauses: &[Clause]) -> (Vec<usize>, Vec<usize>) {
     fn find(parent: &mut [usize], mut i: usize) -> usize {
         while parent[i] != i {
             parent[i] = parent[parent[i]];
@@ -322,35 +417,35 @@ fn connected_components(clauses: &[Clause]) -> Vec<Vec<&Clause>> {
         }
         i
     }
-    let mut owner: BTreeMap<VarId, usize> = BTreeMap::new();
+    // Each variable's owner, the first clause that mentions it, sorted by
+    // variable.
+    let mut owners: Vec<(VarId, usize)> =
+        Vec::with_capacity(clauses.iter().map(|c| 2 * c.len()).sum());
+    let mut parent: Vec<usize> = (0..clauses.len()).collect();
     for (i, clause) in clauses.iter().enumerate() {
-        for e in clause.exprs() {
-            for v in e.vars() {
-                match owner.get(&v) {
-                    Some(&j) => {
-                        let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                        if ri != rj {
-                            parent[ri] = rj;
-                        }
-                    }
-                    None => {
-                        owner.insert(v, i);
+        for v in clause.exprs().iter().flat_map(Expr::vars) {
+            match owners.binary_search_by(|&(w, _)| w.cmp(&v)) {
+                Ok(k) => {
+                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, owners[k].1));
+                    if ri != rj {
+                        parent[ri] = rj;
                     }
                 }
+                Err(k) => owners.insert(k, (v, i)),
             }
         }
     }
-    let mut groups: BTreeMap<usize, Vec<&Clause>> = BTreeMap::new();
-    for (i, clause) in clauses.iter().enumerate() {
-        groups.entry(find(&mut parent, i)).or_default().push(clause);
+    for i in 0..parent.len() {
+        parent[i] = find(&mut parent, i);
     }
-    groups.into_values().collect()
+    let mut order: Vec<usize> = (0..clauses.len()).collect();
+    order.sort_unstable_by_key(|&i| (parent[i], i));
+    (order, parent)
 }
 
 impl Solver for AdpllSolver {
     fn probability(&self, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
-        let mut cache = HashMap::new();
-        self.solve(cond, dists, &mut cache)
+        self.solve(cond, dists, &mut ComponentCache::default())
     }
 
     fn probability_with_stats(

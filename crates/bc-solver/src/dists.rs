@@ -3,7 +3,7 @@
 use crate::SolverError;
 use bc_bayes::Pmf;
 use bc_ctable::{CmpOp, Expr, Operand};
-use bc_data::VarId;
+use bc_data::{Value, VarId};
 use std::collections::BTreeMap;
 
 /// The value distributions of every missing-value variable, as produced by
@@ -68,13 +68,16 @@ impl VarDists {
                 CmpOp::Ne => 1.0 - l.p(c),
             }),
             Operand::Var(rv) => {
-                let r = self.pmf(rv)?;
+                // Both probability vectors in value order, entries that are
+                // not positive skipped: the products and summation order of
+                // a walk over `support()` with `p()` lookups.
+                let r = self.pmf(rv)?.probs();
+                let op = e.op();
                 let mut total = 0.0;
-                for lv in l.support() {
-                    let pl = l.p(lv);
-                    for rv_val in r.support() {
-                        if e.op().eval(lv, rv_val) {
-                            total += pl * r.p(rv_val);
+                for (lv, &pl) in l.probs().iter().enumerate().filter(|(_, &p)| p > 0.0) {
+                    for (rv_val, &pr) in r.iter().enumerate() {
+                        if pr > 0.0 && op.eval(lv as Value, rv_val as Value) {
+                            total += pl * pr;
                         }
                     }
                 }

@@ -61,11 +61,15 @@ struct PendingTask {
 /// decided everything its variables touch, in which case the answer would
 /// be useless.
 fn task_still_open(ctable: &CTable, task: &Task) -> bool {
-    let vars: BTreeSet<VarId> = task.vars().collect();
+    let rhs = match task.rhs {
+        Operand::Var(v) => v,
+        Operand::Const(_) => task.var,
+    };
+    let mut vars = [task.var, rhs];
+    vars.sort_unstable();
     ctable
-        .open_objects()
         .iter()
-        .any(|&o| !ctable.condition(o).vars().is_disjoint(&vars))
+        .any(|(_, c)| !c.is_decided() && c.mentions_any(&vars))
 }
 
 /// Per-object condition probabilities, optionally in parallel, emitting one
@@ -599,6 +603,8 @@ impl<'a> Session<'a> {
         let post_span = Span::start(RunPhase::Post);
         let results = platform.post_round(&batch);
         post_span.finish(observer);
+        // Nothing posted before means no propagation pass has run yet.
+        let first_pass = *total_posted == 0;
         *total_posted += batch.len();
 
         let mut answers: Vec<TaskAnswer> = Vec::with_capacity(batch.len());
@@ -640,17 +646,27 @@ impl<'a> Session<'a> {
         // Invalidate cached probabilities of conditions touching any
         // variable the round asked about (their pmfs and/or conditions
         // change below).
-        let touched: BTreeSet<VarId> = answers.iter().flat_map(|a| a.task.vars()).collect();
+        let mut touched: Vec<VarId> = answers.iter().flat_map(|a| a.task.vars()).collect();
+        touched.sort_unstable();
+        touched.dedup();
         prob_cache.retain(|o, _| {
             let cond = ctable.condition(*o);
-            !cond.is_decided() && cond.vars().is_disjoint(&touched)
+            !cond.is_decided() && !cond.mentions_any(&touched)
         });
         if config.propagate_answers {
             let mut narrowed = BTreeSet::new();
             for a in &answers {
                 narrowed.extend(store.record(a.task.var, a.task.rhs, a.relation));
             }
-            let prop_stats = ctable.propagate(store);
+            // The store changed only on the answered variables, and every
+            // earlier pass left each open condition at its fixpoint; so
+            // after the first (full) pass, only conditions mentioning an
+            // answered variable can move.
+            let prop_stats = if first_pass {
+                ctable.propagate(store)
+            } else {
+                ctable.propagate_touching(store, &touched)
+            };
             // Re-condition only the variables whose candidate set narrowed;
             // every other distribution is unchanged (the base pmf while the
             // mask is the full domain).
@@ -662,6 +678,7 @@ impl<'a> Session<'a> {
             }
             observer.event(&Event::Propagated {
                 answers: answers.len(),
+                examined: prop_stats.examined,
                 decided: prop_stats.decided,
                 depth: prop_stats.max_depth,
                 nanos: propagate_span.elapsed_nanos(),
@@ -1863,6 +1880,65 @@ mod tests {
     }
 
     #[test]
+    fn touched_only_propagation_matches_a_full_pass_across_resume() {
+        use bc_crowd::{GroundTruthOracle, SimulatedPlatform};
+        use bc_obs::MetricsRecorder;
+        let complete = bc_data::generators::nba::nba_like(60, 5);
+        let (data, _) = bc_data::missing::inject_mcar(&complete, 0.15, 9);
+        /// Steps to the end (or `rounds` steps), checking after each round
+        /// that a full pass over a clone changes nothing. Returns the open
+        /// conditions a full pass would have examined in the rounds that
+        /// propagated.
+        fn drive(session: &mut Session<'_>, rounds: usize, ctx: &str) -> u64 {
+            let mut full_examined = 0;
+            for _ in 0..rounds {
+                let (open, posted) = (session.ctable.open_objects().len(), session.total_posted);
+                let more = session.step().unwrap();
+                if session.total_posted > posted {
+                    full_examined += open as u64;
+                }
+                let mut full = session.ctable.clone();
+                full.propagate(&session.store);
+                assert_eq!(full, session.ctable, "{ctx}: round {}", session.round_idx);
+                if !more {
+                    break;
+                }
+            }
+            full_examined
+        }
+        for strategy in [TaskStrategy::Fbs, TaskStrategy::Hhs { m: 3 }] {
+            let config = BayesCrowdConfig {
+                budget: 40,
+                latency: 8,
+                alpha: 0.3,
+                strategy,
+                ..Default::default()
+            };
+            let platform =
+                || SimulatedPlatform::new(GroundTruthOracle::new(complete.clone()), 1.0, 3);
+            let (mut first, mut rec) = (platform(), MetricsRecorder::new());
+            let mut session = Session::start(config, &data, &mut first, Some(&mut rec)).unwrap();
+            let mut full_examined = drive(&mut session, 3, "before checkpoint");
+            let mut snapshot = Vec::new();
+            session.checkpoint(&mut snapshot).unwrap();
+            drop(session);
+            let (mut second, mut rec_resumed) = (platform(), MetricsRecorder::new());
+            let mut resumed =
+                Session::resume_observed(snapshot.as_slice(), &mut second, &mut rec_resumed)
+                    .unwrap();
+            full_examined += drive(&mut resumed, usize::MAX, "after resume");
+            drop(resumed);
+            let examined =
+                rec.counters().propagate_examined + rec_resumed.counters().propagate_examined;
+            assert!(
+                0 < examined && examined < full_examined,
+                "{strategy:?}: touched-only passes examined {examined}, full passes would \
+                 examine {full_examined}"
+            );
+        }
+    }
+
+    #[test]
     fn config_round_trips_through_the_codec() {
         let config = BayesCrowdConfig {
             budget: 42,
@@ -1943,6 +2019,57 @@ mod tests {
             assert_eq!(decoded, c);
             // Canonicalization is idempotent: re-encoding is byte-stable.
             assert_eq!(enc_cond(&decoded).to_json(), enc_cond(&c).to_json());
+        }
+    }
+
+    /// The kernel's rewrites need canonical conditions; the decoder must
+    /// canonicalize whatever clause list a snapshot holds.
+    #[test]
+    fn non_canonical_clause_lists_decode_to_the_canonical_condition() {
+        let (x, y, z) = (VarId::new(0, 0), VarId::new(1, 0), VarId::new(2, 1));
+        let canonical = Condition::from_clauses(vec![
+            vec![Expr::lt(x, 2)],
+            vec![Expr::gt(y, 3), Expr::lt(z, 1)],
+        ]);
+        let clause = |exprs: &[Expr]| Value::List(exprs.iter().map(enc_expr).collect());
+        let lists = [
+            (
+                "unsorted",
+                vec![
+                    clause(&[Expr::lt(z, 1), Expr::gt(y, 3)]),
+                    clause(&[Expr::lt(x, 2)]),
+                ],
+            ),
+            (
+                "duplicated",
+                vec![
+                    clause(&[Expr::lt(x, 2)]),
+                    clause(&[Expr::gt(y, 3), Expr::lt(z, 1)]),
+                    clause(&[Expr::lt(x, 2), Expr::lt(x, 2)]),
+                ],
+            ),
+            (
+                "subsumed",
+                vec![
+                    clause(&[Expr::lt(x, 2), Expr::gt(y, 3)]),
+                    clause(&[Expr::gt(y, 3), Expr::lt(z, 1)]),
+                    clause(&[Expr::lt(x, 2)]),
+                ],
+            ),
+        ];
+        for (what, clauses) in lists {
+            let decoded = dec_cond(&Value::List(clauses)).expect("decodes");
+            assert_eq!(decoded, canonical, "{what}");
+            assert_eq!(
+                enc_cond(&decoded).to_json(),
+                enc_cond(&canonical).to_json(),
+                "{what}"
+            );
+            assert_eq!(
+                decoded.substitute(y, 5),
+                canonical.substitute(y, 5),
+                "{what}"
+            );
         }
     }
 
