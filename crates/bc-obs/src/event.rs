@@ -180,11 +180,16 @@ pub enum Event {
     UtilityBatch {
         /// Candidate expressions scored.
         candidates: u64,
-        /// Solver invocations: one per candidate whose `Pr(e)` lies
-        /// strictly inside `(0, 1)`, plus failed attempts re-solved by the
-        /// fallback.
+        /// Solver invocations: the compiles, one `Pr(φ ∧ e)` solve per
+        /// other candidate whose `Pr(e)` lies strictly inside `(0, 1)`,
+        /// plus failed attempts redone by the fallback.
         solver_calls: u64,
-        /// Value-branching decisions taken by those solves.
+        /// Conditions compiled, each scoring every open var-const
+        /// candidate of one object (part of `solver_calls`).
+        compiles: u64,
+        /// Circuit nodes those compiles recorded.
+        circuit_nodes: u64,
+        /// Value-branching decisions taken by those compiles and solves.
         decisions: u64,
         /// Component probabilities served from the solver's cache.
         cache_hits: u64,
@@ -421,6 +426,8 @@ impl Event {
             Event::UtilityBatch {
                 candidates,
                 solver_calls,
+                compiles,
+                circuit_nodes,
                 decisions,
                 cache_hits,
                 fallbacks,
@@ -428,6 +435,8 @@ impl Event {
             } => {
                 field_u(&mut s, "candidates", *candidates as u128);
                 field_u(&mut s, "solver_calls", *solver_calls as u128);
+                field_u(&mut s, "compiles", *compiles as u128);
+                field_u(&mut s, "circuit_nodes", *circuit_nodes as u128);
                 field_u(&mut s, "decisions", *decisions as u128);
                 field_u(&mut s, "cache_hits", *cache_hits as u128);
                 field_u(&mut s, "fallbacks", *fallbacks as u128);
@@ -571,6 +580,8 @@ impl Event {
             "UtilityBatch" => Event::UtilityBatch {
                 candidates: get_u64("candidates")?,
                 solver_calls: get_u64("solver_calls")?,
+                compiles: get_u64("compiles")?,
+                circuit_nodes: get_u64("circuit_nodes")?,
                 decisions: get_u64("decisions")?,
                 cache_hits: get_u64("cache_hits")?,
                 fallbacks: get_u64("fallbacks")?,
@@ -749,6 +760,8 @@ mod tests {
             Event::UtilityBatch {
                 candidates: 9,
                 solver_calls: 8,
+                compiles: 3,
+                circuit_nodes: 212,
                 decisions: 41,
                 cache_hits: 5,
                 fallbacks: 1,
@@ -836,6 +849,8 @@ mod tests {
         let u = Event::UtilityBatch {
             candidates: 3,
             solver_calls: 2,
+            compiles: 1,
+            circuit_nodes: 30,
             decisions: 7,
             cache_hits: 1,
             fallbacks: 0,
@@ -846,6 +861,8 @@ mod tests {
             Event::UtilityBatch {
                 candidates: 3,
                 solver_calls: 2,
+                compiles: 1,
+                circuit_nodes: 30,
                 decisions: 7,
                 cache_hits: 1,
                 fallbacks: 0,
@@ -895,6 +912,30 @@ mod tests {
         // A line without the count is rejected, not defaulted.
         let old = line.replace(", \"examined\": 41", "");
         assert!(Event::from_json_line(&old).is_none());
+    }
+
+    #[test]
+    fn utility_batch_carries_the_compile_counts() {
+        let e = Event::UtilityBatch {
+            candidates: 12,
+            solver_calls: 4,
+            compiles: 3,
+            circuit_nodes: 587,
+            decisions: 90,
+            cache_hits: 6,
+            fallbacks: 0,
+            nanos: 17,
+        };
+        let line = e.to_json_line(5);
+        for field in ["\"compiles\": 3", "\"circuit_nodes\": 587"] {
+            assert!(line.contains(field), "{line}");
+        }
+        assert_eq!(Event::from_json_line(&line), Some((5, e)));
+        // A line without either count is rejected, not defaulted.
+        for field in [", \"compiles\": 3", ", \"circuit_nodes\": 587"] {
+            let old = line.replace(field, "");
+            assert!(Event::from_json_line(&old).is_none(), "{old}");
+        }
     }
 
     #[test]

@@ -194,11 +194,17 @@ pub struct Counters {
     /// `UtilityBatch` events, like the two counters below; the `solver_*`
     /// counters above cover probability batches only.
     pub utility_evals: u64,
-    /// Solver invocations behind those scores (one per candidate whose
-    /// `Pr(e)` is strictly inside `(0, 1)`, plus fallback attempts).
+    /// Solver invocations behind those scores: the compiles, one solve
+    /// per other candidate whose `Pr(e)` is strictly inside `(0, 1)`, plus
+    /// fallback attempts.
     pub utility_solver_calls: u64,
-    /// Value-branching decisions taken by utility solves.
+    /// Value-branching decisions taken by utility compiles and solves.
     pub utility_decisions: u64,
+    /// Conditions compiled to score their var-const candidates (part of
+    /// `utility_solver_calls`).
+    pub utility_compiles: u64,
+    /// Circuit nodes those compiles recorded.
+    pub utility_circuit_nodes: u64,
     /// Missing cells whose conditional came from the Markov-blanket closed
     /// form. From `ModelTrained` events, like the two counters below.
     pub model_blanket_cells: u64,
@@ -304,8 +310,12 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
-            "utility evals {}  utility solver calls {} (decisions {})",
-            c.utility_evals, c.utility_solver_calls, c.utility_decisions
+            "utility evals {}  utility solver calls {} (decisions {}, {} compiles, {} circuit nodes)",
+            c.utility_evals,
+            c.utility_solver_calls,
+            c.utility_decisions,
+            c.utility_compiles,
+            c.utility_circuit_nodes
         );
         let _ = writeln!(
             s,
@@ -385,11 +395,15 @@ impl Observer for MetricsRecorder {
             Event::UtilityBatch {
                 candidates,
                 solver_calls,
+                compiles,
+                circuit_nodes,
                 decisions,
                 ..
             } => {
                 self.counters.utility_evals += candidates;
                 self.counters.utility_solver_calls += solver_calls;
+                self.counters.utility_compiles += compiles;
+                self.counters.utility_circuit_nodes += circuit_nodes;
                 self.counters.utility_decisions += decisions;
             }
             Event::Propagated {
@@ -525,6 +539,8 @@ mod tests {
         rec.event(&Event::UtilityBatch {
             candidates: 6,
             solver_calls: 5,
+            compiles: 2,
+            circuit_nodes: 44,
             decisions: 12,
             cache_hits: 2,
             fallbacks: 0,
@@ -569,6 +585,7 @@ mod tests {
         assert_eq!(c.utility_evals, 6);
         assert_eq!(c.utility_solver_calls, 5);
         assert_eq!(c.utility_decisions, 12);
+        assert_eq!((c.utility_compiles, c.utility_circuit_nodes), (2, 44));
         assert_eq!(
             (
                 c.model_blanket_cells,

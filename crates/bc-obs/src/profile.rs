@@ -449,7 +449,8 @@ fn solve_path(phase: RunPhase) -> String {
 /// │   │   ├── solve    (ProbabilityBatch; count = solver calls)
 /// │   │   │   └── adpll  (SolverSearch; count = decisions, nanos 0)
 /// │   │   └── utility  (UtilityBatch; count = solver calls)
-/// │   │       └── adpll  (count = decisions, nanos 0)
+/// │   │       ├── adpll    (count = decisions, nanos 0)
+/// │   │       └── compile  (count = compiles, nanos 0)
 /// │   ├── post
 /// │   └── propagate
 /// │       └── fixpoint (Propagated)
@@ -515,6 +516,7 @@ impl Observer for RunProfiler {
             }
             Event::UtilityBatch {
                 solver_calls,
+                compiles,
                 decisions,
                 nanos,
                 ..
@@ -523,6 +525,8 @@ impl Observer for RunProfiler {
                     .record_with("round/select/utility", *nanos, *solver_calls);
                 self.profiler
                     .record_with("round/select/utility/adpll", 0, *decisions);
+                self.profiler
+                    .record_with("round/select/utility/compile", 0, *compiles);
             }
             Event::Propagated { nanos, .. } => {
                 self.profiler.record("round/propagate/fixpoint", *nanos);
@@ -666,6 +670,8 @@ mod tests {
         rp.event(&Event::UtilityBatch {
             candidates: 4,
             solver_calls: 3,
+            compiles: 2,
+            circuit_nodes: 25,
             decisions: 11,
             cache_hits: 0,
             fallbacks: 0,
@@ -705,6 +711,7 @@ mod tests {
         let utility = r.node("round/select/utility").unwrap();
         assert_eq!((utility.nanos, utility.count), (300, 3));
         assert_eq!(r.node("round/select/utility/adpll").unwrap().count, 11);
+        assert_eq!(r.node("round/select/utility/compile").unwrap().count, 2);
         let text = r.render_text();
         assert!(text.contains("adpll"), "text: {text}");
     }

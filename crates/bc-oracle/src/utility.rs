@@ -1,11 +1,13 @@
 //! Possible-worlds check of the marginal utility (Definition 6).
 //!
-//! The solver computes `G(o, e)` from one `Pr(φ ∧ e)` solve and the
-//! complement `Pr(φ ∧ ¬e) = Pr(φ) − Pr(φ ∧ e)`. [`utility_matches_worlds`]
-//! recomputes every ingredient by brute force — `Pr(φ)`, `Pr(e)`,
-//! `Pr(φ ∧ e)` and `Pr(φ ∧ ¬e)` as weighted world counts, with no solver
-//! and no complement identity — derives `G` with its own entropy
-//! arithmetic, and compares.
+//! The solver computes `G(o, e)` from `Pr(φ ∧ e)` and the complement
+//! `Pr(φ ∧ ¬e) = Pr(φ) − Pr(φ ∧ e)`, taking `Pr(φ ∧ e)` either from one
+//! solve of `φ ∧ e` or, for a var-const `e`, from the derivative pass over
+//! ADPLL's compiled circuit of `φ`. [`utility_matches_worlds`] recomputes
+//! every ingredient by brute force — `Pr(φ)`, `Pr(e)`, `Pr(φ ∧ e)` and
+//! `Pr(φ ∧ ¬e)` as weighted world counts, with no solver and no complement
+//! identity — derives `G` with its own entropy arithmetic, and compares
+//! both paths against it.
 
 use crate::diff::exact_ctable;
 use crate::gen::Instance;
@@ -13,8 +15,8 @@ use crate::prob_close;
 use crate::worlds::PossibleWorlds;
 use bc_ctable::{Condition, Expr};
 use bc_data::ObjectId;
-use bc_solver::utility::marginal_utility_with_prior;
-use bc_solver::{AdpllSolver, NaiveSolver, Solver};
+use bc_solver::utility::{compile_utilities, marginal_utility_with_prior};
+use bc_solver::{AdpllSolver, NaiveSolver, Solver, VarDists};
 
 /// Weighted world counts for one (object, expression) pair.
 #[derive(Default)]
@@ -52,8 +54,15 @@ impl Joint {
 /// expression of its condition (var-const and var-var alike), checks that
 /// ADPLL's and the naive enumerator's `G(o, e)` — each given its own
 /// `Pr(φ)` as the prior, as the framework does — match the possible-worlds
-/// value within `eps`. Returns the number of (object, expression) pairs
-/// checked.
+/// value within `eps`.
+///
+/// It also checks ADPLL's compiled path per object: the circuit's `Pr(φ)`
+/// is bit-identical to [`AdpllSolver`]'s plain solve and its search
+/// effort equal; every var-const `Pr(φ ∧ e)` from the derivative pass is
+/// within `1e-12` of the solve of `φ ∧ e` and within `eps` of the possible
+/// worlds; and so is every compiled `G(o, e)`.
+///
+/// Returns the number of (object, expression) pairs checked.
 pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<usize, String> {
     let ctable = exact_ctable(&inst.data);
     let mut pairs: Vec<(ObjectId, Expr)> = Vec::new();
@@ -116,7 +125,87 @@ pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<usize, String
             }
         }
     }
+    let mut start = 0;
+    while start < pairs.len() {
+        let o = pairs[start].0;
+        let end = start + pairs[start..].iter().take_while(|(p, _)| *p == o).count();
+        compiled_matches(
+            ctable.condition(o),
+            &pairs[start..end],
+            &joints[start..end],
+            &dists,
+            eps,
+        )
+        .map_err(|what| format!("{}: compiled ADPLL on object {o}: {what}", inst.name))?;
+        start = end;
+    }
     Ok(pairs.len())
+}
+
+/// The compiled-path checks of [`utility_matches_worlds`] for one object,
+/// whose distinct expressions and world counts are `pairs` and `joints`.
+fn compiled_matches(
+    cond: &Condition,
+    pairs: &[(ObjectId, Expr)],
+    joints: &[Joint],
+    dists: &VarDists,
+    eps: f64,
+) -> Result<(), String> {
+    let (p_phi, plain) = AdpllSolver::new()
+        .probability_with_stats(cond, dists)
+        .map_err(|err| format!("Pr(φ) failed: {err}"))?;
+    let (circuit, compiled) = AdpllSolver::new()
+        .compile(cond, dists)
+        .ok_or("ADPLL does not compile")?
+        .map_err(|err| format!("compile failed: {err}"))?;
+    if circuit.probability().to_bits() != p_phi.to_bits() {
+        return Err(format!(
+            "circuit Pr(φ) = {:e}, the solve says {p_phi:e}",
+            circuit.probability()
+        ));
+    }
+    if compiled != plain {
+        return Err(format!(
+            "compile effort {compiled:?}, the solve's {plain:?}"
+        ));
+    }
+    let partials = circuit.partials();
+    let utilities = compile_utilities(&AdpllSolver::new(), cond, dists, p_phi)
+        .map_err(|err| format!("compile_utilities failed: {err}"))?
+        .ok_or("ADPLL does not compile")?;
+    for (&(_, e), joint) in pairs.iter().zip(joints) {
+        let Some(got) = partials
+            .joint(&e, dists)
+            .map_err(|err| format!("`{e}`: {err}"))?
+        else {
+            continue;
+        };
+        let solved = AdpllSolver::new()
+            .probability(&cond.and_expr(e), dists)
+            .map_err(|err| format!("`{e}`: Pr(φ ∧ e) failed: {err}"))?;
+        if !prob_close(got, solved, 1e-12) {
+            return Err(format!(
+                "`{e}`: Pr(φ ∧ e) = {got:e} by derivatives, {solved:e} by solve"
+            ));
+        }
+        if !prob_close(got, joint.phi_and_e, eps) {
+            return Err(format!(
+                "`{e}`: Pr(φ ∧ e) = {got:e} by derivatives, possible worlds say {:e}",
+                joint.phi_and_e
+            ));
+        }
+        let g = utilities
+            .utility(&e, dists)
+            .map_err(|err| format!("`{e}`: {err}"))?
+            .ok_or("a var-const utility needs a solve")?;
+        if !prob_close(g, joint.utility(), eps) {
+            return Err(format!(
+                "`{e}`: compiled G = {g}, possible worlds say {}",
+                joint.utility()
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! support — weakening the expression correlation at every level exactly as
 //! the paper describes.
 
+use crate::circuit::{Circuit, CircuitBuilder};
 use crate::dists::VarDists;
 use crate::{Solver, SolverError};
 use bc_ctable::{Clause, Condition, Expr};
@@ -20,24 +21,90 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A probability memo hashed with [`FxHasher`].
-type FxMap<K> = HashMap<K, f64, BuildHasherDefault<FxHasher>>;
+/// A map hashed with [`FxHasher`].
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// What one `probability` call memoizes: each correlated component it
-/// branched on, keyed by its canonical condition, and each
-/// variable-disjoint clause it closed by the disjunctive rule. Sibling
-/// branches recompute the latter for every clause the branching variable
-/// does not touch.
-#[derive(Default)]
-struct ComponentCache {
-    components: FxMap<Condition>,
-    clauses: FxMap<Clause>,
+/// What one search memoizes: each correlated component it branched on,
+/// keyed by its canonical condition, and each variable-disjoint clause it
+/// closed by the disjunctive rule, with its probability and the recorder's
+/// node for it. Sibling branches recompute the latter for every clause the
+/// branching variable does not touch.
+struct ComponentCache<N> {
+    components: FxMap<Condition, (f64, N)>,
+    clauses: FxMap<Clause, (f64, N)>,
+}
+
+impl<N> Default for ComponentCache<N> {
+    fn default() -> Self {
+        ComponentCache {
+            components: FxMap::default(),
+            clauses: FxMap::default(),
+        }
+    }
+}
+
+/// What the search reports about the nodes of its trace, so one search
+/// routine serves both a plain solve ([`NoTrace`]) and a compile
+/// ([`CircuitBuilder`]). Every node comes with the probability the search
+/// computed for it; children are handed over one by one and closed by the
+/// node that owns them, from the frame opened at `mark`.
+pub(crate) trait Recorder {
+    /// A handle on a recorded node.
+    type Node: Copy;
+    /// `True` (`p = 1`) or `False` (`p = 0`).
+    fn constant(&mut self, p: f64) -> Self::Node;
+    /// Notes expression `e`, with `Pr(e)`, of the clause leaf being built.
+    fn leaf_expr(&mut self, e: &Expr, p_e: f64, dists: &VarDists) -> Result<(), SolverError>;
+    /// Closes a disjunctive-rule leaf over the expressions noted since the
+    /// last leaf.
+    fn clause(&mut self, p: f64) -> Self::Node;
+    /// Opens a frame of children.
+    fn mark(&self) -> usize;
+    /// Adds the branch `v = value` of an open decision, or a factor of an
+    /// open product (`value` unused).
+    fn child(&mut self, value: Value, node: Self::Node);
+    /// Closes a decision on `v`, whose value distribution is `probs`.
+    fn decision(&mut self, v: VarId, probs: &[f64], mark: usize, p: f64) -> Self::Node;
+    /// Closes a product of independent components.
+    fn and(&mut self, mark: usize, p: f64) -> Self::Node;
+}
+
+/// The recorder of a plain solve: records nothing.
+struct NoTrace;
+
+impl Recorder for NoTrace {
+    type Node = ();
+
+    #[inline]
+    fn constant(&mut self, _: f64) {}
+
+    #[inline]
+    fn leaf_expr(&mut self, _: &Expr, _: f64, _: &VarDists) -> Result<(), SolverError> {
+        Ok(())
+    }
+
+    #[inline]
+    fn clause(&mut self, _: f64) {}
+
+    #[inline]
+    fn mark(&self) -> usize {
+        0
+    }
+
+    #[inline]
+    fn child(&mut self, _: Value, _: ()) {}
+
+    #[inline]
+    fn decision(&mut self, _: VarId, _: &[f64], _: usize, _: f64) {}
+
+    #[inline]
+    fn and(&mut self, _: usize, _: f64) {}
 }
 
 /// A multiply-rotate word hasher in the style of rustc's `FxHasher`: a few
 /// cycles per word and no per-process seed. It is used only for the
-/// component cache, which lives for one `probability` call and holds
-/// components the solver derives from that call's condition.
+/// component cache, which lives for one search and holds components the
+/// solver derives from that search's condition.
 #[derive(Default)]
 struct FxHasher {
     hash: u64,
@@ -182,10 +249,10 @@ impl std::ops::AddAssign for SolveStats {
 /// ```
 ///
 /// By default the solver memoizes component probabilities *within one
-/// `probability` call* (component/formula caching in the style of Sang,
-/// Beame & Kautz — reference \[32\] of the paper). Sibling branches whose
-/// substitutions collapse to the same residual component are then solved
-/// once. It also memoizes the disjunctive-rule probability of each clause
+/// `probability` or `compile` call* (component/formula caching in the
+/// style of Sang, Beame & Kautz — reference \[32\] of the paper).
+/// Sibling branches whose substitutions collapse to the same residual
+/// component are then solved once. It also memoizes the disjunctive-rule probability of each clause
 /// it closes directly; that memo is invisible to [`SolveStats`], which
 /// counts every direct closure. Caching is sound per call because the
 /// distributions are fixed for its duration; it is cleared between calls.
@@ -263,12 +330,13 @@ impl AdpllSolver {
         self.max_depth.set(0);
     }
 
-    fn clause_probability(
+    fn clause_probability<R: Recorder>(
         &self,
         clause: &Clause,
         dists: &VarDists,
-        cache: &mut ComponentCache,
-    ) -> Result<f64, SolverError> {
+        cache: &mut ComponentCache<R::Node>,
+        rec: &mut R,
+    ) -> Result<(f64, R::Node), SolverError> {
         // Within-clause expressions are variable-disjoint by construction;
         // verify and fall back to local branching if a manually built clause
         // violates it.
@@ -279,26 +347,29 @@ impl AdpllSolver {
         });
         if disjoint {
             if self.caching {
-                if let Some(&p) = cache.clauses.get(clause) {
-                    return Ok(p);
+                if let Some(&hit) = cache.clauses.get(clause) {
+                    return Ok(hit);
                 }
             }
             // General disjunctive rule (clamped: pmf normalization can
             // leave 1e-16-scale slack in the complement products).
             let mut none = 1.0;
             for e in exprs {
-                none *= (1.0 - dists.expr_prob(e)?).clamp(0.0, 1.0);
+                let p_e = dists.expr_prob(e)?;
+                rec.leaf_expr(e, p_e, dists)?;
+                none *= (1.0 - p_e).clamp(0.0, 1.0);
             }
             let p = (1.0 - none).clamp(0.0, 1.0);
+            let out = (p, rec.clause(p));
             if self.caching {
-                cache.clauses.insert(clause.clone(), p);
+                cache.clauses.insert(clause.clone(), out);
             }
-            Ok(p)
+            Ok(out)
         } else {
             // Shared variables inside one clause: treat it as a one-clause
             // condition and branch.
             let cond = Condition::Cnf(vec![clause.clone()]);
-            self.branch(&cond, dists, &mut ComponentCache::default())
+            self.branch(&cond, dists, &mut ComponentCache::default(), rec)
         }
     }
 
@@ -309,12 +380,13 @@ impl AdpllSolver {
         }
     }
 
-    fn branch(
+    fn branch<R: Recorder>(
         &self,
         cond: &Condition,
         dists: &VarDists,
-        cache: &mut ComponentCache,
-    ) -> Result<f64, SolverError> {
+        cache: &mut ComponentCache<R::Node>,
+        rec: &mut R,
+    ) -> Result<(f64, R::Node), SolverError> {
         let v = self
             .pick_branch_var(cond)
             .expect("branch() is only called on undecided conditions");
@@ -322,13 +394,17 @@ impl AdpllSolver {
         let d = self.depth.get() + 1;
         self.depth.set(d);
         self.max_depth.set(self.max_depth.get().max(d));
+        let mark = rec.mark();
         let mut total = 0.0;
         // The support in value order: the values with nonzero probability.
         for (value, &p_value) in pmf.probs().iter().enumerate().filter(|(_, &p)| p > 0.0) {
             self.branches.set(self.branches.get() + 1);
             let sub = cond.substitute(v, value as Value);
-            match self.solve(&sub, dists, cache) {
-                Ok(p) => total += p_value * p,
+            match self.solve(&sub, dists, cache, rec) {
+                Ok((p, node)) => {
+                    total += p_value * p;
+                    rec.child(value as Value, node);
+                }
                 Err(e) => {
                     self.depth.set(d - 1);
                     return Err(e);
@@ -336,23 +412,25 @@ impl AdpllSolver {
             }
         }
         self.depth.set(d - 1);
-        Ok(total.clamp(0.0, 1.0))
+        let p = total.clamp(0.0, 1.0);
+        Ok((p, rec.decision(v, pmf.probs(), mark, p)))
     }
 
-    fn solve(
+    fn solve<R: Recorder>(
         &self,
         cond: &Condition,
         dists: &VarDists,
-        cache: &mut ComponentCache,
-    ) -> Result<f64, SolverError> {
+        cache: &mut ComponentCache<R::Node>,
+        rec: &mut R,
+    ) -> Result<(f64, R::Node), SolverError> {
         let clauses = match cond {
-            Condition::True => return Ok(1.0),
-            Condition::False => return Ok(0.0),
+            Condition::True => return Ok((1.0, rec.constant(1.0))),
+            Condition::False => return Ok((0.0, rec.constant(0.0))),
             Condition::Cnf(clauses) => clauses,
         };
         if let [clause] = clauses.as_slice() {
             self.direct.set(self.direct.get() + 1);
-            return self.clause_probability(clause, dists, cache);
+            return self.clause_probability(clause, dists, cache, rec);
         }
 
         // Split clauses into variable-connected components.
@@ -360,47 +438,51 @@ impl AdpllSolver {
         if root[order[0]] != root[order[order.len() - 1]] {
             self.splits.set(self.splits.get() + 1);
         }
+        let mark = rec.mark();
         let mut total = 1.0;
         for comp in order.chunk_by(|&a, &b| root[a] == root[b]) {
-            let p = if let [i] = comp {
+            let (p, node) = if let [i] = comp {
                 self.direct.set(self.direct.get() + 1);
-                self.clause_probability(&clauses[*i], dists, cache)?
+                self.clause_probability(&clauses[*i], dists, cache, rec)?
             } else if comp.len() == clauses.len() {
                 // One component holding every clause: `cond` itself is
                 // its canonical form and cache key.
-                self.component_probability(Cow::Borrowed(cond), dists, cache)?
+                self.component_probability(Cow::Borrowed(cond), dists, cache, rec)?
             } else {
                 // A subsequence of canonical clauses is canonical as is.
                 let sub = Condition::Cnf(comp.iter().map(|&i| clauses[i].clone()).collect());
-                self.component_probability(Cow::Owned(sub), dists, cache)?
+                self.component_probability(Cow::Owned(sub), dists, cache, rec)?
             };
+            rec.child(0, node);
             total *= p;
             if total == 0.0 {
                 break;
             }
         }
-        Ok(total.clamp(0.0, 1.0))
+        let p = total.clamp(0.0, 1.0);
+        Ok((p, rec.and(mark, p)))
     }
 
     /// `Pr` of a correlated component, from the cache or by branching.
-    fn component_probability(
+    fn component_probability<R: Recorder>(
         &self,
         comp: Cow<'_, Condition>,
         dists: &VarDists,
-        cache: &mut ComponentCache,
-    ) -> Result<f64, SolverError> {
+        cache: &mut ComponentCache<R::Node>,
+        rec: &mut R,
+    ) -> Result<(f64, R::Node), SolverError> {
         if !self.caching {
             self.cache_misses.set(self.cache_misses.get() + 1);
-            return self.branch(&comp, dists, cache);
+            return self.branch(&comp, dists, cache, rec);
         }
         if let Some(&hit) = cache.components.get(comp.as_ref()) {
             self.cache_hits.set(self.cache_hits.get() + 1);
             return Ok(hit);
         }
         self.cache_misses.set(self.cache_misses.get() + 1);
-        let p = self.branch(&comp, dists, cache)?;
-        cache.components.insert(comp.into_owned(), p);
-        Ok(p)
+        let out = self.branch(&comp, dists, cache, rec)?;
+        cache.components.insert(comp.into_owned(), out);
+        Ok(out)
     }
 }
 
@@ -445,7 +527,8 @@ fn connected_components(clauses: &[Clause]) -> (Vec<usize>, Vec<usize>) {
 
 impl Solver for AdpllSolver {
     fn probability(&self, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
-        self.solve(cond, dists, &mut ComponentCache::default())
+        self.solve(cond, dists, &mut ComponentCache::default(), &mut NoTrace)
+            .map(|(p, ())| p)
     }
 
     fn probability_with_stats(
@@ -456,6 +539,23 @@ impl Solver for AdpllSolver {
         let before = self.stats();
         let p = self.probability(cond, dists)?;
         Ok((p, self.stats().since(&before)))
+    }
+
+    /// Records the search [`probability`](Solver::probability) runs, so
+    /// the circuit's [`probability`](Circuit::probability) is bit-identical
+    /// to it and the effort equals
+    /// [`probability_with_stats`](Solver::probability_with_stats)'s.
+    fn compile(
+        &self,
+        cond: &Condition,
+        dists: &VarDists,
+    ) -> Option<Result<(Circuit, SolveStats), SolverError>> {
+        let before = self.stats();
+        let mut builder = CircuitBuilder::default();
+        Some(
+            self.solve(cond, dists, &mut ComponentCache::default(), &mut builder)
+                .map(|(p, root)| (builder.finish(root, p), self.stats().since(&before))),
+        )
     }
 
     fn name(&self) -> &'static str {

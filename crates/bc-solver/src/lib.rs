@@ -13,12 +13,15 @@
 //! * [`ApproxCountSolver`] — the generalized weighted ApproxCount the paper
 //!   compares against (and finds inferior),
 //! * [`MonteCarloSolver`] — a plain sampling estimator,
+//! * [`Circuit`] — an ADPLL search recorded as a decision-DNNF circuit,
+//!   whose derivative pass yields every var-const `Pr(φ ∧ e)` at once,
 //! * [`VarDists`] — per-variable value distributions (from the Bayesian
 //!   network) with expression-probability helpers, and
 //! * [`utility`] — the marginal-utility function `G(o, e)` (Definition 6).
 
 pub mod adpll;
 pub mod approxcount;
+pub mod circuit;
 pub mod dists;
 pub mod montecarlo;
 pub mod naive;
@@ -26,6 +29,7 @@ pub mod utility;
 
 pub use adpll::{AdpllSolver, BranchHeuristic, SolveStats};
 pub use approxcount::ApproxCountSolver;
+pub use circuit::{Circuit, Partials};
 pub use dists::VarDists;
 pub use montecarlo::MonteCarloSolver;
 pub use naive::{ModelCount, NaiveSolver};
@@ -48,6 +52,14 @@ pub enum SolverError {
     /// A solver returned a probability that is not finite or lies outside
     /// `[0, 1]` by more than rounding slack.
     InvalidProbability(f64),
+    /// A caller's cached `Pr(φ)` differs from the one a compile of `φ`
+    /// just computed under the same distributions: the cache is stale.
+    StalePrior {
+        /// The `Pr(φ)` the caller passed in.
+        cached: f64,
+        /// The `Pr(φ)` the compile computed.
+        fresh: f64,
+    },
 }
 
 impl fmt::Display for SolverError {
@@ -61,6 +73,9 @@ impl fmt::Display for SolverError {
             }
             SolverError::InvalidProbability(p) => {
                 write!(f, "solver returned {p}, which is not a probability")
+            }
+            SolverError::StalePrior { cached, fresh } => {
+                write!(f, "stale prior: Pr(φ) is {fresh}, not the cached {cached}")
             }
         }
     }
@@ -85,6 +100,18 @@ pub trait Solver {
         dists: &VarDists,
     ) -> Result<(f64, SolveStats), SolverError> {
         Ok((self.probability(cond, dists)?, SolveStats::default()))
+    }
+
+    /// Records the search for `Pr(φ)` as a [`Circuit`], whose one
+    /// downward pass yields every var-const `Pr(φ ∧ e)`, plus the effort
+    /// of that search. `None` (the default) for solvers with no search to
+    /// record: callers then solve each query on its own.
+    fn compile(
+        &self,
+        _cond: &Condition,
+        _dists: &VarDists,
+    ) -> Option<Result<(Circuit, SolveStats), SolverError>> {
+        None
     }
 
     /// Short name for reports.

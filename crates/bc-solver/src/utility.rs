@@ -3,17 +3,32 @@
 //! `G(o, e) = H(o) − E[H(o | e)]` needs three probabilities:
 //!
 //! * `Pr(e)`, read off the variable distributions (no solve),
-//! * `Pr(φ ∧ e)`, one solve of `φ` with the unit clause `[e]` conjoined,
+//! * `Pr(φ ∧ e)`,
 //! * `Pr(φ ∧ ¬e) = Pr(φ) − Pr(φ ∧ e)`, clamped to `[0, 1]` (no solve).
 //!
-//! So every candidate whose `Pr(e)` lies strictly inside `(0, 1)` costs
-//! exactly one solver call, and a decided candidate costs none.
+//! A candidate whose `Pr(e)` is (within `f64::EPSILON`) 0 or 1 is decided:
+//! its utility is zero and costs nothing. For the open ones, `Pr(φ ∧ e)`
+//! comes one of two ways:
 //!
-//! **Precondition.** The `p_phi` passed to [`marginal_utility_with_prior`]
-//! must be `Pr(φ)` under the *same* `dists`. A stale `p_phi` does not fail:
-//! it silently skews every utility of that object.
+//! * [`compile_utilities`] compiles `φ` once (a solver that records its
+//!   search, i.e. ADPLL; see [`crate::circuit`]) and
+//!   [`CompiledUtilities::utility`] reads every var-const `Pr(φ ∧ e)` off
+//!   the circuit's one derivative pass, with no further solve;
+//! * [`marginal_utility_with_prior`] solves `φ` with the unit clause `[e]`
+//!   conjoined: one solver call per candidate. Var-var candidates, and
+//!   every candidate of a solver that does not compile, take this path.
+//!
+//! So scoring one object with ADPLL costs one compile, at its first open
+//! var-const candidate, plus one solve per open var-var candidate.
+//!
+//! **Precondition.** The `p_phi` passed in must be `Pr(φ)` under the
+//! *same* `dists`. [`compile_utilities`] checks it: the compile computes
+//! `Pr(φ)` anyway, and a `p_phi` whose bits differ is
+//! [`SolverError::StalePrior`]. [`marginal_utility_with_prior`] cannot
+//! check it: there a stale `p_phi` silently skews the utility.
 
 use crate::adpll::SolveStats;
+use crate::circuit::Partials;
 use crate::dists::VarDists;
 use crate::{Solver, SolverError};
 use bc_bayes::pmf::binary_entropy;
@@ -61,7 +76,7 @@ pub fn marginal_utility_with_prior(
     p_phi: f64,
 ) -> Result<UtilityEval, SolverError> {
     let p_e = dists.expr_prob(e)?;
-    if p_e <= f64::EPSILON || p_e >= 1.0 - f64::EPSILON {
+    if !is_open(p_e) {
         return Ok(UtilityEval::default());
     }
     let (p_and_true, stats) = solver.probability_with_stats(&cond.and_expr(*e), dists)?;
@@ -70,6 +85,83 @@ pub fn marginal_utility_with_prior(
         utility: utility_from_joint(p_phi, p_e, p_and_true, p_and_false),
         solve: Some(stats),
     })
+}
+
+/// Whether an expression with probability `p_e` is open: strictly inside
+/// `(0, 1)` by more than `f64::EPSILON`. Only open candidates cost work.
+pub fn is_open(p_e: f64) -> bool {
+    p_e > f64::EPSILON && p_e < 1.0 - f64::EPSILON
+}
+
+/// One compile of an object's condition `φ`, from which every var-const
+/// candidate's utility follows without a solve.
+#[derive(Debug)]
+pub struct CompiledUtilities {
+    partials: Partials,
+    stats: SolveStats,
+    nodes: usize,
+}
+
+/// Compiles `cond` with `solver` for scoring: `Ok(None)` when the solver
+/// does not compile (then score each candidate with
+/// [`marginal_utility_with_prior`]). `p_phi` must be `Pr(cond)` under
+/// `dists`; if its bits differ from the compile's, the error is
+/// [`SolverError::StalePrior`].
+pub fn compile_utilities(
+    solver: &dyn Solver,
+    cond: &Condition,
+    dists: &VarDists,
+    p_phi: f64,
+) -> Result<Option<CompiledUtilities>, SolverError> {
+    let Some(compiled) = solver.compile(cond, dists) else {
+        return Ok(None);
+    };
+    let (circuit, stats) = compiled?;
+    let fresh = circuit.probability();
+    if fresh.to_bits() != p_phi.to_bits() {
+        return Err(SolverError::StalePrior {
+            cached: p_phi,
+            fresh,
+        });
+    }
+    Ok(Some(CompiledUtilities {
+        nodes: circuit.node_count(),
+        partials: circuit.partials(),
+        stats,
+    }))
+}
+
+impl CompiledUtilities {
+    /// `G(o, e)` for a var-const `e` of the compiled condition, with no
+    /// solve; `None` for a var-var `e`, which needs
+    /// [`marginal_utility_with_prior`].
+    pub fn utility(&self, e: &Expr, dists: &VarDists) -> Result<Option<f64>, SolverError> {
+        let Some(p_and_true) = self.partials.joint(e, dists)? else {
+            return Ok(None);
+        };
+        let p_e = dists.expr_prob(e)?;
+        if !is_open(p_e) {
+            return Ok(Some(0.0));
+        }
+        let p_phi = self.partials.probability();
+        let p_and_false = (p_phi - p_and_true).clamp(0.0, 1.0);
+        Ok(Some(utility_from_joint(
+            p_phi,
+            p_e,
+            p_and_true,
+            p_and_false,
+        )))
+    }
+
+    /// Effort of the compile's search: that of a plain solve of `φ`.
+    pub fn stats(&self) -> SolveStats {
+        self.stats
+    }
+
+    /// Nodes of the compiled circuit.
+    pub fn nodes(&self) -> usize {
+        self.nodes
+    }
 }
 
 /// `G` from `Pr(φ)`, `Pr(e)` (strictly inside `(0, 1)`), `Pr(φ ∧ e)` and

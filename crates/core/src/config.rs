@@ -6,8 +6,8 @@ use bc_bayes::ModelConfig;
 use bc_crowd::RetryPolicy;
 use bc_ctable::{CTableConfig, Condition, DominatorStrategy};
 use bc_solver::{
-    AdpllSolver, BranchHeuristic, MonteCarloSolver, NaiveSolver, SolveStats, Solver, SolverError,
-    VarDists,
+    AdpllSolver, BranchHeuristic, Circuit, MonteCarloSolver, NaiveSolver, SolveStats, Solver,
+    SolverError, VarDists,
 };
 use std::fmt;
 
@@ -82,7 +82,8 @@ impl SolverKind {
 /// or one outside `[0, 1]` by more than `1e-9`, is
 /// [`SolverError::InvalidProbability`]. That error is returned at once, not
 /// retried: it means broken inputs or a broken solver, which a re-solve
-/// would only hide.
+/// would only hide. So is [`SolverError::StalePrior`], a caller's stale
+/// cache that no solver can repair.
 pub(crate) fn solve_with_fallback<T>(
     solver: &dyn Solver,
     heuristic: BranchHeuristic,
@@ -91,7 +92,7 @@ pub(crate) fn solve_with_fallback<T>(
 ) -> Result<(T, bool), SolverError> {
     match solve(&Checked(solver)) {
         Ok(out) => Ok((out, false)),
-        Err(e @ SolverError::InvalidProbability(_)) => Err(e),
+        Err(e @ (SolverError::InvalidProbability(_) | SolverError::StalePrior { .. })) => Err(e),
         Err(_) => {
             let fallback = SolverKind::Adpll.build(heuristic, caching);
             Ok((solve(&Checked(fallback.as_ref()))?, true))
@@ -125,6 +126,18 @@ impl Solver for Checked<'_> {
     ) -> Result<(f64, SolveStats), SolverError> {
         let (p, stats) = self.0.probability_with_stats(cond, dists)?;
         Ok((checked_probability(p)?, stats))
+    }
+
+    fn compile(
+        &self,
+        cond: &Condition,
+        dists: &VarDists,
+    ) -> Option<Result<(Circuit, SolveStats), SolverError>> {
+        self.0.compile(cond, dists).map(|compiled| {
+            let (circuit, stats) = compiled?;
+            checked_probability(circuit.probability())?;
+            Ok((circuit, stats))
+        })
     }
 
     fn name(&self) -> &'static str {

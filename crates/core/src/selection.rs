@@ -280,9 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn a_ubs_round_solves_once_per_open_candidate() {
-        // z is confined to {0, 1}, so "z < 7" is decided in both conditions;
-        // every other distinct candidate costs exactly one solve.
+    fn a_ubs_round_compiles_once_per_object() {
+        // z is confined to {0, 1}, so "z < 7" is decided in both conditions.
+        // Every other distinct candidate is an open var-const one, so each
+        // object costs exactly one compile and no further solve.
         let (x, y, z) = (v(9, 0), v(9, 1), v(9, 2));
         let ct = CTable::new(vec![
             Condition::from_clauses(vec![
@@ -332,7 +333,17 @@ mod tests {
         let tally = scorer.tally();
         assert_eq!((candidates, open), (6, 4));
         assert_eq!(tally.candidates, candidates);
-        assert_eq!(tally.solver_calls, open);
+        assert_eq!((tally.compiles, tally.solver_calls), (2, 2));
+        // The compiles' effort is exactly that of the two plain solves.
+        let mut plain = 0;
+        for o in [ObjectId(0), ObjectId(1)] {
+            plain += solver
+                .probability_with_stats(ct.condition(o), &dists)
+                .unwrap()
+                .1
+                .branches;
+        }
+        assert_eq!(tally.stats.branches, plain);
     }
 
     #[test]

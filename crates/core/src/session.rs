@@ -564,6 +564,8 @@ impl<'a> Session<'a> {
             observer.event(&Event::UtilityBatch {
                 candidates: tally.candidates,
                 solver_calls: tally.solver_calls,
+                compiles: tally.compiles,
+                circuit_nodes: tally.circuit_nodes,
                 decisions: tally.stats.branches,
                 cache_hits: tally.stats.cache_hits,
                 fallbacks: tally.fallbacks,

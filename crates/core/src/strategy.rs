@@ -3,8 +3,11 @@
 use crate::config::solve_with_fallback;
 use bc_ctable::{Condition, Expr};
 use bc_data::VarId;
-use bc_solver::utility::marginal_utility_with_prior;
+use bc_solver::utility::{
+    compile_utilities, is_open, marginal_utility_with_prior, CompiledUtilities,
+};
 use bc_solver::{BranchHeuristic, SolveStats, Solver, SolverError, VarDists};
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 
 /// The three expression-selection strategies of the paper.
@@ -58,19 +61,15 @@ fn candidates(
     freq: &HashMap<Expr, usize>,
     blocked: &BTreeSet<VarId>,
 ) -> Vec<Expr> {
-    let mut seen = BTreeSet::new();
     let mut out: Vec<Expr> = cond
         .exprs()
-        .filter(|e| seen.insert(**e))
         .filter(|e| e.vars().all(|v| !blocked.contains(&v)))
         .copied()
         .collect();
-    out.sort_by(|a, b| {
-        freq.get(b)
-            .unwrap_or(&0)
-            .cmp(freq.get(a).unwrap_or(&0))
-            .then(a.cmp(b))
-    });
+    out.sort_unstable();
+    out.dedup();
+    // Stable: equally frequent expressions keep their order.
+    out.sort_by_cached_key(|e| Reverse(freq.get(e).copied().unwrap_or(0)));
     out
 }
 
@@ -79,25 +78,38 @@ fn candidates(
 pub struct UtilityTally {
     /// Candidate expressions scored.
     pub candidates: u64,
-    /// Solver invocations: one `Pr(φ ∧ e)` solve per candidate whose
-    /// `Pr(e)` lies strictly inside `(0, 1)`, plus failed attempts that
-    /// needed a fallback.
+    /// Solver invocations: one compile per object whose candidates include
+    /// an open var-const one, one `Pr(φ ∧ e)` solve per other open
+    /// candidate (var-var, or any candidate of a solver that does not
+    /// compile), plus failed attempts that needed a fallback. A candidate
+    /// is open when its `Pr(e)` lies strictly inside `(0, 1)`.
     pub solver_calls: u64,
-    /// Candidates the configured solver failed on and a fresh ADPLL
-    /// re-solved.
+    /// Conditions compiled: the part of `solver_calls` that scored every
+    /// open var-const candidate of one object.
+    pub compiles: u64,
+    /// Circuit nodes those compiles recorded.
+    pub circuit_nodes: u64,
+    /// Compiles or candidates the configured solver failed on and a fresh
+    /// ADPLL redid.
     pub fallbacks: u64,
-    /// Search effort of the successful solves.
+    /// Search effort of the successful compiles and solves.
     pub stats: SolveStats,
 }
 
 /// Scores candidate expressions by marginal utility (Definition 6) and
 /// tallies the solver effort.
 ///
-/// A candidate the configured solver fails on (e.g. the naive enumerator's
-/// state cap) is re-solved by a fresh ADPLL built with the run's branching
-/// heuristic and caching flag, and counted as a fallback — the same policy
-/// as the per-round probability batch. An error that survives the fallback
-/// is returned; it is never scored as zero utility.
+/// Scoring goes one object at a time, through [`UtilityScorer::object`].
+/// A solver that compiles (ADPLL) compiles an object's condition once, at
+/// its first open var-const candidate, and reads every var-const utility
+/// off that circuit; var-var candidates, and every candidate of a solver
+/// that does not compile, cost one solve each.
+///
+/// A compile or solve the configured solver fails on (e.g. the naive
+/// enumerator's state cap) is redone by a fresh ADPLL built with the run's
+/// branching heuristic and caching flag, and counted as a fallback — the
+/// same policy as the per-round probability batch. An error that survives
+/// the fallback is returned; it is never scored as zero utility.
 pub struct UtilityScorer<'a> {
     solver: &'a dyn Solver,
     dists: &'a VarDists,
@@ -129,23 +141,90 @@ impl<'a> UtilityScorer<'a> {
         self.tally
     }
 
-    /// `G(o, e)` for `e` in `cond`, where `p_phi` is `Pr(cond)` under the
-    /// scorer's distributions.
-    pub fn score(&mut self, cond: &Condition, e: &Expr, p_phi: f64) -> Result<f64, SolverError> {
-        self.tally.candidates += 1;
+    /// Starts scoring the candidates of one object whose condition is
+    /// `cond`; `p_phi` is `Pr(cond)` under the scorer's distributions. A
+    /// compile checks it, and a stale one is
+    /// [`SolverError::StalePrior`]. The compiled circuit lives as long as
+    /// the returned scorer.
+    pub fn object<'s>(&'s mut self, cond: &'s Condition, p_phi: f64) -> ObjectScorer<'s, 'a> {
+        ObjectScorer {
+            scorer: self,
+            cond,
+            p_phi,
+            compiled: None,
+        }
+    }
+
+    /// Compiles `cond`; `None` when the solver does not compile.
+    fn compile(
+        &mut self,
+        cond: &Condition,
+        p_phi: f64,
+    ) -> Result<Option<CompiledUtilities>, SolverError> {
+        let dists = self.dists;
+        let (compiled, fell_back) =
+            solve_with_fallback(self.solver, self.heuristic, self.caching, |s| {
+                compile_utilities(s, cond, dists, p_phi)
+            })?;
+        self.count_fallback(fell_back);
+        if let Some(c) = &compiled {
+            self.tally.solver_calls += 1;
+            self.tally.compiles += 1;
+            self.tally.circuit_nodes += c.nodes() as u64;
+            self.tally.stats += c.stats();
+        }
+        Ok(compiled)
+    }
+
+    /// `G(o, e)` by one `Pr(φ ∧ e)` solve (none when `e` is decided).
+    fn solve(&mut self, cond: &Condition, e: &Expr, p_phi: f64) -> Result<f64, SolverError> {
         let dists = self.dists;
         let (eval, fell_back) =
             solve_with_fallback(self.solver, self.heuristic, self.caching, |s| {
                 marginal_utility_with_prior(s, cond, e, dists, p_phi)
             })?;
-        // The failed first attempt was a call too.
-        self.tally.solver_calls += u64::from(fell_back);
-        self.tally.fallbacks += u64::from(fell_back);
+        self.count_fallback(fell_back);
         if let Some(stats) = eval.solve {
             self.tally.solver_calls += 1;
             self.tally.stats += stats;
         }
         Ok(eval.utility)
+    }
+
+    fn count_fallback(&mut self, fell_back: bool) {
+        // The failed first attempt was a call too.
+        self.tally.solver_calls += u64::from(fell_back);
+        self.tally.fallbacks += u64::from(fell_back);
+    }
+}
+
+/// Scores the candidates of one object; see [`UtilityScorer::object`].
+pub struct ObjectScorer<'s, 'a> {
+    scorer: &'s mut UtilityScorer<'a>,
+    cond: &'s Condition,
+    p_phi: f64,
+    /// `None` until the first open var-const candidate; then the compile,
+    /// or `Some(None)` when the solver does not compile.
+    compiled: Option<Option<CompiledUtilities>>,
+}
+
+impl ObjectScorer<'_, '_> {
+    /// `G(o, e)` for `e` in the object's condition.
+    pub fn score(&mut self, e: &Expr) -> Result<f64, SolverError> {
+        let scorer = &mut *self.scorer;
+        scorer.tally.candidates += 1;
+        let dists = scorer.dists;
+        if e.rhs_var().is_none() {
+            if self.compiled.is_none() && dists.expr_prob(e).is_ok_and(is_open) {
+                self.compiled = Some(scorer.compile(self.cond, self.p_phi)?);
+            }
+            if let Some(Some(compiled)) = &self.compiled {
+                if let Some(g) = compiled.utility(e, dists)? {
+                    return Ok(g);
+                }
+            }
+        }
+        scorer.solve(self.cond, e, self.p_phi)
     }
 }
 
@@ -153,8 +232,8 @@ impl<'a> UtilityScorer<'a> {
 /// strategy. `blocked` holds variables already used by tasks selected this
 /// round (conflict avoidance); `p_phi` is the object's current condition
 /// probability under the scorer's distributions (the utility computation
-/// relies on it being fresh). Returns `Ok(None)` if every expression
-/// conflicts.
+/// relies on it being fresh, and a compile checks it). Returns `Ok(None)`
+/// if every expression conflicts.
 pub fn select_expression(
     strategy: TaskStrategy,
     cond: &Condition,
@@ -170,10 +249,11 @@ pub fn select_expression(
         TaskStrategy::Ubs => usize::MAX,
         TaskStrategy::Hhs { m } => m.max(1),
     };
+    let mut object = scorer.object(cond, p_phi);
     let mut best: Option<(f64, Expr)> = None;
     let mut since_improvement = 0usize;
     for e in cands {
-        let g = scorer.score(cond, &e, p_phi)?;
+        let g = object.score(&e)?;
         if best.is_none_or(|(bg, _)| g > bg) {
             best = Some((g, e));
             since_improvement = 0;
@@ -235,7 +315,7 @@ mod tests {
         let mut scorer = UtilityScorer::new(&nan, &dists, BranchHeuristic::default(), true);
         let e = *cond.exprs().next().unwrap();
         assert!(matches!(
-            scorer.score(&cond, &e, 0.5),
+            scorer.object(&cond, 0.5).score(&e),
             Err(SolverError::InvalidProbability(p)) if p.is_nan()
         ));
         assert_eq!(
@@ -362,14 +442,15 @@ mod tests {
     }
 
     #[test]
-    fn only_open_candidates_cost_a_solve() {
-        // x is confined to {0, 1}, so "x < 5" is decided and costs nothing;
-        // every other candidate costs exactly one solve (two before the
-        // complement identity).
+    fn only_open_candidates_cost_work() {
+        // x is confined to {0, 1}, so "x < 5" is decided and costs nothing.
+        // The open var-const candidates "y < 4" and "z > 3" share one
+        // compile of φ; the open var-var "y > z" costs one solve of its own.
         let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
+        let var_var = Expr::var_gt(y, z);
         let cond = Condition::from_clauses(vec![
             vec![Expr::lt(x, 5), Expr::lt(y, 4)],
-            vec![Expr::gt(z, 3), Expr::var_gt(y, z)],
+            vec![Expr::gt(z, 3), var_var],
         ]);
         let dists: VarDists = [
             (x, Pmf::uniform(10).conditioned(0b11).unwrap()),
@@ -392,18 +473,50 @@ mod tests {
         )
         .unwrap();
         assert!(picked.is_some());
-        let open = cond
+        let open = |e: &&Expr| {
+            let p_e = dists.expr_prob(e).unwrap();
+            p_e > f64::EPSILON && p_e < 1.0 - f64::EPSILON
+        };
+        let open_var_var = cond
             .exprs()
-            .filter(|e| {
-                let p_e = dists.expr_prob(e).unwrap();
-                p_e > f64::EPSILON && p_e < 1.0 - f64::EPSILON
-            })
+            .filter(open)
+            .filter(|e| e.rhs_var().is_some())
             .count() as u64;
         let tally = scorer.tally();
         assert_eq!(tally.candidates, 4);
-        assert_eq!(open, 3);
-        assert_eq!(tally.solver_calls, open);
+        assert_eq!(cond.exprs().filter(open).count(), 3);
+        assert_eq!((tally.compiles, open_var_var), (1, 1));
+        assert_eq!(tally.solver_calls, tally.compiles + open_var_var);
         assert_eq!(tally.fallbacks, 0);
+        // The search effort is exactly one solve of φ plus one of φ ∧ e.
+        let (_, compile) = solver.probability_with_stats(&cond, &dists).unwrap();
+        let (_, joint) = solver
+            .probability_with_stats(&cond.and_expr(var_var), &dists)
+            .unwrap();
+        assert_eq!(tally.stats.branches, compile.branches + joint.branches);
+        assert!(tally.circuit_nodes > 2);
+    }
+
+    #[test]
+    fn a_stale_prior_is_an_error() {
+        let (cond, dists) = simple_setup();
+        let solver = AdpllSolver::new();
+        let p = solver.probability(&cond, &dists).unwrap();
+        let e = *cond.exprs().next().unwrap();
+        let stale = p + 0.125;
+        let mut scorer = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
+        assert_eq!(
+            scorer.object(&cond, stale).score(&e),
+            Err(SolverError::StalePrior {
+                cached: stale,
+                fresh: p
+            })
+        );
+        assert_eq!(scorer.tally().fallbacks, 0, "a stale prior is not retried");
+        // A solver that does not compile cannot check the prior.
+        let naive = NaiveSolver::new();
+        let mut scorer = UtilityScorer::new(&naive, &dists, BranchHeuristic::default(), true);
+        assert!(scorer.object(&cond, stale).score(&e).is_ok());
     }
 
     #[test]
@@ -467,6 +580,149 @@ mod tests {
         )
         .unwrap()
         .is_some());
+    }
+
+    /// ADPLL with its compile hidden: the one-solve-per-candidate
+    /// reference.
+    struct OneSolveEach(AdpllSolver);
+
+    impl Solver for OneSolveEach {
+        fn probability(&self, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
+            self.0.probability(cond, dists)
+        }
+
+        fn probability_with_stats(
+            &self,
+            cond: &Condition,
+            dists: &VarDists,
+        ) -> Result<(f64, SolveStats), SolverError> {
+            self.0.probability_with_stats(cond, dists)
+        }
+
+        fn name(&self) -> &'static str {
+            "one-solve"
+        }
+    }
+
+    /// A random condition over five variables (about one expression in ten
+    /// var-var) and random pmfs, some entries zero.
+    fn random_case(rng: &mut rand::rngs::StdRng) -> (Condition, VarDists) {
+        use bc_ctable::{CmpOp, Operand};
+        use rand::Rng;
+        const CARD: u16 = 6;
+        let ops = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ];
+        let clauses: Vec<Vec<Expr>> = (0..rng.gen_range(2..7))
+            .map(|_| {
+                (0..rng.gen_range(1..4))
+                    .map(|_| {
+                        let (l, r) = (rng.gen_range(0..5u32), rng.gen_range(0..5u32));
+                        let op = ops[rng.gen_range(0..ops.len())];
+                        if l != r && rng.gen_bool(0.1) {
+                            Expr::new(v(l, 0), op, Operand::Var(v(r, 0)))
+                        } else {
+                            Expr::new(v(l, 0), op, Operand::Const(rng.gen_range(0..CARD)))
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let dists = (0..5)
+            .map(|o| {
+                let mut w: Vec<f64> = (0..CARD)
+                    .map(|_| {
+                        if rng.gen_bool(0.2) {
+                            0.0
+                        } else {
+                            rng.gen_range(0.05..1.0)
+                        }
+                    })
+                    .collect();
+                w[0] += 0.01;
+                (v(o, 0), Pmf::from_weights(w))
+            })
+            .collect();
+        (Condition::from_clauses(clauses), dists)
+    }
+
+    /// Whether a reference walk over utilities `g` (in candidate order)
+    /// hinges on a near-tie: under UBS, its top two are within 1e-12;
+    /// under HHS, some candidate came within 1e-12 of the running best, so
+    /// that comparison (and with it the early stop) may go either way.
+    fn hinges_on_a_tie(strategy: TaskStrategy, g: &[f64]) -> bool {
+        const TIE: f64 = 1e-12;
+        match strategy {
+            TaskStrategy::Hhs { m } => {
+                let (mut best, mut since) = (g[0], 0);
+                for &x in &g[1..] {
+                    if (x - best).abs() <= TIE {
+                        return true;
+                    }
+                    if x > best {
+                        (best, since) = (x, 0);
+                    } else {
+                        since += 1;
+                        if since >= m {
+                            return false;
+                        }
+                    }
+                }
+                false
+            }
+            _ => {
+                let mut sorted = g.to_vec();
+                sorted.sort_by(|a, b| b.total_cmp(a));
+                sorted.len() > 1 && sorted[0] - sorted[1] <= TIE
+            }
+        }
+    }
+
+    /// Compiled scoring picks the one-solve reference's expression, except
+    /// where the reference's own walk hinges on utilities within 1e-12 of
+    /// each other: a tie the ~1e-14 re-association may break either way.
+    #[test]
+    fn compiled_scoring_picks_the_reference_expression_except_at_ties() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let (mut picks, mut flips) = (0, 0);
+        for _ in 0..400 {
+            let (cond, dists) = random_case(&mut rng);
+            if cond.is_decided() {
+                continue;
+            }
+            let freq = expression_frequencies([&cond]);
+            let none = BTreeSet::new();
+            let adpll = AdpllSolver::new();
+            let reference = OneSolveEach(AdpllSolver::new());
+            let p = adpll.probability(&cond, &dists).unwrap();
+            let mut scorer =
+                UtilityScorer::new(&reference, &dists, BranchHeuristic::default(), true);
+            let mut object = scorer.object(&cond, p);
+            let g: Vec<f64> = candidates(&cond, &freq, &none)
+                .iter()
+                .map(|e| object.score(e).unwrap())
+                .collect();
+            for strategy in [TaskStrategy::Ubs, TaskStrategy::Hhs { m: 2 }] {
+                let got = pick(strategy, &cond, &freq, &none, &adpll, &dists, p);
+                let want = pick(strategy, &cond, &freq, &none, &reference, &dists, p);
+                picks += 1;
+                if got != want {
+                    assert!(
+                        hinges_on_a_tie(strategy, &g),
+                        "{strategy:?} on {cond}: picked {got:?}, reference {want:?}, utilities {g:?}"
+                    );
+                    flips += 1;
+                }
+            }
+        }
+        assert!(picks > 600, "only {picks} picks compared");
+        assert!(flips * 20 < picks, "{flips} tie flips in {picks} picks");
     }
 
     #[test]

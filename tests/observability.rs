@@ -177,35 +177,49 @@ fn select_children_account_for_select_time_on_hhs() {
 }
 
 /// Utility work is counted apart from probability batches, one
-/// `UtilityBatch` per selecting round, and every scored candidate costs at
-/// most one solve (none when its expression is already decided).
+/// `UtilityBatch` per selecting round. ADPLL compiles each scored object's
+/// condition once, so the solver calls split exactly into compiles plus
+/// one solve per open var-var candidate, and no scored candidate costs
+/// more than one call.
 #[test]
 fn utility_counters_reconcile_with_utility_batches() {
     let (metrics, profile) = profiled_hhs_run();
     let c = metrics.counters();
-    let (mut batches, mut calls, mut decisions, mut fallbacks) = (0u64, 0u64, 0u64, 0u64);
+    let (mut batches, mut calls, mut compiles, mut nodes, mut decisions, mut fallbacks) =
+        (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
     for e in metrics.events() {
         if let Event::UtilityBatch {
             solver_calls,
+            compiles: k,
+            circuit_nodes: n,
             decisions: d,
             fallbacks: f,
             ..
         } = *e
         {
             batches += 1;
+            assert!(k <= solver_calls, "{k} compiles > {solver_calls} calls");
+            // Every circuit holds the two constants plus its root.
+            assert!(n >= 3 * k, "{n} nodes for {k} compiles");
             calls += solver_calls;
+            compiles += k;
+            nodes += n;
             decisions += d;
             fallbacks += f;
         }
     }
     assert_eq!(batches, c.rounds, "one utility batch per selecting round");
     assert_eq!(c.utility_solver_calls, calls);
+    assert_eq!(c.utility_compiles, compiles);
+    assert_eq!(c.utility_circuit_nodes, nodes);
     assert_eq!(c.utility_decisions, decisions);
     assert_eq!(fallbacks, 0, "ADPLL never needs its own fallback");
-    assert!(c.utility_solver_calls > 0);
+    assert!(c.utility_compiles > 0, "HHS compiled nothing");
     assert!(c.utility_solver_calls <= c.utility_evals);
     let utility = profile.node("round/select/utility").unwrap();
     assert_eq!(utility.count, c.utility_solver_calls);
+    let compile = profile.node("round/select/utility/compile").unwrap();
+    assert_eq!(compile.count, c.utility_compiles);
 }
 
 proptest! {
