@@ -100,41 +100,51 @@ impl CTable {
     /// variable pinned to a single value, iterating to a fixpoint per
     /// condition. Returns counters describing the pass.
     pub fn propagate(&mut self, store: &ConstraintStore) -> PropagateStats {
-        self.propagate_where(store, |_| true)
+        self.propagate_where(store, |_| true, |_, _| {})
     }
 
-    /// [`CTable::propagate`] restricted to the open conditions that mention
-    /// a variable of `sorted_vars` (sorted ascending): the variables whose
-    /// store knowledge changed since the last pass.
+    /// [`CTable::propagate`], restricted with `touching` to the open
+    /// conditions that mention one of its variables (sorted ascending): the
+    /// variables whose store knowledge changed since the last pass. Every
+    /// condition the pass rewrites is handed to `replaced`, with its object,
+    /// once its new condition is in place; the pass would drop it anyway.
     ///
     /// A condition's fixpoint depends only on the store's masks and facts
     /// for its own variables. So if the previous pass left every open
-    /// condition at its fixpoint, and the store changed only on
-    /// `sorted_vars`, the conditions skipped here are already at the new
-    /// fixpoint. The c-table then ends exactly as after a full pass, and
-    /// only [`PropagateStats::examined`] differs.
-    pub fn propagate_touching(
+    /// condition at its fixpoint, and the store changed only on `touching`,
+    /// the conditions skipped are already at the new fixpoint. The c-table
+    /// then ends exactly as after a full pass, and only
+    /// [`PropagateStats::examined`] differs.
+    pub fn propagate_replacing(
         &mut self,
         store: &ConstraintStore,
-        sorted_vars: &[VarId],
+        touching: Option<&[VarId]>,
+        replaced: impl FnMut(ObjectId, Condition),
     ) -> PropagateStats {
-        self.propagate_where(store, |c| c.mentions_any(sorted_vars))
+        match touching {
+            Some(vars) => self.propagate_where(store, |c| c.mentions_any(vars), replaced),
+            None => self.propagate_where(store, |_| true, replaced),
+        }
     }
 
     fn propagate_where(
         &mut self,
         store: &ConstraintStore,
         examine: impl Fn(&Condition) -> bool,
+        mut replaced: impl FnMut(ObjectId, Condition),
     ) -> PropagateStats {
         let mut stats = PropagateStats::default();
-        for cond in &mut self.entries {
+        for (i, cond) in self.entries.iter_mut().enumerate() {
             if cond.is_decided() || !examine(cond) {
                 continue;
             }
             stats.examined += 1;
-            let mut current = std::mem::replace(cond, Condition::True);
+            let original = std::mem::replace(cond, Condition::True);
+            // The latest rewrite, once the pass changed anything.
+            let mut rewritten: Option<Condition> = None;
             let mut depth = 0;
             loop {
+                let current = rewritten.as_ref().unwrap_or(&original);
                 let mut next = current.simplify(|e| store.decide(e));
                 // Substitute pinned variables to expose further collapses
                 // (e.g. a var-var expression becoming var-const).
@@ -148,11 +158,10 @@ impl CTable {
                 for &(v, val) in &pinned {
                     next = next.substitute(v, val);
                 }
-                let done = next == current;
-                current = next;
-                if done {
+                if next == *current {
                     break;
                 }
+                rewritten = Some(next);
                 depth += 1;
                 // `simplify` leaves only undecided expressions, so with
                 // nothing substituted another iteration would change
@@ -162,10 +171,16 @@ impl CTable {
                 }
             }
             stats.max_depth = stats.max_depth.max(depth);
-            if current.is_decided() {
-                stats.decided += 1;
+            match rewritten {
+                Some(current) => {
+                    if current.is_decided() {
+                        stats.decided += 1;
+                    }
+                    *cond = current;
+                    replaced(ObjectId(i as u32), original);
+                }
+                None => *cond = original,
             }
-            *cond = current;
         }
         stats
     }
@@ -285,6 +300,33 @@ mod tests {
         assert_eq!(idle.examined, 2);
         assert_eq!(idle.decided, 0);
         assert_eq!(idle.max_depth, 0);
+    }
+
+    #[test]
+    fn propagate_replacing_hands_over_exactly_the_rewritten_conditions() {
+        let (data, before) = sample_ctable();
+        let mut store = crate::constraint::ConstraintStore::new(&data);
+        store.record(v(4, 3), Operand::Const(4), Relation::Lt);
+        store.record(v(4, 2), Operand::Const(3), Relation::Eq);
+        let mut plain = before.clone();
+        let want = plain.propagate(&store);
+        for touching in [None, Some(&[v(4, 2), v(4, 3)][..])] {
+            let mut ct = before.clone();
+            let mut replaced = Vec::new();
+            let stats = ct.propagate_replacing(&store, touching, |o, old| replaced.push((o, old)));
+            assert_eq!(stats.decided, want.decided);
+            assert_eq!(
+                ct.iter().collect::<Vec<_>>(),
+                plain.iter().collect::<Vec<_>>()
+            );
+            let changed: Vec<_> = before
+                .iter()
+                .filter(|&(o, c)| c != ct.condition(o))
+                .map(|(o, c)| (o, c.clone()))
+                .collect();
+            assert!(!changed.is_empty());
+            assert_eq!(replaced, changed);
+        }
     }
 
     #[test]

@@ -140,8 +140,16 @@ pub enum Event {
         /// Conditions solved (cached conditions are not re-solved and do
         /// not appear here).
         objects: usize,
-        /// Solver invocations, including fallback re-solves.
+        /// Solver invocations: the compiles, plain solves (a solver that
+        /// does not compile, or a circuit that went stale), and fallback
+        /// re-solves.
         solver_calls: u64,
+        /// Conditions compiled to a kept circuit, against the model's
+        /// distributions (part of `solver_calls`).
+        compiles: u64,
+        /// Conditions whose kept circuit was re-evaluated under the current
+        /// distributions instead of solved: no search, not a solver call.
+        evaluations: u64,
         /// Value-branching decisions taken by the solver.
         branches: u64,
         /// Component probabilities served from the solver's cache.
@@ -189,6 +197,9 @@ pub enum Event {
         compiles: u64,
         /// Circuit nodes those compiles recorded.
         circuit_nodes: u64,
+        /// Objects scored off the circuit their probability batch keeps,
+        /// with no compile.
+        reused: u64,
         /// Value-branching decisions taken by those compiles and solves.
         decisions: u64,
         /// Component probabilities served from the solver's cache.
@@ -393,6 +404,8 @@ impl Event {
                 phase,
                 objects,
                 solver_calls,
+                compiles,
+                evaluations,
                 branches,
                 cache_hits,
                 fallbacks,
@@ -401,6 +414,8 @@ impl Event {
                 s.push_str(&format!(", \"phase\": \"{}\"", phase.name()));
                 field_u(&mut s, "objects", *objects as u128);
                 field_u(&mut s, "solver_calls", *solver_calls as u128);
+                field_u(&mut s, "compiles", *compiles as u128);
+                field_u(&mut s, "evaluations", *evaluations as u128);
                 field_u(&mut s, "branches", *branches as u128);
                 field_u(&mut s, "cache_hits", *cache_hits as u128);
                 field_u(&mut s, "fallbacks", *fallbacks as u128);
@@ -428,6 +443,7 @@ impl Event {
                 solver_calls,
                 compiles,
                 circuit_nodes,
+                reused,
                 decisions,
                 cache_hits,
                 fallbacks,
@@ -437,6 +453,7 @@ impl Event {
                 field_u(&mut s, "solver_calls", *solver_calls as u128);
                 field_u(&mut s, "compiles", *compiles as u128);
                 field_u(&mut s, "circuit_nodes", *circuit_nodes as u128);
+                field_u(&mut s, "reused", *reused as u128);
                 field_u(&mut s, "decisions", *decisions as u128);
                 field_u(&mut s, "cache_hits", *cache_hits as u128);
                 field_u(&mut s, "fallbacks", *fallbacks as u128);
@@ -563,6 +580,8 @@ impl Event {
                 phase: RunPhase::from_name(fields.str("phase")?)?,
                 objects: get_u("objects")?,
                 solver_calls: get_u64("solver_calls")?,
+                compiles: get_u64("compiles")?,
+                evaluations: get_u64("evaluations")?,
                 branches: get_u64("branches")?,
                 cache_hits: get_u64("cache_hits")?,
                 fallbacks: get_u64("fallbacks")?,
@@ -582,6 +601,7 @@ impl Event {
                 solver_calls: get_u64("solver_calls")?,
                 compiles: get_u64("compiles")?,
                 circuit_nodes: get_u64("circuit_nodes")?,
+                reused: get_u64("reused")?,
                 decisions: get_u64("decisions")?,
                 cache_hits: get_u64("cache_hits")?,
                 fallbacks: get_u64("fallbacks")?,
@@ -743,6 +763,8 @@ mod tests {
                 phase: RunPhase::Select,
                 objects: 3,
                 solver_calls: 3,
+                compiles: 1,
+                evaluations: 1,
                 branches: 17,
                 cache_hits: 2,
                 fallbacks: 1,
@@ -762,6 +784,7 @@ mod tests {
                 solver_calls: 8,
                 compiles: 3,
                 circuit_nodes: 212,
+                reused: 2,
                 decisions: 41,
                 cache_hits: 5,
                 fallbacks: 1,
@@ -851,6 +874,7 @@ mod tests {
             solver_calls: 2,
             compiles: 1,
             circuit_nodes: 30,
+            reused: 4,
             decisions: 7,
             cache_hits: 1,
             fallbacks: 0,
@@ -863,6 +887,7 @@ mod tests {
                 solver_calls: 2,
                 compiles: 1,
                 circuit_nodes: 30,
+                reused: 4,
                 decisions: 7,
                 cache_hits: 1,
                 fallbacks: 0,
@@ -921,18 +946,48 @@ mod tests {
             solver_calls: 4,
             compiles: 3,
             circuit_nodes: 587,
+            reused: 8,
             decisions: 90,
             cache_hits: 6,
             fallbacks: 0,
             nanos: 17,
         };
         let line = e.to_json_line(5);
-        for field in ["\"compiles\": 3", "\"circuit_nodes\": 587"] {
+        for field in ["\"compiles\": 3", "\"circuit_nodes\": 587", "\"reused\": 8"] {
             assert!(line.contains(field), "{line}");
         }
         assert_eq!(Event::from_json_line(&line), Some((5, e)));
+        // A line without any of the counts is rejected, not defaulted.
+        for field in [
+            ", \"compiles\": 3",
+            ", \"circuit_nodes\": 587",
+            ", \"reused\": 8",
+        ] {
+            let old = line.replace(field, "");
+            assert!(Event::from_json_line(&old).is_none(), "{old}");
+        }
+    }
+
+    #[test]
+    fn probability_batch_carries_the_circuit_counts() {
+        let e = Event::ProbabilityBatch {
+            phase: RunPhase::Finalize,
+            objects: 9,
+            solver_calls: 4,
+            compiles: 3,
+            evaluations: 5,
+            branches: 60,
+            cache_hits: 2,
+            fallbacks: 0,
+            nanos: 21,
+        };
+        let line = e.to_json_line(6);
+        for field in ["\"compiles\": 3", "\"evaluations\": 5"] {
+            assert!(line.contains(field), "{line}");
+        }
+        assert_eq!(Event::from_json_line(&line), Some((6, e)));
         // A line without either count is rejected, not defaulted.
-        for field in [", \"compiles\": 3", ", \"circuit_nodes\": 587"] {
+        for field in [", \"compiles\": 3", ", \"evaluations\": 5"] {
             let old = line.replace(field, "");
             assert!(Event::from_json_line(&old).is_none(), "{old}");
         }

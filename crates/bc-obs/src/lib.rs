@@ -31,7 +31,7 @@ mod profile;
 mod sink;
 
 pub use event::{Event, RunPhase};
-pub use metrics::{Counters, Histogram, MetricsRecorder};
+pub use metrics::{peak_rss_bytes, Counters, Histogram, MetricsRecorder};
 pub use profile::{ProfileReport, Profiler, ReportNode, RunProfiler};
 pub use sink::{JsonLinesSink, NoopObserver, Observer, Tee};
 

@@ -157,8 +157,18 @@ pub struct Counters {
     pub retried: u64,
     /// Conditions solved across all probability batches.
     pub probability_evals: u64,
-    /// Solver invocations (including fallback re-solves).
+    /// Solver invocations: compiles, plain solves and fallback re-solves.
     pub solver_calls: u64,
+    /// Conditions compiled to a kept circuit by probability batches (part
+    /// of `solver_calls`).
+    pub circuit_compiles: u64,
+    /// Compiles after the run's first compiling probability batch: circuits
+    /// rebuilt because a var-var answer dropped them, a resume left them
+    /// unbuilt, or they went stale. Part of `circuit_compiles`.
+    pub circuit_recompiles: u64,
+    /// Probabilities read off a kept circuit's re-evaluation instead of a
+    /// solve (not solver calls).
+    pub circuit_evals: u64,
     /// Solver value-branching decisions.
     pub solver_branches: u64,
     /// Solver component-cache hits.
@@ -205,6 +215,9 @@ pub struct Counters {
     pub utility_compiles: u64,
     /// Circuit nodes those compiles recorded.
     pub utility_circuit_nodes: u64,
+    /// Objects scored off the circuit kept by their probability batch, with
+    /// no compile.
+    pub utility_reused: u64,
     /// Missing cells whose conditional came from the Markov-blanket closed
     /// form. From `ModelTrained` events, like the two counters below.
     pub model_blanket_cells: u64,
@@ -212,6 +225,21 @@ pub struct Counters {
     pub model_ve_cells: u64,
     /// Distinct `(attribute, blanket values)` closed-form evaluations.
     pub model_blanket_keys: u64,
+}
+
+/// The process's peak resident set size in bytes: `VmHWM` from
+/// `/proc/self/status`. `None` where that file or field does not exist
+/// (off Linux).
+pub fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    vm_hwm_bytes(&status)
+}
+
+/// The `VmHWM:   1234 kB` line of a `/proc/<pid>/status` text, in bytes.
+fn vm_hwm_bytes(status: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb * 1024)
 }
 
 /// An [`Observer`] that aggregates the event stream in memory.
@@ -223,6 +251,8 @@ pub struct MetricsRecorder {
     counters: Counters,
     tasks_per_round: Histogram,
     propagation_depth: Histogram,
+    /// Whether this run has had a probability batch that compiled.
+    compiled_once: bool,
 }
 
 impl MetricsRecorder {
@@ -297,6 +327,11 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
+            "kept circuits: {} compiles ({} recompiles), {} evaluations",
+            c.circuit_compiles, c.circuit_recompiles, c.circuit_evals
+        );
+        let _ = writeln!(
+            s,
             "solver search: {} cache misses, {} direct components, {} splits, max depth {}",
             c.solver_cache_misses,
             c.solver_direct_components,
@@ -310,18 +345,27 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
-            "utility evals {}  utility solver calls {} (decisions {}, {} compiles, {} circuit nodes)",
+            "utility evals {}  utility solver calls {} (decisions {}, {} compiles, {} circuit nodes, {} reused)",
             c.utility_evals,
             c.utility_solver_calls,
             c.utility_decisions,
             c.utility_compiles,
-            c.utility_circuit_nodes
+            c.utility_circuit_nodes,
+            c.utility_reused
         );
         let _ = writeln!(
             s,
             "propagated {} answers ({} conditions examined), {} conditions decided",
             c.answers_propagated, c.propagate_examined, c.conditions_decided
         );
+        match peak_rss_bytes() {
+            Some(bytes) => {
+                let _ = writeln!(s, "peak RSS {:.1} MB", bytes as f64 / 1e6);
+            }
+            None => {
+                let _ = writeln!(s, "peak RSS n/a");
+            }
+        }
         let _ = writeln!(s, "tasks/round: {}", self.tasks_per_round);
         let _ = writeln!(s, "propagation depth: {}", self.propagation_depth);
         let _ = write!(s, "phase timings:");
@@ -354,9 +398,14 @@ impl Observer for MetricsRecorder {
             Event::SpanFinished { phase, nanos } => {
                 *self.phase_nanos.entry(*phase).or_insert(0) += nanos;
             }
+            Event::RunStarted { .. } => {
+                self.compiled_once = false;
+            }
             Event::ProbabilityBatch {
                 objects,
                 solver_calls,
+                compiles,
+                evaluations,
                 branches,
                 cache_hits,
                 fallbacks,
@@ -364,6 +413,12 @@ impl Observer for MetricsRecorder {
             } => {
                 self.counters.probability_evals += *objects as u64;
                 self.counters.solver_calls += solver_calls;
+                self.counters.circuit_compiles += compiles;
+                self.counters.circuit_evals += evaluations;
+                if self.compiled_once {
+                    self.counters.circuit_recompiles += compiles;
+                }
+                self.compiled_once |= *compiles > 0;
                 self.counters.solver_branches += branches;
                 self.counters.solver_cache_hits += cache_hits;
                 self.counters.solver_fallbacks += fallbacks;
@@ -397,9 +452,11 @@ impl Observer for MetricsRecorder {
                 solver_calls,
                 compiles,
                 circuit_nodes,
+                reused,
                 decisions,
                 ..
             } => {
+                self.counters.utility_reused += reused;
                 self.counters.utility_evals += candidates;
                 self.counters.utility_solver_calls += solver_calls;
                 self.counters.utility_compiles += compiles;
@@ -505,6 +562,53 @@ mod tests {
     }
 
     #[test]
+    fn peak_rss_comes_from_vm_hwm() {
+        let status = "Name:\tcat\nVmPeak:\t  9000 kB\nVmHWM:\t   1234 kB\nVmRSS:\t 1000 kB\n";
+        assert_eq!(vm_hwm_bytes(status), Some(1234 * 1024));
+        assert_eq!(vm_hwm_bytes("VmRSS:\t 1000 kB\n"), None);
+        assert_eq!(vm_hwm_bytes("VmHWM:\t lots\n"), None);
+        if cfg!(target_os = "linux") {
+            assert!(peak_rss_bytes().is_some_and(|b| b > 0));
+            assert!(MetricsRecorder::new().summary().contains("peak RSS "));
+        }
+    }
+
+    #[test]
+    fn a_new_run_starts_counting_recompiles_afresh() {
+        let batch = |compiles| Event::ProbabilityBatch {
+            phase: RunPhase::Select,
+            objects: compiles as usize,
+            solver_calls: compiles,
+            compiles,
+            evaluations: 0,
+            branches: 0,
+            cache_hits: 0,
+            fallbacks: 0,
+            nanos: 0,
+        };
+        let started = Event::RunStarted {
+            objects: 1,
+            attrs: 1,
+            missing_vars: 1,
+            budget: 1,
+            latency: 1,
+        };
+        let mut rec = MetricsRecorder::new();
+        for e in [
+            started.clone(),
+            batch(0),
+            batch(4),
+            batch(2),
+            started,
+            batch(3),
+        ] {
+            rec.event(&e);
+        }
+        let c = rec.counters();
+        assert_eq!((c.circuit_compiles, c.circuit_recompiles), (9, 2));
+    }
+
+    #[test]
     fn recorder_aggregates_counters_and_spans() {
         let mut rec = MetricsRecorder::new();
         rec.event(&Event::RoundStarted { round: 1 });
@@ -512,10 +616,23 @@ mod tests {
             phase: RunPhase::Select,
             objects: 4,
             solver_calls: 4,
+            compiles: 2,
+            evaluations: 1,
             branches: 10,
             cache_hits: 3,
             fallbacks: 1,
             nanos: 100,
+        });
+        rec.event(&Event::ProbabilityBatch {
+            phase: RunPhase::Select,
+            objects: 3,
+            solver_calls: 1,
+            compiles: 1,
+            evaluations: 2,
+            branches: 0,
+            cache_hits: 0,
+            fallbacks: 0,
+            nanos: 10,
         });
         rec.event(&Event::SolverSearch {
             phase: RunPhase::Select,
@@ -541,6 +658,7 @@ mod tests {
             solver_calls: 5,
             compiles: 2,
             circuit_nodes: 44,
+            reused: 3,
             decisions: 12,
             cache_hits: 2,
             fallbacks: 0,
@@ -573,7 +691,13 @@ mod tests {
         let c = rec.counters();
         assert_eq!(c.rounds, 1);
         assert_eq!(c.posted, 2);
-        assert_eq!(c.probability_evals, 4);
+        assert_eq!(c.probability_evals, 7);
+        // The first compiling batch builds; later compiles rebuild.
+        assert_eq!(
+            (c.circuit_compiles, c.circuit_recompiles, c.circuit_evals),
+            (3, 1, 3)
+        );
+        assert_eq!(c.utility_reused, 3);
         assert_eq!(c.solver_branches, 10);
         assert_eq!(c.solver_fallbacks, 1);
         assert_eq!(c.solver_cache_misses, 7);
@@ -595,12 +719,12 @@ mod tests {
             (9, 2, 3)
         );
         // Utility work stays out of the probability-batch counters.
-        assert_eq!(c.solver_calls, 4);
+        assert_eq!(c.solver_calls, 5);
         assert_eq!(rec.phase_nanos(RunPhase::Select), 150);
         assert_eq!(rec.phase_nanos(RunPhase::Post), 0);
         assert_eq!(rec.tasks_per_round().count(), 1);
         assert_eq!(rec.propagation_depth().max(), 3);
-        assert_eq!(rec.events().len(), 9);
+        assert_eq!(rec.events().len(), 10);
         assert!(rec.summary().contains("posted 2"));
     }
 

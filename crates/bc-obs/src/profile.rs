@@ -447,7 +447,8 @@ fn solve_path(phase: RunPhase) -> String {
 /// ├── round            (RoundFinished; count = rounds)
 /// │   ├── select       (SpanFinished, summed over rounds)
 /// │   │   ├── solve    (ProbabilityBatch; count = solver calls)
-/// │   │   │   └── adpll  (SolverSearch; count = decisions, nanos 0)
+/// │   │   │   ├── adpll     (SolverSearch; count = decisions, nanos 0)
+/// │   │   │   └── evaluate  (count = kept-circuit evaluations, nanos 0)
 /// │   │   └── utility  (UtilityBatch; count = solver calls)
 /// │   │       ├── adpll    (count = decisions, nanos 0)
 /// │   │       └── compile  (count = compiles, nanos 0)
@@ -455,7 +456,7 @@ fn solve_path(phase: RunPhase) -> String {
 /// │   └── propagate
 /// │       └── fixpoint (Propagated)
 /// └── finalize
-///     └── solve
+///     └── solve        (and its adpll/evaluate children)
 /// ```
 ///
 /// Every `nanos` filed here was measured at the emission site, so the
@@ -502,11 +503,14 @@ impl Observer for RunProfiler {
             Event::ProbabilityBatch {
                 phase,
                 solver_calls,
+                evaluations,
                 nanos,
                 ..
             } => {
+                let path = solve_path(*phase);
+                self.profiler.record_with(&path, *nanos, *solver_calls);
                 self.profiler
-                    .record_with(&solve_path(*phase), *nanos, *solver_calls);
+                    .record_with(&format!("{path}/evaluate"), 0, *evaluations);
             }
             Event::SolverSearch {
                 phase, decisions, ..
@@ -653,6 +657,8 @@ mod tests {
             phase: RunPhase::Select,
             objects: 3,
             solver_calls: 3,
+            compiles: 1,
+            evaluations: 2,
             branches: 9,
             cache_hits: 1,
             fallbacks: 0,
@@ -672,6 +678,7 @@ mod tests {
             solver_calls: 3,
             compiles: 2,
             circuit_nodes: 25,
+            reused: 1,
             decisions: 11,
             cache_hits: 0,
             fallbacks: 0,
@@ -708,6 +715,8 @@ mod tests {
         let adpll = r.node("round/select/solve/adpll").unwrap();
         assert_eq!(adpll.count, 9);
         assert_eq!(adpll.nanos, 0);
+        let evaluate = r.node("round/select/solve/evaluate").unwrap();
+        assert_eq!((evaluate.nanos, evaluate.count), (0, 2));
         let utility = r.node("round/select/utility").unwrap();
         assert_eq!((utility.nanos, utility.count), (300, 3));
         assert_eq!(r.node("round/select/utility/adpll").unwrap().count, 11);

@@ -9,9 +9,11 @@ use std::io::{Read, Write};
 pub const FORMAT_NAME: &str = "bc-snapshot";
 
 /// The newest document version this crate writes and understands. Older
-/// readers refuse newer documents; the version only moves when the layout
-/// itself changes (section shapes are the domain layer's business).
-pub const FORMAT_VERSION: u32 = 1;
+/// readers refuse newer documents. The version moves when the layout or
+/// the set of sections a writer emits changes; the domain layer reads
+/// [`Snapshot::version`] to decode older documents. Version 2 added the
+/// session's `compiled_from` section.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit, the checksum of the footer (and the fingerprint hash the
 /// domain layer uses). Small, dependency-free, and plenty for detecting
@@ -25,10 +27,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn header_value(fingerprint: &str) -> Value {
+fn header_value(fingerprint: &str, version: u32) -> Value {
     Value::obj(vec![
         ("format", Value::Str(FORMAT_NAME.into())),
-        ("version", Value::Int(FORMAT_VERSION as i128)),
+        ("version", Value::Int(version as i128)),
         ("fingerprint", Value::Str(fingerprint.into())),
     ])
 }
@@ -56,13 +58,23 @@ pub struct SnapshotWriter<W: Write> {
 impl<W: Write> SnapshotWriter<W> {
     /// Starts a document by writing its header line.
     pub fn new(inner: W, fingerprint: &str) -> Result<SnapshotWriter<W>, SnapshotError> {
+        SnapshotWriter::with_version(inner, fingerprint, FORMAT_VERSION)
+    }
+
+    /// [`SnapshotWriter::new`] with an older header `version`, for
+    /// re-serializing an older document as it was.
+    fn with_version(
+        inner: W,
+        fingerprint: &str,
+        version: u32,
+    ) -> Result<SnapshotWriter<W>, SnapshotError> {
         let mut w = SnapshotWriter {
             inner,
             hash: 0xcbf2_9ce4_8422_2325,
             bytes: 0,
             sections: 0,
         };
-        w.write_line(&header_value(fingerprint).to_json())?;
+        w.write_line(&header_value(fingerprint, version).to_json())?;
         Ok(w)
     }
 
@@ -100,17 +112,25 @@ impl<W: Write> SnapshotWriter<W> {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Snapshot {
     fingerprint: String,
+    version: u32,
     sections: Vec<(String, Value)>,
 }
 
 impl Snapshot {
-    /// Builds a document in memory (the write-side counterpart used by
-    /// re-serialization tests and by [`Snapshot::write_to`]).
+    /// Builds a document of the current [`FORMAT_VERSION`] in memory (the
+    /// write-side counterpart used by re-serialization tests and by
+    /// [`Snapshot::write_to`]).
     pub fn new(fingerprint: String, sections: Vec<(String, Value)>) -> Snapshot {
         Snapshot {
             fingerprint,
+            version: FORMAT_VERSION,
             sections,
         }
+    }
+
+    /// The header's format version: [`FORMAT_VERSION`] or older.
+    pub fn version(&self) -> u32 {
+        self.version
     }
 
     /// The header's run fingerprint.
@@ -138,6 +158,7 @@ impl Snapshot {
         reader.read_to_string(&mut text)?;
 
         let mut fingerprint: Option<String> = None;
+        let mut version = FORMAT_VERSION;
         let mut sections: Vec<(String, Value)> = Vec::new();
         let mut footer: Option<(usize, String, u64)> = None; // declared count, checksum, hash-so-far
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -160,12 +181,13 @@ impl Snapshot {
                 if format != FORMAT_NAME {
                     return Err(SnapshotError::UnsupportedFormat(format.to_string()));
                 }
-                let version = value
+                let declared = value
                     .get("version")
                     .and_then(Value::as_usize)
                     .ok_or_else(|| malformed("header lacks a version".into()))?;
-                if version as u32 > FORMAT_VERSION {
-                    return Err(SnapshotError::UnsupportedVersion(version as u32));
+                version = u32::try_from(declared).unwrap_or(u32::MAX);
+                if version > FORMAT_VERSION {
+                    return Err(SnapshotError::UnsupportedVersion(version));
                 }
                 let fp = value
                     .get("fingerprint")
@@ -216,15 +238,17 @@ impl Snapshot {
         }
         Ok(Snapshot {
             fingerprint,
+            version,
             sections,
         })
     }
 
-    /// Re-serializes the document. For a document produced by
-    /// [`SnapshotWriter`], the output is byte-identical to the original
-    /// (pinned by test) — parsing is lossless and serialization canonical.
+    /// Re-serializes the document, at its own version. For a document
+    /// produced by [`SnapshotWriter`], the output is byte-identical to the
+    /// original (pinned by test) — parsing is lossless and serialization
+    /// canonical.
     pub fn write_to(&self, out: impl Write) -> Result<usize, SnapshotError> {
-        let mut w = SnapshotWriter::new(out, &self.fingerprint)?;
+        let mut w = SnapshotWriter::with_version(out, &self.fingerprint, self.version)?;
         for (name, data) in &self.sections {
             w.section(name, data.clone())?;
         }
@@ -284,6 +308,32 @@ mod tests {
         let n = snap.write_to(&mut again).unwrap();
         assert_eq!(n, again.len());
         assert_eq!(again, bytes);
+    }
+
+    #[test]
+    fn older_versions_parse_and_keep_their_version() {
+        let current = String::from_utf8(sample_bytes()).unwrap();
+        let header = format!("\"version\":{FORMAT_VERSION}");
+        assert!(current.contains(&header), "{current}");
+        // Re-frame the same sections as a version-1 document.
+        let snap = Snapshot::parse(current.as_bytes()).unwrap();
+        assert_eq!(snap.version(), FORMAT_VERSION);
+        let mut old = Vec::new();
+        Snapshot {
+            version: 1,
+            ..snap.clone()
+        }
+        .write_to(&mut old)
+        .unwrap();
+        let text = String::from_utf8(old.clone()).unwrap();
+        assert!(text.starts_with(&current[..current.find(&header).unwrap()]));
+        assert!(text.contains("\"version\":1,"), "{text}");
+        let parsed = Snapshot::parse(&old[..]).unwrap();
+        assert_eq!(parsed.version(), 1);
+        assert_eq!(parsed.sections(), snap.sections());
+        let mut again = Vec::new();
+        parsed.write_to(&mut again).unwrap();
+        assert_eq!(again, old);
     }
 
     #[test]

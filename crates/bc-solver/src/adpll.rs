@@ -65,8 +65,9 @@ pub(crate) trait Recorder {
     fn child(&mut self, value: Value, node: Self::Node);
     /// Closes a decision on `v`, whose value distribution is `probs`.
     fn decision(&mut self, v: VarId, probs: &[f64], mark: usize, p: f64) -> Self::Node;
-    /// Closes a product of independent components.
-    fn and(&mut self, mark: usize, p: f64) -> Self::Node;
+    /// Closes a product of independent components; `cut` when it stopped
+    /// at a zero product before its last component.
+    fn and(&mut self, mark: usize, p: f64, cut: bool) -> Self::Node;
 }
 
 /// The recorder of a plain solve: records nothing.
@@ -98,7 +99,7 @@ impl Recorder for NoTrace {
     fn decision(&mut self, _: VarId, _: &[f64], _: usize, _: f64) {}
 
     #[inline]
-    fn and(&mut self, _: usize, _: f64) {}
+    fn and(&mut self, _: usize, _: f64, _: bool) {}
 }
 
 /// A multiply-rotate word hasher in the style of rustc's `FxHasher`: a few
@@ -440,7 +441,9 @@ impl AdpllSolver {
         }
         let mark = rec.mark();
         let mut total = 1.0;
-        for comp in order.chunk_by(|&a, &b| root[a] == root[b]) {
+        let mut cut = false;
+        let mut comps = order.chunk_by(|&a, &b| root[a] == root[b]).peekable();
+        while let Some(comp) = comps.next() {
             let (p, node) = if let [i] = comp {
                 self.direct.set(self.direct.get() + 1);
                 self.clause_probability(&clauses[*i], dists, cache, rec)?
@@ -456,11 +459,12 @@ impl AdpllSolver {
             rec.child(0, node);
             total *= p;
             if total == 0.0 {
+                cut = comps.peek().is_some();
                 break;
             }
         }
         let p = total.clamp(0.0, 1.0);
-        Ok((p, rec.and(mark, p)))
+        Ok((p, rec.and(mark, p, cut)))
     }
 
     /// `Pr` of a correlated component, from the cache or by branching.

@@ -1,5 +1,5 @@
-//! Compiled solves: the circuit one ADPLL search traces, and its
-//! derivative pass.
+//! Compiled solves: the circuit one ADPLL search traces, its upward
+//! re-evaluation, and its derivative pass.
 //!
 //! ADPLL with component caching is a decision-DNNF compiler once its
 //! search is recorded (Huang & Darwiche, "The Language of Search", JAIR
@@ -10,12 +10,20 @@
 //!   edge per value of its support;
 //! * an **AND** node per product of independent components;
 //! * a **leaf** per clause closed by the general disjunctive rule, with
-//!   `Pr(e)` of each of its expressions.
+//!   each of its expressions and their `Pr(e)`.
 //!
 //! A component-cache or clause-memo hit reuses the node it hits, so the
 //! circuit is a DAG. Every node carries the probability the search
 //! computed for it, so [`Circuit::probability`] *is* the solve's `Pr(φ)`,
 //! bit for bit.
+//!
+//! [`Circuit::evaluate`] replays that computation under other
+//! distributions whose supports lie inside the compiled ones: the same
+//! sums, products and clamps in node-creation order, skipping values whose
+//! `θ` is 0 as the search's support filter does. So a circuit compiled
+//! from `φ` under `dists₀` and evaluated under `dists` has the root
+//! `AdpllSolver::probability(φ, dists)`, bit for bit. Only nodes below a
+//! variable whose `θ` changed are recomputed.
 //!
 //! [`Circuit::partials`] then runs one downward pass (Darwiche, "A
 //! Differential Approach to Inference in Bayesian Networks", JACM 2003).
@@ -30,7 +38,7 @@
 //! ```
 //!
 //! so one pass yields every var-const `Pr(φ ∧ e)` of the condition.
-//! DESIGN.md ("Compiled utilities") has the argument.
+//! DESIGN.md ("Compiled utilities", "Kept circuits") has the arguments.
 
 use crate::adpll::Recorder;
 use crate::dists::VarDists;
@@ -52,15 +60,17 @@ enum Kind {
     /// A branch on the variable in slot `slot`; `edges[start..end]` are
     /// its `(value, child)` pairs.
     Decision { slot: u32, start: u32, end: u32 },
-    /// A product; `edges[start..end]` are its factors.
-    And { start: u32, end: u32 },
+    /// A product; `edges[start..end]` are its factors. `cut` when the
+    /// search stopped at a zero product before its last component, whose
+    /// factors are then missing.
+    And { start: u32, end: u32, cut: bool },
     /// A disjunctive-rule clause over `leaves[start..end]`.
     Clause { start: u32, end: u32 },
 }
 
 #[derive(Clone, Copy, Debug)]
 struct Node {
-    /// The probability the search computed for this node.
+    /// The node's probability under the circuit's current `theta`.
     value: f64,
     kind: Kind,
 }
@@ -76,18 +86,42 @@ enum Rhs {
 /// One expression of a clause leaf: `slot(lhs) op rhs`, with its `Pr(e)`.
 #[derive(Clone, Copy, Debug)]
 struct Leaf {
-    lhs: u32,
-    op: CmpOp,
-    rhs: Rhs,
     p: f64,
+    lhs: u32,
+    rhs: Rhs,
+    op: CmpOp,
 }
 
-/// A variable the circuit mentions: `theta[start..end]` is the
-/// distribution the search used for it.
+impl Leaf {
+    /// The expression, with its variables read off `slots`.
+    fn expr(&self, slots: &[Slot]) -> Expr {
+        let rhs = match self.rhs {
+            Rhs::Const(c) => Operand::Const(c),
+            Rhs::Var(r) => Operand::Var(slots[r as usize].var),
+        };
+        Expr::new(slots[self.lhs as usize].var, self.op, rhs)
+    }
+
+    /// Whether the expression mentions a slot flagged in `changed`.
+    fn touches(&self, changed: &[bool]) -> bool {
+        changed[self.lhs as usize] || matches!(self.rhs, Rhs::Var(r) if changed[r as usize])
+    }
+}
+
+/// No node: the slot of a variable the circuit never branches on.
+const NO_NODE: NodeId = NodeId::MAX;
+
+/// A variable the circuit mentions: `theta[start..end]` is its current
+/// value distribution.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
+    var: VarId,
     start: u32,
     end: u32,
+    /// A decision node on the variable, whose edges are the values of the
+    /// support the circuit was compiled over; [`NO_NODE`] when there is
+    /// none, and the support does not shape the circuit.
+    decision: NodeId,
 }
 
 impl Slot {
@@ -104,16 +138,17 @@ pub struct Circuit {
     /// Decision `(value, child)` edges and AND factors `(0, child)`.
     edges: Vec<(Value, NodeId)>,
     leaves: Vec<Leaf>,
+    /// Sorted by variable.
     slots: Vec<Slot>,
-    /// `(variable, slot)` for every slot, sorted by variable.
-    by_var: Vec<(VarId, u32)>,
     /// Every slot's value distribution, back to back.
     theta: Vec<f64>,
     root: NodeId,
 }
 
 impl Circuit {
-    /// `Pr(φ)`: the root's value, bit-identical to the plain solve.
+    /// `Pr(φ)`: the root's value, bit-identical to the plain solve under
+    /// the distributions of the compile or of the last
+    /// [`evaluate`](Circuit::evaluate).
     pub fn probability(&self) -> f64 {
         self.nodes[self.root as usize].value
     }
@@ -123,10 +158,134 @@ impl Circuit {
         self.nodes.len()
     }
 
-    /// The downward pass, which consumes the circuit: `Pr(φ | v = a)` for
-    /// every variable `v` the circuit mentions and every value `a` of its
-    /// support.
-    pub fn partials(self) -> Partials {
+    /// The variables whose distributions the circuit reads, in order.
+    pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.slots.iter().map(|s| s.var)
+    }
+
+    /// Re-evaluates the circuit under `dists` and returns the new
+    /// `Pr(φ)`: bit-identical to a plain ADPLL solve of the compiled `φ`
+    /// under `dists`, with the heuristic and caching flag of the compile.
+    ///
+    /// The upward pass replays the search's sums, products and clamps in
+    /// node-creation order. A decision skips values whose `θ` is 0, an AND
+    /// stops at a zero product, and clause leaves take `Pr(e)` from
+    /// [`VarDists::expr_prob`]. Only nodes below a variable whose `θ`
+    /// changed since the last pass are recomputed.
+    ///
+    /// The support in `dists` of every variable the circuit branches on
+    /// must lie inside the compiled one: a value with mass outside it, or
+    /// a zero product of the compile that is no longer zero, is
+    /// [`SolverError::StaleCircuit`]. After that error, or a missing
+    /// distribution, the circuit is partly updated and must be dropped.
+    pub fn evaluate(&mut self, dists: &VarDists) -> Result<f64, SolverError> {
+        // `changed[s]`: slot `s` took a new distribution; allocated at the
+        // first one.
+        let mut changed: Vec<bool> = Vec::new();
+        for (s, slot) in self.slots.iter().enumerate() {
+            let probs = dists.pmf(slot.var)?.probs();
+            if probs.len() != slot.span().len() || !self.within_support(slot, probs) {
+                return Err(SolverError::StaleCircuit);
+            }
+            let theta = &mut self.theta[slot.span()];
+            if probs
+                .iter()
+                .zip(theta.iter())
+                .any(|(a, b)| a.to_bits() != b.to_bits())
+            {
+                theta.copy_from_slice(probs);
+                changed.resize(self.slots.len(), false);
+                changed[s] = true;
+            }
+        }
+        if changed.is_empty() {
+            return Ok(self.probability());
+        }
+        // Children precede parents, so creation order sees every child's
+        // new value first. `moved[i]`: node `i`'s value changed.
+        let mut moved = vec![false; self.nodes.len()];
+        for i in 0..self.nodes.len() {
+            let value = match self.nodes[i].kind {
+                Kind::Const => continue,
+                Kind::Decision { slot, start, end } => {
+                    let edges = &self.edges[start as usize..end as usize];
+                    if !changed[slot as usize] && !edges.iter().any(|&(_, c)| moved[c as usize]) {
+                        continue;
+                    }
+                    let theta = &self.theta[self.slots[slot as usize].span()];
+                    let mut total = 0.0;
+                    for &(a, child) in edges {
+                        let t = theta[a as usize];
+                        if t > 0.0 {
+                            total += t * self.nodes[child as usize].value;
+                        }
+                    }
+                    total.clamp(0.0, 1.0)
+                }
+                Kind::And { start, end, cut } => {
+                    let factors = &self.edges[start as usize..end as usize];
+                    if !factors.iter().any(|&(_, c)| moved[c as usize]) {
+                        continue;
+                    }
+                    let mut total = 1.0;
+                    for &(_, child) in factors {
+                        total *= self.nodes[child as usize].value;
+                        if total == 0.0 {
+                            break;
+                        }
+                    }
+                    if cut && total != 0.0 {
+                        return Err(SolverError::StaleCircuit);
+                    }
+                    total.clamp(0.0, 1.0)
+                }
+                Kind::Clause { start, end } => {
+                    let leaves = &mut self.leaves[start as usize..end as usize];
+                    if !leaves.iter().any(|l| l.touches(&changed)) {
+                        continue;
+                    }
+                    let mut none = 1.0;
+                    for leaf in leaves {
+                        if leaf.touches(&changed) {
+                            leaf.p = dists.expr_prob(&leaf.expr(&self.slots))?;
+                        }
+                        none *= complement(leaf.p);
+                    }
+                    (1.0 - none).clamp(0.0, 1.0)
+                }
+            };
+            if value.to_bits() != self.nodes[i].value.to_bits() {
+                self.nodes[i].value = value;
+                moved[i] = true;
+            }
+        }
+        Ok(self.probability())
+    }
+
+    /// Whether every value `probs` gives mass to is an edge of `slot`'s
+    /// decisions, i.e. in the support the circuit was compiled over.
+    fn within_support(&self, slot: &Slot, probs: &[f64]) -> bool {
+        let Some(Kind::Decision { start, end, .. }) =
+            self.nodes.get(slot.decision as usize).map(|n| n.kind)
+        else {
+            return true;
+        };
+        // Edges come in value order.
+        let mut values = self.edges[start as usize..end as usize]
+            .iter()
+            .map(|&(a, _)| a as usize);
+        probs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p > 0.0)
+            .all(|(a, _)| values.by_ref().find(|&b| b >= a) == Some(a))
+    }
+
+    /// The downward pass: `Pr(φ | v = a)` for every variable `v` the
+    /// circuit mentions and every value `a` of its support, under the
+    /// distributions of the compile or of the last
+    /// [`evaluate`](Circuit::evaluate). The circuit stays usable.
+    pub fn partials(&self) -> Partials {
         let value = |n: NodeId| self.nodes[n as usize].value;
         let theta = |s: u32| &self.theta[self.slots[s as usize].span()];
         // `D_{v=a}` for every slot, laid out like `theta`.
@@ -160,7 +319,7 @@ impl Circuit {
                         adjoint[child as usize] += adj * theta[a as usize];
                     }
                 }
-                Kind::And { start, end } => {
+                Kind::And { start, end, .. } => {
                     // ∂/∂child_j = Π_{k≠j} child_k, from prefix and suffix
                     // products.
                     let factors = &self.edges[start as usize..end as usize];
@@ -237,9 +396,8 @@ impl Circuit {
         }
         Partials {
             p_phi,
-            slots: self.slots,
-            by_var: self.by_var,
-            theta: self.theta,
+            slots: self.slots.clone(),
+            theta: self.theta.clone(),
             given: d,
         }
     }
@@ -317,9 +475,8 @@ fn add_range(diff: &mut [f64], op: CmpOp, c: Value, w: f64) {
 #[derive(Debug)]
 pub struct Partials {
     p_phi: f64,
-    /// The circuit's slots and their index.
+    /// The circuit's slots, sorted by variable.
     slots: Vec<Slot>,
-    by_var: Vec<(VarId, u32)>,
     theta: Vec<f64>,
     /// `Pr(φ | v = ·)`, laid out like `theta`.
     given: Vec<f64>,
@@ -339,10 +496,10 @@ impl Partials {
     }
 
     fn slot(&self, v: VarId) -> Option<&Slot> {
-        self.by_var
-            .binary_search_by_key(&v, |&(w, _)| w)
+        self.slots
+            .binary_search_by_key(&v, |s| s.var)
             .ok()
-            .map(|i| &self.slots[self.by_var[i].1 as usize])
+            .map(|i| &self.slots[i])
     }
 
     /// `Pr(φ ∧ e)` for a var-const expression `e`, clamped to `[0, 1]`;
@@ -369,6 +526,8 @@ impl Partials {
 /// The [`Recorder`] of a compile: appends each node the search closes.
 pub(crate) struct CircuitBuilder {
     circuit: Circuit,
+    /// `(variable, slot)` for every slot, sorted by variable.
+    index: Vec<(VarId, u32)>,
     /// The children of the open frames, innermost last.
     open: Vec<(Value, NodeId)>,
     /// Where the expressions of the open clause leaf start.
@@ -391,10 +550,10 @@ impl Default for CircuitBuilder {
                 edges: Vec::with_capacity(64),
                 leaves: Vec::with_capacity(64),
                 slots: Vec::with_capacity(16),
-                by_var: Vec::with_capacity(16),
                 theta: Vec::with_capacity(256),
                 root: FALSE,
             },
+            index: Vec::with_capacity(16),
             open: Vec::with_capacity(32),
             leaf_start: 0,
         }
@@ -408,7 +567,42 @@ impl CircuitBuilder {
             self.circuit.nodes[root as usize].value.to_bits(),
             p.to_bits()
         );
-        self.circuit.root = root;
+        // Renumber the slots, and lay out `theta`, in variable order, so
+        // that lookups by variable binary-search them.
+        let c = &mut self.circuit;
+        let mut renamed = vec![0; c.slots.len()];
+        let mut theta = Vec::with_capacity(c.theta.len());
+        let mut slots = Vec::with_capacity(c.slots.len());
+        for (new, &(_, old)) in self.index.iter().enumerate() {
+            renamed[old as usize] = new as u32;
+            let slot = c.slots[old as usize];
+            let start = theta.len() as u32;
+            theta.extend_from_slice(&c.theta[slot.span()]);
+            slots.push(Slot {
+                start,
+                end: theta.len() as u32,
+                ..slot
+            });
+        }
+        c.slots = slots;
+        c.theta = theta;
+        for node in &mut c.nodes {
+            if let Kind::Decision { slot, .. } = &mut node.kind {
+                *slot = renamed[*slot as usize];
+            }
+        }
+        for leaf in &mut c.leaves {
+            leaf.lhs = renamed[leaf.lhs as usize];
+            if let Rhs::Var(r) = &mut leaf.rhs {
+                *r = renamed[*r as usize];
+            }
+        }
+        // Kept circuits outlive the search: exact-size copies, allocated
+        // together, replace the search's growing buffers.
+        c.nodes = c.nodes.to_vec();
+        c.edges = c.edges.to_vec();
+        c.leaves = c.leaves.to_vec();
+        c.root = root;
         self.circuit
     }
 
@@ -419,8 +613,8 @@ impl CircuitBuilder {
 
     /// The slot of `v`, interning it with its distribution on first sight.
     fn slot(&mut self, v: VarId, dists: &VarDists) -> Result<u32, SolverError> {
-        match self.circuit.by_var.binary_search_by_key(&v, |&(w, _)| w) {
-            Ok(i) => Ok(self.circuit.by_var[i].1),
+        match self.index.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => Ok(self.index[i].1),
             Err(i) => Ok(self.intern(i, v, dists.pmf(v)?.probs())),
         }
     }
@@ -432,10 +626,12 @@ impl CircuitBuilder {
         let start = c.theta.len() as u32;
         c.theta.extend_from_slice(probs);
         c.slots.push(Slot {
+            var: v,
             start,
             end: c.theta.len() as u32,
+            decision: NO_NODE,
         });
-        c.by_var.insert(i, (v, s));
+        self.index.insert(i, (v, s));
         s
     }
 
@@ -465,10 +661,10 @@ impl Recorder for CircuitBuilder {
             Operand::Var(w) => Rhs::Var(self.slot(w, dists)?),
         };
         self.circuit.leaves.push(Leaf {
-            lhs,
-            op: e.op(),
-            rhs,
             p: p_e,
+            lhs,
+            rhs,
+            op: e.op(),
         });
         Ok(())
     }
@@ -488,22 +684,28 @@ impl Recorder for CircuitBuilder {
     }
 
     fn decision(&mut self, v: VarId, probs: &[f64], mark: usize, p: f64) -> NodeId {
-        let slot = match self.circuit.by_var.binary_search_by_key(&v, |&(w, _)| w) {
-            Ok(i) => self.circuit.by_var[i].1,
+        let slot = match self.index.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => self.index[i].1,
             Err(i) => self.intern(i, v, probs),
         };
         let (start, end) = self.close(mark);
-        self.push(p, Kind::Decision { slot, start, end })
+        let node = self.push(p, Kind::Decision { slot, start, end });
+        let slot = &mut self.circuit.slots[slot as usize];
+        if slot.decision == NO_NODE {
+            slot.decision = node;
+        }
+        node
     }
 
-    fn and(&mut self, mark: usize, p: f64) -> NodeId {
+    fn and(&mut self, mark: usize, p: f64, cut: bool) -> NodeId {
         // A single factor is the product itself: `1.0 * p` and the clamp
-        // leave a probability unchanged.
-        if self.open.len() == mark + 1 {
+        // leave a probability unchanged. A cut product keeps its node, so
+        // that re-evaluation can tell when the zero is gone.
+        if !cut && self.open.len() == mark + 1 {
             return self.open.pop().expect("one factor").1;
         }
         let (start, end) = self.close(mark);
-        self.push(p, Kind::And { start, end })
+        self.push(p, Kind::And { start, end, cut })
     }
 }
 
@@ -586,5 +788,133 @@ mod tests {
             assert!((gx[a as usize] - py.pr_lt(a)).abs() < 1e-12, "x = {a}");
             assert!((gy[a as usize] - px.pr_gt(a)).abs() < 1e-12, "y = {a}");
         }
+    }
+
+    fn narrowed(pmf: &Pmf, keep: &[usize]) -> Pmf {
+        let mask = keep.iter().fold(0u64, |m, &a| m | 1 << a);
+        pmf.conditioned(mask).expect("kept values carry mass")
+    }
+
+    #[test]
+    fn evaluate_replays_a_solve_under_narrowed_supports() {
+        // (x < 2 ∨ y > 2) ∧ (x > 0 ∨ z < 3) ∧ (y < 4 ∨ z > 1): correlated,
+        // so the search branches.
+        let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
+        let cond = Condition::from_clauses(vec![
+            vec![Expr::lt(x, 2), Expr::gt(y, 2)],
+            vec![Expr::gt(x, 0), Expr::lt(z, 3)],
+            vec![Expr::lt(y, 4), Expr::gt(z, 1)],
+        ]);
+        let base: VarDists = [
+            (x, Pmf::from_weights(vec![1.0, 2.0, 3.0, 4.0, 5.0])),
+            (y, Pmf::uniform(5)),
+            (z, Pmf::from_weights(vec![3.0, 1.0, 4.0, 1.0, 5.0])),
+        ]
+        .into_iter()
+        .collect();
+        let mut circuit = compile(&cond, &base);
+        let solver = AdpllSolver::new();
+        let mut now = base.clone();
+        for (var, keep) in [
+            (x, &[0, 1, 3][..]),
+            (z, &[2, 3, 4]),
+            (x, &[1, 3]),
+            (y, &[4]),
+        ] {
+            now.insert(var, narrowed(now.pmf(var).unwrap(), keep));
+            let want = solver.probability(&cond, &now).unwrap();
+            assert_eq!(circuit.evaluate(&now).unwrap().to_bits(), want.to_bits());
+            assert_eq!(circuit.probability().to_bits(), want.to_bits());
+        }
+        // Back to the compiled supports: still a replay.
+        let want = solver.probability(&cond, &base).unwrap();
+        assert_eq!(circuit.evaluate(&base).unwrap().to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn partials_survive_and_follow_re_evaluation() {
+        let (x, y) = (v(0, 0), v(1, 0));
+        let cond = Condition::from_clauses(vec![
+            vec![Expr::lt(x, 2), Expr::gt(y, 2)],
+            vec![Expr::gt(x, 0), Expr::var_gt(y, x)],
+        ]);
+        let base: VarDists = [(x, Pmf::uniform(4)), (y, Pmf::uniform(5))]
+            .into_iter()
+            .collect();
+        let mut now = base.clone();
+        now.insert(y, narrowed(base.pmf(y).unwrap(), &[1, 3, 4]));
+        let mut kept = compile(&cond, &base);
+        kept.evaluate(&now).unwrap();
+        let first = kept.partials();
+        let again = kept.partials();
+        let fresh = compile(&cond, &now).partials();
+        for var in [x, y] {
+            let (a, b) = (
+                first.conditional(var).unwrap(),
+                again.conditional(var).unwrap(),
+            );
+            assert_eq!(a, b);
+            // A compile under `now` has the same conditionals on the
+            // support, up to the order of sums.
+            let pmf = now.pmf(var).unwrap();
+            for (k, &t) in pmf.probs().iter().enumerate() {
+                if t > 0.0 {
+                    let f = fresh.conditional(var).unwrap()[k];
+                    assert!((a[k] - f).abs() < 1e-12, "{var} = {k}: {} vs {f}", a[k]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_widened_support_is_a_stale_circuit() {
+        let (x, y) = (v(0, 0), v(1, 0));
+        let cond = Condition::from_clauses(vec![
+            vec![Expr::lt(x, 2), Expr::gt(y, 2)],
+            vec![Expr::gt(x, 0), Expr::lt(y, 2)],
+        ]);
+        let base: VarDists = [(x, Pmf::uniform(4)), (y, Pmf::uniform(5))]
+            .into_iter()
+            .collect();
+        let mut small = base.clone();
+        small.insert(x, narrowed(base.pmf(x).unwrap(), &[0, 3]));
+        let mut circuit = compile(&cond, &small);
+        assert_eq!(circuit.evaluate(&base), Err(SolverError::StaleCircuit));
+    }
+
+    #[test]
+    fn a_zero_product_that_comes_back_is_a_stale_circuit() {
+        // Pr(x < 1) = 1e-17 rounds the first clause to probability 0, and
+        // the product stops before (y < 2). Pinning x to 0 makes the clause
+        // certain, so the missing factor matters.
+        let (x, y) = (v(0, 0), v(1, 0));
+        let cond = Condition::from_clauses(vec![vec![Expr::lt(x, 1)], vec![Expr::lt(y, 2)]]);
+        let base: VarDists = [
+            (x, Pmf::from_weights(vec![1e-17, 0.5, 0.5])),
+            (y, Pmf::uniform(4)),
+        ]
+        .into_iter()
+        .collect();
+        let mut circuit = compile(&cond, &base);
+        assert_eq!(circuit.probability(), 0.0);
+        let mut pinned = base.clone();
+        pinned.insert(x, Pmf::delta(3, 0));
+        assert_eq!(circuit.evaluate(&pinned), Err(SolverError::StaleCircuit));
+        // Narrowing that keeps the product at zero is still a replay.
+        let mut circuit = compile(&cond, &base);
+        pinned.insert(x, narrowed(base.pmf(x).unwrap(), &[1, 2]));
+        assert_eq!(circuit.evaluate(&pinned), Ok(0.0));
+    }
+
+    #[test]
+    fn a_missing_distribution_is_an_error() {
+        let x = v(0, 0);
+        let cond = Condition::from_clauses(vec![vec![Expr::lt(x, 2)]]);
+        let d: VarDists = [(x, Pmf::uniform(4))].into_iter().collect();
+        let mut circuit = compile(&cond, &d);
+        assert_eq!(
+            circuit.evaluate(&VarDists::default()),
+            Err(SolverError::MissingDistribution(x))
+        );
     }
 }

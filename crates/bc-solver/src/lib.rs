@@ -14,7 +14,9 @@
 //!   compares against (and finds inferior),
 //! * [`MonteCarloSolver`] — a plain sampling estimator,
 //! * [`Circuit`] — an ADPLL search recorded as a decision-DNNF circuit,
-//!   whose derivative pass yields every var-const `Pr(φ ∧ e)` at once,
+//!   which re-evaluates `Pr(φ)` under narrowed distributions without a
+//!   search, and whose derivative pass yields every var-const `Pr(φ ∧ e)`
+//!   at once,
 //! * [`VarDists`] — per-variable value distributions (from the Bayesian
 //!   network) with expression-probability helpers, and
 //! * [`utility`] — the marginal-utility function `G(o, e)` (Definition 6).
@@ -60,6 +62,10 @@ pub enum SolverError {
         /// The `Pr(φ)` the compile computed.
         fresh: f64,
     },
+    /// A circuit was re-evaluated under distributions it cannot replay: a
+    /// value with mass outside the support it was compiled over, or a
+    /// product the compile found to be zero that no longer is.
+    StaleCircuit,
 }
 
 impl fmt::Display for SolverError {
@@ -76,6 +82,12 @@ impl fmt::Display for SolverError {
             }
             SolverError::StalePrior { cached, fresh } => {
                 write!(f, "stale prior: Pr(φ) is {fresh}, not the cached {cached}")
+            }
+            SolverError::StaleCircuit => {
+                write!(
+                    f,
+                    "stale circuit: the distributions left its compiled support"
+                )
             }
         }
     }

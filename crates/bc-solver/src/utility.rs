@@ -19,7 +19,9 @@
 //!   every candidate of a solver that does not compile, take this path.
 //!
 //! So scoring one object with ADPLL costs one compile, at its first open
-//! var-const candidate, plus one solve per open var-var candidate.
+//! var-const candidate, plus one solve per open var-var candidate. A
+//! circuit the caller already keeps and has evaluated under `dists` saves
+//! the compile too: [`CompiledUtilities::of_circuit`].
 //!
 //! **Precondition.** The `p_phi` passed in must be `Pr(φ)` under the
 //! *same* `dists`. [`compile_utilities`] checks it: the compile computes
@@ -28,7 +30,7 @@
 //! check it: there a stale `p_phi` silently skews the utility.
 
 use crate::adpll::SolveStats;
-use crate::circuit::Partials;
+use crate::circuit::{Circuit, Partials};
 use crate::dists::VarDists;
 use crate::{Solver, SolverError};
 use bc_bayes::pmf::binary_entropy;
@@ -117,21 +119,31 @@ pub fn compile_utilities(
         return Ok(None);
     };
     let (circuit, stats) = compiled?;
-    let fresh = circuit.probability();
-    if fresh.to_bits() != p_phi.to_bits() {
-        return Err(SolverError::StalePrior {
-            cached: p_phi,
-            fresh,
-        });
-    }
-    Ok(Some(CompiledUtilities {
-        nodes: circuit.node_count(),
-        partials: circuit.partials(),
-        stats,
-    }))
+    let utilities = CompiledUtilities::of_circuit(&circuit, p_phi)?;
+    Ok(Some(CompiledUtilities { stats, ..utilities }))
 }
 
 impl CompiledUtilities {
+    /// The utilities of `circuit`, compiled from the condition and last
+    /// evaluated under the `dists` that scoring will use. `p_phi` must be
+    /// `Pr(cond)` under those `dists`; if its bits differ from the
+    /// circuit's root, the error is [`SolverError::StalePrior`]. No search
+    /// runs, so [`stats`](CompiledUtilities::stats) is empty.
+    pub fn of_circuit(circuit: &Circuit, p_phi: f64) -> Result<CompiledUtilities, SolverError> {
+        let fresh = circuit.probability();
+        if fresh.to_bits() != p_phi.to_bits() {
+            return Err(SolverError::StalePrior {
+                cached: p_phi,
+                fresh,
+            });
+        }
+        Ok(CompiledUtilities {
+            nodes: circuit.node_count(),
+            partials: circuit.partials(),
+            stats: SolveStats::default(),
+        })
+    }
+
     /// `G(o, e)` for a var-const `e` of the compiled condition, with no
     /// solve; `None` for a var-var `e`, which needs
     /// [`marginal_utility_with_prior`].
@@ -153,7 +165,8 @@ impl CompiledUtilities {
         )))
     }
 
-    /// Effort of the compile's search: that of a plain solve of `φ`.
+    /// Effort of the compile's search: that of a plain solve of `φ`
+    /// (empty for [`of_circuit`](CompiledUtilities::of_circuit)).
     pub fn stats(&self) -> SolveStats {
         self.stats
     }

@@ -9,12 +9,22 @@
 //!   search effort is equal;
 //! * every var-const `Pr(φ ∧ e)` from the derivative pass, and every
 //!   utility built on it, is within `1e-12` of the one-solve reference.
+//!
+//! And for a circuit kept across random mask narrowings:
+//!
+//! * re-evaluating it is bit-identical to a plain solve of the compiled
+//!   condition under the narrowed pmfs;
+//! * its derivatives are bit-identical to those of a fresh compile under
+//!   the base pmfs evaluated once under the narrowed ones;
+//! * evaluating a circuit under pmfs wider than its compile's is
+//!   [`SolverError::StaleCircuit`] or, when the extra values never mattered
+//!   to the search, still a bit-identical replay.
 
 use bc_bayes::Pmf;
 use bc_ctable::{CmpOp, Condition, Expr, Operand};
 use bc_data::VarId;
-use bc_solver::utility::{compile_utilities, marginal_utility_with_prior};
-use bc_solver::{AdpllSolver, BranchHeuristic, Solver, SolverError, VarDists};
+use bc_solver::utility::{compile_utilities, marginal_utility_with_prior, CompiledUtilities};
+use bc_solver::{AdpllSolver, BranchHeuristic, Circuit, Solver, SolverError, VarDists};
 use proptest::prelude::*;
 
 const N_VARS: u32 = 5;
@@ -149,6 +159,98 @@ proptest! {
         dists in arb_dists(),
     ) {
         check(&cond, &dists)?;
+    }
+}
+
+/// A sequence of narrowings: each keeps the values of one variable's mask.
+fn arb_narrowings() -> impl Strategy<Value = Vec<(u32, u64)>> {
+    prop::collection::vec((0..N_VARS, 1u64..(1 << CARD)), 1..5)
+}
+
+fn compile(solver: &AdpllSolver, cond: &Condition, dists: &VarDists) -> Circuit {
+    solver.compile(cond, dists).unwrap().unwrap().0
+}
+
+/// Bit patterns of every conditional of `circuit` over `cond`'s variables.
+fn conditional_bits(circuit: &Circuit, cond: &Condition) -> Vec<Option<Vec<u64>>> {
+    let partials = circuit.partials();
+    cond.vars()
+        .into_iter()
+        .map(|v| {
+            partials
+                .conditional(v)
+                .map(|g| g.iter().map(|x| x.to_bits()).collect())
+        })
+        .collect()
+}
+
+/// Checks the kept-circuit claims of the module docs for `cond`, compiled
+/// under `base` and re-evaluated after each narrowing in turn.
+fn check_kept(
+    cond: &Condition,
+    base: &VarDists,
+    narrowings: &[(u32, u64)],
+) -> Result<(), TestCaseError> {
+    for solver in solvers() {
+        let mut kept = compile(&solver, cond, base);
+        let mut now = base.clone();
+        for &(v, mask) in narrowings {
+            let Some(pmf) = now.pmf(var(v)).unwrap().conditioned(mask) else {
+                continue;
+            };
+            now.insert(var(v), pmf);
+            let want = solver.probability(cond, &now).unwrap();
+            let got = kept.evaluate(&now).unwrap();
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{} under {:?}", cond, solver);
+            let mut fresh = compile(&solver, cond, base);
+            prop_assert_eq!(fresh.evaluate(&now).unwrap().to_bits(), want.to_bits());
+            prop_assert_eq!(
+                conditional_bits(&kept, cond),
+                conditional_bits(&fresh, cond)
+            );
+            let utilities = CompiledUtilities::of_circuit(&kept, want).unwrap();
+            for e in cond.exprs() {
+                let Some(g) = utilities.utility(e, &now).unwrap() else {
+                    continue;
+                };
+                let one = marginal_utility_with_prior(&solver, cond, e, &now, want)
+                    .unwrap()
+                    .utility;
+                prop_assert!(
+                    (g - one).abs() <= 1e-12,
+                    "G({}) on {}: {} vs {}",
+                    e,
+                    cond,
+                    g,
+                    one
+                );
+            }
+        }
+        // The other way round: compiled under the narrowed pmfs, evaluated
+        // under the base ones.
+        let mut narrow = compile(&solver, cond, &now);
+        match narrow.evaluate(base) {
+            Err(SolverError::StaleCircuit) => {}
+            Ok(p) => {
+                let want = solver.probability(cond, base).unwrap();
+                prop_assert_eq!(p.to_bits(), want.to_bits(), "widened {}", cond);
+            }
+            Err(other) => prop_assert!(false, "widened {}: {}", cond, other),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn kept_circuits_replay_narrowed_solves(
+        cond in arb_condition(),
+        base in arb_dists(),
+        narrowings in arb_narrowings(),
+    ) {
+        check_kept(&cond, &base, &narrowings)?;
     }
 }
 

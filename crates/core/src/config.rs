@@ -105,7 +105,7 @@ struct Checked<'a>(&'a dyn Solver);
 
 /// `p` if it is a probability up to rounding slack, else
 /// [`SolverError::InvalidProbability`].
-fn checked_probability(p: f64) -> Result<f64, SolverError> {
+pub(crate) fn checked_probability(p: f64) -> Result<f64, SolverError> {
     const SLACK: f64 = 1e-9;
     if p.is_finite() && (-SLACK..=1.0 + SLACK).contains(&p) {
         Ok(p)

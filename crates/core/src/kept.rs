@@ -1,0 +1,722 @@
+//! Kept circuits: one compiled circuit per open condition for the whole
+//! session, and the round-level probability cache they feed.
+//!
+//! The first time a round needs `Pr(φ(o))`, the condition is compiled once
+//! ([`Solver::compile`]) against the *base* distributions — the model's
+//! pmfs, before any crowd answer — and evaluated under the current ones.
+//! Later rounds re-evaluate the kept circuit ([`Circuit::evaluate`])
+//! instead of solving again. Crowd answers only narrow masks, and each
+//! current pmf is its base pmf conditioned on the variable's mask, so
+//! supports only shrink. The kept circuit's root is therefore
+//! bit-identical to a plain ADPLL solve of the condition it was compiled
+//! from, `φ_c`, under the current pmfs. In real arithmetic it also equals
+//! `Pr(φ(o))` for the current condition, because propagation only decides
+//! expressions that the narrowed supports already decide.
+//!
+//! Because compiles go against the base pmfs, a circuit's structure is a
+//! function of `φ_c` alone, and a resumed session can rebuild it from the
+//! `φ_c` the checkpoint stores: same nodes, same roots, same derivatives.
+//! `φ_c` is not copied: while propagation leaves the condition alone it is
+//! the c-table's, and the pass that first rewrites it hands the old one
+//! over ([`ProbCache::replaced`]).
+//!
+//! A circuit is dropped when its condition is decided, and when a var-var
+//! answer `(v, w)` arrives for a condition that mentions both `v` and `w`:
+//! [`bc_ctable::ConstraintStore::decide`] uses a relation fact only for that
+//! exact pair, and that is the one rewrite no mask narrowing explains. With
+//! propagation off, an answer settles its expression directly, so every
+//! condition mentioning an answered variable drops its circuit. So does
+//! every condition mentioning a variable whose new mask has no base mass
+//! (its pmf then keeps its old support). DESIGN.md ("Kept circuits") has
+//! the argument.
+//!
+//! Solvers that do not compile (naive, Monte-Carlo) keep a plain solve per
+//! condition, as does a circuit that went [stale](SolverError::StaleCircuit).
+
+use crate::config::{checked_probability, solve_with_fallback, BayesCrowdConfig, SolverKind};
+use crate::error::RunError;
+use crate::strategy::{KeptCircuit, KeptCircuits};
+use bc_ctable::{CTable, Condition, Expr};
+use bc_data::{ObjectId, VarId};
+use bc_solver::{BranchHeuristic, Circuit, SolveStats, Solver, SolverError, VarDists};
+use std::collections::BTreeMap;
+
+/// An object's kept circuit.
+struct Kept {
+    /// The condition it was compiled from, `φ_c`, once propagation has
+    /// rewritten the object's condition; `None` while the two are the same.
+    from: Option<Condition>,
+    /// Compiled from `φ_c` against the base pmfs and last evaluated under
+    /// the pmfs of its last use; `None` when restored from a checkpoint
+    /// and not yet rebuilt.
+    circuit: Option<Circuit>,
+    /// The variables of `φ_c` that `circuit` does not read (all of them
+    /// while it is `None`), sorted. Usually empty, and then unallocated:
+    /// the search reads every variable unless a zero product or a branch
+    /// cuts it off.
+    unread: Vec<VarId>,
+}
+
+impl Kept {
+    /// A circuit to compile, or rebuild, from `from` or, without one, from
+    /// the object's `current` condition.
+    fn new(from: Option<Condition>, current: &Condition) -> Kept {
+        let compiled = from.as_ref().unwrap_or(current);
+        let mut unread: Vec<VarId> = compiled.exprs().flat_map(Expr::vars).collect();
+        unread.sort_unstable();
+        unread.dedup();
+        Kept {
+            from,
+            circuit: None,
+            unread,
+        }
+    }
+
+    /// Keeps `circuit`, compiled from `φ_c`.
+    fn attach(&mut self, circuit: Circuit) {
+        {
+            let mut read = circuit.vars().peekable();
+            self.unread.retain(|&v| {
+                while read.next_if(|&w| w < v).is_some() {}
+                read.peek() != Some(&v)
+            });
+        }
+        self.unread.shrink_to_fit();
+        self.circuit = Some(circuit);
+    }
+
+    /// The variables of `φ_c`: the circuit's and the unread ones.
+    fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        let read = self.circuit.iter().flat_map(Circuit::vars);
+        read.chain(self.unread.iter().copied())
+    }
+
+    /// Whether `φ_c` mentions a variable of `set`.
+    fn mentions_any(&self, set: &VarSet) -> bool {
+        self.vars().any(|v| set.contains(v))
+    }
+
+    /// Whether `φ_c` mentions both `v` and `w`.
+    fn mentions_both(&self, v: VarId, w: VarId) -> bool {
+        self.vars().any(|u| u == v) && self.vars().any(|u| u == w)
+    }
+}
+
+/// A sorted list of variables with a per-object pre-check, so that a pass
+/// over every cached object tests membership with one bit lookup for most
+/// variables.
+struct VarSet<'v> {
+    sorted: &'v [VarId],
+    /// `objects[i]`: a variable of `sorted` belongs to object `i`.
+    objects: Vec<bool>,
+}
+
+impl<'v> VarSet<'v> {
+    fn new(sorted: &'v [VarId]) -> VarSet<'v> {
+        let mut objects = Vec::new();
+        for v in sorted {
+            let i = v.object.index();
+            if i >= objects.len() {
+                objects.resize(i + 1, false);
+            }
+            objects[i] = true;
+        }
+        VarSet { sorted, objects }
+    }
+
+    fn contains(&self, v: VarId) -> bool {
+        self.objects.get(v.object.index()).copied().unwrap_or(false)
+            && self.sorted.binary_search(&v).is_ok()
+    }
+
+    /// Whether `cond` mentions a variable of the set.
+    fn mentioned_by(&self, cond: &Condition) -> bool {
+        cond.exprs().flat_map(Expr::vars).any(|v| self.contains(v))
+    }
+}
+
+/// What the session remembers about one object between rounds.
+#[derive(Default)]
+struct Entry {
+    /// `Pr(φ(o))` under the current pmfs, while no answer has touched it.
+    p: Option<f64>,
+    kept: Option<Kept>,
+}
+
+/// The effort behind one probability batch.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct BatchWork {
+    /// Search effort of the compiles and plain solves.
+    pub stats: SolveStats,
+    /// Compiles, plain solves and fallback re-solves.
+    pub solver_calls: u64,
+    /// Conditions compiled to a kept circuit.
+    pub compiles: u64,
+    /// Kept circuits re-evaluated instead of solved.
+    pub evaluations: u64,
+    /// Plain solves the configured solver failed and a fresh ADPLL redid.
+    pub fallbacks: u64,
+}
+
+impl std::ops::AddAssign for BatchWork {
+    fn add_assign(&mut self, rhs: BatchWork) {
+        self.stats += rhs.stats;
+        self.solver_calls += rhs.solver_calls;
+        self.compiles += rhs.compiles;
+        self.evaluations += rhs.evaluations;
+        self.fallbacks += rhs.fallbacks;
+    }
+}
+
+/// An object of a batch, its current condition and its kept circuit.
+type Job<'t> = (ObjectId, &'t Condition, Option<Kept>);
+
+/// What a batch computed for one object.
+type Solved = (ObjectId, f64, Option<Kept>);
+
+/// The session's per-object cache: each open object's probability, valid
+/// until a crowd answer touches it, and its kept circuit.
+#[derive(Default)]
+pub(crate) struct ProbCache {
+    entries: BTreeMap<ObjectId, Entry>,
+}
+
+impl ProbCache {
+    /// A cache restored from a checkpoint: the cached probabilities, and
+    /// for every object that had a kept circuit, the condition it was
+    /// compiled from (`None`: the object's condition in `ctable`).
+    pub(crate) fn restore(
+        probs: BTreeMap<ObjectId, f64>,
+        compiled_from: Vec<(ObjectId, Option<Condition>)>,
+        ctable: &CTable,
+    ) -> ProbCache {
+        let mut entries: BTreeMap<ObjectId, Entry> = probs
+            .into_iter()
+            .map(|(o, p)| {
+                let entry = Entry {
+                    p: Some(p),
+                    kept: None,
+                };
+                (o, entry)
+            })
+            .collect();
+        for (o, from) in compiled_from {
+            let kept = Kept::new(from, ctable.condition(o));
+            entries.entry(o).or_default().kept = Some(kept);
+        }
+        ProbCache { entries }
+    }
+
+    /// The cached probability of `o`.
+    pub(crate) fn get(&self, o: ObjectId) -> Option<f64> {
+        self.entries.get(&o).and_then(|e| e.p)
+    }
+
+    /// The objects of `open` with no cached probability.
+    pub(crate) fn stale(&self, open: &[ObjectId]) -> Vec<ObjectId> {
+        open.iter()
+            .copied()
+            .filter(|&o| self.get(o).is_none())
+            .collect()
+    }
+
+    /// Every cached probability, by object.
+    pub(crate) fn probabilities(&self) -> impl Iterator<Item = (ObjectId, f64)> + '_ {
+        self.entries
+            .iter()
+            .filter_map(|(&o, e)| e.p.map(|p| (o, p)))
+    }
+
+    /// Every kept circuit's object and the condition it was compiled
+    /// from, `None` where that is the object's current condition.
+    pub(crate) fn compiled_from(&self) -> impl Iterator<Item = (ObjectId, Option<&Condition>)> {
+        self.entries
+            .iter()
+            .filter_map(|(&o, e)| Some((o, e.kept.as_ref()?.from.as_ref())))
+    }
+
+    /// Takes note that propagation replaced `o`'s condition, `old`: a
+    /// circuit compiled from `old` keeps it as its `φ_c`.
+    pub(crate) fn replaced(&mut self, o: ObjectId, old: Condition) {
+        if let Some(kept) = self.entries.get_mut(&o).and_then(|e| e.kept.as_mut()) {
+            kept.from.get_or_insert(old);
+        }
+    }
+
+    /// The per-round invalidation, run after a round's answers arrive and
+    /// before they are propagated. It forgets every decided object, and
+    /// the probability of every object whose circuit's condition mentions
+    /// a `touched` variable. It drops the circuits of conditions that
+    /// mention both sides of a `var_var` answer, or, when answers rewrite
+    /// conditions directly (`rewrites`, propagation off), any `touched`
+    /// variable.
+    pub(crate) fn invalidate(
+        &mut self,
+        ctable: &CTable,
+        touched: &[VarId],
+        var_var: &[(VarId, VarId)],
+        rewrites: bool,
+    ) {
+        let touched = VarSet::new(touched);
+        self.entries.retain(|&o, entry| {
+            let cond = ctable.condition(o);
+            if cond.is_decided() {
+                return false;
+            }
+            // The current condition's variables are a subset of `φ_c`'s.
+            let Some(kept) = &entry.kept else {
+                if touched.mentioned_by(cond) {
+                    entry.p = None;
+                }
+                return entry.p.is_some();
+            };
+            if !kept.mentions_any(&touched) {
+                return true;
+            }
+            entry.p = None;
+            let drop = if rewrites {
+                touched.mentioned_by(cond)
+            } else {
+                var_var.iter().any(|&(v, w)| {
+                    kept.mentions_both(v, w) && cond.mentions_any(&[v]) && cond.mentions_any(&[w])
+                })
+            };
+            if drop {
+                entry.kept = None;
+            }
+            entry.kept.is_some()
+        });
+    }
+
+    /// Drops the circuit of every condition compiled from one that
+    /// mentions a variable of `vars` (sorted). For variables whose new
+    /// mask has no base mass; rare, so this scan is not folded into
+    /// [`ProbCache::invalidate`].
+    pub(crate) fn drop_circuits_mentioning(&mut self, vars: &[VarId]) {
+        let vars = VarSet::new(vars);
+        self.entries.retain(|_, entry| {
+            if entry.kept.as_ref().is_some_and(|k| k.mentions_any(&vars)) {
+                entry.kept = None;
+            }
+            entry.p.is_some() || entry.kept.is_some()
+        });
+    }
+
+    /// Caches `Pr(φ(o))` for every object of `objects` under `dists`. An
+    /// object with a kept circuit re-evaluates it; one without compiles its
+    /// condition against `base` and keeps the circuit; a solver that does
+    /// not compile, or a circuit gone stale, solves the current condition.
+    /// With `config.parallel`, ADPLL batches above 64 objects split over
+    /// threads, with the same bits as the sequential path.
+    pub(crate) fn solve_batch(
+        &mut self,
+        config: &BayesCrowdConfig,
+        ctable: &CTable,
+        objects: &[ObjectId],
+        solver: &dyn Solver,
+        base: &VarDists,
+        dists: &VarDists,
+    ) -> Result<BatchWork, RunError> {
+        let mut jobs: Vec<Job> = objects
+            .iter()
+            .map(|&o| {
+                let kept = self.entries.get_mut(&o).and_then(|e| e.kept.take());
+                (o, ctable.condition(o), kept)
+            })
+            .collect();
+        let (heuristic, caching) = (config.branch_heuristic, config.solver_caching);
+        let (solved, work) =
+            if config.parallel && objects.len() > 64 && config.solver == SolverKind::Adpll {
+                let n_threads = std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(4)
+                    .min(objects.len());
+                let chunk = objects.len().div_ceil(n_threads);
+                let mut chunks = Vec::with_capacity(n_threads);
+                while !jobs.is_empty() {
+                    let rest = jobs.split_off(chunk.min(jobs.len()));
+                    chunks.push(std::mem::replace(&mut jobs, rest));
+                }
+                let mut solved = Vec::with_capacity(objects.len());
+                let mut work = BatchWork::default();
+                let mut first_err: Option<RunError> = None;
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = chunks
+                        .into_iter()
+                        .map(|chunk| {
+                            s.spawn(move || {
+                                // Per-thread solvers carry the run's
+                                // configuration instead of silently
+                                // reverting to defaults.
+                                let local = SolverKind::Adpll.build(heuristic, caching);
+                                let solver = local.as_ref();
+                                solve_chunk(solver, heuristic, caching, chunk, base, dists)
+                            })
+                        })
+                        .collect();
+                    for h in handles {
+                        match join_worker(h).and_then(|r| r) {
+                            Ok((chunk_solved, chunk_work)) => {
+                                solved.extend(chunk_solved);
+                                work += chunk_work;
+                            }
+                            Err(e) => first_err = first_err.take().or(Some(e)),
+                        }
+                    }
+                });
+                match first_err {
+                    Some(e) => return Err(e),
+                    None => (solved, work),
+                }
+            } else {
+                solve_chunk(solver, heuristic, caching, jobs, base, dists)?
+            };
+        for (o, p, kept) in solved {
+            let entry = self.entries.entry(o).or_default();
+            entry.p = Some(p);
+            entry.kept = kept;
+        }
+        Ok(work)
+    }
+
+    /// The kept circuits as the utility scorer sees them, evaluated under
+    /// `dists`; see [`KeptCircuits`].
+    pub(crate) fn for_scoring<'c>(
+        &'c mut self,
+        ctable: &'c CTable,
+        solver: &'c dyn Solver,
+        base: &'c VarDists,
+        dists: &'c VarDists,
+    ) -> impl KeptCircuits + 'c {
+        Scoring {
+            cache: self,
+            ctable,
+            solver,
+            base,
+            dists,
+        }
+    }
+}
+
+/// One worker's share of a batch, in order.
+fn solve_chunk(
+    solver: &dyn Solver,
+    heuristic: BranchHeuristic,
+    caching: bool,
+    jobs: Vec<Job>,
+    base: &VarDists,
+    dists: &VarDists,
+) -> Result<(Vec<Solved>, BatchWork), RunError> {
+    let mut work = BatchWork::default();
+    let mut out = Vec::with_capacity(jobs.len());
+    for (o, cond, kept) in jobs {
+        let (p, kept) = probability(
+            solver, heuristic, caching, cond, kept, base, dists, &mut work,
+        )?;
+        out.push((o, p, kept));
+    }
+    Ok((out, work))
+}
+
+/// `Pr(cond)` under `dists`, from `kept` if there is one, else from a
+/// compile against `base` that is then kept, else from a plain solve.
+#[allow(clippy::too_many_arguments)]
+fn probability(
+    solver: &dyn Solver,
+    heuristic: BranchHeuristic,
+    caching: bool,
+    cond: &Condition,
+    mut kept: Option<Kept>,
+    base: &VarDists,
+    dists: &VarDists,
+    work: &mut BatchWork,
+) -> Result<(f64, Option<Kept>), RunError> {
+    if let Some(Kept {
+        circuit: Some(circuit),
+        ..
+    }) = kept.as_mut()
+    {
+        return match circuit.evaluate(dists) {
+            Ok(p) => {
+                work.evaluations += 1;
+                Ok((checked_probability(p)?, kept))
+            }
+            Err(SolverError::StaleCircuit) => plain(solver, heuristic, caching, cond, dists, work),
+            Err(e) => Err(e.into()),
+        };
+    }
+    let compiled = kept.as_ref().and_then(|k| k.from.as_ref()).unwrap_or(cond);
+    if let Some(compiled) = solver.compile(compiled, base) {
+        let (mut circuit, stats) = compiled?;
+        work.solver_calls += 1;
+        work.compiles += 1;
+        work.stats += stats;
+        match circuit.evaluate(dists) {
+            Ok(p) => {
+                let mut kept = kept.unwrap_or_else(|| Kept::new(None, cond));
+                kept.attach(circuit);
+                return Ok((checked_probability(p)?, Some(kept)));
+            }
+            Err(SolverError::StaleCircuit) => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    plain(solver, heuristic, caching, cond, dists, work)
+}
+
+/// `Pr(cond)` by a plain solve, with the run's fallback; keeps nothing.
+fn plain(
+    solver: &dyn Solver,
+    heuristic: BranchHeuristic,
+    caching: bool,
+    cond: &Condition,
+    dists: &VarDists,
+    work: &mut BatchWork,
+) -> Result<(f64, Option<Kept>), RunError> {
+    let ((p, stats), fell_back) = solve_with_fallback(solver, heuristic, caching, |s| {
+        s.probability_with_stats(cond, dists)
+    })?;
+    work.solver_calls += 1 + u64::from(fell_back);
+    work.fallbacks += u64::from(fell_back);
+    work.stats += stats;
+    Ok((p, None))
+}
+
+/// Joins a worker thread; a panic becomes [`RunError::WorkerPanicked`]
+/// carrying the panic message.
+pub(crate) fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> Result<T, RunError> {
+    handle.join().map_err(|panic| {
+        let message = panic
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        RunError::WorkerPanicked(message)
+    })
+}
+
+/// [`ProbCache::for_scoring`].
+struct Scoring<'c> {
+    cache: &'c mut ProbCache,
+    ctable: &'c CTable,
+    solver: &'c dyn Solver,
+    base: &'c VarDists,
+    dists: &'c VarDists,
+}
+
+impl KeptCircuits for Scoring<'_> {
+    /// The object's kept circuit. One restored from a checkpoint is
+    /// rebuilt here, on first use, against the base pmfs and evaluated
+    /// under the current ones. Every other kept circuit was evaluated when
+    /// its probability was cached, and no pmf it depends on has changed
+    /// since (an answer touching one would have invalidated the cache).
+    fn circuit(&mut self, o: ObjectId) -> Result<Option<KeptCircuit<'_>>, SolverError> {
+        let Some(kept) = self.cache.entries.get_mut(&o).and_then(|e| e.kept.as_mut()) else {
+            return Ok(None);
+        };
+        let mut compiled = None;
+        if kept.circuit.is_none() {
+            let from = kept
+                .from
+                .as_ref()
+                .unwrap_or_else(|| self.ctable.condition(o));
+            let Some(built) = self.solver.compile(from, self.base) else {
+                return Ok(None);
+            };
+            let (mut circuit, stats) = built?;
+            match circuit.evaluate(self.dists) {
+                Ok(_) => {}
+                Err(SolverError::StaleCircuit) => return Ok(None),
+                Err(e) => return Err(e),
+            }
+            kept.attach(circuit);
+            compiled = Some(stats);
+        }
+        Ok(kept
+            .circuit
+            .as_ref()
+            .map(|circuit| KeptCircuit { circuit, compiled }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bc_bayes::Pmf;
+    use bc_solver::AdpllSolver;
+
+    fn v(o: u32, a: u16) -> VarId {
+        VarId::new(o, a)
+    }
+
+    /// φ(o0) = (x > y ∨ x < 3) ∧ (x > 1 ∨ z < 2), φ(o1) = (y < 4 ∨ z > 2):
+    /// `o0` mentions x, y and z, `o1` only y and z.
+    fn table() -> CTable {
+        let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
+        CTable::new(vec![
+            Condition::from_clauses(vec![
+                vec![Expr::var_gt(x, y), Expr::lt(x, 3)],
+                vec![Expr::gt(x, 1), Expr::lt(z, 2)],
+            ]),
+            Condition::from_clauses(vec![vec![Expr::lt(y, 4), Expr::gt(z, 2)]]),
+        ])
+    }
+
+    fn base() -> VarDists {
+        (0..3)
+            .map(|o| (v(o, 0), Pmf::from_weights(vec![1.0, 2.0, 3.0, 2.0, 1.0])))
+            .collect()
+    }
+
+    /// Every open object solved under `dists`, kept circuits and all.
+    fn solve_all(cache: &mut ProbCache, ctable: &CTable, dists: &VarDists) -> BatchWork {
+        let config = BayesCrowdConfig::default();
+        let solver = config.build_solver();
+        let objects = cache.stale(&ctable.open_objects());
+        cache
+            .solve_batch(&config, ctable, &objects, solver.as_ref(), &base(), dists)
+            .expect("ADPLL solves")
+    }
+
+    /// What a propagation pass does when it rewrites `o`'s condition.
+    fn rewrite(ctable: &mut CTable, cache: &mut ProbCache, o: u32, new: Condition) {
+        let old = ctable.condition(ObjectId(o)).clone();
+        ctable.set_condition(ObjectId(o), new);
+        cache.replaced(ObjectId(o), old);
+    }
+
+    fn kept(cache: &ProbCache, o: u32) -> bool {
+        cache
+            .entries
+            .get(&ObjectId(o))
+            .is_some_and(|e| e.kept.is_some())
+    }
+
+    #[test]
+    fn kept_circuits_re_evaluate_instead_of_solving() {
+        let ctable = table();
+        let mut cache = ProbCache::default();
+        let mut dists = base();
+        let work = solve_all(&mut cache, &ctable, &dists);
+        assert_eq!(
+            (work.compiles, work.evaluations, work.solver_calls),
+            (2, 0, 2)
+        );
+        let x = v(0, 0);
+        cache.invalidate(&ctable, &[x], &[], false);
+        assert_eq!(cache.get(ObjectId(0)), None);
+        assert!(cache.get(ObjectId(1)).is_some());
+        let narrowed = dists.pmf(x).unwrap().conditioned(0b11010).unwrap();
+        dists.insert(x, narrowed);
+        let work = solve_all(&mut cache, &ctable, &dists);
+        assert_eq!(
+            (work.compiles, work.evaluations, work.solver_calls),
+            (0, 1, 0)
+        );
+        let solved = AdpllSolver::new()
+            .probability(ctable.condition(ObjectId(0)), &dists)
+            .unwrap();
+        assert_eq!(cache.get(ObjectId(0)).unwrap().to_bits(), solved.to_bits());
+    }
+
+    #[test]
+    fn a_var_var_answer_drops_the_circuits_that_mention_both_sides() {
+        let ctable = table();
+        let mut cache = ProbCache::default();
+        solve_all(&mut cache, &ctable, &base());
+        let (x, y) = (v(0, 0), v(1, 0));
+        cache.invalidate(&ctable, &[x, y], &[(x, y)], false);
+        assert!(!kept(&cache, 0), "φ(o0) mentions x and y");
+        assert!(kept(&cache, 1), "φ(o1) mentions y only");
+        assert_eq!(
+            (cache.get(ObjectId(0)), cache.get(ObjectId(1))),
+            (None, None)
+        );
+        let work = solve_all(&mut cache, &ctable, &base());
+        assert_eq!((work.compiles, work.evaluations), (1, 1));
+    }
+
+    #[test]
+    fn a_mask_without_base_mass_drops_the_circuits_that_read_it() {
+        let ctable = table();
+        let mut cache = ProbCache::default();
+        solve_all(&mut cache, &ctable, &base());
+        let x = v(0, 0);
+        cache.invalidate(&ctable, &[x], &[], false);
+        cache.drop_circuits_mentioning(&[x]);
+        assert!(!cache.entries.contains_key(&ObjectId(0)), "φ(o0) reads x");
+        assert!(kept(&cache, 1));
+        assert!(cache.get(ObjectId(1)).is_some());
+    }
+
+    #[test]
+    fn answers_that_rewrite_conditions_drop_every_touched_circuit() {
+        let ctable = table();
+        let mut cache = ProbCache::default();
+        solve_all(&mut cache, &ctable, &base());
+        cache.invalidate(&ctable, &[v(2, 0)], &[], true);
+        assert!(cache.entries.is_empty(), "both conditions mention z");
+    }
+
+    #[test]
+    fn invalidation_follows_the_compiled_condition() {
+        let mut ctable = table();
+        let mut cache = ProbCache::default();
+        solve_all(&mut cache, &ctable, &base());
+        // Propagation simplified φ(o1) to (z > 2): the kept circuit still
+        // reads y, so an answer on y invalidates its probability.
+        let (y, z) = (v(1, 0), v(2, 0));
+        let compiled = ctable.condition(ObjectId(1)).clone();
+        let simplified = Condition::from_clauses(vec![vec![Expr::gt(z, 2)]]);
+        rewrite(&mut ctable, &mut cache, 1, simplified);
+        cache.invalidate(&ctable, &[y], &[], false);
+        assert_eq!(cache.get(ObjectId(1)), None);
+        assert!(kept(&cache, 1));
+        let from: Vec<_> = cache.compiled_from().collect();
+        assert_eq!(from, [(ObjectId(0), None), (ObjectId(1), Some(&compiled))]);
+        // A second rewrite keeps the condition the circuit was compiled from.
+        let again = Condition::from_clauses(vec![vec![Expr::gt(z, 3)]]);
+        rewrite(&mut ctable, &mut cache, 1, again);
+        let from: Vec<_> = cache.compiled_from().collect();
+        assert_eq!(from[1], (ObjectId(1), Some(&compiled)));
+        // A decided condition forgets everything.
+        ctable.set_condition(ObjectId(0), Condition::True);
+        cache.invalidate(&ctable, &[], &[], false);
+        assert!(!cache.entries.contains_key(&ObjectId(0)));
+    }
+
+    #[test]
+    fn a_restored_cache_keeps_the_compiled_conditions() {
+        let mut ctable = table();
+        let mut cache = ProbCache::default();
+        solve_all(&mut cache, &ctable, &base());
+        let z = v(2, 0);
+        let simplified = Condition::from_clauses(vec![vec![Expr::gt(z, 2)]]);
+        rewrite(&mut ctable, &mut cache, 1, simplified);
+        let probs: BTreeMap<ObjectId, f64> = cache.probabilities().collect();
+        let from: Vec<(ObjectId, Option<Condition>)> = cache
+            .compiled_from()
+            .map(|(o, c)| (o, c.cloned()))
+            .collect();
+        let restored = ProbCache::restore(probs.clone(), from.clone(), &ctable);
+        assert_eq!(restored.probabilities().collect::<BTreeMap<_, _>>(), probs);
+        let again: Vec<(ObjectId, Option<Condition>)> = restored
+            .compiled_from()
+            .map(|(o, c)| (o, c.cloned()))
+            .collect();
+        assert_eq!(again, from);
+        // Restored circuits are rebuilt on first use, from the same
+        // condition against the same base: the same root, bit for bit.
+        let mut restored = restored;
+        let config = BayesCrowdConfig::default();
+        let solver = config.build_solver();
+        let dists = base();
+        let mut scoring = restored.for_scoring(&ctable, solver.as_ref(), &dists, &dists);
+        let rebuilt = scoring.circuit(ObjectId(1)).unwrap().expect("kept");
+        assert!(rebuilt.compiled.is_some());
+        assert_eq!(
+            rebuilt.circuit.probability().to_bits(),
+            probs[&ObjectId(1)].to_bits()
+        );
+    }
+}

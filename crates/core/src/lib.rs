@@ -85,6 +85,7 @@
 pub mod config;
 pub mod error;
 pub mod framework;
+mod kept;
 pub mod report;
 pub mod selection;
 pub mod session;

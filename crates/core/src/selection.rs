@@ -116,8 +116,15 @@ pub fn assemble_round(
             continue;
         }
         let off_limits = if conflict_free { &used_vars } else { blocked };
-        let Some(expr) =
-            select_expression(strategy, cond, &freq, off_limits, scorer, r.probability)?
+        let Some(expr) = select_expression(
+            strategy,
+            r.object,
+            cond,
+            &freq,
+            off_limits,
+            scorer,
+            r.probability,
+        )?
         else {
             continue;
         };

@@ -19,8 +19,9 @@
 //! [`BayesCrowd::try_run`](crate::BayesCrowd::try_run) are thin loops over
 //! this type.
 
-use crate::config::{solve_with_fallback, BayesCrowdConfig, SolverKind};
+use crate::config::{BayesCrowdConfig, SolverKind};
 use crate::error::RunError;
+use crate::kept::ProbCache;
 use crate::report::RunReport;
 use crate::selection::{assemble_round, rank_objects, ObjectRanking};
 use crate::strategy::{TaskStrategy, UtilityScorer};
@@ -36,15 +37,10 @@ use bc_ctable::{
 use bc_data::{Accuracy, Dataset, Domain, ObjectId, VarId};
 use bc_obs::{Event, NoopObserver, Observer, RunPhase, Span};
 use bc_snapshot::{fnv1a64, Snapshot, SnapshotError, SnapshotWriter, Value};
-use bc_solver::{BranchHeuristic, SolveStats, Solver, VarDists};
+use bc_solver::{BranchHeuristic, Solver, VarDists};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
-
-/// Per-object probabilities plus the solver effort behind them: aggregated
-/// stats, the number of solver calls, and how many of those calls were
-/// fallback re-solves after the configured solver failed.
-type SolvedBatch = Result<(Vec<(ObjectId, f64)>, SolveStats, u64, u64), RunError>;
 
 /// A failed task waiting in the retry queue.
 #[derive(Clone, Copy, Debug)]
@@ -72,35 +68,40 @@ fn task_still_open(ctable: &CTable, task: &Task) -> bool {
         .any(|(_, c)| !c.is_decided() && c.mentions_any(&vars))
 }
 
-/// Per-object condition probabilities, optionally in parallel, emitting one
-/// [`Event::ProbabilityBatch`] per non-empty batch. Solver errors (e.g. the
-/// naive enumerator's state cap) fall back to a fresh, identically
-/// configured ADPLL; the fallback count is surfaced on the event so the
-/// degradation is visible. An error that survives the fallback aborts the
-/// run as [`RunError::Solver`].
+/// Per-object condition probabilities (see [`ProbCache::solve_batch`]),
+/// cached, emitting one [`Event::ProbabilityBatch`] per non-empty batch.
+/// Solver errors (e.g. the naive enumerator's state cap) fall back to a
+/// fresh, identically configured ADPLL; the fallback count is surfaced on
+/// the event so the degradation is visible. An error that survives the
+/// fallback aborts the run as [`RunError::Solver`]. Returns the number of
+/// conditions computed.
 #[allow(clippy::too_many_arguments)]
 fn probabilities(
     config: &BayesCrowdConfig,
     ctable: &CTable,
+    cache: &mut ProbCache,
     objects: &[ObjectId],
     solver: &dyn Solver,
+    base: &VarDists,
     dists: &VarDists,
     phase: RunPhase,
     observer: &mut dyn Observer,
-) -> Result<Vec<(ObjectId, f64)>, RunError> {
+) -> Result<u64, RunError> {
     if objects.is_empty() {
-        return Ok(Vec::new());
+        return Ok(0);
     }
     let t = Instant::now();
-    let (out, stats, solver_calls, fallbacks) =
-        solve_batch(config, ctable, objects, solver, dists)?;
+    let work = cache.solve_batch(config, ctable, objects, solver, base, dists)?;
+    let stats = work.stats;
     observer.event(&Event::ProbabilityBatch {
         phase,
         objects: objects.len(),
-        solver_calls,
+        solver_calls: work.solver_calls,
+        compiles: work.compiles,
+        evaluations: work.evaluations,
         branches: stats.branches,
         cache_hits: stats.cache_hits,
-        fallbacks,
+        fallbacks: work.fallbacks,
         nanos: t.elapsed().as_nanos(),
     });
     observer.event(&Event::SolverSearch {
@@ -112,99 +113,7 @@ fn probabilities(
         cache_misses: stats.cache_misses,
         max_depth: stats.max_depth,
     });
-    Ok(out)
-}
-
-fn solve_batch(
-    config: &BayesCrowdConfig,
-    ctable: &CTable,
-    objects: &[ObjectId],
-    solver: &dyn Solver,
-    dists: &VarDists,
-) -> SolvedBatch {
-    // One worker's share: solve sequentially, attributing per-call effort
-    // via snapshot diffs and counting fallback re-solves.
-    fn solve_chunk(
-        heuristic: BranchHeuristic,
-        caching: bool,
-        ctable: &CTable,
-        objects: &[ObjectId],
-        solver: &dyn Solver,
-        dists: &VarDists,
-    ) -> SolvedBatch {
-        let mut out = Vec::with_capacity(objects.len());
-        let mut stats = SolveStats::default();
-        let mut calls = 0u64;
-        let mut fallbacks = 0u64;
-        for &o in objects {
-            let cond = ctable.condition(o);
-            let ((p, s), fell_back) = solve_with_fallback(solver, heuristic, caching, |s| {
-                s.probability_with_stats(cond, dists)
-            })?;
-            calls += 1 + u64::from(fell_back);
-            fallbacks += u64::from(fell_back);
-            stats += s;
-            out.push((o, p));
-        }
-        Ok((out, stats, calls, fallbacks))
-    }
-
-    let (heuristic, caching) = (config.branch_heuristic, config.solver_caching);
-    if config.parallel && objects.len() > 64 && config.solver == SolverKind::Adpll {
-        let n_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(objects.len());
-        let chunk = objects.len().div_ceil(n_threads);
-        let mut out: Vec<(ObjectId, f64)> = Vec::with_capacity(objects.len());
-        let mut stats = SolveStats::default();
-        let mut calls = 0u64;
-        let mut fallbacks = 0u64;
-        let mut first_err: Option<RunError> = None;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = objects
-                .chunks(chunk)
-                .map(|slice| {
-                    s.spawn(move || {
-                        // Per-thread solvers carry the run's configuration
-                        // instead of silently reverting to defaults.
-                        let local = SolverKind::Adpll.build(heuristic, caching);
-                        solve_chunk(heuristic, caching, ctable, slice, local.as_ref(), dists)
-                    })
-                })
-                .collect();
-            for h in handles {
-                match join_worker(h).and_then(|r| r) {
-                    Ok((chunk_out, chunk_stats, chunk_calls, chunk_fallbacks)) => {
-                        out.extend(chunk_out);
-                        stats += chunk_stats;
-                        calls += chunk_calls;
-                        fallbacks += chunk_fallbacks;
-                    }
-                    Err(e) => first_err = first_err.take().or(Some(e)),
-                }
-            }
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok((out, stats, calls, fallbacks)),
-        }
-    } else {
-        solve_chunk(heuristic, caching, ctable, objects, solver, dists)
-    }
-}
-
-/// Joins a worker thread; a panic becomes [`RunError::WorkerPanicked`]
-/// carrying the panic message.
-fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> Result<T, RunError> {
-    handle.join().map_err(|panic| {
-        let message = panic
-            .downcast_ref::<&str>()
-            .map(|m| m.to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        RunError::WorkerPanicked(message)
-    })
+    Ok(objects.len() as u64)
 }
 
 /// An in-flight crowd run: the crowdsourcing phase of Algorithm 4, paused
@@ -223,7 +132,9 @@ pub struct Session<'a> {
     observer: Option<&'a mut dyn Observer>,
     noop: NoopObserver,
     solver: Box<dyn Solver>,
-    base_pmfs: BTreeMap<VarId, Pmf>,
+    /// The model's pmfs, before any crowd answer: what circuits compile
+    /// against.
+    base: VarDists,
     dists: VarDists,
     ctable: CTable,
     store: ConstraintStore,
@@ -239,7 +150,7 @@ pub struct Session<'a> {
     total_posted: usize,
     total_answered: usize,
     evals: u64,
-    prob_cache: BTreeMap<ObjectId, f64>,
+    cache: ProbCache,
     finished: bool,
     modeling_time: Duration,
     /// Wall-clock accumulated by earlier incarnations of this run (zero for
@@ -278,8 +189,9 @@ impl<'a> Session<'a> {
         // ---- Modeling phase --------------------------------------------
         let model_span = Span::start(RunPhase::Model);
         let (model, model_stats) = MissingValueModel::learn_with_stats(data, &config.model);
-        let base_pmfs: BTreeMap<VarId, Pmf> = model.into_pmfs();
+        let base_pmfs = model.into_pmfs();
         let dists: VarDists = base_pmfs.iter().map(|(k, v)| (*k, v.clone())).collect();
+        let base = VarDists::new(base_pmfs);
         obs.event(&Event::ModelTrained {
             bic: model_stats.bic,
             edges: model_stats.edges,
@@ -320,7 +232,7 @@ impl<'a> Session<'a> {
             observer,
             noop: NoopObserver,
             solver,
-            base_pmfs,
+            base,
             dists,
             ctable,
             store,
@@ -336,7 +248,7 @@ impl<'a> Session<'a> {
             total_posted: 0,
             total_answered: 0,
             evals: 0,
-            prob_cache: BTreeMap::new(),
+            cache: ProbCache::default(),
             finished: false,
             modeling_time,
             prior_elapsed: Duration::ZERO,
@@ -396,33 +308,28 @@ impl<'a> Session<'a> {
     /// [`RunReport`]. Freshly solved probabilities land in the session's
     /// round-level cache, exactly as a finalize would leave them.
     pub fn object_probabilities(&mut self) -> Result<BTreeMap<ObjectId, f64>, RunError> {
-        let open = self.ctable.open_objects();
-        let stale: Vec<ObjectId> = open
-            .iter()
-            .copied()
-            .filter(|o| !self.prob_cache.contains_key(o))
-            .collect();
+        let stale = self.cache.stale(&self.ctable.open_objects());
         let observer: &mut dyn Observer = match self.observer.as_deref_mut() {
             Some(o) => o,
             None => &mut self.noop,
         };
-        let fresh = probabilities(
+        self.evals += probabilities(
             &self.config,
             &self.ctable,
+            &mut self.cache,
             &stale,
             self.solver.as_ref(),
+            &self.base,
             &self.dists,
             RunPhase::Finalize,
             observer,
         )?;
-        self.evals += fresh.len() as u64;
-        self.prob_cache.extend(fresh);
         let mut out = BTreeMap::new();
         for (o, cond) in self.ctable.iter() {
             let p = match cond {
                 Condition::True => 1.0,
                 Condition::False => 0.0,
-                Condition::Cnf(_) => self.prob_cache[&o],
+                Condition::Cnf(_) => self.cache.get(o).expect("solved above"),
             };
             out.insert(o, p);
         }
@@ -445,7 +352,7 @@ impl<'a> Session<'a> {
             observer,
             noop,
             solver,
-            base_pmfs,
+            base,
             dists,
             ctable,
             store,
@@ -461,7 +368,7 @@ impl<'a> Session<'a> {
             total_posted,
             total_answered,
             evals,
-            prob_cache,
+            cache,
             finished,
             ..
         } = self;
@@ -522,35 +429,37 @@ impl<'a> Session<'a> {
 
         if batch.len() < limit {
             let open = ctable.open_objects();
-            let stale: Vec<ObjectId> = open
-                .iter()
-                .copied()
-                .filter(|o| !prob_cache.contains_key(o))
-                .collect();
-            let fresh = probabilities(
+            let stale = cache.stale(&open);
+            *evals += probabilities(
                 config,
                 ctable,
+                cache,
                 &stale,
                 solver.as_ref(),
+                base,
                 dists,
                 RunPhase::Select,
                 observer,
             )?;
-            *evals += fresh.len() as u64;
-            prob_cache.extend(fresh);
             // Utilities take `Pr(φ)` from the cache: an entry survives only
-            // while no answered variable touches its condition, and only the
-            // answered variables' masks (hence pmfs) change, so every entry
-            // is `Pr(φ)` under the current `dists`.
-            let probs: Vec<(ObjectId, f64)> = open.iter().map(|o| (*o, prob_cache[o])).collect();
+            // while no answered variable touches the condition its circuit
+            // was compiled from, and only the answered variables' masks
+            // (hence pmfs) change, so every entry is `Pr(φ)` under the
+            // current `dists`.
+            let probs: Vec<(ObjectId, f64)> = open
+                .iter()
+                .map(|&o| (o, cache.get(o).expect("solved above")))
+                .collect();
             let ranked = rank_objects(&probs, config.ranking);
             let t = Instant::now();
+            let mut kept = cache.for_scoring(ctable, solver.as_ref(), base, dists);
             let mut scorer = UtilityScorer::new(
                 solver.as_ref(),
                 dists,
                 config.branch_heuristic,
                 config.solver_caching,
-            );
+            )
+            .with_kept(&mut kept);
             let fresh_tasks = assemble_round(
                 &ranked,
                 ctable,
@@ -566,6 +475,7 @@ impl<'a> Session<'a> {
                 solver_calls: tally.solver_calls,
                 compiles: tally.compiles,
                 circuit_nodes: tally.circuit_nodes,
+                reused: tally.reused,
                 decisions: tally.stats.branches,
                 cache_hits: tally.stats.cache_hits,
                 fallbacks: tally.fallbacks,
@@ -647,14 +557,19 @@ impl<'a> Session<'a> {
         let propagate_span = Span::start(RunPhase::Propagate);
         // Invalidate cached probabilities of conditions touching any
         // variable the round asked about (their pmfs and/or conditions
-        // change below).
+        // change below), and drop the circuits that re-evaluation cannot
+        // carry over (see `ProbCache::invalidate`).
         let mut touched: Vec<VarId> = answers.iter().flat_map(|a| a.task.vars()).collect();
         touched.sort_unstable();
         touched.dedup();
-        prob_cache.retain(|o, _| {
-            let cond = ctable.condition(*o);
-            !cond.is_decided() && !cond.mentions_any(&touched)
-        });
+        let var_var: Vec<(VarId, VarId)> = answers
+            .iter()
+            .filter_map(|a| match a.task.rhs {
+                Operand::Var(w) => Some((a.task.var, w)),
+                Operand::Const(_) => None,
+            })
+            .collect();
+        cache.invalidate(ctable, &touched, &var_var, !config.propagate_answers);
         if config.propagate_answers {
             let mut narrowed = BTreeSet::new();
             for a in &answers {
@@ -663,20 +578,25 @@ impl<'a> Session<'a> {
             // The store changed only on the answered variables, and every
             // earlier pass left each open condition at its fixpoint; so
             // after the first (full) pass, only conditions mentioning an
-            // answered variable can move.
-            let prop_stats = if first_pass {
-                ctable.propagate(store)
-            } else {
-                ctable.propagate_touching(store, &touched)
-            };
+            // answered variable can move. A kept circuit compiled from a
+            // condition the pass rewrites keeps that condition.
+            let touching = (!first_pass).then_some(touched.as_slice());
+            let prop_stats =
+                ctable.propagate_replacing(store, touching, |o, old| cache.replaced(o, old));
             // Re-condition only the variables whose candidate set narrowed;
             // every other distribution is unchanged (the base pmf while the
-            // mask is the full domain).
+            // mask is the full domain). A mask with no base mass leaves the
+            // pmf as it was, which no kept circuit can follow.
+            let mut unconditioned = Vec::new();
             for var in narrowed {
-                let base = base_pmfs.get(&var);
-                if let Some(pmf) = base.and_then(|b| b.conditioned(store.mask(var))) {
-                    dists.insert(var, pmf);
+                match base.pmf(var).ok().map(|b| b.conditioned(store.mask(var))) {
+                    Some(Some(pmf)) => dists.insert(var, pmf),
+                    Some(None) => unconditioned.push(var),
+                    None => {}
                 }
+            }
+            if !unconditioned.is_empty() {
+                cache.drop_circuits_mentioning(&unconditioned);
             }
             observer.event(&Event::Propagated {
                 answers: answers.len(),
@@ -730,6 +650,7 @@ impl<'a> Session<'a> {
             mut observer,
             mut noop,
             solver,
+            base,
             dists,
             ctable,
             budget,
@@ -740,7 +661,7 @@ impl<'a> Session<'a> {
             total_posted,
             total_answered,
             mut evals,
-            mut prob_cache,
+            mut cache,
             modeling_time,
             prior_elapsed,
             started,
@@ -771,27 +692,23 @@ impl<'a> Session<'a> {
         // crowd answer touched), so only stale conditions are re-solved.
         let finalize_span = Span::start(RunPhase::Finalize);
         let open = ctable.open_objects();
-        let stale: Vec<ObjectId> = open
-            .iter()
-            .copied()
-            .filter(|o| !prob_cache.contains_key(o))
-            .collect();
-        let fresh = probabilities(
+        let stale = cache.stale(&open);
+        evals += probabilities(
             &config,
             &ctable,
+            &mut cache,
             &stale,
             solver.as_ref(),
+            &base,
             &dists,
             RunPhase::Finalize,
             observer,
         )?;
-        evals += fresh.len() as u64;
-        prob_cache.extend(fresh);
         let certain = ctable.certain_answers();
         let mut result = certain.clone();
         let mut open_probabilities = BTreeMap::new();
         for o in open {
-            let p = prob_cache[&o];
+            let p = cache.get(o).expect("solved above");
             open_probabilities.insert(o, p);
             if p > config.answer_threshold {
                 result.push(o);
@@ -864,13 +781,17 @@ impl<'a> Session<'a> {
         let mut w = SnapshotWriter::new(out, &fp)?;
         w.section("config", config_v)?;
         w.section("dataset", dataset_v)?;
-        w.section("model", enc_pmf_map(self.base_pmfs.iter()))?;
+        w.section("model", enc_pmf_map(self.base.iter()))?;
         w.section("dists", enc_pmf_map(self.dists.iter()))?;
         w.section("store", enc_store(&self.store))?;
         w.section("ctable", enc_ctable(&self.ctable))?;
         w.section("progress", self.enc_progress())?;
         w.section("pending", enc_pending(&self.pending))?;
-        w.section("prob_cache", enc_prob_cache(&self.prob_cache))?;
+        w.section("prob_cache", enc_prob_cache(self.cache.probabilities()))?;
+        w.section(
+            "compiled_from",
+            enc_compiled_from(self.cache.compiled_from()),
+        )?;
         w.section("platform", enc_platform_state(&state))?;
         let bytes = w.finish()?;
         let observer: &mut dyn Observer = match self.observer.as_deref_mut() {
@@ -929,12 +850,21 @@ impl<'a> Session<'a> {
         }
         let config = dec_config(config_v)?;
         let data = dec_dataset(dataset_v)?;
-        let base_pmfs = dec_pmf_map(snap.section("model")?)?;
+        let base = VarDists::new(dec_pmf_map(snap.section("model")?)?);
         let dists = VarDists::new(dec_pmf_map(snap.section("dists")?)?);
         let store = dec_store(snap.section("store")?)?;
         let ctable = dec_ctable(snap.section("ctable")?)?;
         let pending = dec_pending(snap.section("pending")?)?;
-        let prob_cache = dec_prob_cache(snap.section("prob_cache")?)?;
+        // Version 1 kept no circuits: every condition compiles afresh.
+        let compiled_from = match snap.version() {
+            1 => Vec::new(),
+            _ => dec_compiled_from(snap.section("compiled_from")?, &ctable)?,
+        };
+        let cache = ProbCache::restore(
+            dec_prob_cache(snap.section("prob_cache")?)?,
+            compiled_from,
+            &ctable,
+        );
         let state = dec_platform_state(snap.section("platform")?)?;
         platform
             .load_state(&state)
@@ -965,12 +895,12 @@ impl<'a> Session<'a> {
             observer,
             noop: NoopObserver,
             solver,
-            base_pmfs,
+            base,
             dists,
             ctable,
             store,
             pending,
-            prob_cache,
+            cache,
         };
         let obs: &mut dyn Observer = match session.observer.as_deref_mut() {
             Some(o) => o,
@@ -1445,13 +1375,55 @@ fn dec_pending(v: &Value) -> Result<Vec<PendingTask>, SnapshotError> {
         .collect()
 }
 
-fn enc_prob_cache(cache: &BTreeMap<ObjectId, f64>) -> Value {
+fn enc_prob_cache(cache: impl Iterator<Item = (ObjectId, f64)>) -> Value {
     Value::List(
         cache
-            .iter()
-            .map(|(o, &p)| Value::List(vec![Value::Int(o.0 as i128), Value::Float(p)]))
+            .map(|(o, p)| Value::List(vec![Value::Int(o.0 as i128), Value::Float(p)]))
             .collect(),
     )
+}
+
+/// Kept circuits as `[object]`, or `[object, condition]` when the circuit
+/// was compiled from a condition other than the object's current one.
+fn enc_compiled_from<'c>(kept: impl Iterator<Item = (ObjectId, Option<&'c Condition>)>) -> Value {
+    Value::List(
+        kept.map(|(o, from)| {
+            let mut entry = vec![Value::Int(o.0 as i128)];
+            entry.extend(from.map(enc_cond));
+            Value::List(entry)
+        })
+        .collect(),
+    )
+}
+
+fn dec_compiled_from(
+    v: &Value,
+    ctable: &CTable,
+) -> Result<Vec<(ObjectId, Option<Condition>)>, SnapshotError> {
+    let mut out: Vec<(ObjectId, Option<Condition>)> = Vec::new();
+    for entry in as_list(v, "compiled_from")? {
+        let (o, from) = match as_list(entry, "compiled_from entry")? {
+            [o] => (o, None),
+            [o, cond] => (o, Some(dec_cond(cond)?)),
+            _ => {
+                return Err(inv(
+                    "compiled_from entry must be [object] or [object, condition]",
+                ))
+            }
+        };
+        let o = o
+            .as_u64()
+            .and_then(|n| u32::try_from(n).ok())
+            .filter(|&n| (n as usize) < ctable.n_objects())
+            .ok_or_else(|| inv("kept circuit's object id out of range"))?;
+        if out.last().is_some_and(|&(prev, _)| prev.0 >= o) {
+            return Err(inv(
+                "compiled_from entries must be in ascending object order",
+            ));
+        }
+        out.push((ObjectId(o), from));
+    }
+    Ok(out)
 }
 
 fn dec_prob_cache(v: &Value) -> Result<BTreeMap<ObjectId, f64>, SnapshotError> {
@@ -1790,7 +1762,7 @@ mod tests {
     /// bit-for-bit.
     fn assert_dists_follow_masks(session: &Session<'_>, ctx: &str) {
         let bits = |p: &Pmf| p.probs().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (&var, base) in &session.base_pmfs {
+        for (&var, base) in session.base.iter() {
             let got = session
                 .dists
                 .pmf(var)
@@ -1835,7 +1807,7 @@ mod tests {
     fn a_panicking_worker_becomes_a_run_error() {
         let err = std::thread::scope(|s| {
             let handle = s.spawn(|| -> u32 { panic!("worker blew up") });
-            join_worker(handle).unwrap_err()
+            crate::kept::join_worker(handle).unwrap_err()
         });
         match err {
             RunError::WorkerPanicked(message) => assert_eq!(message, "worker blew up"),

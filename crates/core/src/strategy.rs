@@ -2,11 +2,11 @@
 
 use crate::config::solve_with_fallback;
 use bc_ctable::{Condition, Expr};
-use bc_data::VarId;
+use bc_data::{ObjectId, VarId};
 use bc_solver::utility::{
     compile_utilities, is_open, marginal_utility_with_prior, CompiledUtilities,
 };
-use bc_solver::{BranchHeuristic, SolveStats, Solver, SolverError, VarDists};
+use bc_solver::{BranchHeuristic, Circuit, SolveStats, Solver, SolverError, VarDists};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 
@@ -89,11 +89,31 @@ pub struct UtilityTally {
     pub compiles: u64,
     /// Circuit nodes those compiles recorded.
     pub circuit_nodes: u64,
+    /// Objects whose var-const candidates were scored off a kept circuit,
+    /// with no compile.
+    pub reused: u64,
     /// Compiles or candidates the configured solver failed on and a fresh
     /// ADPLL redid.
     pub fallbacks: u64,
     /// Search effort of the successful compiles and solves.
     pub stats: SolveStats,
+}
+
+/// A circuit kept for one object (see [`KeptCircuits`]).
+pub struct KeptCircuit<'c> {
+    /// Compiled from the object's condition, or from one it was simplified
+    /// from and equivalent to on the current supports; evaluated under the
+    /// scorer's distributions.
+    pub circuit: &'c Circuit,
+    /// The search effort of building it just now, when it had to be
+    /// (re)built for scoring; `None` when it was already built.
+    pub compiled: Option<SolveStats>,
+}
+
+/// Where a [`UtilityScorer`] finds the circuits a session keeps.
+pub trait KeptCircuits {
+    /// The kept circuit of object `o`, if there is one.
+    fn circuit(&mut self, o: ObjectId) -> Result<Option<KeptCircuit<'_>>, SolverError>;
 }
 
 /// Scores candidate expressions by marginal utility (Definition 6) and
@@ -103,7 +123,9 @@ pub struct UtilityTally {
 /// A solver that compiles (ADPLL) compiles an object's condition once, at
 /// its first open var-const candidate, and reads every var-const utility
 /// off that circuit; var-var candidates, and every candidate of a solver
-/// that does not compile, cost one solve each.
+/// that does not compile, cost one solve each. With
+/// [`UtilityScorer::with_kept`], an object that has a kept circuit is
+/// scored off it and compiles nothing.
 ///
 /// A compile or solve the configured solver fails on (e.g. the naive
 /// enumerator's state cap) is redone by a fresh ADPLL built with the run's
@@ -115,6 +137,7 @@ pub struct UtilityScorer<'a> {
     dists: &'a VarDists,
     heuristic: BranchHeuristic,
     caching: bool,
+    kept: Option<&'a mut dyn KeptCircuits>,
     tally: UtilityTally,
 }
 
@@ -132,8 +155,15 @@ impl<'a> UtilityScorer<'a> {
             dists,
             heuristic,
             caching,
+            kept: None,
             tally: UtilityTally::default(),
         }
+    }
+
+    /// Scores objects off the circuits `kept` holds, where it holds one.
+    pub fn with_kept(mut self, kept: &'a mut dyn KeptCircuits) -> UtilityScorer<'a> {
+        self.kept = Some(kept);
+        self
     }
 
     /// The effort spent so far.
@@ -141,18 +171,52 @@ impl<'a> UtilityScorer<'a> {
         self.tally
     }
 
-    /// Starts scoring the candidates of one object whose condition is
+    /// Starts scoring the candidates of object `o`, whose condition is
     /// `cond`; `p_phi` is `Pr(cond)` under the scorer's distributions. A
-    /// compile checks it, and a stale one is
-    /// [`SolverError::StalePrior`]. The compiled circuit lives as long as
-    /// the returned scorer.
-    pub fn object<'s>(&'s mut self, cond: &'s Condition, p_phi: f64) -> ObjectScorer<'s, 'a> {
+    /// kept or compiled circuit checks it, and a stale one is
+    /// [`SolverError::StalePrior`]. A compiled circuit lives as long as the
+    /// returned scorer.
+    pub fn object<'s>(
+        &'s mut self,
+        o: ObjectId,
+        cond: &'s Condition,
+        p_phi: f64,
+    ) -> ObjectScorer<'s, 'a> {
         ObjectScorer {
             scorer: self,
+            object: o,
             cond,
             p_phi,
             compiled: None,
         }
+    }
+
+    /// The utilities of object `o`: off its kept circuit if there is one,
+    /// else from a compile of `cond`; `None` when the solver does not
+    /// compile.
+    fn utilities(
+        &mut self,
+        o: ObjectId,
+        cond: &Condition,
+        p_phi: f64,
+    ) -> Result<Option<CompiledUtilities>, SolverError> {
+        if let Some(kept) = self.kept.as_deref_mut() {
+            if let Some(k) = kept.circuit(o)? {
+                let compiled = k.compiled;
+                let utilities = CompiledUtilities::of_circuit(k.circuit, p_phi)?;
+                match compiled {
+                    Some(stats) => {
+                        self.tally.solver_calls += 1;
+                        self.tally.compiles += 1;
+                        self.tally.circuit_nodes += utilities.nodes() as u64;
+                        self.tally.stats += stats;
+                    }
+                    None => self.tally.reused += 1,
+                }
+                return Ok(Some(utilities));
+            }
+        }
+        self.compile(cond, p_phi)
     }
 
     /// Compiles `cond`; `None` when the solver does not compile.
@@ -201,10 +265,12 @@ impl<'a> UtilityScorer<'a> {
 /// Scores the candidates of one object; see [`UtilityScorer::object`].
 pub struct ObjectScorer<'s, 'a> {
     scorer: &'s mut UtilityScorer<'a>,
+    object: ObjectId,
     cond: &'s Condition,
     p_phi: f64,
-    /// `None` until the first open var-const candidate; then the compile,
-    /// or `Some(None)` when the solver does not compile.
+    /// `None` until the first open var-const candidate; then the kept or
+    /// compiled circuit's utilities, or `Some(None)` when the solver does
+    /// not compile.
     compiled: Option<Option<CompiledUtilities>>,
 }
 
@@ -216,7 +282,7 @@ impl ObjectScorer<'_, '_> {
         let dists = scorer.dists;
         if e.rhs_var().is_none() {
             if self.compiled.is_none() && dists.expr_prob(e).is_ok_and(is_open) {
-                self.compiled = Some(scorer.compile(self.cond, self.p_phi)?);
+                self.compiled = Some(scorer.utilities(self.object, self.cond, self.p_phi)?);
             }
             if let Some(Some(compiled)) = &self.compiled {
                 if let Some(g) = compiled.utility(e, dists)? {
@@ -228,14 +294,15 @@ impl ObjectScorer<'_, '_> {
     }
 }
 
-/// Selects the crowd expression for one object's condition under the given
-/// strategy. `blocked` holds variables already used by tasks selected this
-/// round (conflict avoidance); `p_phi` is the object's current condition
-/// probability under the scorer's distributions (the utility computation
-/// relies on it being fresh, and a compile checks it). Returns `Ok(None)`
-/// if every expression conflicts.
+/// Selects the crowd expression for object `o`'s condition `cond` under
+/// the given strategy. `blocked` holds variables already used by tasks
+/// selected this round (conflict avoidance); `p_phi` is the object's
+/// current condition probability under the scorer's distributions (the
+/// utility computation relies on it being fresh, and a kept or compiled
+/// circuit checks it). Returns `Ok(None)` if every expression conflicts.
 pub fn select_expression(
     strategy: TaskStrategy,
+    o: ObjectId,
     cond: &Condition,
     freq: &HashMap<Expr, usize>,
     blocked: &BTreeSet<VarId>,
@@ -249,7 +316,7 @@ pub fn select_expression(
         TaskStrategy::Ubs => usize::MAX,
         TaskStrategy::Hhs { m } => m.max(1),
     };
-    let mut object = scorer.object(cond, p_phi);
+    let mut object = scorer.object(o, cond, p_phi);
     let mut best: Option<(f64, Expr)> = None;
     let mut since_improvement = 0usize;
     for e in cands {
@@ -288,7 +355,16 @@ mod tests {
         p_phi: f64,
     ) -> Option<Expr> {
         let mut scorer = UtilityScorer::new(solver, dists, BranchHeuristic::default(), true);
-        select_expression(strategy, cond, freq, blocked, &mut scorer, p_phi).unwrap()
+        select_expression(
+            strategy,
+            ObjectId(0),
+            cond,
+            freq,
+            blocked,
+            &mut scorer,
+            p_phi,
+        )
+        .unwrap()
     }
 
     fn simple_setup() -> (Condition, VarDists) {
@@ -315,7 +391,7 @@ mod tests {
         let mut scorer = UtilityScorer::new(&nan, &dists, BranchHeuristic::default(), true);
         let e = *cond.exprs().next().unwrap();
         assert!(matches!(
-            scorer.object(&cond, 0.5).score(&e),
+            scorer.object(ObjectId(0), &cond, 0.5).score(&e),
             Err(SolverError::InvalidProbability(p)) if p.is_nan()
         ));
         assert_eq!(
@@ -465,6 +541,7 @@ mod tests {
         let mut scorer = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
         let picked = select_expression(
             TaskStrategy::Ubs,
+            ObjectId(0),
             &cond,
             &freq,
             &BTreeSet::new(),
@@ -506,7 +583,7 @@ mod tests {
         let stale = p + 0.125;
         let mut scorer = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
         assert_eq!(
-            scorer.object(&cond, stale).score(&e),
+            scorer.object(ObjectId(0), &cond, stale).score(&e),
             Err(SolverError::StalePrior {
                 cached: stale,
                 fresh: p
@@ -516,7 +593,54 @@ mod tests {
         // A solver that does not compile cannot check the prior.
         let naive = NaiveSolver::new();
         let mut scorer = UtilityScorer::new(&naive, &dists, BranchHeuristic::default(), true);
-        assert!(scorer.object(&cond, stale).score(&e).is_ok());
+        assert!(scorer.object(ObjectId(0), &cond, stale).score(&e).is_ok());
+    }
+
+    /// One object's kept circuit, compiled under `dists`.
+    struct OneKept(Circuit);
+
+    impl KeptCircuits for OneKept {
+        fn circuit(&mut self, o: ObjectId) -> Result<Option<KeptCircuit<'_>>, SolverError> {
+            Ok((o == ObjectId(0)).then_some(KeptCircuit {
+                circuit: &self.0,
+                compiled: None,
+            }))
+        }
+    }
+
+    #[test]
+    fn a_kept_circuit_scores_without_a_compile() {
+        let (cond, dists) = simple_setup();
+        let solver = AdpllSolver::new();
+        let p = solver.probability(&cond, &dists).unwrap();
+        let (circuit, _) = solver.compile(&cond, &dists).unwrap().unwrap();
+        let mut kept = OneKept(circuit);
+        let mut scorer = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true)
+            .with_kept(&mut kept);
+        let mut plain = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
+        for e in cond.exprs().filter(|e| e.rhs_var().is_none()) {
+            for o in [ObjectId(0), ObjectId(1)] {
+                let g = scorer.object(o, &cond, p).score(e).unwrap();
+                let want = plain.object(o, &cond, p).score(e).unwrap();
+                assert_eq!(g.to_bits(), want.to_bits(), "{e}");
+            }
+        }
+        let (reused, compiled) = (scorer.tally(), plain.tally());
+        // Object 0 reuses the kept circuit; object 1 has none and compiles.
+        assert_eq!(
+            (reused.reused, reused.compiles),
+            (compiled.compiles / 2, compiled.compiles / 2)
+        );
+        // The kept circuit's root is checked against the prior like a compile.
+        let stale = p + 0.125;
+        let e = cond.exprs().find(|e| e.rhs_var().is_none()).unwrap();
+        assert_eq!(
+            scorer.object(ObjectId(0), &cond, stale).score(e),
+            Err(SolverError::StalePrior {
+                cached: stale,
+                fresh: p
+            })
+        );
     }
 
     #[test]
@@ -539,6 +663,7 @@ mod tests {
         let mut scorer = UtilityScorer::new(&capped, &dists, BranchHeuristic::default(), true);
         let got = select_expression(
             TaskStrategy::Ubs,
+            ObjectId(0),
             &cond,
             &freq,
             &BTreeSet::new(),
@@ -562,6 +687,7 @@ mod tests {
         let mut scorer = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
         let err = select_expression(
             TaskStrategy::Hhs { m: 3 },
+            ObjectId(0),
             &cond,
             &freq,
             &BTreeSet::new(),
@@ -572,6 +698,7 @@ mod tests {
         // FBS never scores, so it cannot fail.
         assert!(select_expression(
             TaskStrategy::Fbs,
+            ObjectId(0),
             &cond,
             &freq,
             &BTreeSet::new(),
@@ -703,7 +830,7 @@ mod tests {
             let p = adpll.probability(&cond, &dists).unwrap();
             let mut scorer =
                 UtilityScorer::new(&reference, &dists, BranchHeuristic::default(), true);
-            let mut object = scorer.object(&cond, p);
+            let mut object = scorer.object(ObjectId(0), &cond, p);
             let g: Vec<f64> = candidates(&cond, &freq, &none)
                 .iter()
                 .map(|e| object.score(e).unwrap())

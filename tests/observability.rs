@@ -177,21 +177,24 @@ fn select_children_account_for_select_time_on_hhs() {
 }
 
 /// Utility work is counted apart from probability batches, one
-/// `UtilityBatch` per selecting round. ADPLL compiles each scored object's
-/// condition once, so the solver calls split exactly into compiles plus
-/// one solve per open var-var candidate, and no scored candidate costs
-/// more than one call.
+/// `UtilityBatch` per selecting round. Each scored object with an open
+/// var-const candidate is scored off the circuit its probability batch
+/// keeps, or compiles one, so the solver calls split exactly into compiles
+/// plus one solve per open var-var candidate, and no scored candidate
+/// costs more than one call.
 #[test]
 fn utility_counters_reconcile_with_utility_batches() {
     let (metrics, profile) = profiled_hhs_run();
     let c = metrics.counters();
     let (mut batches, mut calls, mut compiles, mut nodes, mut decisions, mut fallbacks) =
         (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut reused = 0u64;
     for e in metrics.events() {
         if let Event::UtilityBatch {
             solver_calls,
             compiles: k,
             circuit_nodes: n,
+            reused: r,
             decisions: d,
             fallbacks: f,
             ..
@@ -204,6 +207,7 @@ fn utility_counters_reconcile_with_utility_batches() {
             calls += solver_calls;
             compiles += k;
             nodes += n;
+            reused += r;
             decisions += d;
             fallbacks += f;
         }
@@ -212,14 +216,59 @@ fn utility_counters_reconcile_with_utility_batches() {
     assert_eq!(c.utility_solver_calls, calls);
     assert_eq!(c.utility_compiles, compiles);
     assert_eq!(c.utility_circuit_nodes, nodes);
+    assert_eq!(c.utility_reused, reused);
     assert_eq!(c.utility_decisions, decisions);
     assert_eq!(fallbacks, 0, "ADPLL never needs its own fallback");
-    assert!(c.utility_compiles > 0, "HHS compiled nothing");
+    assert!(
+        c.utility_compiles + c.utility_reused > 0,
+        "HHS scored no object off a circuit"
+    );
     assert!(c.utility_solver_calls <= c.utility_evals);
     let utility = profile.node("round/select/utility").unwrap();
     assert_eq!(utility.count, c.utility_solver_calls);
     let compile = profile.node("round/select/utility/compile").unwrap();
     assert_eq!(compile.count, c.utility_compiles);
+}
+
+/// Every condition a probability batch computes is a compile, a kept
+/// circuit's re-evaluation, or a plain solve; solver calls count the
+/// compiles, the plain solves and the fallbacks, never the evaluations.
+/// On an ADPLL run, later rounds re-evaluate instead of solving.
+#[test]
+fn probability_batches_split_into_compiles_evaluations_and_solves() {
+    let (metrics, profile) = profiled_hhs_run();
+    let c = metrics.counters();
+    let (mut objects, mut calls, mut compiles, mut evaluations) = (0u64, 0u64, 0u64, 0u64);
+    for e in metrics.events() {
+        if let Event::ProbabilityBatch {
+            objects: n,
+            solver_calls,
+            compiles: k,
+            evaluations: v,
+            fallbacks,
+            ..
+        } = *e
+        {
+            let plain = solver_calls - k - fallbacks;
+            assert_eq!(n as u64, k + v + plain, "batch of {n}: {k} + {v} + {plain}");
+            objects += n as u64;
+            calls += solver_calls;
+            compiles += k;
+            evaluations += v;
+        }
+    }
+    assert_eq!(c.probability_evals, objects);
+    assert_eq!(c.solver_calls, calls);
+    assert_eq!(
+        (c.circuit_compiles, c.circuit_evals),
+        (compiles, evaluations)
+    );
+    assert!(c.circuit_recompiles <= c.circuit_compiles);
+    assert!(c.circuit_evals > 0, "no kept circuit was re-evaluated");
+    let solve = profile.node("round/select/solve").unwrap();
+    let evaluate = profile.node("round/select/solve/evaluate").unwrap();
+    assert!(evaluate.count > 0 && evaluate.count <= c.circuit_evals);
+    assert!(solve.count <= c.solver_calls);
 }
 
 proptest! {

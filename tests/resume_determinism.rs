@@ -11,11 +11,14 @@
 
 use bayescrowd::prelude::*;
 use bayescrowd::{BayesCrowd, Session};
+use bc_bayes::synthetic::adult_like;
 use bc_crowd::{CrowdPlatform, FaultConfig, FaultyPlatform, GroundTruthOracle, SimulatedPlatform};
 use bc_data::generators::sample::{paper_completion, paper_dataset};
+use bc_data::missing::inject_mcar;
 use bc_data::Dataset;
-use bc_snapshot::Snapshot;
+use bc_snapshot::{fnv1a64, Snapshot, SnapshotError, Value};
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 fn sample_config() -> BayesCrowdConfig {
     BayesCrowdConfig {
@@ -158,6 +161,207 @@ fn faulty_platform_resumes_identically_at_every_round() {
             ..sample_config()
         };
         assert_all_resume_points_match(config, &data, mk, &format!("faulty seed {seed}"));
+    }
+}
+
+/// A seeded 800-object table sampled from the Adult-like network, with 10%
+/// of its cells missing: big enough that ADPLL branches, compiles circuits
+/// of hundreds of nodes, and gets var-var answers. Returns the complete
+/// table and the incomplete one.
+fn synthetic_table(seed: u64) -> (Dataset, Dataset) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let complete = adult_like()
+        .sample_dataset("synthetic", 800, &mut rng)
+        .expect("the network samples");
+    let (incomplete, _) = inject_mcar(&complete, 0.1, seed ^ 0x5eed);
+    (complete, incomplete)
+}
+
+/// Kept circuits at branching scale, under HHS (`m = 50`) and FBS: the
+/// clean run re-evaluates kept circuits and recompiles some after var-var
+/// answers, and a kill and resume at every round still reproduces it
+/// exactly. Resumed sessions rebuild their circuits from the conditions
+/// the checkpoint stores.
+#[test]
+fn synthetic_tables_resume_identically_at_every_round() {
+    let (complete, data) = synthetic_table(11);
+    for (strategy, budget) in [(TaskStrategy::Hhs { m: 50 }, 100), (TaskStrategy::Fbs, 400)] {
+        let config = BayesCrowdConfig {
+            budget,
+            latency: 10,
+            alpha: 0.01,
+            strategy,
+            ..Default::default()
+        };
+        let mk = || -> Box<dyn CrowdPlatform> {
+            let oracle = GroundTruthOracle::new(complete.clone());
+            Box::new(SimulatedPlatform::new(oracle, 1.0, 5))
+        };
+        let ctx = format!("synthetic {}", strategy.name());
+        let mut metrics = MetricsRecorder::new();
+        let mut platform = mk();
+        unwrap_report(BayesCrowd::new(config.clone()).try_run(
+            &data,
+            platform.as_mut(),
+            &mut metrics,
+        ));
+        let c = metrics.counters();
+        assert!(c.circuit_evals > 0, "{ctx}: nothing re-evaluated");
+        // With perfect workers no mask loses all its mass and no circuit
+        // goes stale (every call is a compile), so every recompile
+        // replaces a circuit a var-var answer dropped.
+        assert_eq!(
+            c.solver_calls, c.circuit_compiles,
+            "{ctx}: plain solves ran"
+        );
+        assert!(c.circuit_recompiles > 0, "{ctx}: no var-var recompile");
+        assert_all_resume_points_match(config, &data, mk, &ctx);
+    }
+    // Erring workers too: some of their answers contradict earlier ones.
+    let config = BayesCrowdConfig {
+        budget: 400,
+        latency: 10,
+        alpha: 0.01,
+        strategy: TaskStrategy::Fbs,
+        ..Default::default()
+    };
+    let mk = || -> Box<dyn CrowdPlatform> {
+        let oracle = GroundTruthOracle::new(complete.clone());
+        Box::new(SimulatedPlatform::new(oracle, 0.7, 9))
+    };
+    assert_all_resume_points_match(config, &data, mk, "synthetic FBS, erring workers");
+}
+
+/// Re-frames `snap`'s sections as a checksummed document with header
+/// version `version`, keeping only the sections `keep` accepts.
+fn reframe(snap: &Snapshot, version: u32, keep: impl Fn(&str) -> bool) -> Vec<u8> {
+    let header = Value::obj(vec![
+        ("format", Value::Str(bc_snapshot::FORMAT_NAME.into())),
+        ("version", Value::Int(version as i128)),
+        ("fingerprint", Value::Str(snap.fingerprint().into())),
+    ]);
+    let mut body = header.to_json() + "\n";
+    let mut n = 0;
+    for (name, data) in snap.sections().iter().filter(|(name, _)| keep(name)) {
+        let line = Value::obj(vec![
+            ("section", Value::Str(name.clone())),
+            ("data", data.clone()),
+        ]);
+        body += &(line.to_json() + "\n");
+        n += 1;
+    }
+    let footer = Value::obj(vec![
+        ("sections", Value::Int(n)),
+        (
+            "checksum",
+            Value::Str(format!("{:016x}", fnv1a64(body.as_bytes()))),
+        ),
+    ]);
+    (body + &footer.to_json() + "\n").into_bytes()
+}
+
+/// A version-1 checkpoint, written before sessions kept circuits, has no
+/// `compiled_from` section. It still resumes: every open condition
+/// compiles afresh, so the first batch re-evaluates nothing.
+#[test]
+fn a_version_one_checkpoint_resumes_without_kept_circuits() {
+    let data = paper_dataset();
+    let mk = || SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 1.0, 7);
+    let mut platform = mk();
+    let (clean, snaps) =
+        run_collecting_checkpoints(&BayesCrowd::new(sample_config()), &data, &mut platform);
+    let snap = Snapshot::parse(&snaps[1][..]).expect("checkpoint parses");
+    assert!(snap.section("compiled_from").is_ok());
+    let v1 = reframe(&snap, 1, |name| name != "compiled_from");
+    assert_eq!(Snapshot::parse(&v1[..]).expect("v1 parses").version(), 1);
+    let mut platform = mk();
+    let mut metrics = MetricsRecorder::new();
+    let mut session =
+        Session::resume_observed(&v1[..], &mut platform, &mut metrics).expect("v1 resumes");
+    while session.step().expect("resumed step") {}
+    let resumed = unwrap_report(session.finalize());
+    assert_eq!(resumed.crowd.tasks_posted, clean.crowd.tasks_posted);
+    let first = metrics.events().iter().find_map(|e| match e {
+        Event::ProbabilityBatch {
+            compiles,
+            evaluations,
+            ..
+        } => Some((*compiles, *evaluations)),
+        _ => None,
+    });
+    let (compiles, evaluations) = first.expect("the resumed run computes probabilities");
+    assert!(compiles > 0);
+    assert_eq!(evaluations, 0, "a v1 checkpoint brought circuits along");
+    // A current-version document without the section is torn, not old.
+    let torn = reframe(&snap, bc_snapshot::FORMAT_VERSION, |name| {
+        name != "compiled_from"
+    });
+    let mut platform = mk();
+    match Session::resume(&torn[..], &mut platform) {
+        Err(RunError::Snapshot(e)) => {
+            assert!(matches!(*e, SnapshotError::MissingSection(ref s) if s == "compiled_from"))
+        }
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("a v2 checkpoint without compiled_from resumed"),
+    }
+}
+
+/// A `compiled_from` section that does not decode is a typed snapshot
+/// error, never a panic or a half-resumed session.
+#[test]
+fn a_corrupt_compiled_from_section_is_a_typed_error() {
+    let data = paper_dataset();
+    let mk = || SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 1.0, 7);
+    let mut platform = mk();
+    let (_, snaps) =
+        run_collecting_checkpoints(&BayesCrowd::new(sample_config()), &data, &mut platform);
+    let snap = Snapshot::parse(&snaps[1][..]).expect("checkpoint parses");
+    let n = data.n_objects() as i128;
+    let corrupt = [
+        Value::Str("not a list".into()),
+        Value::List(vec![Value::Int(0)]),
+        Value::List(vec![Value::List(vec![])]),
+        Value::List(vec![Value::List(vec![Value::Int(n)])]),
+        Value::List(vec![Value::List(vec![Value::Int(-1)])]),
+        Value::List(vec![
+            Value::List(vec![Value::Int(1)]),
+            Value::List(vec![Value::Int(1)]),
+        ]),
+        Value::List(vec![Value::List(vec![
+            Value::Int(0),
+            Value::Str("x".into()),
+        ])]),
+        Value::List(vec![Value::List(vec![
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(2),
+        ])]),
+    ];
+    for bad in corrupt {
+        let sections = snap
+            .sections()
+            .iter()
+            .map(|(name, data)| {
+                let data = if name == "compiled_from" {
+                    bad.clone()
+                } else {
+                    data.clone()
+                };
+                (name.clone(), data)
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        Snapshot::new(snap.fingerprint().to_string(), sections)
+            .write_to(&mut bytes)
+            .unwrap();
+        let mut platform = mk();
+        match Session::resume(&bytes[..], &mut platform) {
+            Err(RunError::Snapshot(e)) => {
+                assert!(matches!(*e, SnapshotError::Invalid(_)), "{bad:?}: {e}")
+            }
+            Err(e) => panic!("{bad:?}: wrong error: {e}"),
+            Ok(_) => panic!("{bad:?}: a corrupt compiled_from section resumed"),
+        }
     }
 }
 
