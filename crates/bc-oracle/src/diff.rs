@@ -14,7 +14,9 @@
 //!   ([`crate::kernel::normalization_matches_reference`]),
 //! * **ADPLL**, **naive enumeration**, **ApproxCount** — must match the
 //!   oracle to [`DiffConfig::eps`] (ApproxCount falls back to exact
-//!   enumeration below its cutoff, which every in-envelope instance is),
+//!   enumeration below its cutoff, which every in-envelope instance is);
+//!   ADPLL in every configuration: the default, first-variable branching,
+//!   no component caching, and the root of its compiled circuit,
 //! * **naive model counts** — [`bc_solver::ModelCount`] internals must be
 //!   coherent (satisfying ≤ states, weight = probability),
 //! * **Monte Carlo** — must land within `mc_sigma` binomial standard
@@ -33,7 +35,9 @@ use crate::{prob_close, OracleError};
 use bc_bayes::Pmf;
 use bc_ctable::{build_ctable, CTable, CTableConfig, DominatorStrategy};
 use bc_data::{Dataset, ObjectId, VarId};
-use bc_solver::{AdpllSolver, ApproxCountSolver, MonteCarloSolver, NaiveSolver, Solver};
+use bc_solver::{
+    AdpllSolver, ApproxCountSolver, BranchHeuristic, MonteCarloSolver, NaiveSolver, Solver,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -83,8 +87,8 @@ pub struct Divergence {
     /// The instance that produced it.
     pub instance: Instance,
     /// Which check failed (`"ctable"`, `"normalization"`, `"adpll"`,
-    /// `"naive"`, `"naive-count"`, `"approxcount"`, `"montecarlo"`,
-    /// `"oracle"`).
+    /// `"adpll-first"`, `"adpll-uncached"`, `"adpll-compile"`, `"naive"`,
+    /// `"naive-count"`, `"approxcount"`, `"montecarlo"`, `"oracle"`).
     pub solver: String,
     /// The object whose probability diverged.
     pub object: ObjectId,
@@ -172,6 +176,8 @@ pub fn check_instance(
 
     let dists = inst.dists();
     let adpll = AdpllSolver::new();
+    let adpll_first = AdpllSolver::with_heuristic(BranchHeuristic::First);
+    let adpll_uncached = AdpllSolver::new().with_caching(false);
     let naive = NaiveSolver::default();
     let approx = ApproxCountSolver::new(64, cfg.mc_seed ^ inst.seed);
     let mc = MonteCarloSolver::new(cfg.mc_samples, cfg.mc_seed ^ inst.seed.rotate_left(17));
@@ -201,6 +207,15 @@ pub fn check_instance(
 
         for (name, got) in [
             ("adpll", adpll.probability(cond, &dists)),
+            ("adpll-first", adpll_first.probability(cond, &dists)),
+            ("adpll-uncached", adpll_uncached.probability(cond, &dists)),
+            (
+                "adpll-compile",
+                adpll
+                    .compile(cond, &dists)
+                    .expect("ADPLL compiles")
+                    .map(|(circuit, _)| circuit.probability()),
+            ),
             ("naive", naive.probability(cond, &dists)),
             ("approxcount", approx.probability(cond, &dists)),
         ] {

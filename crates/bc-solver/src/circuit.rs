@@ -47,7 +47,7 @@ use bc_ctable::{CmpOp, Expr, Operand};
 use bc_data::{Value, VarId};
 
 /// Index of a node in [`Circuit::nodes`].
-type NodeId = u32;
+pub(crate) type NodeId = u32;
 
 /// The `False` and `True` nodes every circuit starts with.
 const FALSE: NodeId = 0;
@@ -524,91 +524,89 @@ impl Partials {
 }
 
 /// The [`Recorder`] of a compile: appends each node the search closes.
+/// One builder serves a solver's compiles one after another: its buffers
+/// grow to the largest search and are cleared, not freed.
+#[derive(Default)]
 pub(crate) struct CircuitBuilder {
-    circuit: Circuit,
+    nodes: Vec<Node>,
+    edges: Vec<(Value, NodeId)>,
+    leaves: Vec<Leaf>,
+    slots: Vec<Slot>,
+    theta: Vec<f64>,
     /// `(variable, slot)` for every slot, sorted by variable.
     index: Vec<(VarId, u32)>,
     /// The children of the open frames, innermost last.
     open: Vec<(Value, NodeId)>,
     /// Where the expressions of the open clause leaf start.
     leaf_start: u32,
+    /// Old slot → slot in variable order, while finishing.
+    renamed: Vec<u32>,
 }
 
-impl Default for CircuitBuilder {
-    fn default() -> Self {
+impl CircuitBuilder {
+    /// Starts a compile: only the `False` and `True` constants.
+    pub(crate) fn begin(&mut self) {
         let constant = |value| Node {
             value,
             kind: Kind::Const,
         };
-        // Sized for a typical condition's search, so that most compiles
-        // never grow a buffer.
-        let mut nodes = Vec::with_capacity(64);
-        nodes.extend([constant(0.0), constant(1.0)]);
-        CircuitBuilder {
-            circuit: Circuit {
-                nodes,
-                edges: Vec::with_capacity(64),
-                leaves: Vec::with_capacity(64),
-                slots: Vec::with_capacity(16),
-                theta: Vec::with_capacity(256),
-                root: FALSE,
-            },
-            index: Vec::with_capacity(16),
-            open: Vec::with_capacity(32),
-            leaf_start: 0,
-        }
+        self.nodes.clear();
+        self.nodes.extend([constant(0.0), constant(1.0)]);
+        self.edges.clear();
+        self.leaves.clear();
+        self.slots.clear();
+        self.theta.clear();
+        self.index.clear();
+        self.open.clear();
+        self.leaf_start = 0;
     }
-}
 
-impl CircuitBuilder {
-    /// The circuit rooted at `root`, whose value the search found to be `p`.
-    pub(crate) fn finish(mut self, root: NodeId, p: f64) -> Circuit {
-        debug_assert_eq!(
-            self.circuit.nodes[root as usize].value.to_bits(),
-            p.to_bits()
-        );
+    /// The circuit rooted at `root`, whose value the search found to be `p`:
+    /// exact-size copies of the builder's buffers, since kept circuits
+    /// outlive the search.
+    pub(crate) fn finish(&mut self, root: NodeId, p: f64) -> Circuit {
+        debug_assert_eq!(self.nodes[root as usize].value.to_bits(), p.to_bits());
         // Renumber the slots, and lay out `theta`, in variable order, so
         // that lookups by variable binary-search them.
-        let c = &mut self.circuit;
-        let mut renamed = vec![0; c.slots.len()];
-        let mut theta = Vec::with_capacity(c.theta.len());
-        let mut slots = Vec::with_capacity(c.slots.len());
+        self.renamed.clear();
+        self.renamed.resize(self.slots.len(), 0);
+        let mut theta = Vec::with_capacity(self.theta.len());
+        let mut slots = Vec::with_capacity(self.slots.len());
         for (new, &(_, old)) in self.index.iter().enumerate() {
-            renamed[old as usize] = new as u32;
-            let slot = c.slots[old as usize];
+            self.renamed[old as usize] = new as u32;
+            let slot = self.slots[old as usize];
             let start = theta.len() as u32;
-            theta.extend_from_slice(&c.theta[slot.span()]);
+            theta.extend_from_slice(&self.theta[slot.span()]);
             slots.push(Slot {
                 start,
                 end: theta.len() as u32,
                 ..slot
             });
         }
-        c.slots = slots;
-        c.theta = theta;
-        for node in &mut c.nodes {
+        for node in &mut self.nodes {
             if let Kind::Decision { slot, .. } = &mut node.kind {
-                *slot = renamed[*slot as usize];
+                *slot = self.renamed[*slot as usize];
             }
         }
-        for leaf in &mut c.leaves {
-            leaf.lhs = renamed[leaf.lhs as usize];
+        for leaf in &mut self.leaves {
+            leaf.lhs = self.renamed[leaf.lhs as usize];
             if let Rhs::Var(r) = &mut leaf.rhs {
-                *r = renamed[*r as usize];
+                *r = self.renamed[*r as usize];
             }
         }
-        // Kept circuits outlive the search: exact-size copies, allocated
-        // together, replace the search's growing buffers.
-        c.nodes = c.nodes.to_vec();
-        c.edges = c.edges.to_vec();
-        c.leaves = c.leaves.to_vec();
-        c.root = root;
-        self.circuit
+        Circuit {
+            nodes: self.nodes.to_vec(),
+            edges: self.edges.to_vec(),
+            leaves: self.leaves.to_vec(),
+            slots,
+            theta,
+            root,
+        }
     }
 
     fn push(&mut self, value: f64, kind: Kind) -> NodeId {
-        self.circuit.nodes.push(Node { value, kind });
-        (self.circuit.nodes.len() - 1) as NodeId
+        self.nodes.push(Node { value, kind });
+        (self.nodes.len() - 1) as NodeId
     }
 
     /// The slot of `v`, interning it with its distribution on first sight.
@@ -621,14 +619,13 @@ impl CircuitBuilder {
 
     /// Adds a slot for `v` at position `i` of the index.
     fn intern(&mut self, i: usize, v: VarId, probs: &[f64]) -> u32 {
-        let c = &mut self.circuit;
-        let s = c.slots.len() as u32;
-        let start = c.theta.len() as u32;
-        c.theta.extend_from_slice(probs);
-        c.slots.push(Slot {
+        let s = self.slots.len() as u32;
+        let start = self.theta.len() as u32;
+        self.theta.extend_from_slice(probs);
+        self.slots.push(Slot {
             var: v,
             start,
-            end: c.theta.len() as u32,
+            end: self.theta.len() as u32,
             decision: NO_NODE,
         });
         self.index.insert(i, (v, s));
@@ -637,15 +634,13 @@ impl CircuitBuilder {
 
     /// Moves the children from `mark` on into the edge list.
     fn close(&mut self, mark: usize) -> (u32, u32) {
-        let start = self.circuit.edges.len() as u32;
-        self.circuit.edges.extend(self.open.drain(mark..));
-        (start, self.circuit.edges.len() as u32)
+        let start = self.edges.len() as u32;
+        self.edges.extend(self.open.drain(mark..));
+        (start, self.edges.len() as u32)
     }
 }
 
 impl Recorder for CircuitBuilder {
-    type Node = NodeId;
-
     fn constant(&mut self, p: f64) -> NodeId {
         if p == 0.0 {
             FALSE
@@ -660,7 +655,7 @@ impl Recorder for CircuitBuilder {
             Operand::Const(c) => Rhs::Const(c),
             Operand::Var(w) => Rhs::Var(self.slot(w, dists)?),
         };
-        self.circuit.leaves.push(Leaf {
+        self.leaves.push(Leaf {
             p: p_e,
             lhs,
             rhs,
@@ -670,7 +665,7 @@ impl Recorder for CircuitBuilder {
     }
 
     fn clause(&mut self, p: f64) -> NodeId {
-        let (start, end) = (self.leaf_start, self.circuit.leaves.len() as u32);
+        let (start, end) = (self.leaf_start, self.leaves.len() as u32);
         self.leaf_start = end;
         self.push(p, Kind::Clause { start, end })
     }
@@ -690,7 +685,7 @@ impl Recorder for CircuitBuilder {
         };
         let (start, end) = self.close(mark);
         let node = self.push(p, Kind::Decision { slot, start, end });
-        let slot = &mut self.circuit.slots[slot as usize];
+        let slot = &mut self.slots[slot as usize];
         if slot.decision == NO_NODE {
             slot.decision = node;
         }

@@ -23,6 +23,7 @@
 
 pub mod adpll;
 pub mod approxcount;
+mod arena;
 pub mod circuit;
 pub mod dists;
 pub mod montecarlo;
