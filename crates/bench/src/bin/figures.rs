@@ -9,10 +9,10 @@
 use bc_bench::experiments;
 use bc_bench::{print_rows, rows_to_json_pretty, Row, Scale};
 
+const USAGE: &str = "usage: figures [all | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | table6 | ext_model | ext_ranking | ext_baselines | ext_faults | ext_phases | ext_ablation]... [--scale small|paper] [--json PATH] [--trace PATH]";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: figures [all | fig2 .. fig11 | table6 | ext_model | ext_ranking | ext_baselines | ext_faults | ext_phases]... [--scale small|paper] [--json PATH] [--trace PATH]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -52,30 +52,18 @@ fn main() {
         experiments_requested.push("all".into());
     }
 
-    let mut rows: Vec<Row> = Vec::new();
-    for exp in &experiments_requested {
-        let produced = match exp.as_str() {
-            "all" => experiments::all(&scale),
-            "fig2" => experiments::fig2(&scale),
-            "fig3" => experiments::fig3(&scale),
-            "fig4" => experiments::fig4(&scale),
-            "fig5" => experiments::fig5(&scale),
-            "fig6" => experiments::fig6(&scale),
-            "fig7" => experiments::fig7(&scale),
-            "fig8" => experiments::fig8(&scale),
-            "fig9" => experiments::fig9(&scale),
-            "fig10" => experiments::fig10(&scale),
-            "fig11" => experiments::fig11(&scale),
-            "table6" => experiments::table6(&scale),
-            "ext_model" => experiments::ext_model(&scale),
-            "ext_ranking" => experiments::ext_ranking(&scale),
-            "ext_baselines" => experiments::ext_baselines(&scale),
-            "ext_faults" => experiments::ext_faults(&scale),
-            "ext_phases" => experiments::ext_phases(&scale),
-            _ => usage(),
-        };
-        rows.extend(produced);
-    }
+    // Resolve every name before running anything: a typo after a
+    // minutes-long experiment must not cost the run.
+    let runs: Vec<_> = experiments_requested
+        .iter()
+        .map(|name| {
+            experiments::by_name(name).unwrap_or_else(|| {
+                eprintln!("unknown experiment {name:?}");
+                usage()
+            })
+        })
+        .collect();
+    let rows: Vec<Row> = runs.into_iter().flat_map(|run| run(&scale)).collect();
 
     print_rows(&rows);
 
@@ -87,5 +75,22 @@ fn main() {
     if let Some(path) = trace_path {
         let n = experiments::write_trace(&scale, &path).expect("writing the trace");
         eprintln!("wrote {n} trace events to {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_name_in_the_usage_line_resolves() {
+        let names = &USAGE[USAGE.find('[').unwrap() + 1..USAGE.find(']').unwrap()];
+        let names: Vec<&str> = names.split('|').map(str::trim).collect();
+        assert_eq!(names.len(), 18);
+        for name in names {
+            assert!(experiments::by_name(name).is_some(), "{name}");
+        }
+        assert!(experiments::by_name("typo").is_none());
+        assert!(experiments::by_name("fig1").is_none());
     }
 }

@@ -11,8 +11,11 @@ use crate::workloads::{Scale, Workload};
 use bayescrowd::{BayesCrowd, BayesCrowdConfig, RunReport, TaskStrategy};
 use bc_bayes::{MissingValueModel, ModelConfig};
 use bc_crowd::{GroundTruthOracle, SimulatedPlatform};
-use bc_ctable::{build_ctable, CTableConfig, DominatorStrategy};
-use bc_solver::{AdpllSolver, ApproxCountSolver, MonteCarloSolver, NaiveSolver, Solver, VarDists};
+use bc_ctable::{build_ctable, CTableConfig, Condition, DominatorStrategy};
+use bc_solver::{
+    AdpllSolver, ApproxCountSolver, BranchHeuristic, MonteCarloSolver, NaiveSolver, Solver,
+    VarDists,
+};
 use crowdsky::{CrowdSky, CrowdSkyConfig};
 use std::time::Instant;
 
@@ -115,7 +118,10 @@ pub fn fig2(scale: &Scale) -> Vec<Row> {
 
 /// Figure 3: total probability-computation time over the initial c-table's
 /// open conditions, ADPLL vs Naive (plus the Monte-Carlo stand-in for
-/// ApproxCount), vs missing rate.
+/// ApproxCount), vs missing rate. Two ADPLL ablations ride along:
+/// first-variable instead of most-frequent-variable branching, and no
+/// component cache; first-variable branching runs at the lowest missing
+/// rate only.
 pub fn fig3(scale: &Scale) -> Vec<Row> {
     let mut rows = Vec::new();
     for (name, n, alpha) in [
@@ -123,33 +129,12 @@ pub fn fig3(scale: &Scale) -> Vec<Row> {
         ("Synthetic", scale.syn_n, scale.syn_alpha),
     ] {
         for rate in MISSING_RATES {
-            let w = if name == "NBA" {
-                Workload::nba(n, rate, 43)
-            } else {
-                Workload::synthetic(n, rate, 43)
-            };
-            let ct = build_ctable(
-                &w.incomplete,
-                &CTableConfig {
-                    alpha,
-                    strategy: DominatorStrategy::FastIndex,
-                },
-            );
-            let model = MissingValueModel::learn(&w.incomplete, &ModelConfig::default());
-            let dists: VarDists = model.pmfs().iter().map(|(k, v)| (*k, v.clone())).collect();
-            let open = ct.open_objects();
-
-            let solvers: Vec<(&str, Box<dyn Solver>)> = vec![
-                ("ADPLL", Box::new(AdpllSolver::new())),
-                ("Naive", Box::new(NaiveSolver::with_limit(20_000_000))),
-                ("ApproxCount", Box::new(ApproxCountSolver::new(1_000, 7))),
-                ("MonteCarlo", Box::new(MonteCarloSolver::new(2_000, 7))),
-            ];
-            for (sname, solver) in solvers {
+            let (open, dists) = fig3_conditions(name, n, alpha, rate);
+            for (sname, solver) in fig3_solvers(rate) {
                 let t = Instant::now();
                 let mut skipped = 0usize;
-                for &o in &open {
-                    if solver.probability(ct.condition(o), &dists).is_err() {
+                for cond in &open {
+                    if solver.probability(cond, &dists).is_err() {
                         skipped += 1;
                     }
                 }
@@ -173,6 +158,58 @@ pub fn fig3(scale: &Scale) -> Vec<Row> {
         }
     }
     rows
+}
+
+/// Figure 3's input at one missing rate: the open conditions of the
+/// initial c-table and the learned pmfs.
+fn fig3_conditions(dataset: &str, n: usize, alpha: f64, rate: f64) -> (Vec<Condition>, VarDists) {
+    let w = if dataset == "NBA" {
+        Workload::nba(n, rate, 43)
+    } else {
+        Workload::synthetic(n, rate, 43)
+    };
+    let ct = build_ctable(
+        &w.incomplete,
+        &CTableConfig {
+            alpha,
+            strategy: DominatorStrategy::FastIndex,
+        },
+    );
+    let model = MissingValueModel::learn(&w.incomplete, &ModelConfig::default());
+    let dists: VarDists = model.pmfs().iter().map(|(k, v)| (*k, v.clone())).collect();
+    let open = ct
+        .open_objects()
+        .into_iter()
+        .map(|o| ct.condition(o).clone())
+        .collect();
+    (open, dists)
+}
+
+/// Figure 3's solvers at missing rate `rate`, by series name: ADPLL, its
+/// two ablations, the capped naive enumeration and the two approximate
+/// counters. First-variable branching runs at the lowest rate only: past
+/// it a cell's cost explodes, and ADPLL has no decision cap to stop it. At
+/// the default scale (release build, 2-vCPU VM) NBA took 3.6 s at rate
+/// 0.15 against ADPLL's 12 ms, and did not finish rate 0.2 in 6 minutes.
+fn fig3_solvers(rate: f64) -> Vec<(&'static str, Box<dyn Solver>)> {
+    let mut solvers: Vec<(&'static str, Box<dyn Solver>)> = vec![
+        ("ADPLL", Box::new(AdpllSolver::new())),
+        (
+            "ADPLL-first",
+            Box::new(AdpllSolver::with_heuristic(BranchHeuristic::First)),
+        ),
+        (
+            "ADPLL-nocache",
+            Box::new(AdpllSolver::new().with_caching(false)),
+        ),
+        ("Naive", Box::new(NaiveSolver::with_limit(20_000_000))),
+        ("ApproxCount", Box::new(ApproxCountSolver::new(1_000, 7))),
+        ("MonteCarlo", Box::new(MonteCarloSolver::new(2_000, 7))),
+    ];
+    if rate != MISSING_RATES[0] {
+        solvers.retain(|(name, _)| *name != "ADPLL-first");
+    }
+    solvers
 }
 
 /// Figure 4: comparison with CrowdSky on the masked-NBA workload across
@@ -753,6 +790,63 @@ pub fn ext_phases(scale: &Scale) -> Vec<Row> {
     rows
 }
 
+/// Extension experiment F: the framework's design choices, ablated one at
+/// a time on the NBA defaults — Bayesian-network conditionals vs uniform
+/// priors, conflict-free batching, crowd-answer propagation, and
+/// entropy-guided object ranking vs random.
+pub fn ext_ablation(scale: &Scale) -> Vec<Row> {
+    use bayescrowd::ObjectRanking;
+    let w = Workload::nba(scale.nba_n, 0.1, 69);
+    let base = default_config("NBA", scale);
+    let variants = [
+        ("default", base.clone()),
+        (
+            "uniform_prior",
+            BayesCrowdConfig {
+                model: ModelConfig {
+                    uniform_prior: true,
+                    ..ModelConfig::default()
+                },
+                ..base.clone()
+            },
+        ),
+        (
+            "no_conflict_avoidance",
+            BayesCrowdConfig {
+                conflict_free: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "no_propagation",
+            BayesCrowdConfig {
+                propagate_answers: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "random_ranking",
+            BayesCrowdConfig {
+                ranking: ObjectRanking::Random { seed: 1 },
+                ..base
+            },
+        ),
+    ];
+    let mut rows = Vec::new();
+    for (name, config) in variants {
+        let r = run_bayescrowd(&w, &config, 1.0, 70);
+        rows.push(Row::new(
+            "ext_ablation",
+            format!("NBA/{name}"),
+            "budget",
+            scale.nba_budget as f64,
+            &report_metrics(&r),
+        ));
+        eprintln!("ext_ablation {name}: {}", r.summary());
+    }
+    rows
+}
+
 /// Runs the paper-default NBA workload once with a JSON-lines trace sink
 /// attached, writing every event to `path`. Returns the event count.
 pub fn write_trace(scale: &Scale, path: &str) -> std::io::Result<u64> {
@@ -791,7 +885,34 @@ pub fn all(scale: &Scale) -> Vec<Row> {
     rows.extend(ext_baselines(scale));
     rows.extend(ext_faults(scale));
     rows.extend(ext_phases(scale));
+    rows.extend(ext_ablation(scale));
     rows
+}
+
+/// The experiment a `figures` command-line name stands for, `all`
+/// included; `None` for an unknown name.
+pub fn by_name(name: &str) -> Option<fn(&Scale) -> Vec<Row>> {
+    Some(match name {
+        "all" => all,
+        "fig2" => fig2,
+        "fig3" => fig3,
+        "fig4" => fig4,
+        "fig5" => fig5,
+        "fig6" => fig6,
+        "fig7" => fig7,
+        "fig8" => fig8,
+        "fig9" => fig9,
+        "fig10" => fig10,
+        "fig11" => fig11,
+        "table6" => table6,
+        "ext_model" => ext_model,
+        "ext_ranking" => ext_ranking,
+        "ext_baselines" => ext_baselines,
+        "ext_faults" => ext_faults,
+        "ext_phases" => ext_phases,
+        "ext_ablation" => ext_ablation,
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -819,6 +940,72 @@ mod tests {
         assert!(rows.iter().any(|r| r.series == "Synthetic/Baseline"));
         for r in &rows {
             assert!(r.metrics["time_ms"] >= 0.0);
+        }
+    }
+
+    /// The full sweep runs the capped naive solver, minutes in a debug
+    /// build; the ablations' exactness is checked on its first cells.
+    #[test]
+    fn fig3_adpll_ablations_match_adpll() {
+        let scale = tiny_scale();
+        let names =
+            |rate| -> Vec<&str> { fig3_solvers(rate).iter().map(|(name, _)| *name).collect() };
+        let all = [
+            "ADPLL",
+            "ADPLL-first",
+            "ADPLL-nocache",
+            "Naive",
+            "ApproxCount",
+            "MonteCarlo",
+        ];
+        assert_eq!(names(MISSING_RATES[0]), all);
+        for &rate in &MISSING_RATES[1..] {
+            assert_eq!(names(rate), [&all[..1], &all[2..]].concat());
+        }
+        let solvers = fig3_solvers(MISSING_RATES[0]);
+        for (dataset, n, alpha) in [
+            ("NBA", scale.nba_n, scale.nba_alpha),
+            ("Synthetic", scale.syn_n, scale.syn_alpha),
+        ] {
+            let (open, dists) = fig3_conditions(dataset, n, alpha, MISSING_RATES[0]);
+            assert!(!open.is_empty(), "{dataset}");
+            for cond in &open {
+                let want = solvers[0].1.probability(cond, &dists).unwrap();
+                for (name, solver) in &solvers[1..3] {
+                    let got = solver.probability(cond, &dists).unwrap();
+                    assert!(
+                        (got - want).abs() <= 1e-12,
+                        "{dataset}/{name}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ext_ablation_runs_every_framework_variant() {
+        let scale = tiny_scale();
+        let rows = ext_ablation(&scale);
+        let series: Vec<&str> = rows.iter().map(|r| r.series.as_str()).collect();
+        assert_eq!(
+            series,
+            [
+                "NBA/default",
+                "NBA/uniform_prior",
+                "NBA/no_conflict_avoidance",
+                "NBA/no_propagation",
+                "NBA/random_ranking",
+            ]
+        );
+        for r in &rows {
+            for metric in ["time_ms", "tasks", "rounds", "f1"] {
+                assert!(r.metrics.contains_key(metric), "{}: {metric}", r.series);
+            }
+            assert!(
+                r.metrics["tasks"] <= scale.nba_budget as f64,
+                "{}",
+                r.series
+            );
         }
     }
 

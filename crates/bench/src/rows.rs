@@ -1,7 +1,8 @@
 //! A small result-table model shared by every experiment.
 //!
-//! JSON output is hand-rolled (and hand-parsed for the round-trip test)
-//! because the build environment has no registry access for `serde`.
+//! JSON output is hand-rolled because the build environment has no
+//! registry access for `serde`; the round-trip tests read it back with
+//! `bc_snapshot::Value::parse`.
 
 use std::collections::BTreeMap;
 
@@ -54,58 +55,6 @@ impl Row {
             self.x,
         )
     }
-
-    /// Parses a row from the JSON shape produced by [`Row::to_json`].
-    ///
-    /// Field order is free, unknown fields are rejected; this is a
-    /// round-trip check for our own output, not a general JSON parser.
-    pub fn from_json(s: &str) -> Option<Row> {
-        let mut p = JsonCursor::new(s);
-        let mut experiment = None;
-        let mut series = None;
-        let mut x_name = None;
-        let mut x = None;
-        let mut metrics = None;
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "experiment" => experiment = Some(p.string()?),
-                "series" => series = Some(p.string()?),
-                "x_name" => x_name = Some(p.string()?),
-                "x" => x = Some(p.number()?),
-                "metrics" => {
-                    let mut map = BTreeMap::new();
-                    p.expect('{')?;
-                    if !p.try_expect('}') {
-                        loop {
-                            let k = p.string()?;
-                            p.expect(':')?;
-                            map.insert(k, p.number()?);
-                            if !p.try_expect(',') {
-                                break;
-                            }
-                        }
-                        p.expect('}')?;
-                    }
-                    metrics = Some(map);
-                }
-                _ => return None,
-            }
-            if !p.try_expect(',') {
-                break;
-            }
-        }
-        p.expect('}')?;
-        Some(Row {
-            experiment: experiment?,
-            series: series?,
-            x_name: x_name?,
-            x: x?,
-            metrics: metrics?,
-        })
-    }
 }
 
 /// Serializes rows as a pretty-printed JSON array (one row object per line).
@@ -137,66 +86,6 @@ fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// A minimal cursor over the JSON subset [`Row::to_json`] emits.
-struct JsonCursor<'a> {
-    rest: &'a str,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(s: &'a str) -> JsonCursor<'a> {
-        JsonCursor { rest: s }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn expect(&mut self, c: char) -> Option<()> {
-        self.skip_ws();
-        self.rest = self.rest.strip_prefix(c)?;
-        Some(())
-    }
-
-    fn try_expect(&mut self, c: char) -> bool {
-        self.expect(c).is_some()
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        loop {
-            let (i, c) = chars.next()?;
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Some(out);
-                }
-                '\\' => match chars.next()?.1 {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    'r' => out.push('\r'),
-                    _ => return None,
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<f64> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        let (num, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        num.parse().ok()
-    }
 }
 
 /// Pretty-prints rows as one aligned text table per experiment.
@@ -238,6 +127,26 @@ pub fn print_rows(rows: &[Row]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bc_snapshot::Value;
+
+    /// Reads a row back from [`Row::to_json`] output.
+    fn parse_row(s: &str) -> Row {
+        let v = Value::parse(s).unwrap();
+        let text = |key: &str| v.get(key).and_then(Value::as_str).unwrap().to_string();
+        Row {
+            experiment: text("experiment"),
+            series: text("series"),
+            x_name: text("x_name"),
+            x: v.get("x").and_then(Value::as_f64).unwrap(),
+            metrics: v
+                .get("metrics")
+                .and_then(Value::as_map)
+                .unwrap()
+                .iter()
+                .map(|(k, m)| (k.clone(), m.as_f64().unwrap()))
+                .collect(),
+        }
+    }
 
     #[test]
     fn row_construction() {
@@ -263,7 +172,7 @@ mod tests {
         );
         let s = r.to_json();
         assert!(s.contains("fig3"));
-        let back = Row::from_json(&s).unwrap();
+        let back = parse_row(&s);
         assert_eq!(back.series, "NBA/ADPLL");
         assert_eq!(back, r);
     }
@@ -271,8 +180,12 @@ mod tests {
     #[test]
     fn json_round_trips_escapes_and_empty_metrics() {
         let r = Row::new("t", "a\"b\\c\nd", "x", -1.5e-3, &[]);
-        let back = Row::from_json(&r.to_json()).unwrap();
+        let back = parse_row(&r.to_json());
         assert_eq!(back, r);
+        let nan = Row::new("t", "s", "x", 1.0, &[("f1", f64::NAN), ("tiny", 1e-7)]);
+        let back = parse_row(&nan.to_json());
+        assert!(back.metrics["f1"].is_nan());
+        assert_eq!(back.metrics["tiny"], 1e-7);
         let arr = rows_to_json_pretty(&[r.clone(), r]);
         assert!(arr.starts_with("[\n") && arr.ends_with("\n]"));
         assert_eq!(rows_to_json_pretty(&[]), "[]");
