@@ -4,6 +4,7 @@ use crate::condition::Condition;
 use crate::ctable::CTable;
 use crate::dominators::{baseline_dominator_set, certainly_dominates, DominatorIndex};
 use crate::expr::{CmpOp, Expr, Operand};
+use crate::stats::count_distinct;
 use bc_data::{Dataset, ObjectId, VarId};
 
 /// How dominator sets are derived.
@@ -238,14 +239,14 @@ pub fn build_ctable_with_stats(
         conditions.push(condition);
     }
 
-    let mut vars = std::collections::BTreeSet::new();
+    let mut vars: Vec<VarId> = Vec::new();
     for cond in &conditions {
         if !cond.is_decided() {
             stats.exprs += cond.n_exprs();
-            vars.extend(cond.vars());
+            vars.extend(cond.exprs().flat_map(Expr::vars));
         }
     }
-    stats.vars = vars.len();
+    stats.vars = count_distinct(vars);
     (CTable::new(conditions), stats)
 }
 

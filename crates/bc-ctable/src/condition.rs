@@ -477,7 +477,43 @@ fn merge_rewritten(mut kept: Vec<&Clause>, mut fresh: Vec<Clause>) -> Condition 
 /// not yet visited. A clause dropped earlier needs no check: it has a
 /// subset that survives or comes later, and that subset is also a subset
 /// of every superset of the dropped clause.
+///
+/// Every pair is visited, but a pair is rejected by its lengths and
+/// expression signatures ([`Expr::signature_bit`]) before any expressions
+/// are compared.
 fn drop_subsumed(clauses: &mut Vec<Clause>) {
+    if clauses.len() < 2 {
+        return;
+    }
+    // `(length, signature)` per clause, moved along with the clauses.
+    let mut keys: Vec<(usize, u64)> = clauses
+        .iter()
+        .map(|c| {
+            let sig = c.exprs().iter().fold(0, |sig, e| sig | e.signature_bit());
+            (c.len(), sig)
+        })
+        .collect();
+    let mut kept = 0;
+    for i in 0..clauses.len() {
+        let (len, sig) = keys[i];
+        let big = &clauses[i];
+        let subsumed = (0..kept).chain(i + 1..clauses.len()).any(|j| {
+            let (small_len, small_sig) = keys[j];
+            small_len < len && small_sig & !sig == 0 && is_subset(clauses[j].exprs(), big.exprs())
+        });
+        if !subsumed {
+            clauses.swap(kept, i);
+            keys.swap(kept, i);
+            kept += 1;
+        }
+    }
+    clauses.truncate(kept);
+}
+
+/// [`drop_subsumed`] without the signature filter: the reference its
+/// differential test compares against.
+#[cfg(test)]
+fn drop_subsumed_reference(clauses: &mut Vec<Clause>) {
     let mut kept = 0;
     for i in 0..clauses.len() {
         let big = &clauses[i];
@@ -563,6 +599,7 @@ impl fmt::Display for Condition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
@@ -804,5 +841,41 @@ mod tests {
         let cond = Condition::from_clauses(vec![vec![Expr::var_gt(v(5, 2), v(2, 2))]]);
         let vars: Vec<VarId> = cond.vars().into_iter().collect();
         assert_eq!(vars, vec![v(2, 2), v(5, 2)]);
+    }
+
+    /// Expressions over four variables and five constants, so that random
+    /// clauses often share expressions and subsume one another.
+    fn small_expr() -> impl Strategy<Value = Expr> {
+        (0u32..4, 0u8..3, 0u16..5, 0u32..4).prop_map(|(o, kind, c, other)| match kind {
+            0 => Expr::lt(v(o, 0), c),
+            1 => Expr::gt(v(o, 0), c),
+            _ if other == o => Expr::lt(v(o, 0), c),
+            _ => Expr::var_gt(v(o, 0), v(other, 0)),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The signature-filtered subsumption check keeps exactly the
+        /// clauses the quadratic reference keeps, in the same order.
+        #[test]
+        fn signature_filter_matches_the_quadratic_reference(
+            raw in prop::collection::vec(prop::collection::vec(small_expr(), 1..5), 0..24),
+        ) {
+            let mut clauses: Vec<Clause> = raw
+                .into_iter()
+                .filter_map(|exprs| match Clause::normalize(exprs.into()) {
+                    ClauseOrBool::Clause(c) => Some(c),
+                    ClauseOrBool::Bool(_) => None,
+                })
+                .collect();
+            clauses.sort_unstable();
+            clauses.dedup();
+            let mut want = clauses.clone();
+            drop_subsumed_reference(&mut want);
+            drop_subsumed(&mut clauses);
+            prop_assert_eq!(clauses, want);
+        }
     }
 }

@@ -9,8 +9,7 @@
 //! (see the update from Table 3 to Table 5).
 
 use crate::expr::{mask_range, Expr, Operand};
-use bc_data::{Dataset, Value, VarId};
-use std::collections::BTreeMap;
+use bc_data::{Dataset, FxMap, Value, VarId};
 
 /// The outcome of a triple-choice crowd task: how the (hidden) left operand
 /// relates to the right operand.
@@ -45,16 +44,21 @@ impl Relation {
 }
 
 /// Accumulated knowledge about missing-value variables.
+///
+/// Propagation reads a mask or a fact per expression, so both are hashed:
+/// each lookup is one probe (DESIGN.md, "Variable index"). The accessors
+/// [`ConstraintStore::masks`] and [`ConstraintStore::facts`] sort, so
+/// nothing outside sees the hash order.
 #[derive(Clone, Debug)]
 pub struct ConstraintStore {
     /// Cardinality of each attribute's domain (indexed by attribute).
     attr_cards: Vec<u16>,
     /// Candidate-value masks for variables we have learned something about;
     /// absent variables implicitly have the full domain mask.
-    masks: BTreeMap<VarId, u64>,
+    masks: FxMap<VarId, u64>,
     /// Relational facts between variable pairs, keyed with the smaller
     /// variable first (the relation is expressed from that variable's side).
-    facts: BTreeMap<(VarId, VarId), Relation>,
+    facts: FxMap<(VarId, VarId), Relation>,
 }
 
 impl ConstraintStore {
@@ -62,23 +66,24 @@ impl ConstraintStore {
     pub fn new(data: &Dataset) -> ConstraintStore {
         ConstraintStore {
             attr_cards: data.domains().iter().map(|d| d.cardinality()).collect(),
-            masks: BTreeMap::new(),
-            facts: BTreeMap::new(),
+            masks: FxMap::default(),
+            facts: FxMap::default(),
         }
     }
 
     /// Rebuilds a store from its serialized parts (see the accessors
     /// [`ConstraintStore::attr_cards`], [`ConstraintStore::masks`] and
-    /// [`ConstraintStore::facts`]) — the checkpoint/restore path.
+    /// [`ConstraintStore::facts`]) — the checkpoint/restore path. A key
+    /// that repeats keeps its last value.
     pub fn from_parts(
         attr_cards: Vec<u16>,
-        masks: BTreeMap<VarId, u64>,
-        facts: BTreeMap<(VarId, VarId), Relation>,
+        masks: impl IntoIterator<Item = (VarId, u64)>,
+        facts: impl IntoIterator<Item = ((VarId, VarId), Relation)>,
     ) -> ConstraintStore {
         ConstraintStore {
             attr_cards,
-            masks,
-            facts,
+            masks: masks.into_iter().collect(),
+            facts: facts.into_iter().collect(),
         }
     }
 
@@ -87,32 +92,25 @@ impl ConstraintStore {
         &self.attr_cards
     }
 
-    /// The explicitly narrowed candidate-value masks (variables not present
-    /// implicitly keep their full domain mask).
-    pub fn masks(&self) -> &BTreeMap<VarId, u64> {
-        &self.masks
+    /// The explicitly narrowed candidate-value masks in variable order
+    /// (variables not present implicitly keep their full domain mask).
+    pub fn masks(&self) -> impl ExactSizeIterator<Item = (VarId, u64)> {
+        sorted(&self.masks)
     }
 
-    /// The recorded var–var relational facts, keyed smaller variable first.
-    pub fn facts(&self) -> &BTreeMap<(VarId, VarId), Relation> {
-        &self.facts
-    }
-
-    fn full_mask(&self, v: VarId) -> u64 {
-        let card = self.attr_cards[v.attr.index()];
-        if card == 64 {
-            u64::MAX
-        } else {
-            (1u64 << card) - 1
-        }
+    /// The recorded var–var relational facts, keyed smaller variable first,
+    /// in key order.
+    pub fn facts(&self) -> impl ExactSizeIterator<Item = ((VarId, VarId), Relation)> {
+        sorted(&self.facts)
     }
 
     /// Candidate-value mask of `v` (full domain if nothing is known).
+    #[inline]
     pub fn mask(&self, v: VarId) -> u64 {
-        self.masks
-            .get(&v)
-            .copied()
-            .unwrap_or_else(|| self.full_mask(v))
+        match self.masks.get(&v) {
+            Some(&m) => m,
+            None => full_mask(&self.attr_cards, v),
+        }
     }
 
     /// If only one value remains possible for `v`, that value.
@@ -135,10 +133,12 @@ impl ConstraintStore {
     pub fn record(&mut self, var: VarId, rhs: Operand, relation: Relation) -> Vec<VarId> {
         let mut changed = Vec::new();
         let mut narrow = |store: &mut ConstraintStore, v: VarId, m: u64| {
-            if store.mask(v) != m {
+            let cards = &store.attr_cards;
+            let slot = store.masks.entry(v).or_insert_with(|| full_mask(cards, v));
+            if *slot != m {
                 changed.push(v);
             }
-            store.masks.insert(v, m);
+            *slot = m;
         };
         match rhs {
             Operand::Const(c) => {
@@ -234,6 +234,23 @@ fn below_mask(c: Value) -> u64 {
     }
 }
 
+/// The mask of every value of `v`'s domain.
+fn full_mask(attr_cards: &[u16], v: VarId) -> u64 {
+    let card = attr_cards[v.attr.index()];
+    if card == 64 {
+        u64::MAX
+    } else {
+        (1u64 << card) - 1
+    }
+}
+
+/// The entries of `map` in key order.
+fn sorted<K: Ord + Copy, V: Copy>(map: &FxMap<K, V>) -> std::vec::IntoIter<(K, V)> {
+    let mut entries: Vec<(K, V)> = map.iter().map(|(&k, &v)| (k, v)).collect();
+    entries.sort_unstable_by_key(|e| e.0);
+    entries.into_iter()
+}
+
 /// Mask of all values strictly above `c`.
 fn above_mask(c: Value) -> u64 {
     if c >= 63 {
@@ -247,6 +264,10 @@ fn above_mask(c: Value) -> u64 {
 mod tests {
     use super::*;
     use bc_data::generators::sample::paper_dataset;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     fn store() -> ConstraintStore {
         ConstraintStore::new(&paper_dataset())
@@ -366,14 +387,160 @@ mod tests {
         let mut s = store();
         s.record(v(5, 1), Operand::Const(4), Relation::Lt);
         s.record(v(5, 1), Operand::Var(v(2, 1)), Relation::Gt);
-        let rebuilt = ConstraintStore::from_parts(
-            s.attr_cards().to_vec(),
-            s.masks().clone(),
-            s.facts().clone(),
-        );
-        assert_eq!(rebuilt.masks(), s.masks());
-        assert_eq!(rebuilt.facts(), s.facts());
+        let rebuilt = ConstraintStore::from_parts(s.attr_cards().to_vec(), s.masks(), s.facts());
+        assert!(rebuilt.masks().eq(s.masks()));
+        assert!(rebuilt.facts().eq(s.facts()));
         assert_eq!(rebuilt.mask(v(5, 1)), s.mask(v(5, 1)));
         assert_eq!(rebuilt.knowledge_size(), s.knowledge_size());
+    }
+
+    /// The store as it was kept before hashing: `BTreeMap`s and the same
+    /// answer rules, the reference of the differential test below.
+    struct Model {
+        cards: Vec<u16>,
+        masks: BTreeMap<VarId, u64>,
+        facts: BTreeMap<(VarId, VarId), Relation>,
+    }
+
+    impl Model {
+        fn mask(&self, v: VarId) -> u64 {
+            self.masks
+                .get(&v)
+                .copied()
+                .unwrap_or_else(|| full_mask(&self.cards, v))
+        }
+
+        fn fact(&self, l: VarId, r: VarId) -> Option<Relation> {
+            if l <= r {
+                self.facts.get(&(l, r)).copied()
+            } else {
+                self.facts.get(&(r, l)).map(|f| f.flipped())
+            }
+        }
+
+        fn decide(&self, e: &Expr) -> Option<bool> {
+            if let Some(fact) = e.rhs_var().and_then(|r| self.fact(e.var(), r)) {
+                let (l, r) = match fact {
+                    Relation::Lt => (0, 1),
+                    Relation::Eq => (1, 1),
+                    Relation::Gt => (1, 0),
+                };
+                return Some(e.op().eval(l, r));
+            }
+            e.decide(|v| self.mask(v))
+        }
+
+        fn record(&mut self, var: VarId, rhs: Operand, relation: Relation) -> Vec<VarId> {
+            let mut changed = Vec::new();
+            let mut narrow = |model: &mut Model, v: VarId, m: u64| {
+                if model.mask(v) != m {
+                    changed.push(v);
+                }
+                model.masks.insert(v, m);
+            };
+            match rhs {
+                Operand::Const(c) => {
+                    let keep = match relation {
+                        Relation::Lt => below_mask(c),
+                        Relation::Eq => 1u64.checked_shl(u32::from(c)).unwrap_or(0),
+                        Relation::Gt => above_mask(c),
+                    };
+                    let m = self.mask(var) & keep;
+                    narrow(self, var, m);
+                }
+                Operand::Var(other) => {
+                    let (a, b, rel) = if var <= other {
+                        (var, other, relation)
+                    } else {
+                        (other, var, relation.flipped())
+                    };
+                    self.facts.insert((a, b), rel);
+                    let (ma, mb) = (self.mask(a), self.mask(b));
+                    if let (Some((amin, amax)), Some((bmin, bmax))) =
+                        (mask_range(ma), mask_range(mb))
+                    {
+                        let (na, nb) = match rel {
+                            Relation::Lt => (ma & below_mask(bmax), mb & above_mask(amin)),
+                            Relation::Gt => (ma & above_mask(bmin), mb & below_mask(amax)),
+                            Relation::Eq => (ma & mb, mb & ma),
+                        };
+                        narrow(self, a, na);
+                        narrow(self, b, nb);
+                    }
+                }
+            }
+            changed
+        }
+    }
+
+    const KEY_OBJECTS: u32 = 5;
+
+    fn keys() -> impl Iterator<Item = VarId> {
+        (0..KEY_OBJECTS).flat_map(|o| (0..5).map(move |a| v(o, a)))
+    }
+
+    fn relation(r: u8) -> Relation {
+        [Relation::Lt, Relation::Eq, Relation::Gt][r as usize % 3]
+    }
+
+    /// Checks `s` against `model` on every lookup of the key space and on
+    /// the sorted accessors.
+    fn agrees(s: &ConstraintStore, model: &Model) -> Result<(), TestCaseError> {
+        prop_assert!(s.masks().eq(model.masks.iter().map(|(&k, &m)| (k, m))));
+        prop_assert!(s.facts().eq(model.facts.iter().map(|(&k, &r)| (k, r))));
+        prop_assert_eq!(s.knowledge_size(), model.masks.len() + model.facts.len());
+        for l in keys() {
+            prop_assert_eq!(s.mask(l), model.mask(l));
+            for c in [0, 2, 5] {
+                let e = Expr::lt(l, c);
+                prop_assert_eq!(s.decide(&e), model.decide(&e));
+            }
+            for r in keys().filter(|&r| r != l) {
+                prop_assert_eq!(s.fact(l, r), model.fact(l, r));
+                let e = Expr::var_gt(l, r);
+                prop_assert_eq!(s.decide(&e), model.decide(&e));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random answer sequences (each an insert or a replace of masks
+        /// and facts) agree with the `BTreeMap` store on every lookup and
+        /// in iteration order, and so does a store rebuilt from the parts
+        /// in shuffled order.
+        #[test]
+        fn store_matches_a_btreemap_store(
+            answers in prop::collection::vec(
+                (0..KEY_OBJECTS, 0u16..5, 0u8..3, prop::option::of((0..KEY_OBJECTS, 0u16..5)), 0u16..10),
+                0..40,
+            ),
+            shuffle in any::<u64>(),
+        ) {
+            let mut s = store();
+            let mut model = Model {
+                cards: s.attr_cards().to_vec(),
+                masks: BTreeMap::new(),
+                facts: BTreeMap::new(),
+            };
+            for &(o, a, rel, other, c) in &answers {
+                let rhs = match other {
+                    Some((o2, a2)) if (o2, a2) != (o, a) => Operand::Var(v(o2, a2)),
+                    _ => Operand::Const(c),
+                };
+                let (got, want) = (s.record(v(o, a), rhs, relation(rel)), model.record(v(o, a), rhs, relation(rel)));
+                prop_assert_eq!(got, want);
+                agrees(&s, &model)?;
+            }
+            let mut rng = rand::rngs::StdRng::seed_from_u64(shuffle);
+            let mut masks: Vec<_> = s.masks().collect();
+            let mut facts: Vec<_> = s.facts().collect();
+            masks.shuffle(&mut rng);
+            facts.shuffle(&mut rng);
+            let rebuilt = ConstraintStore::from_parts(s.attr_cards().to_vec(), masks, facts);
+            agrees(&rebuilt, &model)?;
+        }
     }
 }

@@ -2,8 +2,9 @@
 //! or another variable. One expression is one crowd task (the paper's
 //! "disjunct"/"expression").
 
-use bc_data::{Value, VarId};
+use bc_data::{FxHasher, Value, VarId};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Comparison operator. Conditions built from dominator sets only use strict
 /// comparisons, but the set is closed under negation (needed to evaluate the
@@ -190,6 +191,17 @@ impl Expr {
     #[inline]
     pub fn mentions(&self, v: VarId) -> bool {
         self.var == v || self.rhs_var() == Some(v)
+    }
+
+    /// One of 64 bits, picked by the expression's [`FxHasher`] hash. A
+    /// clause's signature is the OR of its expressions' bits, so a subset
+    /// of expressions has a subset of the bits: a one-instruction test that
+    /// rejects most clause pairs before a subset check.
+    #[inline]
+    pub fn signature_bit(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.hash(&mut h);
+        1 << (h.finish() >> 58)
     }
 
     /// Logical negation (stays canonical).

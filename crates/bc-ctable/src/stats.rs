@@ -2,8 +2,8 @@
 
 use crate::condition::Condition;
 use crate::ctable::CTable;
+use crate::expr::Expr;
 use bc_data::VarId;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Aggregate shape of a c-table.
@@ -32,7 +32,7 @@ impl CTableStats {
     /// Computes the statistics of a c-table.
     pub fn of(ctable: &CTable) -> CTableStats {
         let mut stats = CTableStats::default();
-        let mut vars: BTreeSet<VarId> = BTreeSet::new();
+        let mut vars: Vec<VarId> = Vec::new();
         for (_, cond) in ctable.iter() {
             match cond {
                 Condition::True => stats.n_true += 1,
@@ -44,11 +44,11 @@ impl CTableStats {
                     let exprs = cond.n_exprs();
                     stats.total_exprs += exprs;
                     stats.max_exprs = stats.max_exprs.max(exprs);
-                    vars.extend(cond.vars());
+                    vars.extend(cond.exprs().flat_map(Expr::vars));
                 }
             }
         }
-        stats.distinct_vars = vars.len();
+        stats.distinct_vars = count_distinct(vars);
         stats
     }
 
@@ -61,6 +61,13 @@ impl CTableStats {
             self.total_clauses as f64 / self.n_open as f64
         }
     }
+}
+
+/// The number of distinct variables in `vars`.
+pub(crate) fn count_distinct(mut vars: Vec<VarId>) -> usize {
+    vars.sort_unstable();
+    vars.dedup();
+    vars.len()
 }
 
 impl fmt::Display for CTableStats {

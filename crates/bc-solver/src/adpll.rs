@@ -11,12 +11,12 @@
 //! support — weakening the expression correlation at every level exactly as
 //! the paper describes.
 
-use crate::arena::{Arena, ClauseId, FxMap};
+use crate::arena::{Arena, ClauseId};
 use crate::circuit::{Circuit, CircuitBuilder, NodeId};
 use crate::dists::VarDists;
 use crate::{Solver, SolverError};
 use bc_ctable::{Condition, Expr};
-use bc_data::{Value, VarId};
+use bc_data::{FxMap, Value, VarId};
 use std::cell::{Cell, RefCell};
 use std::fmt;
 

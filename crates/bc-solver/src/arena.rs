@@ -23,69 +23,9 @@
 //! "Search kernel").
 
 use bc_ctable::{Clause, Expr, ExprOrBool};
-use bc_data::{Value, VarId};
+use bc_data::{FxHasher, FxMap, Value, VarId};
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-
-/// A map hashed with [`FxHasher`].
-pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// A multiply-rotate word hasher in the style of rustc's `FxHasher`: a few
-/// cycles per word and no per-process seed. It hashes only what one search
-/// derives from its own condition.
-#[derive(Default)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut last = [0u8; 8];
-            last[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(last));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u16(&mut self, i: u16) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
+use std::hash::{Hash, Hasher};
 
 /// A clause interned in the arena of the current search.
 pub(crate) type ClauseId = u32;
@@ -198,11 +138,7 @@ impl Clauses {
                 None => self.occ.push((local, 1)),
             }
         }
-        let sig = exprs.iter().fold(0, |sig, e| {
-            let mut h = FxHasher::default();
-            e.hash(&mut h);
-            sig | 1 << (h.finish() >> 58)
-        });
+        let sig = exprs.iter().fold(0, |sig, e| sig | e.signature_bit());
         let disjoint = exprs.iter().enumerate().all(|(i, e)| {
             e.rhs_var() != Some(e.var())
                 && e.vars().all(|v| !exprs[..i].iter().any(|f| f.mentions(v)))

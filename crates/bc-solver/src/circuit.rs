@@ -184,16 +184,20 @@ impl Circuit {
         let mut changed: Vec<bool> = Vec::new();
         for (s, slot) in self.slots.iter().enumerate() {
             let probs = dists.pmf(slot.var)?.probs();
-            if probs.len() != slot.span().len() || !self.within_support(slot, probs) {
+            if probs.len() != slot.span().len() {
                 return Err(SolverError::StaleCircuit);
             }
-            let theta = &mut self.theta[slot.span()];
+            // Unchanged `θ` passed this check when it was compiled or last
+            // evaluated.
             if probs
                 .iter()
-                .zip(theta.iter())
+                .zip(&self.theta[slot.span()])
                 .any(|(a, b)| a.to_bits() != b.to_bits())
             {
-                theta.copy_from_slice(probs);
+                if !self.within_support(slot, probs) {
+                    return Err(SolverError::StaleCircuit);
+                }
+                self.theta[slot.span()].copy_from_slice(probs);
                 changed.resize(self.slots.len(), false);
                 changed[s] = true;
             }

@@ -1,12 +1,15 @@
-//! Allocation budget of ADPLL searches.
+//! Allocation budget of ADPLL searches and circuit re-evaluations.
 //!
 //! A solver keeps its clause arena, caches and circuit builder between
 //! calls, so a search allocates only what it must: a component-cache key
-//! per cache miss, and a compile its circuit's exact-size blocks. This
-//! binary counts the heap allocations of the calling thread (its own
-//! `#[global_allocator]`) over every open condition of seeded NBA-400 and
-//! Synthetic-800 tables, and bounds the average per call.
+//! per cache miss, and a compile its circuit's exact-size blocks. A
+//! circuit's re-evaluation allocates nothing when no distribution changed,
+//! and otherwise only its two change marks. This binary counts the heap
+//! allocations of the calling thread (its own `#[global_allocator]`) over
+//! every open condition of seeded NBA-400 and Synthetic-800 tables, and
+//! bounds the average per call.
 
+use bc_bayes::Pmf;
 use bc_ctable::{build_ctable, CTableConfig, Condition, DominatorStrategy};
 use bc_data::Dataset;
 use bc_solver::{AdpllSolver, Solver, VarDists};
@@ -18,6 +21,9 @@ use std::cell::Cell;
 const SOLVE_BUDGET: f64 = 16.0;
 /// Average allocations per compile, circuit included, at most.
 const COMPILE_BUDGET: f64 = 40.0;
+/// Allocations per re-evaluation under changed distributions, at most: the
+/// changed-slot and moved-node marks.
+const EVALUATE_BUDGET: u64 = 2;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -78,6 +84,25 @@ fn open_conditions(data: &Dataset) -> (Vec<Condition>, VarDists) {
     (conds, VarDists::new(pmfs))
 }
 
+/// `dists` with the largest supported value of every distribution that has
+/// two or more cut off: a narrowing every compiled circuit can follow.
+fn narrowed(dists: &VarDists) -> VarDists {
+    dists
+        .iter()
+        .map(|(&v, pmf)| {
+            let support: Vec<u16> = pmf.support().collect();
+            let pmf: Pmf = match support.split_last() {
+                Some((_, rest)) if !rest.is_empty() => {
+                    let mask = rest.iter().fold(0u64, |m, &a| m | 1 << a);
+                    pmf.conditioned(mask).expect("the kept values have mass")
+                }
+                _ => pmf.clone(),
+            };
+            (v, pmf)
+        })
+        .collect()
+}
+
 fn tables() -> Vec<(&'static str, Dataset)> {
     let nba = bc_data::generators::nba::nba_like(400, 1);
     let (nba, _) = bc_data::missing::inject_mcar(&nba, 0.1, 1);
@@ -127,5 +152,37 @@ fn searches_stay_within_their_allocation_budget() {
             per_compile <= COMPILE_BUDGET,
             "{name}: {per_compile:.1} allocations per compile, budget {COMPILE_BUDGET}"
         );
+    }
+}
+
+#[test]
+fn evaluations_allocate_only_when_a_distribution_changed() {
+    for (name, data) in tables() {
+        let (conds, dists) = open_conditions(&data);
+        let cut = narrowed(&dists);
+        let solver = AdpllSolver::new();
+        let (mut unchanged, mut changed) = (0, 0);
+        for cond in &conds {
+            let (mut circuit, _) = solver.compile(cond, &dists).unwrap().unwrap();
+            let before = allocations();
+            let p = circuit.evaluate(&dists).unwrap();
+            unchanged += allocations() - before;
+            assert_eq!(p.to_bits(), circuit.probability().to_bits());
+            let before = allocations();
+            circuit.evaluate(&cut).unwrap();
+            let n = allocations() - before;
+            assert!(
+                n <= EVALUATE_BUDGET,
+                "{name}: {n} allocations in one re-evaluation, budget {EVALUATE_BUDGET}"
+            );
+            changed += n;
+        }
+        println!(
+            "{name}: {} circuits, {unchanged} allocations re-evaluating unchanged, \
+             {changed} changed",
+            conds.len()
+        );
+        assert_eq!(unchanged, 0, "{name}: re-evaluating unchanged allocated");
+        assert!(changed > 0, "{name}: the narrowing changed no circuit");
     }
 }

@@ -752,6 +752,11 @@ pub fn ext_faults(scale: &Scale) -> Vec<Row> {
 
 /// Extension experiment E: where a run's wall-clock goes — per-phase
 /// timings from the observability layer, vs missing rate, per workload.
+///
+/// Each row's `peak_rss_mb` is [`bc_obs::peak_rss_bytes`] read after its
+/// run: the process's high-water mark (`VmHWM`) so far, not the run's own.
+/// It covers every earlier run of the process too, so only the first row,
+/// or a process that runs one row, measures a single run. `NaN` off Linux.
 pub fn ext_phases(scale: &Scale) -> Vec<Row> {
     use bayescrowd::prelude::{MetricsRecorder, RunPhase};
     let mut rows = Vec::new();
@@ -773,6 +778,8 @@ pub fn ext_phases(scale: &Scale) -> Vec<Row> {
                 .collect();
             cells.push(("total_ms", ms(report.total_time)));
             cells.push(("evals", report.probability_evals as f64));
+            let peak_rss = bc_obs::peak_rss_bytes().map_or(f64::NAN, |b| b as f64 / 1e6);
+            cells.push(("peak_rss_mb", peak_rss));
             rows.push(Row::new(
                 "ext_phases",
                 format!("{name}/phase_ms"),
@@ -784,7 +791,10 @@ pub fn ext_phases(scale: &Scale) -> Vec<Row> {
                 .iter()
                 .map(|p| format!("{}={:.1}ms", p.name(), metrics.phase_nanos(*p) as f64 / 1e6))
                 .collect();
-            eprintln!("ext_phases {name} rate={rate}: {}", split.join(" "));
+            eprintln!(
+                "ext_phases {name} rate={rate}: {} peak_rss={peak_rss:.1}MB",
+                split.join(" ")
+            );
         }
     }
     rows
@@ -1006,6 +1016,21 @@ mod tests {
                 "{}",
                 r.series
             );
+        }
+    }
+
+    #[test]
+    fn ext_phases_rows_carry_peak_rss() {
+        let rows = ext_phases(&tiny_scale());
+        assert_eq!(rows.len(), 4);
+        for r in &rows {
+            assert!(r.metrics["total_ms"] > 0.0);
+            let rss = r.metrics["peak_rss_mb"];
+            if cfg!(target_os = "linux") {
+                assert!(rss > 0.0, "{}: peak RSS {rss}", r.series);
+            } else {
+                assert!(rss.is_nan());
+            }
         }
     }
 

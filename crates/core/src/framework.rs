@@ -148,7 +148,7 @@ pub fn machine_only_answers(
     config: &BayesCrowdConfig,
 ) -> Result<(Vec<ObjectId>, CTable), RunError> {
     let model = MissingValueModel::learn(data, &config.model);
-    let dists: VarDists = model.into_pmfs().into_iter().collect();
+    let dists = VarDists::new(model.into_pmfs());
     let ctable = build_ctable(data, &config.ctable_config());
     let solver = config.build_solver();
     let mut result = ctable.certain_answers();

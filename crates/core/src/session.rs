@@ -189,9 +189,8 @@ impl<'a> Session<'a> {
         // ---- Modeling phase --------------------------------------------
         let model_span = Span::start(RunPhase::Model);
         let (model, model_stats) = MissingValueModel::learn_with_stats(data, &config.model);
-        let base_pmfs = model.into_pmfs();
-        let dists: VarDists = base_pmfs.iter().map(|(k, v)| (*k, v.clone())).collect();
-        let base = VarDists::new(base_pmfs);
+        let base = VarDists::new(model.into_pmfs());
+        let dists = base.clone();
         obs.event(&Event::ModelTrained {
             bic: model_stats.bic,
             edges: model_stats.edges,
@@ -850,9 +849,9 @@ impl<'a> Session<'a> {
         }
         let config = dec_config(config_v)?;
         let data = dec_dataset(dataset_v)?;
-        let base = VarDists::new(dec_pmf_map(snap.section("model")?)?);
-        let dists = VarDists::new(dec_pmf_map(snap.section("dists")?)?);
-        let store = dec_store(snap.section("store")?)?;
+        let base = VarDists::new(dec_pmf_map(snap.section("model")?, &data)?);
+        let dists = VarDists::new(dec_pmf_map(snap.section("dists")?, &data)?);
+        let store = dec_store(snap.section("store")?, &data)?;
         let ctable = dec_ctable(snap.section("ctable")?)?;
         let pending = dec_pending(snap.section("pending")?)?;
         // Version 1 kept no circuits: every condition compiles afresh.
@@ -1012,6 +1011,18 @@ fn enc_vid(v: VarId) -> Value {
         Value::Int(v.object.0 as i128),
         Value::Int(v.attr.0 as i128),
     ])
+}
+
+/// A variable id that must name a missing cell of `data`: the hashed
+/// tables a resume fills key only on cells a run can produce.
+fn dec_cell(v: &Value, data: &Dataset) -> Result<VarId, SnapshotError> {
+    let var = dec_vid(v)?;
+    let in_range = var.object.index() < data.n_objects() && var.attr.index() < data.n_attrs();
+    if in_range && data.get(var.object, var.attr).is_none() {
+        Ok(var)
+    } else {
+        Err(inv(format!("{var} is not a missing cell of the dataset")))
+    }
 }
 
 fn dec_vid(v: &Value) -> Result<VarId, SnapshotError> {
@@ -1175,8 +1186,7 @@ fn enc_store(store: &ConstraintStore) -> Value {
             Value::List(
                 store
                     .masks()
-                    .iter()
-                    .map(|(v, &m)| Value::List(vec![enc_vid(*v), Value::Int(m as i128)]))
+                    .map(|(v, m)| Value::List(vec![enc_vid(v), Value::Int(m as i128)]))
                     .collect(),
             ),
         ),
@@ -1185,11 +1195,10 @@ fn enc_store(store: &ConstraintStore) -> Value {
             Value::List(
                 store
                     .facts()
-                    .iter()
-                    .map(|((l, r), &rel)| {
+                    .map(|((l, r), rel)| {
                         Value::List(vec![
-                            enc_vid(*l),
-                            enc_vid(*r),
+                            enc_vid(l),
+                            enc_vid(r),
                             Value::Str(rel_name(rel).into()),
                         ])
                     })
@@ -1199,29 +1208,29 @@ fn enc_store(store: &ConstraintStore) -> Value {
     ])
 }
 
-fn dec_store(v: &Value) -> Result<ConstraintStore, SnapshotError> {
+fn dec_store(v: &Value, data: &Dataset) -> Result<ConstraintStore, SnapshotError> {
     let cards = as_list(get(v, "cards")?, "cards")?
         .iter()
         .map(|c| c.as_u16().ok_or_else(|| inv("cardinality out of range")))
         .collect::<Result<Vec<u16>, SnapshotError>>()?;
-    let mut masks = BTreeMap::new();
+    let mut masks = Vec::new();
     for entry in as_list(get(v, "masks")?, "masks")? {
         match as_list(entry, "mask entry")? {
             [var, mask] => {
                 let mask = mask.as_u64().ok_or_else(|| inv("mask is not a u64"))?;
-                masks.insert(dec_vid(var)?, mask);
+                masks.push((dec_cell(var, data)?, mask));
             }
             _ => return Err(inv("mask entry must be [var, mask]")),
         }
     }
-    let mut facts = BTreeMap::new();
+    let mut facts = Vec::new();
     for entry in as_list(get(v, "facts")?, "facts")? {
         match as_list(entry, "fact entry")? {
             [l, r, rel] => {
                 let rel = rel
                     .as_str()
                     .ok_or_else(|| inv("fact relation is not a string"))?;
-                facts.insert((dec_vid(l)?, dec_vid(r)?), dec_rel(rel)?);
+                facts.push(((dec_cell(l, data)?, dec_cell(r, data)?), dec_rel(rel)?));
             }
             _ => return Err(inv("fact entry must be [left, right, relation]")),
         }
@@ -1244,7 +1253,7 @@ fn enc_pmf_map<'m>(entries: impl Iterator<Item = (&'m VarId, &'m Pmf)>) -> Value
     )
 }
 
-fn dec_pmf_map(v: &Value) -> Result<BTreeMap<VarId, Pmf>, SnapshotError> {
+fn dec_pmf_map(v: &Value, data: &Dataset) -> Result<BTreeMap<VarId, Pmf>, SnapshotError> {
     let mut out = BTreeMap::new();
     for entry in as_list(v, "distribution map")? {
         match as_list(entry, "distribution entry")? {
@@ -1262,7 +1271,7 @@ fn dec_pmf_map(v: &Value) -> Result<BTreeMap<VarId, Pmf>, SnapshotError> {
                 }
                 // Exact restore: the serialized floats are bit-identical to
                 // the originals, so no renormalization happens here.
-                out.insert(dec_vid(var)?, Pmf::from_probs(probs));
+                out.insert(dec_cell(var, data)?, Pmf::from_probs(probs));
             }
             _ => return Err(inv("distribution entry must be [var, probs]")),
         }
@@ -1778,6 +1787,35 @@ mod tests {
     }
 
     #[test]
+    fn store_bytes_do_not_depend_on_insertion_order() {
+        use bc_ctable::Operand;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let data = bc_data::generators::sample::paper_dataset();
+        let mut store = ConstraintStore::new(&data);
+        let missing = data.missing_vars();
+        assert!(missing.len() >= 4);
+        for (i, &l) in missing.iter().enumerate() {
+            store.record(l, Operand::Const(7 - i as u16), Relation::Lt);
+            for &r in &missing[i + 1..] {
+                store.record(l, Operand::Var(r), Relation::Gt);
+            }
+        }
+        let want = enc_store(&store).to_json();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for _ in 0..8 {
+            let mut masks: Vec<_> = store.masks().collect();
+            let mut facts: Vec<_> = store.facts().collect();
+            masks.shuffle(&mut rng);
+            facts.shuffle(&mut rng);
+            let shuffled = ConstraintStore::from_parts(store.attr_cards().to_vec(), masks, facts);
+            assert_eq!(enc_store(&shuffled).to_json(), want);
+            let decoded = dec_store(&enc_store(&shuffled), &data).unwrap();
+            assert_eq!(enc_store(&decoded).to_json(), want);
+        }
+    }
+
+    #[test]
     fn a_nan_probability_fails_the_run_instead_of_panicking() {
         use bc_crowd::{GroundTruthOracle, SimulatedPlatform};
         use bc_data::generators::sample::{paper_completion, paper_dataset};
@@ -1839,7 +1877,7 @@ mod tests {
                 assert_dists_follow_masks(&session, "before checkpoint");
             }
             assert!(
-                !session.store.masks().is_empty(),
+                session.store.masks().len() > 0,
                 "the crowd narrowed something"
             );
             session.checkpoint(&mut snapshot).unwrap();
@@ -2084,10 +2122,12 @@ mod tests {
 
     #[test]
     fn pmf_maps_restore_bit_exactly() {
+        let data = bc_data::generators::sample::paper_dataset();
+        let missing = data.missing_vars();
         let mut map = BTreeMap::new();
-        map.insert(VarId::new(0, 0), Pmf::from_weights(vec![1.0, 2.0, 4.0]));
-        map.insert(VarId::new(1, 3), Pmf::uniform(7));
-        let decoded = dec_pmf_map(&enc_pmf_map(map.iter())).expect("decodes");
+        map.insert(missing[0], Pmf::from_weights(vec![1.0, 2.0, 4.0]));
+        map.insert(missing[1], Pmf::uniform(7));
+        let decoded = dec_pmf_map(&enc_pmf_map(map.iter()), &data).expect("decodes");
         assert_eq!(decoded.len(), 2);
         for (v, pmf) in &map {
             let got = &decoded[v];
@@ -2113,6 +2153,25 @@ mod tests {
             enc_vid(VarId::new(0, 0)),
             Value::List(vec![Value::Float(0.9), Value::Float(0.3)]),
         ])]);
-        assert!(dec_pmf_map(&bad_pmf).is_err());
+        let data = bc_data::generators::sample::paper_dataset();
+        assert!(dec_pmf_map(&bad_pmf, &data).is_err());
+        // Distributions and store entries must name missing cells: an
+        // observed cell or an id outside the dataset is refused.
+        let missing = data.missing_vars()[0];
+        for var in [VarId::new(0, 0), VarId::new(u32::MAX, 0), VarId::new(0, 99)] {
+            assert_ne!(var, missing);
+            let probs = Value::List(vec![Value::Float(1.0)]);
+            let pmfs = Value::List(vec![Value::List(vec![enc_vid(var), probs])]);
+            assert!(dec_pmf_map(&pmfs, &data).is_err(), "{var} as a pmf");
+            let store = Value::obj(vec![
+                ("cards", Value::List(vec![])),
+                (
+                    "masks",
+                    Value::List(vec![Value::List(vec![enc_vid(var), Value::Int(1)])]),
+                ),
+                ("facts", Value::List(vec![])),
+            ]);
+            assert!(dec_store(&store, &data).is_err(), "{var} as a mask");
+        }
     }
 }
