@@ -189,11 +189,13 @@ pub enum Event {
         /// Candidate expressions scored.
         candidates: u64,
         /// Solver invocations: the compiles, one `Pr(φ ∧ e)` solve per
-        /// other candidate whose `Pr(e)` lies strictly inside `(0, 1)`,
-        /// plus failed attempts redone by the fallback.
+        /// candidate whose `Pr(e)` lies strictly inside `(0, 1)` and that
+        /// no circuit scores (every candidate of a solver that does not
+        /// compile, a var-var one whose clamped pass fails), plus failed
+        /// attempts redone by the fallback.
         solver_calls: u64,
-        /// Conditions compiled, each scoring every open var-const
-        /// candidate of one object (part of `solver_calls`).
+        /// Conditions compiled, each scoring every open candidate of one
+        /// object (part of `solver_calls`).
         compiles: u64,
         /// Circuit nodes those compiles recorded.
         circuit_nodes: u64,
@@ -541,10 +543,10 @@ impl Event {
     /// is a round-trip parser for our own trace format, not general JSON.
     pub fn from_json_line(line: &str) -> Option<(u64, Event)> {
         let fields = parse_flat_object(line)?;
-        let seq = fields.num("seq")? as u64;
-        let get_u = |k: &str| fields.num(k).map(|v| v as usize);
-        let get_u64 = |k: &str| fields.num(k).map(|v| v as u64);
-        let get_n = |k: &str| fields.num(k).map(|v| v as u128);
+        let seq = fields.uint("seq")?;
+        let get_u = |k: &str| fields.uint::<usize>(k);
+        let get_u64 = |k: &str| fields.uint::<u64>(k);
+        let get_n = |k: &str| fields.uint::<u128>(k);
         let event = match fields.str("event")? {
             "RunStarted" => Event::RunStarted {
                 objects: get_u("objects")?,
@@ -670,16 +672,31 @@ struct FlatObject {
 }
 
 enum FlatValue {
-    Num(f64),
+    /// A number's text, which parses as an `f64`.
+    Num(String),
     Str(String),
 }
 
 impl FlatObject {
-    fn num(&self, key: &str) -> Option<f64> {
+    fn number(&self, key: &str) -> Option<&str> {
         self.fields.iter().find_map(|(k, v)| match v {
-            FlatValue::Num(n) if k == key => Some(*n),
+            FlatValue::Num(n) if k == key => Some(n.as_str()),
             _ => None,
         })
+    }
+
+    fn num(&self, key: &str) -> Option<f64> {
+        self.number(key)?.parse().ok()
+    }
+
+    /// An unsigned integer field, parsed from its digits: a sign, a
+    /// fraction, an exponent or a value out of `T`'s range is `None`.
+    fn uint<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        let n = self.number(key)?;
+        if n.is_empty() || !n.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        n.parse().ok()
     }
 
     fn str(&self, key: &str) -> Option<&str> {
@@ -691,14 +708,15 @@ impl FlatObject {
 }
 
 /// Parses `{"k": v, ...}` where every value is a number or a plain string
-/// (no escapes — event names and phase names never contain them).
+/// (no escapes — event names and phase names never contain them). Anything
+/// else after a field than `,` and the next field, or the closing `}`, is
+/// `None`.
 fn parse_flat_object(line: &str) -> Option<FlatObject> {
     let mut rest = line.trim();
     rest = rest.strip_prefix('{')?;
-    rest = rest.strip_suffix('}')?;
+    rest = rest.strip_suffix('}')?.trim();
     let mut fields = Vec::new();
-    while !rest.trim().is_empty() {
-        rest = rest.trim_start();
+    while !rest.is_empty() {
         rest = rest.strip_prefix('"')?;
         let end = rest.find('"')?;
         let key = rest[..end].to_string();
@@ -712,14 +730,19 @@ fn parse_flat_object(line: &str) -> Option<FlatObject> {
             let end = rest
                 .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
                 .unwrap_or(rest.len());
-            let num: f64 = rest[..end].parse().ok()?;
-            fields.push((key, FlatValue::Num(num)));
+            let num = &rest[..end];
+            num.parse::<f64>().ok()?;
+            fields.push((key, FlatValue::Num(num.to_string())));
             rest = &rest[end..];
         }
         rest = rest.trim_start();
-        match rest.strip_prefix(',') {
-            Some(r) => rest = r,
-            None => break,
+        if let Some(next) = rest.strip_prefix(',') {
+            rest = next.trim_start();
+            if rest.is_empty() {
+                return None;
+            }
+        } else if !rest.is_empty() {
+            return None;
         }
     }
     Some(FlatObject { fields })
@@ -841,6 +864,26 @@ mod tests {
                 Event::from_json_line(&line).unwrap_or_else(|| panic!("unparseable line: {line}"));
             assert_eq!(seq, i as u64);
             assert_eq!(back, e, "round-trip mismatch for {line}");
+        }
+    }
+
+    #[test]
+    fn integer_fields_parse_from_their_digits_only() {
+        let ok = r#"{"seq": 3, "event": "RoundStarted", "round": 2}"#;
+        assert_eq!(
+            Event::from_json_line(ok),
+            Some((3, Event::RoundStarted { round: 2 }))
+        );
+        for bad in [
+            r#"{"seq": -5, "event": "RoundStarted", "round": 2}"#,
+            r#"{"seq": 3, "event": "RoundStarted", "round": 1.9}"#,
+            r#"{"seq": 1e300, "event": "RoundStarted", "round": 2}"#,
+            r#"{"seq": 3, "event": "RoundStarted", "round": 2 trailing junk}"#,
+            r#"{"seq": 3, "event": "RoundStarted", "round": 2,}"#,
+            r#"{"seq": 3, "event": "RoundStarted", "round": +2}"#,
+            r#"{"seq": 18446744073709551616, "event": "RoundStarted", "round": 2}"#,
+        ] {
+            assert_eq!(Event::from_json_line(bad), None, "{bad}");
         }
     }
 

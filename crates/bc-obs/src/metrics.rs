@@ -205,12 +205,12 @@ pub struct Counters {
     /// counters above cover probability batches only.
     pub utility_evals: u64,
     /// Solver invocations behind those scores: the compiles, one solve
-    /// per other candidate whose `Pr(e)` is strictly inside `(0, 1)`, plus
-    /// fallback attempts.
+    /// per candidate whose `Pr(e)` is strictly inside `(0, 1)` and that no
+    /// circuit scores, plus fallback attempts.
     pub utility_solver_calls: u64,
     /// Value-branching decisions taken by utility compiles and solves.
     pub utility_decisions: u64,
-    /// Conditions compiled to score their var-const candidates (part of
+    /// Conditions compiled to score their candidates (part of
     /// `utility_solver_calls`).
     pub utility_compiles: u64,
     /// Circuit nodes those compiles recorded.

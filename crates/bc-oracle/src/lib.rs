@@ -52,7 +52,7 @@ pub use corpus::{regression_instances, GENERATED_SEEDS};
 pub use diff::{check_instance, minimize_divergence, DiffConfig, Divergence, InstanceSummary};
 pub use gen::{random_instance, GenConfig, Instance};
 pub use replay::{load_corpus, load_instance, save_divergence, save_instance};
-pub use utility::utility_matches_worlds;
+pub use utility::{utility_matches_worlds, UtilityCoverage};
 pub use worlds::{OracleError, PossibleWorlds, WorldReport};
 
 /// Whether two probabilities agree within `eps` — the one comparison rule

@@ -2,8 +2,9 @@
 //!
 //! The solver computes `G(o, e)` from `Pr(φ ∧ e)` and the complement
 //! `Pr(φ ∧ ¬e) = Pr(φ) − Pr(φ ∧ e)`, taking `Pr(φ ∧ e)` either from one
-//! solve of `φ ∧ e` or, for a var-const `e`, from the derivative pass over
-//! ADPLL's compiled circuit of `φ`. [`utility_matches_worlds`] recomputes
+//! solve of `φ ∧ e` or from ADPLL's compiled circuit of `φ`: its
+//! derivative pass, or for a var-var `e` whose variables it both reads,
+//! its clamped pass. [`utility_matches_worlds`] recomputes
 //! every ingredient by brute force — `Pr(φ)`, `Pr(e)`, `Pr(φ ∧ e)` and
 //! `Pr(φ ∧ ¬e)` as weighted world counts, with no solver and no complement
 //! identity — derives `G` with its own entropy arithmetic, and compares
@@ -13,10 +14,10 @@ use crate::diff::exact_ctable;
 use crate::gen::Instance;
 use crate::prob_close;
 use crate::worlds::PossibleWorlds;
-use bc_ctable::{Condition, Expr};
+use bc_ctable::{Condition, Expr, Operand};
 use bc_data::ObjectId;
 use bc_solver::utility::{compile_utilities, marginal_utility_with_prior};
-use bc_solver::{AdpllSolver, NaiveSolver, Solver, VarDists};
+use bc_solver::{AdpllSolver, ClampScratch, NaiveSolver, Solver, VarDists};
 
 /// Weighted world counts for one (object, expression) pair.
 #[derive(Default)]
@@ -58,12 +59,12 @@ impl Joint {
 ///
 /// It also checks ADPLL's compiled path per object: the circuit's `Pr(φ)`
 /// is bit-identical to [`AdpllSolver`]'s plain solve and its search
-/// effort equal; every var-const `Pr(φ ∧ e)` from the derivative pass is
-/// within `1e-12` of the solve of `φ ∧ e` and within `eps` of the possible
-/// worlds; and so is every compiled `G(o, e)`.
-///
-/// Returns the number of (object, expression) pairs checked.
-pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<usize, String> {
+/// effort equal; every `Pr(φ ∧ e)` read off the circuit — by the
+/// derivative pass, or for a var-var `e` whose variables the circuit both
+/// reads, by the clamped pass — is within `1e-12` of the solve of `φ ∧ e`
+/// and within `eps` of the possible worlds; and so is every compiled
+/// `G(o, e)`.
+pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<UtilityCoverage, String> {
     let ctable = exact_ctable(&inst.data);
     let mut pairs: Vec<(ObjectId, Expr)> = Vec::new();
     for o in ctable.open_objects() {
@@ -74,7 +75,7 @@ pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<usize, String
         pairs.extend(exprs.into_iter().map(|e| (o, e)));
     }
     if pairs.is_empty() {
-        return Ok(0);
+        return Ok(UtilityCoverage::default());
     }
 
     let mut joints: Vec<Joint> = pairs.iter().map(|_| Joint::default()).collect();
@@ -125,11 +126,15 @@ pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<usize, String
             }
         }
     }
+    let mut coverage = UtilityCoverage {
+        pairs: pairs.len(),
+        var_var_on_circuit: 0,
+    };
     let mut start = 0;
     while start < pairs.len() {
         let o = pairs[start].0;
         let end = start + pairs[start..].iter().take_while(|(p, _)| *p == o).count();
-        compiled_matches(
+        coverage.var_var_on_circuit += compiled_matches(
             ctable.condition(o),
             &pairs[start..end],
             &joints[start..end],
@@ -139,18 +144,29 @@ pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<usize, String
         .map_err(|what| format!("{}: compiled ADPLL on object {o}: {what}", inst.name))?;
         start = end;
     }
-    Ok(pairs.len())
+    Ok(coverage)
+}
+
+/// What [`utility_matches_worlds`] checked.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct UtilityCoverage {
+    /// (object, expression) pairs, each checked by ADPLL and naive solves.
+    pub pairs: usize,
+    /// The var-var pairs among them, each also checked off the compiled
+    /// circuit.
+    pub var_var_on_circuit: usize,
 }
 
 /// The compiled-path checks of [`utility_matches_worlds`] for one object,
 /// whose distinct expressions and world counts are `pairs` and `joints`.
+/// Returns the number of var-var pairs checked, all off the circuit.
 fn compiled_matches(
     cond: &Condition,
     pairs: &[(ObjectId, Expr)],
     joints: &[Joint],
     dists: &VarDists,
     eps: f64,
-) -> Result<(), String> {
+) -> Result<usize, String> {
     let (p_phi, plain) = AdpllSolver::new()
         .probability_with_stats(cond, dists)
         .map_err(|err| format!("Pr(φ) failed: {err}"))?;
@@ -173,31 +189,35 @@ fn compiled_matches(
     let utilities = compile_utilities(&AdpllSolver::new(), cond, dists, p_phi)
         .map_err(|err| format!("compile_utilities failed: {err}"))?
         .ok_or("ADPLL does not compile")?;
+    let mut scratch = ClampScratch::default();
+    let mut var_var = 0;
     for (&(_, e), joint) in pairs.iter().zip(joints) {
-        let Some(got) = partials
-            .joint(&e, dists)
-            .map_err(|err| format!("`{e}`: {err}"))?
-        else {
-            continue;
-        };
+        let got = match partials.joint(&e, dists) {
+            Ok(Some(joint)) => Ok(Some(joint)),
+            Ok(None) => circuit.var_var_joint(&e, &mut scratch),
+            Err(err) => Err(err),
+        }
+        .map_err(|err| format!("`{e}`: {err}"))?
+        .ok_or(format!("`{e}`: the circuit answers no Pr(φ ∧ e)"))?;
+        var_var += usize::from(matches!(e.rhs(), Operand::Var(_)));
         let solved = AdpllSolver::new()
             .probability(&cond.and_expr(e), dists)
             .map_err(|err| format!("`{e}`: Pr(φ ∧ e) failed: {err}"))?;
         if !prob_close(got, solved, 1e-12) {
             return Err(format!(
-                "`{e}`: Pr(φ ∧ e) = {got:e} by derivatives, {solved:e} by solve"
+                "`{e}`: Pr(φ ∧ e) = {got:e} off the circuit, {solved:e} by solve"
             ));
         }
         if !prob_close(got, joint.phi_and_e, eps) {
             return Err(format!(
-                "`{e}`: Pr(φ ∧ e) = {got:e} by derivatives, possible worlds say {:e}",
+                "`{e}`: Pr(φ ∧ e) = {got:e} off the circuit, possible worlds say {:e}",
                 joint.phi_and_e
             ));
         }
         let g = utilities
-            .utility(&e, dists)
+            .utility(&e, dists, None, &mut scratch)
             .map_err(|err| format!("`{e}`: {err}"))?
-            .ok_or("a var-const utility needs a solve")?;
+            .ok_or("a utility the circuit answers needs a solve")?;
         if !prob_close(g, joint.utility(), eps) {
             return Err(format!(
                 "`{e}`: compiled G = {g}, possible worlds say {}",
@@ -205,7 +225,7 @@ fn compiled_matches(
             ));
         }
     }
-    Ok(())
+    Ok(var_var)
 }
 
 #[cfg(test)]
@@ -229,7 +249,9 @@ mod tests {
         let mut checked = 0;
         for seed in 0..40 {
             let inst = random_instance(seed, &GenConfig::default());
-            checked += utility_matches_worlds(&inst, 1e-9).unwrap_or_else(|e| panic!("{e}"));
+            checked += utility_matches_worlds(&inst, 1e-9)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .pairs;
         }
         assert!(checked > 0, "no open condition in 40 instances");
     }

@@ -38,6 +38,18 @@
 //! ```
 //!
 //! so one pass yields every var-const `Pr(φ ∧ e)` of the condition.
+//!
+//! A var-var `e = (x op y)` takes one more step. The pmfs are independent,
+//! so clamping `x` to each value `a` of its support gives
+//!
+//! ```text
+//! Pr(φ ∧ x op y) = Σ_a θ_{x=a} · Σ_{b : a op b} θ_{y=b} · Pr(φ | x = a, y = b)
+//! ```
+//!
+//! and [`Circuit::var_var_joint`] reads the inner sums off the clamped
+//! circuit's derivatives for `y`, as above. One upward pass carries every
+//! node's value and two directional derivatives along `θ_y` under all
+//! clamps at once, into a [`ClampScratch`], never into the circuit.
 //! DESIGN.md ("Compiled utilities", "Kept circuits") has the arguments.
 
 use crate::adpll::Recorder;
@@ -105,6 +117,11 @@ impl Leaf {
     /// Whether the expression mentions a slot flagged in `changed`.
     fn touches(&self, changed: &[bool]) -> bool {
         changed[self.lhs as usize] || matches!(self.rhs, Rhs::Var(r) if changed[r as usize])
+    }
+
+    /// Whether the expression mentions slot `s`.
+    fn mentions(&self, s: u32) -> bool {
+        self.lhs == s || matches!(self.rhs, Rhs::Var(r) if r == s)
     }
 }
 
@@ -354,7 +371,10 @@ impl Circuit {
                                 for (s, slot) in [(leaf.lhs, lhs), (r, rhs)] {
                                     if cum_at[s as usize] == u32::MAX {
                                         cum_at[s as usize] = cums.len() as u32;
-                                        cumulative(&mut cums, &self.theta[slot.span()]);
+                                        cumulative(
+                                            &mut cums,
+                                            self.theta[slot.span()].iter().copied(),
+                                        );
                                     }
                                 }
                                 let cum = |s: u32, slot: Slot| {
@@ -405,6 +425,590 @@ impl Circuit {
             given: d,
         }
     }
+
+    /// `Pr(φ ∧ e)` for a var-var `e = (v op w)`, clamped to `[0, 1]`, under
+    /// the distributions of the compile or of the last
+    /// [`evaluate`](Circuit::evaluate); `None` for a var-const `e`, or when
+    /// the circuit never reads `v` or `w`.
+    ///
+    /// Of `v` and `w`, the one with the smaller support, `x`, is clamped to
+    /// each value `a` of its support; the other is `y`. Under the clamp the
+    /// circuit `c_a` is affine in `θ_y`, `c_a = Σ_b θ_{y=b}·D_b + R`, so
+    ///
+    /// ```text
+    /// Σ_{b : a op b} θ_{y=b}·Pr(φ | x = a, y = b) = T_u + (c_a − T_θ)·U
+    /// ```
+    ///
+    /// where `T_v = Σ_b v_b·D_b`, `u_b = θ_{y=b}·[a op b]` and `U = Σ_b u_b`.
+    /// One upward pass computes, for every node on `x`, its value, `T_u`
+    /// and `T_θ` under every clamp at once, as vectors over `x`'s support.
+    /// A node on `y` alone is the same under every clamp: the pass keeps
+    /// its `D_b = ∂value/∂θ_{y=b}`, and running sums of `θ_{y=b}·D_b` to
+    /// read `T_u` off for any `a`.
+    ///
+    /// The pass writes only to `scratch`: the circuit's values, `θ` and
+    /// [`partials`](Circuit::partials) stay bit-identical. A product the
+    /// compile found to be zero that is not zero under a clamp is
+    /// [`SolverError::StaleCircuit`], as in [`evaluate`](Circuit::evaluate).
+    pub fn var_var_joint(
+        &self,
+        e: &Expr,
+        scratch: &mut ClampScratch,
+    ) -> Result<Option<f64>, SolverError> {
+        let Operand::Var(w) = e.rhs() else {
+            return Ok(None);
+        };
+        let (Some(l), Some(r)) = (self.slot_of(e.var()), self.slot_of(w)) else {
+            return Ok(None);
+        };
+        let support = |s: u32| self.theta(s).iter().filter(|&&t| t > 0.0).count();
+        // `e` holds at `x = a, y = b` exactly when `a op b`.
+        let (x, y, op) = if support(l) <= support(r) {
+            (l, r, e.op())
+        } else {
+            (r, l, e.op().converse())
+        };
+        let s = scratch;
+        let theta_x = self.theta(x);
+        s.support.clear();
+        s.support.extend(
+            (0..theta_x.len())
+                .filter(|&a| theta_x[a] > 0.0)
+                .map(|a| a as Value),
+        );
+        s.cum_y.clear();
+        cumulative(&mut s.cum_y, self.theta(y).iter().copied());
+        self.sweep(x, y, op, s)?;
+        let root = self.root as usize;
+        let m = s.support.len();
+        let mut total = 0.0;
+        for k in 0..m {
+            let (c, along_u, along_theta) = match s.deps[root] {
+                d if d & ON_X != 0 => {
+                    let at = s.at[root] as usize;
+                    let lanes = &s.lanes[at..at + 3 * m];
+                    (lanes[k], lanes[m + k], lanes[2 * m + k])
+                }
+                ON_Y => {
+                    let sums = s.sums(root);
+                    (
+                        self.nodes[root].value,
+                        range_sum(op, s.support[k], sums),
+                        sums[sums.len() - 1],
+                    )
+                }
+                _ => (self.nodes[root].value, 0.0, 0.0),
+            };
+            let a = s.support[k];
+            let paired = range_sum(op, a, &s.cum_y);
+            total += theta_x[a as usize] * (along_u + (c - along_theta) * paired);
+        }
+        Ok(Some(total.clamp(0.0, 1.0)))
+    }
+
+    /// The slot of `v`, if the circuit reads it.
+    fn slot_of(&self, v: VarId) -> Option<u32> {
+        self.slots
+            .binary_search_by_key(&v, |s| s.var)
+            .ok()
+            .map(|i| i as u32)
+    }
+
+    /// Slot `s`'s current value distribution.
+    fn theta(&self, s: u32) -> &[f64] {
+        &self.theta[self.slots[s as usize].span()]
+    }
+
+    /// The upward pass of [`var_var_joint`](Circuit::var_var_joint), in
+    /// creation order. Marks each node by the slots its value depends on;
+    /// gives each node on `x` its lanes (value, `T_u`, `T_θ`, each a vector
+    /// over `s.support`) and each node on `y` alone its table (`D`, then
+    /// the running sums of `θ_{y=b}·D_b`).
+    fn sweep(&self, x: u32, y: u32, op: CmpOp, s: &mut ClampScratch) -> Result<(), SolverError> {
+        s.deps.clear();
+        s.at.clear();
+        s.lanes.clear();
+        s.tables.clear();
+        let value = |c: NodeId| self.nodes[c as usize].value;
+        for node in &self.nodes {
+            let (dep, part) = match node.kind {
+                Kind::Const => (0, Part::default()),
+                Kind::Decision { slot, start, end } => {
+                    let mut dep = marks(slot == x, slot == y);
+                    for &(_, c) in &self.edges[start as usize..end as usize] {
+                        dep |= s.deps[c as usize];
+                    }
+                    (dep, Part::default())
+                }
+                Kind::And { start, end, .. } => {
+                    let factors = &self.edges[start as usize..end as usize];
+                    let parts = factors.iter().map(|&(_, c)| (s.deps[c as usize], value(c)));
+                    Part::of(parts)
+                }
+                Kind::Clause { start, end } => {
+                    let leaves = &self.leaves[start as usize..end as usize];
+                    let mark = |l: &Leaf| marks(l.mentions(x), l.mentions(y));
+                    Part::of(leaves.iter().map(|l| (mark(l), complement(l.p))))
+                }
+            };
+            s.deps.push(dep);
+            if dep & ON_X != 0 {
+                s.at.push(s.lanes.len() as u32);
+                self.lanes(node.kind, part, x, y, op, s)?;
+            } else if dep == ON_Y {
+                s.at.push(s.tables.len() as u32);
+                self.table(node.kind, part, y, s);
+            } else {
+                s.at.push(u32::MAX);
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends the lanes of a node on `x`, whose children's are done.
+    fn lanes(
+        &self,
+        kind: Kind,
+        part: Part,
+        x: u32,
+        y: u32,
+        op: CmpOp,
+        s: &mut ClampScratch,
+    ) -> Result<(), SolverError> {
+        let m = s.support.len();
+        let at = s.lanes.len();
+        s.lanes.resize(at + 3 * m, 0.0);
+        let (done, out) = s.lanes.split_at_mut(at);
+        let (v, rest) = out.split_at_mut(m);
+        let (tu, tt) = rest.split_at_mut(m);
+        let (deps, offsets, tables, support) = (&s.deps, &s.at, &s.tables, &s.support);
+        let n = s.cum_y.len() - 1;
+        // A child's lanes, or its table, or its value.
+        let child = |c: NodeId| -> Child<'_> {
+            let c = c as usize;
+            match deps[c] {
+                d if d & ON_X != 0 => {
+                    let at = offsets[c] as usize;
+                    Child::Lanes(&done[at..at + 3 * m])
+                }
+                ON_Y => {
+                    let at = offsets[c] as usize + n;
+                    Child::Table(self.nodes[c].value, &tables[at..at + n + 1])
+                }
+                _ => Child::Value(self.nodes[c].value),
+            }
+        };
+        match kind {
+            Kind::Const => {}
+            Kind::Decision { slot, start, end } => {
+                let edges = &self.edges[start as usize..end as usize];
+                if slot == x {
+                    // Under `x = a`, the decision is its child for `a`.
+                    let mut k = 0;
+                    for &(a, c) in edges {
+                        while k < m && support[k] < a {
+                            k += 1;
+                        }
+                        if k == m {
+                            break;
+                        }
+                        if support[k] == a {
+                            match child(c) {
+                                Child::Lanes(_) => unreachable!("x is substituted below"),
+                                Child::Table(value, sums) => {
+                                    v[k] = value;
+                                    tu[k] = range_sum(op, a, sums);
+                                    tt[k] = sums[n];
+                                }
+                                Child::Value(value) => v[k] = value,
+                            }
+                        }
+                    }
+                } else {
+                    let theta = self.theta(slot);
+                    for &(b, c) in edges {
+                        let t = theta[b as usize];
+                        if t <= 0.0 {
+                            continue;
+                        }
+                        match child(c) {
+                            Child::Lanes(lanes) => {
+                                let (cv, cu, ct) = split3(lanes, m);
+                                if slot == y {
+                                    // ∂/∂θ_{y=b} is the child's value.
+                                    for k in 0..m {
+                                        v[k] += t * cv[k];
+                                        if op.eval(support[k], b) {
+                                            tu[k] += t * cv[k];
+                                        }
+                                    }
+                                } else {
+                                    axpy(v, t, cv);
+                                    axpy(tu, t, cu);
+                                    axpy(tt, t, ct);
+                                }
+                            }
+                            Child::Table(value, sums) => {
+                                for (k, (v, tu)) in v.iter_mut().zip(tu.iter_mut()).enumerate() {
+                                    *v += t * value;
+                                    *tu += t * range_sum(op, support[k], sums);
+                                }
+                                for tt in tt.iter_mut() {
+                                    *tt += t * sums[n];
+                                }
+                            }
+                            Child::Value(value) => {
+                                for v in v.iter_mut() {
+                                    *v += t * value;
+                                }
+                                if slot == y {
+                                    for (k, tu) in tu.iter_mut().enumerate() {
+                                        if op.eval(support[k], b) {
+                                            *tu += t * value;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    if slot == y {
+                        tt.copy_from_slice(v);
+                    }
+                    for v in v.iter_mut() {
+                        *v = v.clamp(0.0, 1.0);
+                    }
+                }
+            }
+            Kind::And { start, cut, .. } => {
+                let factor = |p: u32| self.edges[start as usize + p as usize].1;
+                let Child::Lanes(lanes) = child(factor(part.x)) else {
+                    unreachable!("a node on x has a factor on x");
+                };
+                let (cv, cu, ct) = split3(lanes, m);
+                scale(v, part.rest, cv);
+                if part.y == NO_PART || part.y == part.x {
+                    scale(tu, part.rest, cu);
+                    scale(tt, part.rest, ct);
+                } else {
+                    let Child::Table(_, sums) = child(factor(part.y)) else {
+                        unreachable!("the factor on y alone has a table");
+                    };
+                    for k in 0..m {
+                        let w = part.rest_y * cv[k];
+                        tu[k] = w * range_sum(op, support[k], sums);
+                        tt[k] = w * sums[n];
+                    }
+                }
+                if cut && v.iter().any(|&p| p != 0.0) {
+                    return Err(SolverError::StaleCircuit);
+                }
+                for v in v.iter_mut() {
+                    *v = v.clamp(0.0, 1.0);
+                }
+            }
+            Kind::Clause { start, .. } => {
+                let leaf = |p: u32| &self.leaves[start as usize + p as usize];
+                let on_x = leaf(part.x);
+                // Pr(e) of the leaf on x under each clamp, and, when it is
+                // on y too, its T_u (its T_θ is Pr(e)).
+                self.clamped_leaf(on_x, x, y, op, support, tu, v, &mut s.cum);
+                if part.y == part.x {
+                    for k in 0..m {
+                        tu[k] *= part.rest;
+                        tt[k] = part.rest * v[k];
+                    }
+                } else if part.y != NO_PART {
+                    s.slopes.clear();
+                    s.slopes.resize(n, 0.0);
+                    self.add_slopes(leaf(part.y), y, 1.0, &mut s.slopes, &mut s.cum);
+                    s.cum.clear();
+                    cumulative(
+                        &mut s.cum,
+                        self.theta(y).iter().zip(&s.slopes).map(|(t, d)| t * d),
+                    );
+                    for k in 0..m {
+                        let w = part.rest_y * complement(v[k]);
+                        tu[k] = w * range_sum(op, support[k], &s.cum);
+                        tt[k] = w * s.cum[n];
+                    }
+                }
+                for v in v.iter_mut() {
+                    *v = (1.0 - part.rest * complement(*v)).clamp(0.0, 1.0);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Fills `p` with `Pr(e)` of a leaf on `x` under each clamp
+    /// `x = support[k]`, and `along_u` with its `T_u` when it is on `y`
+    /// too (zero otherwise).
+    #[allow(clippy::too_many_arguments)]
+    fn clamped_leaf(
+        &self,
+        leaf: &Leaf,
+        x: u32,
+        y: u32,
+        op: CmpOp,
+        support: &[Value],
+        along_u: &mut [f64],
+        p: &mut [f64],
+        cum: &mut Vec<f64>,
+    ) {
+        // `x op' other`, with `op'` read from x's side.
+        let (leaf_op, other) = match leaf.rhs {
+            Rhs::Const(c) => {
+                for (p, &a) in p.iter_mut().zip(support) {
+                    *p = f64::from(u8::from(leaf.op.eval(a, c)));
+                }
+                return;
+            }
+            Rhs::Var(r) if leaf.lhs == x => (leaf.op, r),
+            Rhs::Var(_) => (leaf.op.converse(), leaf.lhs),
+        };
+        let theta = self.theta(other);
+        if other != y {
+            cum.clear();
+            cumulative(cum, theta.iter().copied());
+            for (p, &a) in p.iter_mut().zip(support) {
+                *p = range_sum(leaf_op, a, cum).clamp(0.0, 1.0);
+            }
+            return;
+        }
+        for (k, &a) in support.iter().enumerate() {
+            let (mut total, mut paired) = (0.0, 0.0);
+            for (b, &t) in theta.iter().enumerate() {
+                if leaf_op.eval(a, b as Value) {
+                    total += t;
+                    if op.eval(a, b as Value) {
+                        paired += t;
+                    }
+                }
+            }
+            p[k] = total.clamp(0.0, 1.0);
+            along_u[k] = paired;
+        }
+    }
+
+    /// Appends the table of a node on `y` alone, whose children's are done:
+    /// `D_b = ∂value/∂θ_{y=b}`, then the running sums of `θ_{y=b}·D_b`.
+    fn table(&self, kind: Kind, part: Part, y: u32, s: &mut ClampScratch) {
+        let theta_y = self.theta(y);
+        let n = theta_y.len();
+        let at = s.tables.len();
+        s.tables.resize(at + n, 0.0);
+        let (done, d) = s.tables.split_at_mut(at);
+        let child = |c: NodeId| {
+            let from = s.at[c as usize] as usize;
+            &done[from..from + n]
+        };
+        match kind {
+            Kind::Const => {}
+            Kind::Decision { slot, start, end } => {
+                let edges = &self.edges[start as usize..end as usize];
+                if slot == y {
+                    for &(b, c) in edges {
+                        d[b as usize] = self.nodes[c as usize].value;
+                    }
+                } else {
+                    let theta = self.theta(slot);
+                    for &(v, c) in edges {
+                        let t = theta[v as usize];
+                        if t > 0.0 && s.deps[c as usize] != 0 {
+                            axpy(d, t, child(c));
+                        }
+                    }
+                }
+            }
+            Kind::And { start, .. } => {
+                let c = self.edges[start as usize + part.y as usize].1;
+                scale(d, part.rest_y, child(c));
+            }
+            Kind::Clause { start, .. } => {
+                let leaf = &self.leaves[start as usize + part.y as usize];
+                self.add_slopes(leaf, y, part.rest_y, d, &mut s.cum);
+            }
+        }
+        let d = at..at + n;
+        let mut run = 0.0;
+        s.tables.push(run);
+        for b in d {
+            run += theta_y[b - at] * s.tables[b];
+            s.tables.push(run);
+        }
+    }
+
+    /// Adds `w·∂Pr(e)/∂θ_{y=b}` to `out[b]` for a leaf expression `e` on
+    /// slot `y` and not on the clamped one.
+    fn add_slopes(&self, leaf: &Leaf, y: u32, w: f64, out: &mut [f64], cum: &mut Vec<f64>) {
+        // `y op' other`, with `op'` read from y's side.
+        let (op, other) = match leaf.rhs {
+            Rhs::Const(c) => {
+                for (b, o) in out.iter_mut().enumerate() {
+                    if leaf.op.eval(b as Value, c) {
+                        *o += w;
+                    }
+                }
+                return;
+            }
+            Rhs::Var(r) if leaf.lhs == y => (leaf.op, r),
+            Rhs::Var(_) => (leaf.op.converse(), leaf.lhs),
+        };
+        let theta = self.theta(other);
+        cum.clear();
+        cumulative(cum, theta.iter().copied());
+        for (b, o) in out.iter_mut().enumerate() {
+            *o += w * mass(op, b, cum, theta);
+        }
+    }
+}
+
+/// Marks of [`ClampScratch::deps`]: the node's value depends on the
+/// clamped slot, or on the other one.
+const ON_X: u8 = 1;
+const ON_Y: u8 = 2;
+
+/// The marks of a node on `x`, on `y`, both or neither.
+fn marks(on_x: bool, on_y: bool) -> u8 {
+    (u8::from(on_x) * ON_X) | (u8::from(on_y) * ON_Y)
+}
+
+/// No part of a node depends on the slot.
+const NO_PART: u32 = u32::MAX;
+
+/// What [`Circuit::lanes`] reads of a child.
+enum Child<'a> {
+    /// Value, `T_u` and `T_θ` under each clamp, back to back.
+    Lanes(&'a [f64]),
+    /// The value, and the running sums of `θ_{y=b}·D_b`.
+    Table(f64, &'a [f64]),
+    /// The value, on neither slot.
+    Value(f64),
+}
+
+/// Of an AND node's factors, or a clause node's leaves: which one is on
+/// the clamped slot `x` and which on the other slot `y` (at most one each,
+/// since they are variable-disjoint), and the products of the others'
+/// values, or complements.
+#[derive(Clone, Copy, Debug)]
+struct Part {
+    x: u32,
+    y: u32,
+    /// The product over every part but `x`.
+    rest: f64,
+    /// The product over every part but `x` and `y`.
+    rest_y: f64,
+}
+
+impl Default for Part {
+    fn default() -> Part {
+        Part {
+            x: NO_PART,
+            y: NO_PART,
+            rest: 1.0,
+            rest_y: 1.0,
+        }
+    }
+}
+
+impl Part {
+    /// The node's marks and, when it has any, its part: from each part's
+    /// marks and value, or complement.
+    fn of(parts: impl Iterator<Item = (u8, f64)> + Clone) -> (u8, Part) {
+        let mut part = Part::default();
+        let mut deps = 0;
+        for (k, (dep, _)) in parts.clone().enumerate() {
+            deps |= dep;
+            if dep & ON_X != 0 {
+                debug_assert_eq!(part.x, NO_PART, "two parts on one variable");
+                part.x = k as u32;
+            }
+            if dep & ON_Y != 0 {
+                debug_assert_eq!(part.y, NO_PART, "two parts on one variable");
+                part.y = k as u32;
+            }
+        }
+        if deps == 0 {
+            return (0, part);
+        }
+        for (k, (_, v)) in parts.enumerate() {
+            let k = k as u32;
+            if k != part.x {
+                part.rest *= v;
+            }
+            if k != part.x && k != part.y {
+                part.rest_y *= v;
+            }
+        }
+        (deps, part)
+    }
+}
+
+/// The value, `T_u` and `T_θ` lanes of a node.
+fn split3(lanes: &[f64], m: usize) -> (&[f64], &[f64], &[f64]) {
+    (&lanes[..m], &lanes[m..2 * m], &lanes[2 * m..3 * m])
+}
+
+/// `out += w·from`.
+fn axpy(out: &mut [f64], w: f64, from: &[f64]) {
+    for (o, f) in out.iter_mut().zip(from) {
+        *o += w * f;
+    }
+}
+
+/// `out = w·from`.
+fn scale(out: &mut [f64], w: f64, from: &[f64]) {
+    for (o, f) in out.iter_mut().zip(from) {
+        *o = w * f;
+    }
+}
+
+/// `Σ_{b : a op b} (sums[b + 1] − sums[b])`, from running sums that start
+/// at 0.
+fn range_sum(op: CmpOp, a: Value, sums: &[f64]) -> f64 {
+    let (n, a) = (sums.len() - 1, a as usize);
+    let at = |k: usize| sums[k.min(n)];
+    match op {
+        CmpOp::Lt => sums[n] - at(a + 1),
+        CmpOp::Le => sums[n] - at(a),
+        CmpOp::Gt => at(a),
+        CmpOp::Ge => at(a + 1),
+        CmpOp::Eq => at(a + 1) - at(a),
+        CmpOp::Ne => sums[n] - (at(a + 1) - at(a)),
+    }
+}
+
+/// Reusable buffers for [`Circuit::var_var_joint`]. They grow to the
+/// largest circuit and domain they serve and are cleared, never freed, so
+/// a scorer that keeps one allocates nothing per candidate once they have
+/// grown.
+#[derive(Debug, Default)]
+pub struct ClampScratch {
+    /// The clamped slot's support.
+    support: Vec<Value>,
+    /// Per node, its [`ON_X`] and [`ON_Y`] marks, and where its lanes or
+    /// table start.
+    deps: Vec<u8>,
+    at: Vec<u32>,
+    /// The lanes of the nodes on `x`, back to back.
+    lanes: Vec<f64>,
+    /// The tables of the nodes on `y` alone, back to back.
+    tables: Vec<f64>,
+    /// Running sums of `θ_y`, and of one leaf's `θ_{y=b}·∂Pr(e)/∂θ_{y=b}`
+    /// or another slot's `θ`.
+    cum_y: Vec<f64>,
+    cum: Vec<f64>,
+    /// One leaf's `∂Pr(e)/∂θ_y`.
+    slopes: Vec<f64>,
+}
+
+impl ClampScratch {
+    /// The running sums of a node on `y` alone.
+    fn sums(&self, node: usize) -> &[f64] {
+        let n = self.cum_y.len() - 1;
+        let at = self.at[node] as usize + n;
+        &self.tables[at..at + n + 1]
+    }
 }
 
 /// `1 − p`, clamped as the disjunctive rule clamps it.
@@ -425,7 +1029,7 @@ fn suffix_products(out: &mut Vec<f64>, factors: impl DoubleEndedIterator<Item = 
 }
 
 /// Appends `cum[k] = Σ_{y<k} θ_y` for `k` in `0..=θ.len()` to `out`.
-fn cumulative(out: &mut Vec<f64>, probs: &[f64]) {
+fn cumulative(out: &mut Vec<f64>, probs: impl IntoIterator<Item = f64>) {
     let mut run = 0.0;
     out.push(run);
     for p in probs {
@@ -506,21 +1110,50 @@ impl Partials {
             .map(|i| &self.slots[i])
     }
 
-    /// `Pr(φ ∧ e)` for a var-const expression `e`, clamped to `[0, 1]`;
-    /// `None` for a var-var one. `dists` supplies `θ_v` only when the
-    /// circuit never mentions `v`.
+    /// `Pr(φ ∧ e)`, clamped to `[0, 1]`, for a var-const `e`, or for a
+    /// var-var one of which the circuit reads at most one variable; `None`
+    /// when it reads both (then see [`Circuit::var_var_joint`]). `dists`
+    /// supplies `θ_v` only when the circuit never mentions `v`; then `φ`
+    /// does not depend on `v`, and `Pr(φ | v = a)` is `Pr(φ)`.
     pub fn joint(&self, e: &Expr, dists: &VarDists) -> Result<Option<f64>, SolverError> {
-        let Operand::Const(c) = e.rhs() else {
-            return Ok(None);
+        // `θ_v` and `Pr(φ | v = ·)`, `None` for `Pr(φ)` throughout.
+        let side = |v: VarId| -> Result<(&[f64], Option<&[f64]>), SolverError> {
+            Ok(match self.slot(v) {
+                Some(s) => (&self.theta[s.span()], Some(&self.given[s.span()])),
+                None => (dists.pmf(v)?.probs(), None),
+            })
         };
-        let (theta, given) = match self.slot(e.var()) {
-            Some(s) => (&self.theta[s.span()], Some(&self.given[s.span()])),
-            None => (dists.pmf(e.var())?.probs(), None),
-        };
+        let (theta, given) = side(e.var())?;
+        let given_at = |g: Option<&[f64]>, a: usize| g.map_or(self.p_phi, |g| g[a]);
         let mut total = 0.0;
-        for (a, &t) in theta.iter().enumerate() {
-            if t > 0.0 && e.op().eval(a as Value, c) {
-                total += t * given.map_or(self.p_phi, |g| g[a]);
+        match e.rhs() {
+            Operand::Const(c) => {
+                for (a, &t) in theta.iter().enumerate() {
+                    if t > 0.0 && e.op().eval(a as Value, c) {
+                        total += t * given_at(given, a);
+                    }
+                }
+            }
+            Operand::Var(w) => {
+                let (theta_w, given_w) = side(w)?;
+                // With one side unread, `Pr(φ | v = a, w = b)` is the read
+                // side's conditional; sum over the unread side first.
+                let (theta, given, theta_w, op) = match (given, given_w) {
+                    (Some(_), Some(_)) => return Ok(None),
+                    (_, None) => (theta, given, theta_w, e.op()),
+                    (None, Some(_)) => (theta_w, given_w, theta, e.op().converse()),
+                };
+                for (a, &t) in theta.iter().enumerate() {
+                    if t > 0.0 {
+                        let mut paired = 0.0;
+                        for (b, &u) in theta_w.iter().enumerate() {
+                            if u > 0.0 && op.eval(a as Value, b as Value) {
+                                paired += u;
+                            }
+                        }
+                        total += t * given_at(given, a) * paired;
+                    }
+                }
             }
         }
         Ok(Some(total.clamp(0.0, 1.0)))

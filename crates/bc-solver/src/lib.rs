@@ -16,7 +16,7 @@
 //! * [`Circuit`] — an ADPLL search recorded as a decision-DNNF circuit,
 //!   which re-evaluates `Pr(φ)` under narrowed distributions without a
 //!   search, and whose derivative pass yields every var-const `Pr(φ ∧ e)`
-//!   at once,
+//!   at once (and, clamped one value at a time, every var-var one),
 //! * [`VarDists`] — per-variable value distributions (from the Bayesian
 //!   network) with expression-probability helpers, and
 //! * [`utility`] — the marginal-utility function `G(o, e)` (Definition 6).
@@ -32,7 +32,7 @@ pub mod utility;
 
 pub use adpll::{AdpllSolver, BranchHeuristic, SolveStats};
 pub use approxcount::ApproxCountSolver;
-pub use circuit::{Circuit, Partials};
+pub use circuit::{Circuit, ClampScratch, Partials};
 pub use dists::VarDists;
 pub use montecarlo::MonteCarloSolver;
 pub use naive::{ModelCount, NaiveSolver};

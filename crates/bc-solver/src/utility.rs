@@ -12,16 +12,20 @@
 //!
 //! * [`compile_utilities`] compiles `φ` once (a solver that records its
 //!   search, i.e. ADPLL; see [`crate::circuit`]) and
-//!   [`CompiledUtilities::utility`] reads every var-const `Pr(φ ∧ e)` off
-//!   the circuit's one derivative pass, with no further solve;
+//!   [`CompiledUtilities::utility`] reads every candidate's `Pr(φ ∧ e)`
+//!   off that circuit, with no further solve: off the circuit's one
+//!   derivative pass, or for a var-var candidate whose variables the
+//!   circuit both reads, off a pass that clamps one of them to each of its
+//!   values ([`Circuit::var_var_joint`]);
 //! * [`marginal_utility_with_prior`] solves `φ` with the unit clause `[e]`
-//!   conjoined: one solver call per candidate. Var-var candidates, and
-//!   every candidate of a solver that does not compile, take this path.
+//!   conjoined: one solver call per candidate. Every candidate of a solver
+//!   that does not compile takes this path, and so does a var-var
+//!   candidate whose clamped pass fails.
 //!
 //! So scoring one object with ADPLL costs one compile, at its first open
-//! var-const candidate, plus one solve per open var-var candidate. A
-//! circuit the caller already keeps and has evaluated under `dists` saves
-//! the compile too: [`CompiledUtilities::of_circuit`].
+//! candidate, and nothing per candidate after it. A circuit the caller
+//! already keeps and has evaluated under `dists` saves the compile too:
+//! [`CompiledUtilities::of_circuit`].
 //!
 //! **Precondition.** The `p_phi` passed in must be `Pr(φ)` under the
 //! *same* `dists`. [`compile_utilities`] checks it: the compile computes
@@ -30,7 +34,7 @@
 //! check it: there a stale `p_phi` silently skews the utility.
 
 use crate::adpll::SolveStats;
-use crate::circuit::{Circuit, Partials};
+use crate::circuit::{Circuit, ClampScratch, Partials};
 use crate::dists::VarDists;
 use crate::{Solver, SolverError};
 use bc_bayes::pmf::binary_entropy;
@@ -95,11 +99,14 @@ pub fn is_open(p_e: f64) -> bool {
     p_e > f64::EPSILON && p_e < 1.0 - f64::EPSILON
 }
 
-/// One compile of an object's condition `φ`, from which every var-const
-/// candidate's utility follows without a solve.
+/// One compile of an object's condition `φ`, from which every candidate's
+/// utility follows without a solve.
 #[derive(Debug)]
 pub struct CompiledUtilities {
     partials: Partials,
+    /// The compiled circuit, for var-var candidates; `None` when it is the
+    /// caller's ([`of_circuit`](CompiledUtilities::of_circuit)).
+    circuit: Option<Circuit>,
     stats: SolveStats,
     nodes: usize,
 }
@@ -120,7 +127,11 @@ pub fn compile_utilities(
     };
     let (circuit, stats) = compiled?;
     let utilities = CompiledUtilities::of_circuit(&circuit, p_phi)?;
-    Ok(Some(CompiledUtilities { stats, ..utilities }))
+    Ok(Some(CompiledUtilities {
+        circuit: Some(circuit),
+        stats,
+        ..utilities
+    }))
 }
 
 impl CompiledUtilities {
@@ -140,21 +151,45 @@ impl CompiledUtilities {
         Ok(CompiledUtilities {
             nodes: circuit.node_count(),
             partials: circuit.partials(),
+            circuit: None,
             stats: SolveStats::default(),
         })
     }
 
-    /// `G(o, e)` for a var-const `e` of the compiled condition, with no
-    /// solve; `None` for a var-var `e`, which needs
-    /// [`marginal_utility_with_prior`].
-    pub fn utility(&self, e: &Expr, dists: &VarDists) -> Result<Option<f64>, SolverError> {
-        let Some(p_and_true) = self.partials.joint(e, dists)? else {
-            return Ok(None);
-        };
+    /// `G(o, e)` for an expression `e` of the compiled condition, with no
+    /// solve.
+    ///
+    /// `Pr(φ ∧ e)` comes off the derivative pass ([`Partials::joint`]),
+    /// or, for a var-var `e` whose variables the circuit both reads, off
+    /// the circuit by [`Circuit::var_var_joint`], in `scratch`: the
+    /// compile's own circuit, or for
+    /// [`of_circuit`](CompiledUtilities::of_circuit) the same circuit
+    /// passed again as `kept` (unread otherwise). `None` when that pass
+    /// cannot answer — no circuit, or a [`SolverError::StaleCircuit`] —
+    /// and `e` needs [`marginal_utility_with_prior`].
+    pub fn utility(
+        &self,
+        e: &Expr,
+        dists: &VarDists,
+        kept: Option<&Circuit>,
+        scratch: &mut ClampScratch,
+    ) -> Result<Option<f64>, SolverError> {
         let p_e = dists.expr_prob(e)?;
         if !is_open(p_e) {
             return Ok(Some(0.0));
         }
+        let p_and_true = match self.partials.joint(e, dists)? {
+            Some(p) => p,
+            None => {
+                let Some(circuit) = self.circuit.as_ref().or(kept) else {
+                    return Ok(None);
+                };
+                match circuit.var_var_joint(e, scratch) {
+                    Ok(Some(p)) => p,
+                    Ok(None) | Err(_) => return Ok(None),
+                }
+            }
+        };
         let p_phi = self.partials.probability();
         let p_and_false = (p_phi - p_and_true).clamp(0.0, 1.0);
         Ok(Some(utility_from_joint(
@@ -163,6 +198,13 @@ impl CompiledUtilities {
             p_and_true,
             p_and_false,
         )))
+    }
+
+    /// The compiled circuit; `None` after
+    /// [`of_circuit`](CompiledUtilities::of_circuit), whose circuit stays
+    /// the caller's.
+    pub fn circuit(&self) -> Option<&Circuit> {
+        self.circuit.as_ref()
     }
 
     /// Effort of the compile's search: that of a plain solve of `φ`

@@ -4,15 +4,19 @@
 //! calls, so a search allocates only what it must: a component-cache key
 //! per cache miss, and a compile its circuit's exact-size blocks. A
 //! circuit's re-evaluation allocates nothing when no distribution changed,
-//! and otherwise only its two change marks. This binary counts the heap
+//! and otherwise only its two change marks. Scoring a var-var candidate off
+//! a circuit allocates nothing once the scorer's buffers have grown. This
+//! binary counts the heap
 //! allocations of the calling thread (its own `#[global_allocator]`) over
 //! every open condition of seeded NBA-400 and Synthetic-800 tables, and
 //! bounds the average per call.
 
 use bc_bayes::Pmf;
+use bc_ctable::Expr;
 use bc_ctable::{build_ctable, CTableConfig, Condition, DominatorStrategy};
 use bc_data::Dataset;
-use bc_solver::{AdpllSolver, Solver, VarDists};
+use bc_solver::utility::compile_utilities;
+use bc_solver::{AdpllSolver, ClampScratch, Solver, VarDists};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -184,5 +188,50 @@ fn evaluations_allocate_only_when_a_distribution_changed() {
         );
         assert_eq!(unchanged, 0, "{name}: re-evaluating unchanged allocated");
         assert!(changed > 0, "{name}: the narrowing changed no circuit");
+    }
+}
+
+#[test]
+fn var_var_scoring_allocates_nothing_once_the_buffers_have_grown() {
+    for (name, data) in tables() {
+        let (conds, dists) = open_conditions(&data);
+        let solver = AdpllSolver::new();
+        let mut jobs = Vec::new();
+        for cond in &conds {
+            let p_phi = solver.probability(cond, &dists).unwrap();
+            let utilities = compile_utilities(&solver, cond, &dists, p_phi)
+                .unwrap()
+                .unwrap();
+            let mut var_var: Vec<Expr> = cond
+                .exprs()
+                .filter(|e| e.rhs_var().is_some())
+                .copied()
+                .collect();
+            var_var.sort();
+            var_var.dedup();
+            jobs.push((utilities, var_var));
+        }
+        let mut scratch = ClampScratch::default();
+        let score = |scratch: &mut ClampScratch| {
+            let mut scored = 0;
+            for (utilities, var_var) in &jobs {
+                for e in var_var {
+                    let g = utilities.utility(e, &dists, None, scratch).unwrap();
+                    scored += usize::from(g.is_some());
+                }
+            }
+            scored
+        };
+        // The first round grows the buffers to the largest circuit.
+        let scored = score(&mut scratch);
+        let before = allocations();
+        assert_eq!(score(&mut scratch), scored);
+        let n = allocations() - before;
+        println!("{name}: {scored} var-var candidates scored, {n} allocations once grown");
+        assert!(
+            scored > 20,
+            "{name}: only {scored} var-var candidates scored"
+        );
+        assert_eq!(n, 0, "{name}: scoring var-var candidates allocated");
     }
 }

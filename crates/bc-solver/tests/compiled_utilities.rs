@@ -7,8 +7,9 @@
 //!
 //! * the circuit's `Pr(φ)` is bit-identical to the plain solve's, and its
 //!   search effort is equal;
-//! * every var-const `Pr(φ ∧ e)` from the derivative pass, and every
-//!   utility built on it, is within `1e-12` of the one-solve reference.
+//! * every var-const `Pr(φ ∧ e)` from the derivative pass, every var-var
+//!   one from the derivative pass or the clamped pass, and every utility
+//!   built on them, is within `1e-12` of the one-solve reference.
 //!
 //! And for a circuit kept across random mask narrowings:
 //!
@@ -16,6 +17,9 @@
 //!   condition under the narrowed pmfs;
 //! * its derivatives are bit-identical to those of a fresh compile under
 //!   the base pmfs evaluated once under the narrowed ones;
+//! * every var-var `Pr(φ ∧ e)` read off it is within `1e-12` of a solve of
+//!   `φ ∧ e` under the narrowed pmfs, and reading them leaves its
+//!   `Pr(φ)` and derivatives bit-identical;
 //! * evaluating a circuit under pmfs wider than its compile's is
 //!   [`SolverError::StaleCircuit`] or, when the extra values never mattered
 //!   to the search, still a bit-identical replay.
@@ -24,7 +28,9 @@ use bc_bayes::Pmf;
 use bc_ctable::{CmpOp, Condition, Expr, Operand};
 use bc_data::VarId;
 use bc_solver::utility::{compile_utilities, marginal_utility_with_prior, CompiledUtilities};
-use bc_solver::{AdpllSolver, BranchHeuristic, Circuit, Solver, SolverError, VarDists};
+use bc_solver::{
+    AdpllSolver, BranchHeuristic, Circuit, ClampScratch, Solver, SolverError, VarDists,
+};
 use proptest::prelude::*;
 
 const N_VARS: u32 = 5;
@@ -117,12 +123,15 @@ fn check(cond: &Condition, dists: &VarDists) -> Result<(), TestCaseError> {
         let utilities = compile_utilities(&solver, cond, dists, p_phi)
             .unwrap()
             .unwrap();
+        let mut scratch = ClampScratch::default();
         let mut exprs: Vec<Expr> = cond.exprs().copied().collect();
         exprs.dedup();
         for e in exprs {
-            let Some(joint) = partials.joint(&e, dists).unwrap() else {
-                prop_assert!(utilities.utility(&e, dists).unwrap().is_none());
-                continue;
+            // Off the derivatives, or for a var-var `e` whose variables
+            // the circuit both reads, off the clamped pass.
+            let joint = match partials.joint(&e, dists).unwrap() {
+                Some(joint) => joint,
+                None => circuit.var_var_joint(&e, &mut scratch).unwrap().unwrap(),
             };
             let solved = solver.probability(&cond.and_expr(e), dists).unwrap();
             prop_assert!(
@@ -133,7 +142,10 @@ fn check(cond: &Condition, dists: &VarDists) -> Result<(), TestCaseError> {
                 joint,
                 solved
             );
-            let got = utilities.utility(&e, dists).unwrap().unwrap();
+            let got = utilities
+                .utility(&e, dists, None, &mut scratch)
+                .unwrap()
+                .unwrap();
             let want = marginal_utility_with_prior(&solver, cond, &e, dists, p_phi)
                 .unwrap()
                 .utility;
@@ -209,8 +221,12 @@ fn check_kept(
                 conditional_bits(&fresh, cond)
             );
             let utilities = CompiledUtilities::of_circuit(&kept, want).unwrap();
+            let mut scratch = ClampScratch::default();
             for e in cond.exprs() {
-                let Some(g) = utilities.utility(e, &now).unwrap() else {
+                let Some(g) = utilities
+                    .utility(e, &now, Some(&kept), &mut scratch)
+                    .unwrap()
+                else {
                     continue;
                 };
                 let one = marginal_utility_with_prior(&solver, cond, e, &now, want)
@@ -252,6 +268,119 @@ proptest! {
     ) {
         check_kept(&cond, &base, &narrowings)?;
     }
+}
+
+/// A condition with at least one var-var expression: [`arb_condition`]'s
+/// clauses, one of them extended by `v op w`.
+fn arb_var_var_condition() -> impl Strategy<Value = Condition> {
+    (
+        prop::collection::vec(prop::collection::vec(arb_expr(), 1..4), 1..6),
+        0usize..8,
+        0..N_VARS,
+        arb_op(),
+        1..N_VARS,
+    )
+        .prop_map(|(mut clauses, at, v, op, shift)| {
+            let w = (v + shift) % N_VARS;
+            let at = at % clauses.len();
+            clauses[at].push(Expr::new(var(v), op, Operand::Var(var(w))));
+            Condition::from_clauses(clauses)
+        })
+}
+
+/// For `cond` compiled under the wide `base` pmfs and evaluated after each
+/// narrowing, as kept circuits are: every var-var `Pr(φ ∧ e)` the circuit
+/// answers is within `1e-12` of a solve of `φ ∧ e` under the narrowed
+/// pmfs, and scoring leaves the circuit's `Pr(φ)` and derivatives
+/// bit-identical.
+fn check_kept_var_var(
+    cond: &Condition,
+    base: &VarDists,
+    narrowings: &[(u32, u64)],
+) -> Result<usize, TestCaseError> {
+    let var_var: Vec<Expr> = {
+        let mut v: Vec<Expr> = cond
+            .exprs()
+            .filter(|e| e.rhs_var().is_some())
+            .copied()
+            .collect();
+        v.sort();
+        v.dedup();
+        v
+    };
+    let mut answered = 0;
+    for solver in solvers() {
+        let mut kept = compile(&solver, cond, base);
+        let mut now = base.clone();
+        let mut scratch = ClampScratch::default();
+        for &(v, mask) in narrowings {
+            if let Some(pmf) = now.pmf(var(v)).unwrap().conditioned(mask) {
+                now.insert(var(v), pmf);
+            }
+            // A product the compile rounded to zero can come back as a
+            // few ulps under a narrowing: a session then solves plainly.
+            let p_phi = match kept.evaluate(&now) {
+                Ok(p) => p,
+                Err(SolverError::StaleCircuit) => break,
+                Err(other) => return Err(TestCaseError::fail(other.to_string())),
+            };
+            let (bits, derivatives) = (kept.probability().to_bits(), conditional_bits(&kept, cond));
+            let utilities = CompiledUtilities::of_circuit(&kept, p_phi).unwrap();
+            for e in &var_var {
+                let Some(joint) = kept.var_var_joint(e, &mut scratch).unwrap() else {
+                    continue;
+                };
+                answered += 1;
+                let solved = solver.probability(&cond.and_expr(*e), &now).unwrap();
+                prop_assert!(
+                    (joint - solved).abs() <= 1e-12,
+                    "Pr(φ ∧ {}) on {} under {:?}: {} clamped, {} by solve",
+                    e,
+                    cond,
+                    solver,
+                    joint,
+                    solved
+                );
+                let g = utilities
+                    .utility(e, &now, Some(&kept), &mut scratch)
+                    .unwrap();
+                prop_assert!(g.is_some(), "G({}) on {} needs a solve", e, cond);
+            }
+            prop_assert_eq!(kept.probability().to_bits(), bits);
+            prop_assert_eq!(conditional_bits(&kept, cond), derivatives);
+        }
+    }
+    Ok(answered)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn var_var_joints_off_kept_circuits_match_solves(
+        cond in arb_var_var_condition(),
+        base in arb_dists(),
+        narrowings in arb_narrowings(),
+    ) {
+        check_kept_var_var(&cond, &base, &narrowings)?;
+    }
+}
+
+/// The generator above reaches the clamped passes: most cases keep a
+/// var-var expression both of whose variables the circuit reads.
+#[test]
+fn the_var_var_generator_reaches_the_clamped_passes() {
+    let mut runner = proptest::TestRunner::new(ProptestConfig::with_cases(100), "reach");
+    let strategy = (arb_var_var_condition(), arb_dists(), arb_narrowings());
+    let mut answered = 0;
+    for _ in 0..100 {
+        let (cond, base, narrowings) = strategy.generate(runner.rng());
+        answered += check_kept_var_var(&cond, &base, &narrowings).unwrap();
+    }
+    assert!(
+        answered > 200,
+        "only {answered} var-var joints read off circuits"
+    );
 }
 
 fn uniform_except(zero: usize) -> Pmf {

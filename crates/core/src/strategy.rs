@@ -6,7 +6,9 @@ use bc_data::{ObjectId, VarId};
 use bc_solver::utility::{
     compile_utilities, is_open, marginal_utility_with_prior, CompiledUtilities,
 };
-use bc_solver::{BranchHeuristic, Circuit, SolveStats, Solver, SolverError, VarDists};
+use bc_solver::{
+    BranchHeuristic, Circuit, ClampScratch, SolveStats, Solver, SolverError, VarDists,
+};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 
@@ -78,19 +80,20 @@ fn candidates(
 pub struct UtilityTally {
     /// Candidate expressions scored.
     pub candidates: u64,
-    /// Solver invocations: one compile per object whose candidates include
-    /// an open var-const one, one `Pr(φ ∧ e)` solve per other open
-    /// candidate (var-var, or any candidate of a solver that does not
-    /// compile), plus failed attempts that needed a fallback. A candidate
-    /// is open when its `Pr(e)` lies strictly inside `(0, 1)`.
+    /// Solver invocations: one compile per object with an open candidate
+    /// and no kept circuit, one `Pr(φ ∧ e)` solve per open candidate no
+    /// circuit scores (every candidate of a solver that does not compile,
+    /// a var-var one whose clamped pass fails), plus failed attempts that
+    /// needed a fallback. A candidate is open when its `Pr(e)` lies
+    /// strictly inside `(0, 1)`.
     pub solver_calls: u64,
-    /// Conditions compiled: the part of `solver_calls` that scored every
-    /// open var-const candidate of one object.
+    /// Conditions compiled: the part of `solver_calls` that scored the
+    /// open candidates of one object.
     pub compiles: u64,
     /// Circuit nodes those compiles recorded.
     pub circuit_nodes: u64,
-    /// Objects whose var-const candidates were scored off a kept circuit,
-    /// with no compile.
+    /// Objects whose candidates were scored off a kept circuit, with no
+    /// compile.
     pub reused: u64,
     /// Compiles or candidates the configured solver failed on and a fresh
     /// ADPLL redid.
@@ -121,9 +124,11 @@ pub trait KeptCircuits {
 ///
 /// Scoring goes one object at a time, through [`UtilityScorer::object`].
 /// A solver that compiles (ADPLL) compiles an object's condition once, at
-/// its first open var-const candidate, and reads every var-const utility
-/// off that circuit; var-var candidates, and every candidate of a solver
-/// that does not compile, cost one solve each. With
+/// its first open candidate, and reads every utility off that circuit: off
+/// its derivative pass, or for a var-var candidate whose variables it both
+/// reads, off a clamped pass ([`Circuit::var_var_joint`]) in buffers the
+/// scorer reuses. Every candidate of a solver that does not compile costs
+/// one solve, as does a var-var candidate whose clamped pass fails. With
 /// [`UtilityScorer::with_kept`], an object that has a kept circuit is
 /// scored off it and compiles nothing.
 ///
@@ -138,6 +143,7 @@ pub struct UtilityScorer<'a> {
     heuristic: BranchHeuristic,
     caching: bool,
     kept: Option<&'a mut dyn KeptCircuits>,
+    scratch: ClampScratch,
     tally: UtilityTally,
 }
 
@@ -156,6 +162,7 @@ impl<'a> UtilityScorer<'a> {
             heuristic,
             caching,
             kept: None,
+            scratch: ClampScratch::default(),
             tally: UtilityTally::default(),
         }
     }
@@ -268,9 +275,9 @@ pub struct ObjectScorer<'s, 'a> {
     object: ObjectId,
     cond: &'s Condition,
     p_phi: f64,
-    /// `None` until the first open var-const candidate; then the kept or
-    /// compiled circuit's utilities, or `Some(None)` when the solver does
-    /// not compile.
+    /// `None` until the first open candidate; then the kept or compiled
+    /// circuit's utilities, or `Some(None)` when the solver does not
+    /// compile.
     compiled: Option<Option<CompiledUtilities>>,
 }
 
@@ -280,14 +287,20 @@ impl ObjectScorer<'_, '_> {
         let scorer = &mut *self.scorer;
         scorer.tally.candidates += 1;
         let dists = scorer.dists;
-        if e.rhs_var().is_none() {
-            if self.compiled.is_none() && dists.expr_prob(e).is_ok_and(is_open) {
-                self.compiled = Some(scorer.utilities(self.object, self.cond, self.p_phi)?);
-            }
-            if let Some(Some(compiled)) = &self.compiled {
-                if let Some(g) = compiled.utility(e, dists)? {
-                    return Ok(g);
+        if self.compiled.is_none() && dists.expr_prob(e).is_ok_and(is_open) {
+            self.compiled = Some(scorer.utilities(self.object, self.cond, self.p_phi)?);
+        }
+        if let Some(Some(compiled)) = &self.compiled {
+            // A kept circuit stays the session's: a var-var candidate reads
+            // it again, already evaluated.
+            let kept = match (e.rhs_var(), scorer.kept.as_deref_mut()) {
+                (Some(_), Some(kept)) if compiled.circuit().is_none() => {
+                    kept.circuit(self.object)?.map(|k| k.circuit)
                 }
+                _ => None,
+            };
+            if let Some(g) = compiled.utility(e, dists, kept, &mut scorer.scratch)? {
+                return Ok(g);
             }
         }
         scorer.solve(self.cond, e, self.p_phi)
@@ -520,8 +533,8 @@ mod tests {
     #[test]
     fn only_open_candidates_cost_work() {
         // x is confined to {0, 1}, so "x < 5" is decided and costs nothing.
-        // The open var-const candidates "y < 4" and "z > 3" share one
-        // compile of φ; the open var-var "y > z" costs one solve of its own.
+        // The open candidates "y < 4", "z > 3" and the var-var "y > z" are
+        // all read off one compile of φ.
         let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
         let var_var = Expr::var_gt(y, z);
         let cond = Condition::from_clauses(vec![
@@ -554,24 +567,75 @@ mod tests {
             let p_e = dists.expr_prob(e).unwrap();
             p_e > f64::EPSILON && p_e < 1.0 - f64::EPSILON
         };
-        let open_var_var = cond
-            .exprs()
-            .filter(open)
-            .filter(|e| e.rhs_var().is_some())
-            .count() as u64;
+        assert!(cond.exprs().any(|e| e == &var_var && open(&e)));
         let tally = scorer.tally();
         assert_eq!(tally.candidates, 4);
         assert_eq!(cond.exprs().filter(open).count(), 3);
-        assert_eq!((tally.compiles, open_var_var), (1, 1));
-        assert_eq!(tally.solver_calls, tally.compiles + open_var_var);
+        assert_eq!((tally.compiles, tally.solver_calls), (1, 1));
         assert_eq!(tally.fallbacks, 0);
-        // The search effort is exactly one solve of φ plus one of φ ∧ e.
+        // The search effort is exactly one compile: a plain solve of φ.
         let (_, compile) = solver.probability_with_stats(&cond, &dists).unwrap();
-        let (_, joint) = solver
-            .probability_with_stats(&cond.and_expr(var_var), &dists)
-            .unwrap();
-        assert_eq!(tally.stats.branches, compile.branches + joint.branches);
+        assert_eq!(tally.stats, compile);
         assert!(tally.circuit_nodes > 2);
+    }
+
+    #[test]
+    fn var_var_candidates_score_off_the_circuit_like_a_solve() {
+        // Every candidate of the condition, var-var ones included, scores
+        // within 1e-12 of its one-solve utility, and the var-var ones cost
+        // no solve, also off a kept circuit.
+        let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
+        let cond = Condition::from_clauses(vec![
+            vec![Expr::var_gt(x, y), Expr::lt(z, 3)],
+            vec![Expr::var_gt(z, x), Expr::gt(y, 1)],
+            vec![Expr::lt(x, 7), Expr::var_gt(y, z)],
+        ]);
+        let dists: VarDists = [
+            (
+                x,
+                Pmf::from_weights(vec![1.0, 2.0, 0.0, 3.0, 4.0, 5.0, 1.0, 2.0]),
+            ),
+            (y, Pmf::uniform(8)),
+            (
+                z,
+                Pmf::from_weights(vec![3.0, 0.5, 0.5, 2.0, 1.0, 0.0, 1.0, 1.0]),
+            ),
+        ]
+        .into_iter()
+        .collect();
+        let solver = AdpllSolver::new();
+        let p = solver.probability(&cond, &dists).unwrap();
+        let reference = OneSolveEach(AdpllSolver::new());
+        let (circuit, _) = solver.compile(&cond, &dists).unwrap().unwrap();
+        let mut kept = OneKept(circuit);
+        let mut compiled = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
+        let mut off_kept = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true)
+            .with_kept(&mut kept);
+        let mut solved = UtilityScorer::new(&reference, &dists, BranchHeuristic::default(), true);
+        let (mut a, mut b, mut c) = (
+            compiled.object(ObjectId(0), &cond, p),
+            off_kept.object(ObjectId(0), &cond, p),
+            solved.object(ObjectId(0), &cond, p),
+        );
+        let var_var: Vec<Expr> = cond
+            .exprs()
+            .filter(|e| e.rhs_var().is_some())
+            .copied()
+            .collect();
+        assert_eq!(var_var.len(), 3);
+        for e in cond.exprs() {
+            let want = c.score(e).unwrap();
+            for got in [a.score(e).unwrap(), b.score(e).unwrap()] {
+                assert!(
+                    (got - want).abs() <= 1e-12,
+                    "{e}: {got} vs one-solve {want}"
+                );
+            }
+        }
+        let (compiled, off_kept) = (compiled.tally(), off_kept.tally());
+        assert_eq!((compiled.compiles, compiled.solver_calls), (1, 1));
+        assert_eq!((off_kept.reused, off_kept.solver_calls), (1, 0));
+        assert!(solved.tally().solver_calls >= var_var.len() as u64);
     }
 
     #[test]

@@ -20,6 +20,10 @@ use bc_oracle::{
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// Var-var (object, expression) pairs the utility test must check off the
+/// compiled circuit, at least: 196 when the floor was set.
+const VAR_VAR_ON_CIRCUIT_FLOOR: usize = 150;
+
 /// 500 random instances within the acceptance envelope (≤ 8 objects, ≤ 3
 /// missing cells, domains ≤ 4): ADPLL, naive enumeration, and ApproxCount
 /// must match the possible-worlds oracle exactly, Monte Carlo within 3σ,
@@ -46,10 +50,12 @@ fn five_hundred_random_instances_match_the_oracle() {
 }
 
 /// The marginal utility `G(o, e)` that UBS/HHS rank by — one solve plus
-/// the complement `Pr(φ ∧ ¬e) = Pr(φ) − Pr(φ ∧ e)` — matches the
-/// possible-worlds value for ADPLL and naive enumeration, on every open
-/// object's every expression, over the committed corpus and 500 seeded
-/// instances. Both var-const and var-var expressions must be exercised.
+/// the complement `Pr(φ ∧ ¬e) = Pr(φ) − Pr(φ ∧ e)`, or read off ADPLL's
+/// compiled circuit — matches the possible-worlds value for ADPLL and
+/// naive enumeration, on every open object's every expression, over the
+/// committed corpus and 500 seeded instances. Both var-const and var-var
+/// expressions must be exercised, and enough var-var ones off the circuit
+/// that the clamped passes cannot silently drop out of the check.
 #[test]
 fn utilities_match_the_oracle_on_corpus_and_random_instances() {
     let eps = DiffConfig::default().eps;
@@ -61,9 +67,11 @@ fn utilities_match_the_oracle_on_corpus_and_random_instances() {
         .into_iter()
         .map(|(_, inst)| inst)
         .chain((20_000..20_500u64).map(|seed| random_instance(seed, &GenConfig::default())));
-    let (mut pairs, mut var_var) = (0usize, 0usize);
+    let (mut pairs, mut var_var, mut on_circuit) = (0usize, 0usize, 0usize);
     for inst in instances {
-        pairs += utility_matches_worlds(&inst, eps).unwrap_or_else(|e| panic!("{e}"));
+        let checked = utility_matches_worlds(&inst, eps).unwrap_or_else(|e| panic!("{e}"));
+        pairs += checked.pairs;
+        on_circuit += checked.var_var_on_circuit;
         let ct = exact_ctable(&inst.data);
         var_var += ct
             .open_objects()
@@ -77,6 +85,10 @@ fn utilities_match_the_oracle_on_corpus_and_random_instances() {
         "only {pairs} (object, expression) pairs checked"
     );
     assert!(var_var > 0, "no var-var expression was exercised");
+    assert!(
+        on_circuit >= VAR_VAR_ON_CIRCUIT_FLOOR,
+        "only {on_circuit} var-var pairs checked off the circuit"
+    );
 }
 
 /// Satellite: checkpoint/resume preserves the *per-object probabilities*,
