@@ -10,6 +10,7 @@ use crate::dataset::Dataset;
 use crate::domain::Value;
 use crate::error::DataError;
 use crate::ids::ObjectId;
+use std::cmp::Reverse;
 
 /// Dominance over complete rows (Definition 1): `a` dominates `b` iff `a` is
 /// not worse anywhere and strictly better somewhere. Larger is better.
@@ -28,19 +29,18 @@ pub fn dominates(a: &[Value], b: &[Value]) -> bool {
     strictly_better
 }
 
-/// Extracts the dense rows of a complete dataset.
-fn dense_rows(data: &Dataset) -> Result<Vec<Vec<Value>>, DataError> {
-    data.objects()
-        .map(|o| {
-            data.row(o)
-                .iter()
-                .copied()
-                .collect::<Option<Vec<Value>>>()
-                .ok_or(DataError::IncompleteData {
-                    operation: "skyline",
-                })
-        })
-        .collect()
+/// The cells of a complete dataset, row after row in one buffer: object
+/// `i`'s row is `cells[i * d..(i + 1) * d]` for `d` attributes.
+fn dense_cells(data: &Dataset) -> Result<Vec<Value>, DataError> {
+    let mut cells = Vec::with_capacity(data.n_objects() * data.n_attrs());
+    for o in data.objects() {
+        for &cell in data.row(o) {
+            cells.push(cell.ok_or(DataError::IncompleteData {
+                operation: "skyline",
+            })?);
+        }
+    }
+    Ok(cells)
 }
 
 /// Skyline by block-nested-loop over a complete dataset (Definition 2).
@@ -62,11 +62,13 @@ fn dense_rows(data: &Dataset) -> Result<Vec<Vec<Value>>, DataError> {
 ///
 /// Returns [`DataError::IncompleteData`] if any cell is missing.
 pub fn skyline_bnl(data: &Dataset) -> Result<Vec<ObjectId>, DataError> {
-    let rows = dense_rows(data)?;
+    let (n, d) = (data.n_objects(), data.n_attrs());
+    let cells = dense_cells(data)?;
+    let row = |i: usize| &cells[i * d..(i + 1) * d];
     let mut out = Vec::new();
-    'outer: for (i, r) in rows.iter().enumerate() {
-        for (j, s) in rows.iter().enumerate() {
-            if i != j && dominates(s, r) {
+    'outer: for i in 0..n {
+        for j in 0..n {
+            if i != j && dominates(row(j), row(i)) {
                 continue 'outer;
             }
         }
@@ -83,18 +85,20 @@ pub fn skyline_bnl(data: &Dataset) -> Result<Vec<ObjectId>, DataError> {
 ///
 /// Returns [`DataError::IncompleteData`] if any cell is missing.
 pub fn skyline_sfs(data: &Dataset) -> Result<Vec<ObjectId>, DataError> {
-    let rows = dense_rows(data)?;
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    // Descending sum; ties broken by index for determinism.
-    order.sort_by_key(|&i| {
-        let s: u64 = rows[i].iter().map(|&v| v as u64).sum();
-        (std::cmp::Reverse(s), i)
-    });
+    let (n, d) = (data.n_objects(), data.n_attrs());
+    let cells = dense_cells(data)?;
+    let row = |i: usize| &cells[i * d..(i + 1) * d];
+    // Descending sum, each computed once; ties broken by index for
+    // determinism.
+    let mut order: Vec<(Reverse<u64>, usize)> = (0..n)
+        .map(|i| (Reverse(row(i).iter().map(|&v| u64::from(v)).sum()), i))
+        .collect();
+    order.sort_unstable();
 
     let mut window: Vec<usize> = Vec::new();
-    'outer: for &i in &order {
+    'outer: for &(_, i) in &order {
         for &w in &window {
-            if dominates(&rows[w], &rows[i]) {
+            if dominates(row(w), row(i)) {
                 continue 'outer;
             }
         }

@@ -12,7 +12,7 @@ use std::fmt;
 ///
 /// `Model` and `CTable` happen once up front; `Select`, `Post`, and
 /// `Propagate` repeat every crowdsourcing round; `Finalize` happens once at
-/// the end (deriving the answer set).
+/// the end (deriving the answer set and scoring it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RunPhase {
     /// Bayesian-network training and per-variable distribution derivation.
@@ -26,7 +26,9 @@ pub enum RunPhase {
     /// Folding answers back: cache invalidation, constraint propagation,
     /// distribution re-conditioning.
     Propagate,
-    /// Deriving the final answer set from the terminal c-table state.
+    /// Deriving the final answer set from the terminal c-table state, and
+    /// scoring it against the platform's ground truth when the platform has
+    /// one (the complete-data skyline and its accuracy).
     Finalize,
 }
 

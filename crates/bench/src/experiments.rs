@@ -751,7 +751,8 @@ pub fn ext_faults(scale: &Scale) -> Vec<Row> {
 }
 
 /// Extension experiment E: where a run's wall-clock goes — per-phase
-/// timings from the observability layer, vs missing rate, per workload.
+/// timings from the observability layer, vs missing rate, per workload,
+/// and the run time no phase span covers (`unattributed_ms`).
 ///
 /// Each row's `peak_rss_mb` is [`bc_obs::peak_rss_bytes`] read after its
 /// run: the process's high-water mark (`VmHWM`) so far, not the run's own.
@@ -776,7 +777,9 @@ pub fn ext_phases(scale: &Scale) -> Vec<Row> {
                 .iter()
                 .map(|p| (p.name(), metrics.phase_nanos(*p) as f64 / 1e6))
                 .collect();
+            let unattributed = metrics.unattributed_nanos() as f64 / 1e6;
             cells.push(("total_ms", ms(report.total_time)));
+            cells.push(("unattributed_ms", unattributed));
             cells.push(("evals", report.probability_evals as f64));
             let peak_rss = bc_obs::peak_rss_bytes().map_or(f64::NAN, |b| b as f64 / 1e6);
             cells.push(("peak_rss_mb", peak_rss));
@@ -792,7 +795,7 @@ pub fn ext_phases(scale: &Scale) -> Vec<Row> {
                 .map(|p| format!("{}={:.1}ms", p.name(), metrics.phase_nanos(*p) as f64 / 1e6))
                 .collect();
             eprintln!(
-                "ext_phases {name} rate={rate}: {} peak_rss={peak_rss:.1}MB",
+                "ext_phases {name} rate={rate}: {} unattributed={unattributed:.1}ms peak_rss={peak_rss:.1}MB",
                 split.join(" ")
             );
         }
@@ -1020,11 +1023,18 @@ mod tests {
     }
 
     #[test]
-    fn ext_phases_rows_carry_peak_rss() {
+    fn ext_phases_rows_carry_peak_rss_and_unattributed_time() {
         let rows = ext_phases(&tiny_scale());
         assert_eq!(rows.len(), 4);
         for r in &rows {
-            assert!(r.metrics["total_ms"] > 0.0);
+            let total = r.metrics["total_ms"];
+            assert!(total > 0.0);
+            let unattributed = r.metrics["unattributed_ms"];
+            assert!(
+                (0.0..=total).contains(&unattributed),
+                "{}: unattributed {unattributed} of {total} ms",
+                r.series
+            );
             let rss = r.metrics["peak_rss_mb"];
             if cfg!(target_os = "linux") {
                 assert!(rss > 0.0, "{}: peak RSS {rss}", r.series);

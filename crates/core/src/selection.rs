@@ -84,6 +84,13 @@ pub fn rank_objects(probs: &[(ObjectId, f64)], ranking: ObjectRanking) -> Vec<Ra
 /// framework reserves the variables of tasks already in flight (queued
 /// retries) so a round never asks about them twice.
 ///
+/// Expression frequencies are counted once per round, over the conditions
+/// of the first `limit` ranked objects (the paper's "chosen top-k
+/// objects", see [`expression_frequencies`]), and every walked object's
+/// candidates are ordered by them (see [`select_expression`]): an object
+/// further down the ranking sees frequency 0 for expressions only it
+/// mentions.
+///
 /// UBS/HHS score candidates through `scorer`, whose tally then holds the
 /// round's utility effort. Each ranked probability must be `Pr(φ(o))`
 /// under the scorer's distributions. A solver error that survives the
@@ -100,10 +107,12 @@ pub fn assemble_round(
     if limit == 0 {
         return Ok(Vec::new());
     }
-    // Frequencies are counted over the conditions of the objects considered
-    // this round (the paper's "chosen top-k objects").
-    let top: Vec<ObjectId> = ranked.iter().take(limit).map(|r| r.object).collect();
-    let freq = expression_frequencies(top.iter().map(|&o| ctable.condition(o)));
+    let freq = expression_frequencies(
+        ranked
+            .iter()
+            .take(limit)
+            .map(|r| ctable.condition(r.object)),
+    );
 
     let mut used_vars: BTreeSet<VarId> = blocked.clone();
     let mut tasks = Vec::with_capacity(limit);

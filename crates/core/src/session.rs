@@ -714,12 +714,11 @@ impl<'a> Session<'a> {
             }
         }
         result.sort_unstable();
-        finalize_span.finish(observer);
-
         let truth = platform
             .ground_truth()
             .and_then(|complete| bc_data::skyline::skyline_sfs(complete).ok());
         let accuracy = truth.map(|t| Accuracy::of(&result, &t));
+        finalize_span.finish(observer);
 
         let total_time = prior_elapsed + started.elapsed();
         let report = RunReport {

@@ -2,7 +2,7 @@
 
 use crate::config::solve_with_fallback;
 use bc_ctable::{Condition, Expr};
-use bc_data::{ObjectId, VarId};
+use bc_data::{FxMap, ObjectId, VarId};
 use bc_solver::utility::{
     compile_utilities, is_open, marginal_utility_with_prior, CompiledUtilities,
 };
@@ -10,7 +10,7 @@ use bc_solver::{
     BranchHeuristic, Circuit, ClampScratch, SolveStats, Solver, SolverError, VarDists,
 };
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// The three expression-selection strategies of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,13 +40,20 @@ impl TaskStrategy {
     }
 }
 
-/// Expression frequencies across a set of conditions (the paper counts how
-/// often each expression appears in the conditions of the chosen top-k
-/// objects).
-pub fn expression_frequencies<'a>(
-    conditions: impl IntoIterator<Item = &'a Condition>,
-) -> HashMap<Expr, usize> {
-    let mut freq = HashMap::new();
+/// Expression frequencies across a set of conditions: how often each
+/// expression occurs in them, clause repetition included. A round counts
+/// over the conditions of the objects it ranks first, as many as it posts
+/// tasks (the paper's "chosen top-k objects"); an expression outside them
+/// has frequency 0. The map is reserved up front to the conditions' total
+/// expression count, so counting never grows it.
+pub fn expression_frequencies<'a, I>(conditions: I) -> FxMap<Expr, usize>
+where
+    I: IntoIterator<Item = &'a Condition>,
+    I::IntoIter: Clone,
+{
+    let conditions = conditions.into_iter();
+    let total = conditions.clone().map(Condition::n_exprs).sum();
+    let mut freq = FxMap::with_capacity_and_hasher(total, Default::default());
     for cond in conditions {
         for e in cond.exprs() {
             *freq.entry(*e).or_insert(0) += 1;
@@ -55,14 +62,61 @@ pub fn expression_frequencies<'a>(
     freq
 }
 
-/// The candidate expressions of `cond`, excluding those touching a blocked
-/// variable, ordered by descending frequency (ties broken by expression
-/// order for determinism).
-fn candidates(
+/// An expression's place in the candidate order: frequency descending,
+/// then expression order ascending. The smallest key comes first.
+type WalkKey = (Reverse<usize>, Expr);
+
+/// Whether `e` touches no blocked variable.
+fn is_free(e: &Expr, blocked: &BTreeSet<VarId>) -> bool {
+    e.vars().all(|v| !blocked.contains(&v))
+}
+
+/// `e`'s walk key under `freq`.
+fn walk_key(e: &Expr, freq: &FxMap<Expr, usize>) -> WalkKey {
+    (Reverse(freq.get(e).copied().unwrap_or(0)), *e)
+}
+
+/// FBS's pick: the first of the candidates UBS/HHS would walk, found in one
+/// pass that allocates nothing. Only a key that would beat the best so far
+/// needs the blocked check.
+fn most_frequent(
     cond: &Condition,
-    freq: &HashMap<Expr, usize>,
+    freq: &FxMap<Expr, usize>,
     blocked: &BTreeSet<VarId>,
-) -> Vec<Expr> {
+) -> Option<Expr> {
+    let mut best: Option<WalkKey> = None;
+    for e in cond.exprs() {
+        let key = walk_key(e, freq);
+        if best.is_none_or(|b| key < b) && is_free(e, blocked) {
+            best = Some(key);
+        }
+    }
+    best.map(|(_, e)| e)
+}
+
+/// The distinct candidates of `cond` that touch no blocked variable, in
+/// walk order: one sort of the keyed occurrences, then one dedup (equal
+/// expressions have equal keys, so their copies are adjacent).
+fn walk_order(
+    cond: &Condition,
+    freq: &FxMap<Expr, usize>,
+    blocked: &BTreeSet<VarId>,
+) -> Vec<WalkKey> {
+    let mut keyed: Vec<WalkKey> = cond
+        .exprs()
+        .filter(|e| is_free(e, blocked))
+        .map(|e| walk_key(e, freq))
+        .collect();
+    keyed.sort_unstable();
+    keyed.dedup();
+    keyed
+}
+
+/// The reference candidate order the walk must reproduce: distinct
+/// unblocked expressions, sorted, then stably re-sorted by descending
+/// frequency.
+#[cfg(test)]
+fn candidates(cond: &Condition, freq: &FxMap<Expr, usize>, blocked: &BTreeSet<VarId>) -> Vec<Expr> {
     let mut out: Vec<Expr> = cond
         .exprs()
         .filter(|e| e.vars().all(|v| !blocked.contains(&v)))
@@ -313,26 +367,32 @@ impl ObjectScorer<'_, '_> {
 /// current condition probability under the scorer's distributions (the
 /// utility computation relies on it being fresh, and a kept or compiled
 /// circuit checks it). Returns `Ok(None)` if every expression conflicts.
+///
+/// The candidates are the distinct expressions of `cond` that touch no
+/// blocked variable, ordered by descending `freq` (see
+/// [`expression_frequencies`]) with ties broken by ascending expression
+/// order. FBS takes the first of them. UBS scores them all and HHS walks
+/// them in that order until `m` consecutive candidates fail to improve on
+/// the best utility; both keep the first of equal utilities.
 pub fn select_expression(
     strategy: TaskStrategy,
     o: ObjectId,
     cond: &Condition,
-    freq: &HashMap<Expr, usize>,
+    freq: &FxMap<Expr, usize>,
     blocked: &BTreeSet<VarId>,
     scorer: &mut UtilityScorer<'_>,
     p_phi: f64,
 ) -> Result<Option<Expr>, SolverError> {
-    let cands = candidates(cond, freq, blocked);
     // UBS is HHS that never stops early.
     let lookahead = match strategy {
-        TaskStrategy::Fbs => return Ok(cands.first().copied()),
+        TaskStrategy::Fbs => return Ok(most_frequent(cond, freq, blocked)),
         TaskStrategy::Ubs => usize::MAX,
         TaskStrategy::Hhs { m } => m.max(1),
     };
     let mut object = scorer.object(o, cond, p_phi);
     let mut best: Option<(f64, Expr)> = None;
     let mut since_improvement = 0usize;
-    for e in cands {
+    for (_, e) in walk_order(cond, freq, blocked) {
         let g = object.score(&e)?;
         if best.is_none_or(|(bg, _)| g > bg) {
             best = Some((g, e));
@@ -352,6 +412,7 @@ mod tests {
     use super::*;
     use bc_bayes::Pmf;
     use bc_solver::{AdpllSolver, NaiveSolver};
+    use proptest::prelude::*;
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
@@ -361,7 +422,7 @@ mod tests {
     fn pick(
         strategy: TaskStrategy,
         cond: &Condition,
-        freq: &HashMap<Expr, usize>,
+        freq: &FxMap<Expr, usize>,
         blocked: &BTreeSet<VarId>,
         solver: &dyn Solver,
         dists: &VarDists,
@@ -914,6 +975,113 @@ mod tests {
         }
         assert!(picks > 600, "only {picks} picks compared");
         assert!(flips * 20 < picks, "{flips} tie flips in {picks} picks");
+    }
+
+    #[test]
+    fn equal_frequencies_are_resolved_by_expression_order() {
+        let (a, b) = (v(0, 0), v(1, 0));
+        // In expression order: a < 2, a > b, b < 1, b ≥ 5 (the canonical
+        // form of b > 4). The condition's clauses read a < 2 ∨ b ≥ 5 and
+        // a > b ∨ b < 1, so b ≥ 5 is the first of the tied three there.
+        let cond = Condition::from_clauses(vec![
+            vec![Expr::gt(b, 4), Expr::lt(a, 2)],
+            vec![Expr::var_gt(a, b), Expr::lt(b, 1)],
+        ]);
+        let mut freq: FxMap<Expr, usize> = [
+            (Expr::gt(b, 4), 2),
+            (Expr::var_gt(a, b), 2),
+            (Expr::lt(b, 1), 2),
+        ]
+        .into_iter()
+        .collect();
+        let walk = |freq: &FxMap<Expr, usize>, blocked: &BTreeSet<VarId>| -> Vec<Expr> {
+            walk_order(&cond, freq, blocked)
+                .into_iter()
+                .map(|(_, e)| e)
+                .collect()
+        };
+        let none = BTreeSet::new();
+        // a < 2 has no count, so it is frequency 0 and comes last.
+        let tied = vec![
+            Expr::var_gt(a, b),
+            Expr::lt(b, 1),
+            Expr::gt(b, 4),
+            Expr::lt(a, 2),
+        ];
+        assert_eq!(walk(&freq, &none), tied);
+        assert_eq!(most_frequent(&cond, &freq, &none), Some(Expr::var_gt(a, b)));
+        // Blocking a leaves the b-only expressions, still in order.
+        let no_a: BTreeSet<VarId> = [a].into_iter().collect();
+        assert_eq!(walk(&freq, &no_a), [Expr::lt(b, 1), Expr::gt(b, 4)]);
+        assert_eq!(most_frequent(&cond, &freq, &no_a), Some(Expr::lt(b, 1)));
+        // A higher count goes first whatever its expression order.
+        freq.insert(Expr::lt(a, 2), 3);
+        assert_eq!(walk(&freq, &none)[0], Expr::lt(a, 2));
+        assert_eq!(most_frequent(&cond, &freq, &none), Some(Expr::lt(a, 2)));
+        for freq in [&freq, &FxMap::default()] {
+            assert_eq!(
+                walk(freq, &none),
+                candidates(&cond, freq, &none),
+                "{freq:?}"
+            );
+        }
+    }
+
+    /// Expressions over four variables and four constants, about a third
+    /// of them var-var, so random conditions repeat expressions often.
+    fn small_expr() -> impl Strategy<Value = Expr> {
+        use bc_ctable::{CmpOp, Operand};
+        let ops = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ];
+        (0u32..4, 0usize..6, 0u16..4, 0u32..4, any::<bool>()).prop_map(
+            move |(l, op, c, r, var_var)| {
+                if var_var && l != r {
+                    Expr::new(v(l, 0), ops[op], Operand::Var(v(r, 0)))
+                } else {
+                    Expr::new(v(l, 0), ops[op], Operand::Const(c))
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// FBS picks the reference order's first candidate, and UBS/HHS
+        /// walk exactly the reference order, under frequency tables with
+        /// many ties (counts 0–2; 0 means no entry) and blocked variables.
+        #[test]
+        fn selection_order_matches_the_reference(
+            raw in prop::collection::vec(prop::collection::vec(small_expr(), 1..5), 1..10),
+            counts in prop::collection::vec(0usize..3, 1..24),
+            blocked in prop::collection::btree_set(0u32..4, 0..3),
+        ) {
+            let cond = Condition::from_clauses(raw);
+            let blocked: BTreeSet<VarId> = blocked.into_iter().map(|o| v(o, 0)).collect();
+            let distinct: BTreeSet<Expr> = cond.exprs().copied().collect();
+            let freq: FxMap<Expr, usize> = distinct
+                .iter()
+                .zip(counts.iter().cycle())
+                .filter(|&(_, &n)| n > 0)
+                .map(|(e, &n)| (*e, n))
+                .collect();
+            let want = candidates(&cond, &freq, &blocked);
+            let walked: Vec<Expr> = walk_order(&cond, &freq, &blocked)
+                .into_iter()
+                .map(|(_, e)| e)
+                .collect();
+            prop_assert_eq!(&walked, &want);
+            let dists = VarDists::default();
+            let solver = AdpllSolver::new();
+            let fbs = pick(TaskStrategy::Fbs, &cond, &freq, &blocked, &solver, &dists, 0.5);
+            prop_assert_eq!(fbs, want.first().copied());
+        }
     }
 
     #[test]
