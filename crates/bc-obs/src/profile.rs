@@ -14,12 +14,12 @@
 //!   already measured at the emission site.
 //!
 //! The resulting [`ProfileReport`] renders as an indented text tree and
-//! as canonical single-line JSON (fixed key order, no whitespace) whose
-//! parse → write round-trip is byte-identical, matching the bc-snapshot
-//! convention.
+//! as canonical single-line JSON (fixed key order, bc-snapshot's spaced
+//! layout) whose parse → write round-trip is byte-identical.
 
-use crate::event::{Event, RunPhase};
+use crate::event::{int, Event, RunPhase};
 use crate::sink::Observer;
+use bc_snapshot::Value;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -164,22 +164,46 @@ pub struct ReportNode {
 }
 
 impl ReportNode {
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"name\": \"");
-        escape_into(&self.name, out);
-        let _ = write!(
-            out,
-            "\", \"count\": {}, \"nanos\": {}",
-            self.count, self.nanos
-        );
-        out.push_str(", \"children\": [");
-        for (i, child) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            child.write_json(out);
+    fn to_value(&self) -> Value {
+        Value::obj(vec![
+            ("name", Value::Str(self.name.clone())),
+            ("count", int(self.count)),
+            ("nanos", int(self.nanos)),
+            (
+                "children",
+                Value::List(self.children.iter().map(ReportNode::to_value).collect()),
+            ),
+        ])
+    }
+
+    /// The node of a map with exactly the keys `name`, `count`, `nanos`
+    /// and `children`, in that order.
+    fn from_value(v: &Value) -> Result<ReportNode, String> {
+        let Some([(k0, name), (k1, count), (k2, nanos), (k3, children)]) = v.as_map() else {
+            return Err("a span is a map of name, count, nanos, children".into());
+        };
+        if [k0, k1, k2, k3] != ["name", "count", "nanos", "children"] {
+            return Err(format!(
+                "span keys {k0}, {k1}, {k2}, {k3} are not name, count, nanos, children"
+            ));
         }
-        out.push_str("]}");
+        Ok(ReportNode {
+            name: name
+                .as_str()
+                .ok_or("span name is not a string")?
+                .to_string(),
+            count: count.as_u64().ok_or("span count is not a u64")?,
+            nanos: nanos
+                .as_int()
+                .and_then(|n| u128::try_from(n).ok())
+                .ok_or("span nanos is not a u128")?,
+            children: children
+                .as_list()
+                .ok_or("span children is not a list")?
+                .iter()
+                .map(ReportNode::from_value)
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     fn write_text(&self, out: &mut String, depth: usize) {
@@ -194,22 +218,6 @@ impl ReportNode {
         );
         for child in &self.children {
             child.write_text(out, depth + 1);
-        }
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }
@@ -252,170 +260,19 @@ impl ProfileReport {
     /// Canonical single-line JSON: fixed key order
     /// (`name`, `count`, `nanos`, `children`), `", "` separators, no
     /// trailing newline. [`ProfileReport::from_json`] of this output
-    /// re-serializes to the identical bytes.
+    /// re-serializes to the identical bytes. A `nanos` above `i128::MAX`
+    /// is written as `i128::MAX` (saturating; no run gets near it).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.root.write_json(&mut out);
-        out
+        self.root.to_value().to_json_spaced()
     }
 
-    /// Parses the JSON produced by [`ProfileReport::to_json`]
-    /// (whitespace-tolerant, but key order is fixed).
+    /// Parses the JSON produced by [`ProfileReport::to_json`]: any JSON
+    /// whitespace, but every span's keys exactly `name`, `count`, `nanos`,
+    /// `children`, in that order. Nesting deeper than
+    /// [`bc_snapshot::MAX_DEPTH`] is an error.
     pub fn from_json(input: &str) -> Result<ProfileReport, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        let root = p.node()?;
-        p.ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
+        let root = ReportNode::from_value(&Value::parse(input)?)?;
         Ok(ProfileReport { root })
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn key(&mut self, name: &str) -> Result<(), String> {
-        self.ws();
-        self.expect(b'"')?;
-        if !self.bytes[self.pos..].starts_with(name.as_bytes()) {
-            return Err(format!("expected key {name:?} at offset {}", self.pos));
-        }
-        self.pos += name.len();
-        self.expect(b'"')?;
-        self.ws();
-        self.expect(b':')
-    }
-
-    fn uint(&mut self) -> Result<u128, String> {
-        self.ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected digits at offset {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ascii")
-            .parse()
-            .map_err(|e| format!("bad integer at offset {start}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.ws();
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty by construction");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn node(&mut self) -> Result<ReportNode, String> {
-        self.ws();
-        self.expect(b'{')?;
-        self.key("name")?;
-        let name = self.string()?;
-        self.ws();
-        self.expect(b',')?;
-        self.key("count")?;
-        let count = u64::try_from(self.uint()?).map_err(|_| "count overflows u64".to_string())?;
-        self.ws();
-        self.expect(b',')?;
-        self.key("nanos")?;
-        let nanos = self.uint()?;
-        self.ws();
-        self.expect(b',')?;
-        self.key("children")?;
-        self.ws();
-        self.expect(b'[')?;
-        let mut children = Vec::new();
-        self.ws();
-        if self.bytes.get(self.pos) != Some(&b']') {
-            loop {
-                children.push(self.node()?);
-                self.ws();
-                if self.bytes.get(self.pos) == Some(&b',') {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        self.ws();
-        self.expect(b']')?;
-        self.ws();
-        self.expect(b'}')?;
-        Ok(ReportNode {
-            name,
-            count,
-            nanos,
-            children,
-        })
     }
 }
 
@@ -634,6 +491,13 @@ mod tests {
         ] {
             assert!(ProfileReport::from_json(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let open = "{\"name\": \"x\", \"count\": 0, \"nanos\": 0, \"children\": [";
+        let deep = open.repeat(100_000) + &"]}".repeat(100_000);
+        assert!(ProfileReport::from_json(&deep).is_err());
     }
 
     #[test]

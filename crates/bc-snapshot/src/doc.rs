@@ -195,10 +195,17 @@ impl Snapshot {
                     .ok_or_else(|| malformed("header lacks a fingerprint".into()))?;
                 fingerprint = Some(fp.to_string());
             } else if let Some(name) = value.get("section").and_then(Value::as_str) {
-                let data = value
-                    .get("data")
-                    .ok_or_else(|| malformed("section line lacks data".into()))?;
-                sections.push((name.to_string(), data.clone()));
+                let name = name.to_string();
+                // Move the payload out: a checkpoint's sections run to
+                // megabytes, and a copy would double the parse.
+                let data = match value {
+                    Value::Map(entries) => entries
+                        .into_iter()
+                        .find_map(|(k, v)| (k == "data").then_some(v)),
+                    _ => None,
+                }
+                .ok_or_else(|| malformed("section line lacks data".into()))?;
+                sections.push((name, data));
             } else if let Some(declared) = value.get("sections").and_then(Value::as_usize) {
                 let checksum = value
                     .get("checksum")
@@ -379,6 +386,17 @@ mod tests {
         let tampered = format!("{}\n{}\n{}\n", lines[0], lines[2], lines[3]);
         // Either the checksum or the count catches it — both are wrong.
         assert!(Snapshot::parse(tampered.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_malformed_not_a_stack_overflow() {
+        let header = header_value("x", FORMAT_VERSION).to_json();
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+        let doc = format!("{header}\n{{\"section\":\"s\",\"data\":{deep}}}\n");
+        assert!(matches!(
+            Snapshot::parse(doc.as_bytes()),
+            Err(SnapshotError::Malformed { line: 2, .. })
+        ));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! A crowd run spans hours or days of human latency, and every answered
 //! task is money already spent — a process restart must not discard paid
 //! answers or retrained state. This crate is the persistence container for
-//! that state: a **versioned, checksummed JSON-lines document** with a
-//! hand-rolled writer and parser in the style of `bc-obs`'s trace sink, and
-//! no dependencies.
+//! that state: a **versioned, checksummed JSON-lines document**, with no
+//! dependencies. Its [`Value`] tree, writer and parser are also the one
+//! JSON codec the rest of the workspace uses (`bc-obs` trace lines and
+//! profiles, `bc-bench` figure rows).
 //!
 //! The crate is deliberately generic: it knows nothing about datasets,
 //! c-tables, or platforms. Domain state is encoded into the [`Value`] tree
@@ -42,4 +43,4 @@ mod value;
 
 pub use doc::{fnv1a64, Snapshot, SnapshotWriter, FORMAT_NAME, FORMAT_VERSION};
 pub use error::SnapshotError;
-pub use value::Value;
+pub use value::{Value, MAX_DEPTH};

@@ -1,18 +1,35 @@
-//! The generic value tree snapshots are built from, with a canonical JSON
-//! writer and a matching parser.
+//! The workspace's one JSON codec: a generic value tree, a writer with two
+//! fixed layouts, and a linear, depth-bounded parser. Snapshots, trace
+//! lines (`bc-obs` events), profile reports and figure rows all go through
+//! it.
 //!
 //! Two departures from a stock JSON model keep round-trips exact:
 //!
 //! * **Integers and floats are distinct variants.** Counters (budgets,
 //!   RNG words, masks) must not detour through `f64` and lose precision;
-//!   a number token is an [`Value::Int`] unless it contains `.`, `e`, or
-//!   `E`.
+//!   a number token is an [`Value::Int`] unless it has a fraction or an
+//!   exponent.
 //! * **Floats print in shortest round-trip form** (Rust's `{:?}`), so the
 //!   exact bit pattern survives `write → parse → write` and the output is
 //!   byte-stable. Non-finite floats print as `NaN`/`inf`/`-inf` and parse
 //!   back — snapshots must be total even for degenerate state.
+//!
+//! The writer has two layouts and no options: [`Value::to_json`] is
+//! compact (snapshots, whose bytes are checksummed) and
+//! [`Value::to_json_spaced`] puts a space after every `,` and `:` (trace
+//! lines, profiles, figure rows).
 
-/// A dynamically typed snapshot value.
+use std::fmt::Write as _;
+
+/// The deepest nesting of lists and maps [`Value::parse`] accepts; deeper
+/// input is an error instead of a stack overflow. Measured on the
+/// documents this workspace writes, the deepest nests 10 levels: a run
+/// profile, two per span along `run/round/select/solve/adpll`. A session
+/// checkpoint line nests at most 8 (a `FaultyPlatform` run), an oracle
+/// corpus line 4 and a trace line 1.
+pub const MAX_DEPTH: usize = 128;
+
+/// A dynamically typed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// Absent/none.
@@ -115,32 +132,40 @@ impl Value {
             .find_map(|(k, v)| (k == key).then_some(v))
     }
 
-    /// Serializes to compact canonical JSON.
+    /// Serializes to compact canonical JSON: no whitespace at all.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write_json(&mut out);
+        self.write_json(&mut out, ",", ":");
         out
     }
 
-    fn write_json(&self, out: &mut String) {
+    /// Serializes to canonical JSON with `", "` between elements and
+    /// `": "` after keys, on one line.
+    pub fn to_json_spaced(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out, ", ", ": ");
+        out
+    }
+
+    fn write_json(&self, out: &mut String, comma: &str, colon: &str) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
             Value::Int(i) => {
-                out.push_str(&i.to_string());
+                let _ = write!(out, "{i}");
             }
             Value::Float(f) => {
-                out.push_str(&format!("{f:?}"));
+                let _ = write!(out, "{f:?}");
             }
             Value::Str(s) => escape_into(s, out),
             Value::List(xs) => {
                 out.push('[');
                 for (i, x) in xs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
-                    x.write_json(out);
+                    x.write_json(out, comma, colon);
                 }
                 out.push(']');
             }
@@ -148,29 +173,34 @@ impl Value {
                 out.push('{');
                 for (i, (k, v)) in entries.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
                     escape_into(k, out);
-                    out.push(':');
-                    v.write_json(out);
+                    out.push_str(colon);
+                    v.write_json(out, comma, colon);
                 }
                 out.push('}');
             }
         }
     }
 
-    /// Parses one canonical JSON value (the payload of a document line).
-    /// Returns a human-readable reason on failure; the document layer
-    /// attaches the line number.
+    /// Parses one JSON value, surrounded by any JSON whitespace (space,
+    /// tab, LF, CR). Numbers follow the JSON grammar, plus the `NaN`,
+    /// `inf` and `-inf` the writer uses for non-finite floats; `-0` is
+    /// rejected as an integer, since `Int` cannot keep its sign. Runs in
+    /// time linear in the input, and nesting deeper than [`MAX_DEPTH`] is
+    /// an error. Returns a human-readable reason on failure; the document
+    /// layer attaches the line number.
     pub fn parse(input: &str) -> Result<Value, String> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            src: input,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != input.len() {
             return Err(format!("trailing bytes at offset {}", p.pos));
         }
         Ok(v)
@@ -187,7 +217,7 @@ fn escape_into(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -196,23 +226,25 @@ fn escape_into(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Lists and maps open around `pos`.
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+impl Parser<'_> {
+    fn rest(&self) -> &[u8] {
+        &self.src.as_bytes()[self.pos..]
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.rest().first().copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -225,53 +257,92 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_keyword(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        let hit = self.rest().starts_with(word.as_bytes());
+        if hit {
             self.pos += word.len();
-            true
-        } else {
-            false
         }
+        hit
     }
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.map(),
-            Some(b'[') => self.list(),
+            Some(b'{') => self.nested(Parser::map),
+            Some(b'[') => self.nested(Parser::list),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(b'N') if self.eat_keyword("NaN") => Ok(Value::Float(f64::NAN)),
             Some(b'i') if self.eat_keyword("inf") => Ok(Value::Float(f64::INFINITY)),
-            Some(b'-') if self.bytes[self.pos..].starts_with(b"-inf") => {
-                self.pos += 4;
-                Ok(Value::Float(f64::NEG_INFINITY))
-            }
+            Some(b'-') if self.eat_keyword("-inf") => Ok(Value::Float(f64::NEG_INFINITY)),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
     }
 
+    /// Runs `inner` one nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn digits(&mut self) -> usize {
+        let n = self
+            .rest()
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.pos += n;
+        n
+    }
+
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
+        let bad = || format!("bad number at offset {start}");
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let leading_zero = self.peek() == Some(b'0');
+        match self.digits() {
+            0 => return Err(bad()),
+            n if n > 1 && leading_zero => return Err(bad()),
+            _ => {}
+        }
         let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            is_float = true;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
-        let token =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number tokens are ascii");
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            is_float = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        let token = &self.src[start..self.pos];
         if is_float {
             token
                 .parse::<f64>()
                 .map(Value::Float)
                 .map_err(|e| format!("bad float {token:?}: {e}"))
+        } else if token == "-0" {
+            Err(bad())
         } else {
             token
                 .parse::<i128>()
@@ -284,47 +355,40 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                .map_err(|_| "invalid utf-8 in string".to_string())?;
-            let mut chars = rest.char_indices();
-            match chars.next() {
-                None => return Err("unterminated string".into()),
-                Some((_, '"')) => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some((_, '\\')) => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(
-                                char::from_u32(code).ok_or("\\u escape is not a scalar value")?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err("unknown escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some((i, c)) => {
-                    out.push(c);
-                    self.pos += i + c.len_utf8();
-                }
+            // Copy everything up to the next quote or backslash in one
+            // slice: both are ASCII, so the cut falls on a char boundary.
+            let run = self
+                .rest()
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    let code = self
+                        .src
+                        .get(self.pos + 1..self.pos + 5)
+                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or("bad \\u escape")?;
+                    out.push(char::from_u32(code).ok_or("\\u escape is not a scalar value")?);
+                    self.pos += 4;
+                }
+                _ => return Err(format!("unknown escape at offset {}", self.pos)),
+            }
+            self.pos += 1;
         }
     }
 
@@ -482,8 +546,90 @@ mod tests {
             "1.2.3",
             "[1] trailing",
             "{\"k\":\"\\q\"}",
+            "-0",
+            "007",
+            "1.",
+            ".5",
+            "1e",
+            "+1",
+            "\"\\u+041\"",
+            "\"\\ud800\"",
+            "[1 2]",
         ] {
             assert!(Value::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn spaced_layout_differs_only_in_separators() {
+        let v = Value::obj(vec![
+            (
+                "a",
+                Value::List(vec![Value::Int(1), Value::Float(f64::NAN)]),
+            ),
+            ("b", Value::Map(vec![])),
+        ]);
+        assert_eq!(v.to_json(), r#"{"a":[1,NaN],"b":{}}"#);
+        assert_eq!(v.to_json_spaced(), r#"{"a": [1, NaN], "b": {}}"#);
+        assert_eq!(
+            Value::parse(&v.to_json_spaced()).unwrap().to_json(),
+            v.to_json()
+        );
+    }
+
+    #[test]
+    fn json_whitespace_is_accepted() {
+        let v = Value::parse(" \t{\r\n\"a\" :\n[ 1 ,\t-2.5e-3 ] }\n").unwrap();
+        assert_eq!(v.to_json(), r#"{"a":[1,-0.0025]}"#);
+    }
+
+    /// One line shaped like a checkpoint's c-table section: 32k
+    /// expressions `{"v":[o,a],"op":..,"rhs":{"c":..}}`, about 1.3 MB.
+    fn ctable_line() -> String {
+        let expr = |i: i128| {
+            Value::obj(vec![
+                ("v", Value::List(vec![Value::Int(i), Value::Int(i % 9)])),
+                ("op", Value::Str("lt".into())),
+                ("rhs", Value::obj(vec![("c", Value::Int(i % 7))])),
+            ])
+        };
+        let conds = (0..4_000)
+            .map(|o| {
+                let clause =
+                    |k: i128| Value::List((0..4).map(|j| expr(o * 8 + k * 4 + j)).collect());
+                Value::List(vec![clause(0), clause(1)])
+            })
+            .collect();
+        Value::obj(vec![
+            ("section", Value::Str("ctable".into())),
+            ("data", Value::List(conds)),
+        ])
+        .to_json()
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_the_line() {
+        let line = ctable_line();
+        assert!(line.len() > 1_200_000, "{} bytes", line.len());
+        let t = std::time::Instant::now();
+        let v = Value::parse(&line).unwrap();
+        let took = t.elapsed();
+        assert_eq!(v.to_json(), line);
+        // About 0.15 s in a debug build on a 2-vCPU VM; a parse that
+        // re-checks the rest of the line per string character takes 12 s
+        // here even in a release build.
+        assert!(took.as_secs_f64() < 10.0, "parse took {took:?}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+        let err = Value::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let maps = "{\"a\":".repeat(100_000) + "1" + &"}".repeat(100_000);
+        assert!(Value::parse(&maps).is_err());
+        // Exactly MAX_DEPTH levels still parse.
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert_eq!(Value::parse(&ok).unwrap().to_json(), ok);
     }
 }

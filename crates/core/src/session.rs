@@ -835,6 +835,7 @@ impl<'a> Session<'a> {
         platform: &'a mut dyn CrowdPlatform,
         observer: Option<&'a mut dyn Observer>,
     ) -> Result<Session<'a>, RunError> {
+        let t = Instant::now();
         let snap = Snapshot::parse(reader)?;
         let config_v = snap.section("config")?;
         let dataset_v = snap.section("dataset")?;
@@ -908,6 +909,7 @@ impl<'a> Session<'a> {
             round: session.round_idx,
             budget_left: session.budget,
             open_exprs: session.ctable.n_open_exprs(),
+            nanos: t.elapsed().as_nanos(),
         });
         Ok(session)
     }
