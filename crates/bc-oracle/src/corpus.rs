@@ -112,7 +112,7 @@ mod tests {
     use super::*;
     use crate::diff::{check_instance, DiffConfig};
     use crate::gen::{random_instance, GenConfig};
-    use crate::replay::load_corpus;
+    use crate::replay::{load_corpus, save_instance};
     use std::path::Path;
 
     #[test]
@@ -120,6 +120,44 @@ mod tests {
         let cfg = DiffConfig::default();
         for inst in regression_instances() {
             check_instance(&inst, &cfg).unwrap_or_else(|d| panic!("{d}"));
+        }
+    }
+
+    /// Writing each constructor's instance reproduces the section lines of
+    /// its committed corpus file byte for byte: the corpus writer's format
+    /// is pinned. The committed files predate format version 2, so their
+    /// header (and with it the footer's checksum) differs in the version.
+    #[test]
+    fn corpus_files_are_written_byte_identically() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+        let mut files: Vec<(String, Instance)> = regression_instances()
+            .into_iter()
+            .map(|inst| (format!("{}.bcsnap", inst.name), inst))
+            .collect();
+        files.extend(GENERATED_SEEDS.iter().map(|&seed| {
+            let inst = random_instance(seed, &GenConfig::default());
+            (format!("gen-{seed:08}.bcsnap"), inst)
+        }));
+        for (file, inst) in files {
+            let path = dir.join(file);
+            let want = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let mut got = Vec::new();
+            save_instance(&inst, &mut got).unwrap();
+            let got = String::from_utf8(got).unwrap();
+            let (got, want): (Vec<&str>, Vec<&str>) =
+                (got.lines().collect(), want.lines().collect());
+            assert_eq!(got.len(), want.len(), "{}", path.display());
+            let header = want[0].replacen(
+                "\"version\":1,",
+                &format!("\"version\":{},", bc_snapshot::FORMAT_VERSION),
+                1,
+            );
+            assert_eq!(got[0], header, "{}", path.display());
+            let n = want.len() - 1;
+            assert_eq!(got[1..n], want[1..n], "{} drifted", path.display());
+            let sections = |footer: &str| footer.split(',').next().unwrap().to_string();
+            assert_eq!(sections(got[n]), sections(want[n]), "{}", path.display());
         }
     }
 

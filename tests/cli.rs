@@ -220,3 +220,24 @@ fn killed_run_resumes_to_the_identical_report() {
     assert!(clean.contains("result:"), "{clean}");
     assert_eq!(clean, resumed, "resumed report diverged from the clean run");
 }
+
+#[test]
+fn an_invalid_configuration_exits_2() {
+    let data = write_temp("v_inc.csv", INCOMPLETE);
+    let complete = write_temp("v_com.csv", COMPLETE);
+    let out = cli()
+        .args([
+            "simulate",
+            "--data",
+            data.to_str().unwrap(),
+            "--complete",
+            complete.to_str().unwrap(),
+            "--budget",
+            "0",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("invalid configuration"), "{stderr}");
+}
