@@ -6,7 +6,7 @@
 //! ([`Event::from_json_line`]), so a JSON-lines trace written by one
 //! process can be reconciled against the final run report by another.
 
-use bc_snapshot::Value;
+use bc_snapshot::{FromValue, Value};
 use std::fmt;
 
 /// The instrumented phases of a run, in execution order.
@@ -302,26 +302,6 @@ pub enum Event {
 }
 
 impl Event {
-    /// Stable event-kind name used in traces.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RunStarted { .. } => "RunStarted",
-            Event::ModelTrained { .. } => "ModelTrained",
-            Event::CTableBuilt { .. } => "CTableBuilt",
-            Event::RoundStarted { .. } => "RoundStarted",
-            Event::ProbabilityBatch { .. } => "ProbabilityBatch",
-            Event::SolverSearch { .. } => "SolverSearch",
-            Event::UtilityBatch { .. } => "UtilityBatch",
-            Event::Propagated { .. } => "Propagated",
-            Event::RoundFinished { .. } => "RoundFinished",
-            Event::SpanFinished { .. } => "SpanFinished",
-            Event::Degraded { .. } => "Degraded",
-            Event::CheckpointWritten { .. } => "CheckpointWritten",
-            Event::Resumed { .. } => "Resumed",
-            Event::RunFinished { .. } => "RunFinished",
-        }
-    }
-
     /// A copy with every `nanos` field zeroed — the deterministic part of a
     /// seeded run's trace (golden-trace tests compare these).
     pub fn redact_timing(&self) -> Event {
@@ -344,328 +324,92 @@ impl Event {
         }
         e
     }
+}
 
-    /// Serializes the event as one JSON object on one line, prefixed with a
-    /// sequence number: `{"seq": 3, "event": "RoundStarted", "round": 1}`.
-    /// A `nanos` above `i128::MAX` is written as `i128::MAX` (saturating;
-    /// no run gets near it), and a non-finite `bic` as `0.0`.
-    pub fn to_json_line(&self, seq: u64) -> String {
-        let mut fields = vec![("seq", int(seq)), ("event", Value::Str(self.kind().into()))];
-        let phase_name = |p: &RunPhase| Value::Str(p.name().into());
-        match self {
-            Event::RunStarted {
-                objects,
-                attrs,
-                missing_vars,
-                budget,
-                latency,
-            } => {
-                fields.push(("objects", int(*objects)));
-                fields.push(("attrs", int(*attrs)));
-                fields.push(("missing_vars", int(*missing_vars)));
-                fields.push(("budget", int(*budget)));
-                fields.push(("latency", int(*latency)));
+/// Generates [`Event::kind`], [`Event::to_json_line`] and
+/// [`Event::from_json_line`] from the wire table below. Encoding matches
+/// each variant without `..`, and decoding builds it field by field, so a
+/// field missing from the table does not compile.
+macro_rules! wire_format {
+    ($($kind:ident { $($field:ident),* })*) => {
+        impl Event {
+            /// Stable event-kind name used in traces.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$kind { .. } => stringify!($kind),)*
+                }
             }
-            Event::ModelTrained {
-                bic,
-                edges,
-                em_iters,
-                search_iters,
-                blanket_cells,
-                ve_cells,
-                blanket_keys,
-                nanos,
-            } => {
-                // JSON has no NaN/Inf; traces stay parseable regardless.
-                let bic = if bic.is_finite() { *bic } else { 0.0 };
-                fields.push(("bic", Value::Float(bic)));
-                fields.push(("edges", int(*edges)));
-                fields.push(("em_iters", int(*em_iters)));
-                fields.push(("search_iters", int(*search_iters)));
-                fields.push(("blanket_cells", int(*blanket_cells)));
-                fields.push(("ve_cells", int(*ve_cells)));
-                fields.push(("blanket_keys", int(*blanket_keys)));
-                fields.push(("nanos", int(*nanos)));
+
+            /// Serializes the event as one JSON object on one line, prefixed
+            /// with a sequence number:
+            /// `{"seq": 3, "event": "RoundStarted", "round": 1}`. A `nanos`
+            /// above `i128::MAX` is written as `i128::MAX` (saturating; no
+            /// run gets near it), and a non-finite `bic` as `0.0`.
+            pub fn to_json_line(&self, seq: u64) -> String {
+                let kind = Value::Str(self.kind().into());
+                let mut fields = vec![("seq", seq.encode()), ("event", kind)];
+                match self {
+                    $(Event::$kind { $($field),* } => {
+                        $(fields.push((stringify!($field), $field.encode()));)*
+                    })*
+                }
+                Value::obj(fields).to_json_spaced()
             }
-            Event::CTableBuilt {
-                objects,
-                open_objects,
-                vars,
-                exprs,
-                pruned,
-                candidates,
-                bitset_words,
-                nanos,
-            } => {
-                fields.push(("objects", int(*objects)));
-                fields.push(("open_objects", int(*open_objects)));
-                fields.push(("vars", int(*vars)));
-                fields.push(("exprs", int(*exprs)));
-                fields.push(("pruned", int(*pruned)));
-                fields.push(("candidates", int(*candidates)));
-                fields.push(("bitset_words", int(*bitset_words)));
-                fields.push(("nanos", int(*nanos)));
-            }
-            Event::RoundStarted { round } => {
-                fields.push(("round", int(*round)));
-            }
-            Event::ProbabilityBatch {
-                phase,
-                objects,
-                solver_calls,
-                compiles,
-                evaluations,
-                branches,
-                cache_hits,
-                fallbacks,
-                nanos,
-            } => {
-                fields.push(("phase", phase_name(phase)));
-                fields.push(("objects", int(*objects)));
-                fields.push(("solver_calls", int(*solver_calls)));
-                fields.push(("compiles", int(*compiles)));
-                fields.push(("evaluations", int(*evaluations)));
-                fields.push(("branches", int(*branches)));
-                fields.push(("cache_hits", int(*cache_hits)));
-                fields.push(("fallbacks", int(*fallbacks)));
-                fields.push(("nanos", int(*nanos)));
-            }
-            Event::SolverSearch {
-                phase,
-                decisions,
-                direct_components,
-                component_splits,
-                cache_hits,
-                cache_misses,
-                max_depth,
-            } => {
-                fields.push(("phase", phase_name(phase)));
-                fields.push(("decisions", int(*decisions)));
-                fields.push(("direct_components", int(*direct_components)));
-                fields.push(("component_splits", int(*component_splits)));
-                fields.push(("cache_hits", int(*cache_hits)));
-                fields.push(("cache_misses", int(*cache_misses)));
-                fields.push(("max_depth", int(*max_depth)));
-            }
-            Event::UtilityBatch {
-                candidates,
-                solver_calls,
-                compiles,
-                circuit_nodes,
-                reused,
-                decisions,
-                cache_hits,
-                fallbacks,
-                nanos,
-            } => {
-                fields.push(("candidates", int(*candidates)));
-                fields.push(("solver_calls", int(*solver_calls)));
-                fields.push(("compiles", int(*compiles)));
-                fields.push(("circuit_nodes", int(*circuit_nodes)));
-                fields.push(("reused", int(*reused)));
-                fields.push(("decisions", int(*decisions)));
-                fields.push(("cache_hits", int(*cache_hits)));
-                fields.push(("fallbacks", int(*fallbacks)));
-                fields.push(("nanos", int(*nanos)));
-            }
-            Event::Propagated {
-                answers,
-                examined,
-                decided,
-                depth,
-                nanos,
-            } => {
-                fields.push(("answers", int(*answers)));
-                fields.push(("examined", int(*examined)));
-                fields.push(("decided", int(*decided)));
-                fields.push(("depth", int(*depth)));
-                fields.push(("nanos", int(*nanos)));
-            }
-            Event::RoundFinished {
-                round,
-                posted,
-                answered,
-                expired,
-                requeued,
-                retried,
-                nanos,
-            } => {
-                fields.push(("round", int(*round)));
-                fields.push(("posted", int(*posted)));
-                fields.push(("answered", int(*answered)));
-                fields.push(("expired", int(*expired)));
-                fields.push(("requeued", int(*requeued)));
-                fields.push(("retried", int(*retried)));
-                fields.push(("nanos", int(*nanos)));
-            }
-            Event::SpanFinished { phase, nanos } => {
-                fields.push(("phase", phase_name(phase)));
-                fields.push(("nanos", int(*nanos)));
-            }
-            Event::Degraded { tasks_abandoned } => {
-                fields.push(("tasks_abandoned", int(*tasks_abandoned)));
-            }
-            Event::CheckpointWritten {
-                round,
-                bytes,
-                nanos,
-            } => {
-                fields.push(("round", int(*round)));
-                fields.push(("bytes", int(*bytes)));
-                fields.push(("nanos", int(*nanos)));
-            }
-            Event::Resumed {
-                round,
-                budget_left,
-                open_exprs,
-                nanos,
-            } => {
-                fields.push(("round", int(*round)));
-                fields.push(("budget_left", int(*budget_left)));
-                fields.push(("open_exprs", int(*open_exprs)));
-                fields.push(("nanos", int(*nanos)));
-            }
-            Event::RunFinished {
-                rounds,
-                tasks_posted,
-                tasks_answered,
-                tasks_expired,
-                tasks_retried,
-                probability_evals,
-                nanos,
-            } => {
-                fields.push(("rounds", int(*rounds)));
-                fields.push(("tasks_posted", int(*tasks_posted)));
-                fields.push(("tasks_answered", int(*tasks_answered)));
-                fields.push(("tasks_expired", int(*tasks_expired)));
-                fields.push(("tasks_retried", int(*tasks_retried)));
-                fields.push(("probability_evals", int(*probability_evals)));
-                fields.push(("nanos", int(*nanos)));
+
+            /// Parses one line written by [`Event::to_json_line`], returning
+            /// the sequence number and the event. Returns `None` if the line
+            /// is not JSON ([`Value::parse`]), lacks a field of its event
+            /// kind, or holds an integer field that is not plain digits
+            /// within the field's range.
+            pub fn from_json_line(line: &str) -> Option<(u64, Event)> {
+                let v = Value::parse(line).ok()?;
+                let seq = Field::decode(v.get("seq")?)?;
+                let event = match v.get("event")?.as_str()? {
+                    $(stringify!($kind) => Event::$kind {
+                        $($field: Field::decode(v.get(stringify!($field))?)?,)*
+                    },)*
+                    _ => return None,
+                };
+                Some((seq, event))
             }
         }
-        Value::obj(fields).to_json_spaced()
-    }
+    };
+}
 
-    /// Parses one line written by [`Event::to_json_line`], returning the
-    /// sequence number and the event. Returns `None` if the line is not
-    /// JSON ([`Value::parse`]), lacks a field of its event kind, or holds
-    /// an integer field that is not plain digits within the field's range.
-    pub fn from_json_line(line: &str) -> Option<(u64, Event)> {
-        let v = Value::parse(line).ok()?;
-        let seq = uint(&v, "seq")?;
-        let get_u = |k: &str| uint::<usize>(&v, k);
-        let get_u64 = |k: &str| uint::<u64>(&v, k);
-        let get_n = |k: &str| uint::<u128>(&v, k);
-        let phase = || RunPhase::from_name(v.get("phase")?.as_str()?);
-        let event = match v.get("event")?.as_str()? {
-            "RunStarted" => Event::RunStarted {
-                objects: get_u("objects")?,
-                attrs: get_u("attrs")?,
-                missing_vars: get_u("missing_vars")?,
-                budget: get_u("budget")?,
-                latency: get_u("latency")?,
-            },
-            "ModelTrained" => Event::ModelTrained {
-                bic: v.get("bic")?.as_f64().filter(|b| b.is_finite())?,
-                edges: get_u("edges")?,
-                em_iters: get_u("em_iters")?,
-                search_iters: get_u("search_iters")?,
-                blanket_cells: get_u("blanket_cells")?,
-                ve_cells: get_u("ve_cells")?,
-                blanket_keys: get_u("blanket_keys")?,
-                nanos: get_n("nanos")?,
-            },
-            "CTableBuilt" => Event::CTableBuilt {
-                objects: get_u("objects")?,
-                open_objects: get_u("open_objects")?,
-                vars: get_u("vars")?,
-                exprs: get_u("exprs")?,
-                pruned: get_u("pruned")?,
-                candidates: get_u64("candidates")?,
-                bitset_words: get_u64("bitset_words")?,
-                nanos: get_n("nanos")?,
-            },
-            "RoundStarted" => Event::RoundStarted {
-                round: get_u("round")?,
-            },
-            "ProbabilityBatch" => Event::ProbabilityBatch {
-                phase: phase()?,
-                objects: get_u("objects")?,
-                solver_calls: get_u64("solver_calls")?,
-                compiles: get_u64("compiles")?,
-                evaluations: get_u64("evaluations")?,
-                branches: get_u64("branches")?,
-                cache_hits: get_u64("cache_hits")?,
-                fallbacks: get_u64("fallbacks")?,
-                nanos: get_n("nanos")?,
-            },
-            "SolverSearch" => Event::SolverSearch {
-                phase: phase()?,
-                decisions: get_u64("decisions")?,
-                direct_components: get_u64("direct_components")?,
-                component_splits: get_u64("component_splits")?,
-                cache_hits: get_u64("cache_hits")?,
-                cache_misses: get_u64("cache_misses")?,
-                max_depth: get_u64("max_depth")?,
-            },
-            "UtilityBatch" => Event::UtilityBatch {
-                candidates: get_u64("candidates")?,
-                solver_calls: get_u64("solver_calls")?,
-                compiles: get_u64("compiles")?,
-                circuit_nodes: get_u64("circuit_nodes")?,
-                reused: get_u64("reused")?,
-                decisions: get_u64("decisions")?,
-                cache_hits: get_u64("cache_hits")?,
-                fallbacks: get_u64("fallbacks")?,
-                nanos: get_n("nanos")?,
-            },
-            "Propagated" => Event::Propagated {
-                answers: get_u("answers")?,
-                examined: get_u("examined")?,
-                decided: get_u("decided")?,
-                depth: get_u("depth")?,
-                nanos: get_n("nanos")?,
-            },
-            "RoundFinished" => Event::RoundFinished {
-                round: get_u("round")?,
-                posted: get_u("posted")?,
-                answered: get_u("answered")?,
-                expired: get_u("expired")?,
-                requeued: get_u("requeued")?,
-                retried: get_u("retried")?,
-                nanos: get_n("nanos")?,
-            },
-            "SpanFinished" => Event::SpanFinished {
-                phase: phase()?,
-                nanos: get_n("nanos")?,
-            },
-            "Degraded" => Event::Degraded {
-                tasks_abandoned: get_u("tasks_abandoned")?,
-            },
-            "CheckpointWritten" => Event::CheckpointWritten {
-                round: get_u("round")?,
-                bytes: get_u("bytes")?,
-                nanos: get_n("nanos")?,
-            },
-            "Resumed" => Event::Resumed {
-                round: get_u("round")?,
-                budget_left: get_u("budget_left")?,
-                open_exprs: get_u("open_exprs")?,
-                nanos: get_n("nanos")?,
-            },
-            "RunFinished" => Event::RunFinished {
-                rounds: get_u("rounds")?,
-                tasks_posted: get_u("tasks_posted")?,
-                tasks_answered: get_u("tasks_answered")?,
-                tasks_expired: get_u("tasks_expired")?,
-                tasks_retried: get_u("tasks_retried")?,
-                probability_evals: get_u64("probability_evals")?,
-                nanos: get_n("nanos")?,
-            },
-            _ => return None,
-        };
-        Some((seq, event))
+// The trace format: every event kind with its fields in wire order. A
+// field's JSON key is its name.
+wire_format! {
+    RunStarted { objects, attrs, missing_vars, budget, latency }
+    ModelTrained {
+        bic, edges, em_iters, search_iters, blanket_cells, ve_cells, blanket_keys, nanos
     }
+    CTableBuilt { objects, open_objects, vars, exprs, pruned, candidates, bitset_words, nanos }
+    RoundStarted { round }
+    ProbabilityBatch {
+        phase, objects, solver_calls, compiles, evaluations, branches, cache_hits, fallbacks, nanos
+    }
+    SolverSearch {
+        phase, decisions, direct_components, component_splits, cache_hits, cache_misses, max_depth
+    }
+    UtilityBatch {
+        candidates, solver_calls, compiles, circuit_nodes, reused, decisions, cache_hits, fallbacks,
+        nanos
+    }
+    Propagated { answers, examined, decided, depth, nanos }
+    RoundFinished { round, posted, answered, expired, requeued, retried, nanos }
+    SpanFinished { phase, nanos }
+    Degraded { tasks_abandoned }
+    CheckpointWritten { round, bytes, nanos }
+    Resumed { round, budget_left, open_exprs, nanos }
+    RunFinished {
+        rounds, tasks_posted, tasks_answered, tasks_expired, tasks_retried, probability_evals, nanos
+    }
+}
+
+/// How one event field is written to, and read back from, its trace value.
+trait Field: Sized {
+    fn encode(&self) -> Value;
+    fn decode(v: &Value) -> Option<Self>;
 }
 
 /// An integer field as a `Value`. `u128` nanos above `i128::MAX` (about
@@ -674,10 +418,41 @@ pub(crate) fn int<T: TryInto<i128>>(n: T) -> Value {
     Value::Int(n.try_into().unwrap_or(i128::MAX))
 }
 
-/// An unsigned integer field, read from a plain digit string: a sign, a
-/// fraction, an exponent or a value out of `T`'s range is `None`.
-fn uint<T: TryFrom<i128>>(v: &Value, key: &str) -> Option<T> {
-    T::try_from(v.get(key)?.as_int()?).ok()
+/// Unsigned counters: read from a plain digit string only — a sign, a
+/// fraction, an exponent or a value out of the type's range is `None`.
+macro_rules! unsigned_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn encode(&self) -> Value {
+                int(*self)
+            }
+            fn decode(v: &Value) -> Option<Self> {
+                FromValue::from_value(v)
+            }
+        }
+    )*};
+}
+unsigned_field!(usize, u64, u128);
+
+/// Finite only: JSON has no NaN/Inf, so a non-finite value is written as
+/// `0.0` and traces stay parseable regardless.
+impl Field for f64 {
+    fn encode(&self) -> Value {
+        Value::Float(if self.is_finite() { *self } else { 0.0 })
+    }
+    fn decode(v: &Value) -> Option<Self> {
+        v.as_f64().filter(|f| f.is_finite())
+    }
+}
+
+/// By [`RunPhase::name`].
+impl Field for RunPhase {
+    fn encode(&self) -> Value {
+        Value::Str(self.name().into())
+    }
+    fn decode(v: &Value) -> Option<Self> {
+        RunPhase::from_name(v.as_str()?)
+    }
 }
 
 #[cfg(test)]

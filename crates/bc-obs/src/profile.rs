@@ -1,17 +1,12 @@
-//! Hierarchical profiling: nested spans, path-addressed accumulation,
-//! and a serializable [`ProfileReport`] tree.
+//! Hierarchical profiling: path-addressed accumulation into a
+//! serializable [`ProfileReport`] tree.
 //!
-//! Two ways to feed a [`Profiler`]:
-//!
-//! * **Explicit spans** — [`Profiler::enter`] / [`Profiler::exit`] nest
-//!   relative to the innermost open span and time the enclosed work with
-//!   a monotonic clock. For ad-hoc instrumentation of straight-line code.
-//! * **Path records** — [`Profiler::record`] accrues externally measured
-//!   nanoseconds into an absolute `/`-separated path such as
-//!   `round/select/solve`, creating intermediate nodes as needed. This is
-//!   how [`RunProfiler`] folds an event stream into the canonical span
-//!   taxonomy without timing anything twice: every `nanos` it files was
-//!   already measured at the emission site.
+//! [`Profiler::record`] accrues externally measured nanoseconds into an
+//! absolute `/`-separated path such as `round/select/solve`, creating
+//! intermediate nodes as needed. This is how [`RunProfiler`] folds an
+//! event stream into the canonical span taxonomy without timing anything
+//! twice: every `nanos` it files was already measured at the emission
+//! site.
 //!
 //! The resulting [`ProfileReport`] renders as an indented text tree and
 //! as canonical single-line JSON (fixed key order, bc-snapshot's spaced
@@ -19,9 +14,8 @@
 
 use crate::event::{int, Event, RunPhase};
 use crate::sink::Observer;
-use bc_snapshot::Value;
+use bc_snapshot::{SnapshotError, Value};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 #[derive(Debug)]
 struct Node {
@@ -39,10 +33,6 @@ struct Node {
 #[derive(Debug)]
 pub struct Profiler {
     nodes: Vec<Node>,
-    /// Open explicit spans; `stack[0]` is always the root.
-    stack: Vec<usize>,
-    /// Start times for the open spans in `stack[1..]`.
-    starts: Vec<Instant>,
 }
 
 impl Profiler {
@@ -55,8 +45,6 @@ impl Profiler {
                 nanos: 0,
                 children: Vec::new(),
             }],
-            stack: vec![0],
-            starts: Vec::new(),
         }
     }
 
@@ -79,32 +67,9 @@ impl Profiler {
         idx
     }
 
-    /// Opens a span named `name` nested under the innermost open span and
-    /// starts its clock. Balance with [`Profiler::exit`].
-    pub fn enter(&mut self, name: &str) {
-        let top = *self.stack.last().expect("root span is never popped");
-        let idx = self.child(top, name);
-        self.stack.push(idx);
-        self.starts.push(Instant::now());
-    }
-
-    /// Closes the innermost open span, accruing its elapsed time and
-    /// bumping its count. A call with no open span is ignored (the root
-    /// cannot be exited).
-    pub fn exit(&mut self) {
-        let (Some(idx), Some(start)) = (
-            (self.stack.len() > 1).then(|| self.stack.pop().unwrap()),
-            self.starts.pop(),
-        ) else {
-            return;
-        };
-        self.nodes[idx].count += 1;
-        self.nodes[idx].nanos += start.elapsed().as_nanos();
-    }
-
     /// Accrues `nanos` and one call into the absolute `/`-separated
-    /// `path` (resolved from the root, not the open span), creating
-    /// intermediate nodes as needed. The empty path addresses the root.
+    /// `path`, creating intermediate nodes as needed. The empty path
+    /// addresses the root.
     pub fn record(&mut self, path: &str, nanos: u128) {
         self.record_with(path, nanos, 1);
     }
@@ -178,31 +143,21 @@ impl ReportNode {
 
     /// The node of a map with exactly the keys `name`, `count`, `nanos`
     /// and `children`, in that order.
-    fn from_value(v: &Value) -> Result<ReportNode, String> {
-        let Some([(k0, name), (k1, count), (k2, nanos), (k3, children)]) = v.as_map() else {
-            return Err("a span is a map of name, count, nanos, children".into());
-        };
-        if [k0, k1, k2, k3] != ["name", "count", "nanos", "children"] {
-            return Err(format!(
-                "span keys {k0}, {k1}, {k2}, {k3} are not name, count, nanos, children"
-            ));
+    fn from_value(v: &Value) -> Result<ReportNode, SnapshotError> {
+        let map = v.as_map().unwrap_or_default();
+        let keys: Vec<&str> = map.iter().map(|(k, _)| k.as_str()).collect();
+        if keys != ["name", "count", "nanos", "children"] {
+            return Err(SnapshotError::Invalid(format!(
+                "span keys {keys:?} are not name, count, nanos, children"
+            )));
         }
         Ok(ReportNode {
-            name: name
-                .as_str()
-                .ok_or("span name is not a string")?
-                .to_string(),
-            count: count.as_u64().ok_or("span count is not a u64")?,
-            nanos: nanos
-                .as_int()
-                .and_then(|n| u128::try_from(n).ok())
-                .ok_or("span nanos is not a u128")?,
-            children: children
-                .as_list()
-                .ok_or("span children is not a list")?
-                .iter()
-                .map(ReportNode::from_value)
-                .collect::<Result<_, _>>()?,
+            name: v.field::<&str>("name")?.to_string(),
+            count: v.field("count")?,
+            nanos: v.field("nanos")?,
+            children: v
+                .field::<&Value>("children")?
+                .list_of("span children", ReportNode::from_value)?,
         })
     }
 
@@ -271,7 +226,10 @@ impl ProfileReport {
     /// `children`, in that order. Nesting deeper than
     /// [`bc_snapshot::MAX_DEPTH`] is an error.
     pub fn from_json(input: &str) -> Result<ProfileReport, String> {
-        let root = ReportNode::from_value(&Value::parse(input)?)?;
+        let root = ReportNode::from_value(&Value::parse(input)?).map_err(|e| match e {
+            SnapshotError::Invalid(reason) => reason,
+            other => other.to_string(),
+        })?;
         Ok(ProfileReport { root })
     }
 }
@@ -425,22 +383,6 @@ mod tests {
         assert_eq!(r.node("round/select").unwrap().count, 2);
         assert_eq!(r.node("round/missing"), None);
         assert_eq!(r.node("").unwrap().name, "run");
-    }
-
-    #[test]
-    fn enter_exit_times_nested_spans() {
-        let mut p = Profiler::new("root");
-        p.enter("outer");
-        p.enter("inner");
-        p.exit();
-        p.exit();
-        p.exit(); // extra exit must not pop the root
-        p.enter("outer"); // re-entering merges into the same node
-        p.exit();
-        let r = p.report();
-        assert_eq!(r.node("outer").unwrap().count, 2);
-        assert_eq!(r.node("outer/inner").unwrap().count, 1);
-        assert_eq!(r.root().children.len(), 1);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn encode_instance(inst: &Instance) -> Vec<(&'static str, Value)> {
         .data
         .domains()
         .iter()
-        .map(|d| Value::Int(d.cardinality() as i128))
+        .map(|d| d.cardinality().into())
         .collect();
     let rows: Vec<Value> = inst
         .data
@@ -45,7 +45,7 @@ fn encode_instance(inst: &Instance) -> Vec<(&'static str, Value)> {
                     .row(o)
                     .iter()
                     .map(|c| match c {
-                        Some(v) => Value::Int(*v as i128),
+                        Some(v) => (*v).into(),
                         None => Value::Null,
                     })
                     .collect(),
@@ -57,11 +57,11 @@ fn encode_instance(inst: &Instance) -> Vec<(&'static str, Value)> {
         .iter()
         .map(|(v, pmf)| {
             Value::obj(vec![
-                ("object", Value::Int(v.object.0 as i128)),
-                ("attr", Value::Int(v.attr.0 as i128)),
+                ("object", v.object.0.into()),
+                ("attr", v.attr.0.into()),
                 (
                     "probs",
-                    Value::List(pmf.probs().iter().map(|&p| Value::Float(p)).collect()),
+                    Value::List(pmf.probs().iter().map(|&p| p.into()).collect()),
                 ),
             ])
         })
@@ -70,8 +70,8 @@ fn encode_instance(inst: &Instance) -> Vec<(&'static str, Value)> {
         (
             "meta",
             Value::obj(vec![
-                ("name", Value::Str(inst.name.clone())),
-                ("seed", Value::Int(inst.seed as i128)),
+                ("name", inst.name.as_str().into()),
+                ("seed", inst.seed.into()),
             ]),
         ),
         (
@@ -105,12 +105,12 @@ pub fn save_divergence(div: &Divergence, out: impl Write) -> Result<(), Snapshot
     w.section(
         "divergence",
         Value::obj(vec![
-            ("solver", Value::Str(div.solver.clone())),
-            ("object", Value::Int(div.object.0 as i128)),
-            ("got", Value::Float(div.got)),
-            ("want", Value::Float(div.want)),
-            ("tolerance", Value::Float(div.tolerance)),
-            ("detail", Value::Str(div.detail.clone())),
+            ("solver", div.solver.as_str().into()),
+            ("object", div.object.0.into()),
+            ("got", div.got.into()),
+            ("want", div.want.into()),
+            ("tolerance", div.tolerance.into()),
+            ("detail", div.detail.as_str().into()),
         ]),
     )?;
     w.finish()?;
@@ -133,80 +133,29 @@ pub fn load_instance(input: impl Read) -> Result<Instance, SnapshotError> {
     }
 
     let meta = snap.section("meta")?;
-    let name = meta
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| invalid("meta.name missing"))?
-        .to_string();
-    let seed = meta
-        .get("seed")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| invalid("meta.seed missing"))?;
+    let name = meta.field::<&str>("name")?.to_string();
+    let seed = meta.field("seed")?;
 
     let dataset = snap.section("dataset")?;
-    let cards = dataset
-        .get("cards")
-        .and_then(Value::as_list)
-        .ok_or_else(|| invalid("dataset.cards missing"))?;
+    let cards: Vec<u16> = dataset.field("cards")?;
     let domains: Vec<Domain> = cards
-        .iter()
+        .into_iter()
         .enumerate()
-        .map(|(i, c)| {
-            let card = c
-                .as_u16()
-                .ok_or_else(|| invalid(format!("dataset.cards[{i}] not a u16")))?;
-            Domain::new(format!("a{i}"), card).map_err(|e| invalid(e.to_string()))
-        })
+        .map(|(i, card)| Domain::new(format!("a{i}"), card).map_err(|e| invalid(e.to_string())))
         .collect::<Result<_, _>>()?;
-    let rows = dataset
-        .get("rows")
-        .and_then(Value::as_list)
-        .ok_or_else(|| invalid("dataset.rows missing"))?
-        .iter()
-        .map(|row| {
-            row.as_list()
-                .ok_or_else(|| invalid("dataset row not a list"))?
-                .iter()
-                .map(|c| match c {
-                    Value::Null => Ok(None),
-                    other => other
-                        .as_u16()
-                        .map(Some)
-                        .ok_or_else(|| invalid("cell not a u16 or null")),
-                })
-                .collect::<Result<Vec<Option<CellValue>>, _>>()
+    let rows = dataset.field::<&Value>("rows")?.list_of("rows", |row| {
+        row.list_of("row", |cell| match cell {
+            Value::Null => Ok(None),
+            other => other.read::<CellValue>("cell").map(Some),
         })
-        .collect::<Result<Vec<_>, _>>()?;
+    })?;
     let data =
         Dataset::from_rows(name.clone(), domains, rows).map_err(|e| invalid(e.to_string()))?;
 
     let mut pmfs = BTreeMap::new();
-    for (i, rec) in snap
-        .section("pmfs")?
-        .as_list()
-        .ok_or_else(|| invalid("pmfs not a list"))?
-        .iter()
-        .enumerate()
-    {
-        let object = rec
-            .get("object")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| invalid(format!("pmfs[{i}].object missing")))?;
-        let attr = rec
-            .get("attr")
-            .and_then(Value::as_u16)
-            .ok_or_else(|| invalid(format!("pmfs[{i}].attr missing")))?;
-        let probs: Vec<f64> = rec
-            .get("probs")
-            .and_then(Value::as_list)
-            .ok_or_else(|| invalid(format!("pmfs[{i}].probs missing")))?
-            .iter()
-            .map(|p| {
-                p.as_f64()
-                    .ok_or_else(|| invalid(format!("pmfs[{i}] prob not a float")))
-            })
-            .collect::<Result<_, _>>()?;
-        pmfs.insert(VarId::new(object as u32, attr), Pmf::from_probs(probs));
+    for rec in snap.section("pmfs")?.read::<&[Value]>("pmfs")? {
+        let var = VarId::new(rec.field("object")?, rec.field("attr")?);
+        pmfs.insert(var, Pmf::from_probs(rec.field("probs")?));
     }
 
     let missing = data.missing_vars();

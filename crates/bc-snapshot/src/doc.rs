@@ -153,9 +153,18 @@ impl Snapshot {
 
     /// Reads and validates one complete document: header, every section,
     /// and a footer whose section count and checksum match the bytes read.
+    /// Bytes that are not UTF-8 are [`SnapshotError::Malformed`] at the
+    /// line of the first bad byte.
     pub fn parse(mut reader: impl Read) -> Result<Snapshot, SnapshotError> {
-        let mut text = String::new();
-        reader.read_to_string(&mut text)?;
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
+        let text = String::from_utf8(bytes).map_err(|e| {
+            let bad = e.utf8_error().valid_up_to();
+            SnapshotError::Malformed {
+                line: 1 + e.as_bytes()[..bad].iter().filter(|&&b| b == b'\n').count(),
+                reason: format!("invalid UTF-8 at byte {bad}"),
+            }
+        })?;
 
         let mut fingerprint: Option<String> = None;
         let mut version = FORMAT_VERSION;
@@ -181,10 +190,9 @@ impl Snapshot {
                 if format != FORMAT_NAME {
                     return Err(SnapshotError::UnsupportedFormat(format.to_string()));
                 }
-                let declared = value
-                    .get("version")
-                    .and_then(Value::as_usize)
-                    .ok_or_else(|| malformed("header lacks a version".into()))?;
+                let declared: usize = value
+                    .field("version")
+                    .map_err(|_| malformed("header lacks a version".into()))?;
                 version = u32::try_from(declared).unwrap_or(u32::MAX);
                 if version > FORMAT_VERSION {
                     return Err(SnapshotError::UnsupportedVersion(version));
@@ -206,7 +214,7 @@ impl Snapshot {
                 }
                 .ok_or_else(|| malformed("section line lacks data".into()))?;
                 sections.push((name, data));
-            } else if let Some(declared) = value.get("sections").and_then(Value::as_usize) {
+            } else if let Ok(declared) = value.field::<usize>("sections") {
                 let checksum = value
                     .get("checksum")
                     .and_then(Value::as_str)
@@ -296,9 +304,8 @@ mod tests {
         assert_eq!(
             snap.section("config")
                 .unwrap()
-                .get("budget")
-                .unwrap()
-                .as_usize(),
+                .field::<usize>("budget")
+                .ok(),
             Some(20)
         );
         assert!(matches!(
@@ -395,6 +402,27 @@ mod tests {
         let doc = format!("{header}\n{{\"section\":\"s\",\"data\":{deep}}}\n");
         assert!(matches!(
             Snapshot::parse(doc.as_bytes()),
+            Err(SnapshotError::Malformed { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn non_utf8_bytes_are_malformed_at_their_line() {
+        let mut doc = sample_bytes();
+        let fp = doc.windows(4).position(|w| w == b"dead").unwrap();
+        doc[fp] = 0xff;
+        match Snapshot::parse(&doc[..]) {
+            Err(SnapshotError::Malformed { line: 1, reason }) => {
+                assert!(reason.contains("UTF-8"), "{reason}")
+            }
+            other => panic!("wrong result: {other:?}"),
+        }
+        // On a later line, the line number follows the bad byte.
+        let mut doc = sample_bytes();
+        let budget = doc.windows(6).position(|w| w == b"budget").unwrap();
+        doc[budget] = 0xc3;
+        assert!(matches!(
+            Snapshot::parse(&doc[..]),
             Err(SnapshotError::Malformed { line: 2, .. })
         ));
     }

@@ -11,7 +11,10 @@
 //!
 //! The crate is deliberately generic: it knows nothing about datasets,
 //! c-tables, or platforms. Domain state is encoded into the [`Value`] tree
-//! by the framework's session layer and stored here as named *sections*.
+//! by the framework's checkpoint codec and stored here as named
+//! *sections*; decoders read it back through typed reads
+//! ([`Value::field`], [`Value::read`], [`Value::list_of`]) that answer a
+//! missing or mis-shaped entry with [`SnapshotError::Invalid`].
 //!
 //! # Document layout
 //!
@@ -39,8 +42,10 @@
 
 mod doc;
 mod error;
+mod read;
 mod value;
 
 pub use doc::{fnv1a64, Snapshot, SnapshotWriter, FORMAT_NAME, FORMAT_VERSION};
 pub use error::SnapshotError;
+pub use read::FromValue;
 pub use value::{Value, MAX_DEPTH};

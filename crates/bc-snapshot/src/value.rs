@@ -76,21 +76,6 @@ impl Value {
         }
     }
 
-    /// The integer as a `u64`, if this is one and it fits.
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_int().and_then(|i| u64::try_from(i).ok())
-    }
-
-    /// The integer as a `usize`, if this is one and it fits.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_int().and_then(|i| usize::try_from(i).ok())
-    }
-
-    /// The integer as a `u16`, if this is one and it fits.
-    pub fn as_u16(&self) -> Option<u16> {
-        self.as_int().and_then(|i| u16::try_from(i).ok())
-    }
-
     /// The float, if this is one. Integers do not coerce — the two are
     /// distinct on the wire.
     pub fn as_f64(&self) -> Option<f64> {
@@ -204,6 +189,35 @@ impl Value {
             return Err(format!("trailing bytes at offset {}", p.pos));
         }
         Ok(v)
+    }
+}
+
+macro_rules! from_unsigned {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::Int(n as i128)
+            }
+        }
+    )*};
+}
+from_unsigned!(u16, u32, u64, usize);
+
+impl From<f64> for Value {
+    fn from(f: f64) -> Value {
+        Value::Float(f)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.into())
     }
 }
 
@@ -526,12 +540,12 @@ mod tests {
     #[test]
     fn accessors_are_typed() {
         let v = Value::obj(vec![("n", Value::Int(42)), ("f", Value::Float(1.0))]);
-        assert_eq!(v.get("n").unwrap().as_usize(), Some(42));
-        assert_eq!(v.get("n").unwrap().as_u16(), Some(42));
+        assert_eq!(v.field::<usize>("n").ok(), Some(42));
+        assert_eq!(v.field::<u16>("n").ok(), Some(42));
         assert_eq!(v.get("n").unwrap().as_f64(), None, "no int→float coercion");
         assert_eq!(v.get("f").unwrap().as_int(), None);
         assert_eq!(v.get("missing"), None);
-        assert_eq!(Value::Int(-1).as_u64(), None);
+        assert!(Value::Int(-1).read::<u64>("n").is_err());
     }
 
     #[test]

@@ -11,8 +11,7 @@ use bc_solver::{
 };
 use std::fmt;
 
-/// Why a configuration was rejected by [`BayesCrowdConfig::validate`] (and
-/// therefore by the builder's `build`).
+/// Why a configuration was rejected by [`BayesCrowdConfig::validate`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ConfigError {
     /// `budget == 0`: the run could never post a task.
@@ -274,35 +273,26 @@ impl BayesCrowdConfig {
         }
     }
 
-    /// A fluent, validated builder starting from [`Default`].
+    /// Checks the configuration's invariants. A struct literal is not
+    /// checked when it is built (tests use degenerate configs like
+    /// `budget: 0` to probe edge behavior); `try_run` and
+    /// `BayesCrowd::session*` call this first.
     ///
     /// ```
-    /// use bayescrowd::{BayesCrowdConfig, TaskStrategy};
+    /// use bayescrowd::{BayesCrowdConfig, ConfigError, TaskStrategy};
     ///
-    /// let config = BayesCrowdConfig::builder()
-    ///     .budget(50)
-    ///     .latency(5)
-    ///     .alpha(0.003)
-    ///     .strategy(TaskStrategy::Hhs { m: 15 })
-    ///     .build()
-    ///     .expect("valid config");
+    /// let config = BayesCrowdConfig {
+    ///     budget: 50,
+    ///     latency: 5,
+    ///     alpha: 0.003,
+    ///     strategy: TaskStrategy::Hhs { m: 15 },
+    ///     ..Default::default()
+    /// };
+    /// assert_eq!(config.validate(), Ok(()));
     /// assert_eq!(config.tasks_per_round(), 10);
+    /// let zero = BayesCrowdConfig { budget: 0, ..config };
+    /// assert_eq!(zero.validate(), Err(ConfigError::ZeroBudget));
     /// ```
-    pub fn builder() -> BayesCrowdConfigBuilder {
-        BayesCrowdConfigBuilder {
-            config: BayesCrowdConfig::default(),
-        }
-    }
-
-    /// Reopens this configuration as a builder, e.g. to tweak a preset:
-    /// `BayesCrowdConfig::nba_defaults().into_builder().budget(80).build()`.
-    pub fn into_builder(self) -> BayesCrowdConfigBuilder {
-        BayesCrowdConfigBuilder { config: self }
-    }
-
-    /// Checks the invariants the builder enforces. Direct struct-literal
-    /// construction deliberately skips this (tests use degenerate configs
-    /// like `budget: 0` to probe edge behavior); `try_run` re-checks.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.budget == 0 {
             return Err(ConfigError::ZeroBudget);
@@ -317,111 +307,6 @@ impl BayesCrowdConfig {
             return Err(ConfigError::ZeroLookahead);
         }
         Ok(())
-    }
-}
-
-/// Fluent builder for [`BayesCrowdConfig`]; see
-/// [`BayesCrowdConfig::builder`].
-#[derive(Clone, Debug)]
-pub struct BayesCrowdConfigBuilder {
-    config: BayesCrowdConfig,
-}
-
-impl BayesCrowdConfigBuilder {
-    /// Budget `B`: total number of tasks the requester can afford.
-    pub fn budget(mut self, budget: usize) -> Self {
-        self.config.budget = budget;
-        self
-    }
-
-    /// Latency constraint `L`: number of task-selection rounds.
-    pub fn latency(mut self, latency: usize) -> Self {
-        self.config.latency = latency;
-        self
-    }
-
-    /// The pruning threshold `α` of c-table construction.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    /// Task-selection strategy (FBS / UBS / HHS).
-    pub fn strategy(mut self, strategy: TaskStrategy) -> Self {
-        self.config.strategy = strategy;
-        self
-    }
-
-    /// How objects are ranked when choosing the top-k per round.
-    pub fn ranking(mut self, ranking: ObjectRanking) -> Self {
-        self.config.ranking = ranking;
-        self
-    }
-
-    /// Probability solver.
-    pub fn solver(mut self, solver: SolverKind) -> Self {
-        self.config.solver = solver;
-        self
-    }
-
-    /// ADPLL branching heuristic (ignored by the other solvers).
-    pub fn branch_heuristic(mut self, heuristic: BranchHeuristic) -> Self {
-        self.config.branch_heuristic = heuristic;
-        self
-    }
-
-    /// Whether the ADPLL solver memoizes sub-conditions.
-    pub fn solver_caching(mut self, caching: bool) -> Self {
-        self.config.solver_caching = caching;
-        self
-    }
-
-    /// Dominator-set derivation (fast index vs pairwise baseline).
-    pub fn dominators(mut self, dominators: DominatorStrategy) -> Self {
-        self.config.dominators = dominators;
-        self
-    }
-
-    /// Bayesian-network modeling configuration.
-    pub fn model(mut self, model: ModelConfig) -> Self {
-        self.config.model = model;
-        self
-    }
-
-    /// Whether tasks in one round must be variable-disjoint.
-    pub fn conflict_free(mut self, conflict_free: bool) -> Self {
-        self.config.conflict_free = conflict_free;
-        self
-    }
-
-    /// Whether crowd answers propagate through the constraint store.
-    pub fn propagate_answers(mut self, propagate_answers: bool) -> Self {
-        self.config.propagate_answers = propagate_answers;
-        self
-    }
-
-    /// Compute per-object probabilities on multiple threads.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.config.parallel = parallel;
-        self
-    }
-
-    /// How failed tasks are re-queued.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// Probability threshold above which an undecided object is an answer.
-    pub fn answer_threshold(mut self, answer_threshold: f64) -> Self {
-        self.config.answer_threshold = answer_threshold;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<BayesCrowdConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -464,88 +349,53 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trips_every_field() {
-        let config = BayesCrowdConfig::builder()
-            .budget(6)
-            .latency(3)
-            .alpha(1.0)
-            .strategy(TaskStrategy::Hhs { m: 2 })
-            .ranking(ObjectRanking::Random { seed: 4 })
-            .solver(SolverKind::Naive)
-            .branch_heuristic(BranchHeuristic::First)
-            .solver_caching(false)
-            .dominators(DominatorStrategy::Baseline)
-            .model(ModelConfig {
-                uniform_prior: true,
-                ..Default::default()
-            })
-            .conflict_free(false)
-            .propagate_answers(false)
-            .parallel(true)
-            .retry(RetryPolicy::none())
-            .answer_threshold(0.7)
-            .build()
-            .expect("valid config");
-        assert_eq!(config.budget, 6);
-        assert_eq!(config.latency, 3);
-        assert_eq!(config.strategy, TaskStrategy::Hhs { m: 2 });
-        assert_eq!(config.ranking, ObjectRanking::Random { seed: 4 });
-        assert_eq!(config.solver, SolverKind::Naive);
-        assert_eq!(config.branch_heuristic, BranchHeuristic::First);
-        assert!(!config.solver_caching);
-        assert_eq!(config.dominators, DominatorStrategy::Baseline);
-        assert!(config.model.uniform_prior);
-        assert!(!config.conflict_free);
-        assert!(!config.propagate_answers);
-        assert!(config.parallel);
-        assert_eq!(config.retry, RetryPolicy::none());
-        assert!((config.answer_threshold - 0.7).abs() < 1e-12);
+    fn validate_rejects_zero_budget() {
+        let config = BayesCrowdConfig {
+            budget: 0,
+            ..Default::default()
+        };
+        assert_eq!(config.validate(), Err(ConfigError::ZeroBudget));
     }
 
     #[test]
-    fn builder_rejects_zero_budget() {
-        assert_eq!(
-            BayesCrowdConfig::builder().budget(0).build().unwrap_err(),
-            ConfigError::ZeroBudget
-        );
+    fn validate_rejects_zero_latency() {
+        let config = BayesCrowdConfig {
+            latency: 0,
+            ..Default::default()
+        };
+        assert_eq!(config.validate(), Err(ConfigError::ZeroLatency));
     }
 
     #[test]
-    fn builder_rejects_zero_latency() {
-        assert_eq!(
-            BayesCrowdConfig::builder().latency(0).build().unwrap_err(),
-            ConfigError::ZeroLatency
-        );
-    }
-
-    #[test]
-    fn builder_rejects_alpha_outside_unit_interval() {
+    fn validate_rejects_alpha_outside_unit_interval() {
+        let with_alpha = |alpha| BayesCrowdConfig {
+            alpha,
+            ..Default::default()
+        };
         for bad in [-0.1, 1.5, f64::NAN] {
-            let err = BayesCrowdConfig::builder().alpha(bad).build().unwrap_err();
+            let err = with_alpha(bad).validate().unwrap_err();
             assert!(
                 matches!(err, ConfigError::AlphaOutOfRange(_)),
                 "alpha {bad} gave {err:?}"
             );
         }
         // The closed interval's endpoints are fine (tests use alpha = 1.0).
-        assert!(BayesCrowdConfig::builder().alpha(0.0).build().is_ok());
-        assert!(BayesCrowdConfig::builder().alpha(1.0).build().is_ok());
+        assert!(with_alpha(0.0).validate().is_ok());
+        assert!(with_alpha(1.0).validate().is_ok());
     }
 
     #[test]
-    fn builder_rejects_zero_lookahead() {
+    fn validate_rejects_zero_lookahead() {
+        let with_strategy = |strategy| BayesCrowdConfig {
+            strategy,
+            ..Default::default()
+        };
         assert_eq!(
-            BayesCrowdConfig::builder()
-                .strategy(TaskStrategy::Hhs { m: 0 })
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroLookahead
+            with_strategy(TaskStrategy::Hhs { m: 0 }).validate(),
+            Err(ConfigError::ZeroLookahead)
         );
         // FBS/UBS have no lookahead to validate.
-        assert!(BayesCrowdConfig::builder()
-            .strategy(TaskStrategy::Fbs)
-            .build()
-            .is_ok());
+        assert!(with_strategy(TaskStrategy::Fbs).validate().is_ok());
     }
 
     #[test]
@@ -600,11 +450,11 @@ mod tests {
         // The knobs reach the solver regardless of kind; ADPLL is the one
         // that actually consumes them, so it suffices to check the path
         // compiles and builds the right kind.
-        let config = BayesCrowdConfig::builder()
-            .branch_heuristic(BranchHeuristic::First)
-            .solver_caching(false)
-            .build()
-            .expect("valid config");
+        let config = BayesCrowdConfig {
+            branch_heuristic: BranchHeuristic::First,
+            solver_caching: false,
+            ..Default::default()
+        };
         assert_eq!(config.build_solver().name(), "ADPLL");
     }
 }

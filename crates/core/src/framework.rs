@@ -7,16 +7,14 @@
 //! Callers that want to checkpoint mid-run use [`BayesCrowd::session`]
 //! directly.
 
-use crate::config::{solve_with_fallback, BayesCrowdConfig};
+use crate::config::BayesCrowdConfig;
 use crate::error::RunError;
 use crate::report::RunReport;
 use crate::session::Session;
-use bc_bayes::MissingValueModel;
-use bc_crowd::CrowdPlatform;
-use bc_ctable::{build_ctable, CTable, CmpOp, Relation};
+use bc_crowd::{CrowdPlatform, CrowdStats, Task, TaskResult};
+use bc_ctable::{CTable, CmpOp, Relation};
 use bc_data::{Dataset, ObjectId};
 use bc_obs::Observer;
-use bc_solver::VarDists;
 
 /// The crowd-assisted skyline query engine.
 #[derive(Clone, Debug)]
@@ -139,32 +137,37 @@ pub(crate) fn expr_truth(op: CmpOp, rel: Relation) -> bool {
 
 /// Convenience used by tests and examples: the answer set a machine-only
 /// pass would return (no crowdsourcing at all) — certain answers plus
-/// high-probability open objects.
+/// high-probability open objects — and the c-table they come from.
 ///
-/// Probabilities go through the run's solve-with-fallback policy; an error
-/// that survives the fallback is [`RunError::Solver`], never a silent 0.
+/// This is a budget-0 [`Session`] finalized at once: the same modeling
+/// phase, and probabilities through the run's solve-with-fallback policy;
+/// an error that survives the fallback is [`RunError::Solver`], never a
+/// silent 0.
 pub fn machine_only_answers(
     data: &Dataset,
     config: &BayesCrowdConfig,
 ) -> Result<(Vec<ObjectId>, CTable), RunError> {
-    let model = MissingValueModel::learn(data, &config.model);
-    let dists = VarDists::new(model.into_pmfs());
-    let ctable = build_ctable(data, &config.ctable_config());
-    let solver = config.build_solver();
-    let mut result = ctable.certain_answers();
-    for o in ctable.open_objects() {
-        let (p, _) = solve_with_fallback(
-            solver.as_ref(),
-            config.branch_heuristic,
-            config.solver_caching,
-            |s| s.probability(ctable.condition(o), &dists),
-        )?;
-        if p > config.answer_threshold {
-            result.push(o);
-        }
+    let config = BayesCrowdConfig {
+        budget: 0,
+        ..config.clone()
+    };
+    let mut no_crowd = NoCrowd;
+    let session = Session::start(config, data, &mut no_crowd, None)?;
+    let ctable = session.ctable().clone();
+    Ok((session.finalize()?.result, ctable))
+}
+
+/// The platform of a machine-only pass: a budget-0 session posts nothing.
+struct NoCrowd;
+
+impl CrowdPlatform for NoCrowd {
+    fn post_round(&mut self, _: &[Task]) -> Vec<TaskResult> {
+        unreachable!("a budget-0 session posts no task")
     }
-    result.sort_unstable();
-    Ok((result, ctable))
+
+    fn stats(&self) -> CrowdStats {
+        CrowdStats::default()
+    }
 }
 
 #[cfg(test)]

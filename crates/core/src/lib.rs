@@ -46,9 +46,10 @@
 //! assert_eq!(report.accuracy.unwrap().f1, 1.0);
 //! ```
 //!
-//! The validated way in — a fluent builder plus the fallible entry point
-//! [`BayesCrowd::try_run`], which takes any [`bc_obs::Observer`] so the run
-//! can be traced or metered:
+//! The validated way in is the fallible entry point
+//! [`BayesCrowd::try_run`]: it checks the configuration first
+//! ([`BayesCrowdConfig::validate`]) and takes any [`bc_obs::Observer`] so
+//! the run can be traced or metered:
 //!
 //! ```
 //! use bayescrowd::prelude::*;
@@ -59,13 +60,13 @@
 //! let oracle = GroundTruthOracle::new(paper_completion());
 //! let mut platform = SimulatedPlatform::new(oracle, 1.0, 42);
 //!
-//! let config = BayesCrowdConfig::builder()
-//!     .budget(20)
-//!     .latency(10)
-//!     .alpha(1.0)
-//!     .strategy(TaskStrategy::Hhs { m: 2 })
-//!     .build()
-//!     .expect("valid configuration");
+//! let config = BayesCrowdConfig {
+//!     budget: 20,
+//!     latency: 10,
+//!     alpha: 1.0,
+//!     strategy: TaskStrategy::Hhs { m: 2 },
+//!     ..Default::default()
+//! };
 //! let mut metrics = MetricsRecorder::new();
 //! let report = BayesCrowd::new(config)
 //!     .try_run(&data, &mut platform, &mut metrics)
@@ -82,6 +83,7 @@
 //! deterministic continuation — the resumed run's report is identical
 //! (wall-clock durations aside) to the uninterrupted one.
 
+mod codec;
 pub mod config;
 pub mod error;
 pub mod framework;
@@ -93,7 +95,7 @@ pub mod strategy;
 
 pub use bc_crowd::RetryPolicy;
 pub use bc_solver::BranchHeuristic;
-pub use config::{BayesCrowdConfig, BayesCrowdConfigBuilder, ConfigError, SolverKind};
+pub use config::{BayesCrowdConfig, ConfigError, SolverKind};
 pub use error::RunError;
 pub use framework::BayesCrowd;
 pub use report::RunReport;
@@ -105,7 +107,7 @@ pub use strategy::TaskStrategy;
 /// configuration surface, the typed errors, and the observability types
 /// accepted by [`BayesCrowd::try_run`].
 pub mod prelude {
-    pub use crate::config::{BayesCrowdConfig, BayesCrowdConfigBuilder, ConfigError, SolverKind};
+    pub use crate::config::{BayesCrowdConfig, ConfigError, SolverKind};
     pub use crate::error::RunError;
     pub use crate::framework::BayesCrowd;
     pub use crate::report::RunReport;

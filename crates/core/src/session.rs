@@ -19,38 +19,63 @@
 //! [`BayesCrowd::try_run`](crate::BayesCrowd::try_run) are thin loops over
 //! this type.
 
-use crate::config::{BayesCrowdConfig, SolverKind};
+use crate::codec;
+use crate::config::BayesCrowdConfig;
 use crate::error::RunError;
 use crate::kept::ProbCache;
 use crate::report::RunReport;
-use crate::selection::{assemble_round, rank_objects, ObjectRanking};
-use crate::strategy::{TaskStrategy, UtilityScorer};
-use bc_bayes::anneal::AnnealConfig;
-use bc_bayes::em::EmConfig;
-use bc_bayes::learn::LearnConfig;
-use bc_bayes::{MissingValueModel, ModelConfig, Pmf, StructureSearch};
-use bc_crowd::{CrowdPlatform, PlatformState, RetryPolicy, Task, TaskAnswer, TaskOutcome};
-use bc_crowd::{CrowdStats, FaultStats};
-use bc_ctable::{
-    CTable, Clause, CmpOp, Condition, ConstraintStore, DominatorStrategy, Expr, Operand, Relation,
-};
-use bc_data::{Accuracy, Dataset, Domain, ObjectId, VarId};
+use crate::selection::{assemble_round, rank_objects};
+use crate::strategy::UtilityScorer;
+use bc_bayes::MissingValueModel;
+use bc_crowd::{CrowdPlatform, Task, TaskAnswer, TaskOutcome};
+use bc_ctable::{CTable, Condition, ConstraintStore, Operand, Relation};
+use bc_data::{Accuracy, Dataset, ObjectId, VarId};
 use bc_obs::{Event, NoopObserver, Observer, RunPhase, Span};
-use bc_snapshot::{fnv1a64, Snapshot, SnapshotError, SnapshotWriter, Value};
-use bc_solver::{BranchHeuristic, Solver, VarDists};
+use bc_snapshot::SnapshotError;
+use bc_solver::{Solver, VarDists};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 /// A failed task waiting in the retry queue.
 #[derive(Clone, Copy, Debug)]
-struct PendingTask {
-    task: Task,
+pub(crate) struct PendingTask {
+    pub task: Task,
     /// Posting attempts so far (≥ 1; the task failed each of them).
-    attempts: usize,
+    pub attempts: usize,
     /// First round (1-based) the task may be re-posted in, per the retry
     /// policy's backoff.
-    eligible_round: usize,
+    pub eligible_round: usize,
+}
+
+/// A run's state between rounds: everything a checkpoint carries
+/// ([`codec`]).
+pub(crate) struct RunState {
+    pub config: BayesCrowdConfig,
+    pub data: Dataset,
+    /// The model's pmfs, before any crowd answer: what circuits compile
+    /// against.
+    pub base: VarDists,
+    pub dists: VarDists,
+    pub ctable: CTable,
+    pub store: ConstraintStore,
+    pub budget: usize,
+    pub rounds_before: usize,
+    pub pending: Vec<PendingTask>,
+    pub tasks_expired: usize,
+    pub tasks_retried: usize,
+    pub rounds_stalled: usize,
+    pub idle_rounds: usize,
+    pub round_idx: usize,
+    pub total_posted: usize,
+    pub total_answered: usize,
+    pub evals: u64,
+    pub cache: ProbCache,
+    pub finished: bool,
+    pub modeling_time: Duration,
+    /// Wall-clock accumulated by earlier incarnations of this run (zero for
+    /// a fresh session, the checkpointed elapsed time after a resume).
+    pub prior_elapsed: Duration,
 }
 
 /// Whether a failed task is still worth re-posting: propagation may have
@@ -126,36 +151,12 @@ fn probabilities(
 /// whole state can be written out with [`Session::checkpoint`] and later
 /// revived with [`Session::resume`].
 pub struct Session<'a> {
-    config: BayesCrowdConfig,
-    data: Dataset,
+    state: RunState,
     platform: &'a mut dyn CrowdPlatform,
     observer: Option<&'a mut dyn Observer>,
     noop: NoopObserver,
     solver: Box<dyn Solver>,
-    /// The model's pmfs, before any crowd answer: what circuits compile
-    /// against.
-    base: VarDists,
-    dists: VarDists,
-    ctable: CTable,
-    store: ConstraintStore,
-    budget: usize,
     mu: usize,
-    rounds_before: usize,
-    pending: Vec<PendingTask>,
-    tasks_expired: usize,
-    tasks_retried: usize,
-    rounds_stalled: usize,
-    idle_rounds: usize,
-    round_idx: usize,
-    total_posted: usize,
-    total_answered: usize,
-    evals: u64,
-    cache: ProbCache,
-    finished: bool,
-    modeling_time: Duration,
-    /// Wall-clock accumulated by earlier incarnations of this run (zero for
-    /// a fresh session, the checkpointed elapsed time after a resume).
-    prior_elapsed: Duration,
     started: Instant,
 }
 
@@ -218,26 +219,15 @@ impl<'a> Session<'a> {
         });
         ctable_span.finish(obs);
         let modeling_time = started.elapsed();
-
-        let solver = config.build_solver();
-        let store = ConstraintStore::new(data);
-        let budget = config.budget;
-        let mu = config.tasks_per_round().max(1);
-        let rounds_before = platform.stats().rounds;
-        Ok(Session {
+        let state = RunState {
+            store: ConstraintStore::new(data),
+            budget: config.budget,
+            rounds_before: platform.stats().rounds,
             config,
             data: data.clone(),
-            platform,
-            observer,
-            noop: NoopObserver,
-            solver,
             base,
             dists,
             ctable,
-            store,
-            budget,
-            mu,
-            rounds_before,
             pending: Vec::new(),
             tasks_expired: 0,
             tasks_retried: 0,
@@ -251,34 +241,60 @@ impl<'a> Session<'a> {
             finished: false,
             modeling_time,
             prior_elapsed: Duration::ZERO,
+        };
+        Ok(Session::new(state, platform, observer, started))
+    }
+
+    /// A session over `state`, with its solver and per-round allowance
+    /// derived from the state's configuration.
+    fn new(
+        state: RunState,
+        platform: &'a mut dyn CrowdPlatform,
+        observer: Option<&'a mut dyn Observer>,
+        started: Instant,
+    ) -> Session<'a> {
+        Session {
+            solver: state.config.build_solver(),
+            mu: state.config.tasks_per_round().max(1),
+            state,
+            platform,
+            observer,
+            noop: NoopObserver,
             started,
-        })
+        }
+    }
+
+    fn observer(&mut self) -> &mut dyn Observer {
+        match self.observer.as_deref_mut() {
+            Some(o) => o,
+            None => &mut self.noop,
+        }
     }
 
     /// The session's configuration.
     pub fn config(&self) -> &BayesCrowdConfig {
-        &self.config
+        &self.state.config
     }
 
     /// Rounds executed so far (the round counter of the last `step`).
     pub fn round(&self) -> usize {
-        self.round_idx
+        self.state.round_idx
     }
 
     /// Budget remaining.
     pub fn budget_left(&self) -> usize {
-        self.budget
+        self.state.budget
     }
 
     /// Symbolic expressions still undecided in the c-table.
     pub fn open_exprs(&self) -> usize {
-        self.ctable.n_open_exprs()
+        self.state.ctable.n_open_exprs()
     }
 
     /// Whether the crowdsourcing loop has terminated ([`Session::step`]
     /// will do nothing more; only [`Session::finalize`] remains).
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.state.finished
     }
 
     /// The c-table as of the last step — each object's current condition
@@ -286,13 +302,13 @@ impl<'a> Session<'a> {
     /// is everything an external oracle needs to recompute the session's
     /// probabilities from scratch.
     pub fn ctable(&self) -> &CTable {
-        &self.ctable
+        &self.state.ctable
     }
 
     /// The current per-variable posterior distributions (the learned pmfs,
     /// truncated by every crowd answer propagated so far).
     pub fn dists(&self) -> &VarDists {
-        &self.dists
+        &self.state.dists
     }
 
     /// Every object's probability of being a skyline answer under the
@@ -307,28 +323,29 @@ impl<'a> Session<'a> {
     /// [`RunReport`]. Freshly solved probabilities land in the session's
     /// round-level cache, exactly as a finalize would leave them.
     pub fn object_probabilities(&mut self) -> Result<BTreeMap<ObjectId, f64>, RunError> {
-        let stale = self.cache.stale(&self.ctable.open_objects());
+        let state = &mut self.state;
+        let stale = state.cache.stale(&state.ctable.open_objects());
         let observer: &mut dyn Observer = match self.observer.as_deref_mut() {
             Some(o) => o,
             None => &mut self.noop,
         };
-        self.evals += probabilities(
-            &self.config,
-            &self.ctable,
-            &mut self.cache,
+        state.evals += probabilities(
+            &state.config,
+            &state.ctable,
+            &mut state.cache,
             &stale,
             self.solver.as_ref(),
-            &self.base,
-            &self.dists,
+            &state.base,
+            &state.dists,
             RunPhase::Finalize,
             observer,
         )?;
         let mut out = BTreeMap::new();
-        for (o, cond) in self.ctable.iter() {
+        for (o, cond) in state.ctable.iter() {
             let p = match cond {
                 Condition::True => 1.0,
                 Condition::False => 0.0,
-                Condition::Cnf(_) => self.cache.get(o).expect("solved above"),
+                Condition::Cnf(_) => state.cache.get(o).expect("solved above"),
             };
             out.insert(o, p);
         }
@@ -341,34 +358,38 @@ impl<'a> Session<'a> {
     /// or latency exhausted, nothing left to ask, or every expression
     /// decided). Idempotent after termination.
     pub fn step(&mut self) -> Result<bool, RunError> {
-        if self.finished {
+        if self.state.finished {
             return Ok(false);
         }
         let Session {
-            config,
-            data,
+            state:
+                RunState {
+                    config,
+                    data,
+                    base,
+                    dists,
+                    ctable,
+                    store,
+                    budget,
+                    rounds_before,
+                    pending,
+                    tasks_expired,
+                    tasks_retried,
+                    rounds_stalled,
+                    idle_rounds,
+                    round_idx,
+                    total_posted,
+                    total_answered,
+                    evals,
+                    cache,
+                    finished,
+                    ..
+                },
             platform,
             observer,
             noop,
             solver,
-            base,
-            dists,
-            ctable,
-            store,
-            budget,
             mu,
-            rounds_before,
-            pending,
-            tasks_expired,
-            tasks_retried,
-            rounds_stalled,
-            idle_rounds,
-            round_idx,
-            total_posted,
-            total_answered,
-            evals,
-            cache,
-            finished,
             ..
         } = self;
         let observer: &mut dyn Observer = match observer {
@@ -644,25 +665,29 @@ impl<'a> Session<'a> {
     pub fn finalize(mut self) -> Result<RunReport, RunError> {
         while self.step()? {}
         let Session {
-            config,
+            state:
+                RunState {
+                    config,
+                    base,
+                    dists,
+                    ctable,
+                    budget,
+                    pending,
+                    mut tasks_expired,
+                    tasks_retried,
+                    rounds_stalled,
+                    total_posted,
+                    total_answered,
+                    mut evals,
+                    mut cache,
+                    modeling_time,
+                    prior_elapsed,
+                    ..
+                },
             platform,
             mut observer,
             mut noop,
             solver,
-            base,
-            dists,
-            ctable,
-            budget,
-            pending,
-            mut tasks_expired,
-            tasks_retried,
-            rounds_stalled,
-            total_posted,
-            total_answered,
-            mut evals,
-            mut cache,
-            modeling_time,
-            prior_elapsed,
             started,
             ..
         } = self;
@@ -770,34 +795,16 @@ impl<'a> Session<'a> {
     /// `None`) or the writer fails.
     pub fn checkpoint<W: Write>(&mut self, out: &mut W) -> Result<(), RunError> {
         let t = Instant::now();
-        let state = self.platform.save_state().ok_or_else(|| {
-            inv("platform does not support checkpointing (save_state returned None)")
+        let platform = self.platform.save_state().ok_or_else(|| {
+            SnapshotError::Invalid(
+                "platform does not support checkpointing (save_state returned None)".into(),
+            )
         })?;
-        let config_v = enc_config(&self.config);
-        let dataset_v = enc_dataset(&self.data);
-        let fp = fingerprint_of(&config_v, &dataset_v);
-        let mut w = SnapshotWriter::new(out, &fp)?;
-        w.section("config", config_v)?;
-        w.section("dataset", dataset_v)?;
-        w.section("model", enc_pmf_map(self.base.iter()))?;
-        w.section("dists", enc_pmf_map(self.dists.iter()))?;
-        w.section("store", enc_store(&self.store))?;
-        w.section("ctable", enc_ctable(&self.ctable))?;
-        w.section("progress", self.enc_progress())?;
-        w.section("pending", enc_pending(&self.pending))?;
-        w.section("prob_cache", enc_prob_cache(self.cache.probabilities()))?;
-        w.section(
-            "compiled_from",
-            enc_compiled_from(self.cache.compiled_from()),
-        )?;
-        w.section("platform", enc_platform_state(&state))?;
-        let bytes = w.finish()?;
-        let observer: &mut dyn Observer = match self.observer.as_deref_mut() {
-            Some(o) => o,
-            None => &mut self.noop,
-        };
-        observer.event(&Event::CheckpointWritten {
-            round: self.round_idx,
+        let elapsed = self.state.prior_elapsed + self.started.elapsed();
+        let bytes = codec::write_checkpoint(out, &self.state, elapsed, &platform)?;
+        let round = self.state.round_idx;
+        self.observer().event(&Event::CheckpointWritten {
+            round,
             bytes,
             nanos: t.elapsed().as_nanos(),
         });
@@ -836,983 +843,46 @@ impl<'a> Session<'a> {
         observer: Option<&'a mut dyn Observer>,
     ) -> Result<Session<'a>, RunError> {
         let t = Instant::now();
-        let snap = Snapshot::parse(reader)?;
-        let config_v = snap.section("config")?;
-        let dataset_v = snap.section("dataset")?;
-        let fp = fingerprint_of(config_v, dataset_v);
-        if fp != snap.fingerprint() {
-            return Err(inv(format!(
-                "snapshot fingerprint {} does not match its own config+dataset ({fp})",
-                snap.fingerprint()
-            ))
-            .into());
-        }
-        let config = dec_config(config_v)?;
-        let data = dec_dataset(dataset_v)?;
-        let base = VarDists::new(dec_pmf_map(snap.section("model")?, &data)?);
-        let dists = VarDists::new(dec_pmf_map(snap.section("dists")?, &data)?);
-        let store = dec_store(snap.section("store")?, &data)?;
-        let ctable = dec_ctable(snap.section("ctable")?)?;
-        let pending = dec_pending(snap.section("pending")?)?;
-        // Version 1 kept no circuits: every condition compiles afresh.
-        let compiled_from = match snap.version() {
-            1 => Vec::new(),
-            _ => dec_compiled_from(snap.section("compiled_from")?, &ctable)?,
-        };
-        let cache = ProbCache::restore(
-            dec_prob_cache(snap.section("prob_cache")?)?,
-            compiled_from,
-            &ctable,
-        );
-        let state = dec_platform_state(snap.section("platform")?)?;
-        platform
-            .load_state(&state)
-            .map_err(|e| inv(format!("platform cannot restore this checkpoint: {e}")))?;
-
-        let p = snap.section("progress")?;
-        let solver = config.build_solver();
-        let mu = config.tasks_per_round().max(1);
-        let mut session = Session {
-            budget: get_usize(p, "budget")?,
-            mu,
-            rounds_before: get_usize(p, "rounds_before")?,
-            tasks_expired: get_usize(p, "tasks_expired")?,
-            tasks_retried: get_usize(p, "tasks_retried")?,
-            rounds_stalled: get_usize(p, "rounds_stalled")?,
-            idle_rounds: get_usize(p, "idle_rounds")?,
-            round_idx: get_usize(p, "round")?,
-            total_posted: get_usize(p, "total_posted")?,
-            total_answered: get_usize(p, "total_answered")?,
-            evals: get_u64(p, "evals")?,
-            finished: get_bool(p, "finished")?,
-            modeling_time: Duration::from_nanos(get_u64(p, "modeling_nanos")?),
-            prior_elapsed: Duration::from_nanos(get_u64(p, "elapsed_nanos")?),
-            started: Instant::now(),
-            config,
-            data,
-            platform,
-            observer,
-            noop: NoopObserver,
-            solver,
-            base,
-            dists,
-            ctable,
-            store,
-            pending,
-            cache,
-        };
-        let obs: &mut dyn Observer = match session.observer.as_deref_mut() {
-            Some(o) => o,
-            None => &mut session.noop,
-        };
-        obs.event(&Event::Resumed {
-            round: session.round_idx,
-            budget_left: session.budget,
-            open_exprs: session.ctable.n_open_exprs(),
+        let (state, platform_state) = codec::read_checkpoint(reader)?;
+        platform.load_state(&platform_state).map_err(|e| {
+            SnapshotError::Invalid(format!("platform cannot restore this checkpoint: {e}"))
+        })?;
+        let mut session = Session::new(state, platform, observer, Instant::now());
+        let resumed = Event::Resumed {
+            round: session.state.round_idx,
+            budget_left: session.state.budget,
+            open_exprs: session.state.ctable.n_open_exprs(),
             nanos: t.elapsed().as_nanos(),
-        });
+        };
+        session.observer().event(&resumed);
         Ok(session)
     }
-
-    fn enc_progress(&self) -> Value {
-        Value::obj(vec![
-            ("budget", uint(self.budget)),
-            ("round", uint(self.round_idx)),
-            ("idle_rounds", uint(self.idle_rounds)),
-            ("tasks_expired", uint(self.tasks_expired)),
-            ("tasks_retried", uint(self.tasks_retried)),
-            ("rounds_stalled", uint(self.rounds_stalled)),
-            ("total_posted", uint(self.total_posted)),
-            ("total_answered", uint(self.total_answered)),
-            ("evals", Value::Int(self.evals as i128)),
-            ("rounds_before", uint(self.rounds_before)),
-            ("finished", Value::Bool(self.finished)),
-            (
-                "modeling_nanos",
-                Value::Int(self.modeling_time.as_nanos().min(u64::MAX as u128) as i128),
-            ),
-            (
-                "elapsed_nanos",
-                Value::Int(
-                    (self.prior_elapsed + self.started.elapsed())
-                        .as_nanos()
-                        .min(u64::MAX as u128) as i128,
-                ),
-            ),
-        ])
-    }
-}
-
-// ---- Codecs ------------------------------------------------------------
-//
-// Everything below maps domain state onto `bc_snapshot::Value` trees. The
-// shapes are part of the on-disk format (see DESIGN.md); changing any of
-// them requires bumping `bc_snapshot::FORMAT_VERSION`.
-
-fn inv(msg: impl Into<String>) -> SnapshotError {
-    SnapshotError::Invalid(msg.into())
-}
-
-fn uint(n: usize) -> Value {
-    Value::Int(n as i128)
-}
-
-fn get<'v>(v: &'v Value, key: &str) -> Result<&'v Value, SnapshotError> {
-    v.get(key)
-        .ok_or_else(|| inv(format!("missing key {key:?}")))
-}
-
-fn get_usize(v: &Value, key: &str) -> Result<usize, SnapshotError> {
-    get(v, key)?
-        .as_usize()
-        .ok_or_else(|| inv(format!("key {key:?} is not a usize")))
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64, SnapshotError> {
-    get(v, key)?
-        .as_u64()
-        .ok_or_else(|| inv(format!("key {key:?} is not a u64")))
-}
-
-fn get_f64(v: &Value, key: &str) -> Result<f64, SnapshotError> {
-    get(v, key)?
-        .as_f64()
-        .ok_or_else(|| inv(format!("key {key:?} is not a float")))
-}
-
-fn get_bool(v: &Value, key: &str) -> Result<bool, SnapshotError> {
-    get(v, key)?
-        .as_bool()
-        .ok_or_else(|| inv(format!("key {key:?} is not a bool")))
-}
-
-fn get_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, SnapshotError> {
-    get(v, key)?
-        .as_str()
-        .ok_or_else(|| inv(format!("key {key:?} is not a string")))
-}
-
-fn as_list<'v>(v: &'v Value, what: &str) -> Result<&'v [Value], SnapshotError> {
-    v.as_list()
-        .ok_or_else(|| inv(format!("{what} must be a list")))
-}
-
-/// The run identity: a hash of the canonical config and dataset sections.
-/// A checkpoint only resumes against the run it was taken from.
-fn fingerprint_of(config: &Value, dataset: &Value) -> String {
-    let mut bytes = config.to_json().into_bytes();
-    bytes.extend_from_slice(dataset.to_json().as_bytes());
-    format!("{:016x}", fnv1a64(&bytes))
-}
-
-// -- identifiers ---------------------------------------------------------
-
-fn enc_vid(v: VarId) -> Value {
-    Value::List(vec![
-        Value::Int(v.object.0 as i128),
-        Value::Int(v.attr.0 as i128),
-    ])
-}
-
-/// A variable id that must name a missing cell of `data`: the hashed
-/// tables a resume fills key only on cells a run can produce.
-fn dec_cell(v: &Value, data: &Dataset) -> Result<VarId, SnapshotError> {
-    let var = dec_vid(v)?;
-    let in_range = var.object.index() < data.n_objects() && var.attr.index() < data.n_attrs();
-    if in_range && data.get(var.object, var.attr).is_none() {
-        Ok(var)
-    } else {
-        Err(inv(format!("{var} is not a missing cell of the dataset")))
-    }
-}
-
-fn dec_vid(v: &Value) -> Result<VarId, SnapshotError> {
-    match as_list(v, "variable id")? {
-        [o, a] => {
-            let o = o
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| inv("variable object id out of range"))?;
-            let a = a
-                .as_u16()
-                .ok_or_else(|| inv("variable attr id out of range"))?;
-            Ok(VarId::new(o, a))
-        }
-        _ => Err(inv("variable id must be [object, attr]")),
-    }
-}
-
-// -- expressions and conditions ------------------------------------------
-
-fn op_name(op: CmpOp) -> &'static str {
-    match op {
-        CmpOp::Lt => "lt",
-        CmpOp::Le => "le",
-        CmpOp::Gt => "gt",
-        CmpOp::Ge => "ge",
-        CmpOp::Eq => "eq",
-        CmpOp::Ne => "ne",
-    }
-}
-
-fn dec_op(s: &str) -> Result<CmpOp, SnapshotError> {
-    Ok(match s {
-        "lt" => CmpOp::Lt,
-        "le" => CmpOp::Le,
-        "gt" => CmpOp::Gt,
-        "ge" => CmpOp::Ge,
-        "eq" => CmpOp::Eq,
-        "ne" => CmpOp::Ne,
-        other => return Err(inv(format!("unknown comparison operator {other:?}"))),
-    })
-}
-
-fn enc_operand(rhs: Operand) -> Value {
-    match rhs {
-        Operand::Const(c) => Value::obj(vec![("c", Value::Int(c as i128))]),
-        Operand::Var(v) => Value::obj(vec![("v", enc_vid(v))]),
-    }
-}
-
-fn dec_operand(v: &Value) -> Result<Operand, SnapshotError> {
-    if let Some(c) = v.get("c") {
-        let c = c
-            .as_u16()
-            .ok_or_else(|| inv("constant operand out of range"))?;
-        Ok(Operand::Const(c))
-    } else if let Some(var) = v.get("v") {
-        Ok(Operand::Var(dec_vid(var)?))
-    } else {
-        Err(inv("operand must carry \"c\" or \"v\""))
-    }
-}
-
-fn enc_expr(e: &Expr) -> Value {
-    Value::obj(vec![
-        ("v", enc_vid(e.var())),
-        ("op", Value::Str(op_name(e.op()).into())),
-        ("rhs", enc_operand(e.rhs())),
-    ])
-}
-
-fn dec_expr(v: &Value) -> Result<Expr, SnapshotError> {
-    Ok(Expr::new(
-        dec_vid(get(v, "v")?)?,
-        dec_op(get_str(v, "op")?)?,
-        dec_operand(get(v, "rhs")?)?,
-    ))
-}
-
-fn enc_cond(c: &Condition) -> Value {
-    match c {
-        Condition::True => Value::Bool(true),
-        Condition::False => Value::Bool(false),
-        Condition::Cnf(_) => Value::List(
-            c.clauses()
-                .iter()
-                .map(|cl: &Clause| Value::List(cl.exprs().iter().map(enc_expr).collect()))
-                .collect(),
-        ),
-    }
-}
-
-fn dec_cond(v: &Value) -> Result<Condition, SnapshotError> {
-    match v {
-        Value::Bool(true) => Ok(Condition::True),
-        Value::Bool(false) => Ok(Condition::False),
-        Value::List(clauses) => {
-            // `from_clauses` canonicalizes; serialized conditions are
-            // already canonical, so the rebuild is an identity.
-            let mut raw = Vec::with_capacity(clauses.len());
-            for cl in clauses {
-                let exprs = as_list(cl, "clause")?;
-                raw.push(
-                    exprs
-                        .iter()
-                        .map(dec_expr)
-                        .collect::<Result<Vec<Expr>, SnapshotError>>()?,
-                );
-            }
-            Ok(Condition::from_clauses(raw))
-        }
-        _ => Err(inv("condition must be a bool or a clause list")),
-    }
-}
-
-fn enc_ctable(ctable: &CTable) -> Value {
-    Value::List(ctable.iter().map(|(_, c)| enc_cond(c)).collect())
-}
-
-fn dec_ctable(v: &Value) -> Result<CTable, SnapshotError> {
-    let conds = as_list(v, "ctable")?
-        .iter()
-        .map(dec_cond)
-        .collect::<Result<Vec<Condition>, SnapshotError>>()?;
-    Ok(CTable::new(conds))
-}
-
-// -- constraint store -----------------------------------------------------
-
-fn rel_name(r: Relation) -> &'static str {
-    match r {
-        Relation::Lt => "lt",
-        Relation::Eq => "eq",
-        Relation::Gt => "gt",
-    }
-}
-
-fn dec_rel(s: &str) -> Result<Relation, SnapshotError> {
-    Ok(match s {
-        "lt" => Relation::Lt,
-        "eq" => Relation::Eq,
-        "gt" => Relation::Gt,
-        other => return Err(inv(format!("unknown relation {other:?}"))),
-    })
-}
-
-fn enc_store(store: &ConstraintStore) -> Value {
-    Value::obj(vec![
-        (
-            "cards",
-            Value::List(
-                store
-                    .attr_cards()
-                    .iter()
-                    .map(|&c| Value::Int(c as i128))
-                    .collect(),
-            ),
-        ),
-        (
-            "masks",
-            Value::List(
-                store
-                    .masks()
-                    .map(|(v, m)| Value::List(vec![enc_vid(v), Value::Int(m as i128)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "facts",
-            Value::List(
-                store
-                    .facts()
-                    .map(|((l, r), rel)| {
-                        Value::List(vec![
-                            enc_vid(l),
-                            enc_vid(r),
-                            Value::Str(rel_name(rel).into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn dec_store(v: &Value, data: &Dataset) -> Result<ConstraintStore, SnapshotError> {
-    let cards = as_list(get(v, "cards")?, "cards")?
-        .iter()
-        .map(|c| c.as_u16().ok_or_else(|| inv("cardinality out of range")))
-        .collect::<Result<Vec<u16>, SnapshotError>>()?;
-    let mut masks = Vec::new();
-    for entry in as_list(get(v, "masks")?, "masks")? {
-        match as_list(entry, "mask entry")? {
-            [var, mask] => {
-                let mask = mask.as_u64().ok_or_else(|| inv("mask is not a u64"))?;
-                masks.push((dec_cell(var, data)?, mask));
-            }
-            _ => return Err(inv("mask entry must be [var, mask]")),
-        }
-    }
-    let mut facts = Vec::new();
-    for entry in as_list(get(v, "facts")?, "facts")? {
-        match as_list(entry, "fact entry")? {
-            [l, r, rel] => {
-                let rel = rel
-                    .as_str()
-                    .ok_or_else(|| inv("fact relation is not a string"))?;
-                facts.push(((dec_cell(l, data)?, dec_cell(r, data)?), dec_rel(rel)?));
-            }
-            _ => return Err(inv("fact entry must be [left, right, relation]")),
-        }
-    }
-    Ok(ConstraintStore::from_parts(cards, masks, facts))
-}
-
-// -- distributions --------------------------------------------------------
-
-fn enc_pmf_map<'m>(entries: impl Iterator<Item = (&'m VarId, &'m Pmf)>) -> Value {
-    Value::List(
-        entries
-            .map(|(v, pmf)| {
-                Value::List(vec![
-                    enc_vid(*v),
-                    Value::List(pmf.probs().iter().map(|&p| Value::Float(p)).collect()),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn dec_pmf_map(v: &Value, data: &Dataset) -> Result<BTreeMap<VarId, Pmf>, SnapshotError> {
-    let mut out = BTreeMap::new();
-    for entry in as_list(v, "distribution map")? {
-        match as_list(entry, "distribution entry")? {
-            [var, probs] => {
-                let probs = as_list(probs, "pmf probabilities")?
-                    .iter()
-                    .map(|p| p.as_f64().ok_or_else(|| inv("pmf entry is not a float")))
-                    .collect::<Result<Vec<f64>, SnapshotError>>()?;
-                let total: f64 = probs.iter().sum();
-                if probs.is_empty()
-                    || probs.iter().any(|p| !p.is_finite() || *p < 0.0)
-                    || (total - 1.0).abs() >= 1e-6
-                {
-                    return Err(inv("pmf probabilities do not form a distribution"));
-                }
-                // Exact restore: the serialized floats are bit-identical to
-                // the originals, so no renormalization happens here.
-                out.insert(dec_cell(var, data)?, Pmf::from_probs(probs));
-            }
-            _ => return Err(inv("distribution entry must be [var, probs]")),
-        }
-    }
-    Ok(out)
-}
-
-// -- dataset --------------------------------------------------------------
-
-fn enc_dataset(data: &Dataset) -> Value {
-    let domains = data
-        .domains()
-        .iter()
-        .map(|d| {
-            Value::obj(vec![
-                ("name", Value::Str(d.name().into())),
-                ("card", Value::Int(d.cardinality() as i128)),
-            ])
-        })
-        .collect();
-    let rows = data
-        .objects()
-        .map(|o| {
-            Value::List(
-                data.row(o)
-                    .iter()
-                    .map(|cell| match cell {
-                        Some(v) => Value::Int(*v as i128),
-                        None => Value::Null,
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    Value::obj(vec![
-        ("name", Value::Str(data.name().into())),
-        ("domains", Value::List(domains)),
-        ("rows", Value::List(rows)),
-    ])
-}
-
-fn dec_dataset(v: &Value) -> Result<Dataset, SnapshotError> {
-    let name = get_str(v, "name")?;
-    let mut domains = Vec::new();
-    for d in as_list(get(v, "domains")?, "domains")? {
-        let card = get(d, "card")?
-            .as_u16()
-            .ok_or_else(|| inv("domain cardinality out of range"))?;
-        domains.push(
-            Domain::new(get_str(d, "name")?, card)
-                .map_err(|e| inv(format!("invalid domain: {e}")))?,
-        );
-    }
-    let mut rows = Vec::new();
-    for row in as_list(get(v, "rows")?, "rows")? {
-        let mut cells = Vec::new();
-        for cell in as_list(row, "row")? {
-            cells.push(match cell {
-                Value::Null => None,
-                other => Some(
-                    other
-                        .as_u16()
-                        .ok_or_else(|| inv("cell value out of range"))?,
-                ),
-            });
-        }
-        rows.push(cells);
-    }
-    Dataset::from_rows(name, domains, rows).map_err(|e| inv(format!("invalid dataset: {e}")))
-}
-
-// -- retry queue and probability cache ------------------------------------
-
-fn enc_task(t: &Task) -> Value {
-    Value::obj(vec![("v", enc_vid(t.var)), ("rhs", enc_operand(t.rhs))])
-}
-
-fn dec_task(v: &Value) -> Result<Task, SnapshotError> {
-    Ok(Task {
-        var: dec_vid(get(v, "v")?)?,
-        rhs: dec_operand(get(v, "rhs")?)?,
-    })
-}
-
-fn enc_pending(pending: &[PendingTask]) -> Value {
-    Value::List(
-        pending
-            .iter()
-            .map(|p| {
-                Value::obj(vec![
-                    ("task", enc_task(&p.task)),
-                    ("attempts", uint(p.attempts)),
-                    ("eligible_round", uint(p.eligible_round)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn dec_pending(v: &Value) -> Result<Vec<PendingTask>, SnapshotError> {
-    as_list(v, "pending queue")?
-        .iter()
-        .map(|p| {
-            Ok(PendingTask {
-                task: dec_task(get(p, "task")?)?,
-                attempts: get_usize(p, "attempts")?,
-                eligible_round: get_usize(p, "eligible_round")?,
-            })
-        })
-        .collect()
-}
-
-fn enc_prob_cache(cache: impl Iterator<Item = (ObjectId, f64)>) -> Value {
-    Value::List(
-        cache
-            .map(|(o, p)| Value::List(vec![Value::Int(o.0 as i128), Value::Float(p)]))
-            .collect(),
-    )
-}
-
-/// Kept circuits as `[object]`, or `[object, condition]` when the circuit
-/// was compiled from a condition other than the object's current one.
-fn enc_compiled_from<'c>(kept: impl Iterator<Item = (ObjectId, Option<&'c Condition>)>) -> Value {
-    Value::List(
-        kept.map(|(o, from)| {
-            let mut entry = vec![Value::Int(o.0 as i128)];
-            entry.extend(from.map(enc_cond));
-            Value::List(entry)
-        })
-        .collect(),
-    )
-}
-
-fn dec_compiled_from(
-    v: &Value,
-    ctable: &CTable,
-) -> Result<Vec<(ObjectId, Option<Condition>)>, SnapshotError> {
-    let mut out: Vec<(ObjectId, Option<Condition>)> = Vec::new();
-    for entry in as_list(v, "compiled_from")? {
-        let (o, from) = match as_list(entry, "compiled_from entry")? {
-            [o] => (o, None),
-            [o, cond] => (o, Some(dec_cond(cond)?)),
-            _ => {
-                return Err(inv(
-                    "compiled_from entry must be [object] or [object, condition]",
-                ))
-            }
-        };
-        let o = o
-            .as_u64()
-            .and_then(|n| u32::try_from(n).ok())
-            .filter(|&n| (n as usize) < ctable.n_objects())
-            .ok_or_else(|| inv("kept circuit's object id out of range"))?;
-        if out.last().is_some_and(|&(prev, _)| prev.0 >= o) {
-            return Err(inv(
-                "compiled_from entries must be in ascending object order",
-            ));
-        }
-        out.push((ObjectId(o), from));
-    }
-    Ok(out)
-}
-
-fn dec_prob_cache(v: &Value) -> Result<BTreeMap<ObjectId, f64>, SnapshotError> {
-    let mut out = BTreeMap::new();
-    for entry in as_list(v, "probability cache")? {
-        match as_list(entry, "cache entry")? {
-            [o, p] => {
-                let o = o
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| inv("cached object id out of range"))?;
-                let p = p
-                    .as_f64()
-                    .ok_or_else(|| inv("cached probability is not a float"))?;
-                out.insert(ObjectId(o), p);
-            }
-            _ => return Err(inv("cache entry must be [object, probability]")),
-        }
-    }
-    Ok(out)
-}
-
-// -- platform state -------------------------------------------------------
-
-fn enc_rng(rng: &[u64; 4]) -> Value {
-    Value::List(rng.iter().map(|&w| Value::Int(w as i128)).collect())
-}
-
-fn dec_rng(v: &Value) -> Result<[u64; 4], SnapshotError> {
-    match as_list(v, "rng state")? {
-        [a, b, c, d] => {
-            let word = |w: &Value| w.as_u64().ok_or_else(|| inv("rng word is not a u64"));
-            Ok([word(a)?, word(b)?, word(c)?, word(d)?])
-        }
-        _ => Err(inv("rng state must be four words")),
-    }
-}
-
-fn enc_crowd_stats(s: &CrowdStats) -> Value {
-    Value::obj(vec![
-        ("tasks_posted", uint(s.tasks_posted)),
-        ("rounds", uint(s.rounds)),
-        ("worker_answers", uint(s.worker_answers)),
-        ("money_spent", Value::Int(s.money_spent as i128)),
-    ])
-}
-
-fn dec_crowd_stats(v: &Value) -> Result<CrowdStats, SnapshotError> {
-    Ok(CrowdStats {
-        tasks_posted: get_usize(v, "tasks_posted")?,
-        rounds: get_usize(v, "rounds")?,
-        worker_answers: get_usize(v, "worker_answers")?,
-        money_spent: get_u64(v, "money_spent")?,
-    })
-}
-
-fn enc_platform_state(state: &PlatformState) -> Value {
-    match state {
-        PlatformState::Simulated {
-            rng,
-            stats,
-            escalated,
-            log,
-        } => Value::obj(vec![
-            ("kind", Value::Str("simulated".into())),
-            ("rng", enc_rng(rng)),
-            ("stats", enc_crowd_stats(stats)),
-            ("escalated", uint(*escalated)),
-            (
-                "log",
-                Value::List(
-                    log.iter()
-                        .map(|a| {
-                            Value::obj(vec![
-                                ("task", enc_task(&a.task)),
-                                ("rel", Value::Str(rel_name(a.relation).into())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        PlatformState::Faulty {
-            rng,
-            workforce,
-            overlay,
-            faults,
-            inner,
-        } => Value::obj(vec![
-            ("kind", Value::Str("faulty".into())),
-            ("rng", enc_rng(rng)),
-            ("workforce", Value::Float(*workforce)),
-            ("overlay", enc_crowd_stats(overlay)),
-            (
-                "faults",
-                Value::obj(vec![
-                    ("expired", uint(faults.expired_injected)),
-                    ("spam", uint(faults.spam_injected)),
-                    ("duplicates", uint(faults.duplicates_injected)),
-                    ("straggler_rounds", uint(faults.straggler_rounds)),
-                ]),
-            ),
-            ("inner", enc_platform_state(inner)),
-        ]),
-    }
-}
-
-fn dec_platform_state(v: &Value) -> Result<PlatformState, SnapshotError> {
-    match get_str(v, "kind")? {
-        "simulated" => {
-            let mut log = Vec::new();
-            for a in as_list(get(v, "log")?, "answer log")? {
-                log.push(TaskAnswer {
-                    task: dec_task(get(a, "task")?)?,
-                    relation: dec_rel(get_str(a, "rel")?)?,
-                });
-            }
-            Ok(PlatformState::Simulated {
-                rng: dec_rng(get(v, "rng")?)?,
-                stats: dec_crowd_stats(get(v, "stats")?)?,
-                escalated: get_usize(v, "escalated")?,
-                log,
-            })
-        }
-        "faulty" => {
-            let faults = get(v, "faults")?;
-            Ok(PlatformState::Faulty {
-                rng: dec_rng(get(v, "rng")?)?,
-                workforce: get_f64(v, "workforce")?,
-                overlay: dec_crowd_stats(get(v, "overlay")?)?,
-                faults: FaultStats {
-                    expired_injected: get_usize(faults, "expired")?,
-                    spam_injected: get_usize(faults, "spam")?,
-                    duplicates_injected: get_usize(faults, "duplicates")?,
-                    straggler_rounds: get_usize(faults, "straggler_rounds")?,
-                },
-                inner: Box::new(dec_platform_state(get(v, "inner")?)?),
-            })
-        }
-        other => Err(inv(format!("unknown platform state kind {other:?}"))),
-    }
-}
-
-// -- configuration --------------------------------------------------------
-
-fn enc_learn(l: &LearnConfig) -> Value {
-    Value::obj(vec![
-        ("max_parents", uint(l.max_parents)),
-        ("laplace", Value::Float(l.laplace)),
-        ("max_rows_for_scoring", uint(l.max_rows_for_scoring)),
-        ("max_iterations", uint(l.max_iterations)),
-    ])
-}
-
-fn dec_learn(v: &Value) -> Result<LearnConfig, SnapshotError> {
-    Ok(LearnConfig {
-        max_parents: get_usize(v, "max_parents")?,
-        laplace: get_f64(v, "laplace")?,
-        max_rows_for_scoring: get_usize(v, "max_rows_for_scoring")?,
-        max_iterations: get_usize(v, "max_iterations")?,
-    })
-}
-
-fn enc_config(c: &BayesCrowdConfig) -> Value {
-    let strategy = match c.strategy {
-        TaskStrategy::Fbs => Value::obj(vec![("kind", Value::Str("fbs".into()))]),
-        TaskStrategy::Ubs => Value::obj(vec![("kind", Value::Str("ubs".into()))]),
-        TaskStrategy::Hhs { m } => {
-            Value::obj(vec![("kind", Value::Str("hhs".into())), ("m", uint(m))])
-        }
-    };
-    let ranking = match c.ranking {
-        ObjectRanking::Entropy => Value::obj(vec![("kind", Value::Str("entropy".into()))]),
-        ObjectRanking::Random { seed } => Value::obj(vec![
-            ("kind", Value::Str("random".into())),
-            ("seed", Value::Int(seed as i128)),
-        ]),
-    };
-    let solver = match c.solver {
-        SolverKind::Adpll => "adpll",
-        SolverKind::Naive => "naive",
-        SolverKind::MonteCarlo => "montecarlo",
-    };
-    let heuristic = match c.branch_heuristic {
-        BranchHeuristic::MostFrequent => "most-frequent",
-        BranchHeuristic::First => "first",
-    };
-    let dominators = match c.dominators {
-        DominatorStrategy::FastIndex => "fast-index",
-        DominatorStrategy::Baseline => "baseline",
-    };
-    let em = match &c.model.em {
-        None => Value::Null,
-        Some(em) => Value::obj(vec![
-            ("iterations", uint(em.iterations)),
-            ("max_missing_per_row", uint(em.max_missing_per_row)),
-            ("laplace", Value::Float(em.laplace)),
-        ]),
-    };
-    let search = match &c.model.search {
-        StructureSearch::HillClimb => Value::obj(vec![("kind", Value::Str("hill-climb".into()))]),
-        StructureSearch::Anneal(a) => Value::obj(vec![
-            ("kind", Value::Str("anneal".into())),
-            ("learn", enc_learn(&a.learn)),
-            ("initial_temperature", Value::Float(a.initial_temperature)),
-            ("cooling", Value::Float(a.cooling)),
-            ("moves", uint(a.moves)),
-            ("seed", Value::Int(a.seed as i128)),
-        ]),
-    };
-    Value::obj(vec![
-        ("budget", uint(c.budget)),
-        ("latency", uint(c.latency)),
-        ("alpha", Value::Float(c.alpha)),
-        ("strategy", strategy),
-        ("ranking", ranking),
-        ("solver", Value::Str(solver.into())),
-        ("branch_heuristic", Value::Str(heuristic.into())),
-        ("solver_caching", Value::Bool(c.solver_caching)),
-        ("dominators", Value::Str(dominators.into())),
-        (
-            "model",
-            Value::obj(vec![
-                ("learn", enc_learn(&c.model.learn)),
-                ("uniform_prior", Value::Bool(c.model.uniform_prior)),
-                ("em", em),
-                ("search", search),
-            ]),
-        ),
-        ("conflict_free", Value::Bool(c.conflict_free)),
-        ("propagate_answers", Value::Bool(c.propagate_answers)),
-        ("parallel", Value::Bool(c.parallel)),
-        (
-            "retry",
-            Value::obj(vec![
-                ("max_attempts", uint(c.retry.max_attempts)),
-                ("escalate_workers", uint(c.retry.escalate_workers)),
-                ("backoff_base", uint(c.retry.backoff_base)),
-            ]),
-        ),
-        ("answer_threshold", Value::Float(c.answer_threshold)),
-    ])
-}
-
-fn dec_config(v: &Value) -> Result<BayesCrowdConfig, SnapshotError> {
-    let strategy_v = get(v, "strategy")?;
-    let strategy = match get_str(strategy_v, "kind")? {
-        "fbs" => TaskStrategy::Fbs,
-        "ubs" => TaskStrategy::Ubs,
-        "hhs" => TaskStrategy::Hhs {
-            m: get_usize(strategy_v, "m")?,
-        },
-        other => return Err(inv(format!("unknown strategy {other:?}"))),
-    };
-    let ranking_v = get(v, "ranking")?;
-    let ranking = match get_str(ranking_v, "kind")? {
-        "entropy" => ObjectRanking::Entropy,
-        "random" => ObjectRanking::Random {
-            seed: get_u64(ranking_v, "seed")?,
-        },
-        other => return Err(inv(format!("unknown ranking {other:?}"))),
-    };
-    let solver = match get_str(v, "solver")? {
-        "adpll" => SolverKind::Adpll,
-        "naive" => SolverKind::Naive,
-        "montecarlo" => SolverKind::MonteCarlo,
-        other => return Err(inv(format!("unknown solver {other:?}"))),
-    };
-    let branch_heuristic = match get_str(v, "branch_heuristic")? {
-        "most-frequent" => BranchHeuristic::MostFrequent,
-        "first" => BranchHeuristic::First,
-        other => return Err(inv(format!("unknown branch heuristic {other:?}"))),
-    };
-    let dominators = match get_str(v, "dominators")? {
-        "fast-index" => DominatorStrategy::FastIndex,
-        "baseline" => DominatorStrategy::Baseline,
-        other => return Err(inv(format!("unknown dominator strategy {other:?}"))),
-    };
-    let model_v = get(v, "model")?;
-    let em = match get(model_v, "em")? {
-        Value::Null => None,
-        em => Some(EmConfig {
-            iterations: get_usize(em, "iterations")?,
-            max_missing_per_row: get_usize(em, "max_missing_per_row")?,
-            laplace: get_f64(em, "laplace")?,
-        }),
-    };
-    let search_v = get(model_v, "search")?;
-    let search = match get_str(search_v, "kind")? {
-        "hill-climb" => StructureSearch::HillClimb,
-        "anneal" => StructureSearch::Anneal(AnnealConfig {
-            learn: dec_learn(get(search_v, "learn")?)?,
-            initial_temperature: get_f64(search_v, "initial_temperature")?,
-            cooling: get_f64(search_v, "cooling")?,
-            moves: get_usize(search_v, "moves")?,
-            seed: get_u64(search_v, "seed")?,
-        }),
-        other => return Err(inv(format!("unknown structure search {other:?}"))),
-    };
-    let retry_v = get(v, "retry")?;
-    Ok(BayesCrowdConfig {
-        budget: get_usize(v, "budget")?,
-        latency: get_usize(v, "latency")?,
-        alpha: get_f64(v, "alpha")?,
-        strategy,
-        ranking,
-        solver,
-        branch_heuristic,
-        solver_caching: get_bool(v, "solver_caching")?,
-        dominators,
-        model: ModelConfig {
-            learn: dec_learn(get(model_v, "learn")?)?,
-            uniform_prior: get_bool(model_v, "uniform_prior")?,
-            em,
-            search,
-        },
-        conflict_free: get_bool(v, "conflict_free")?,
-        propagate_answers: get_bool(v, "propagate_answers")?,
-        parallel: get_bool(v, "parallel")?,
-        retry: RetryPolicy {
-            max_attempts: get_usize(retry_v, "max_attempts")?,
-            escalate_workers: get_usize(retry_v, "escalate_workers")?,
-            backoff_base: get_usize(retry_v, "backoff_base")?,
-        },
-        answer_threshold: get_f64(v, "answer_threshold")?,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_bayes::anneal::AnnealConfig;
+    use crate::strategy::TaskStrategy;
+    use bc_bayes::Pmf;
 
     /// Every distribution is its base pmf while its mask is the full
     /// domain, and the base conditioned on its mask once narrowed —
     /// bit-for-bit.
     fn assert_dists_follow_masks(session: &Session<'_>, ctx: &str) {
         let bits = |p: &Pmf| p.probs().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (&var, base) in session.base.iter() {
+        for (&var, base) in session.state.base.iter() {
             let got = session
+                .state
                 .dists
                 .pmf(var)
                 .expect("every missing cell has a pmf");
-            let mask = session.store.mask(var);
+            let mask = session.state.store.mask(var);
             let full = (1u64 << base.card()) - 1;
             if mask == full {
                 assert_eq!(bits(got), bits(base), "{ctx}: {var} untouched");
             } else if let Some(want) = base.conditioned(mask) {
                 assert_eq!(bits(got), bits(&want), "{ctx}: {var} narrowed");
             }
-        }
-    }
-
-    #[test]
-    fn store_bytes_do_not_depend_on_insertion_order() {
-        use bc_ctable::Operand;
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let data = bc_data::generators::sample::paper_dataset();
-        let mut store = ConstraintStore::new(&data);
-        let missing = data.missing_vars();
-        assert!(missing.len() >= 4);
-        for (i, &l) in missing.iter().enumerate() {
-            store.record(l, Operand::Const(7 - i as u16), Relation::Lt);
-            for &r in &missing[i + 1..] {
-                store.record(l, Operand::Var(r), Relation::Gt);
-            }
-        }
-        let want = enc_store(&store).to_json();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        for _ in 0..8 {
-            let mut masks: Vec<_> = store.masks().collect();
-            let mut facts: Vec<_> = store.facts().collect();
-            masks.shuffle(&mut rng);
-            facts.shuffle(&mut rng);
-            let shuffled = ConstraintStore::from_parts(store.attr_cards().to_vec(), masks, facts);
-            assert_eq!(enc_store(&shuffled).to_json(), want);
-            let decoded = dec_store(&enc_store(&shuffled), &data).unwrap();
-            assert_eq!(enc_store(&decoded).to_json(), want);
         }
     }
 
@@ -1831,7 +901,7 @@ mod tests {
         let mut platform =
             SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 1.0, 7);
         let mut session = Session::start(config, &data, &mut platform, None).unwrap();
-        assert!(!session.ctable.open_objects().is_empty());
+        assert!(!session.state.ctable.open_objects().is_empty());
         session.solver = Box::new(crate::config::FixedSolver(f64::NAN));
         match session.step() {
             Err(RunError::Solver(bc_solver::SolverError::InvalidProbability(p))) => {
@@ -1878,7 +948,7 @@ mod tests {
                 assert_dists_follow_masks(&session, "before checkpoint");
             }
             assert!(
-                session.store.masks().len() > 0,
+                session.state.store.masks().len() > 0,
                 "the crowd narrowed something"
             );
             session.checkpoint(&mut snapshot).unwrap();
@@ -1905,14 +975,21 @@ mod tests {
         fn drive(session: &mut Session<'_>, rounds: usize, ctx: &str) -> u64 {
             let mut full_examined = 0;
             for _ in 0..rounds {
-                let (open, posted) = (session.ctable.open_objects().len(), session.total_posted);
+                let (open, posted) = (
+                    session.state.ctable.open_objects().len(),
+                    session.state.total_posted,
+                );
                 let more = session.step().unwrap();
-                if session.total_posted > posted {
+                if session.state.total_posted > posted {
                     full_examined += open as u64;
                 }
-                let mut full = session.ctable.clone();
-                full.propagate(&session.store);
-                assert_eq!(full, session.ctable, "{ctx}: round {}", session.round_idx);
+                let mut full = session.state.ctable.clone();
+                full.propagate(&session.state.store);
+                assert_eq!(
+                    full, session.state.ctable,
+                    "{ctx}: round {}",
+                    session.state.round_idx
+                );
                 if !more {
                     break;
                 }
@@ -1948,231 +1025,6 @@ mod tests {
                 "{strategy:?}: touched-only passes examined {examined}, full passes would \
                  examine {full_examined}"
             );
-        }
-    }
-
-    #[test]
-    fn config_round_trips_through_the_codec() {
-        let config = BayesCrowdConfig {
-            budget: 42,
-            latency: 7,
-            alpha: 0.125,
-            strategy: TaskStrategy::Hhs { m: 9 },
-            ranking: ObjectRanking::Random { seed: u64::MAX },
-            solver: SolverKind::MonteCarlo,
-            branch_heuristic: BranchHeuristic::First,
-            solver_caching: false,
-            dominators: DominatorStrategy::Baseline,
-            model: ModelConfig {
-                learn: LearnConfig {
-                    max_parents: 3,
-                    laplace: 0.5,
-                    max_rows_for_scoring: 123,
-                    max_iterations: 17,
-                },
-                uniform_prior: true,
-                em: Some(EmConfig {
-                    iterations: 4,
-                    max_missing_per_row: 2,
-                    laplace: 2.0,
-                }),
-                search: StructureSearch::Anneal(AnnealConfig {
-                    seed: 99,
-                    ..Default::default()
-                }),
-            },
-            conflict_free: false,
-            propagate_answers: false,
-            parallel: true,
-            retry: RetryPolicy {
-                max_attempts: 5,
-                escalate_workers: 2,
-                backoff_base: 1,
-            },
-            answer_threshold: 0.625,
-        };
-        let encoded = enc_config(&config);
-        let decoded = dec_config(&encoded).expect("decodes");
-        // Re-encoding the decoded config must reproduce the same tree —
-        // the codec is lossless and canonical.
-        assert_eq!(enc_config(&decoded).to_json(), encoded.to_json());
-        assert_eq!(decoded.budget, 42);
-        assert_eq!(decoded.branch_heuristic, BranchHeuristic::First);
-        assert!(!decoded.solver_caching);
-        assert!(matches!(
-            decoded.model.search,
-            StructureSearch::Anneal(AnnealConfig { seed: 99, .. })
-        ));
-    }
-
-    #[test]
-    fn dataset_round_trips_through_the_codec() {
-        let data = bc_data::generators::sample::paper_dataset();
-        let encoded = enc_dataset(&data);
-        let decoded = dec_dataset(&encoded).expect("decodes");
-        assert_eq!(decoded.name(), data.name());
-        assert_eq!(decoded.n_objects(), data.n_objects());
-        assert_eq!(decoded.n_missing(), data.n_missing());
-        for o in data.objects() {
-            assert_eq!(decoded.row(o), data.row(o));
-        }
-        assert_eq!(enc_dataset(&decoded).to_json(), encoded.to_json());
-    }
-
-    #[test]
-    fn conditions_round_trip_canonically() {
-        let v1 = VarId::new(3, 0);
-        let v2 = VarId::new(5, 1);
-        let cond = Condition::from_clauses(vec![
-            vec![Expr::lt(v1, 2), Expr::var_gt(v1, v2)],
-            vec![Expr::gt(v2, 1)],
-        ]);
-        for c in [Condition::True, Condition::False, cond] {
-            let decoded = dec_cond(&enc_cond(&c)).expect("decodes");
-            assert_eq!(decoded, c);
-            // Canonicalization is idempotent: re-encoding is byte-stable.
-            assert_eq!(enc_cond(&decoded).to_json(), enc_cond(&c).to_json());
-        }
-    }
-
-    /// The kernel's rewrites need canonical conditions; the decoder must
-    /// canonicalize whatever clause list a snapshot holds.
-    #[test]
-    fn non_canonical_clause_lists_decode_to_the_canonical_condition() {
-        let (x, y, z) = (VarId::new(0, 0), VarId::new(1, 0), VarId::new(2, 1));
-        let canonical = Condition::from_clauses(vec![
-            vec![Expr::lt(x, 2)],
-            vec![Expr::gt(y, 3), Expr::lt(z, 1)],
-        ]);
-        let clause = |exprs: &[Expr]| Value::List(exprs.iter().map(enc_expr).collect());
-        let lists = [
-            (
-                "unsorted",
-                vec![
-                    clause(&[Expr::lt(z, 1), Expr::gt(y, 3)]),
-                    clause(&[Expr::lt(x, 2)]),
-                ],
-            ),
-            (
-                "duplicated",
-                vec![
-                    clause(&[Expr::lt(x, 2)]),
-                    clause(&[Expr::gt(y, 3), Expr::lt(z, 1)]),
-                    clause(&[Expr::lt(x, 2), Expr::lt(x, 2)]),
-                ],
-            ),
-            (
-                "subsumed",
-                vec![
-                    clause(&[Expr::lt(x, 2), Expr::gt(y, 3)]),
-                    clause(&[Expr::gt(y, 3), Expr::lt(z, 1)]),
-                    clause(&[Expr::lt(x, 2)]),
-                ],
-            ),
-        ];
-        for (what, clauses) in lists {
-            let decoded = dec_cond(&Value::List(clauses)).expect("decodes");
-            assert_eq!(decoded, canonical, "{what}");
-            assert_eq!(
-                enc_cond(&decoded).to_json(),
-                enc_cond(&canonical).to_json(),
-                "{what}"
-            );
-            assert_eq!(
-                decoded.substitute(y, 5),
-                canonical.substitute(y, 5),
-                "{what}"
-            );
-        }
-    }
-
-    #[test]
-    fn platform_state_round_trips_nested() {
-        let answer = TaskAnswer {
-            task: Task {
-                var: VarId::new(1, 2),
-                rhs: Operand::Const(3),
-            },
-            relation: Relation::Gt,
-        };
-        let state = PlatformState::Faulty {
-            rng: [1, u64::MAX, 3, 4],
-            workforce: 0.75,
-            overlay: CrowdStats {
-                tasks_posted: 8,
-                rounds: 2,
-                worker_answers: 0,
-                money_spent: u64::MAX,
-            },
-            faults: FaultStats {
-                expired_injected: 1,
-                spam_injected: 2,
-                duplicates_injected: 3,
-                straggler_rounds: 4,
-            },
-            inner: Box::new(PlatformState::Simulated {
-                rng: [9, 8, 7, 6],
-                stats: CrowdStats::default(),
-                escalated: 5,
-                log: vec![answer],
-            }),
-        };
-        let decoded = dec_platform_state(&enc_platform_state(&state)).expect("decodes");
-        assert_eq!(decoded, state);
-    }
-
-    #[test]
-    fn pmf_maps_restore_bit_exactly() {
-        let data = bc_data::generators::sample::paper_dataset();
-        let missing = data.missing_vars();
-        let mut map = BTreeMap::new();
-        map.insert(missing[0], Pmf::from_weights(vec![1.0, 2.0, 4.0]));
-        map.insert(missing[1], Pmf::uniform(7));
-        let decoded = dec_pmf_map(&enc_pmf_map(map.iter()), &data).expect("decodes");
-        assert_eq!(decoded.len(), 2);
-        for (v, pmf) in &map {
-            let got = &decoded[v];
-            assert_eq!(got.probs(), pmf.probs(), "bit-exact restore for {v}");
-        }
-    }
-
-    #[test]
-    fn corrupt_sections_are_rejected_not_panicked() {
-        for bad in [
-            Value::Str("nope".into()),
-            Value::List(vec![Value::Int(1)]),
-            Value::obj(vec![("kind", Value::Str("martian".into()))]),
-        ] {
-            assert!(dec_platform_state(&bad).is_err());
-            assert!(dec_config(&bad).is_err());
-            assert!(dec_dataset(&bad).is_err());
-        }
-        // A pmf that does not sum to one is data corruption the checksum
-        // cannot catch (it was written that way): the decoder must reject
-        // it instead of panicking inside Pmf::from_probs.
-        let bad_pmf = Value::List(vec![Value::List(vec![
-            enc_vid(VarId::new(0, 0)),
-            Value::List(vec![Value::Float(0.9), Value::Float(0.3)]),
-        ])]);
-        let data = bc_data::generators::sample::paper_dataset();
-        assert!(dec_pmf_map(&bad_pmf, &data).is_err());
-        // Distributions and store entries must name missing cells: an
-        // observed cell or an id outside the dataset is refused.
-        let missing = data.missing_vars()[0];
-        for var in [VarId::new(0, 0), VarId::new(u32::MAX, 0), VarId::new(0, 99)] {
-            assert_ne!(var, missing);
-            let probs = Value::List(vec![Value::Float(1.0)]);
-            let pmfs = Value::List(vec![Value::List(vec![enc_vid(var), probs])]);
-            assert!(dec_pmf_map(&pmfs, &data).is_err(), "{var} as a pmf");
-            let store = Value::obj(vec![
-                ("cards", Value::List(vec![])),
-                (
-                    "masks",
-                    Value::List(vec![Value::List(vec![enc_vid(var), Value::Int(1)])]),
-                ),
-                ("facts", Value::List(vec![])),
-            ]);
-            assert!(dec_store(&store, &data).is_err(), "{var} as a mask");
         }
     }
 }

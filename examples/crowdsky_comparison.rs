@@ -42,14 +42,16 @@ fn main() {
 
     // BayesCrowd: infer across conditions, ask only what matters.
     let budget = 100_000;
-    let config = BayesCrowdConfig::nba_defaults()
-        .into_builder()
-        .budget(budget)
-        .latency(budget / 20) // 20 tasks per round, effectively unbounded budget
-        .alpha(0.06)
-        .strategy(TaskStrategy::Hhs { m: 15 })
-        .parallel(true)
-        .build()
+    let config = BayesCrowdConfig {
+        budget,
+        latency: budget / 20, // 20 tasks per round, effectively unbounded budget
+        alpha: 0.06,
+        strategy: TaskStrategy::Hhs { m: 15 },
+        parallel: true,
+        ..BayesCrowdConfig::nba_defaults()
+    };
+    config
+        .validate()
         .expect("the comparison configuration is valid");
     let oracle = GroundTruthOracle::new(complete.clone());
     let mut platform = SimulatedPlatform::new(oracle, 1.0, 3);

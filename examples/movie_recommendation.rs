@@ -32,12 +32,15 @@ fn main() {
     let truth = skyline_sfs(&complete).expect("complete data");
     println!("true skyline size: {}", truth.len());
 
-    let config = BayesCrowdConfig::builder()
-        .budget(60)
-        .latency(6)
-        .alpha(0.2)
-        .strategy(TaskStrategy::Hhs { m: 10 })
-        .build()
+    let config = BayesCrowdConfig {
+        budget: 60,
+        latency: 6,
+        alpha: 0.2,
+        strategy: TaskStrategy::Hhs { m: 10 },
+        ..Default::default()
+    };
+    config
+        .validate()
         .expect("the example configuration is valid");
 
     // Machine-only: no crowd at all, answer from the learned distributions.

@@ -33,15 +33,13 @@ fn main() {
         ("UBS", TaskStrategy::Ubs),
         ("HHS", TaskStrategy::Hhs { m: 15 }),
     ] {
-        let config = BayesCrowdConfig::nba_defaults()
-            .into_builder()
-            .budget(50)
-            .latency(5)
-            .alpha(0.02)
-            .strategy(strategy)
-            .parallel(true)
-            .build()
-            .expect("the NBA preset is valid");
+        let config = BayesCrowdConfig {
+            alpha: 0.02,
+            strategy,
+            parallel: true,
+            ..BayesCrowdConfig::nba_defaults()
+        };
+        config.validate().expect("the NBA preset is valid");
         let oracle = GroundTruthOracle::new(complete.clone());
         let mut platform = SimulatedPlatform::new(oracle, 1.0, 5);
         let report = BayesCrowd::new(config).run(&incomplete, &mut platform);

@@ -69,13 +69,13 @@ fn main() {
     println!("\nCrowdsourcing with budget 20, latency 10, HHS(m = 2):");
     let oracle = GroundTruthOracle::new(paper_completion());
     let mut platform = SimulatedPlatform::new(oracle, 1.0, 42);
-    let config = BayesCrowdConfig::builder()
-        .budget(20)
-        .latency(10)
-        .alpha(1.0)
-        .strategy(TaskStrategy::Hhs { m: 2 })
-        .build()
-        .expect("the quickstart configuration is valid");
+    let config = BayesCrowdConfig {
+        budget: 20,
+        latency: 10,
+        alpha: 1.0,
+        strategy: TaskStrategy::Hhs { m: 2 },
+        ..Default::default()
+    };
     // Record the run's structured events alongside the report.
     let mut metrics = MetricsRecorder::new();
     let report = BayesCrowd::new(config)

@@ -286,22 +286,23 @@ fn main() {
         "hhs" => TaskStrategy::Hhs { m: args.m },
         _ => usage(),
     };
-    let config = BayesCrowdConfig::builder()
-        .budget(args.budget)
-        .latency(args.latency)
-        .alpha(args.alpha)
-        .strategy(strategy)
-        .parallel(true)
-        .retry(RetryPolicy {
+    let config = BayesCrowdConfig {
+        budget: args.budget,
+        latency: args.latency,
+        alpha: args.alpha,
+        strategy,
+        parallel: true,
+        retry: RetryPolicy {
             max_attempts: args.max_attempts.max(1),
             escalate_workers: args.escalate_workers,
             backoff_base: args.backoff,
-        })
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("invalid configuration: {e}");
-            exit(2);
-        });
+        },
+        ..Default::default()
+    };
+    if let Err(e) = config.validate() {
+        eprintln!("invalid configuration: {e}");
+        exit(2);
+    }
 
     match args.mode.as_str() {
         "machine" => {

@@ -8,13 +8,13 @@ use bc_data::generators::sample::{paper_completion, paper_dataset};
 use proptest::prelude::*;
 
 fn sample_config() -> BayesCrowdConfig {
-    BayesCrowdConfig::builder()
-        .budget(20)
-        .latency(10)
-        .alpha(1.0)
-        .strategy(TaskStrategy::Hhs { m: 2 })
-        .build()
-        .expect("the sample configuration is valid")
+    BayesCrowdConfig {
+        budget: 20,
+        latency: 10,
+        alpha: 1.0,
+        strategy: TaskStrategy::Hhs { m: 2 },
+        ..Default::default()
+    }
 }
 
 /// Runs the paper sample against a simulated crowd, recording every event.
@@ -137,13 +137,13 @@ fn profiled_hhs_run() -> (MetricsRecorder, ProfileReport) {
     let complete = bc_data::generators::nba::nba_like(150, 3);
     let (incomplete, _) = bc_data::missing::inject_mcar(&complete, 0.1, 4);
     let mut platform = SimulatedPlatform::new(GroundTruthOracle::new(complete), 1.0, 5);
-    let config = BayesCrowdConfig::builder()
-        .budget(40)
-        .latency(8)
-        .alpha(0.2)
-        .strategy(TaskStrategy::Hhs { m: 5 })
-        .build()
-        .expect("valid configuration");
+    let config = BayesCrowdConfig {
+        budget: 40,
+        latency: 8,
+        alpha: 0.2,
+        strategy: TaskStrategy::Hhs { m: 5 },
+        ..Default::default()
+    };
     let mut metrics = MetricsRecorder::new();
     let mut profiler = RunProfiler::new();
     match BayesCrowd::new(config).try_run(
