@@ -143,9 +143,8 @@ pub enum Event {
         /// Conditions solved (cached conditions are not re-solved and do
         /// not appear here).
         objects: usize,
-        /// Solver invocations: the compiles, plain solves (a solver that
-        /// does not compile, or a circuit that went stale), and fallback
-        /// re-solves.
+        /// Solver invocations: the compiles and plain solves (a circuit
+        /// that went stale, or a solver that does not compile).
         solver_calls: u64,
         /// Conditions compiled to a kept circuit, against the model's
         /// distributions (part of `solver_calls`).
@@ -157,8 +156,8 @@ pub enum Event {
         branches: u64,
         /// Component probabilities served from the solver's cache.
         cache_hits: u64,
-        /// Conditions the configured solver failed on and a fresh ADPLL
-        /// re-solved — silent degradation made visible.
+        /// Always 0 from a session, which retries no solve; kept so that
+        /// trace lines keep their format.
         fallbacks: u64,
         /// Batch wall-clock time.
         nanos: u128,
@@ -193,9 +192,8 @@ pub enum Event {
         candidates: u64,
         /// Solver invocations: the compiles, one `Pr(φ ∧ e)` solve per
         /// candidate whose `Pr(e)` lies strictly inside `(0, 1)` and that
-        /// no circuit scores (every candidate of a solver that does not
-        /// compile, a var-var one whose clamped pass fails), plus failed
-        /// attempts redone by the fallback.
+        /// no circuit scores (a var-var one whose clamped pass fails, or
+        /// every candidate of a solver that does not compile).
         solver_calls: u64,
         /// Conditions compiled, each scoring every open candidate of one
         /// object (part of `solver_calls`).
@@ -209,8 +207,8 @@ pub enum Event {
         decisions: u64,
         /// Component probabilities served from the solver's cache.
         cache_hits: u64,
-        /// Candidates the configured solver failed on and a fresh ADPLL
-        /// re-solved.
+        /// Always 0 from a session, which retries no solve; kept so that
+        /// trace lines keep their format.
         fallbacks: u64,
         /// Task-assembly wall-clock time (scoring plus candidate ordering).
         nanos: u128,

@@ -157,7 +157,7 @@ pub struct Counters {
     pub retried: u64,
     /// Conditions solved across all probability batches.
     pub probability_evals: u64,
-    /// Solver invocations: compiles, plain solves and fallback re-solves.
+    /// Solver invocations: compiles and plain solves.
     pub solver_calls: u64,
     /// Conditions compiled to a kept circuit by probability batches (part
     /// of `solver_calls`).
@@ -195,8 +195,8 @@ pub struct Counters {
     pub propagate_examined: u64,
     /// Tasks abandoned at finalization (from `Degraded`).
     pub tasks_abandoned: u64,
-    /// Conditions re-solved by the ADPLL fallback after the configured
-    /// solver errored.
+    /// The `fallbacks` of the batch events: always 0 from a session, which
+    /// retries no solve; kept so that counter lines keep their format.
     pub solver_fallbacks: u64,
     /// Durable checkpoints written.
     pub checkpoints_written: u64,
@@ -206,7 +206,7 @@ pub struct Counters {
     pub utility_evals: u64,
     /// Solver invocations behind those scores: the compiles, one solve
     /// per candidate whose `Pr(e)` is strictly inside `(0, 1)` and that no
-    /// circuit scores, plus fallback attempts.
+    /// circuit scores.
     pub utility_solver_calls: u64,
     /// Value-branching decisions taken by utility compiles and solves.
     pub utility_decisions: u64,

@@ -12,7 +12,7 @@
 //! would make the crates that define them depend on `bc-snapshot` for a
 //! format only a session writes.
 
-use crate::config::{BayesCrowdConfig, SolverKind};
+use crate::config::{BayesCrowdConfig, ANSWER_THRESHOLD};
 use crate::kept::ProbCache;
 use crate::selection::ObjectRanking;
 use crate::session::{PendingTask, RunState};
@@ -23,10 +23,10 @@ use bc_bayes::learn::LearnConfig;
 use bc_bayes::{ModelConfig, Pmf, StructureSearch};
 use bc_crowd::{CrowdStats, FaultStats, PlatformState, RetryPolicy, Task, TaskAnswer};
 use bc_ctable::Relation;
-use bc_ctable::{CTable, CmpOp, Condition, ConstraintStore, DominatorStrategy, Expr, Operand};
+use bc_ctable::{CTable, CmpOp, Condition, ConstraintStore, Expr, Operand};
 use bc_data::{Dataset, Domain, ObjectId, VarId};
 use bc_snapshot::{fnv1a64, Snapshot, SnapshotError, SnapshotWriter, Value};
-use bc_solver::{BranchHeuristic, VarDists};
+use bc_solver::VarDists;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::mem::discriminant;
@@ -154,19 +154,6 @@ const RELATIONS: [(Relation, &str); 3] = [
     (Relation::Lt, "lt"),
     (Relation::Eq, "eq"),
     (Relation::Gt, "gt"),
-];
-const SOLVERS: [(SolverKind, &str); 3] = [
-    (SolverKind::Adpll, "adpll"),
-    (SolverKind::Naive, "naive"),
-    (SolverKind::MonteCarlo, "montecarlo"),
-];
-const HEURISTICS: [(BranchHeuristic, &str); 2] = [
-    (BranchHeuristic::MostFrequent, "most-frequent"),
-    (BranchHeuristic::First, "first"),
-];
-const DOMINATORS: [(DominatorStrategy, &str); 2] = [
-    (DominatorStrategy::FastIndex, "fast-index"),
-    (DominatorStrategy::Baseline, "baseline"),
 ];
 const STRATEGIES: [(TaskStrategy, &str); 3] = [
     (TaskStrategy::Fbs, "fbs"),
@@ -625,6 +612,7 @@ fn dec_learn(v: &Value) -> Result<LearnConfig, SnapshotError> {
 }
 
 fn enc_config(c: &BayesCrowdConfig) -> Value {
+    let [solver, heuristic, caching, dominators, threshold] = fixed_keys();
     let mut strategy = kind(&STRATEGIES, &c.strategy);
     if let TaskStrategy::Hhs { m } = c.strategy {
         strategy.push(("m", m.into()));
@@ -668,20 +656,32 @@ fn enc_config(c: &BayesCrowdConfig) -> Value {
         ("alpha", c.alpha.into()),
         ("strategy", Value::obj(strategy)),
         ("ranking", Value::obj(ranking)),
-        ("solver", name_of(&SOLVERS, &c.solver).into()),
-        (
-            "branch_heuristic",
-            name_of(&HEURISTICS, &c.branch_heuristic).into(),
-        ),
-        ("solver_caching", c.solver_caching.into()),
-        ("dominators", name_of(&DOMINATORS, &c.dominators).into()),
+        solver,
+        heuristic,
+        caching,
+        dominators,
         ("model", model),
         ("conflict_free", c.conflict_free.into()),
         ("propagate_answers", c.propagate_answers.into()),
         ("parallel", c.parallel.into()),
         ("retry", retry),
-        ("answer_threshold", c.answer_threshold.into()),
+        threshold,
     ])
+}
+
+/// The config keys that hold what the paper fixes: ADPLL with
+/// most-frequent branching and caching, the fast dominator index, and
+/// [`ANSWER_THRESHOLD`]. Each is written with its one value, which keeps
+/// the version-2 format and its fingerprints; a checkpoint holding another
+/// value is rejected, never read as this one.
+fn fixed_keys() -> [(&'static str, Value); 5] {
+    [
+        ("solver", "adpll".into()),
+        ("branch_heuristic", "most-frequent".into()),
+        ("solver_caching", true.into()),
+        ("dominators", "fast-index".into()),
+        ("answer_threshold", ANSWER_THRESHOLD.into()),
+    ]
 }
 
 fn dec_config(v: &Value) -> Result<BayesCrowdConfig, SnapshotError> {
@@ -717,6 +717,15 @@ fn dec_config(v: &Value) -> Result<BayesCrowdConfig, SnapshotError> {
         }),
         other => other,
     };
+    for (key, want) in fixed_keys() {
+        let got: &Value = v.field(key)?;
+        if *got != want {
+            let (got, want) = (got.to_json(), want.to_json());
+            return Err(inv(format!(
+                "key {key:?} is {got}; only {want} is supported"
+            )));
+        }
+    }
     let retry: &Value = v.field("retry")?;
     Ok(BayesCrowdConfig {
         budget: v.field("budget")?,
@@ -724,14 +733,6 @@ fn dec_config(v: &Value) -> Result<BayesCrowdConfig, SnapshotError> {
         alpha: v.field("alpha")?,
         strategy,
         ranking,
-        solver: by_name(&SOLVERS, v.field("solver")?, "solver")?,
-        branch_heuristic: by_name(
-            &HEURISTICS,
-            v.field("branch_heuristic")?,
-            "branch heuristic",
-        )?,
-        solver_caching: v.field("solver_caching")?,
-        dominators: by_name(&DOMINATORS, v.field("dominators")?, "dominator strategy")?,
         model: ModelConfig {
             learn: dec_learn(model.field("learn")?)?,
             uniform_prior: model.field("uniform_prior")?,
@@ -746,7 +747,6 @@ fn dec_config(v: &Value) -> Result<BayesCrowdConfig, SnapshotError> {
             escalate_workers: retry.field("escalate_workers")?,
             backoff_base: retry.field("backoff_base")?,
         },
-        answer_threshold: v.field("answer_threshold")?,
     })
 }
 
@@ -791,10 +791,6 @@ mod tests {
             alpha: 0.125,
             strategy: TaskStrategy::Hhs { m: 9 },
             ranking: ObjectRanking::Random { seed: u64::MAX },
-            solver: SolverKind::MonteCarlo,
-            branch_heuristic: BranchHeuristic::First,
-            solver_caching: false,
-            dominators: DominatorStrategy::Baseline,
             model: ModelConfig {
                 learn: LearnConfig {
                     max_parents: 3,
@@ -821,7 +817,6 @@ mod tests {
                 escalate_workers: 2,
                 backoff_base: 1,
             },
-            answer_threshold: 0.625,
         };
         let encoded = enc_config(&config);
         let decoded = dec_config(&encoded).expect("decodes");
@@ -829,8 +824,6 @@ mod tests {
         // the codec is lossless and canonical.
         assert_eq!(enc_config(&decoded).to_json(), encoded.to_json());
         assert_eq!(decoded.budget, 42);
-        assert_eq!(decoded.branch_heuristic, BranchHeuristic::First);
-        assert!(!decoded.solver_caching);
         assert!(matches!(
             decoded.model.search,
             StructureSearch::Anneal(AnnealConfig { seed: 99, .. })
@@ -978,6 +971,29 @@ mod tests {
             assert!(dec_platform_state(&bad).is_err());
             assert!(dec_config(&bad).is_err());
             assert!(dec_dataset(&bad).is_err());
+        }
+        // The keys that hold what the paper fixes take that value only: any
+        // other is rejected by name, never read as the fixed one.
+        let with = |key: &str, value: Value| {
+            let Value::Map(mut entries) = enc_config(&BayesCrowdConfig::default()) else {
+                unreachable!("a config encodes to a map")
+            };
+            let slot = entries.iter_mut().find(|(k, _)| k == key).expect("written");
+            slot.1 = value;
+            Value::Map(entries)
+        };
+        assert!(dec_config(&with("budget", 7u64.into())).is_ok());
+        for (key, value) in [
+            ("solver", Value::from("naive")),
+            ("solver_caching", false.into()),
+            ("branch_heuristic", "first".into()),
+            ("dominators", "baseline".into()),
+            ("answer_threshold", 0.625.into()),
+        ] {
+            match dec_config(&with(key, value)) {
+                Err(SnapshotError::Invalid(m)) => assert!(m.contains(key), "{key}: {m}"),
+                other => panic!("{key}: {other:?}"),
+            }
         }
         // A pmf that does not sum to one is data corruption the checksum
         // cannot catch (it was written that way): the decoder must reject

@@ -5,10 +5,7 @@ use crate::strategy::TaskStrategy;
 use bc_bayes::ModelConfig;
 use bc_crowd::RetryPolicy;
 use bc_ctable::{CTableConfig, Condition, DominatorStrategy};
-use bc_solver::{
-    AdpllSolver, BranchHeuristic, Circuit, MonteCarloSolver, NaiveSolver, SolveStats, Solver,
-    SolverError, VarDists,
-};
+use bc_solver::{Circuit, SolveStats, Solver, SolverError, VarDists};
 use std::fmt;
 
 /// Why a configuration was rejected by [`BayesCrowdConfig::validate`].
@@ -43,64 +40,11 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Which probability solver drives entropy/utility computation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// The paper's ADPLL (exact, fast) — the default.
-    #[default]
-    Adpll,
-    /// Brute-force enumeration (exact, slow) — the Figure 3 baseline.
-    Naive,
-    /// Monte-Carlo estimation — the ApproxCount stand-in.
-    MonteCarlo,
-}
-
-impl SolverKind {
-    /// Instantiates the solver with the run's solver configuration. Only
-    /// ADPLL has tunable internals today; the other kinds accept and ignore
-    /// the knobs so every call site builds through the same path (and no
-    /// path can silently drop the configuration, as the parallel batch code
-    /// once did).
-    pub fn build(self, heuristic: BranchHeuristic, caching: bool) -> Box<dyn Solver> {
-        match self {
-            SolverKind::Adpll => {
-                Box::new(AdpllSolver::with_heuristic(heuristic).with_caching(caching))
-            }
-            SolverKind::Naive => Box::new(NaiveSolver::new()),
-            SolverKind::MonteCarlo => Box::new(MonteCarloSolver::default()),
-        }
-    }
-}
-
-/// Runs `solve` on `solver` and, if that fails, once more on a fresh ADPLL
-/// built with `heuristic` and `caching`: the one fallback policy for every
-/// solve of a run. Returns the result and whether the fallback ran; an
-/// error from the fallback itself is returned.
-///
-/// Every probability either solver returns is checked: a non-finite value,
-/// or one outside `[0, 1]` by more than `1e-9`, is
-/// [`SolverError::InvalidProbability`]. That error is returned at once, not
-/// retried: it means broken inputs or a broken solver, which a re-solve
-/// would only hide. So is [`SolverError::StalePrior`], a caller's stale
-/// cache that no solver can repair.
-pub(crate) fn solve_with_fallback<T>(
-    solver: &dyn Solver,
-    heuristic: BranchHeuristic,
-    caching: bool,
-    solve: impl Fn(&dyn Solver) -> Result<T, SolverError>,
-) -> Result<(T, bool), SolverError> {
-    match solve(&Checked(solver)) {
-        Ok(out) => Ok((out, false)),
-        Err(e @ (SolverError::InvalidProbability(_) | SolverError::StalePrior { .. })) => Err(e),
-        Err(_) => {
-            let fallback = SolverKind::Adpll.build(heuristic, caching);
-            Ok((solve(&Checked(fallback.as_ref()))?, true))
-        }
-    }
-}
-
-/// A solver whose every probability passes [`checked_probability`].
-struct Checked<'a>(&'a dyn Solver);
+/// A solver whose every probability passes [`checked_probability`]: a
+/// non-finite value, or one outside `[0, 1]` by more than `1e-9`, is
+/// [`SolverError::InvalidProbability`]. The run returns that error at once:
+/// it means broken inputs or a broken solver.
+pub(crate) struct Checked<'a>(pub &'a dyn Solver);
 
 /// `p` if it is a probability up to rounding slack, else
 /// [`SolverError::InvalidProbability`].
@@ -160,8 +104,19 @@ impl Solver for FixedSolver {
     }
 }
 
+/// The probability above which an open object is reported as an answer:
+/// the paper's 0.5, a most-likely guess between "in the skyline" and not.
+pub const ANSWER_THRESHOLD: f64 = 0.5;
+
 /// All knobs of a BayesCrowd run. Field defaults follow the paper's
 /// Synthetic-dataset setting where one exists.
+///
+/// What the paper fixes is not a knob: every condition probability comes
+/// from ADPLL (Algorithm 3) with its most-frequent-variable branching and
+/// component caching, dominator sets come from the fast index, and an open
+/// object is an answer above [`ANSWER_THRESHOLD`]. The brute-force and
+/// sampling solvers are Figure 3 comparators, run straight from
+/// `bc_solver`.
 #[derive(Clone, Debug)]
 pub struct BayesCrowdConfig {
     /// Budget `B`: total number of tasks the requester can afford.
@@ -176,15 +131,6 @@ pub struct BayesCrowdConfig {
     /// How objects are ranked when choosing the top-k per round (the paper
     /// uses entropy; `Random` is the ablation baseline).
     pub ranking: ObjectRanking,
-    /// Probability solver.
-    pub solver: SolverKind,
-    /// ADPLL branching heuristic (ignored by the other solvers).
-    pub branch_heuristic: BranchHeuristic,
-    /// Whether the ADPLL solver memoizes sub-conditions (ignored by the
-    /// other solvers).
-    pub solver_caching: bool,
-    /// Dominator-set derivation (fast index vs pairwise baseline).
-    pub dominators: DominatorStrategy,
     /// Bayesian-network modeling configuration (set
     /// `model.uniform_prior = true` for the no-correlation ablation).
     pub model: ModelConfig,
@@ -201,9 +147,6 @@ pub struct BayesCrowdConfig {
     /// re-queued. The default gives every failed task one more attempt;
     /// `RetryPolicy::none()` restores fire-and-forget posting.
     pub retry: RetryPolicy,
-    /// Probability threshold above which an undecided object is reported as
-    /// an answer (the paper uses 0.5).
-    pub answer_threshold: f64,
 }
 
 impl Default for BayesCrowdConfig {
@@ -214,16 +157,11 @@ impl Default for BayesCrowdConfig {
             alpha: 0.01,
             strategy: TaskStrategy::Hhs { m: 50 },
             ranking: ObjectRanking::Entropy,
-            solver: SolverKind::Adpll,
-            branch_heuristic: BranchHeuristic::default(),
-            solver_caching: true,
-            dominators: DominatorStrategy::FastIndex,
             model: ModelConfig::default(),
             conflict_free: true,
             propagate_answers: true,
             parallel: false,
             retry: RetryPolicy::default(),
-            answer_threshold: 0.5,
         }
     }
 }
@@ -256,20 +194,12 @@ impl BayesCrowdConfig {
         }
     }
 
-    /// Builds the configured solver — [`SolverKind::build`] fed with this
-    /// config's heuristic and caching knobs. Every solver the framework
-    /// instantiates (including per-thread and fallback solvers) goes
-    /// through here so the knobs are never silently dropped.
-    pub fn build_solver(&self) -> Box<dyn Solver> {
-        self.solver
-            .build(self.branch_heuristic, self.solver_caching)
-    }
-
-    /// The c-table construction sub-config.
+    /// The c-table construction sub-config: dominator sets from the
+    /// paper's fast index.
     pub fn ctable_config(&self) -> CTableConfig {
         CTableConfig {
             alpha: self.alpha,
-            strategy: self.dominators,
+            strategy: DominatorStrategy::FastIndex,
         }
     }
 
@@ -411,50 +341,25 @@ mod tests {
     }
 
     #[test]
-    fn solver_kinds_build() {
-        let (h, c) = (BranchHeuristic::default(), true);
-        assert_eq!(SolverKind::Adpll.build(h, c).name(), "ADPLL");
-        assert_eq!(SolverKind::Naive.build(h, c).name(), "Naive");
-        assert_eq!(SolverKind::MonteCarlo.build(h, c).name(), "MonteCarlo");
-    }
-
-    #[test]
-    fn invalid_probabilities_are_typed_errors_without_fallback() {
+    fn invalid_probabilities_are_typed_errors() {
         let cond = Condition::True;
         let dists = VarDists::default();
         for bad in [f64::NAN, f64::INFINITY, -0.01, 1.0 + 1e-6] {
-            let got =
-                solve_with_fallback(&FixedSolver(bad), BranchHeuristic::default(), true, |s| {
-                    s.probability(&cond, &dists)
-                });
-            match got {
+            let is_bad = |got: &Result<f64, SolverError>| match *got {
                 Err(SolverError::InvalidProbability(p)) => {
-                    assert!(p.is_nan() == bad.is_nan() && (p.is_nan() || p == bad))
+                    p.is_nan() == bad.is_nan() && (p.is_nan() || p == bad)
                 }
-                other => panic!("{bad} accepted: {other:?}"),
-            }
+                _ => false,
+            };
+            assert!(is_bad(&checked_probability(bad)), "{bad} accepted");
+            let solved = Checked(&FixedSolver(bad)).probability(&cond, &dists);
+            assert!(is_bad(&solved), "{bad} accepted: {solved:?}");
         }
         // Rounding slack is tolerated and passed through unchanged.
         for ok in [0.0, 1.0, -1e-12, 1.0 + 1e-12] {
-            let (p, fell_back) =
-                solve_with_fallback(&FixedSolver(ok), BranchHeuristic::default(), true, |s| {
-                    s.probability(&cond, &dists)
-                })
-                .unwrap();
-            assert_eq!((p, fell_back), (ok, false));
+            assert_eq!(checked_probability(ok), Ok(ok));
+            let solved = Checked(&FixedSolver(ok)).probability(&cond, &dists);
+            assert_eq!(solved, Ok(ok));
         }
-    }
-
-    #[test]
-    fn build_solver_uses_the_configured_knobs() {
-        // The knobs reach the solver regardless of kind; ADPLL is the one
-        // that actually consumes them, so it suffices to check the path
-        // compiles and builds the right kind.
-        let config = BayesCrowdConfig {
-            branch_heuristic: BranchHeuristic::First,
-            solver_caching: false,
-            ..Default::default()
-        };
-        assert_eq!(config.build_solver().name(), "ADPLL");
     }
 }

@@ -140,9 +140,8 @@ pub(crate) fn expr_truth(op: CmpOp, rel: Relation) -> bool {
 /// high-probability open objects — and the c-table they come from.
 ///
 /// This is a budget-0 [`Session`] finalized at once: the same modeling
-/// phase, and probabilities through the run's solve-with-fallback policy;
-/// an error that survives the fallback is [`RunError::Solver`], never a
-/// silent 0.
+/// phase, and probabilities from ADPLL, each checked; a solver error is
+/// [`RunError::Solver`], never a silent 0.
 pub fn machine_only_answers(
     data: &Dataset,
     config: &BayesCrowdConfig,

@@ -30,15 +30,16 @@
 //! (its pmf then keeps its old support). DESIGN.md ("Kept circuits") has
 //! the argument.
 //!
-//! Solvers that do not compile (naive, Monte-Carlo) keep a plain solve per
-//! condition, as does a circuit that went [stale](SolverError::StaleCircuit).
+//! A circuit that went [stale](SolverError::StaleCircuit) falls back to a
+//! plain solve of the current condition, as does every condition of a
+//! solver that does not compile (a test's stub).
 
-use crate::config::{checked_probability, solve_with_fallback, BayesCrowdConfig, SolverKind};
+use crate::config::{checked_probability, Checked};
 use crate::error::RunError;
 use crate::strategy::{KeptCircuit, KeptCircuits};
 use bc_ctable::{CTable, Condition, Expr};
 use bc_data::{ObjectId, VarId};
-use bc_solver::{BranchHeuristic, Circuit, SolveStats, Solver, SolverError, VarDists};
+use bc_solver::{AdpllSolver, Circuit, SolveStats, Solver, SolverError, VarDists};
 use std::collections::BTreeMap;
 
 /// An object's kept circuit.
@@ -148,14 +149,12 @@ struct Entry {
 pub(crate) struct BatchWork {
     /// Search effort of the compiles and plain solves.
     pub stats: SolveStats,
-    /// Compiles, plain solves and fallback re-solves.
+    /// Compiles and plain solves.
     pub solver_calls: u64,
     /// Conditions compiled to a kept circuit.
     pub compiles: u64,
     /// Kept circuits re-evaluated instead of solved.
     pub evaluations: u64,
-    /// Plain solves the configured solver failed and a fresh ADPLL redid.
-    pub fallbacks: u64,
 }
 
 impl std::ops::AddAssign for BatchWork {
@@ -164,7 +163,6 @@ impl std::ops::AddAssign for BatchWork {
         self.solver_calls += rhs.solver_calls;
         self.compiles += rhs.compiles;
         self.evaluations += rhs.evaluations;
-        self.fallbacks += rhs.fallbacks;
     }
 }
 
@@ -306,11 +304,11 @@ impl ProbCache {
     /// object with a kept circuit re-evaluates it; one without compiles its
     /// condition against `base` and keeps the circuit; a solver that does
     /// not compile, or a circuit gone stale, solves the current condition.
-    /// With `config.parallel`, ADPLL batches above 64 objects split over
-    /// threads, with the same bits as the sequential path.
+    /// With `parallel`, batches above 64 objects split over threads, each
+    /// with its own ADPLL, with the same bits as the sequential path.
     pub(crate) fn solve_batch(
         &mut self,
-        config: &BayesCrowdConfig,
+        parallel: bool,
         ctable: &CTable,
         objects: &[ObjectId],
         solver: &dyn Solver,
@@ -324,53 +322,44 @@ impl ProbCache {
                 (o, ctable.condition(o), kept)
             })
             .collect();
-        let (heuristic, caching) = (config.branch_heuristic, config.solver_caching);
-        let (solved, work) =
-            if config.parallel && objects.len() > 64 && config.solver == SolverKind::Adpll {
-                let n_threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-                    .min(objects.len());
-                let chunk = objects.len().div_ceil(n_threads);
-                let mut chunks = Vec::with_capacity(n_threads);
-                while !jobs.is_empty() {
-                    let rest = jobs.split_off(chunk.min(jobs.len()));
-                    chunks.push(std::mem::replace(&mut jobs, rest));
-                }
-                let mut solved = Vec::with_capacity(objects.len());
-                let mut work = BatchWork::default();
-                let mut first_err: Option<RunError> = None;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|chunk| {
-                            s.spawn(move || {
-                                // Per-thread solvers carry the run's
-                                // configuration instead of silently
-                                // reverting to defaults.
-                                let local = SolverKind::Adpll.build(heuristic, caching);
-                                let solver = local.as_ref();
-                                solve_chunk(solver, heuristic, caching, chunk, base, dists)
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        match join_worker(h).and_then(|r| r) {
-                            Ok((chunk_solved, chunk_work)) => {
-                                solved.extend(chunk_solved);
-                                work += chunk_work;
-                            }
-                            Err(e) => first_err = first_err.take().or(Some(e)),
+        let (solved, work) = if parallel && objects.len() > 64 {
+            let n_threads = std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+                .min(objects.len());
+            let chunk = objects.len().div_ceil(n_threads);
+            let mut chunks = Vec::with_capacity(n_threads);
+            while !jobs.is_empty() {
+                let rest = jobs.split_off(chunk.min(jobs.len()));
+                chunks.push(std::mem::replace(&mut jobs, rest));
+            }
+            let mut solved = Vec::with_capacity(objects.len());
+            let mut work = BatchWork::default();
+            let mut first_err: Option<RunError> = None;
+            std::thread::scope(|s| {
+                let handles: Vec<_> = chunks
+                    .into_iter()
+                    .map(|chunk| {
+                        s.spawn(move || solve_chunk(&AdpllSolver::new(), chunk, base, dists))
+                    })
+                    .collect();
+                for h in handles {
+                    match join_worker(h).and_then(|r| r) {
+                        Ok((chunk_solved, chunk_work)) => {
+                            solved.extend(chunk_solved);
+                            work += chunk_work;
                         }
+                        Err(e) => first_err = first_err.take().or(Some(e)),
                     }
-                });
-                match first_err {
-                    Some(e) => return Err(e),
-                    None => (solved, work),
                 }
-            } else {
-                solve_chunk(solver, heuristic, caching, jobs, base, dists)?
-            };
+            });
+            match first_err {
+                Some(e) => return Err(e),
+                None => (solved, work),
+            }
+        } else {
+            solve_chunk(solver, jobs, base, dists)?
+        };
         for (o, p, kept) in solved {
             let entry = self.entries.entry(o).or_default();
             entry.p = Some(p);
@@ -401,8 +390,6 @@ impl ProbCache {
 /// One worker's share of a batch, in order.
 fn solve_chunk(
     solver: &dyn Solver,
-    heuristic: BranchHeuristic,
-    caching: bool,
     jobs: Vec<Job>,
     base: &VarDists,
     dists: &VarDists,
@@ -410,9 +397,7 @@ fn solve_chunk(
     let mut work = BatchWork::default();
     let mut out = Vec::with_capacity(jobs.len());
     for (o, cond, kept) in jobs {
-        let (p, kept) = probability(
-            solver, heuristic, caching, cond, kept, base, dists, &mut work,
-        )?;
+        let (p, kept) = probability(solver, cond, kept, base, dists, &mut work)?;
         out.push((o, p, kept));
     }
     Ok((out, work))
@@ -420,11 +405,8 @@ fn solve_chunk(
 
 /// `Pr(cond)` under `dists`, from `kept` if there is one, else from a
 /// compile against `base` that is then kept, else from a plain solve.
-#[allow(clippy::too_many_arguments)]
 fn probability(
     solver: &dyn Solver,
-    heuristic: BranchHeuristic,
-    caching: bool,
     cond: &Condition,
     mut kept: Option<Kept>,
     base: &VarDists,
@@ -441,7 +423,7 @@ fn probability(
                 work.evaluations += 1;
                 Ok((checked_probability(p)?, kept))
             }
-            Err(SolverError::StaleCircuit) => plain(solver, heuristic, caching, cond, dists, work),
+            Err(SolverError::StaleCircuit) => plain(solver, cond, dists, work),
             Err(e) => Err(e.into()),
         };
     }
@@ -461,23 +443,18 @@ fn probability(
             Err(e) => return Err(e.into()),
         }
     }
-    plain(solver, heuristic, caching, cond, dists, work)
+    plain(solver, cond, dists, work)
 }
 
-/// `Pr(cond)` by a plain solve, with the run's fallback; keeps nothing.
+/// `Pr(cond)` by a plain solve; keeps nothing.
 fn plain(
     solver: &dyn Solver,
-    heuristic: BranchHeuristic,
-    caching: bool,
     cond: &Condition,
     dists: &VarDists,
     work: &mut BatchWork,
 ) -> Result<(f64, Option<Kept>), RunError> {
-    let ((p, stats), fell_back) = solve_with_fallback(solver, heuristic, caching, |s| {
-        s.probability_with_stats(cond, dists)
-    })?;
-    work.solver_calls += 1 + u64::from(fell_back);
-    work.fallbacks += u64::from(fell_back);
+    let (p, stats) = Checked(solver).probability_with_stats(cond, dists)?;
+    work.solver_calls += 1;
     work.stats += stats;
     Ok((p, None))
 }
@@ -543,7 +520,6 @@ impl KeptCircuits for Scoring<'_> {
 mod tests {
     use super::*;
     use bc_bayes::Pmf;
-    use bc_solver::AdpllSolver;
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
@@ -570,11 +546,9 @@ mod tests {
 
     /// Every open object solved under `dists`, kept circuits and all.
     fn solve_all(cache: &mut ProbCache, ctable: &CTable, dists: &VarDists) -> BatchWork {
-        let config = BayesCrowdConfig::default();
-        let solver = config.build_solver();
         let objects = cache.stale(&ctable.open_objects());
         cache
-            .solve_batch(&config, ctable, &objects, solver.as_ref(), &base(), dists)
+            .solve_batch(false, ctable, &objects, &AdpllSolver::new(), &base(), dists)
             .expect("ADPLL solves")
     }
 
@@ -708,10 +682,9 @@ mod tests {
         // Restored circuits are rebuilt on first use, from the same
         // condition against the same base: the same root, bit for bit.
         let mut restored = restored;
-        let config = BayesCrowdConfig::default();
-        let solver = config.build_solver();
+        let solver = AdpllSolver::new();
         let dists = base();
-        let mut scoring = restored.for_scoring(&ctable, solver.as_ref(), &dists, &dists);
+        let mut scoring = restored.for_scoring(&ctable, &solver, &dists, &dists);
         let rebuilt = scoring.circuit(ObjectId(1)).unwrap().expect("kept");
         assert!(rebuilt.compiled.is_some());
         assert_eq!(

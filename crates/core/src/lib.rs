@@ -94,8 +94,7 @@ pub mod session;
 pub mod strategy;
 
 pub use bc_crowd::RetryPolicy;
-pub use bc_solver::BranchHeuristic;
-pub use config::{BayesCrowdConfig, ConfigError, SolverKind};
+pub use config::{BayesCrowdConfig, ConfigError};
 pub use error::RunError;
 pub use framework::BayesCrowd;
 pub use report::RunReport;
@@ -107,7 +106,7 @@ pub use strategy::TaskStrategy;
 /// configuration surface, the typed errors, and the observability types
 /// accepted by [`BayesCrowd::try_run`].
 pub mod prelude {
-    pub use crate::config::{BayesCrowdConfig, ConfigError, SolverKind};
+    pub use crate::config::{BayesCrowdConfig, ConfigError};
     pub use crate::error::RunError;
     pub use crate::framework::BayesCrowd;
     pub use crate::report::RunReport;
@@ -119,5 +118,4 @@ pub mod prelude {
         Event, JsonLinesSink, MetricsRecorder, NoopObserver, Observer, ProfileReport, RunPhase,
         RunProfiler, Tee,
     };
-    pub use bc_solver::BranchHeuristic;
 }

@@ -93,8 +93,7 @@ pub fn rank_objects(probs: &[(ObjectId, f64)], ranking: ObjectRanking) -> Vec<Ra
 ///
 /// UBS/HHS score candidates through `scorer`, whose tally then holds the
 /// round's utility effort. Each ranked probability must be `Pr(φ(o))`
-/// under the scorer's distributions. A solver error that survives the
-/// scorer's fallback aborts the round.
+/// under the scorer's distributions. A solver error aborts the round.
 pub fn assemble_round(
     ranked: &[RankedObject],
     ctable: &CTable,
@@ -151,7 +150,7 @@ mod tests {
     use super::*;
     use bc_bayes::Pmf;
     use bc_ctable::{Condition, Expr};
-    use bc_solver::{AdpllSolver, BranchHeuristic, Solver, VarDists};
+    use bc_solver::{AdpllSolver, Solver, VarDists};
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
@@ -199,7 +198,7 @@ mod tests {
         conflict_free: bool,
         blocked: &BTreeSet<VarId>,
     ) -> Vec<Task> {
-        let mut scorer = UtilityScorer::new(solver, dists, BranchHeuristic::default(), true);
+        let mut scorer = UtilityScorer::new(solver, dists);
         assemble_round(
             ranked,
             ctable,
@@ -321,7 +320,7 @@ mod tests {
             .map(|o| (o, solver.probability(ct.condition(o), &dists).unwrap()))
             .collect();
         let ranked = rank_by_entropy(&probs);
-        let mut scorer = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
+        let mut scorer = UtilityScorer::new(&solver, &dists);
         let tasks = assemble_round(
             &ranked,
             &ct,

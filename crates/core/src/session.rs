@@ -20,7 +20,7 @@
 //! this type.
 
 use crate::codec;
-use crate::config::BayesCrowdConfig;
+use crate::config::{BayesCrowdConfig, ANSWER_THRESHOLD};
 use crate::error::RunError;
 use crate::kept::ProbCache;
 use crate::report::RunReport;
@@ -32,7 +32,7 @@ use bc_ctable::{CTable, Condition, ConstraintStore, Operand, Relation};
 use bc_data::{Accuracy, Dataset, ObjectId, VarId};
 use bc_obs::{Event, NoopObserver, Observer, RunPhase, Span};
 use bc_snapshot::SnapshotError;
-use bc_solver::{Solver, VarDists};
+use bc_solver::{AdpllSolver, Solver, VarDists};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
@@ -95,14 +95,13 @@ fn task_still_open(ctable: &CTable, task: &Task) -> bool {
 
 /// Per-object condition probabilities (see [`ProbCache::solve_batch`]),
 /// cached, emitting one [`Event::ProbabilityBatch`] per non-empty batch.
-/// Solver errors (e.g. the naive enumerator's state cap) fall back to a
-/// fresh, identically configured ADPLL; the fallback count is surfaced on
-/// the event so the degradation is visible. An error that survives the
-/// fallback aborts the run as [`RunError::Solver`]. Returns the number of
+/// A solver error, an invalid probability included, aborts the run as
+/// [`RunError::Solver`]. The event's `fallbacks` is always 0: no solve is
+/// retried, and the field keeps the trace format. Returns the number of
 /// conditions computed.
 #[allow(clippy::too_many_arguments)]
 fn probabilities(
-    config: &BayesCrowdConfig,
+    parallel: bool,
     ctable: &CTable,
     cache: &mut ProbCache,
     objects: &[ObjectId],
@@ -116,7 +115,7 @@ fn probabilities(
         return Ok(0);
     }
     let t = Instant::now();
-    let work = cache.solve_batch(config, ctable, objects, solver, base, dists)?;
+    let work = cache.solve_batch(parallel, ctable, objects, solver, base, dists)?;
     let stats = work.stats;
     observer.event(&Event::ProbabilityBatch {
         phase,
@@ -126,7 +125,7 @@ fn probabilities(
         evaluations: work.evaluations,
         branches: stats.branches,
         cache_hits: stats.cache_hits,
-        fallbacks: work.fallbacks,
+        fallbacks: 0,
         nanos: t.elapsed().as_nanos(),
     });
     observer.event(&Event::SolverSearch {
@@ -245,8 +244,8 @@ impl<'a> Session<'a> {
         Ok(Session::new(state, platform, observer, started))
     }
 
-    /// A session over `state`, with its solver and per-round allowance
-    /// derived from the state's configuration.
+    /// A session over `state` that solves with ADPLL, with the per-round
+    /// allowance of the state's configuration.
     fn new(
         state: RunState,
         platform: &'a mut dyn CrowdPlatform,
@@ -254,7 +253,7 @@ impl<'a> Session<'a> {
         started: Instant,
     ) -> Session<'a> {
         Session {
-            solver: state.config.build_solver(),
+            solver: Box::new(AdpllSolver::new()),
             mu: state.config.tasks_per_round().max(1),
             state,
             platform,
@@ -313,7 +312,7 @@ impl<'a> Session<'a> {
 
     /// Every object's probability of being a skyline answer under the
     /// current posterior: `1.0` for conditions already decided true, `0.0`
-    /// for false, and `Pr(φ(o))` via the configured solver otherwise.
+    /// for false, and `Pr(φ(o))` from ADPLL otherwise.
     ///
     /// This is the oracle-checking hook: callable between any two
     /// [`Session::step`]s (or after a resume), it exposes the exact
@@ -330,7 +329,7 @@ impl<'a> Session<'a> {
             None => &mut self.noop,
         };
         state.evals += probabilities(
-            &state.config,
+            state.config.parallel,
             &state.ctable,
             &mut state.cache,
             &stale,
@@ -451,7 +450,7 @@ impl<'a> Session<'a> {
             let open = ctable.open_objects();
             let stale = cache.stale(&open);
             *evals += probabilities(
-                config,
+                config.parallel,
                 ctable,
                 cache,
                 &stale,
@@ -473,13 +472,7 @@ impl<'a> Session<'a> {
             let ranked = rank_objects(&probs, config.ranking);
             let t = Instant::now();
             let mut kept = cache.for_scoring(ctable, solver.as_ref(), base, dists);
-            let mut scorer = UtilityScorer::new(
-                solver.as_ref(),
-                dists,
-                config.branch_heuristic,
-                config.solver_caching,
-            )
-            .with_kept(&mut kept);
+            let mut scorer = UtilityScorer::new(solver.as_ref(), dists).with_kept(&mut kept);
             let fresh_tasks = assemble_round(
                 &ranked,
                 ctable,
@@ -498,7 +491,7 @@ impl<'a> Session<'a> {
                 reused: tally.reused,
                 decisions: tally.stats.branches,
                 cache_hits: tally.stats.cache_hits,
-                fallbacks: tally.fallbacks,
+                fallbacks: 0,
                 nanos: t.elapsed().as_nanos(),
             });
             attempts_in_batch.resize(batch.len() + fresh_tasks.len(), 0);
@@ -718,7 +711,7 @@ impl<'a> Session<'a> {
         let open = ctable.open_objects();
         let stale = cache.stale(&open);
         evals += probabilities(
-            &config,
+            config.parallel,
             &ctable,
             &mut cache,
             &stale,
@@ -734,7 +727,7 @@ impl<'a> Session<'a> {
         for o in open {
             let p = cache.get(o).expect("solved above");
             open_probabilities.insert(o, p);
-            if p > config.answer_threshold {
+            if p > ANSWER_THRESHOLD {
                 result.push(o);
             }
         }

@@ -1,14 +1,12 @@
 //! Task-selection strategies (Section 6.2): FBS, UBS, HHS.
 
-use crate::config::solve_with_fallback;
+use crate::config::Checked;
 use bc_ctable::{Condition, Expr};
 use bc_data::{FxMap, ObjectId, VarId};
 use bc_solver::utility::{
     compile_utilities, is_open, marginal_utility_with_prior, CompiledUtilities,
 };
-use bc_solver::{
-    BranchHeuristic, Circuit, ClampScratch, SolveStats, Solver, SolverError, VarDists,
-};
+use bc_solver::{Circuit, ClampScratch, SolveStats, Solver, SolverError, VarDists};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
@@ -135,11 +133,10 @@ pub struct UtilityTally {
     /// Candidate expressions scored.
     pub candidates: u64,
     /// Solver invocations: one compile per object with an open candidate
-    /// and no kept circuit, one `Pr(φ ∧ e)` solve per open candidate no
-    /// circuit scores (every candidate of a solver that does not compile,
-    /// a var-var one whose clamped pass fails), plus failed attempts that
-    /// needed a fallback. A candidate is open when its `Pr(e)` lies
-    /// strictly inside `(0, 1)`.
+    /// and no kept circuit, and one `Pr(φ ∧ e)` solve per open candidate no
+    /// circuit scores (a var-var one whose clamped pass fails, or every
+    /// candidate of a solver that does not compile). A candidate is open
+    /// when its `Pr(e)` lies strictly inside `(0, 1)`.
     pub solver_calls: u64,
     /// Conditions compiled: the part of `solver_calls` that scored the
     /// open candidates of one object.
@@ -149,9 +146,6 @@ pub struct UtilityTally {
     /// Objects whose candidates were scored off a kept circuit, with no
     /// compile.
     pub reused: u64,
-    /// Compiles or candidates the configured solver failed on and a fresh
-    /// ADPLL redid.
-    pub fallbacks: u64,
     /// Search effort of the successful compiles and solves.
     pub stats: SolveStats,
 }
@@ -177,44 +171,32 @@ pub trait KeptCircuits {
 /// tallies the solver effort.
 ///
 /// Scoring goes one object at a time, through [`UtilityScorer::object`].
-/// A solver that compiles (ADPLL) compiles an object's condition once, at
-/// its first open candidate, and reads every utility off that circuit: off
-/// its derivative pass, or for a var-var candidate whose variables it both
-/// reads, off a clamped pass ([`Circuit::var_var_joint`]) in buffers the
-/// scorer reuses. Every candidate of a solver that does not compile costs
-/// one solve, as does a var-var candidate whose clamped pass fails. With
-/// [`UtilityScorer::with_kept`], an object that has a kept circuit is
+/// ADPLL compiles an object's condition once, at its first open candidate,
+/// and every utility is read off that circuit: off its derivative pass, or
+/// for a var-var candidate whose variables it both reads, off a clamped
+/// pass ([`Circuit::var_var_joint`]) in buffers the scorer reuses. A
+/// var-var candidate whose clamped pass fails costs one solve, as does
+/// every candidate of a solver that does not compile (a test's reference).
+/// With [`UtilityScorer::with_kept`], an object that has a kept circuit is
 /// scored off it and compiles nothing.
 ///
-/// A compile or solve the configured solver fails on (e.g. the naive
-/// enumerator's state cap) is redone by a fresh ADPLL built with the run's
-/// branching heuristic and caching flag, and counted as a fallback — the
-/// same policy as the per-round probability batch. An error that survives
-/// the fallback is returned; it is never scored as zero utility.
+/// Every probability a compile or solve returns is checked, like the
+/// per-round probability batch's. A solver error, an invalid probability
+/// included, is returned at once; it is never scored as zero utility.
 pub struct UtilityScorer<'a> {
     solver: &'a dyn Solver,
     dists: &'a VarDists,
-    heuristic: BranchHeuristic,
-    caching: bool,
     kept: Option<&'a mut dyn KeptCircuits>,
     scratch: ClampScratch,
     tally: UtilityTally,
 }
 
 impl<'a> UtilityScorer<'a> {
-    /// A scorer over `solver` and `dists`; `heuristic` and `caching`
-    /// configure the fallback ADPLL.
-    pub fn new(
-        solver: &'a dyn Solver,
-        dists: &'a VarDists,
-        heuristic: BranchHeuristic,
-        caching: bool,
-    ) -> UtilityScorer<'a> {
+    /// A scorer over `solver` and `dists`.
+    pub fn new(solver: &'a dyn Solver, dists: &'a VarDists) -> UtilityScorer<'a> {
         UtilityScorer {
             solver,
             dists,
-            heuristic,
-            caching,
             kept: None,
             scratch: ClampScratch::default(),
             tally: UtilityTally::default(),
@@ -286,12 +268,7 @@ impl<'a> UtilityScorer<'a> {
         cond: &Condition,
         p_phi: f64,
     ) -> Result<Option<CompiledUtilities>, SolverError> {
-        let dists = self.dists;
-        let (compiled, fell_back) =
-            solve_with_fallback(self.solver, self.heuristic, self.caching, |s| {
-                compile_utilities(s, cond, dists, p_phi)
-            })?;
-        self.count_fallback(fell_back);
+        let compiled = compile_utilities(&Checked(self.solver), cond, self.dists, p_phi)?;
         if let Some(c) = &compiled {
             self.tally.solver_calls += 1;
             self.tally.compiles += 1;
@@ -303,23 +280,12 @@ impl<'a> UtilityScorer<'a> {
 
     /// `G(o, e)` by one `Pr(φ ∧ e)` solve (none when `e` is decided).
     fn solve(&mut self, cond: &Condition, e: &Expr, p_phi: f64) -> Result<f64, SolverError> {
-        let dists = self.dists;
-        let (eval, fell_back) =
-            solve_with_fallback(self.solver, self.heuristic, self.caching, |s| {
-                marginal_utility_with_prior(s, cond, e, dists, p_phi)
-            })?;
-        self.count_fallback(fell_back);
+        let eval = marginal_utility_with_prior(&Checked(self.solver), cond, e, self.dists, p_phi)?;
         if let Some(stats) = eval.solve {
             self.tally.solver_calls += 1;
             self.tally.stats += stats;
         }
         Ok(eval.utility)
-    }
-
-    fn count_fallback(&mut self, fell_back: bool) {
-        // The failed first attempt was a call too.
-        self.tally.solver_calls += u64::from(fell_back);
-        self.tally.fallbacks += u64::from(fell_back);
     }
 }
 
@@ -428,7 +394,7 @@ mod tests {
         dists: &VarDists,
         p_phi: f64,
     ) -> Option<Expr> {
-        let mut scorer = UtilityScorer::new(solver, dists, BranchHeuristic::default(), true);
+        let mut scorer = UtilityScorer::new(solver, dists);
         select_expression(
             strategy,
             ObjectId(0),
@@ -462,17 +428,12 @@ mod tests {
     fn a_nan_utility_solve_is_an_error_not_zero_utility() {
         let (cond, dists) = simple_setup();
         let nan = crate::config::FixedSolver(f64::NAN);
-        let mut scorer = UtilityScorer::new(&nan, &dists, BranchHeuristic::default(), true);
+        let mut scorer = UtilityScorer::new(&nan, &dists);
         let e = *cond.exprs().next().unwrap();
         assert!(matches!(
             scorer.object(ObjectId(0), &cond, 0.5).score(&e),
             Err(SolverError::InvalidProbability(p)) if p.is_nan()
         ));
-        assert_eq!(
-            scorer.tally().fallbacks,
-            0,
-            "a broken answer is not retried"
-        );
     }
 
     #[test]
@@ -612,7 +573,7 @@ mod tests {
         let freq = expression_frequencies([&cond]);
         let solver = AdpllSolver::new();
         let p = solver.probability(&cond, &dists).unwrap();
-        let mut scorer = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
+        let mut scorer = UtilityScorer::new(&solver, &dists);
         let picked = select_expression(
             TaskStrategy::Ubs,
             ObjectId(0),
@@ -633,7 +594,6 @@ mod tests {
         assert_eq!(tally.candidates, 4);
         assert_eq!(cond.exprs().filter(open).count(), 3);
         assert_eq!((tally.compiles, tally.solver_calls), (1, 1));
-        assert_eq!(tally.fallbacks, 0);
         // The search effort is exactly one compile: a plain solve of φ.
         let (_, compile) = solver.probability_with_stats(&cond, &dists).unwrap();
         assert_eq!(tally.stats, compile);
@@ -669,10 +629,9 @@ mod tests {
         let reference = OneSolveEach(AdpllSolver::new());
         let (circuit, _) = solver.compile(&cond, &dists).unwrap().unwrap();
         let mut kept = OneKept(circuit);
-        let mut compiled = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
-        let mut off_kept = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true)
-            .with_kept(&mut kept);
-        let mut solved = UtilityScorer::new(&reference, &dists, BranchHeuristic::default(), true);
+        let mut compiled = UtilityScorer::new(&solver, &dists);
+        let mut off_kept = UtilityScorer::new(&solver, &dists).with_kept(&mut kept);
+        let mut solved = UtilityScorer::new(&reference, &dists);
         let (mut a, mut b, mut c) = (
             compiled.object(ObjectId(0), &cond, p),
             off_kept.object(ObjectId(0), &cond, p),
@@ -706,7 +665,7 @@ mod tests {
         let p = solver.probability(&cond, &dists).unwrap();
         let e = *cond.exprs().next().unwrap();
         let stale = p + 0.125;
-        let mut scorer = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
+        let mut scorer = UtilityScorer::new(&solver, &dists);
         assert_eq!(
             scorer.object(ObjectId(0), &cond, stale).score(&e),
             Err(SolverError::StalePrior {
@@ -714,10 +673,9 @@ mod tests {
                 fresh: p
             })
         );
-        assert_eq!(scorer.tally().fallbacks, 0, "a stale prior is not retried");
         // A solver that does not compile cannot check the prior.
         let naive = NaiveSolver::new();
-        let mut scorer = UtilityScorer::new(&naive, &dists, BranchHeuristic::default(), true);
+        let mut scorer = UtilityScorer::new(&naive, &dists);
         assert!(scorer.object(ObjectId(0), &cond, stale).score(&e).is_ok());
     }
 
@@ -740,9 +698,8 @@ mod tests {
         let p = solver.probability(&cond, &dists).unwrap();
         let (circuit, _) = solver.compile(&cond, &dists).unwrap().unwrap();
         let mut kept = OneKept(circuit);
-        let mut scorer = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true)
-            .with_kept(&mut kept);
-        let mut plain = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
+        let mut scorer = UtilityScorer::new(&solver, &dists).with_kept(&mut kept);
+        let mut plain = UtilityScorer::new(&solver, &dists);
         for e in cond.exprs().filter(|e| e.rhs_var().is_none()) {
             for o in [ObjectId(0), ObjectId(1)] {
                 let g = scorer.object(o, &cond, p).score(e).unwrap();
@@ -769,47 +726,12 @@ mod tests {
     }
 
     #[test]
-    fn a_failing_solver_falls_back_to_adpll_and_is_counted() {
-        let (cond, dists) = simple_setup();
-        let freq = expression_frequencies([&cond]);
-        let adpll = AdpllSolver::new();
-        let p = adpll.probability(&cond, &dists).unwrap();
-        let want = pick(
-            TaskStrategy::Ubs,
-            &cond,
-            &freq,
-            &BTreeSet::new(),
-            &adpll,
-            &dists,
-            p,
-        );
-        // A one-state cap makes the naive enumerator reject every solve.
-        let capped = NaiveSolver::with_limit(1);
-        let mut scorer = UtilityScorer::new(&capped, &dists, BranchHeuristic::default(), true);
-        let got = select_expression(
-            TaskStrategy::Ubs,
-            ObjectId(0),
-            &cond,
-            &freq,
-            &BTreeSet::new(),
-            &mut scorer,
-            p,
-        )
-        .unwrap();
-        assert_eq!(got, want);
-        let tally = scorer.tally();
-        assert_eq!(tally.fallbacks, tally.candidates);
-        // Each candidate: the failed attempt plus the fallback solve.
-        assert_eq!(tally.solver_calls, 2 * tally.candidates);
-    }
-
-    #[test]
-    fn an_error_surviving_the_fallback_is_returned_not_scored_zero() {
+    fn a_solver_error_is_returned_not_scored_zero() {
         let (cond, mut dists) = simple_setup();
         let freq = expression_frequencies([&cond]);
         dists.remove(v(2, 0));
         let solver = AdpllSolver::new();
-        let mut scorer = UtilityScorer::new(&solver, &dists, BranchHeuristic::default(), true);
+        let mut scorer = UtilityScorer::new(&solver, &dists);
         let err = select_expression(
             TaskStrategy::Hhs { m: 3 },
             ObjectId(0),
@@ -953,8 +875,7 @@ mod tests {
             let adpll = AdpllSolver::new();
             let reference = OneSolveEach(AdpllSolver::new());
             let p = adpll.probability(&cond, &dists).unwrap();
-            let mut scorer =
-                UtilityScorer::new(&reference, &dists, BranchHeuristic::default(), true);
+            let mut scorer = UtilityScorer::new(&reference, &dists);
             let mut object = scorer.object(ObjectId(0), &cond, p);
             let g: Vec<f64> = candidates(&cond, &freq, &none)
                 .iter()

@@ -1,7 +1,7 @@
 //! Seeded fuzz of the parsers that read files from outside the process:
 //! `Snapshot::parse` (`--resume`), `Event::from_json_line` (traces),
 //! `ProfileReport::from_json` (`--profile`) and the `Value::parse` all
-//! three share.
+//! three share, plus `bc_data::csv::parse_csv` (`--data`, `--complete`).
 //!
 //! Canonical documents — the checkpoints, trace and profile of a seeded
 //! run under a fault-injecting platform, plus the committed oracle corpus —
@@ -10,10 +10,15 @@
 //! input re-serializes to text that parses back to the same value.
 //! Mutated snapshots are also re-sealed with a matching footer, so that
 //! their sections reach the value parser instead of failing the checksum.
+//! CSV files — header plus rows with `?` cells — get the same mutations
+//! but the nesting one, and an accepted file must survive `to_csv`.
 
 use bayescrowd::prelude::*;
 use bc_crowd::{FaultConfig, FaultyPlatform, GroundTruthOracle, SimulatedPlatform};
+use bc_data::csv::{parse_csv, to_csv};
+use bc_data::generators::nba::nba_like;
 use bc_data::generators::sample::{paper_completion, paper_dataset};
+use bc_data::missing::inject_mcar;
 use bc_obs::{ProfileReport, RunProfiler, Tee};
 use bc_snapshot::{fnv1a64, Snapshot, Value, MAX_DEPTH};
 use rand::rngs::StdRng;
@@ -92,16 +97,25 @@ fn corpus() -> Corpus {
 /// escapes, whitespace, and one byte that is never valid UTF-8.
 const ALPHABET: &[u8] = b"{}[]\",:\\/ \t\n\r0123456789-+.eEntrufalsNinbu\xff";
 
-/// One to three stacked mutations of `doc`; `other` feeds splices.
-fn mutate(rng: &mut StdRng, doc: &[u8], other: &[u8]) -> Vec<u8> {
+/// The bytes a CSV flip draws from: digits, signs, the dialect's
+/// separators and `?`, whitespace, a letter and a non-UTF-8 byte.
+const CSV_ALPHABET: &[u8] = b"0123456789+-?,: \t\n\rx\xff";
+
+/// The kinds of mutation: truncate, flip, duplicate, splice and deepen.
+const ALL_KINDS: u8 = 5;
+
+/// One to three stacked mutations of `doc`, each one of the first `kinds`
+/// kinds (see [`ALL_KINDS`]); flips draw from `alphabet` and `other`
+/// feeds splices.
+fn mutate(rng: &mut StdRng, doc: &[u8], other: &[u8], alphabet: &[u8], kinds: u8) -> Vec<u8> {
     let mut out = doc.to_vec();
     for _ in 0..rng.gen_range(1..=3usize) {
         let len = out.len();
-        match rng.gen_range(0..5u8) {
+        match rng.gen_range(0..kinds) {
             0 => out.truncate(rng.gen_range(0..=len)),
             1 if len > 0 => {
                 let i = rng.gen_range(0..len);
-                out[i] = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+                out[i] = alphabet[rng.gen_range(0..alphabet.len())];
             }
             2 => {
                 let a = rng.gen_range(0..=len);
@@ -214,20 +228,27 @@ fn mutated_documents_never_panic_and_accepted_ones_round_trip() {
     for _ in 0..CASES {
         let snap = &corpus.snapshots[pick(&mut rng, corpus.snapshots.len())];
         let other = &corpus.snapshots[pick(&mut rng, corpus.snapshots.len())];
-        let raw = mutate(&mut rng, snap, other);
+        let raw = mutate(&mut rng, snap, other, ALPHABET, ALL_KINDS);
         accepted[0] += check_snapshot(&raw) as usize;
         let sealed = reseal(&String::from_utf8_lossy(&raw));
         accepted[1] += check_snapshot(sealed.as_bytes()) as usize;
 
         let line = &corpus.trace_lines[pick(&mut rng, corpus.trace_lines.len())];
         let other = &corpus.trace_lines[pick(&mut rng, corpus.trace_lines.len())];
-        let text = String::from_utf8_lossy(&mutate(&mut rng, line.as_bytes(), other.as_bytes()))
-            .into_owned();
+        let text = mutate(
+            &mut rng,
+            line.as_bytes(),
+            other.as_bytes(),
+            ALPHABET,
+            ALL_KINDS,
+        );
+        let text = String::from_utf8_lossy(&text).into_owned();
         accepted[2] += check_event(&text) as usize;
         accepted[4] += check_value(&text) as usize;
 
         let prof = corpus.profile.as_bytes();
-        let text = String::from_utf8_lossy(&mutate(&mut rng, prof, line.as_bytes())).into_owned();
+        let text = mutate(&mut rng, prof, line.as_bytes(), ALPHABET, ALL_KINDS);
+        let text = String::from_utf8_lossy(&text).into_owned();
         accepted[3] += check_profile(&text) as usize;
         accepted[4] += check_value(&text) as usize;
     }
@@ -237,6 +258,54 @@ fn mutated_documents_never_panic_and_accepted_ones_round_trip() {
     for (i, &n) in accepted.iter().enumerate().skip(1) {
         assert!(n > 0 && n < CASES * 2, "target {i} accepted {n}");
     }
+}
+
+/// An accepted CSV file is written back by `to_csv` as text that parses
+/// to the same domains and rows, and is written again byte for byte.
+fn check_csv(text: &str) -> bool {
+    let Ok(data) = parse_csv("fuzz", text) else {
+        return false;
+    };
+    let written = to_csv(&data);
+    let back = parse_csv("fuzz", &written).unwrap_or_else(|e| panic!("{written:?}: {e}"));
+    assert_eq!(back.domains(), data.domains(), "{text:?}");
+    assert_eq!(back.n_objects(), data.n_objects(), "{text:?}");
+    for o in data.objects() {
+        assert_eq!(back.row(o), data.row(o), "{text:?}");
+    }
+    assert_eq!(to_csv(&back), written);
+    true
+}
+
+#[test]
+fn mutated_csv_files_never_panic_and_accepted_ones_round_trip() {
+    // Truncate, flip, duplicate and splice; the deepening mutation is for
+    // nested documents.
+    const CSV_KINDS: u8 = 4;
+    let (nba, _) = inject_mcar(&nba_like(12, 3), 0.25, 5);
+    let files = [
+        to_csv(&paper_dataset()),
+        to_csv(&nba),
+        "points:10,rebounds:10,assists:10\n5,2,3\n6,?,2\n".to_string(),
+    ];
+    for file in &files {
+        assert!(file.contains('?') && check_csv(file), "{file}");
+    }
+    let mut rng = StdRng::seed_from_u64(0xc5f_f022);
+    let mut accepted = 0;
+    for _ in 0..CASES {
+        let file = &files[rng.gen_range(0..files.len())];
+        let other = &files[rng.gen_range(0..files.len())];
+        let text = mutate(
+            &mut rng,
+            file.as_bytes(),
+            other.as_bytes(),
+            CSV_ALPHABET,
+            CSV_KINDS,
+        );
+        accepted += check_csv(&String::from_utf8_lossy(&text)) as usize;
+    }
+    assert!(accepted > 0 && accepted < CASES, "accepted {accepted}");
 }
 
 #[test]
