@@ -6,6 +6,7 @@
 //! actually involve a missing value.
 
 use crate::expr::{Expr, ExprOrBool};
+use crate::kernel::{self, Merged, Normalized, Plain};
 use bc_data::{Value, VarId};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -138,31 +139,14 @@ impl Clause {
     /// Builds a clause, deduplicating and detecting tautologies
     /// (`e ∨ ¬e` is `true`, an empty disjunction is `false`).
     fn normalize(mut exprs: ExprList) -> ClauseOrBool {
-        let slice = exprs.as_mut_slice();
-        slice.sort_unstable();
-        let mut distinct = 0;
-        for i in 0..slice.len() {
-            if distinct == 0 || slice[i] != slice[distinct - 1] {
-                slice[distinct] = slice[i];
-                distinct += 1;
+        match kernel::normalize(exprs.as_mut_slice()) {
+            Normalized::Empty => ClauseOrBool::Bool(false),
+            Normalized::Tautology => ClauseOrBool::Bool(true),
+            Normalized::Clause(len) => {
+                exprs.truncate(len);
+                ClauseOrBool::Clause(Clause { exprs })
             }
         }
-        exprs.truncate(distinct);
-        let slice = exprs.as_slice();
-        if slice.is_empty() {
-            return ClauseOrBool::Bool(false);
-        }
-        // `e` and `¬e` share their left variable, so sorted they sit in a
-        // run of one variable: without such a run there is no tautology.
-        let shared_var = slice.windows(2).any(|w| w[0].var() == w[1].var());
-        if shared_var
-            && slice
-                .iter()
-                .any(|e| slice.binary_search(&e.negated()).is_ok())
-        {
-            return ClauseOrBool::Bool(true);
-        }
-        ClauseOrBool::Clause(Clause { exprs })
     }
 
     /// The one-expression clause `{e}`.
@@ -258,7 +242,7 @@ impl Condition {
         }
         clauses.sort_unstable();
         clauses.dedup();
-        drop_subsumed(&mut clauses);
+        kernel::drop_subsumed(&Plain, &mut clauses, &mut kernel::Scratch::default());
         if clauses.is_empty() {
             Condition::True
         } else {
@@ -307,22 +291,6 @@ impl Condition {
                 .exprs()
                 .flat_map(Expr::vars)
                 .any(|v| sorted_vars.binary_search(&v).is_ok())
-    }
-
-    /// The variable occurring in the most expressions (the ADPLL branching
-    /// heuristic); ties break toward the smallest variable for determinism.
-    pub fn most_frequent_var(&self) -> Option<VarId> {
-        let mut vars: Vec<VarId> = self.exprs().flat_map(Expr::vars).collect();
-        vars.sort_unstable();
-        // Runs come in ascending variable order, so keeping only strictly
-        // longer runs leaves the smallest of the most frequent variables.
-        let mut best: Option<&[VarId]> = None;
-        for run in vars.chunk_by(|a, b| a == b) {
-            if best.is_none_or(|b| run.len() > b.len()) {
-                best = Some(run);
-            }
-        }
-        best.map(|run| run[0])
     }
 
     /// Substitutes `v = value` everywhere and re-normalizes. Only clauses
@@ -437,101 +405,21 @@ fn rewrite(clauses: &[Clause], mut f: impl FnMut(&Clause) -> Rewrite) -> Conditi
 
 /// Joins the clauses a rewrite kept verbatim with the normalized clauses it
 /// produced, giving exactly what [`Condition::from_clauses`] would give on
-/// the whole list. `kept` is a subsequence of a canonical list: sorted,
-/// distinct and mutually non-subsuming. So subsumption is checked only
-/// for pairs that include a fresh clause.
+/// the whole list ([`kernel::merge_rewritten`]).
 fn merge_rewritten(mut kept: Vec<&Clause>, mut fresh: Vec<Clause>) -> Condition {
-    if !fresh.is_empty() {
-        fresh.sort_unstable();
-        fresh.dedup();
-        // A fresh clause equal to a kept one is a duplicate; one with a
-        // kept subset is subsumed.
-        fresh.retain(|f| {
-            !kept
-                .iter()
-                .any(|k| k.len() <= f.len() && is_subset(k.exprs(), f.exprs()))
-        });
-        drop_subsumed(&mut fresh);
-        kept.retain(|k| !fresh.iter().any(|f| strictly_subsumes(f, k)));
-    }
-    if kept.is_empty() && fresh.is_empty() {
-        return Condition::True;
-    }
     let mut out = Vec::with_capacity(kept.len() + fresh.len());
-    let mut fresh = fresh.into_iter().peekable();
-    for k in kept {
-        while let Some(f) = fresh.next_if(|f| f < k) {
-            out.push(f);
-        }
-        out.push(k.clone());
-    }
-    out.extend(fresh);
-    Condition::Cnf(out)
-}
-
-/// Removes every clause that is a superset of another clause (the subset
-/// implies the superset, making it redundant in a conjunction), in place.
-/// Input is sorted and distinct; the order of the survivors is kept.
-///
-/// A clause at `i` is checked against the survivors so far and the clauses
-/// not yet visited. A clause dropped earlier needs no check: it has a
-/// subset that survives or comes later, and that subset is also a subset
-/// of every superset of the dropped clause.
-///
-/// Every pair is visited, but a pair is rejected by its lengths and
-/// expression signatures ([`Expr::signature_bit`]) before any expressions
-/// are compared.
-fn drop_subsumed(clauses: &mut Vec<Clause>) {
-    if clauses.len() < 2 {
-        return;
-    }
-    // `(length, signature)` per clause, moved along with the clauses.
-    let mut keys: Vec<(usize, u64)> = clauses
-        .iter()
-        .map(|c| {
-            let sig = c.exprs().iter().fold(0, |sig, e| sig | e.signature_bit());
-            (c.len(), sig)
+    let scratch = &mut kernel::Scratch::default();
+    kernel::merge_rewritten(&Plain, &mut kept, &mut fresh, scratch, |c| {
+        out.push(match c {
+            Merged::Kept(k) => k.clone(),
+            Merged::Fresh(f) => f,
         })
-        .collect();
-    let mut kept = 0;
-    for i in 0..clauses.len() {
-        let (len, sig) = keys[i];
-        let big = &clauses[i];
-        let subsumed = (0..kept).chain(i + 1..clauses.len()).any(|j| {
-            let (small_len, small_sig) = keys[j];
-            small_len < len && small_sig & !sig == 0 && is_subset(clauses[j].exprs(), big.exprs())
-        });
-        if !subsumed {
-            clauses.swap(kept, i);
-            keys.swap(kept, i);
-            kept += 1;
-        }
+    });
+    if out.is_empty() {
+        Condition::True
+    } else {
+        Condition::Cnf(out)
     }
-    clauses.truncate(kept);
-}
-
-/// [`drop_subsumed`] without the signature filter: the reference its
-/// differential test compares against.
-#[cfg(test)]
-fn drop_subsumed_reference(clauses: &mut Vec<Clause>) {
-    let mut kept = 0;
-    for i in 0..clauses.len() {
-        let big = &clauses[i];
-        let subsumed = clauses[..kept]
-            .iter()
-            .chain(&clauses[i + 1..])
-            .any(|small| strictly_subsumes(small, big));
-        if !subsumed {
-            clauses.swap(kept, i);
-            kept += 1;
-        }
-    }
-    clauses.truncate(kept);
-}
-
-/// Whether `small` is a strict subset of `big` (so `small ⟹ big`).
-fn strictly_subsumes(small: &Clause, big: &Clause) -> bool {
-    small.len() < big.len() && is_subset(small.exprs(), big.exprs())
 }
 
 /// Whether `clauses` are in the canonical form documented on
@@ -548,28 +436,11 @@ fn is_canonical(clauses: &[Clause]) -> bool {
     !clauses.is_empty()
         && clauses.windows(2).all(|w| w[0] < w[1])
         && clauses.iter().all(normalized)
-        && clauses
-            .iter()
-            .all(|big| !clauses.iter().any(|small| strictly_subsumes(small, big)))
-}
-
-/// Whether sorted `a` is a subset of sorted `b`.
-fn is_subset(a: &[Expr], b: &[Expr]) -> bool {
-    let mut bi = 0;
-    'outer: for x in a {
-        while bi < b.len() {
-            match b[bi].cmp(x) {
-                std::cmp::Ordering::Less => bi += 1,
-                std::cmp::Ordering::Equal => {
-                    bi += 1;
-                    continue 'outer;
-                }
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
+        && clauses.iter().all(|big| {
+            !clauses.iter().any(|small| {
+                small.len() < big.len() && kernel::is_subset(small.exprs(), big.exprs())
+            })
+        })
 }
 
 impl fmt::Debug for Condition {
@@ -599,7 +470,6 @@ impl fmt::Display for Condition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
@@ -769,22 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn most_frequent_var_prefers_high_count_then_small_id() {
-        let x = v(0, 0);
-        let y = v(1, 0);
-        let z = v(2, 0);
-        let cond = Condition::from_clauses(vec![
-            vec![Expr::lt(x, 2), Expr::lt(y, 2)],
-            vec![Expr::gt(y, 4), Expr::lt(z, 1)],
-        ]);
-        assert_eq!(cond.most_frequent_var(), Some(y));
-        // All tied → smallest id.
-        let cond = Condition::from_clauses(vec![vec![Expr::lt(x, 2), Expr::lt(z, 2)]]);
-        assert_eq!(cond.most_frequent_var(), Some(x));
-        assert_eq!(Condition::True.most_frequent_var(), None);
-    }
-
-    #[test]
     fn simplify_with_decider() {
         let x = v(0, 0);
         let y = v(1, 0);
@@ -841,41 +695,5 @@ mod tests {
         let cond = Condition::from_clauses(vec![vec![Expr::var_gt(v(5, 2), v(2, 2))]]);
         let vars: Vec<VarId> = cond.vars().into_iter().collect();
         assert_eq!(vars, vec![v(2, 2), v(5, 2)]);
-    }
-
-    /// Expressions over four variables and five constants, so that random
-    /// clauses often share expressions and subsume one another.
-    fn small_expr() -> impl Strategy<Value = Expr> {
-        (0u32..4, 0u8..3, 0u16..5, 0u32..4).prop_map(|(o, kind, c, other)| match kind {
-            0 => Expr::lt(v(o, 0), c),
-            1 => Expr::gt(v(o, 0), c),
-            _ if other == o => Expr::lt(v(o, 0), c),
-            _ => Expr::var_gt(v(o, 0), v(other, 0)),
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The signature-filtered subsumption check keeps exactly the
-        /// clauses the quadratic reference keeps, in the same order.
-        #[test]
-        fn signature_filter_matches_the_quadratic_reference(
-            raw in prop::collection::vec(prop::collection::vec(small_expr(), 1..5), 0..24),
-        ) {
-            let mut clauses: Vec<Clause> = raw
-                .into_iter()
-                .filter_map(|exprs| match Clause::normalize(exprs.into()) {
-                    ClauseOrBool::Clause(c) => Some(c),
-                    ClauseOrBool::Bool(_) => None,
-                })
-                .collect();
-            clauses.sort_unstable();
-            clauses.dedup();
-            let mut want = clauses.clone();
-            drop_subsumed_reference(&mut want);
-            drop_subsumed(&mut clauses);
-            prop_assert_eq!(clauses, want);
-        }
     }
 }

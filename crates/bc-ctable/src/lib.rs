@@ -7,7 +7,8 @@
 //! that holds exactly when `o` is a skyline answer.
 //!
 //! * [`expr`] / [`condition`] — the formula language and its simplification
-//!   algebra,
+//!   algebra, whose canonical-form steps live in [`kernel`], shared with
+//!   the solver's clause arena,
 //! * [`dominators`] — Definition 5's dominator sets, via the paper's fast
 //!   sorted-bitset index or the pairwise baseline (Figure 2's comparison),
 //! * [`builder`] — Algorithm 2 (`Get-CTable`) with the `α` pruning
@@ -23,6 +24,7 @@ pub mod constraint;
 pub mod ctable;
 pub mod dominators;
 pub mod expr;
+pub mod kernel;
 pub mod stats;
 
 pub use builder::{

@@ -402,10 +402,11 @@ impl<R: Recorder> Search<'_, R> {
         s.max_depth.set(s.max_depth.get().max(d));
         let mark = self.rec.mark();
         let mut total = 0.0;
+        let branch = self.arena.open_branch(at, end, local, pmf.probs());
         // The support in value order: the values with nonzero probability.
         for (value, &p_value) in pmf.probs().iter().enumerate().filter(|(_, &p)| p > 0.0) {
             s.branches.set(s.branches.get() + 1);
-            let solved = match self.arena.substitute(at, end, local, value as Value) {
+            let solved = match self.arena.substitute(at, end, branch, value as Value) {
                 None => Ok((0.0, self.rec.constant(0.0))),
                 Some(sub) => {
                     let solved = self.solve(sub, self.arena.stack.len());
@@ -420,11 +421,13 @@ impl<R: Recorder> Search<'_, R> {
                 }
                 Err(e) => {
                     s.depth.set(d - 1);
+                    self.arena.close_branch(branch);
                     return Err(e);
                 }
             }
         }
         s.depth.set(d - 1);
+        self.arena.close_branch(branch);
         let p = total.clamp(0.0, 1.0);
         Ok((p, self.rec.decision(v, pmf.probs(), mark, p)))
     }
