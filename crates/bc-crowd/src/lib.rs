@@ -38,5 +38,5 @@ pub use retry::RetryPolicy;
 pub use state::{PlatformState, PlatformStateError};
 pub use task::{Task, TaskAnswer, TaskOutcome, TaskResult};
 pub use unary::UnaryTask;
-pub use vote::{majority_vote, vote_with_tie_break};
+pub use vote::majority_vote;
 pub use worker::Worker;

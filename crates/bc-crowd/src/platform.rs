@@ -6,7 +6,7 @@ use crate::oracle::GroundTruthOracle;
 use crate::pool::WorkerPool;
 use crate::state::{PlatformState, PlatformStateError};
 use crate::task::{Task, TaskAnswer, TaskOutcome, TaskResult};
-use crate::vote::{majority_vote, vote_with_tie_break};
+use crate::vote::majority_vote;
 use crate::worker::Worker;
 use bc_ctable::Relation;
 use bc_data::Dataset;
@@ -82,17 +82,14 @@ pub trait CrowdPlatform {
 /// A simulated crowdsourcing market.
 ///
 /// Each posted task is answered by `workers_per_task` independent workers of
-/// the configured accuracy and resolved by majority voting. Via
-/// [`CrowdPlatform`] a vote without a strict plurality is reported as
-/// [`TaskOutcome::Inconsistent`]; the inherent [`SimulatedPlatform::post_round`]
-/// convenience API instead breaks ties at random (the legacy fault-free
-/// behaviour baselines rely on).
+/// the configured accuracy (plus any escalated ones) and resolved by
+/// majority voting; a vote without a strict plurality is reported as
+/// [`TaskOutcome::Inconsistent`].
 #[derive(Debug)]
 pub struct SimulatedPlatform {
     oracle: GroundTruthOracle,
     staffing: Staffing,
     workers_per_task: usize,
-    retry_workers: usize,
     escalated: usize,
     cost_model: CostModel,
     rng: rand::rngs::StdRng,
@@ -131,7 +128,6 @@ impl SimulatedPlatform {
             oracle,
             staffing: Staffing::Homogeneous(Worker::new(worker_accuracy)),
             workers_per_task,
-            retry_workers: 0,
             escalated: 0,
             cost_model: CostModel::default(),
             rng: rand::rngs::StdRng::seed_from_u64(seed),
@@ -143,14 +139,6 @@ impl SimulatedPlatform {
     /// Replaces the cost model (chainable at construction time).
     pub fn with_cost_model(mut self, cost_model: CostModel) -> SimulatedPlatform {
         self.cost_model = cost_model;
-        self
-    }
-
-    /// Enables CDAS-style quality control: when the initial workers do not
-    /// answer unanimously, up to `extra` additional workers are assigned to
-    /// the task before the (re-)vote. Extra answers are paid and counted.
-    pub fn with_retry(mut self, extra: usize) -> SimulatedPlatform {
-        self.retry_workers = extra;
         self
     }
 
@@ -171,7 +159,6 @@ impl SimulatedPlatform {
             oracle,
             staffing: Staffing::Pool(pool),
             workers_per_task,
-            retry_workers: 0,
             escalated: 0,
             cost_model: CostModel::default(),
             rng: rand::rngs::StdRng::seed_from_u64(seed),
@@ -185,51 +172,14 @@ impl SimulatedPlatform {
         &self.oracle
     }
 
-    /// Posts one batch and resolves *every* task: ties that survive CDAS
-    /// escalation are broken uniformly at random. This is the legacy
-    /// fault-free API the baselines and unit tests use; the
-    /// [`CrowdPlatform`] impl reports such votes as
-    /// [`TaskOutcome::Inconsistent`] instead.
-    pub fn post_round(&mut self, tasks: &[Task]) -> Vec<TaskAnswer> {
-        if tasks.is_empty() {
-            return Vec::new();
-        }
-        self.stats.rounds += 1;
-        self.stats.tasks_posted += tasks.len();
-        let mut out = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let answers = self.answers_for(task);
-            let relation = vote_with_tie_break(&answers, &mut self.rng)
-                .expect("every task is staffed by at least one worker");
-            let ta = TaskAnswer {
-                task: *task,
-                relation,
-            };
-            self.log.push(ta);
-            out.push(ta);
-        }
-        out
-    }
-
-    /// All worker answers for one task: the current staffing level (base +
-    /// escalation), plus CDAS extra workers when the initial vote splits.
+    /// The worker answers for one task, at the current staffing level
+    /// (base plus escalation). This is the single point where answers come
+    /// into existence, so it is also the single point of accounting: every
+    /// collected answer increments `worker_answers` and is paid the task's
+    /// price.
     fn answers_for(&mut self, task: &Task) -> Vec<Relation> {
         let truth = self.oracle.truth(task);
-        let staffing = self.workers_per_task + self.escalated;
-        let mut answers = self.collect_answers(truth, staffing, task);
-        // Quality control: escalate split votes with extra workers.
-        if self.retry_workers > 0 && !answers.iter().all(|&a| a == answers[0]) {
-            let extra = self.collect_answers(truth, self.retry_workers, task);
-            answers.extend(extra);
-        }
-        answers
-    }
-
-    /// Draws `k` worker answers for one task. This is the single point
-    /// where answers come into existence, so it is also the single point of
-    /// accounting: every collected answer increments `worker_answers` and is
-    /// paid the task's price — including CDAS extras and escalation answers.
-    fn collect_answers(&mut self, truth: Relation, k: usize, task: &Task) -> Vec<Relation> {
+        let k = self.workers_per_task + self.escalated;
         self.stats.worker_answers += k;
         self.stats.money_spent += self.cost_model.price(task) * k as u64;
         match &self.staffing {
@@ -340,9 +290,12 @@ mod tests {
     #[test]
     fn perfect_workers_return_the_truth() {
         let mut p = platform(1.0);
-        let answers = p.post_round(&[task(4, 3, 4), task(4, 2, 3)]);
-        assert_eq!(answers[0].relation, Relation::Lt); // hidden 2 vs 4
-        assert_eq!(answers[1].relation, Relation::Eq); // hidden 3 vs 3
+        let results = p.post_round(&[task(4, 3, 4), task(4, 2, 3)]);
+        assert_eq!(results.len(), 2);
+        // Hidden 2 vs 4, and 3 vs 3.
+        assert_eq!(results[0].outcome, TaskOutcome::Answered(Relation::Lt));
+        assert_eq!(results[1].outcome, TaskOutcome::Answered(Relation::Eq));
+        assert_eq!(results[0].answer().unwrap().relation, Relation::Lt);
     }
 
     #[test]
@@ -366,8 +319,8 @@ mod tests {
             SimulatedPlatform::with_workers(GroundTruthOracle::new(paper_completion()), 0.8, 5, 13);
         let mut correct = 0;
         for _ in 0..400 {
-            let a = p.post_round(&[task(4, 3, 4)]);
-            if a[0].relation == Relation::Lt {
+            let r = p.post_round(&[task(4, 3, 4)]);
+            if r[0].outcome == TaskOutcome::Answered(Relation::Lt) {
                 correct += 1;
             }
         }
@@ -376,57 +329,19 @@ mod tests {
     }
 
     #[test]
-    fn retry_escalates_split_votes_and_improves_accuracy() {
-        // With accuracy 0.65, 3 workers often split; escalating by 4 extra
-        // workers should raise the voted accuracy measurably.
-        let run = |retry: usize, seed: u64| -> f64 {
-            let mut p =
-                SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 0.65, seed)
-                    .with_retry(retry);
-            let trials = 600;
-            let mut correct = 0;
-            for _ in 0..trials {
-                let a = p.post_round(&[task(4, 3, 4)]);
-                if a[0].relation == Relation::Lt {
-                    correct += 1;
-                }
-            }
-            correct as f64 / trials as f64
-        };
-        let plain = run(0, 21);
-        let escalated = run(4, 21);
-        assert!(
-            escalated > plain + 0.02,
-            "retry should help: {escalated} vs {plain}"
-        );
-    }
-
-    #[test]
-    fn retry_never_fires_on_unanimous_votes() {
-        let mut p = SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 1.0, 3)
-            .with_retry(10);
-        p.post_round(&[task(4, 3, 4), task(1, 1, 3)]);
-        // Perfect workers are always unanimous: exactly 3 answers per task.
-        assert_eq!(p.stats().worker_answers, 6);
-    }
-
-    #[test]
     fn every_collected_answer_is_both_counted_and_paid() {
-        // The CDAS escalation path must hit the same accounting as the
-        // initial staffing: under the unit cost model, money and answer
-        // counts stay identical no matter how many escalations fire.
-        let mut p = SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 0.5, 29)
-            .with_retry(4);
-        for _ in 0..50 {
+        // Escalated workers hit the same accounting as the initial
+        // staffing: under the unit cost model, money and answer counts
+        // stay identical.
+        let mut p = platform(0.5);
+        for round in 0..50 {
+            if round == 25 {
+                p.escalate(2);
+            }
             p.post_round(&[task(4, 3, 4), task(4, 2, 3)]);
         }
         let s = p.stats();
-        assert!(
-            s.worker_answers > s.tasks_posted * 3,
-            "accuracy 0.5 must trigger escalations ({} answers for {} tasks)",
-            s.worker_answers,
-            s.tasks_posted
-        );
+        assert_eq!(s.worker_answers, 50 * 2 * 3 + 25 * 2 * 2);
         assert_eq!(
             s.money_spent, s.worker_answers as u64,
             "unit cost model: every answer paid exactly once"
@@ -454,8 +369,8 @@ mod tests {
         let pool = WorkerPool::new(&[1.0, 1.0, 1.0]);
         let mut p =
             SimulatedPlatform::with_pool(GroundTruthOracle::new(paper_completion()), pool, 3, 4);
-        let answers = p.post_round(&[task(4, 3, 4)]);
-        assert_eq!(answers[0].relation, Relation::Lt);
+        let results = p.post_round(&[task(4, 3, 4)]);
+        assert_eq!(results[0].outcome, TaskOutcome::Answered(Relation::Lt));
         assert_eq!(p.stats().worker_answers, 3);
     }
 
@@ -465,7 +380,7 @@ mod tests {
             let mut p =
                 SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 0.5, seed);
             (0..20)
-                .map(|_| p.post_round(&[task(4, 1, 5)])[0].relation)
+                .map(|_| p.post_round(&[task(4, 1, 5)])[0].outcome)
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -473,17 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn trait_post_round_reports_outcomes_per_task() {
-        let mut p = platform(1.0);
-        let results = CrowdPlatform::post_round(&mut p, &[task(4, 3, 4), task(4, 2, 3)]);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].outcome, TaskOutcome::Answered(Relation::Lt));
-        assert_eq!(results[1].outcome, TaskOutcome::Answered(Relation::Eq));
-        assert_eq!(results[0].answer().unwrap().relation, Relation::Lt);
-    }
-
-    #[test]
-    fn trait_post_round_reports_unresolvable_votes_as_inconsistent() {
+    fn unresolvable_votes_are_reported_as_inconsistent() {
         // Accuracy 0 with 4 workers: answers are uniform over the two wrong
         // relations, so votes frequently split 2-2. Splits without a strict
         // plurality must come back Inconsistent, and they must not enter the
@@ -493,7 +398,7 @@ mod tests {
         let mut saw_inconsistent = false;
         let mut answered = 0usize;
         for _ in 0..60 {
-            let r = CrowdPlatform::post_round(&mut p, &[task(4, 3, 4)]);
+            let r = p.post_round(&[task(4, 3, 4)]);
             match r[0].outcome {
                 TaskOutcome::Inconsistent => saw_inconsistent = true,
                 TaskOutcome::Answered(_) => answered += 1,
@@ -507,10 +412,10 @@ mod tests {
     #[test]
     fn escalation_raises_staffing_for_later_rounds() {
         let mut p = platform(1.0);
-        CrowdPlatform::post_round(&mut p, &[task(4, 3, 4)]);
+        p.post_round(&[task(4, 3, 4)]);
         assert_eq!(p.stats().worker_answers, 3);
         p.escalate(2);
-        CrowdPlatform::post_round(&mut p, &[task(4, 3, 4)]);
+        p.post_round(&[task(4, 3, 4)]);
         assert_eq!(p.stats().worker_answers, 3 + 5, "3 base + 2 escalated");
     }
 
@@ -526,7 +431,7 @@ mod tests {
         // restored mid-run must answer future rounds exactly like the
         // original would have.
         let mut original = platform(0.7);
-        CrowdPlatform::post_round(&mut original, &[task(4, 3, 4), task(4, 1, 2)]);
+        original.post_round(&[task(4, 3, 4), task(4, 1, 2)]);
         let state = original.save_state().expect("simulated state saves");
 
         let mut restored = platform(0.7);
@@ -536,10 +441,7 @@ mod tests {
 
         let batch = [task(4, 3, 3), task(4, 1, 1), task(4, 0, 2)];
         for _ in 0..5 {
-            assert_eq!(
-                CrowdPlatform::post_round(&mut original, &batch),
-                CrowdPlatform::post_round(&mut restored, &batch)
-            );
+            assert_eq!(original.post_round(&batch), restored.post_round(&batch));
         }
         assert_eq!(restored.stats(), original.stats());
     }

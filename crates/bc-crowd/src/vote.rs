@@ -1,7 +1,6 @@
 //! Majority voting over worker answers.
 
 use bc_ctable::Relation;
-use rand::Rng;
 
 /// Combines worker answers by strict-plurality majority vote.
 ///
@@ -27,23 +26,6 @@ pub fn majority_vote(answers: &[Relation]) -> Option<Relation> {
     }
 }
 
-/// Majority voting with the legacy tie policy: ties are broken uniformly at
-/// random among the tied relations, so every non-empty vote settles. Used by
-/// the fault-free convenience API, where an unresolvable task would have
-/// nowhere to go.
-pub fn vote_with_tie_break(answers: &[Relation], rng: &mut impl Rng) -> Option<Relation> {
-    if answers.is_empty() {
-        return None;
-    }
-    let counts = tally(answers);
-    let best = counts.into_iter().max().expect("three counters");
-    let tied: Vec<Relation> = [Relation::Lt, Relation::Eq, Relation::Gt]
-        .into_iter()
-        .filter(|&r| counts[r as usize] == best)
-        .collect();
-    Some(tied[rng.gen_range(0..tied.len())])
-}
-
 fn tally(answers: &[Relation]) -> [usize; 3] {
     let mut counts = [0usize; 3];
     for &a in answers {
@@ -55,7 +37,6 @@ fn tally(answers: &[Relation]) -> [usize; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn clear_majority_wins() {
@@ -107,33 +88,5 @@ mod tests {
             majority_vote(&[Relation::Lt, Relation::Gt, Relation::Gt]),
             Some(Relation::Gt)
         );
-    }
-
-    #[test]
-    fn tie_break_reaches_every_tied_relation() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..100 {
-            seen.insert(
-                vote_with_tie_break(&[Relation::Lt, Relation::Eq, Relation::Gt], &mut rng).unwrap(),
-            );
-        }
-        assert_eq!(seen.len(), 3, "all tied answers should be reachable");
-    }
-
-    #[test]
-    fn tie_break_agrees_with_majority_when_one_exists() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let answers = [Relation::Gt, Relation::Gt, Relation::Lt];
-        assert_eq!(
-            vote_with_tie_break(&answers, &mut rng),
-            majority_vote(&answers)
-        );
-    }
-
-    #[test]
-    fn tie_break_on_empty_is_none() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        assert_eq!(vote_with_tie_break(&[], &mut rng), None);
     }
 }

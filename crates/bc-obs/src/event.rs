@@ -136,7 +136,8 @@ pub enum Event {
         /// straggling platforms may charge extra latency per batch).
         round: usize,
     },
-    /// A batch of condition probabilities was computed.
+    /// A batch of condition probabilities was computed, with the search
+    /// effort of its compiles and plain solves.
     ProbabilityBatch {
         /// Which phase requested the batch.
         phase: RunPhase,
@@ -156,32 +157,18 @@ pub enum Event {
         branches: u64,
         /// Component probabilities served from the solver's cache.
         cache_hits: u64,
-        /// Always 0 from a session, which retries no solve; kept so that
-        /// trace lines keep their format.
-        fallbacks: u64,
-        /// Batch wall-clock time.
-        nanos: u128,
-    },
-    /// The search-tree shape behind one probability batch: what the exact
-    /// solver actually did while the matching [`Event::ProbabilityBatch`]
-    /// was being computed. Emitted right after it.
-    SolverSearch {
-        /// Which phase requested the batch.
-        phase: RunPhase,
-        /// Value-branching decisions taken.
-        decisions: u64,
         /// Independent components closed directly by the disjunctive rule.
         direct_components: u64,
         /// Component decompositions that split a condition into more than
         /// one independent sub-problem.
         component_splits: u64,
-        /// Component probabilities served from the solver cache.
-        cache_hits: u64,
         /// Correlated components solved by branching (cache empty or
         /// caching disabled).
         cache_misses: u64,
-        /// Deepest branching recursion reached in the batch.
+        /// Deepest branching recursion of any one solve in the batch.
         max_depth: u64,
+        /// Batch wall-clock time.
+        nanos: u128,
     },
     /// One round's task assembly: the marginal-utility evaluations
     /// (Definition 6) UBS/HHS ran to pick each object's expression. Emitted
@@ -207,9 +194,6 @@ pub enum Event {
         decisions: u64,
         /// Component probabilities served from the solver's cache.
         cache_hits: u64,
-        /// Always 0 from a session, which retries no solve; kept so that
-        /// trace lines keep their format.
-        fallbacks: u64,
         /// Task-assembly wall-clock time (scoring plus candidate ordering).
         nanos: u128,
     },
@@ -315,10 +299,7 @@ impl Event {
             | Event::CheckpointWritten { nanos, .. }
             | Event::Resumed { nanos, .. }
             | Event::RunFinished { nanos, .. } => *nanos = 0,
-            Event::RunStarted { .. }
-            | Event::RoundStarted { .. }
-            | Event::SolverSearch { .. }
-            | Event::Degraded { .. } => {}
+            Event::RunStarted { .. } | Event::RoundStarted { .. } | Event::Degraded { .. } => {}
         }
         e
     }
@@ -357,18 +338,22 @@ macro_rules! wire_format {
             /// Parses one line written by [`Event::to_json_line`], returning
             /// the sequence number and the event. Returns `None` if the line
             /// is not JSON ([`Value::parse`]), lacks a field of its event
-            /// kind, or holds an integer field that is not plain digits
-            /// within the field's range.
+            /// kind or holds a key that is not one, or holds an integer
+            /// field that is not plain digits within the field's range.
             pub fn from_json_line(line: &str) -> Option<(u64, Event)> {
                 let v = Value::parse(line).ok()?;
                 let seq = Field::decode(v.get("seq")?)?;
-                let event = match v.get("event")?.as_str()? {
-                    $(stringify!($kind) => Event::$kind {
-                        $($field: Field::decode(v.get(stringify!($field))?)?,)*
-                    },)*
+                let (event, fields) = match v.get("event")?.as_str()? {
+                    $(stringify!($kind) => (
+                        Event::$kind {
+                            $($field: Field::decode(v.get(stringify!($field))?)?,)*
+                        },
+                        [$(stringify!($field)),*].len(),
+                    ),)*
                     _ => return None,
                 };
-                Some((seq, event))
+                // `seq` and `event`, then exactly the kind's fields.
+                (v.as_map()?.len() == 2 + fields).then_some((seq, event))
             }
         }
     };
@@ -384,14 +369,11 @@ wire_format! {
     CTableBuilt { objects, open_objects, vars, exprs, pruned, candidates, bitset_words, nanos }
     RoundStarted { round }
     ProbabilityBatch {
-        phase, objects, solver_calls, compiles, evaluations, branches, cache_hits, fallbacks, nanos
-    }
-    SolverSearch {
-        phase, decisions, direct_components, component_splits, cache_hits, cache_misses, max_depth
+        phase, objects, solver_calls, compiles, evaluations, branches, cache_hits,
+        direct_components, component_splits, cache_misses, max_depth, nanos
     }
     UtilityBatch {
-        candidates, solver_calls, compiles, circuit_nodes, reused, decisions, cache_hits, fallbacks,
-        nanos
+        candidates, solver_calls, compiles, circuit_nodes, reused, decisions, cache_hits, nanos
     }
     Propagated { answers, examined, decided, depth, nanos }
     RoundFinished { round, posted, answered, expired, requeued, retried, nanos }
@@ -495,17 +477,11 @@ mod tests {
                 evaluations: 1,
                 branches: 17,
                 cache_hits: 2,
-                fallbacks: 1,
-                nanos: 777,
-            },
-            Event::SolverSearch {
-                phase: RunPhase::Select,
-                decisions: 17,
                 direct_components: 4,
                 component_splits: 1,
-                cache_hits: 2,
                 cache_misses: 5,
                 max_depth: 3,
+                nanos: 777,
             },
             Event::UtilityBatch {
                 candidates: 9,
@@ -515,7 +491,6 @@ mod tests {
                 reused: 2,
                 decisions: 41,
                 cache_hits: 5,
-                fallbacks: 1,
                 nanos: 6_543,
             },
             Event::Propagated {
@@ -626,7 +601,6 @@ mod tests {
             reused: 4,
             decisions: 7,
             cache_hits: 1,
-            fallbacks: 0,
             nanos: 99,
         };
         assert_eq!(
@@ -639,7 +613,6 @@ mod tests {
                 reused: 4,
                 decisions: 7,
                 cache_hits: 1,
-                fallbacks: 0,
                 nanos: 0,
             }
         );
@@ -698,7 +671,6 @@ mod tests {
             reused: 8,
             decisions: 90,
             cache_hits: 6,
-            fallbacks: 0,
             nanos: 17,
         };
         let line = e.to_json_line(5);
@@ -718,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn probability_batch_carries_the_circuit_counts() {
+    fn probability_batch_carries_the_circuit_and_search_counts() {
         let e = Event::ProbabilityBatch {
             phase: RunPhase::Finalize,
             objects: 9,
@@ -727,18 +699,47 @@ mod tests {
             evaluations: 5,
             branches: 60,
             cache_hits: 2,
-            fallbacks: 0,
+            direct_components: 7,
+            component_splits: 3,
+            cache_misses: 6,
+            max_depth: 2,
             nanos: 21,
         };
         let line = e.to_json_line(6);
-        for field in ["\"compiles\": 3", "\"evaluations\": 5"] {
+        let fields = [
+            ", \"compiles\": 3",
+            ", \"evaluations\": 5",
+            ", \"direct_components\": 7",
+            ", \"component_splits\": 3",
+            ", \"cache_misses\": 6",
+            ", \"max_depth\": 2",
+        ];
+        for field in fields {
             assert!(line.contains(field), "{line}");
         }
         assert_eq!(Event::from_json_line(&line), Some((6, e)));
-        // A line without either count is rejected, not defaulted.
-        for field in [", \"compiles\": 3", ", \"evaluations\": 5"] {
+        // A line without any of the counts is rejected, not defaulted.
+        for field in fields {
             let old = line.replace(field, "");
             assert!(Event::from_json_line(&old).is_none(), "{old}");
+        }
+    }
+
+    #[test]
+    fn lines_of_the_retired_search_format_are_rejected() {
+        for old in [
+            r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "compiles": 1, "evaluations": 1, "branches": 17, "cache_hits": 2, "fallbacks": 0, "nanos": 777}"#,
+            r#"{"seq": 5, "event": "SolverSearch", "phase": "select", "decisions": 17, "direct_components": 4, "component_splits": 1, "cache_hits": 2, "cache_misses": 5, "max_depth": 3}"#,
+            r#"{"seq": 6, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "compiles": 3, "circuit_nodes": 212, "reused": 2, "decisions": 41, "cache_hits": 5, "fallbacks": 0, "nanos": 6543}"#,
+        ] {
+            assert_eq!(Event::from_json_line(old), None, "{old}");
+        }
+        // A key of no field is rejected, as is a repeated one.
+        let line = Event::RoundStarted { round: 1 }.to_json_line(3);
+        assert!(Event::from_json_line(&line).is_some());
+        for extra in [r#", "fallbacks": 0}"#, r#", "round": 1}"#] {
+            let bad = line.replace('}', extra);
+            assert_eq!(Event::from_json_line(&bad), None, "{bad}");
         }
     }
 
@@ -822,16 +823,15 @@ mod tests {
             r#"{"seq": 1, "event": "ModelTrained", "bic": -12.5, "edges": 2, "em_iters": 0, "search_iters": 3, "blanket_cells": 4, "ve_cells": 1, "blanket_keys": 3, "nanos": 1234}"#,
             r#"{"seq": 2, "event": "CTableBuilt", "objects": 5, "open_objects": 3, "vars": 4, "exprs": 13, "pruned": 0, "candidates": 7, "bitset_words": 25, "nanos": 99}"#,
             r#"{"seq": 3, "event": "RoundStarted", "round": 1}"#,
-            r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "compiles": 1, "evaluations": 1, "branches": 17, "cache_hits": 2, "fallbacks": 1, "nanos": 777}"#,
-            r#"{"seq": 5, "event": "SolverSearch", "phase": "select", "decisions": 17, "direct_components": 4, "component_splits": 1, "cache_hits": 2, "cache_misses": 5, "max_depth": 3}"#,
-            r#"{"seq": 6, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "compiles": 3, "circuit_nodes": 212, "reused": 2, "decisions": 41, "cache_hits": 5, "fallbacks": 1, "nanos": 6543}"#,
-            r#"{"seq": 7, "event": "Propagated", "answers": 2, "examined": 5, "decided": 1, "depth": 2, "nanos": 55}"#,
-            r#"{"seq": 8, "event": "RoundFinished", "round": 1, "posted": 2, "answered": 2, "expired": 0, "requeued": 0, "retried": 0, "nanos": 888}"#,
-            r#"{"seq": 9, "event": "SpanFinished", "phase": "post", "nanos": 11}"#,
-            r#"{"seq": 10, "event": "Degraded", "tasks_abandoned": 1}"#,
-            r#"{"seq": 11, "event": "CheckpointWritten", "round": 2, "bytes": 20480, "nanos": 321}"#,
-            r#"{"seq": 12, "event": "Resumed", "round": 2, "budget_left": 4, "open_exprs": 7, "nanos": 4096}"#,
-            r#"{"seq": 13, "event": "RunFinished", "rounds": 3, "tasks_posted": 6, "tasks_answered": 5, "tasks_expired": 1, "tasks_retried": 0, "probability_evals": 9, "nanos": 4242}"#,
+            r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "compiles": 1, "evaluations": 1, "branches": 17, "cache_hits": 2, "direct_components": 4, "component_splits": 1, "cache_misses": 5, "max_depth": 3, "nanos": 777}"#,
+            r#"{"seq": 5, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "compiles": 3, "circuit_nodes": 212, "reused": 2, "decisions": 41, "cache_hits": 5, "nanos": 6543}"#,
+            r#"{"seq": 6, "event": "Propagated", "answers": 2, "examined": 5, "decided": 1, "depth": 2, "nanos": 55}"#,
+            r#"{"seq": 7, "event": "RoundFinished", "round": 1, "posted": 2, "answered": 2, "expired": 0, "requeued": 0, "retried": 0, "nanos": 888}"#,
+            r#"{"seq": 8, "event": "SpanFinished", "phase": "post", "nanos": 11}"#,
+            r#"{"seq": 9, "event": "Degraded", "tasks_abandoned": 1}"#,
+            r#"{"seq": 10, "event": "CheckpointWritten", "round": 2, "bytes": 20480, "nanos": 321}"#,
+            r#"{"seq": 11, "event": "Resumed", "round": 2, "budget_left": 4, "open_exprs": 7, "nanos": 4096}"#,
+            r#"{"seq": 12, "event": "RunFinished", "rounds": 3, "tasks_posted": 6, "tasks_answered": 5, "tasks_expired": 1, "tasks_retried": 0, "probability_evals": 9, "nanos": 4242}"#,
         ];
         let events = sample_events();
         assert_eq!(events.len(), want.len());

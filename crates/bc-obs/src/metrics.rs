@@ -174,16 +174,15 @@ pub struct Counters {
     /// Solver component-cache hits.
     pub solver_cache_hits: u64,
     /// Correlated components solved by branching (cache empty or caching
-    /// disabled). From `SolverSearch` events.
+    /// disabled).
     pub solver_cache_misses: u64,
     /// Independent components closed directly by the disjunctive rule.
-    /// From `SolverSearch` events.
     pub solver_direct_components: u64,
     /// Component decompositions that split a condition into more than one
-    /// independent sub-problem. From `SolverSearch` events.
+    /// independent sub-problem.
     pub solver_component_splits: u64,
-    /// Deepest branching recursion seen in any probability batch
-    /// (combined by max, not sum). From `SolverSearch` events.
+    /// Deepest branching recursion of any one solve in any probability
+    /// batch (combined by max, not sum).
     pub solver_max_depth: u64,
     /// Crowd answers folded into the constraint store.
     pub answers_propagated: u64,
@@ -195,9 +194,6 @@ pub struct Counters {
     pub propagate_examined: u64,
     /// Tasks abandoned at finalization (from `Degraded`).
     pub tasks_abandoned: u64,
-    /// The `fallbacks` of the batch events: always 0 from a session, which
-    /// retries no solve; kept so that counter lines keep their format.
-    pub solver_fallbacks: u64,
     /// Durable checkpoints written.
     pub checkpoints_written: u64,
     /// Candidate expressions scored by marginal utility. From
@@ -318,12 +314,8 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
-            "probability evals {}  solver calls {} (branches {}, cache hits {}, fallbacks {})",
-            c.probability_evals,
-            c.solver_calls,
-            c.solver_branches,
-            c.solver_cache_hits,
-            c.solver_fallbacks
+            "probability evals {}  solver calls {} (branches {}, cache hits {})",
+            c.probability_evals, c.solver_calls, c.solver_branches, c.solver_cache_hits
         );
         let _ = writeln!(
             s,
@@ -408,7 +400,10 @@ impl Observer for MetricsRecorder {
                 evaluations,
                 branches,
                 cache_hits,
-                fallbacks,
+                direct_components,
+                component_splits,
+                cache_misses,
+                max_depth,
                 ..
             } => {
                 self.counters.probability_evals += *objects as u64;
@@ -421,17 +416,6 @@ impl Observer for MetricsRecorder {
                 self.compiled_once |= *compiles > 0;
                 self.counters.solver_branches += branches;
                 self.counters.solver_cache_hits += cache_hits;
-                self.counters.solver_fallbacks += fallbacks;
-            }
-            Event::SolverSearch {
-                direct_components,
-                component_splits,
-                cache_misses,
-                max_depth,
-                ..
-            } => {
-                // decisions and cache_hits mirror the matching
-                // ProbabilityBatch and are already counted there.
                 self.counters.solver_direct_components += direct_components;
                 self.counters.solver_component_splits += component_splits;
                 self.counters.solver_cache_misses += cache_misses;
@@ -583,7 +567,10 @@ mod tests {
             evaluations: 0,
             branches: 0,
             cache_hits: 0,
-            fallbacks: 0,
+            direct_components: 0,
+            component_splits: 0,
+            cache_misses: 0,
+            max_depth: 0,
             nanos: 0,
         };
         let started = Event::RunStarted {
@@ -620,7 +607,10 @@ mod tests {
             evaluations: 1,
             branches: 10,
             cache_hits: 3,
-            fallbacks: 1,
+            direct_components: 6,
+            component_splits: 2,
+            cache_misses: 7,
+            max_depth: 4,
             nanos: 100,
         });
         rec.event(&Event::ProbabilityBatch {
@@ -631,17 +621,11 @@ mod tests {
             evaluations: 2,
             branches: 0,
             cache_hits: 0,
-            fallbacks: 0,
+            direct_components: 1,
+            component_splits: 0,
+            cache_misses: 0,
+            max_depth: 0,
             nanos: 10,
-        });
-        rec.event(&Event::SolverSearch {
-            phase: RunPhase::Select,
-            decisions: 10,
-            direct_components: 6,
-            component_splits: 2,
-            cache_hits: 3,
-            cache_misses: 7,
-            max_depth: 4,
         });
         rec.event(&Event::ModelTrained {
             bic: -1.0,
@@ -661,7 +645,6 @@ mod tests {
             reused: 3,
             decisions: 12,
             cache_hits: 2,
-            fallbacks: 0,
             nanos: 40,
         });
         rec.event(&Event::Propagated {
@@ -699,10 +682,9 @@ mod tests {
         );
         assert_eq!(c.utility_reused, 3);
         assert_eq!(c.solver_branches, 10);
-        assert_eq!(c.solver_fallbacks, 1);
         assert_eq!(c.solver_cache_misses, 7);
         assert_eq!(c.solver_component_splits, 2);
-        assert_eq!(c.solver_direct_components, 6);
+        assert_eq!(c.solver_direct_components, 7);
         assert_eq!(c.solver_max_depth, 4);
         assert_eq!(c.answers_propagated, 2);
         assert_eq!(c.propagate_examined, 6);
@@ -724,7 +706,7 @@ mod tests {
         assert_eq!(rec.phase_nanos(RunPhase::Post), 0);
         assert_eq!(rec.tasks_per_round().count(), 1);
         assert_eq!(rec.propagation_depth().max(), 3);
-        assert_eq!(rec.events().len(), 10);
+        assert_eq!(rec.events().len(), 9);
         assert!(rec.summary().contains("posted 2"));
     }
 

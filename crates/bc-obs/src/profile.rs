@@ -262,8 +262,8 @@ fn solve_path(phase: RunPhase) -> String {
 /// ├── round            (RoundFinished; count = rounds)
 /// │   ├── select       (SpanFinished, summed over rounds)
 /// │   │   ├── solve    (ProbabilityBatch; count = solver calls)
-/// │   │   │   ├── adpll     (SolverSearch; count = decisions, nanos 0)
-/// │   │   │   └── evaluate  (count = kept-circuit evaluations, nanos 0)
+/// │   │   │   ├── evaluate  (count = kept-circuit evaluations, nanos 0)
+/// │   │   │   └── adpll     (count = decisions, nanos 0)
 /// │   │   └── utility  (UtilityBatch; count = solver calls)
 /// │   │       ├── adpll    (count = decisions, nanos 0)
 /// │   │       └── compile  (count = compiles, nanos 0)
@@ -271,7 +271,7 @@ fn solve_path(phase: RunPhase) -> String {
 /// │   └── propagate
 /// │       └── fixpoint (Propagated)
 /// └── finalize
-///     └── solve        (and its adpll/evaluate children)
+///     └── solve        (and its evaluate/adpll children)
 /// ```
 ///
 /// Every `nanos` filed here was measured at the emission site, so the
@@ -319,6 +319,7 @@ impl Observer for RunProfiler {
                 phase,
                 solver_calls,
                 evaluations,
+                branches,
                 nanos,
                 ..
             } => {
@@ -326,12 +327,8 @@ impl Observer for RunProfiler {
                 self.profiler.record_with(&path, *nanos, *solver_calls);
                 self.profiler
                     .record_with(&format!("{path}/evaluate"), 0, *evaluations);
-            }
-            Event::SolverSearch {
-                phase, decisions, ..
-            } => {
-                let path = format!("{}/adpll", solve_path(*phase));
-                self.profiler.record_with(&path, 0, *decisions);
+                self.profiler
+                    .record_with(&format!("{path}/adpll"), 0, *branches);
             }
             Event::UtilityBatch {
                 solver_calls,
@@ -467,17 +464,11 @@ mod tests {
             evaluations: 2,
             branches: 9,
             cache_hits: 1,
-            fallbacks: 0,
-            nanos: 200,
-        });
-        rp.event(&Event::SolverSearch {
-            phase: RunPhase::Select,
-            decisions: 9,
             direct_components: 2,
             component_splits: 1,
-            cache_hits: 1,
             cache_misses: 4,
             max_depth: 3,
+            nanos: 200,
         });
         rp.event(&Event::UtilityBatch {
             candidates: 4,
@@ -487,7 +478,6 @@ mod tests {
             reused: 1,
             decisions: 11,
             cache_hits: 0,
-            fallbacks: 0,
             nanos: 300,
         });
         rp.event(&Event::RoundFinished {
@@ -523,6 +513,8 @@ mod tests {
         assert_eq!(adpll.nanos, 0);
         let evaluate = r.node("round/select/solve/evaluate").unwrap();
         assert_eq!((evaluate.nanos, evaluate.count), (0, 2));
+        let names: Vec<&str> = solve.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["evaluate", "adpll"]);
         let utility = r.node("round/select/utility").unwrap();
         assert_eq!((utility.nanos, utility.count), (300, 3));
         assert_eq!(r.node("round/select/utility/adpll").unwrap().count, 11);

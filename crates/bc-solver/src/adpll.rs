@@ -17,7 +17,7 @@ use crate::dists::VarDists;
 use crate::{Solver, SolverError};
 use bc_ctable::{Condition, Expr};
 use bc_data::{FxMap, Value, VarId};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 
 /// What one search memoizes: each correlated component it branched on,
@@ -140,8 +140,10 @@ pub enum BranchHeuristic {
 
 /// Counters describing one solve — the shape of the ADPLL search tree.
 ///
-/// All fields but `max_depth` are monotone event counts; `max_depth` is the
-/// deepest branching recursion reached, combined by `max` rather than `+`.
+/// Every search counts into a `SolveStats` of its own, so the counters are
+/// that call's alone. All fields but `max_depth` are event counts;
+/// `max_depth` is the deepest branching recursion the call reached,
+/// combined by `max` rather than `+`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Number of value-branching decisions taken.
@@ -159,28 +161,6 @@ pub struct SolveStats {
     pub cache_misses: u64,
     /// Deepest branching recursion reached.
     pub max_depth: u64,
-}
-
-impl SolveStats {
-    /// Counter-wise difference `self - earlier`, for before/after
-    /// snapshots around a single call. Event counts subtract saturating
-    /// (a reset in between must not wrap a reused solver's counters
-    /// around); `max_depth` is not a count and carries over as the
-    /// cumulative maximum.
-    pub fn since(&self, earlier: &SolveStats) -> SolveStats {
-        SolveStats {
-            branches: self.branches.saturating_sub(earlier.branches),
-            direct_components: self
-                .direct_components
-                .saturating_sub(earlier.direct_components),
-            component_splits: self
-                .component_splits
-                .saturating_sub(earlier.component_splits),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            max_depth: self.max_depth,
-        }
-    }
 }
 
 impl std::ops::AddAssign for SolveStats {
@@ -228,20 +208,13 @@ impl std::ops::AddAssign for SolveStats {
 /// The search runs over a clause arena (DESIGN.md, "Search kernel"). The
 /// solver keeps the arena, the caches and a circuit builder between
 /// calls, cleared but not freed, so a search allocates little; a clone
-/// starts with empty buffers. Like the counters, the buffers make the
-/// solver `!Sync`: each thread builds its own.
+/// starts with empty buffers. The buffers make the solver `!Sync`: each
+/// thread builds its own. The solver keeps no counters: each call reports
+/// its own [`SolveStats`].
 #[derive(Clone, Debug)]
 pub struct AdpllSolver {
     heuristic: BranchHeuristic,
     caching: bool,
-    branches: Cell<u64>,
-    direct: Cell<u64>,
-    splits: Cell<u64>,
-    cache_hits: Cell<u64>,
-    cache_misses: Cell<u64>,
-    /// Current branching recursion depth (transient within one call).
-    depth: Cell<u64>,
-    max_depth: Cell<u64>,
     scratch: ScratchCell,
 }
 
@@ -250,13 +223,6 @@ impl Default for AdpllSolver {
         AdpllSolver {
             heuristic: BranchHeuristic::default(),
             caching: true,
-            branches: Cell::new(0),
-            direct: Cell::new(0),
-            splits: Cell::new(0),
-            cache_hits: Cell::new(0),
-            cache_misses: Cell::new(0),
-            depth: Cell::new(0),
-            max_depth: Cell::new(0),
             scratch: ScratchCell::default(),
         }
     }
@@ -284,29 +250,8 @@ impl AdpllSolver {
         self
     }
 
-    /// Statistics accumulated since construction (or the last reset).
-    pub fn stats(&self) -> SolveStats {
-        SolveStats {
-            branches: self.branches.get(),
-            direct_components: self.direct.get(),
-            component_splits: self.splits.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            max_depth: self.max_depth.get(),
-        }
-    }
-
-    /// Clears the counters.
-    pub fn reset_stats(&self) {
-        self.branches.set(0);
-        self.direct.set(0);
-        self.splits.set(0);
-        self.cache_hits.set(0);
-        self.cache_misses.set(0);
-        self.max_depth.set(0);
-    }
-
-    /// Runs one search of `cond` on the solver's scratch buffers.
+    /// Runs one search of `cond` on the solver's scratch buffers: `Pr`,
+    /// the recorder's root node and the search's own counters.
     fn search<R: Recorder>(
         &self,
         cond: &Condition,
@@ -314,22 +259,25 @@ impl AdpllSolver {
         rec: &mut R,
         arena: &mut Arena,
         cache: &mut Cache,
-    ) -> Result<(f64, NodeId), SolverError> {
+    ) -> Result<(f64, NodeId, SolveStats), SolverError> {
         let clauses = match cond {
-            Condition::True => return Ok((1.0, rec.constant(1.0))),
-            Condition::False => return Ok((0.0, rec.constant(0.0))),
+            Condition::True => return Ok((1.0, rec.constant(1.0), SolveStats::default())),
+            Condition::False => return Ok((0.0, rec.constant(0.0), SolveStats::default())),
             Condition::Cnf(clauses) => clauses,
         };
         arena.reset(clauses);
         cache.clear();
-        Search {
+        let mut search = Search {
             solver: self,
             dists,
             arena,
             cache,
             rec,
-        }
-        .solve(0, clauses.len())
+            stats: SolveStats::default(),
+            depth: 0,
+        };
+        let (p, root) = search.solve(0, clauses.len())?;
+        Ok((p, root, search.stats))
     }
 }
 
@@ -344,11 +292,14 @@ struct Search<'a, R> {
     arena: &'a mut Arena,
     cache: &'a mut Cache,
     rec: &'a mut R,
+    /// This search's counters.
+    stats: SolveStats,
+    /// The current branching recursion depth.
+    depth: u64,
 }
 
 impl<R: Recorder> Search<'_, R> {
     fn clause_probability(&mut self, id: ClauseId) -> Result<(f64, NodeId), SolverError> {
-        let s = self.solver;
         // Within-clause expressions are variable-disjoint by construction;
         // a manually built clause that violates it falls back to local
         // branching.
@@ -363,7 +314,7 @@ impl<R: Recorder> Search<'_, R> {
             self.arena.stack.truncate(at);
             return out;
         }
-        if s.caching {
+        if self.solver.caching {
             if let Some(Some(hit)) = self.cache.clauses.get(id as usize) {
                 return Ok(*hit);
             }
@@ -378,7 +329,7 @@ impl<R: Recorder> Search<'_, R> {
         }
         let p = (1.0 - none).clamp(0.0, 1.0);
         let out = (p, self.rec.clause(p));
-        if s.caching {
+        if self.solver.caching {
             let memo = &mut self.cache.clauses;
             if memo.len() <= id as usize {
                 memo.resize(id as usize + 1, None);
@@ -390,22 +341,20 @@ impl<R: Recorder> Search<'_, R> {
 
     /// Branches on a variable of the condition `stack[at..end]`.
     fn branch(&mut self, at: usize, end: usize) -> Result<(f64, NodeId), SolverError> {
-        let s = self.solver;
-        let local = match s.heuristic {
+        let local = match self.solver.heuristic {
             BranchHeuristic::MostFrequent => self.arena.most_frequent_var(at, end),
             BranchHeuristic::First => self.arena.first_var(at, end),
         };
         let v = self.arena.var(local);
         let pmf = self.dists.pmf(v)?;
-        let d = s.depth.get() + 1;
-        s.depth.set(d);
-        s.max_depth.set(s.max_depth.get().max(d));
+        self.depth += 1;
+        self.stats.max_depth = self.stats.max_depth.max(self.depth);
         let mark = self.rec.mark();
         let mut total = 0.0;
         let branch = self.arena.open_branch(at, end, local, pmf.probs());
         // The support in value order: the values with nonzero probability.
         for (value, &p_value) in pmf.probs().iter().enumerate().filter(|(_, &p)| p > 0.0) {
-            s.branches.set(s.branches.get() + 1);
+            self.stats.branches += 1;
             let solved = match self.arena.substitute(at, end, branch, value as Value) {
                 None => Ok((0.0, self.rec.constant(0.0))),
                 Some(sub) => {
@@ -420,13 +369,12 @@ impl<R: Recorder> Search<'_, R> {
                     self.rec.child(value as Value, node);
                 }
                 Err(e) => {
-                    s.depth.set(d - 1);
                     self.arena.close_branch(branch);
                     return Err(e);
                 }
             }
         }
-        s.depth.set(d - 1);
+        self.depth -= 1;
         self.arena.close_branch(branch);
         let p = total.clamp(0.0, 1.0);
         Ok((p, self.rec.decision(v, pmf.probs(), mark, p)))
@@ -434,11 +382,10 @@ impl<R: Recorder> Search<'_, R> {
 
     /// `Pr` of the condition `stack[at..end]`.
     fn solve(&mut self, at: usize, end: usize) -> Result<(f64, NodeId), SolverError> {
-        let s = self.solver;
         match end - at {
             0 => return Ok((1.0, self.rec.constant(1.0))),
             1 => {
-                s.direct.set(s.direct.get() + 1);
+                self.stats.direct_components += 1;
                 return self.clause_probability(self.arena.stack[at]);
             }
             _ => {}
@@ -449,7 +396,7 @@ impl<R: Recorder> Search<'_, R> {
         let (top, first) = (self.arena.stack.len(), self.arena.bounds.len());
         let split = self.arena.components(at, end);
         let (mut start, n_comps) = if split {
-            s.splits.set(s.splits.get() + 1);
+            self.stats.component_splits += 1;
             (top, self.arena.bounds.len() - first)
         } else {
             (at, 1)
@@ -464,7 +411,7 @@ impl<R: Recorder> Search<'_, R> {
                 end
             };
             let (p, node) = if stop - start == 1 {
-                s.direct.set(s.direct.get() + 1);
+                self.stats.direct_components += 1;
                 self.clause_probability(self.arena.stack[start])?
             } else {
                 self.component_probability(start, stop)?
@@ -490,16 +437,15 @@ impl<R: Recorder> Search<'_, R> {
         at: usize,
         end: usize,
     ) -> Result<(f64, NodeId), SolverError> {
-        let s = self.solver;
-        if !s.caching {
-            s.cache_misses.set(s.cache_misses.get() + 1);
+        if !self.solver.caching {
+            self.stats.cache_misses += 1;
             return self.branch(at, end);
         }
         if let Some(&hit) = self.cache.components.get(&self.arena.stack[at..end]) {
-            s.cache_hits.set(s.cache_hits.get() + 1);
+            self.stats.cache_hits += 1;
             return Ok(hit);
         }
-        s.cache_misses.set(s.cache_misses.get() + 1);
+        self.stats.cache_misses += 1;
         let out = self.branch(at, end)?;
         self.cache
             .components
@@ -510,15 +456,7 @@ impl<R: Recorder> Search<'_, R> {
 
 impl Solver for AdpllSolver {
     fn probability(&self, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
-        let scratch = &mut *self.scratch.0.borrow_mut();
-        self.search(
-            cond,
-            dists,
-            &mut NoTrace,
-            &mut scratch.arena,
-            &mut scratch.cache,
-        )
-        .map(|(p, _)| p)
+        self.probability_with_stats(cond, dists).map(|(p, _)| p)
     }
 
     fn probability_with_stats(
@@ -526,9 +464,10 @@ impl Solver for AdpllSolver {
         cond: &Condition,
         dists: &VarDists,
     ) -> Result<(f64, SolveStats), SolverError> {
-        let before = self.stats();
-        let p = self.probability(cond, dists)?;
-        Ok((p, self.stats().since(&before)))
+        let scratch = &mut *self.scratch.0.borrow_mut();
+        let (arena, cache) = (&mut scratch.arena, &mut scratch.cache);
+        let (p, _, stats) = self.search(cond, dists, &mut NoTrace, arena, cache)?;
+        Ok((p, stats))
     }
 
     /// Records the search [`probability`](Solver::probability) runs, so
@@ -540,7 +479,6 @@ impl Solver for AdpllSolver {
         cond: &Condition,
         dists: &VarDists,
     ) -> Option<Result<(Circuit, SolveStats), SolverError>> {
-        let before = self.stats();
         let Scratch {
             arena,
             cache,
@@ -549,7 +487,7 @@ impl Solver for AdpllSolver {
         builder.begin();
         Some(
             self.search(cond, dists, builder, arena, cache)
-                .map(|(p, root)| (builder.finish(root, p), self.stats().since(&before))),
+                .map(|(p, root, stats)| (builder.finish(root, p), stats)),
         )
     }
 
@@ -584,12 +522,13 @@ mod tests {
         let d: VarDists = [(v(0, 0), Pmf::uniform(10)), (v(1, 0), Pmf::uniform(10))]
             .into_iter()
             .collect();
-        let s = AdpllSolver::new();
-        let p = s.probability(&cond, &d).unwrap();
+        let (p, stats) = AdpllSolver::new()
+            .probability_with_stats(&cond, &d)
+            .unwrap();
         assert!((p - 0.1).abs() < 1e-12);
         // No branching should have happened.
-        assert_eq!(s.stats().branches, 0);
-        assert_eq!(s.stats().direct_components, 2);
+        assert_eq!(stats.branches, 0);
+        assert_eq!(stats.direct_components, 2);
     }
 
     #[test]
@@ -616,10 +555,11 @@ mod tests {
         let d: VarDists = [(v(0, 0), Pmf::uniform(4)), (v(1, 0), Pmf::uniform(4))]
             .into_iter()
             .collect();
-        let s = AdpllSolver::new();
-        let p = s.probability(&cond, &d).unwrap();
+        let (p, stats) = AdpllSolver::new()
+            .probability_with_stats(&cond, &d)
+            .unwrap();
         assert!((p - 0.5).abs() < 1e-12, "got {p}");
-        assert!(s.stats().branches > 0);
+        assert!(stats.branches > 0);
     }
 
     #[test]
@@ -673,17 +613,20 @@ mod tests {
             ],
         ]);
         let d: VarDists = (0..3).map(|o| (v(o, 0), Pmf::uniform(10))).collect();
-        let cached = AdpllSolver::new();
-        let uncached = AdpllSolver::new().with_caching(false);
-        let a = cached.probability(&cond, &d).unwrap();
-        let b = uncached.probability(&cond, &d).unwrap();
+        let (a, cached) = AdpllSolver::new()
+            .probability_with_stats(&cond, &d)
+            .unwrap();
+        let (b, uncached) = AdpllSolver::new()
+            .with_caching(false)
+            .probability_with_stats(&cond, &d)
+            .unwrap();
         assert!((a - b).abs() < 1e-12);
-        assert!(cached.stats().cache_hits > 0, "expected cache hits");
+        assert!(cached.cache_hits > 0, "expected cache hits");
         assert!(
-            cached.stats().branches < uncached.stats().branches,
+            cached.branches < uncached.branches,
             "caching should prune branches: {} vs {}",
-            cached.stats().branches,
-            uncached.stats().branches
+            cached.branches,
+            uncached.branches
         );
     }
 
@@ -722,47 +665,41 @@ mod tests {
             .collect();
         let s = AdpllSolver::new();
         let (_, first) = s.probability_with_stats(&cond, &d).unwrap();
+        assert!(first.branches > 0 && first.cache_misses > 0);
+        // A repeated call, a compile and a fresh solver each report the
+        // same search: nothing carries over from the calls before.
         let (_, second) = s.probability_with_stats(&cond, &d).unwrap();
-        assert!(first.branches > 0);
-        // The second call reports only its own work, while the cumulative
-        // counters keep growing.
-        assert_eq!(first.branches, second.branches);
-        assert_eq!(s.stats().branches, first.branches + second.branches);
+        let (_, compiled) = s.compile(&cond, &d).unwrap().unwrap();
+        let (_, fresh) = AdpllSolver::new()
+            .probability_with_stats(&cond, &d)
+            .unwrap();
+        assert_eq!(second, first);
+        assert_eq!(compiled, first);
+        assert_eq!(fresh, first);
     }
 
     #[test]
-    fn since_saturates_when_solver_is_reset_between_snapshots() {
-        let cond = Condition::from_clauses(vec![
-            vec![Expr::lt(v(0, 0), 2)],
-            vec![Expr::gt(v(0, 0), 0), Expr::lt(v(1, 0), 2)],
+    fn max_depth_is_the_calls_own() {
+        // x, y and z each shared by two clauses: the search branches
+        // several levels deep.
+        let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
+        let deep = Condition::from_clauses(vec![
+            vec![Expr::lt(x, 2), Expr::lt(y, 2)],
+            vec![Expr::gt(x, 0), Expr::lt(z, 2)],
+            vec![Expr::gt(y, 0), Expr::gt(z, 0)],
         ]);
-        let d: VarDists = [(v(0, 0), Pmf::uniform(4)), (v(1, 0), Pmf::uniform(4))]
+        let flat = Condition::from_clauses(vec![vec![Expr::lt(x, 2)]]);
+        let d: VarDists = [x, y, z]
+            .map(|v| (v, Pmf::uniform(4)))
             .into_iter()
             .collect();
         let s = AdpllSolver::new();
-        s.probability(&cond, &d).unwrap();
-        let before = s.stats();
-        assert!(before.branches > 0 && before.cache_misses > 0);
-        // A reset between the snapshot and the diff — exactly what happens
-        // when a solver is reused across rounds — must saturate to zero,
-        // not wrap around.
-        s.reset_stats();
-        s.probability(&Condition::True, &d).unwrap();
-        let diff = s.stats().since(&before);
-        assert_eq!(diff.branches, 0);
-        assert_eq!(diff.direct_components, 0);
-        assert_eq!(diff.component_splits, 0);
-        assert_eq!(diff.cache_hits, 0);
-        assert_eq!(diff.cache_misses, 0);
-        // max_depth is not a count: it carries over as the cumulative max.
-        assert_eq!(diff.max_depth, s.stats().max_depth);
-
-        // Normal forward diffs still report exactly the delta.
-        let mid = s.stats();
-        s.probability(&cond, &d).unwrap();
-        let fwd = s.stats().since(&mid);
-        assert_eq!(fwd.branches, before.branches);
-        assert_eq!(fwd.cache_misses, before.cache_misses);
+        let (_, first) = s.probability_with_stats(&deep, &d).unwrap();
+        assert!(first.max_depth > 1, "{first:?}");
+        let (_, second) = s.probability_with_stats(&flat, &d).unwrap();
+        assert_eq!((second.branches, second.max_depth), (0, 0), "{second:?}");
+        let (_, compiled) = s.compile(&flat, &d).unwrap().unwrap();
+        assert_eq!(compiled.max_depth, 0);
     }
 
     #[test]

@@ -103,10 +103,9 @@ pub trait Solver {
 
     /// `Pr(φ)` plus the effort counters attributable to *this call alone*.
     ///
-    /// The default implementation reports empty stats; solvers that keep
-    /// counters (like [`AdpllSolver`]) override it with a snapshot diff so
-    /// callers can attribute work per condition without resetting the
-    /// solver's cumulative counters.
+    /// The default implementation reports empty stats; a solver that
+    /// counts its search (like [`AdpllSolver`]) overrides it with that
+    /// search's counters, so callers attribute work per condition.
     fn probability_with_stats(
         &self,
         cond: &Condition,

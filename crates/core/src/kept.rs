@@ -73,6 +73,31 @@ impl Kept {
         }
     }
 
+    /// Compiles `φ_c` (`from`, else the object's `current` condition)
+    /// against `base`, evaluates it under `dists` and keeps it. Returns the
+    /// compile's effort and the root under `dists`; the root is `None`
+    /// when the circuit went [stale](SolverError::StaleCircuit) there, and
+    /// then nothing is kept. `None` for a solver that does not compile.
+    fn rebuild(
+        &mut self,
+        current: &Condition,
+        solver: &dyn Solver,
+        base: &VarDists,
+        dists: &VarDists,
+    ) -> Option<Result<(SolveStats, Option<f64>), SolverError>> {
+        let compiled = solver.compile(self.from.as_ref().unwrap_or(current), base)?;
+        Some(
+            compiled.and_then(|(mut circuit, stats)| match circuit.evaluate(dists) {
+                Ok(p) => {
+                    self.attach(circuit);
+                    Ok((stats, Some(p)))
+                }
+                Err(SolverError::StaleCircuit) => Ok((stats, None)),
+                Err(e) => Err(e),
+            }),
+        )
+    }
+
     /// Keeps `circuit`, compiled from `φ_c`.
     fn attach(&mut self, circuit: Circuit) {
         {
@@ -427,20 +452,14 @@ fn probability(
             Err(e) => Err(e.into()),
         };
     }
-    let compiled = kept.as_ref().and_then(|k| k.from.as_ref()).unwrap_or(cond);
-    if let Some(compiled) = solver.compile(compiled, base) {
-        let (mut circuit, stats) = compiled?;
+    let mut kept = kept.unwrap_or_else(|| Kept::new(None, cond));
+    if let Some(rebuilt) = kept.rebuild(cond, solver, base, dists) {
+        let (stats, p) = rebuilt?;
         work.solver_calls += 1;
         work.compiles += 1;
         work.stats += stats;
-        match circuit.evaluate(dists) {
-            Ok(p) => {
-                let mut kept = kept.unwrap_or_else(|| Kept::new(None, cond));
-                kept.attach(circuit);
-                return Ok((checked_probability(p)?, Some(kept)));
-            }
-            Err(SolverError::StaleCircuit) => {}
-            Err(e) => return Err(e.into()),
+        if let Some(p) = p {
+            return Ok((checked_probability(p)?, Some(kept)));
         }
     }
     plain(solver, cond, dists, work)
@@ -493,21 +512,14 @@ impl KeptCircuits for Scoring<'_> {
         };
         let mut compiled = None;
         if kept.circuit.is_none() {
-            let from = kept
-                .from
-                .as_ref()
-                .unwrap_or_else(|| self.ctable.condition(o));
-            let Some(built) = self.solver.compile(from, self.base) else {
+            let current = self.ctable.condition(o);
+            let Some(rebuilt) = kept.rebuild(current, self.solver, self.base, self.dists) else {
                 return Ok(None);
             };
-            let (mut circuit, stats) = built?;
-            match circuit.evaluate(self.dists) {
-                Ok(_) => {}
-                Err(SolverError::StaleCircuit) => return Ok(None),
-                Err(e) => return Err(e),
+            match rebuilt? {
+                (stats, Some(_)) => compiled = Some(stats),
+                (_, None) => return Ok(None),
             }
-            kept.attach(circuit);
-            compiled = Some(stats);
         }
         Ok(kept
             .circuit

@@ -96,9 +96,7 @@ fn task_still_open(ctable: &CTable, task: &Task) -> bool {
 /// Per-object condition probabilities (see [`ProbCache::solve_batch`]),
 /// cached, emitting one [`Event::ProbabilityBatch`] per non-empty batch.
 /// A solver error, an invalid probability included, aborts the run as
-/// [`RunError::Solver`]. The event's `fallbacks` is always 0: no solve is
-/// retried, and the field keeps the trace format. Returns the number of
-/// conditions computed.
+/// [`RunError::Solver`]. Returns the number of conditions computed.
 #[allow(clippy::too_many_arguments)]
 fn probabilities(
     parallel: bool,
@@ -125,17 +123,11 @@ fn probabilities(
         evaluations: work.evaluations,
         branches: stats.branches,
         cache_hits: stats.cache_hits,
-        fallbacks: 0,
-        nanos: t.elapsed().as_nanos(),
-    });
-    observer.event(&Event::SolverSearch {
-        phase,
-        decisions: stats.branches,
         direct_components: stats.direct_components,
         component_splits: stats.component_splits,
-        cache_hits: stats.cache_hits,
         cache_misses: stats.cache_misses,
         max_depth: stats.max_depth,
+        nanos: t.elapsed().as_nanos(),
     });
     Ok(objects.len() as u64)
 }
@@ -491,7 +483,6 @@ impl<'a> Session<'a> {
                 reused: tally.reused,
                 decisions: tally.stats.branches,
                 cache_hits: tally.stats.cache_hits,
-                fallbacks: 0,
                 nanos: t.elapsed().as_nanos(),
             });
             attempts_in_batch.resize(batch.len() + fresh_tasks.len(), 0);

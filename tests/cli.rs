@@ -147,6 +147,48 @@ fn profile_flag_writes_a_parseable_span_tree() {
 }
 
 #[test]
+fn trace_flag_writes_one_parseable_event_per_line() {
+    let data = write_temp("t_inc.csv", INCOMPLETE);
+    let complete = write_temp("t_com.csv", COMPLETE);
+    let trace = std::env::temp_dir().join("bayescrowd-cli-tests/trace.jsonl");
+    let _ = std::fs::remove_file(&trace);
+    let out = cli()
+        .args([
+            "simulate",
+            "--data",
+            data.to_str().unwrap(),
+            "--complete",
+            complete.to_str().unwrap(),
+            "--alpha",
+            "1.0",
+            "--budget",
+            "12",
+            "--latency",
+            "6",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--metrics",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("solver search: "), "{stdout}");
+    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let mut batches_with_depth = 0;
+    for (i, line) in text.lines().enumerate() {
+        let (seq, event) = bc_obs::Event::from_json_line(line)
+            .unwrap_or_else(|| panic!("line {i} does not parse: {line}"));
+        assert_eq!(seq, i as u64, "{line}");
+        assert_ne!(event.kind(), "SolverSearch", "{line}");
+        if event.kind() == "ProbabilityBatch" && line.contains("\"max_depth\": ") {
+            batches_with_depth += 1;
+        }
+    }
+    assert!(batches_with_depth > 0, "no ProbabilityBatch line:\n{text}");
+}
+
+#[test]
 fn killed_run_resumes_to_the_identical_report() {
     // Clean run writing checkpoints and a deterministic report; a second
     // run killed (process abort) after round 2; a third run resumed from

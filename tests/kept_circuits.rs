@@ -2,7 +2,7 @@
 //! probability — re-evaluated off a circuit compiled rounds earlier from a
 //! condition propagation has since simplified — agrees with a plain solve
 //! of its current condition within `1e-12`, and the parallel batch gives
-//! the same bits as the sequential one.
+//! the same bits and the same trace as the sequential one.
 
 use bayescrowd::prelude::*;
 use bayescrowd::BayesCrowd;
@@ -107,9 +107,9 @@ fn parallel_batches_give_the_sequential_bits() {
                 first > Some(64),
                 "first batch of {first:?} is too small to split"
             );
-            report
+            (report, metrics.redacted_events())
         };
-        let (a, b) = (run(false), run(true));
+        let ((a, a_events), (b, b_events)) = (run(false), run(true));
         assert_eq!(a.result, b.result);
         assert_eq!(a.crowd, b.crowd);
         assert_eq!(a.probability_evals, b.probability_evals);
@@ -120,5 +120,8 @@ fn parallel_batches_give_the_sequential_bits() {
                 .collect()
         };
         assert_eq!(bits(&a), bits(&b), "{}", strategy.name());
+        // Every solve counts its own search, so a batch's counters do not
+        // depend on which solver, the session's or a worker's, ran it.
+        assert_eq!(a_events, b_events, "{}", strategy.name());
     }
 }

@@ -186,8 +186,8 @@ fn select_children_account_for_select_time_on_hhs() {
 fn utility_counters_reconcile_with_utility_batches() {
     let (metrics, profile) = profiled_hhs_run();
     let c = metrics.counters();
-    let (mut batches, mut calls, mut compiles, mut nodes, mut decisions, mut fallbacks) =
-        (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+    let (mut batches, mut calls, mut compiles, mut nodes, mut decisions) =
+        (0u64, 0u64, 0u64, 0u64, 0u64);
     let mut reused = 0u64;
     for e in metrics.events() {
         if let Event::UtilityBatch {
@@ -196,7 +196,6 @@ fn utility_counters_reconcile_with_utility_batches() {
             circuit_nodes: n,
             reused: r,
             decisions: d,
-            fallbacks: f,
             ..
         } = *e
         {
@@ -209,7 +208,6 @@ fn utility_counters_reconcile_with_utility_batches() {
             nodes += n;
             reused += r;
             decisions += d;
-            fallbacks += f;
         }
     }
     assert_eq!(batches, c.rounds, "one utility batch per selecting round");
@@ -218,7 +216,6 @@ fn utility_counters_reconcile_with_utility_batches() {
     assert_eq!(c.utility_circuit_nodes, nodes);
     assert_eq!(c.utility_reused, reused);
     assert_eq!(c.utility_decisions, decisions);
-    assert_eq!(fallbacks, 0, "ADPLL never needs its own fallback");
     assert!(
         c.utility_compiles + c.utility_reused > 0,
         "HHS scored no object off a circuit"
@@ -232,7 +229,7 @@ fn utility_counters_reconcile_with_utility_batches() {
 
 /// Every condition a probability batch computes is a compile, a kept
 /// circuit's re-evaluation, or a plain solve; solver calls count the
-/// compiles, the plain solves and the fallbacks, never the evaluations.
+/// compiles and the plain solves, never the evaluations.
 /// On an ADPLL run, later rounds re-evaluate instead of solving.
 #[test]
 fn probability_batches_split_into_compiles_evaluations_and_solves() {
@@ -245,11 +242,10 @@ fn probability_batches_split_into_compiles_evaluations_and_solves() {
             solver_calls,
             compiles: k,
             evaluations: v,
-            fallbacks,
             ..
         } = *e
         {
-            let plain = solver_calls - k - fallbacks;
+            let plain = solver_calls - k;
             assert_eq!(n as u64, k + v + plain, "batch of {n}: {k} + {v} + {plain}");
             objects += n as u64;
             calls += solver_calls;
