@@ -144,8 +144,8 @@ pub enum Event {
         /// Conditions solved (cached conditions are not re-solved and do
         /// not appear here).
         objects: usize,
-        /// Solver invocations: the compiles and plain solves (a circuit
-        /// that went stale, or a solver that does not compile).
+        /// Solver invocations: the compiles and plain solves (of a
+        /// condition whose circuit went stale).
         solver_calls: u64,
         /// Conditions compiled to a kept circuit, against the model's
         /// distributions (part of `solver_calls`).
@@ -179,8 +179,7 @@ pub enum Event {
         candidates: u64,
         /// Solver invocations: the compiles, one `Pr(φ ∧ e)` solve per
         /// candidate whose `Pr(e)` lies strictly inside `(0, 1)` and that
-        /// no circuit scores (a var-var one whose clamped pass fails, or
-        /// every candidate of a solver that does not compile).
+        /// no circuit scores (a var-var one whose clamped pass fails).
         solver_calls: u64,
         /// Conditions compiled, each scoring every open candidate of one
         /// object (part of `solver_calls`).

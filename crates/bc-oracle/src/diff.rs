@@ -213,7 +213,6 @@ pub fn check_instance(
                 "adpll-compile",
                 adpll
                     .compile(cond, &dists)
-                    .expect("ADPLL compiles")
                     .map(|(circuit, _)| circuit.probability()),
             ),
             ("naive", naive.probability(cond, &dists)),

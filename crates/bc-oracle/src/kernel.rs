@@ -257,7 +257,7 @@ mod tests {
         let mut compiled = SolveStats::default();
         let mut circuits = Vec::new();
         for cond in &conds {
-            let (circuit, s) = solver.compile(cond, &dists).unwrap().unwrap();
+            let (circuit, s) = solver.compile(cond, &dists).unwrap();
             compiled += s;
             circuits.extend(circuit.probability().to_bits().to_le_bytes());
             circuits.extend((circuit.node_count() as u64).to_le_bytes());

@@ -172,7 +172,6 @@ fn compiled_matches(
         .map_err(|err| format!("Pr(φ) failed: {err}"))?;
     let (circuit, compiled) = AdpllSolver::new()
         .compile(cond, dists)
-        .ok_or("ADPLL does not compile")?
         .map_err(|err| format!("compile failed: {err}"))?;
     if circuit.probability().to_bits() != p_phi.to_bits() {
         return Err(format!(
@@ -187,8 +186,7 @@ fn compiled_matches(
     }
     let partials = circuit.partials();
     let utilities = compile_utilities(&AdpllSolver::new(), cond, dists, p_phi)
-        .map_err(|err| format!("compile_utilities failed: {err}"))?
-        .ok_or("ADPLL does not compile")?;
+        .map_err(|err| format!("compile_utilities failed: {err}"))?;
     let mut scratch = ClampScratch::default();
     let mut var_var = 0;
     for (&(_, e), joint) in pairs.iter().zip(joints) {
@@ -215,7 +213,7 @@ fn compiled_matches(
             ));
         }
         let g = utilities
-            .utility(&e, dists, None, &mut scratch)
+            .utility(&e, dists, &mut scratch)
             .map_err(|err| format!("`{e}`: {err}"))?
             .ok_or("a utility the circuit answers needs a solve")?;
         if !prob_close(g, joint.utility(), eps) {

@@ -250,6 +250,27 @@ impl AdpllSolver {
         self
     }
 
+    /// Records the search [`probability`](Solver::probability) runs as a
+    /// [`Circuit`], whose one downward pass yields every var-const
+    /// `Pr(φ ∧ e)`, plus the effort of that search. The circuit's
+    /// [`probability`](Circuit::probability) is bit-identical to the
+    /// solve's, and the effort equals
+    /// [`probability_with_stats`](Solver::probability_with_stats)'s.
+    pub fn compile(
+        &self,
+        cond: &Condition,
+        dists: &VarDists,
+    ) -> Result<(Circuit, SolveStats), SolverError> {
+        let Scratch {
+            arena,
+            cache,
+            builder,
+        } = &mut *self.scratch.0.borrow_mut();
+        builder.begin();
+        let (p, root, stats) = self.search(cond, dists, builder, arena, cache)?;
+        Ok((builder.finish(root, p), stats))
+    }
+
     /// Runs one search of `cond` on the solver's scratch buffers: `Pr`,
     /// the recorder's root node and the search's own counters.
     fn search<R: Recorder>(
@@ -470,27 +491,6 @@ impl Solver for AdpllSolver {
         Ok((p, stats))
     }
 
-    /// Records the search [`probability`](Solver::probability) runs, so
-    /// the circuit's [`probability`](Circuit::probability) is bit-identical
-    /// to it and the effort equals
-    /// [`probability_with_stats`](Solver::probability_with_stats)'s.
-    fn compile(
-        &self,
-        cond: &Condition,
-        dists: &VarDists,
-    ) -> Option<Result<(Circuit, SolveStats), SolverError>> {
-        let Scratch {
-            arena,
-            cache,
-            builder,
-        } = &mut *self.scratch.0.borrow_mut();
-        builder.begin();
-        Some(
-            self.search(cond, dists, builder, arena, cache)
-                .map(|(p, root, stats)| (builder.finish(root, p), stats)),
-        )
-    }
-
     fn name(&self) -> &'static str {
         "ADPLL"
     }
@@ -669,7 +669,7 @@ mod tests {
         // A repeated call, a compile and a fresh solver each report the
         // same search: nothing carries over from the calls before.
         let (_, second) = s.probability_with_stats(&cond, &d).unwrap();
-        let (_, compiled) = s.compile(&cond, &d).unwrap().unwrap();
+        let (_, compiled) = s.compile(&cond, &d).unwrap();
         let (_, fresh) = AdpllSolver::new()
             .probability_with_stats(&cond, &d)
             .unwrap();
@@ -698,7 +698,7 @@ mod tests {
         assert!(first.max_depth > 1, "{first:?}");
         let (_, second) = s.probability_with_stats(&flat, &d).unwrap();
         assert_eq!((second.branches, second.max_depth), (0, 0), "{second:?}");
-        let (_, compiled) = s.compile(&flat, &d).unwrap().unwrap();
+        let (_, compiled) = s.compile(&flat, &d).unwrap();
         assert_eq!(compiled.max_depth, 0);
     }
 

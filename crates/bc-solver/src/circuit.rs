@@ -3,8 +3,7 @@
 //!
 //! ADPLL with component caching is a decision-DNNF compiler once its
 //! search is recorded (Huang & Darwiche, "The Language of Search", JAIR
-//! 2007). [`Solver::compile`](crate::Solver::compile) on an
-//! [`AdpllSolver`](crate::AdpllSolver) records
+//! 2007). [`AdpllSolver::compile`](crate::AdpllSolver::compile) records
 //!
 //! * a **decision** node per branch: the variable, and one `(value, child)`
 //!   edge per value of its support;
@@ -148,8 +147,9 @@ impl Slot {
 }
 
 /// The trace of one ADPLL search as a decision-DNNF circuit (see the
-/// module docs). Build one with [`Solver::compile`](crate::Solver::compile).
-#[derive(Debug)]
+/// module docs). Build one with
+/// [`AdpllSolver::compile`](crate::AdpllSolver::compile).
+#[derive(Clone, Debug)]
 pub struct Circuit {
     nodes: Vec<Node>,
     /// Decision `(value, child)` edges and AND factors `(0, child)`.
@@ -1353,11 +1353,7 @@ mod tests {
     }
 
     fn compile(cond: &Condition, d: &VarDists) -> Circuit {
-        AdpllSolver::new()
-            .compile(cond, d)
-            .expect("ADPLL compiles")
-            .unwrap()
-            .0
+        AdpllSolver::new().compile(cond, d).unwrap().0
     }
 
     #[test]

@@ -114,18 +114,6 @@ pub trait Solver {
         Ok((self.probability(cond, dists)?, SolveStats::default()))
     }
 
-    /// Records the search for `Pr(φ)` as a [`Circuit`], whose one
-    /// downward pass yields every var-const `Pr(φ ∧ e)`, plus the effort
-    /// of that search. `None` (the default) for solvers with no search to
-    /// record: callers then solve each query on its own.
-    fn compile(
-        &self,
-        _cond: &Condition,
-        _dists: &VarDists,
-    ) -> Option<Result<(Circuit, SolveStats), SolverError>> {
-        None
-    }
-
     /// Short name for reports.
     fn name(&self) -> &'static str;
 }

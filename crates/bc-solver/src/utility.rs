@@ -10,35 +10,36 @@
 //! its utility is zero and costs nothing. For the open ones, `Pr(φ ∧ e)`
 //! comes one of two ways:
 //!
-//! * [`compile_utilities`] compiles `φ` once (a solver that records its
-//!   search, i.e. ADPLL; see [`crate::circuit`]) and
-//!   [`CompiledUtilities::utility`] reads every candidate's `Pr(φ ∧ e)`
-//!   off that circuit, with no further solve: off the circuit's one
-//!   derivative pass, or for a var-var candidate whose variables the
-//!   circuit both reads, off a pass that clamps one of them to each of its
-//!   values ([`Circuit::var_var_joint`]);
+//! * [`compile_utilities`] compiles `φ` once with ADPLL (see
+//!   [`crate::circuit`]) and [`CompiledUtilities::utility`] reads every
+//!   candidate's `Pr(φ ∧ e)` off that circuit, with no further solve: off
+//!   the circuit's one derivative pass, or for a var-var candidate whose
+//!   variables the circuit both reads, off a pass that clamps one of them
+//!   to each of its values ([`Circuit::var_var_joint`]);
 //! * [`marginal_utility_with_prior`] solves `φ` with the unit clause `[e]`
-//!   conjoined: one solver call per candidate. Every candidate of a solver
-//!   that does not compile takes this path, and so does a var-var
-//!   candidate whose clamped pass fails.
+//!   conjoined: one solver call per candidate. A var-var candidate whose
+//!   clamped pass fails takes this path, and so does any solver's
+//!   reference utility.
 //!
-//! So scoring one object with ADPLL costs one compile, at its first open
-//! candidate, and nothing per candidate after it. A circuit the caller
-//! already keeps and has evaluated under `dists` saves the compile too:
+//! So scoring one object costs one compile, at its first open candidate,
+//! and nothing per candidate after it. A circuit the caller already keeps
+//! and has evaluated under `dists` saves the compile too:
 //! [`CompiledUtilities::of_circuit`].
 //!
 //! **Precondition.** The `p_phi` passed in must be `Pr(φ)` under the
-//! *same* `dists`. [`compile_utilities`] checks it: the compile computes
-//! `Pr(φ)` anyway, and a `p_phi` whose bits differ is
-//! [`SolverError::StalePrior`]. [`marginal_utility_with_prior`] cannot
-//! check it: there a stale `p_phi` silently skews the utility.
+//! *same* `dists`. [`compile_utilities`] and
+//! [`CompiledUtilities::of_circuit`] check it against the circuit's root,
+//! and a `p_phi` whose bits differ is [`SolverError::StalePrior`].
+//! [`marginal_utility_with_prior`] cannot check it: there a stale `p_phi`
+//! silently skews the utility.
 
-use crate::adpll::SolveStats;
+use crate::adpll::{AdpllSolver, SolveStats};
 use crate::circuit::{Circuit, ClampScratch, Partials};
 use crate::dists::VarDists;
 use crate::{Solver, SolverError};
 use bc_bayes::pmf::binary_entropy;
 use bc_ctable::{Condition, Expr};
+use std::borrow::Cow;
 
 /// The entropy `H(o)` of an object whose condition holds with probability
 /// `p` (Eq. 3): maximal at a fair coin flip, zero when decided.
@@ -57,23 +58,12 @@ pub struct UtilityEval {
 }
 
 /// The expected marginal utility `G(o, e) = H(o) − E[H(o | e)]` of
-/// crowdsourcing expression `e` from condition `φ(o)` (Eq. 4/5), solving
-/// `Pr(φ)` first. When `e` is (probabilistically) already decided, the
-/// utility is zero.
-pub fn marginal_utility(
-    solver: &dyn Solver,
-    cond: &Condition,
-    e: &Expr,
-    dists: &VarDists,
-) -> Result<f64, SolverError> {
-    let p_phi = solver.probability(cond, dists)?;
-    marginal_utility_with_prior(solver, cond, e, dists, p_phi).map(|eval| eval.utility)
-}
-
-/// [`marginal_utility`] with `Pr(φ)` already known (the framework computes
-/// it once per round for the entropy ranking and reuses it here), plus the
-/// solver effort it took. `p_phi` must be `Pr(φ)` under `dists`; see the
-/// module docs.
+/// crowdsourcing expression `e` from condition `φ(o)` (Eq. 4/5), by one
+/// `Pr(φ ∧ e)` solve, plus the solver effort it took. `p_phi` is `Pr(φ)`,
+/// which the framework computes once per round for the entropy ranking;
+/// it must be `Pr(φ)` under `dists` (see the module docs). When `e` is
+/// (probabilistically) already decided, the utility is zero and nothing
+/// is solved.
 pub fn marginal_utility_with_prior(
     solver: &dyn Solver,
     cond: &Condition,
@@ -99,48 +89,48 @@ pub fn is_open(p_e: f64) -> bool {
     p_e > f64::EPSILON && p_e < 1.0 - f64::EPSILON
 }
 
-/// One compile of an object's condition `φ`, from which every candidate's
-/// utility follows without a solve.
+/// The circuit of an object's condition `φ`, from which every candidate's
+/// utility follows without a solve: a compile's own circuit, or one the
+/// caller keeps (`'c`).
 #[derive(Debug)]
-pub struct CompiledUtilities {
+pub struct CompiledUtilities<'c> {
     partials: Partials,
-    /// The compiled circuit, for var-var candidates; `None` when it is the
-    /// caller's ([`of_circuit`](CompiledUtilities::of_circuit)).
-    circuit: Option<Circuit>,
+    /// The circuit the partials came from; var-var candidates clamp it.
+    circuit: Cow<'c, Circuit>,
     stats: SolveStats,
-    nodes: usize,
 }
 
-/// Compiles `cond` with `solver` for scoring: `Ok(None)` when the solver
-/// does not compile (then score each candidate with
-/// [`marginal_utility_with_prior`]). `p_phi` must be `Pr(cond)` under
-/// `dists`; if its bits differ from the compile's, the error is
+/// Compiles `cond` for scoring. `p_phi` must be `Pr(cond)` under `dists`;
+/// if its bits differ from the compile's, the error is
 /// [`SolverError::StalePrior`].
 pub fn compile_utilities(
-    solver: &dyn Solver,
+    solver: &AdpllSolver,
     cond: &Condition,
     dists: &VarDists,
     p_phi: f64,
-) -> Result<Option<CompiledUtilities>, SolverError> {
-    let Some(compiled) = solver.compile(cond, dists) else {
-        return Ok(None);
-    };
-    let (circuit, stats) = compiled?;
-    let utilities = CompiledUtilities::of_circuit(&circuit, p_phi)?;
-    Ok(Some(CompiledUtilities {
-        circuit: Some(circuit),
-        stats,
-        ..utilities
-    }))
+) -> Result<CompiledUtilities<'static>, SolverError> {
+    let (circuit, stats) = solver.compile(cond, dists)?;
+    CompiledUtilities::new(Cow::Owned(circuit), stats, p_phi)
 }
 
-impl CompiledUtilities {
+impl<'c> CompiledUtilities<'c> {
     /// The utilities of `circuit`, compiled from the condition and last
     /// evaluated under the `dists` that scoring will use. `p_phi` must be
     /// `Pr(cond)` under those `dists`; if its bits differ from the
     /// circuit's root, the error is [`SolverError::StalePrior`]. No search
     /// runs, so [`stats`](CompiledUtilities::stats) is empty.
-    pub fn of_circuit(circuit: &Circuit, p_phi: f64) -> Result<CompiledUtilities, SolverError> {
+    pub fn of_circuit(
+        circuit: &'c Circuit,
+        p_phi: f64,
+    ) -> Result<CompiledUtilities<'c>, SolverError> {
+        CompiledUtilities::new(Cow::Borrowed(circuit), SolveStats::default(), p_phi)
+    }
+
+    fn new(
+        circuit: Cow<'c, Circuit>,
+        stats: SolveStats,
+        p_phi: f64,
+    ) -> Result<CompiledUtilities<'c>, SolverError> {
         let fresh = circuit.probability();
         if fresh.to_bits() != p_phi.to_bits() {
             return Err(SolverError::StalePrior {
@@ -149,10 +139,9 @@ impl CompiledUtilities {
             });
         }
         Ok(CompiledUtilities {
-            nodes: circuit.node_count(),
             partials: circuit.partials(),
-            circuit: None,
-            stats: SolveStats::default(),
+            circuit,
+            stats,
         })
     }
 
@@ -161,17 +150,14 @@ impl CompiledUtilities {
     ///
     /// `Pr(φ ∧ e)` comes off the derivative pass ([`Partials::joint`]),
     /// or, for a var-var `e` whose variables the circuit both reads, off
-    /// the circuit by [`Circuit::var_var_joint`], in `scratch`: the
-    /// compile's own circuit, or for
-    /// [`of_circuit`](CompiledUtilities::of_circuit) the same circuit
-    /// passed again as `kept` (unread otherwise). `None` when that pass
-    /// cannot answer — no circuit, or a [`SolverError::StaleCircuit`] —
-    /// and `e` needs [`marginal_utility_with_prior`].
+    /// the circuit by [`Circuit::var_var_joint`], in `scratch`. `None` when
+    /// that pass cannot answer — a variable the circuit does not read, or
+    /// a [`SolverError::StaleCircuit`] — and `e` needs
+    /// [`marginal_utility_with_prior`].
     pub fn utility(
         &self,
         e: &Expr,
         dists: &VarDists,
-        kept: Option<&Circuit>,
         scratch: &mut ClampScratch,
     ) -> Result<Option<f64>, SolverError> {
         let p_e = dists.expr_prob(e)?;
@@ -180,15 +166,10 @@ impl CompiledUtilities {
         }
         let p_and_true = match self.partials.joint(e, dists)? {
             Some(p) => p,
-            None => {
-                let Some(circuit) = self.circuit.as_ref().or(kept) else {
-                    return Ok(None);
-                };
-                match circuit.var_var_joint(e, scratch) {
-                    Ok(Some(p)) => p,
-                    Ok(None) | Err(_) => return Ok(None),
-                }
-            }
+            None => match self.circuit.var_var_joint(e, scratch) {
+                Ok(Some(p)) => p,
+                Ok(None) | Err(_) => return Ok(None),
+            },
         };
         let p_phi = self.partials.probability();
         let p_and_false = (p_phi - p_and_true).clamp(0.0, 1.0);
@@ -200,22 +181,15 @@ impl CompiledUtilities {
         )))
     }
 
-    /// The compiled circuit; `None` after
-    /// [`of_circuit`](CompiledUtilities::of_circuit), whose circuit stays
-    /// the caller's.
-    pub fn circuit(&self) -> Option<&Circuit> {
-        self.circuit.as_ref()
+    /// The circuit the utilities are read off.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
     }
 
     /// Effort of the compile's search: that of a plain solve of `φ`
     /// (empty for [`of_circuit`](CompiledUtilities::of_circuit)).
     pub fn stats(&self) -> SolveStats {
         self.stats
-    }
-
-    /// Nodes of the compiled circuit.
-    pub fn nodes(&self) -> usize {
-        self.nodes
     }
 }
 
@@ -231,7 +205,6 @@ fn utility_from_joint(p_phi: f64, p_e: f64, p_and_true: f64, p_and_false: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adpll::AdpllSolver;
     use bc_bayes::Pmf;
     use bc_data::VarId;
     use std::cell::Cell;
@@ -312,8 +285,9 @@ mod tests {
         let cond = Condition::from_clauses(vec![vec![e]]);
         let d: VarDists = [(x, Pmf::uniform(10))].into_iter().collect();
         let s = AdpllSolver::new();
-        let g = marginal_utility(&s, &cond, &e, &d).unwrap();
-        assert!((g - 1.0).abs() < 1e-9, "got {g}");
+        let p = s.probability(&cond, &d).unwrap();
+        let g = marginal_utility_with_prior(&s, &cond, &e, &d, p).unwrap();
+        assert!((g.utility - 1.0).abs() < 1e-9, "got {}", g.utility);
     }
 
     #[test]
@@ -329,8 +303,13 @@ mod tests {
             .into_iter()
             .collect();
         let s = AdpllSolver::new();
-        let gx = marginal_utility(&s, &cond, &ex, &d).unwrap();
-        let gy = marginal_utility(&s, &cond, &ey, &d).unwrap();
+        let p = s.probability(&cond, &d).unwrap();
+        let gx = marginal_utility_with_prior(&s, &cond, &ex, &d, p)
+            .unwrap()
+            .utility;
+        let gy = marginal_utility_with_prior(&s, &cond, &ey, &d, p)
+            .unwrap()
+            .utility;
         assert!(gx > gy, "G(x)={gx} should beat G(y)={gy}");
     }
 
@@ -347,8 +326,7 @@ mod tests {
         .into_iter()
         .collect();
         let s = AdpllSolver::new();
-        assert_eq!(marginal_utility(&s, &cond, &e, &d).unwrap(), 0.0);
-        // A decided expression costs no solve at all.
+        // A decided expression has zero utility and costs no solve at all.
         let p = s.probability(&cond, &d).unwrap();
         let eval = marginal_utility_with_prior(&s, &cond, &e, &d, p).unwrap();
         assert_eq!(eval, UtilityEval::default());
@@ -393,7 +371,9 @@ mod tests {
         let p = s.probability(&cond, &d).unwrap();
         let h = object_entropy(p);
         for e in cond.exprs() {
-            let g = marginal_utility(&s, &cond, e, &d).unwrap();
+            let g = marginal_utility_with_prior(&s, &cond, e, &d, p)
+                .unwrap()
+                .utility;
             assert!(g <= h + 1e-9, "G={g} exceeds H={h}");
             assert!(g >= 0.0);
         }

@@ -138,7 +138,7 @@ fn searches_stay_within_their_allocation_budget() {
         let mut per_compile = 0.0;
         for cond in &conds {
             let before = allocations();
-            let compiled = solver.compile(cond, &dists).unwrap().unwrap();
+            let compiled = solver.compile(cond, &dists).unwrap();
             per_compile += (allocations() - before) as f64;
             drop(compiled);
         }
@@ -167,7 +167,7 @@ fn evaluations_allocate_only_when_a_distribution_changed() {
         let solver = AdpllSolver::new();
         let (mut unchanged, mut changed) = (0, 0);
         for cond in &conds {
-            let (mut circuit, _) = solver.compile(cond, &dists).unwrap().unwrap();
+            let (mut circuit, _) = solver.compile(cond, &dists).unwrap();
             let before = allocations();
             let p = circuit.evaluate(&dists).unwrap();
             unchanged += allocations() - before;
@@ -199,9 +199,7 @@ fn var_var_scoring_allocates_nothing_once_the_buffers_have_grown() {
         let mut jobs = Vec::new();
         for cond in &conds {
             let p_phi = solver.probability(cond, &dists).unwrap();
-            let utilities = compile_utilities(&solver, cond, &dists, p_phi)
-                .unwrap()
-                .unwrap();
+            let utilities = compile_utilities(&solver, cond, &dists, p_phi).unwrap();
             let mut var_var: Vec<Expr> = cond
                 .exprs()
                 .filter(|e| e.rhs_var().is_some())
@@ -216,7 +214,7 @@ fn var_var_scoring_allocates_nothing_once_the_buffers_have_grown() {
             let mut scored = 0;
             for (utilities, var_var) in &jobs {
                 for e in var_var {
-                    let g = utilities.utility(e, &dists, None, scratch).unwrap();
+                    let g = utilities.utility(e, &dists, scratch).unwrap();
                     scored += usize::from(g.is_some());
                 }
             }

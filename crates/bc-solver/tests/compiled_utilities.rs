@@ -110,7 +110,7 @@ fn solvers() -> Vec<AdpllSolver> {
 fn check(cond: &Condition, dists: &VarDists) -> Result<(), TestCaseError> {
     for solver in solvers() {
         let (p_phi, plain) = solver.probability_with_stats(cond, dists).unwrap();
-        let (circuit, compiled) = solver.compile(cond, dists).unwrap().unwrap();
+        let (circuit, compiled) = solver.compile(cond, dists).unwrap();
         prop_assert_eq!(
             circuit.probability().to_bits(),
             p_phi.to_bits(),
@@ -120,9 +120,7 @@ fn check(cond: &Condition, dists: &VarDists) -> Result<(), TestCaseError> {
         );
         prop_assert_eq!(compiled, plain, "effort on {}", cond);
         let partials = circuit.partials();
-        let utilities = compile_utilities(&solver, cond, dists, p_phi)
-            .unwrap()
-            .unwrap();
+        let utilities = compile_utilities(&solver, cond, dists, p_phi).unwrap();
         let mut scratch = ClampScratch::default();
         let mut exprs: Vec<Expr> = cond.exprs().copied().collect();
         exprs.dedup();
@@ -142,10 +140,7 @@ fn check(cond: &Condition, dists: &VarDists) -> Result<(), TestCaseError> {
                 joint,
                 solved
             );
-            let got = utilities
-                .utility(&e, dists, None, &mut scratch)
-                .unwrap()
-                .unwrap();
+            let got = utilities.utility(&e, dists, &mut scratch).unwrap().unwrap();
             let want = marginal_utility_with_prior(&solver, cond, &e, dists, p_phi)
                 .unwrap()
                 .utility;
@@ -180,7 +175,7 @@ fn arb_narrowings() -> impl Strategy<Value = Vec<(u32, u64)>> {
 }
 
 fn compile(solver: &AdpllSolver, cond: &Condition, dists: &VarDists) -> Circuit {
-    solver.compile(cond, dists).unwrap().unwrap().0
+    solver.compile(cond, dists).unwrap().0
 }
 
 /// Bit patterns of every conditional of `circuit` over `cond`'s variables.
@@ -223,10 +218,7 @@ fn check_kept(
             let utilities = CompiledUtilities::of_circuit(&kept, want).unwrap();
             let mut scratch = ClampScratch::default();
             for e in cond.exprs() {
-                let Some(g) = utilities
-                    .utility(e, &now, Some(&kept), &mut scratch)
-                    .unwrap()
-                else {
+                let Some(g) = utilities.utility(e, &now, &mut scratch).unwrap() else {
                     continue;
                 };
                 let one = marginal_utility_with_prior(&solver, cond, e, &now, want)
@@ -341,9 +333,7 @@ fn check_kept_var_var(
                     joint,
                     solved
                 );
-                let g = utilities
-                    .utility(e, &now, Some(&kept), &mut scratch)
-                    .unwrap();
+                let g = utilities.utility(e, &now, &mut scratch).unwrap();
                 prop_assert!(g.is_some(), "G({}) on {} needs a solve", e, cond);
             }
             prop_assert_eq!(kept.probability().to_bits(), bits);
@@ -411,7 +401,6 @@ fn a_zero_product_early_exit_keeps_the_derivatives_exact() {
     // factor: the circuit never mentions z, so Pr(φ | z = a) = Pr(φ).
     let partials = AdpllSolver::new()
         .compile(&cond, &dists)
-        .unwrap()
         .unwrap()
         .0
         .partials();

@@ -12,7 +12,7 @@
 //! would make the crates that define them depend on `bc-snapshot` for a
 //! format only a session writes.
 
-use crate::config::{BayesCrowdConfig, ANSWER_THRESHOLD};
+use crate::config::{checked_probability, BayesCrowdConfig, ANSWER_THRESHOLD};
 use crate::kept::ProbCache;
 use crate::selection::ObjectRanking;
 use crate::session::{PendingTask, RunState};
@@ -94,8 +94,7 @@ pub(crate) fn read_checkpoint(
         1 => Vec::new(),
         _ => dec_compiled_from(snap.section("compiled_from")?, &ctable)?,
     };
-    let probs: Vec<(u32, f64)> = snap.section("prob_cache")?.read("probability cache")?;
-    let probs = probs.into_iter().map(|(o, p)| (ObjectId(o), p)).collect();
+    let probs = dec_prob_cache(snap.section("prob_cache")?, &ctable)?;
     let cache = ProbCache::restore(probs, compiled_from, &ctable);
     let platform = dec_platform_state(snap.section("platform")?)?;
     let p = snap.section("progress")?;
@@ -443,6 +442,26 @@ fn enc_prob_cache(cache: impl Iterator<Item = (ObjectId, f64)>) -> Value {
             .map(|(o, p)| Value::List(vec![o.0.into(), p.into()]))
             .collect(),
     )
+}
+
+/// Cached probabilities: `[object, probability]` pairs in ascending object
+/// order, each object in the table and each value a probability.
+fn dec_prob_cache(v: &Value, ctable: &CTable) -> Result<BTreeMap<ObjectId, f64>, SnapshotError> {
+    let mut out = BTreeMap::new();
+    let mut last: Option<u32> = None;
+    for (o, p) in v.read::<Vec<(u32, f64)>>("probability cache")? {
+        if o as usize >= ctable.n_objects() {
+            return Err(inv("cached probability's object id out of range"));
+        }
+        if last.is_some_and(|prev| prev >= o) {
+            return Err(inv("prob_cache entries must be in ascending object order"));
+        }
+        let p = checked_probability(p)
+            .map_err(|e| inv(format!("prob_cache entry for object {o}: {e}")))?;
+        last = Some(o);
+        out.insert(ObjectId(o), p);
+    }
+    Ok(out)
 }
 
 /// Kept circuits as `[object]`, or `[object, condition]` when the circuit
@@ -1021,6 +1040,29 @@ mod tests {
                 ("facts", Value::List(vec![])),
             ]);
             assert!(dec_store(&store, &data).is_err(), "{var} as a mask");
+        }
+        // Cached probabilities name objects of the table, in ascending
+        // order, and are probabilities: the first use would otherwise
+        // index out of the table, or rank and report a non-probability.
+        let ctable = CTable::new(vec![Condition::True, Condition::True]);
+        let entry = |o: i128, p: f64| Value::List(vec![Value::Int(o), Value::Float(p)]);
+        let good = Value::List(vec![entry(0, 0.25), entry(1, 1.0)]);
+        assert_eq!(dec_prob_cache(&good, &ctable).expect("decodes").len(), 2);
+        for bad in [
+            vec![entry(2, 0.5)],
+            vec![entry(999_999, 0.5)],
+            vec![entry(1, 0.5), entry(0, 0.5)],
+            vec![entry(0, 0.5), entry(0, 0.5)],
+            vec![entry(0, f64::NAN)],
+            vec![entry(0, 1.5)],
+            vec![entry(0, -0.5)],
+            vec![entry(0, f64::INFINITY)],
+        ] {
+            let bad = Value::List(bad);
+            match dec_prob_cache(&bad, &ctable) {
+                Err(SnapshotError::Invalid(_)) => {}
+                other => panic!("{bad:?}: {other:?}"),
+            }
         }
     }
 }

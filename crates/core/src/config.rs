@@ -5,7 +5,7 @@ use crate::strategy::TaskStrategy;
 use bc_bayes::ModelConfig;
 use bc_crowd::RetryPolicy;
 use bc_ctable::{CTableConfig, Condition, DominatorStrategy};
-use bc_solver::{Circuit, SolveStats, Solver, SolverError, VarDists};
+use bc_solver::{SolveStats, Solver, SolverError, VarDists};
 use std::fmt;
 
 /// Why a configuration was rejected by [`BayesCrowdConfig::validate`].
@@ -71,25 +71,13 @@ impl Solver for Checked<'_> {
         Ok((checked_probability(p)?, stats))
     }
 
-    fn compile(
-        &self,
-        cond: &Condition,
-        dists: &VarDists,
-    ) -> Option<Result<(Circuit, SolveStats), SolverError>> {
-        self.0.compile(cond, dists).map(|compiled| {
-            let (circuit, stats) = compiled?;
-            checked_probability(circuit.probability())?;
-            Ok((circuit, stats))
-        })
-    }
-
     fn name(&self) -> &'static str {
         self.0.name()
     }
 }
 
 /// A stub solver answering every condition with the same value: the way
-/// tests feed a broken probability into the run.
+/// [`Checked`]'s test feeds it a broken probability.
 #[cfg(test)]
 pub(crate) struct FixedSolver(pub f64);
 

@@ -2,7 +2,7 @@
 //! session, and the round-level probability cache they feed.
 //!
 //! The first time a round needs `Pr(φ(o))`, the condition is compiled once
-//! ([`Solver::compile`]) against the *base* distributions — the model's
+//! ([`AdpllSolver::compile`]) against the *base* distributions — the model's
 //! pmfs, before any crowd answer — and evaluated under the current ones.
 //! Later rounds re-evaluate the kept circuit ([`Circuit::evaluate`])
 //! instead of solving again. Crowd answers only narrow masks, and each
@@ -31,19 +31,22 @@
 //! the argument.
 //!
 //! A circuit that went [stale](SolverError::StaleCircuit) falls back to a
-//! plain solve of the current condition, as does every condition of a
-//! solver that does not compile (a test's stub).
+//! plain solve of the current condition and is not kept.
+//!
+//! Task selection scores an object off its kept circuit
+//! ([`ProbCache::scoring`]), rebuilding a restored one on first use
+//! ([`Kept::scoring_circuit`]). An object without one compiles under the
+//! current pmfs and keeps nothing.
 
 use crate::config::{checked_probability, Checked};
 use crate::error::RunError;
-use crate::strategy::{KeptCircuit, KeptCircuits};
 use bc_ctable::{CTable, Condition, Expr};
 use bc_data::{ObjectId, VarId};
 use bc_solver::{AdpllSolver, Circuit, SolveStats, Solver, SolverError, VarDists};
 use std::collections::BTreeMap;
 
 /// An object's kept circuit.
-struct Kept {
+pub(crate) struct Kept {
     /// The condition it was compiled from, `φ_c`, once propagation has
     /// rewritten the object's condition; `None` while the two are the same.
     from: Option<Condition>,
@@ -77,25 +80,47 @@ impl Kept {
     /// against `base`, evaluates it under `dists` and keeps it. Returns the
     /// compile's effort and the root under `dists`; the root is `None`
     /// when the circuit went [stale](SolverError::StaleCircuit) there, and
-    /// then nothing is kept. `None` for a solver that does not compile.
+    /// then nothing is kept.
     fn rebuild(
         &mut self,
         current: &Condition,
-        solver: &dyn Solver,
+        solver: &AdpllSolver,
         base: &VarDists,
         dists: &VarDists,
-    ) -> Option<Result<(SolveStats, Option<f64>), SolverError>> {
-        let compiled = solver.compile(self.from.as_ref().unwrap_or(current), base)?;
-        Some(
-            compiled.and_then(|(mut circuit, stats)| match circuit.evaluate(dists) {
-                Ok(p) => {
-                    self.attach(circuit);
-                    Ok((stats, Some(p)))
-                }
-                Err(SolverError::StaleCircuit) => Ok((stats, None)),
-                Err(e) => Err(e),
-            }),
-        )
+    ) -> Result<(SolveStats, Option<f64>), SolverError> {
+        let (mut circuit, stats) = solver.compile(self.from.as_ref().unwrap_or(current), base)?;
+        match circuit.evaluate(dists) {
+            Ok(p) => {
+                self.attach(circuit);
+                Ok((stats, Some(p)))
+            }
+            Err(SolverError::StaleCircuit) => Ok((stats, None)),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// The circuit to score the object off, whose condition is `current`,
+    /// evaluated under `dists`, with the search effort of building it just
+    /// now. One restored from a checkpoint is rebuilt here, on first use,
+    /// against `base`. Every other kept circuit was evaluated when its
+    /// probability was cached, and no pmf it reads has changed since (an
+    /// answer touching one would have invalidated the cache): its effort
+    /// is `None`. `None` when the rebuild went stale.
+    pub(crate) fn scoring_circuit(
+        &mut self,
+        current: &Condition,
+        solver: &AdpllSolver,
+        base: &VarDists,
+        dists: &VarDists,
+    ) -> Result<Option<(&Circuit, Option<SolveStats>)>, SolverError> {
+        let mut rebuilt = None;
+        if self.circuit.is_none() {
+            match self.rebuild(current, solver, base, dists)? {
+                (stats, Some(_)) => rebuilt = Some(stats),
+                (_, None) => return Ok(None),
+            }
+        }
+        Ok(self.circuit.as_ref().map(|circuit| (circuit, rebuilt)))
     }
 
     /// Keeps `circuit`, compiled from `φ_c`.
@@ -202,6 +227,8 @@ type Solved = (ObjectId, f64, Option<Kept>);
 #[derive(Default)]
 pub(crate) struct ProbCache {
     entries: BTreeMap<ObjectId, Entry>,
+    /// The ADPLL of sequential batches and of scoring.
+    solver: AdpllSolver,
 }
 
 impl ProbCache {
@@ -227,7 +254,10 @@ impl ProbCache {
             let kept = Kept::new(from, ctable.condition(o));
             entries.entry(o).or_default().kept = Some(kept);
         }
-        ProbCache { entries }
+        ProbCache {
+            entries,
+            solver: AdpllSolver::new(),
+        }
     }
 
     /// The cached probability of `o`.
@@ -327,8 +357,8 @@ impl ProbCache {
 
     /// Caches `Pr(φ(o))` for every object of `objects` under `dists`. An
     /// object with a kept circuit re-evaluates it; one without compiles its
-    /// condition against `base` and keeps the circuit; a solver that does
-    /// not compile, or a circuit gone stale, solves the current condition.
+    /// condition against `base` and keeps the circuit; a circuit gone stale
+    /// solves the current condition.
     /// With `parallel`, batches above 64 objects split over threads, each
     /// with its own ADPLL, with the same bits as the sequential path.
     pub(crate) fn solve_batch(
@@ -336,7 +366,6 @@ impl ProbCache {
         parallel: bool,
         ctable: &CTable,
         objects: &[ObjectId],
-        solver: &dyn Solver,
         base: &VarDists,
         dists: &VarDists,
     ) -> Result<BatchWork, RunError> {
@@ -383,7 +412,7 @@ impl ProbCache {
                 None => (solved, work),
             }
         } else {
-            solve_chunk(solver, jobs, base, dists)?
+            solve_chunk(&self.solver, jobs, base, dists)?
         };
         for (o, p, kept) in solved {
             let entry = self.entries.entry(o).or_default();
@@ -393,28 +422,17 @@ impl ProbCache {
         Ok(work)
     }
 
-    /// The kept circuits as the utility scorer sees them, evaluated under
-    /// `dists`; see [`KeptCircuits`].
-    pub(crate) fn for_scoring<'c>(
-        &'c mut self,
-        ctable: &'c CTable,
-        solver: &'c dyn Solver,
-        base: &'c VarDists,
-        dists: &'c VarDists,
-    ) -> impl KeptCircuits + 'c {
-        Scoring {
-            cache: self,
-            ctable,
-            solver,
-            base,
-            dists,
-        }
+    /// The solver, and object `o`'s kept circuit if it has one, for
+    /// scoring `o` ([`Kept::scoring_circuit`]).
+    pub(crate) fn scoring(&mut self, o: ObjectId) -> (&AdpllSolver, Option<&mut Kept>) {
+        let kept = self.entries.get_mut(&o).and_then(|e| e.kept.as_mut());
+        (&self.solver, kept)
     }
 }
 
 /// One worker's share of a batch, in order.
 fn solve_chunk(
-    solver: &dyn Solver,
+    solver: &AdpllSolver,
     jobs: Vec<Job>,
     base: &VarDists,
     dists: &VarDists,
@@ -429,9 +447,10 @@ fn solve_chunk(
 }
 
 /// `Pr(cond)` under `dists`, from `kept` if there is one, else from a
-/// compile against `base` that is then kept, else from a plain solve.
+/// compile against `base` that is then kept, else (the compile went
+/// stale) from a plain solve.
 fn probability(
-    solver: &dyn Solver,
+    solver: &AdpllSolver,
     cond: &Condition,
     mut kept: Option<Kept>,
     base: &VarDists,
@@ -453,21 +472,19 @@ fn probability(
         };
     }
     let mut kept = kept.unwrap_or_else(|| Kept::new(None, cond));
-    if let Some(rebuilt) = kept.rebuild(cond, solver, base, dists) {
-        let (stats, p) = rebuilt?;
-        work.solver_calls += 1;
-        work.compiles += 1;
-        work.stats += stats;
-        if let Some(p) = p {
-            return Ok((checked_probability(p)?, Some(kept)));
-        }
+    let (stats, p) = kept.rebuild(cond, solver, base, dists)?;
+    work.solver_calls += 1;
+    work.compiles += 1;
+    work.stats += stats;
+    match p {
+        Some(p) => Ok((checked_probability(p)?, Some(kept))),
+        None => plain(solver, cond, dists, work),
     }
-    plain(solver, cond, dists, work)
 }
 
 /// `Pr(cond)` by a plain solve; keeps nothing.
 fn plain(
-    solver: &dyn Solver,
+    solver: &AdpllSolver,
     cond: &Condition,
     dists: &VarDists,
     work: &mut BatchWork,
@@ -491,47 +508,13 @@ pub(crate) fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> Re
     })
 }
 
-/// [`ProbCache::for_scoring`].
-struct Scoring<'c> {
-    cache: &'c mut ProbCache,
-    ctable: &'c CTable,
-    solver: &'c dyn Solver,
-    base: &'c VarDists,
-    dists: &'c VarDists,
-}
-
-impl KeptCircuits for Scoring<'_> {
-    /// The object's kept circuit. One restored from a checkpoint is
-    /// rebuilt here, on first use, against the base pmfs and evaluated
-    /// under the current ones. Every other kept circuit was evaluated when
-    /// its probability was cached, and no pmf it depends on has changed
-    /// since (an answer touching one would have invalidated the cache).
-    fn circuit(&mut self, o: ObjectId) -> Result<Option<KeptCircuit<'_>>, SolverError> {
-        let Some(kept) = self.cache.entries.get_mut(&o).and_then(|e| e.kept.as_mut()) else {
-            return Ok(None);
-        };
-        let mut compiled = None;
-        if kept.circuit.is_none() {
-            let current = self.ctable.condition(o);
-            let Some(rebuilt) = kept.rebuild(current, self.solver, self.base, self.dists) else {
-                return Ok(None);
-            };
-            match rebuilt? {
-                (stats, Some(_)) => compiled = Some(stats),
-                (_, None) => return Ok(None),
-            }
-        }
-        Ok(kept
-            .circuit
-            .as_ref()
-            .map(|circuit| KeptCircuit { circuit, compiled }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::UtilityScorer;
     use bc_bayes::Pmf;
+    use bc_solver::utility::compile_utilities;
+    use bc_solver::ClampScratch;
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
@@ -560,7 +543,7 @@ mod tests {
     fn solve_all(cache: &mut ProbCache, ctable: &CTable, dists: &VarDists) -> BatchWork {
         let objects = cache.stale(&ctable.open_objects());
         cache
-            .solve_batch(false, ctable, &objects, &AdpllSolver::new(), &base(), dists)
+            .solve_batch(false, ctable, &objects, &base(), dists)
             .expect("ADPLL solves")
     }
 
@@ -694,14 +677,68 @@ mod tests {
         // Restored circuits are rebuilt on first use, from the same
         // condition against the same base: the same root, bit for bit.
         let mut restored = restored;
-        let solver = AdpllSolver::new();
         let dists = base();
-        let mut scoring = restored.for_scoring(&ctable, &solver, &dists, &dists);
-        let rebuilt = scoring.circuit(ObjectId(1)).unwrap().expect("kept");
-        assert!(rebuilt.compiled.is_some());
+        let current = ctable.condition(ObjectId(1));
+        let (solver, kept) = restored.scoring(ObjectId(1));
+        let (circuit, rebuilt) = kept
+            .expect("kept")
+            .scoring_circuit(current, solver, &dists, &dists)
+            .unwrap()
+            .expect("not stale");
+        assert!(rebuilt.is_some());
         assert_eq!(
-            rebuilt.circuit.probability().to_bits(),
+            circuit.probability().to_bits(),
             probs[&ObjectId(1)].to_bits()
         );
+    }
+
+    #[test]
+    fn a_stale_circuit_solves_plainly_and_scoring_compiles_afresh() {
+        let ctable = table();
+        let (o, x) = (ObjectId(0), v(0, 0));
+        // φ(o0) branches on x, compiled where x = 2 has no mass.
+        let mut base = base();
+        base.insert(x, Pmf::from_weights(vec![1.0, 2.0, 0.0, 2.0, 1.0]));
+        let mut cache = ProbCache::default();
+        cache
+            .solve_batch(false, &ctable, &ctable.open_objects(), &base, &base)
+            .unwrap();
+        assert!(kept(&cache, 0));
+        // x = 2 regains mass: outside the compiled support.
+        let mut dists = base.clone();
+        dists.insert(x, Pmf::uniform(5));
+        cache.invalidate(&ctable, &[x], &[], false);
+        let work = cache
+            .solve_batch(false, &ctable, &[o], &base, &dists)
+            .unwrap();
+        assert_eq!(
+            (work.solver_calls, work.compiles, work.evaluations),
+            (1, 0, 0)
+        );
+        assert!(!kept(&cache, 0));
+        let cond = ctable.condition(o);
+        let solver = AdpllSolver::new();
+        let p = solver.probability(cond, &dists).unwrap();
+        assert_eq!(cache.get(o).unwrap().to_bits(), p.to_bits());
+        // Scoring the object compiles under the current pmfs, keeps
+        // nothing, and scores like that compile.
+        let want = compile_utilities(&solver, cond, &dists, p).unwrap();
+        let mut scratch = ClampScratch::default();
+        let mut scorer = UtilityScorer::new(&mut cache, &base, &dists);
+        let mut object = scorer.object(o, cond, p);
+        for e in cond.exprs() {
+            let got = object.score(e).unwrap();
+            let want = want
+                .utility(e, &dists, &mut scratch)
+                .unwrap()
+                .expect("off the circuit");
+            assert_eq!(got.to_bits(), want.to_bits(), "{e}");
+        }
+        let tally = scorer.tally();
+        assert_eq!(
+            (tally.compiles, tally.reused, tally.solver_calls),
+            (1, 0, 1)
+        );
+        assert!(!kept(&cache, 0));
     }
 }

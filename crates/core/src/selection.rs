@@ -148,6 +148,7 @@ pub fn assemble_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kept::ProbCache;
     use bc_bayes::Pmf;
     use bc_ctable::{Condition, Expr};
     use bc_solver::{AdpllSolver, Solver, VarDists};
@@ -186,19 +187,18 @@ mod tests {
         assert_eq!(ranked[0].object, ObjectId(1));
     }
 
-    /// [`assemble_round`] with a fresh scorer over `solver`.
-    #[allow(clippy::too_many_arguments)]
+    /// [`assemble_round`] with a fresh scorer over an empty cache.
     fn round(
         ranked: &[RankedObject],
         ctable: &CTable,
         strategy: TaskStrategy,
-        solver: &dyn Solver,
         dists: &VarDists,
         limit: usize,
         conflict_free: bool,
         blocked: &BTreeSet<VarId>,
     ) -> Vec<Task> {
-        let mut scorer = UtilityScorer::new(solver, dists);
+        let mut cache = ProbCache::default();
+        let mut scorer = UtilityScorer::new(&mut cache, dists, dists);
         assemble_round(
             ranked,
             ctable,
@@ -228,13 +228,11 @@ mod tests {
     #[test]
     fn conflict_free_round_never_shares_variables() {
         let (ct, dists) = two_object_setup();
-        let solver = AdpllSolver::new();
         let ranked = rank_by_entropy(&[(ObjectId(0), 0.5), (ObjectId(1), 0.6)]);
         let tasks = round(
             &ranked,
             &ct,
             TaskStrategy::Fbs,
-            &solver,
             &dists,
             2,
             true,
@@ -247,7 +245,6 @@ mod tests {
     #[test]
     fn without_conflict_avoidance_duplicate_vars_can_appear() {
         let (ct, dists) = two_object_setup();
-        let solver = AdpllSolver::new();
         let ranked = rank_by_entropy(&[(ObjectId(0), 0.5), (ObjectId(1), 0.6)]);
         // FBS picks the x-expression for both objects when not blocked
         // (x-expressions are the most frequent across the two conditions).
@@ -255,7 +252,6 @@ mod tests {
             &ranked,
             &ct,
             TaskStrategy::Fbs,
-            &solver,
             &dists,
             2,
             false,
@@ -268,7 +264,6 @@ mod tests {
     #[test]
     fn blocked_vars_are_off_limits_in_both_modes() {
         let (ct, dists) = two_object_setup();
-        let solver = AdpllSolver::new();
         let ranked = rank_by_entropy(&[(ObjectId(0), 0.5), (ObjectId(1), 0.6)]);
         // Reserving x forces every selected task onto other variables.
         let blocked: BTreeSet<VarId> = [v(9, 0)].into_iter().collect();
@@ -277,7 +272,6 @@ mod tests {
                 &ranked,
                 &ct,
                 TaskStrategy::Fbs,
-                &solver,
                 &dists,
                 2,
                 conflict_free,
@@ -320,7 +314,8 @@ mod tests {
             .map(|o| (o, solver.probability(ct.condition(o), &dists).unwrap()))
             .collect();
         let ranked = rank_by_entropy(&probs);
-        let mut scorer = UtilityScorer::new(&solver, &dists);
+        let mut cache = ProbCache::default();
+        let mut scorer = UtilityScorer::new(&mut cache, &dists, &dists);
         let tasks = assemble_round(
             &ranked,
             &ct,
@@ -364,13 +359,11 @@ mod tests {
     #[test]
     fn limit_caps_the_batch() {
         let (ct, dists) = two_object_setup();
-        let solver = AdpllSolver::new();
         let ranked = rank_by_entropy(&[(ObjectId(0), 0.5), (ObjectId(1), 0.6)]);
         let tasks = round(
             &ranked,
             &ct,
             TaskStrategy::Fbs,
-            &solver,
             &dists,
             1,
             true,
@@ -381,7 +374,6 @@ mod tests {
             &ranked,
             &ct,
             TaskStrategy::Fbs,
-            &solver,
             &dists,
             0,
             true,

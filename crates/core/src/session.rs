@@ -32,7 +32,7 @@ use bc_ctable::{CTable, Condition, ConstraintStore, Operand, Relation};
 use bc_data::{Accuracy, Dataset, ObjectId, VarId};
 use bc_obs::{Event, NoopObserver, Observer, RunPhase, Span};
 use bc_snapshot::SnapshotError;
-use bc_solver::{AdpllSolver, Solver, VarDists};
+use bc_solver::VarDists;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
@@ -103,7 +103,6 @@ fn probabilities(
     ctable: &CTable,
     cache: &mut ProbCache,
     objects: &[ObjectId],
-    solver: &dyn Solver,
     base: &VarDists,
     dists: &VarDists,
     phase: RunPhase,
@@ -113,7 +112,7 @@ fn probabilities(
         return Ok(0);
     }
     let t = Instant::now();
-    let work = cache.solve_batch(parallel, ctable, objects, solver, base, dists)?;
+    let work = cache.solve_batch(parallel, ctable, objects, base, dists)?;
     let stats = work.stats;
     observer.event(&Event::ProbabilityBatch {
         phase,
@@ -146,7 +145,6 @@ pub struct Session<'a> {
     platform: &'a mut dyn CrowdPlatform,
     observer: Option<&'a mut dyn Observer>,
     noop: NoopObserver,
-    solver: Box<dyn Solver>,
     mu: usize,
     started: Instant,
 }
@@ -236,8 +234,8 @@ impl<'a> Session<'a> {
         Ok(Session::new(state, platform, observer, started))
     }
 
-    /// A session over `state` that solves with ADPLL, with the per-round
-    /// allowance of the state's configuration.
+    /// A session over `state`, with the per-round allowance of the state's
+    /// configuration.
     fn new(
         state: RunState,
         platform: &'a mut dyn CrowdPlatform,
@@ -245,7 +243,6 @@ impl<'a> Session<'a> {
         started: Instant,
     ) -> Session<'a> {
         Session {
-            solver: Box::new(AdpllSolver::new()),
             mu: state.config.tasks_per_round().max(1),
             state,
             platform,
@@ -325,7 +322,6 @@ impl<'a> Session<'a> {
             &state.ctable,
             &mut state.cache,
             &stale,
-            self.solver.as_ref(),
             &state.base,
             &state.dists,
             RunPhase::Finalize,
@@ -379,7 +375,6 @@ impl<'a> Session<'a> {
             platform,
             observer,
             noop,
-            solver,
             mu,
             ..
         } = self;
@@ -446,7 +441,6 @@ impl<'a> Session<'a> {
                 ctable,
                 cache,
                 &stale,
-                solver.as_ref(),
                 base,
                 dists,
                 RunPhase::Select,
@@ -463,8 +457,7 @@ impl<'a> Session<'a> {
                 .collect();
             let ranked = rank_objects(&probs, config.ranking);
             let t = Instant::now();
-            let mut kept = cache.for_scoring(ctable, solver.as_ref(), base, dists);
-            let mut scorer = UtilityScorer::new(solver.as_ref(), dists).with_kept(&mut kept);
+            let mut scorer = UtilityScorer::new(cache, base, dists);
             let fresh_tasks = assemble_round(
                 &ranked,
                 ctable,
@@ -671,7 +664,6 @@ impl<'a> Session<'a> {
             platform,
             mut observer,
             mut noop,
-            solver,
             started,
             ..
         } = self;
@@ -706,7 +698,6 @@ impl<'a> Session<'a> {
             &ctable,
             &mut cache,
             &stale,
-            solver.as_ref(),
             &base,
             &dists,
             RunPhase::Finalize,
@@ -867,32 +858,6 @@ mod tests {
             } else if let Some(want) = base.conditioned(mask) {
                 assert_eq!(bits(got), bits(&want), "{ctx}: {var} narrowed");
             }
-        }
-    }
-
-    #[test]
-    fn a_nan_probability_fails_the_run_instead_of_panicking() {
-        use bc_crowd::{GroundTruthOracle, SimulatedPlatform};
-        use bc_data::generators::sample::{paper_completion, paper_dataset};
-        let config = BayesCrowdConfig {
-            budget: 6,
-            latency: 3,
-            alpha: 1.0,
-            strategy: TaskStrategy::Hhs { m: 2 },
-            ..Default::default()
-        };
-        let data = paper_dataset();
-        let mut platform =
-            SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 1.0, 7);
-        let mut session = Session::start(config, &data, &mut platform, None).unwrap();
-        assert!(!session.state.ctable.open_objects().is_empty());
-        session.solver = Box::new(crate::config::FixedSolver(f64::NAN));
-        match session.step() {
-            Err(RunError::Solver(bc_solver::SolverError::InvalidProbability(p))) => {
-                assert!(p.is_nan())
-            }
-            Err(e) => panic!("wrong error: {e}"),
-            Ok(_) => panic!("a NaN probability was accepted"),
         }
     }
 

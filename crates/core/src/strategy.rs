@@ -1,12 +1,13 @@
 //! Task-selection strategies (Section 6.2): FBS, UBS, HHS.
 
-use crate::config::Checked;
+use crate::config::{checked_probability, Checked};
+use crate::kept::{Kept, ProbCache};
 use bc_ctable::{Condition, Expr};
 use bc_data::{FxMap, ObjectId, VarId};
 use bc_solver::utility::{
     compile_utilities, is_open, marginal_utility_with_prior, CompiledUtilities,
 };
-use bc_solver::{Circuit, ClampScratch, SolveStats, Solver, SolverError, VarDists};
+use bc_solver::{AdpllSolver, ClampScratch, SolveStats, SolverError, VarDists};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
@@ -133,9 +134,8 @@ pub struct UtilityTally {
     /// Candidate expressions scored.
     pub candidates: u64,
     /// Solver invocations: one compile per object with an open candidate
-    /// and no kept circuit, and one `Pr(φ ∧ e)` solve per open candidate no
-    /// circuit scores (a var-var one whose clamped pass fails, or every
-    /// candidate of a solver that does not compile). A candidate is open
+    /// and no kept circuit to score off, and one `Pr(φ ∧ e)` solve per
+    /// var-var candidate whose clamped pass fails. A candidate is open
     /// when its `Pr(e)` lies strictly inside `(0, 1)`.
     pub solver_calls: u64,
     /// Conditions compiled: the part of `solver_calls` that scored the
@@ -150,63 +150,46 @@ pub struct UtilityTally {
     pub stats: SolveStats,
 }
 
-/// A circuit kept for one object (see [`KeptCircuits`]).
-pub struct KeptCircuit<'c> {
-    /// Compiled from the object's condition, or from one it was simplified
-    /// from and equivalent to on the current supports; evaluated under the
-    /// scorer's distributions.
-    pub circuit: &'c Circuit,
-    /// The search effort of building it just now, when it had to be
-    /// (re)built for scoring; `None` when it was already built.
-    pub compiled: Option<SolveStats>,
-}
-
-/// Where a [`UtilityScorer`] finds the circuits a session keeps.
-pub trait KeptCircuits {
-    /// The kept circuit of object `o`, if there is one.
-    fn circuit(&mut self, o: ObjectId) -> Result<Option<KeptCircuit<'_>>, SolverError>;
-}
-
 /// Scores candidate expressions by marginal utility (Definition 6) and
 /// tallies the solver effort.
 ///
 /// Scoring goes one object at a time, through [`UtilityScorer::object`].
-/// ADPLL compiles an object's condition once, at its first open candidate,
-/// and every utility is read off that circuit: off its derivative pass, or
-/// for a var-var candidate whose variables it both reads, off a clamped
-/// pass ([`Circuit::var_var_joint`]) in buffers the scorer reuses. A
-/// var-var candidate whose clamped pass fails costs one solve, as does
-/// every candidate of a solver that does not compile (a test's reference).
-/// With [`UtilityScorer::with_kept`], an object that has a kept circuit is
-/// scored off it and compiles nothing.
+/// At an object's first open candidate the scorer takes the circuit its
+/// utilities are read off: the object's kept circuit, rebuilt first if it
+/// was restored from a checkpoint, or without one (it went stale) a
+/// compile under the scorer's distributions, which is not kept. Every
+/// utility is read off that one circuit: off its derivative pass, or for
+/// a var-var candidate whose variables it both reads, off a clamped pass
+/// ([`Circuit::var_var_joint`](bc_solver::Circuit::var_var_joint)) in
+/// buffers the scorer reuses. A var-var candidate whose clamped pass
+/// fails costs one solve.
 ///
 /// Every probability a compile or solve returns is checked, like the
 /// per-round probability batch's. A solver error, an invalid probability
 /// included, is returned at once; it is never scored as zero utility.
 pub struct UtilityScorer<'a> {
-    solver: &'a dyn Solver,
+    cache: &'a mut ProbCache,
+    base: &'a VarDists,
     dists: &'a VarDists,
-    kept: Option<&'a mut dyn KeptCircuits>,
     scratch: ClampScratch,
     tally: UtilityTally,
 }
 
 impl<'a> UtilityScorer<'a> {
-    /// A scorer over `solver` and `dists`.
-    pub fn new(solver: &'a dyn Solver, dists: &'a VarDists) -> UtilityScorer<'a> {
+    /// A scorer over the circuits `cache` keeps, compiled against `base`
+    /// and evaluated under `dists`, the distributions it scores under.
+    pub(crate) fn new(
+        cache: &'a mut ProbCache,
+        base: &'a VarDists,
+        dists: &'a VarDists,
+    ) -> UtilityScorer<'a> {
         UtilityScorer {
-            solver,
+            cache,
+            base,
             dists,
-            kept: None,
             scratch: ClampScratch::default(),
             tally: UtilityTally::default(),
         }
-    }
-
-    /// Scores objects off the circuits `kept` holds, where it holds one.
-    pub fn with_kept(mut self, kept: &'a mut dyn KeptCircuits) -> UtilityScorer<'a> {
-        self.kept = Some(kept);
-        self
     }
 
     /// The effort spent so far.
@@ -215,115 +198,95 @@ impl<'a> UtilityScorer<'a> {
     }
 
     /// Starts scoring the candidates of object `o`, whose condition is
-    /// `cond`; `p_phi` is `Pr(cond)` under the scorer's distributions. A
-    /// kept or compiled circuit checks it, and a stale one is
-    /// [`SolverError::StalePrior`]. A compiled circuit lives as long as the
-    /// returned scorer.
+    /// `cond`; `p_phi` is `Pr(cond)` under the scorer's distributions. The
+    /// circuit scored off checks it, and a stale one is
+    /// [`SolverError::StalePrior`].
     pub fn object<'s>(
         &'s mut self,
         o: ObjectId,
         cond: &'s Condition,
         p_phi: f64,
-    ) -> ObjectScorer<'s, 'a> {
+    ) -> ObjectScorer<'s> {
+        let (solver, kept) = self.cache.scoring(o);
         ObjectScorer {
-            scorer: self,
-            object: o,
+            solver,
+            base: self.base,
+            dists: self.dists,
+            scratch: &mut self.scratch,
+            tally: &mut self.tally,
             cond,
             p_phi,
-            compiled: None,
+            kept,
+            utilities: None,
         }
     }
+}
 
-    /// The utilities of object `o`: off its kept circuit if there is one,
-    /// else from a compile of `cond`; `None` when the solver does not
-    /// compile.
-    fn utilities(
-        &mut self,
-        o: ObjectId,
-        cond: &Condition,
-        p_phi: f64,
-    ) -> Result<Option<CompiledUtilities>, SolverError> {
-        if let Some(kept) = self.kept.as_deref_mut() {
-            if let Some(k) = kept.circuit(o)? {
-                let compiled = k.compiled;
-                let utilities = CompiledUtilities::of_circuit(k.circuit, p_phi)?;
-                match compiled {
-                    Some(stats) => {
-                        self.tally.solver_calls += 1;
-                        self.tally.compiles += 1;
-                        self.tally.circuit_nodes += utilities.nodes() as u64;
-                        self.tally.stats += stats;
-                    }
-                    None => self.tally.reused += 1,
-                }
-                return Ok(Some(utilities));
+/// Scores the candidates of one object; see [`UtilityScorer::object`].
+pub struct ObjectScorer<'s> {
+    solver: &'s AdpllSolver,
+    base: &'s VarDists,
+    dists: &'s VarDists,
+    scratch: &'s mut ClampScratch,
+    tally: &'s mut UtilityTally,
+    cond: &'s Condition,
+    p_phi: f64,
+    /// The object's kept circuit, until the first open candidate reads it.
+    kept: Option<&'s mut Kept>,
+    /// From the first open candidate on: the utilities of the circuit
+    /// scored off.
+    utilities: Option<CompiledUtilities<'s>>,
+}
+
+impl<'s> ObjectScorer<'s> {
+    /// `G(o, e)` for `e` in the object's condition.
+    pub fn score(&mut self, e: &Expr) -> Result<f64, SolverError> {
+        self.tally.candidates += 1;
+        if self.utilities.is_none() && self.dists.expr_prob(e).is_ok_and(is_open) {
+            self.utilities = Some(self.read_utilities()?);
+        }
+        if let Some(utilities) = &self.utilities {
+            if let Some(g) = utilities.utility(e, self.dists, self.scratch)? {
+                return Ok(g);
             }
         }
-        self.compile(cond, p_phi)
-    }
-
-    /// Compiles `cond`; `None` when the solver does not compile.
-    fn compile(
-        &mut self,
-        cond: &Condition,
-        p_phi: f64,
-    ) -> Result<Option<CompiledUtilities>, SolverError> {
-        let compiled = compile_utilities(&Checked(self.solver), cond, self.dists, p_phi)?;
-        if let Some(c) = &compiled {
-            self.tally.solver_calls += 1;
-            self.tally.compiles += 1;
-            self.tally.circuit_nodes += c.nodes() as u64;
-            self.tally.stats += c.stats();
-        }
-        Ok(compiled)
-    }
-
-    /// `G(o, e)` by one `Pr(φ ∧ e)` solve (none when `e` is decided).
-    fn solve(&mut self, cond: &Condition, e: &Expr, p_phi: f64) -> Result<f64, SolverError> {
-        let eval = marginal_utility_with_prior(&Checked(self.solver), cond, e, self.dists, p_phi)?;
+        let checked = Checked(self.solver);
+        let eval = marginal_utility_with_prior(&checked, self.cond, e, self.dists, self.p_phi)?;
         if let Some(stats) = eval.solve {
             self.tally.solver_calls += 1;
             self.tally.stats += stats;
         }
         Ok(eval.utility)
     }
-}
 
-/// Scores the candidates of one object; see [`UtilityScorer::object`].
-pub struct ObjectScorer<'s, 'a> {
-    scorer: &'s mut UtilityScorer<'a>,
-    object: ObjectId,
-    cond: &'s Condition,
-    p_phi: f64,
-    /// `None` until the first open candidate; then the kept or compiled
-    /// circuit's utilities, or `Some(None)` when the solver does not
-    /// compile.
-    compiled: Option<Option<CompiledUtilities>>,
-}
-
-impl ObjectScorer<'_, '_> {
-    /// `G(o, e)` for `e` in the object's condition.
-    pub fn score(&mut self, e: &Expr) -> Result<f64, SolverError> {
-        let scorer = &mut *self.scorer;
-        scorer.tally.candidates += 1;
-        let dists = scorer.dists;
-        if self.compiled.is_none() && dists.expr_prob(e).is_ok_and(is_open) {
-            self.compiled = Some(scorer.utilities(self.object, self.cond, self.p_phi)?);
-        }
-        if let Some(Some(compiled)) = &self.compiled {
-            // A kept circuit stays the session's: a var-var candidate reads
-            // it again, already evaluated.
-            let kept = match (e.rhs_var(), scorer.kept.as_deref_mut()) {
-                (Some(_), Some(kept)) if compiled.circuit().is_none() => {
-                    kept.circuit(self.object)?.map(|k| k.circuit)
-                }
-                _ => None,
-            };
-            if let Some(g) = compiled.utility(e, dists, kept, &mut scorer.scratch)? {
-                return Ok(g);
+    /// The utilities of the object's kept circuit, or of a compile of its
+    /// condition when it has none, tallied.
+    fn read_utilities(&mut self) -> Result<CompiledUtilities<'s>, SolverError> {
+        let kept = match self.kept.take() {
+            Some(kept) => kept.scoring_circuit(self.cond, self.solver, self.base, self.dists)?,
+            None => None,
+        };
+        let (utilities, compiled) = match kept {
+            Some((circuit, rebuilt)) => {
+                (CompiledUtilities::of_circuit(circuit, self.p_phi)?, rebuilt)
             }
+            None => {
+                let utilities = compile_utilities(self.solver, self.cond, self.dists, self.p_phi)?;
+                let stats = utilities.stats();
+                (utilities, Some(stats))
+            }
+        };
+        checked_probability(utilities.circuit().probability())?;
+        match compiled {
+            Some(stats) => {
+                self.tally.solver_calls += 1;
+                self.tally.compiles += 1;
+                self.tally.circuit_nodes += utilities.circuit().node_count() as u64;
+                self.tally.stats += stats;
+            }
+            None => self.tally.reused += 1,
         }
-        scorer.solve(self.cond, e, self.p_phi)
+        Ok(utilities)
     }
 }
 
@@ -377,24 +340,25 @@ pub fn select_expression(
 mod tests {
     use super::*;
     use bc_bayes::Pmf;
-    use bc_solver::{AdpllSolver, NaiveSolver};
+    use bc_ctable::CTable;
+    use bc_solver::{NaiveSolver, Solver};
     use proptest::prelude::*;
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
     }
 
-    /// [`select_expression`] with a fresh scorer over `solver`.
+    /// [`select_expression`] with a fresh scorer over an empty cache.
     fn pick(
         strategy: TaskStrategy,
         cond: &Condition,
         freq: &FxMap<Expr, usize>,
         blocked: &BTreeSet<VarId>,
-        solver: &dyn Solver,
         dists: &VarDists,
         p_phi: f64,
     ) -> Option<Expr> {
-        let mut scorer = UtilityScorer::new(solver, dists);
+        let mut cache = ProbCache::default();
+        let mut scorer = UtilityScorer::new(&mut cache, dists, dists);
         select_expression(
             strategy,
             ObjectId(0),
@@ -425,18 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn a_nan_utility_solve_is_an_error_not_zero_utility() {
-        let (cond, dists) = simple_setup();
-        let nan = crate::config::FixedSolver(f64::NAN);
-        let mut scorer = UtilityScorer::new(&nan, &dists);
-        let e = *cond.exprs().next().unwrap();
-        assert!(matches!(
-            scorer.object(ObjectId(0), &cond, 0.5).score(&e),
-            Err(SolverError::InvalidProbability(p)) if p.is_nan()
-        ));
-    }
-
-    #[test]
     fn fbs_follows_frequency() {
         let (cond, dists) = simple_setup();
         // Make y's expression globally frequent.
@@ -444,16 +396,7 @@ mod tests {
         let freq = expression_frequencies([&cond, &other, &other]);
         let solver = AdpllSolver::new();
         let p = solver.probability(&cond, &dists).unwrap();
-        let picked = pick(
-            TaskStrategy::Fbs,
-            &cond,
-            &freq,
-            &BTreeSet::new(),
-            &solver,
-            &dists,
-            p,
-        )
-        .unwrap();
+        let picked = pick(TaskStrategy::Fbs, &cond, &freq, &BTreeSet::new(), &dists, p).unwrap();
         assert_eq!(picked, Expr::lt(v(1, 0), 1));
     }
 
@@ -463,16 +406,7 @@ mod tests {
         let freq = expression_frequencies([&cond]);
         let solver = AdpllSolver::new();
         let p = solver.probability(&cond, &dists).unwrap();
-        let picked = pick(
-            TaskStrategy::Ubs,
-            &cond,
-            &freq,
-            &BTreeSet::new(),
-            &solver,
-            &dists,
-            p,
-        )
-        .unwrap();
+        let picked = pick(TaskStrategy::Ubs, &cond, &freq, &BTreeSet::new(), &dists, p).unwrap();
         // "y < 1" is nearly decided (p = .1) so the utility of asking it is
         // small; x or z dominate. UBS must not pick y.
         assert_ne!(picked, Expr::lt(v(1, 0), 1));
@@ -484,21 +418,12 @@ mod tests {
         let freq = expression_frequencies([&cond]);
         let solver = AdpllSolver::new();
         let p = solver.probability(&cond, &dists).unwrap();
-        let ubs = pick(
-            TaskStrategy::Ubs,
-            &cond,
-            &freq,
-            &BTreeSet::new(),
-            &solver,
-            &dists,
-            p,
-        );
+        let ubs = pick(TaskStrategy::Ubs, &cond, &freq, &BTreeSet::new(), &dists, p);
         let hhs = pick(
             TaskStrategy::Hhs { m: 100 },
             &cond,
             &freq,
             &BTreeSet::new(),
-            &solver,
             &dists,
             p,
         );
@@ -519,7 +444,6 @@ mod tests {
             &cond,
             &freq,
             &BTreeSet::new(),
-            &solver,
             &dists,
             p,
         );
@@ -533,23 +457,11 @@ mod tests {
         let solver = AdpllSolver::new();
         let blocked: BTreeSet<VarId> = [v(0, 0), v(2, 0)].into_iter().collect();
         let p = solver.probability(&cond, &dists).unwrap();
-        let picked = pick(
-            TaskStrategy::Fbs,
-            &cond,
-            &freq,
-            &blocked,
-            &solver,
-            &dists,
-            p,
-        )
-        .unwrap();
+        let picked = pick(TaskStrategy::Fbs, &cond, &freq, &blocked, &dists, p).unwrap();
         assert_eq!(picked, Expr::lt(v(1, 0), 1));
         // Everything blocked → no task.
         let all: BTreeSet<VarId> = [v(0, 0), v(1, 0), v(2, 0)].into_iter().collect();
-        assert_eq!(
-            pick(TaskStrategy::Fbs, &cond, &freq, &all, &solver, &dists, p),
-            None
-        );
+        assert_eq!(pick(TaskStrategy::Fbs, &cond, &freq, &all, &dists, p), None);
     }
 
     #[test]
@@ -573,7 +485,8 @@ mod tests {
         let freq = expression_frequencies([&cond]);
         let solver = AdpllSolver::new();
         let p = solver.probability(&cond, &dists).unwrap();
-        let mut scorer = UtilityScorer::new(&solver, &dists);
+        let mut cache = ProbCache::default();
+        let mut scorer = UtilityScorer::new(&mut cache, &dists, &dists);
         let picked = select_expression(
             TaskStrategy::Ubs,
             ObjectId(0),
@@ -626,16 +539,12 @@ mod tests {
         .collect();
         let solver = AdpllSolver::new();
         let p = solver.probability(&cond, &dists).unwrap();
-        let reference = OneSolveEach(AdpllSolver::new());
-        let (circuit, _) = solver.compile(&cond, &dists).unwrap().unwrap();
-        let mut kept = OneKept(circuit);
-        let mut compiled = UtilityScorer::new(&solver, &dists);
-        let mut off_kept = UtilityScorer::new(&solver, &dists).with_kept(&mut kept);
-        let mut solved = UtilityScorer::new(&reference, &dists);
-        let (mut a, mut b, mut c) = (
+        let (mut fresh, mut kept) = (ProbCache::default(), batch_solved(&cond, &dists));
+        let mut compiled = UtilityScorer::new(&mut fresh, &dists, &dists);
+        let mut off_kept = UtilityScorer::new(&mut kept, &dists, &dists);
+        let (mut a, mut b) = (
             compiled.object(ObjectId(0), &cond, p),
             off_kept.object(ObjectId(0), &cond, p),
-            solved.object(ObjectId(0), &cond, p),
         );
         let var_var: Vec<Expr> = cond
             .exprs()
@@ -643,19 +552,22 @@ mod tests {
             .copied()
             .collect();
         assert_eq!(var_var.len(), 3);
+        let mut solves = 0;
         for e in cond.exprs() {
-            let want = c.score(e).unwrap();
+            let want = marginal_utility_with_prior(&solver, &cond, e, &dists, p).unwrap();
+            solves += u64::from(want.solve.is_some());
             for got in [a.score(e).unwrap(), b.score(e).unwrap()] {
                 assert!(
-                    (got - want).abs() <= 1e-12,
-                    "{e}: {got} vs one-solve {want}"
+                    (got - want.utility).abs() <= 1e-12,
+                    "{e}: {got} vs one-solve {}",
+                    want.utility
                 );
             }
         }
         let (compiled, off_kept) = (compiled.tally(), off_kept.tally());
         assert_eq!((compiled.compiles, compiled.solver_calls), (1, 1));
         assert_eq!((off_kept.reused, off_kept.solver_calls), (1, 0));
-        assert!(solved.tally().solver_calls >= var_var.len() as u64);
+        assert!(solves >= var_var.len() as u64);
     }
 
     #[test]
@@ -665,7 +577,8 @@ mod tests {
         let p = solver.probability(&cond, &dists).unwrap();
         let e = *cond.exprs().next().unwrap();
         let stale = p + 0.125;
-        let mut scorer = UtilityScorer::new(&solver, &dists);
+        let mut cache = ProbCache::default();
+        let mut scorer = UtilityScorer::new(&mut cache, &dists, &dists);
         assert_eq!(
             scorer.object(ObjectId(0), &cond, stale).score(&e),
             Err(SolverError::StalePrior {
@@ -673,22 +586,21 @@ mod tests {
                 fresh: p
             })
         );
-        // A solver that does not compile cannot check the prior.
+        // A one-solve utility cannot check the prior.
         let naive = NaiveSolver::new();
-        let mut scorer = UtilityScorer::new(&naive, &dists);
-        assert!(scorer.object(ObjectId(0), &cond, stale).score(&e).is_ok());
+        assert!(marginal_utility_with_prior(&naive, &cond, &e, &dists, stale).is_ok());
     }
 
-    /// One object's kept circuit, compiled under `dists`.
-    struct OneKept(Circuit);
-
-    impl KeptCircuits for OneKept {
-        fn circuit(&mut self, o: ObjectId) -> Result<Option<KeptCircuit<'_>>, SolverError> {
-            Ok((o == ObjectId(0)).then_some(KeptCircuit {
-                circuit: &self.0,
-                compiled: None,
-            }))
-        }
+    /// A cache holding the kept circuit of object 0, whose condition is
+    /// `cond`, batch-solved under `dists`.
+    fn batch_solved(cond: &Condition, dists: &VarDists) -> ProbCache {
+        let ctable = CTable::new(vec![cond.clone()]);
+        let mut cache = ProbCache::default();
+        let work = cache
+            .solve_batch(false, &ctable, &[ObjectId(0)], dists, dists)
+            .unwrap();
+        assert_eq!(work.compiles, 1);
+        cache
     }
 
     #[test]
@@ -696,10 +608,9 @@ mod tests {
         let (cond, dists) = simple_setup();
         let solver = AdpllSolver::new();
         let p = solver.probability(&cond, &dists).unwrap();
-        let (circuit, _) = solver.compile(&cond, &dists).unwrap().unwrap();
-        let mut kept = OneKept(circuit);
-        let mut scorer = UtilityScorer::new(&solver, &dists).with_kept(&mut kept);
-        let mut plain = UtilityScorer::new(&solver, &dists);
+        let (mut kept, mut fresh) = (batch_solved(&cond, &dists), ProbCache::default());
+        let mut scorer = UtilityScorer::new(&mut kept, &dists, &dists);
+        let mut plain = UtilityScorer::new(&mut fresh, &dists, &dists);
         for e in cond.exprs().filter(|e| e.rhs_var().is_none()) {
             for o in [ObjectId(0), ObjectId(1)] {
                 let g = scorer.object(o, &cond, p).score(e).unwrap();
@@ -730,8 +641,8 @@ mod tests {
         let (cond, mut dists) = simple_setup();
         let freq = expression_frequencies([&cond]);
         dists.remove(v(2, 0));
-        let solver = AdpllSolver::new();
-        let mut scorer = UtilityScorer::new(&solver, &dists);
+        let mut cache = ProbCache::default();
+        let mut scorer = UtilityScorer::new(&mut cache, &dists, &dists);
         let err = select_expression(
             TaskStrategy::Hhs { m: 3 },
             ObjectId(0),
@@ -754,28 +665,6 @@ mod tests {
         )
         .unwrap()
         .is_some());
-    }
-
-    /// ADPLL with its compile hidden: the one-solve-per-candidate
-    /// reference.
-    struct OneSolveEach(AdpllSolver);
-
-    impl Solver for OneSolveEach {
-        fn probability(&self, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
-            self.0.probability(cond, dists)
-        }
-
-        fn probability_with_stats(
-            &self,
-            cond: &Condition,
-            dists: &VarDists,
-        ) -> Result<(f64, SolveStats), SolverError> {
-            self.0.probability_with_stats(cond, dists)
-        }
-
-        fn name(&self) -> &'static str {
-            "one-solve"
-        }
     }
 
     /// A random condition over five variables (about one expression in ten
@@ -857,6 +746,29 @@ mod tests {
         }
     }
 
+    /// The expression a UBS/HHS walk picks from `candidates`, in walk
+    /// order, whose utilities are `g`: the first of equal utilities, and
+    /// under HHS the best before `m` consecutive non-improvements.
+    fn reference_pick(strategy: TaskStrategy, candidates: &[Expr], g: &[f64]) -> Option<Expr> {
+        let lookahead = match strategy {
+            TaskStrategy::Hhs { m } => m.max(1),
+            _ => usize::MAX,
+        };
+        let mut best: Option<(f64, Expr)> = None;
+        let mut since = 0;
+        for (&e, &g) in candidates.iter().zip(g) {
+            if best.is_none_or(|(bg, _)| g > bg) {
+                (best, since) = (Some((g, e)), 0);
+            } else {
+                since += 1;
+                if since >= lookahead {
+                    break;
+                }
+            }
+        }
+        best.map(|(_, e)| e)
+    }
+
     /// Compiled scoring picks the one-solve reference's expression, except
     /// where the reference's own walk hinges on utilities within 1e-12 of
     /// each other: a tie the ~1e-14 re-association may break either way.
@@ -873,17 +785,19 @@ mod tests {
             let freq = expression_frequencies([&cond]);
             let none = BTreeSet::new();
             let adpll = AdpllSolver::new();
-            let reference = OneSolveEach(AdpllSolver::new());
             let p = adpll.probability(&cond, &dists).unwrap();
-            let mut scorer = UtilityScorer::new(&reference, &dists);
-            let mut object = scorer.object(ObjectId(0), &cond, p);
-            let g: Vec<f64> = candidates(&cond, &freq, &none)
+            let reference = candidates(&cond, &freq, &none);
+            let g: Vec<f64> = reference
                 .iter()
-                .map(|e| object.score(e).unwrap())
+                .map(|e| {
+                    marginal_utility_with_prior(&adpll, &cond, e, &dists, p)
+                        .unwrap()
+                        .utility
+                })
                 .collect();
             for strategy in [TaskStrategy::Ubs, TaskStrategy::Hhs { m: 2 }] {
-                let got = pick(strategy, &cond, &freq, &none, &adpll, &dists, p);
-                let want = pick(strategy, &cond, &freq, &none, &reference, &dists, p);
+                let got = pick(strategy, &cond, &freq, &none, &dists, p);
+                let want = reference_pick(strategy, &reference, &g);
                 picks += 1;
                 if got != want {
                     assert!(
@@ -999,8 +913,7 @@ mod tests {
                 .collect();
             prop_assert_eq!(&walked, &want);
             let dists = VarDists::default();
-            let solver = AdpllSolver::new();
-            let fbs = pick(TaskStrategy::Fbs, &cond, &freq, &blocked, &solver, &dists, 0.5);
+            let fbs = pick(TaskStrategy::Fbs, &cond, &freq, &blocked, &dists, 0.5);
             prop_assert_eq!(fbs, want.first().copied());
         }
     }

@@ -13,6 +13,7 @@ use bayescrowd::prelude::*;
 use bayescrowd::{BayesCrowd, Session};
 use bc_bayes::synthetic::adult_like;
 use bc_crowd::{CrowdPlatform, FaultConfig, FaultyPlatform, GroundTruthOracle, SimulatedPlatform};
+use bc_data::generators::nba::nba_like;
 use bc_data::generators::sample::{paper_completion, paper_dataset};
 use bc_data::missing::inject_mcar;
 use bc_data::Dataset;
@@ -520,22 +521,7 @@ fn a_corrupt_compiled_from_section_is_a_typed_error() {
         ])]),
     ];
     for bad in corrupt {
-        let sections = snap
-            .sections()
-            .iter()
-            .map(|(name, data)| {
-                let data = if name == "compiled_from" {
-                    bad.clone()
-                } else {
-                    data.clone()
-                };
-                (name.clone(), data)
-            })
-            .collect();
-        let mut bytes = Vec::new();
-        Snapshot::new(snap.fingerprint().to_string(), sections)
-            .write_to(&mut bytes)
-            .unwrap();
+        let bytes = resealed(&snap, "compiled_from", bad.clone());
         let mut platform = mk();
         match Session::resume(&bytes[..], &mut platform) {
             Err(RunError::Snapshot(e)) => {
@@ -543,6 +529,73 @@ fn a_corrupt_compiled_from_section_is_a_typed_error() {
             }
             Err(e) => panic!("{bad:?}: wrong error: {e}"),
             Ok(_) => panic!("{bad:?}: a corrupt compiled_from section resumed"),
+        }
+    }
+}
+
+/// `snap` written out again, checksummed, with section `name` replaced by
+/// `data`.
+fn resealed(snap: &Snapshot, name: &str, data: Value) -> Vec<u8> {
+    let sections = snap
+        .sections()
+        .iter()
+        .map(|(n, d)| (n.clone(), if n == name { data.clone() } else { d.clone() }))
+        .collect();
+    let mut bytes = Vec::new();
+    Snapshot::new(snap.fingerprint().to_string(), sections)
+        .write_to(&mut bytes)
+        .unwrap();
+    bytes
+}
+
+/// A `prob_cache` section that names an object outside the table, lists
+/// objects out of order, or caches a value that is not a probability is a
+/// typed snapshot error. Resumed, the first step would index out of the
+/// table, or rank and report a non-probability.
+#[test]
+fn a_corrupt_prob_cache_section_is_a_typed_error() {
+    let complete = nba_like(60, 5);
+    let (incomplete, _) = inject_mcar(&complete, 0.15, 5);
+    let mk = || SimulatedPlatform::new(GroundTruthOracle::new(complete.clone()), 1.0, 7);
+    for strategy in [TaskStrategy::Fbs, TaskStrategy::Hhs { m: 2 }] {
+        let config = BayesCrowdConfig {
+            strategy,
+            ..sample_config()
+        };
+        let mut platform = mk();
+        let (_, snaps) =
+            run_collecting_checkpoints(&BayesCrowd::new(config), &incomplete, &mut platform);
+        let snap = Snapshot::parse(&snaps[1][..]).expect("checkpoint parses");
+        let Value::List(cached) = snap.section("prob_cache").expect("has a cache") else {
+            panic!("prob_cache is a list");
+        };
+        assert!(cached.len() > 1, "{strategy:?}: {} cached", cached.len());
+        let with_values = |p: f64| {
+            let entries = cached.iter().map(|entry| match entry {
+                Value::List(pair) => Value::List(vec![pair[0].clone(), Value::Float(p)]),
+                other => panic!("entry {other:?}"),
+            });
+            Value::List(entries.collect())
+        };
+        let mut out_of_range = cached.clone();
+        out_of_range.push(Value::List(vec![Value::Int(999_999), Value::Float(0.5)]));
+        let mut reversed = cached.clone();
+        reversed.reverse();
+        for bad in [
+            Value::List(out_of_range),
+            Value::List(reversed),
+            with_values(f64::NAN),
+            with_values(1.5),
+        ] {
+            let bytes = resealed(&snap, "prob_cache", bad.clone());
+            let mut platform = mk();
+            match Session::resume(&bytes[..], &mut platform) {
+                Err(RunError::Snapshot(e)) => {
+                    assert!(matches!(*e, SnapshotError::Invalid(_)), "{bad:?}: {e}")
+                }
+                Err(e) => panic!("{bad:?}: wrong error: {e}"),
+                Ok(_) => panic!("{strategy:?}: a corrupt prob_cache section resumed: {bad:?}"),
+            }
         }
     }
 }

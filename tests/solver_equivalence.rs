@@ -172,7 +172,9 @@ proptest! {
         let p = s.probability(&cond, &dists).unwrap();
         let h = bc_solver::utility::object_entropy(p);
         for e in cond.exprs() {
-            let g = bc_solver::utility::marginal_utility(&s, &cond, e, &dists).unwrap();
+            let g = bc_solver::utility::marginal_utility_with_prior(&s, &cond, e, &dists, p)
+                .unwrap()
+                .utility;
             prop_assert!(g >= 0.0, "negative utility {g}");
             prop_assert!(g <= h + 1e-9, "G={g} > H={h}");
         }
