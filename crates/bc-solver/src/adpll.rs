@@ -14,7 +14,7 @@
 use crate::arena::{Arena, ClauseId};
 use crate::circuit::{Circuit, CircuitBuilder, NodeId};
 use crate::dists::VarDists;
-use crate::{Solver, SolverError};
+use crate::{checked_probability, Solver, SolverError};
 use bc_ctable::{Condition, Expr};
 use bc_data::{FxMap, Value, VarId};
 use std::cell::RefCell;
@@ -272,7 +272,8 @@ impl AdpllSolver {
     }
 
     /// Runs one search of `cond` on the solver's scratch buffers: `Pr`,
-    /// the recorder's root node and the search's own counters.
+    /// the recorder's root node and the search's own counters. A root that
+    /// is not a probability is [`SolverError::InvalidProbability`].
     fn search<R: Recorder>(
         &self,
         cond: &Condition,
@@ -298,7 +299,7 @@ impl AdpllSolver {
             depth: 0,
         };
         let (p, root) = search.solve(0, clauses.len())?;
-        Ok((p, root, search.stats))
+        Ok((checked_probability(p)?, root, search.stats))
     }
 }
 

@@ -53,7 +53,7 @@
 
 use crate::adpll::Recorder;
 use crate::dists::VarDists;
-use crate::SolverError;
+use crate::{checked_probability, SolverError};
 use bc_ctable::{CmpOp, Expr, Operand};
 use bc_data::{Value, VarId};
 
@@ -193,8 +193,9 @@ impl Circuit {
     /// The support in `dists` of every variable the circuit branches on
     /// must lie inside the compiled one: a value with mass outside it, or
     /// a zero product of the compile that is no longer zero, is
-    /// [`SolverError::StaleCircuit`]. After that error, or a missing
-    /// distribution, the circuit is partly updated and must be dropped.
+    /// [`SolverError::StaleCircuit`]. A root that is not a probability is
+    /// [`SolverError::InvalidProbability`]. After an error the circuit is
+    /// partly updated and must be dropped.
     pub fn evaluate(&mut self, dists: &VarDists) -> Result<f64, SolverError> {
         // `changed[s]`: slot `s` took a new distribution; allocated at the
         // first one.
@@ -220,7 +221,7 @@ impl Circuit {
             }
         }
         if changed.is_empty() {
-            return Ok(self.probability());
+            return checked_probability(self.probability());
         }
         // Children precede parents, so creation order sees every child's
         // new value first. `moved[i]`: node `i`'s value changed.
@@ -280,7 +281,7 @@ impl Circuit {
                 moved[i] = true;
             }
         }
-        Ok(self.probability())
+        checked_probability(self.probability())
     }
 
     /// Whether every value `probs` gives mass to is an edge of `slot`'s

@@ -20,6 +20,11 @@
 //! * [`VarDists`] — per-variable value distributions (from the Bayesian
 //!   network) with expression-probability helpers, and
 //! * [`utility`] — the marginal-utility function `G(o, e)` (Definition 6).
+//!
+//! ADPLL and [`Circuit::evaluate`] check the root they return with
+//! [`checked_probability`]: a value that is not a probability is
+//! [`SolverError::InvalidProbability`] where it is produced, so no caller
+//! re-checks a solve, a compile or an evaluation.
 
 pub mod adpll;
 pub mod approxcount;
@@ -96,6 +101,18 @@ impl fmt::Display for SolverError {
 
 impl std::error::Error for SolverError {}
 
+/// `p` if it is a probability up to rounding slack of `1e-9`, else
+/// [`SolverError::InvalidProbability`]: a non-finite value, or one outside
+/// `[0, 1]` by more than the slack, means broken inputs or a broken solver.
+pub fn checked_probability(p: f64) -> Result<f64, SolverError> {
+    const SLACK: f64 = 1e-9;
+    if p.is_finite() && (-SLACK..=1.0 + SLACK).contains(&p) {
+        Ok(p)
+    } else {
+        Err(SolverError::InvalidProbability(p))
+    }
+}
+
 /// A probability solver for c-table conditions.
 pub trait Solver {
     /// `Pr(φ)` under the given per-variable distributions.
@@ -116,4 +133,25 @@ pub trait Solver {
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn invalid_probabilities_are_typed_errors() {
+        for bad in [f64::NAN, f64::INFINITY, -0.01, 1.0 + 1e-6] {
+            let got = checked_probability(bad);
+            assert!(
+                matches!(got, Err(SolverError::InvalidProbability(p))
+                    if p.is_nan() == bad.is_nan() && (p.is_nan() || p == bad)),
+                "{bad} accepted: {got:?}"
+            );
+        }
+        // Rounding slack is tolerated and passed through unchanged.
+        for ok in [0.0, 1.0, -1e-12, 1.0 + 1e-12] {
+            assert_eq!(checked_probability(ok), Ok(ok));
+        }
+    }
 }

@@ -12,7 +12,7 @@
 //! would make the crates that define them depend on `bc-snapshot` for a
 //! format only a session writes.
 
-use crate::config::{checked_probability, BayesCrowdConfig, ANSWER_THRESHOLD};
+use crate::config::{BayesCrowdConfig, ANSWER_THRESHOLD};
 use crate::kept::ProbCache;
 use crate::selection::ObjectRanking;
 use crate::session::{PendingTask, RunState};
@@ -26,7 +26,7 @@ use bc_ctable::Relation;
 use bc_ctable::{CTable, CmpOp, Condition, ConstraintStore, Expr, Operand};
 use bc_data::{Dataset, Domain, ObjectId, VarId};
 use bc_snapshot::{fnv1a64, Snapshot, SnapshotError, SnapshotWriter, Value};
-use bc_solver::VarDists;
+use bc_solver::{checked_probability, VarDists};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::mem::discriminant;

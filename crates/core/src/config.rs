@@ -1,11 +1,12 @@
-//! Framework configuration.
+//! Framework configuration: the knobs of a run ([`BayesCrowdConfig`]),
+//! their validation ([`ConfigError`]), and the answer threshold the paper
+//! fixes ([`ANSWER_THRESHOLD`]).
 
 use crate::selection::ObjectRanking;
 use crate::strategy::TaskStrategy;
 use bc_bayes::ModelConfig;
 use bc_crowd::RetryPolicy;
-use bc_ctable::{CTableConfig, Condition, DominatorStrategy};
-use bc_solver::{SolveStats, Solver, SolverError, VarDists};
+use bc_ctable::{CTableConfig, DominatorStrategy};
 use std::fmt;
 
 /// Why a configuration was rejected by [`BayesCrowdConfig::validate`].
@@ -39,58 +40,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// A solver whose every probability passes [`checked_probability`]: a
-/// non-finite value, or one outside `[0, 1]` by more than `1e-9`, is
-/// [`SolverError::InvalidProbability`]. The run returns that error at once:
-/// it means broken inputs or a broken solver.
-pub(crate) struct Checked<'a>(pub &'a dyn Solver);
-
-/// `p` if it is a probability up to rounding slack, else
-/// [`SolverError::InvalidProbability`].
-pub(crate) fn checked_probability(p: f64) -> Result<f64, SolverError> {
-    const SLACK: f64 = 1e-9;
-    if p.is_finite() && (-SLACK..=1.0 + SLACK).contains(&p) {
-        Ok(p)
-    } else {
-        Err(SolverError::InvalidProbability(p))
-    }
-}
-
-impl Solver for Checked<'_> {
-    fn probability(&self, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
-        checked_probability(self.0.probability(cond, dists)?)
-    }
-
-    fn probability_with_stats(
-        &self,
-        cond: &Condition,
-        dists: &VarDists,
-    ) -> Result<(f64, SolveStats), SolverError> {
-        let (p, stats) = self.0.probability_with_stats(cond, dists)?;
-        Ok((checked_probability(p)?, stats))
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-}
-
-/// A stub solver answering every condition with the same value: the way
-/// [`Checked`]'s test feeds it a broken probability.
-#[cfg(test)]
-pub(crate) struct FixedSolver(pub f64);
-
-#[cfg(test)]
-impl Solver for FixedSolver {
-    fn probability(&self, _: &Condition, _: &VarDists) -> Result<f64, SolverError> {
-        Ok(self.0)
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-}
 
 /// The probability above which an open object is reported as an answer:
 /// the paper's 0.5, a most-likely guess between "in the skyline" and not.
@@ -325,29 +274,6 @@ mod tests {
             (ConfigError::ZeroLookahead, "lookahead"),
         ] {
             assert!(err.to_string().contains(needle), "{err}");
-        }
-    }
-
-    #[test]
-    fn invalid_probabilities_are_typed_errors() {
-        let cond = Condition::True;
-        let dists = VarDists::default();
-        for bad in [f64::NAN, f64::INFINITY, -0.01, 1.0 + 1e-6] {
-            let is_bad = |got: &Result<f64, SolverError>| match *got {
-                Err(SolverError::InvalidProbability(p)) => {
-                    p.is_nan() == bad.is_nan() && (p.is_nan() || p == bad)
-                }
-                _ => false,
-            };
-            assert!(is_bad(&checked_probability(bad)), "{bad} accepted");
-            let solved = Checked(&FixedSolver(bad)).probability(&cond, &dists);
-            assert!(is_bad(&solved), "{bad} accepted: {solved:?}");
-        }
-        // Rounding slack is tolerated and passed through unchanged.
-        for ok in [0.0, 1.0, -1e-12, 1.0 + 1e-12] {
-            assert_eq!(checked_probability(ok), Ok(ok));
-            let solved = Checked(&FixedSolver(ok)).probability(&cond, &dists);
-            assert_eq!(solved, Ok(ok));
         }
     }
 }

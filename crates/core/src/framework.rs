@@ -10,7 +10,7 @@
 use crate::config::BayesCrowdConfig;
 use crate::error::RunError;
 use crate::report::RunReport;
-use crate::session::Session;
+use crate::session::{unobserved, Session};
 use bc_crowd::{CrowdPlatform, CrowdStats, Task, TaskResult};
 use bc_ctable::{CTable, CmpOp, Relation};
 use bc_data::{Dataset, ObjectId};
@@ -55,7 +55,7 @@ impl BayesCrowd {
     /// [`BayesCrowd::try_run`] would return (empty dataset, unrecoverable
     /// solver failure). Use `try_run` when those must be handled.
     pub fn run(&self, data: &Dataset, platform: &mut dyn CrowdPlatform) -> RunReport {
-        match self.run_loop(data, platform, None) {
+        match self.run_loop(data, platform, unobserved()) {
             Ok(report) => report,
             Err(RunError::PlatformExhausted { report }) => *report,
             Err(e) => panic!("BayesCrowd::run failed: {e} (use try_run to handle errors)"),
@@ -82,7 +82,7 @@ impl BayesCrowd {
         observer: &mut dyn Observer,
     ) -> Result<RunReport, RunError> {
         self.config.validate()?;
-        self.run_loop(data, platform, Some(observer))
+        self.run_loop(data, platform, observer)
     }
 
     /// An unobserved resumable session over `data` and `platform`: the
@@ -95,7 +95,7 @@ impl BayesCrowd {
         platform: &'a mut dyn CrowdPlatform,
     ) -> Result<Session<'a>, RunError> {
         self.config.validate()?;
-        Session::start(self.config.clone(), data, platform, None)
+        Session::start(self.config.clone(), data, platform, unobserved())
     }
 
     /// [`BayesCrowd::session`] with an observer: the session streams the
@@ -107,14 +107,14 @@ impl BayesCrowd {
         observer: &'a mut dyn Observer,
     ) -> Result<Session<'a>, RunError> {
         self.config.validate()?;
-        Session::start(self.config.clone(), data, platform, Some(observer))
+        Session::start(self.config.clone(), data, platform, observer)
     }
 
     fn run_loop<'a>(
         &self,
         data: &Dataset,
         platform: &'a mut dyn CrowdPlatform,
-        observer: Option<&'a mut dyn Observer>,
+        observer: &'a mut dyn Observer,
     ) -> Result<RunReport, RunError> {
         let mut session = Session::start(self.config.clone(), data, platform, observer)?;
         while session.step()? {}
@@ -151,7 +151,7 @@ pub fn machine_only_answers(
         ..config.clone()
     };
     let mut no_crowd = NoCrowd;
-    let session = Session::start(config, data, &mut no_crowd, None)?;
+    let session = Session::start(config, data, &mut no_crowd, unobserved())?;
     let ctable = session.ctable().clone();
     Ok((session.finalize()?.result, ctable))
 }

@@ -33,12 +33,16 @@
 //! A circuit that went [stale](SolverError::StaleCircuit) falls back to a
 //! plain solve of the current condition and is not kept.
 //!
+//! Every probability cached here comes from a compile, an evaluation or a
+//! plain solve, each of which checks its root
+//! ([`bc_solver::checked_probability`]); one that is not a probability is
+//! [`SolverError::InvalidProbability`] and aborts the run.
+//!
 //! Task selection scores an object off its kept circuit
 //! ([`ProbCache::scoring`]), rebuilding a restored one on first use
 //! ([`Kept::scoring_circuit`]). An object without one compiles under the
 //! current pmfs and keeps nothing.
 
-use crate::config::{checked_probability, Checked};
 use crate::error::RunError;
 use bc_ctable::{CTable, Condition, Expr};
 use bc_data::{ObjectId, VarId};
@@ -465,7 +469,7 @@ fn probability(
         return match circuit.evaluate(dists) {
             Ok(p) => {
                 work.evaluations += 1;
-                Ok((checked_probability(p)?, kept))
+                Ok((p, kept))
             }
             Err(SolverError::StaleCircuit) => plain(solver, cond, dists, work),
             Err(e) => Err(e.into()),
@@ -477,7 +481,7 @@ fn probability(
     work.compiles += 1;
     work.stats += stats;
     match p {
-        Some(p) => Ok((checked_probability(p)?, Some(kept))),
+        Some(p) => Ok((p, Some(kept))),
         None => plain(solver, cond, dists, work),
     }
 }
@@ -489,7 +493,7 @@ fn plain(
     dists: &VarDists,
     work: &mut BatchWork,
 ) -> Result<(f64, Option<Kept>), RunError> {
-    let (p, stats) = Checked(solver).probability_with_stats(cond, dists)?;
+    let (p, stats) = solver.probability_with_stats(cond, dists)?;
     work.solver_calls += 1;
     work.stats += stats;
     Ok((p, None))

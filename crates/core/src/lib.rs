@@ -89,9 +89,9 @@ pub mod error;
 pub mod framework;
 mod kept;
 pub mod report;
-pub mod selection;
+mod selection;
 pub mod session;
-pub mod strategy;
+mod strategy;
 
 pub use bc_crowd::RetryPolicy;
 pub use config::{BayesCrowdConfig, ConfigError};

@@ -26,18 +26,18 @@ pub enum ObjectRanking {
 
 /// An open object with its current probability and entropy.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RankedObject {
+pub(crate) struct RankedObject {
     /// The object.
-    pub object: ObjectId,
+    pub(crate) object: ObjectId,
     /// `Pr(φ(o))` under the current distributions.
-    pub probability: f64,
+    pub(crate) probability: f64,
     /// `H(o)` (Eq. 3).
-    pub entropy: f64,
+    pub(crate) entropy: f64,
 }
 
 /// Ranks open objects by descending entropy (ties by id, deterministic) —
 /// step (i) of task selection.
-pub fn rank_by_entropy(probs: &[(ObjectId, f64)]) -> Vec<RankedObject> {
+pub(crate) fn rank_by_entropy(probs: &[(ObjectId, f64)]) -> Vec<RankedObject> {
     let mut ranked: Vec<RankedObject> = probs
         .iter()
         .map(|&(object, probability)| RankedObject {
@@ -55,7 +55,7 @@ pub fn rank_by_entropy(probs: &[(ObjectId, f64)]) -> Vec<RankedObject> {
 }
 
 /// Ranks open objects under the chosen policy.
-pub fn rank_objects(probs: &[(ObjectId, f64)], ranking: ObjectRanking) -> Vec<RankedObject> {
+pub(crate) fn rank_objects(probs: &[(ObjectId, f64)], ranking: ObjectRanking) -> Vec<RankedObject> {
     match ranking {
         ObjectRanking::Entropy => rank_by_entropy(probs),
         ObjectRanking::Random { seed } => {
@@ -94,7 +94,7 @@ pub fn rank_objects(probs: &[(ObjectId, f64)], ranking: ObjectRanking) -> Vec<Ra
 /// UBS/HHS score candidates through `scorer`, whose tally then holds the
 /// round's utility effort. Each ranked probability must be `Pr(φ(o))`
 /// under the scorer's distributions. A solver error aborts the round.
-pub fn assemble_round(
+pub(crate) fn assemble_round(
     ranked: &[RankedObject],
     ctable: &CTable,
     strategy: TaskStrategy,

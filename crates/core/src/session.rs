@@ -93,42 +93,56 @@ fn task_still_open(ctable: &CTable, task: &Task) -> bool {
         .any(|(_, c)| !c.is_decided() && c.mentions_any(&vars))
 }
 
-/// Per-object condition probabilities (see [`ProbCache::solve_batch`]),
-/// cached, emitting one [`Event::ProbabilityBatch`] per non-empty batch.
-/// A solver error, an invalid probability included, aborts the run as
-/// [`RunError::Solver`]. Returns the number of conditions computed.
-#[allow(clippy::too_many_arguments)]
-fn probabilities(
-    parallel: bool,
-    ctable: &CTable,
-    cache: &mut ProbCache,
-    objects: &[ObjectId],
-    base: &VarDists,
-    dists: &VarDists,
-    phase: RunPhase,
-    observer: &mut dyn Observer,
-) -> Result<u64, RunError> {
-    if objects.is_empty() {
-        return Ok(0);
+impl RunState {
+    /// Every open object's `Pr(φ(o))` under the current pmfs, in object
+    /// order. Objects with no cached probability are solved first (see
+    /// [`ProbCache::solve_batch`]), as one [`Event::ProbabilityBatch`] when
+    /// there are any, and counted in `evals`. A solver error, an invalid
+    /// probability included, aborts the run as [`RunError::Solver`].
+    fn open_probabilities(
+        &mut self,
+        phase: RunPhase,
+        observer: &mut dyn Observer,
+    ) -> Result<Vec<(ObjectId, f64)>, RunError> {
+        let open = self.ctable.open_objects();
+        let stale = self.cache.stale(&open);
+        if !stale.is_empty() {
+            let t = Instant::now();
+            let work = self.cache.solve_batch(
+                self.config.parallel,
+                &self.ctable,
+                &stale,
+                &self.base,
+                &self.dists,
+            )?;
+            let stats = work.stats;
+            observer.event(&Event::ProbabilityBatch {
+                phase,
+                objects: stale.len(),
+                solver_calls: work.solver_calls,
+                compiles: work.compiles,
+                evaluations: work.evaluations,
+                branches: stats.branches,
+                cache_hits: stats.cache_hits,
+                direct_components: stats.direct_components,
+                component_splits: stats.component_splits,
+                cache_misses: stats.cache_misses,
+                max_depth: stats.max_depth,
+                nanos: t.elapsed().as_nanos(),
+            });
+            self.evals += stale.len() as u64;
+        }
+        Ok(open
+            .into_iter()
+            .map(|o| (o, self.cache.get(o).expect("solved above")))
+            .collect())
     }
-    let t = Instant::now();
-    let work = cache.solve_batch(parallel, ctable, objects, base, dists)?;
-    let stats = work.stats;
-    observer.event(&Event::ProbabilityBatch {
-        phase,
-        objects: objects.len(),
-        solver_calls: work.solver_calls,
-        compiles: work.compiles,
-        evaluations: work.evaluations,
-        branches: stats.branches,
-        cache_hits: stats.cache_hits,
-        direct_components: stats.direct_components,
-        component_splits: stats.component_splits,
-        cache_misses: stats.cache_misses,
-        max_depth: stats.max_depth,
-        nanos: t.elapsed().as_nanos(),
-    });
-    Ok(objects.len() as u64)
+}
+
+/// The observer of an unobserved session. [`NoopObserver`] is zero-sized,
+/// so the leaked box allocates nothing.
+pub(crate) fn unobserved() -> &'static mut dyn Observer {
+    Box::leak(Box::new(NoopObserver))
 }
 
 /// An in-flight crowd run: the crowdsourcing phase of Algorithm 4, paused
@@ -143,8 +157,7 @@ fn probabilities(
 pub struct Session<'a> {
     state: RunState,
     platform: &'a mut dyn CrowdPlatform,
-    observer: Option<&'a mut dyn Observer>,
-    noop: NoopObserver,
+    observer: &'a mut dyn Observer,
     mu: usize,
     started: Instant,
 }
@@ -157,18 +170,13 @@ impl<'a> Session<'a> {
         config: BayesCrowdConfig,
         data: &Dataset,
         platform: &'a mut dyn CrowdPlatform,
-        mut observer: Option<&'a mut dyn Observer>,
+        observer: &'a mut dyn Observer,
     ) -> Result<Session<'a>, RunError> {
         if data.n_objects() == 0 {
             return Err(RunError::EmptyDataset);
         }
         let started = Instant::now();
-        let mut local_noop = NoopObserver;
-        let obs: &mut dyn Observer = match observer.as_deref_mut() {
-            Some(o) => o,
-            None => &mut local_noop,
-        };
-        obs.event(&Event::RunStarted {
+        observer.event(&Event::RunStarted {
             objects: data.n_objects(),
             attrs: data.n_attrs(),
             missing_vars: data.n_missing(),
@@ -181,7 +189,7 @@ impl<'a> Session<'a> {
         let (model, model_stats) = MissingValueModel::learn_with_stats(data, &config.model);
         let base = VarDists::new(model.into_pmfs());
         let dists = base.clone();
-        obs.event(&Event::ModelTrained {
+        observer.event(&Event::ModelTrained {
             bic: model_stats.bic,
             edges: model_stats.edges,
             em_iters: model_stats.em_iters,
@@ -191,12 +199,12 @@ impl<'a> Session<'a> {
             blanket_keys: model_stats.blanket_keys,
             nanos: model_span.elapsed_nanos(),
         });
-        model_span.finish(obs);
+        model_span.finish(observer);
 
         let ctable_span = Span::start(RunPhase::CTable);
         let (ctable, build_stats) =
             bc_ctable::build_ctable_with_stats(data, &config.ctable_config());
-        obs.event(&Event::CTableBuilt {
+        observer.event(&Event::CTableBuilt {
             objects: build_stats.objects,
             open_objects: build_stats.open,
             vars: build_stats.vars,
@@ -206,7 +214,7 @@ impl<'a> Session<'a> {
             bitset_words: build_stats.bitset_words,
             nanos: ctable_span.elapsed_nanos(),
         });
-        ctable_span.finish(obs);
+        ctable_span.finish(observer);
         let modeling_time = started.elapsed();
         let state = RunState {
             store: ConstraintStore::new(data),
@@ -239,7 +247,7 @@ impl<'a> Session<'a> {
     fn new(
         state: RunState,
         platform: &'a mut dyn CrowdPlatform,
-        observer: Option<&'a mut dyn Observer>,
+        observer: &'a mut dyn Observer,
         started: Instant,
     ) -> Session<'a> {
         Session {
@@ -247,15 +255,7 @@ impl<'a> Session<'a> {
             state,
             platform,
             observer,
-            noop: NoopObserver,
             started,
-        }
-    }
-
-    fn observer(&mut self) -> &mut dyn Observer {
-        match self.observer.as_deref_mut() {
-            Some(o) => o,
-            None => &mut self.noop,
         }
     }
 
@@ -312,30 +312,15 @@ impl<'a> Session<'a> {
     /// round-level cache, exactly as a finalize would leave them.
     pub fn object_probabilities(&mut self) -> Result<BTreeMap<ObjectId, f64>, RunError> {
         let state = &mut self.state;
-        let stale = state.cache.stale(&state.ctable.open_objects());
-        let observer: &mut dyn Observer = match self.observer.as_deref_mut() {
-            Some(o) => o,
-            None => &mut self.noop,
-        };
-        state.evals += probabilities(
-            state.config.parallel,
-            &state.ctable,
-            &mut state.cache,
-            &stale,
-            &state.base,
-            &state.dists,
-            RunPhase::Finalize,
-            observer,
-        )?;
-        let mut out = BTreeMap::new();
-        for (o, cond) in state.ctable.iter() {
-            let p = match cond {
-                Condition::True => 1.0,
-                Condition::False => 0.0,
-                Condition::Cnf(_) => state.cache.get(o).expect("solved above"),
-            };
-            out.insert(o, p);
-        }
+        let mut out: BTreeMap<ObjectId, f64> = state
+            .open_probabilities(RunPhase::Finalize, self.observer)?
+            .into_iter()
+            .collect();
+        out.extend(state.ctable.iter().filter_map(|(o, cond)| match cond {
+            Condition::True => Some((o, 1.0)),
+            Condition::False => Some((o, 0.0)),
+            Condition::Cnf(_) => None,
+        }));
         Ok(out)
     }
 
@@ -345,62 +330,30 @@ impl<'a> Session<'a> {
     /// or latency exhausted, nothing left to ask, or every expression
     /// decided). Idempotent after termination.
     pub fn step(&mut self) -> Result<bool, RunError> {
-        if self.state.finished {
+        let s = &mut self.state;
+        let (platform, observer) = (&mut *self.platform, &mut *self.observer);
+        if s.finished {
             return Ok(false);
         }
-        let Session {
-            state:
-                RunState {
-                    config,
-                    data,
-                    base,
-                    dists,
-                    ctable,
-                    store,
-                    budget,
-                    rounds_before,
-                    pending,
-                    tasks_expired,
-                    tasks_retried,
-                    rounds_stalled,
-                    idle_rounds,
-                    round_idx,
-                    total_posted,
-                    total_answered,
-                    evals,
-                    cache,
-                    finished,
-                    ..
-                },
-            platform,
-            observer,
-            noop,
-            mu,
-            ..
-        } = self;
-        let observer: &mut dyn Observer = match observer {
-            Some(o) => &mut **o,
-            None => noop,
-        };
-        let retry = config.retry;
+        let retry = s.config.retry;
 
-        if *budget == 0 || ctable.n_open_exprs() == 0 {
-            *finished = true;
+        if s.budget == 0 || s.ctable.n_open_exprs() == 0 {
+            s.finished = true;
             return Ok(false);
         }
         // Latency is measured against the platform's own round counter (a
         // straggling platform may consume several rounds per posted batch)
         // plus locally idled backoff rounds.
-        if config.latency > 0
-            && (platform.stats().rounds - *rounds_before) + *idle_rounds >= config.latency
+        if s.config.latency > 0
+            && (platform.stats().rounds - s.rounds_before) + s.idle_rounds >= s.config.latency
         {
-            *finished = true;
+            s.finished = true;
             return Ok(false);
         }
-        *round_idx += 1;
-        observer.event(&Event::RoundStarted { round: *round_idx });
+        s.round_idx += 1;
+        observer.event(&Event::RoundStarted { round: s.round_idx });
         let round_start = Instant::now();
-        let limit = (*mu).min(*budget);
+        let limit = self.mu.min(s.budget);
         let select_span = Span::start(RunPhase::Select);
 
         // Re-posts come first: failed tasks whose backoff has elapsed and
@@ -409,20 +362,20 @@ impl<'a> Session<'a> {
         let mut batch: Vec<Task> = Vec::new();
         let mut attempts_in_batch: Vec<usize> = Vec::new();
         let mut waiting: Vec<PendingTask> = Vec::new();
-        for p in pending.drain(..) {
-            if !task_still_open(ctable, &p.task) {
+        for p in s.pending.drain(..) {
+            if !task_still_open(&s.ctable, &p.task) {
                 continue;
             }
-            if p.eligible_round <= *round_idx && batch.len() < limit {
+            if p.eligible_round <= s.round_idx && batch.len() < limit {
                 batch.push(p.task);
                 attempts_in_batch.push(p.attempts);
             } else {
                 waiting.push(p);
             }
         }
-        *pending = waiting;
+        s.pending = waiting;
         let n_retries = batch.len();
-        *tasks_retried += n_retries;
+        s.tasks_retried += n_retries;
         if n_retries > 0 && retry.escalate_workers > 0 {
             platform.escalate(retry.escalate_workers);
         }
@@ -431,40 +384,25 @@ impl<'a> Session<'a> {
         // queued tasks still backing off. Fresh selection must not ask
         // about them a second time.
         let mut reserved: BTreeSet<VarId> = batch.iter().flat_map(|t| t.vars()).collect();
-        reserved.extend(pending.iter().flat_map(|p| p.task.vars()));
+        reserved.extend(s.pending.iter().flat_map(|p| p.task.vars()));
 
         if batch.len() < limit {
-            let open = ctable.open_objects();
-            let stale = cache.stale(&open);
-            *evals += probabilities(
-                config.parallel,
-                ctable,
-                cache,
-                &stale,
-                base,
-                dists,
-                RunPhase::Select,
-                observer,
-            )?;
             // Utilities take `Pr(φ)` from the cache: an entry survives only
             // while no answered variable touches the condition its circuit
             // was compiled from, and only the answered variables' masks
             // (hence pmfs) change, so every entry is `Pr(φ)` under the
             // current `dists`.
-            let probs: Vec<(ObjectId, f64)> = open
-                .iter()
-                .map(|&o| (o, cache.get(o).expect("solved above")))
-                .collect();
-            let ranked = rank_objects(&probs, config.ranking);
+            let probs = s.open_probabilities(RunPhase::Select, observer)?;
+            let ranked = rank_objects(&probs, s.config.ranking);
             let t = Instant::now();
-            let mut scorer = UtilityScorer::new(cache, base, dists);
+            let mut scorer = UtilityScorer::new(&mut s.cache, &s.base, &s.dists);
             let fresh_tasks = assemble_round(
                 &ranked,
-                ctable,
-                config.strategy,
+                &s.ctable,
+                s.config.strategy,
                 &mut scorer,
                 limit - batch.len(),
-                config.conflict_free,
+                s.config.conflict_free,
                 &reserved,
             )?;
             let tally = scorer.tally();
@@ -485,7 +423,7 @@ impl<'a> Session<'a> {
 
         if batch.is_empty() {
             observer.event(&Event::RoundFinished {
-                round: *round_idx,
+                round: s.round_idx,
                 posted: 0,
                 answered: 0,
                 expired: 0,
@@ -493,13 +431,13 @@ impl<'a> Session<'a> {
                 retried: 0,
                 nanos: round_start.elapsed().as_nanos(),
             });
-            if pending.is_empty() {
-                *finished = true;
+            if s.pending.is_empty() {
+                s.finished = true;
                 return Ok(false);
             }
             // Everything still owed is backing off: idle one round.
-            *idle_rounds += 1;
-            *rounds_stalled += 1;
+            s.idle_rounds += 1;
+            s.rounds_stalled += 1;
             return Ok(true);
         }
 
@@ -507,14 +445,14 @@ impl<'a> Session<'a> {
         // allowance is charged even if conflicts left some of it unused,
         // which is what bounds the number of rounds by L. Re-posts are
         // tasks like any other and consume the same allowance.
-        *budget = budget.saturating_sub(limit);
+        s.budget = s.budget.saturating_sub(limit);
 
         let post_span = Span::start(RunPhase::Post);
         let results = platform.post_round(&batch);
         post_span.finish(observer);
         // Nothing posted before means no propagation pass has run yet.
-        let first_pass = *total_posted == 0;
-        *total_posted += batch.len();
+        let first_pass = s.total_posted == 0;
+        s.total_posted += batch.len();
 
         let mut answers: Vec<TaskAnswer> = Vec::with_capacity(batch.len());
         let mut round_expired = 0usize;
@@ -535,10 +473,10 @@ impl<'a> Session<'a> {
                     let attempts = attempts_in_batch[i] + 1;
                     if attempts < retry.max_attempts {
                         round_requeued += 1;
-                        pending.push(PendingTask {
+                        s.pending.push(PendingTask {
                             task: *task,
                             attempts,
-                            eligible_round: *round_idx + 1 + retry.backoff_rounds(attempts),
+                            eligible_round: s.round_idx + 1 + retry.backoff_rounds(attempts),
                         });
                     } else {
                         round_expired += 1;
@@ -546,10 +484,10 @@ impl<'a> Session<'a> {
                 }
             }
         }
-        *tasks_expired += round_expired;
-        *total_answered += answers.len();
+        s.tasks_expired += round_expired;
+        s.total_answered += answers.len();
         if answers.is_empty() {
-            *rounds_stalled += 1;
+            s.rounds_stalled += 1;
         }
         let propagate_span = Span::start(RunPhase::Propagate);
         // Invalidate cached probabilities of conditions touching any
@@ -566,11 +504,12 @@ impl<'a> Session<'a> {
                 Operand::Const(_) => None,
             })
             .collect();
-        cache.invalidate(ctable, &touched, &var_var, !config.propagate_answers);
-        if config.propagate_answers {
+        s.cache
+            .invalidate(&s.ctable, &touched, &var_var, !s.config.propagate_answers);
+        if s.config.propagate_answers {
             let mut narrowed = BTreeSet::new();
             for a in &answers {
-                narrowed.extend(store.record(a.task.var, a.task.rhs, a.relation));
+                narrowed.extend(s.store.record(a.task.var, a.task.rhs, a.relation));
             }
             // The store changed only on the answered variables, and every
             // earlier pass left each open condition at its fixpoint; so
@@ -578,22 +517,28 @@ impl<'a> Session<'a> {
             // answered variable can move. A kept circuit compiled from a
             // condition the pass rewrites keeps that condition.
             let touching = (!first_pass).then_some(touched.as_slice());
-            let prop_stats =
-                ctable.propagate_replacing(store, touching, |o, old| cache.replaced(o, old));
+            let prop_stats = s
+                .ctable
+                .propagate_replacing(&s.store, touching, |o, old| s.cache.replaced(o, old));
             // Re-condition only the variables whose candidate set narrowed;
             // every other distribution is unchanged (the base pmf while the
             // mask is the full domain). A mask with no base mass leaves the
             // pmf as it was, which no kept circuit can follow.
             let mut unconditioned = Vec::new();
             for var in narrowed {
-                match base.pmf(var).ok().map(|b| b.conditioned(store.mask(var))) {
-                    Some(Some(pmf)) => dists.insert(var, pmf),
+                match s
+                    .base
+                    .pmf(var)
+                    .ok()
+                    .map(|b| b.conditioned(s.store.mask(var)))
+                {
+                    Some(Some(pmf)) => s.dists.insert(var, pmf),
                     Some(None) => unconditioned.push(var),
                     None => {}
                 }
             }
             if !unconditioned.is_empty() {
-                cache.drop_circuits_mentioning(&unconditioned);
+                s.cache.drop_circuits_mentioning(&unconditioned);
             }
             observer.event(&Event::Propagated {
                 answers: answers.len(),
@@ -607,8 +552,8 @@ impl<'a> Session<'a> {
             // derived from — no cross-condition inference.
             let answered: BTreeMap<Task, Relation> =
                 answers.iter().map(|a| (a.task, a.relation)).collect();
-            for o in data.objects() {
-                let cond = ctable.condition(o);
+            for o in s.data.objects() {
+                let cond = s.ctable.condition(o);
                 if cond.is_decided() {
                     continue;
                 }
@@ -617,12 +562,12 @@ impl<'a> Session<'a> {
                         .get(&Task::from_expr(e))
                         .map(|&rel| crate::framework::expr_truth(e.op(), rel))
                 });
-                ctable.set_condition(o, simplified);
+                s.ctable.set_condition(o, simplified);
             }
         }
         propagate_span.finish(observer);
         observer.event(&Event::RoundFinished {
-            round: *round_idx,
+            round: s.round_idx,
             posted: batch.len(),
             answered: answers.len(),
             expired: round_expired,
@@ -641,48 +586,19 @@ impl<'a> Session<'a> {
     /// exactly as `try_run` does.
     pub fn finalize(mut self) -> Result<RunReport, RunError> {
         while self.step()? {}
-        let Session {
-            state:
-                RunState {
-                    config,
-                    base,
-                    dists,
-                    ctable,
-                    budget,
-                    pending,
-                    mut tasks_expired,
-                    tasks_retried,
-                    rounds_stalled,
-                    total_posted,
-                    total_answered,
-                    mut evals,
-                    mut cache,
-                    modeling_time,
-                    prior_elapsed,
-                    ..
-                },
-            platform,
-            mut observer,
-            mut noop,
-            started,
-            ..
-        } = self;
-        let observer: &mut dyn Observer = match &mut observer {
-            Some(o) => *o,
-            None => &mut noop,
-        };
+        let (s, observer) = (&mut self.state, &mut *self.observer);
 
         // Tasks still queued (and still useful) when budget or latency ran
         // out never got their answer: graceful degradation, not an error.
-        let tasks_abandoned = pending
+        let tasks_abandoned = s
+            .pending
             .iter()
-            .filter(|p| task_still_open(&ctable, &p.task))
+            .filter(|p| task_still_open(&s.ctable, &p.task))
             .count();
-        tasks_expired += tasks_abandoned;
+        s.tasks_expired += tasks_abandoned;
         if tasks_abandoned > 0 {
             observer.event(&Event::Degraded { tasks_abandoned });
         }
-        let degraded = tasks_expired > 0;
 
         // ---- Derive the answer set -------------------------------------
         // Open conditions keep their symbolic variables; their objects are
@@ -691,56 +607,43 @@ impl<'a> Session<'a> {
         // probabilities are still valid (invalidation dropped everything a
         // crowd answer touched), so only stale conditions are re-solved.
         let finalize_span = Span::start(RunPhase::Finalize);
-        let open = ctable.open_objects();
-        let stale = cache.stale(&open);
-        evals += probabilities(
-            config.parallel,
-            &ctable,
-            &mut cache,
-            &stale,
-            &base,
-            &dists,
-            RunPhase::Finalize,
-            observer,
-        )?;
-        let certain = ctable.certain_answers();
+        let open = s.open_probabilities(RunPhase::Finalize, observer)?;
+        let certain = s.ctable.certain_answers();
         let mut result = certain.clone();
-        let mut open_probabilities = BTreeMap::new();
-        for o in open {
-            let p = cache.get(o).expect("solved above");
-            open_probabilities.insert(o, p);
-            if p > ANSWER_THRESHOLD {
-                result.push(o);
-            }
-        }
+        result.extend(
+            open.iter()
+                .filter(|&&(_, p)| p > ANSWER_THRESHOLD)
+                .map(|&(o, _)| o),
+        );
         result.sort_unstable();
-        let truth = platform
+        let truth = self
+            .platform
             .ground_truth()
             .and_then(|complete| bc_data::skyline::skyline_sfs(complete).ok());
         let accuracy = truth.map(|t| Accuracy::of(&result, &t));
         finalize_span.finish(observer);
 
-        let total_time = prior_elapsed + started.elapsed();
+        let total_time = s.prior_elapsed + self.started.elapsed();
         let report = RunReport {
             result,
             certain,
-            open_probabilities,
+            open_probabilities: open.into_iter().collect(),
             accuracy,
-            crowd: platform.stats(),
-            budget_left: budget,
-            modeling_time,
+            crowd: self.platform.stats(),
+            budget_left: s.budget,
+            modeling_time: s.modeling_time,
             total_time,
-            probability_evals: evals,
-            open_exprs_left: ctable.n_open_exprs(),
-            tasks_expired,
-            tasks_retried,
-            rounds_stalled,
-            degraded,
+            probability_evals: s.evals,
+            open_exprs_left: s.ctable.n_open_exprs(),
+            tasks_expired: s.tasks_expired,
+            tasks_retried: s.tasks_retried,
+            rounds_stalled: s.rounds_stalled,
+            degraded: s.tasks_expired > 0,
         };
         observer.event(&Event::RunFinished {
             rounds: report.crowd.rounds,
             tasks_posted: report.crowd.tasks_posted,
-            tasks_answered: total_answered,
+            tasks_answered: s.total_answered,
             tasks_expired: report.tasks_expired,
             tasks_retried: report.tasks_retried,
             probability_evals: report.probability_evals,
@@ -750,7 +653,7 @@ impl<'a> Session<'a> {
         // A platform that swallowed every single task is indistinguishable
         // from no crowd at all: surface it as an error with the degraded
         // report attached (the trace above is already complete).
-        if total_posted > 0 && total_answered == 0 && report.open_exprs_left > 0 {
+        if s.total_posted > 0 && s.total_answered == 0 && report.open_exprs_left > 0 {
             return Err(RunError::PlatformExhausted {
                 report: Box::new(report),
             });
@@ -777,9 +680,8 @@ impl<'a> Session<'a> {
         })?;
         let elapsed = self.state.prior_elapsed + self.started.elapsed();
         let bytes = codec::write_checkpoint(out, &self.state, elapsed, &platform)?;
-        let round = self.state.round_idx;
-        self.observer().event(&Event::CheckpointWritten {
-            round,
+        self.observer.event(&Event::CheckpointWritten {
+            round: self.state.round_idx,
             bytes,
             nanos: t.elapsed().as_nanos(),
         });
@@ -799,7 +701,7 @@ impl<'a> Session<'a> {
         reader: impl Read,
         platform: &'a mut dyn CrowdPlatform,
     ) -> Result<Session<'a>, RunError> {
-        Session::resume_inner(reader, platform, None)
+        Session::resume_observed(reader, platform, unobserved())
     }
 
     /// [`Session::resume`] with an observer; emits [`Event::Resumed`] and
@@ -809,28 +711,18 @@ impl<'a> Session<'a> {
         platform: &'a mut dyn CrowdPlatform,
         observer: &'a mut dyn Observer,
     ) -> Result<Session<'a>, RunError> {
-        Session::resume_inner(reader, platform, Some(observer))
-    }
-
-    fn resume_inner(
-        reader: impl Read,
-        platform: &'a mut dyn CrowdPlatform,
-        observer: Option<&'a mut dyn Observer>,
-    ) -> Result<Session<'a>, RunError> {
         let t = Instant::now();
         let (state, platform_state) = codec::read_checkpoint(reader)?;
         platform.load_state(&platform_state).map_err(|e| {
             SnapshotError::Invalid(format!("platform cannot restore this checkpoint: {e}"))
         })?;
-        let mut session = Session::new(state, platform, observer, Instant::now());
-        let resumed = Event::Resumed {
-            round: session.state.round_idx,
-            budget_left: session.state.budget,
-            open_exprs: session.state.ctable.n_open_exprs(),
+        observer.event(&Event::Resumed {
+            round: state.round_idx,
+            budget_left: state.budget,
+            open_exprs: state.ctable.n_open_exprs(),
             nanos: t.elapsed().as_nanos(),
-        };
-        session.observer().event(&resumed);
-        Ok(session)
+        });
+        Ok(Session::new(state, platform, observer, Instant::now()))
     }
 }
 
@@ -889,7 +781,7 @@ mod tests {
             let platform =
                 || SimulatedPlatform::new(GroundTruthOracle::new(complete.clone()), 1.0, 3);
             let mut first = platform();
-            let mut session = Session::start(config, &data, &mut first, None).unwrap();
+            let mut session = Session::start(config, &data, &mut first, unobserved()).unwrap();
             assert_dists_follow_masks(&session, "start");
             let mut snapshot = Vec::new();
             for _ in 0..3 {
@@ -956,7 +848,7 @@ mod tests {
             let platform =
                 || SimulatedPlatform::new(GroundTruthOracle::new(complete.clone()), 1.0, 3);
             let (mut first, mut rec) = (platform(), MetricsRecorder::new());
-            let mut session = Session::start(config, &data, &mut first, Some(&mut rec)).unwrap();
+            let mut session = Session::start(config, &data, &mut first, &mut rec).unwrap();
             let mut full_examined = drive(&mut session, 3, "before checkpoint");
             let mut snapshot = Vec::new();
             session.checkpoint(&mut snapshot).unwrap();

@@ -1,6 +1,5 @@
 //! Task-selection strategies (Section 6.2): FBS, UBS, HHS.
 
-use crate::config::{checked_probability, Checked};
 use crate::kept::{Kept, ProbCache};
 use bc_ctable::{Condition, Expr};
 use bc_data::{FxMap, ObjectId, VarId};
@@ -45,7 +44,7 @@ impl TaskStrategy {
 /// tasks (the paper's "chosen top-k objects"); an expression outside them
 /// has frequency 0. The map is reserved up front to the conditions' total
 /// expression count, so counting never grows it.
-pub fn expression_frequencies<'a, I>(conditions: I) -> FxMap<Expr, usize>
+pub(crate) fn expression_frequencies<'a, I>(conditions: I) -> FxMap<Expr, usize>
 where
     I: IntoIterator<Item = &'a Condition>,
     I::IntoIter: Clone,
@@ -130,24 +129,24 @@ fn candidates(cond: &Condition, freq: &FxMap<Expr, usize>, blocked: &BTreeSet<Va
 
 /// The solver effort behind a batch of marginal-utility evaluations.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct UtilityTally {
+pub(crate) struct UtilityTally {
     /// Candidate expressions scored.
-    pub candidates: u64,
+    pub(crate) candidates: u64,
     /// Solver invocations: one compile per object with an open candidate
     /// and no kept circuit to score off, and one `Pr(φ ∧ e)` solve per
     /// var-var candidate whose clamped pass fails. A candidate is open
     /// when its `Pr(e)` lies strictly inside `(0, 1)`.
-    pub solver_calls: u64,
+    pub(crate) solver_calls: u64,
     /// Conditions compiled: the part of `solver_calls` that scored the
     /// open candidates of one object.
-    pub compiles: u64,
+    pub(crate) compiles: u64,
     /// Circuit nodes those compiles recorded.
-    pub circuit_nodes: u64,
+    pub(crate) circuit_nodes: u64,
     /// Objects whose candidates were scored off a kept circuit, with no
     /// compile.
-    pub reused: u64,
+    pub(crate) reused: u64,
     /// Search effort of the successful compiles and solves.
-    pub stats: SolveStats,
+    pub(crate) stats: SolveStats,
 }
 
 /// Scores candidate expressions by marginal utility (Definition 6) and
@@ -167,7 +166,7 @@ pub struct UtilityTally {
 /// Every probability a compile or solve returns is checked, like the
 /// per-round probability batch's. A solver error, an invalid probability
 /// included, is returned at once; it is never scored as zero utility.
-pub struct UtilityScorer<'a> {
+pub(crate) struct UtilityScorer<'a> {
     cache: &'a mut ProbCache,
     base: &'a VarDists,
     dists: &'a VarDists,
@@ -193,7 +192,7 @@ impl<'a> UtilityScorer<'a> {
     }
 
     /// The effort spent so far.
-    pub fn tally(&self) -> UtilityTally {
+    pub(crate) fn tally(&self) -> UtilityTally {
         self.tally
     }
 
@@ -201,7 +200,7 @@ impl<'a> UtilityScorer<'a> {
     /// `cond`; `p_phi` is `Pr(cond)` under the scorer's distributions. The
     /// circuit scored off checks it, and a stale one is
     /// [`SolverError::StalePrior`].
-    pub fn object<'s>(
+    pub(crate) fn object<'s>(
         &'s mut self,
         o: ObjectId,
         cond: &'s Condition,
@@ -223,7 +222,7 @@ impl<'a> UtilityScorer<'a> {
 }
 
 /// Scores the candidates of one object; see [`UtilityScorer::object`].
-pub struct ObjectScorer<'s> {
+pub(crate) struct ObjectScorer<'s> {
     solver: &'s AdpllSolver,
     base: &'s VarDists,
     dists: &'s VarDists,
@@ -240,7 +239,7 @@ pub struct ObjectScorer<'s> {
 
 impl<'s> ObjectScorer<'s> {
     /// `G(o, e)` for `e` in the object's condition.
-    pub fn score(&mut self, e: &Expr) -> Result<f64, SolverError> {
+    pub(crate) fn score(&mut self, e: &Expr) -> Result<f64, SolverError> {
         self.tally.candidates += 1;
         if self.utilities.is_none() && self.dists.expr_prob(e).is_ok_and(is_open) {
             self.utilities = Some(self.read_utilities()?);
@@ -250,8 +249,7 @@ impl<'s> ObjectScorer<'s> {
                 return Ok(g);
             }
         }
-        let checked = Checked(self.solver);
-        let eval = marginal_utility_with_prior(&checked, self.cond, e, self.dists, self.p_phi)?;
+        let eval = marginal_utility_with_prior(self.solver, self.cond, e, self.dists, self.p_phi)?;
         if let Some(stats) = eval.solve {
             self.tally.solver_calls += 1;
             self.tally.stats += stats;
@@ -276,7 +274,6 @@ impl<'s> ObjectScorer<'s> {
                 (utilities, Some(stats))
             }
         };
-        checked_probability(utilities.circuit().probability())?;
         match compiled {
             Some(stats) => {
                 self.tally.solver_calls += 1;
@@ -303,7 +300,7 @@ impl<'s> ObjectScorer<'s> {
 /// order. FBS takes the first of them. UBS scores them all and HHS walks
 /// them in that order until `m` consecutive candidates fail to improve on
 /// the best utility; both keep the first of equal utilities.
-pub fn select_expression(
+pub(crate) fn select_expression(
     strategy: TaskStrategy,
     o: ObjectId,
     cond: &Condition,

@@ -348,7 +348,6 @@ fn main() {
                     exit(1);
                 })
             });
-            let mut noop = NoopObserver;
             // Only wrap when faults were requested, so fault-free runs stay
             // bit-identical to earlier versions under the same seed.
             let mut platform: Box<dyn CrowdPlatform> = if faults == FaultConfig::default() {
@@ -356,23 +355,28 @@ fn main() {
             } else {
                 Box::new(FaultyPlatform::new(sim, faults, args.seed ^ 0x5eed))
             };
-            let mut run = |observer: &mut dyn Observer| {
-                drive_session(&engine, &data, platform.as_mut(), observer, &args)
-            };
+            // One observer: the trace, the metrics and the profile, each a
+            // `NoopObserver` unless requested.
             let mut profiler = RunProfiler::new();
-            let outcome = match (&mut sink, args.metrics, args.profile.is_some()) {
-                (Some(s), true, true) => {
-                    let mut inner = Tee::new(&mut metrics, &mut profiler);
-                    run(&mut Tee::new(s, &mut inner))
-                }
-                (Some(s), true, false) => run(&mut Tee::new(s, &mut metrics)),
-                (Some(s), false, true) => run(&mut Tee::new(s, &mut profiler)),
-                (Some(s), false, false) => run(s),
-                (None, true, true) => run(&mut Tee::new(&mut metrics, &mut profiler)),
-                (None, true, false) => run(&mut metrics),
-                (None, false, true) => run(&mut profiler),
-                (None, false, false) => run(&mut noop),
+            let (mut no_trace, mut no_metrics, mut no_profile) =
+                (NoopObserver, NoopObserver, NoopObserver);
+            let trace: &mut dyn Observer = match &mut sink {
+                Some(s) => s,
+                None => &mut no_trace,
             };
+            let metered: &mut dyn Observer = if args.metrics {
+                &mut metrics
+            } else {
+                &mut no_metrics
+            };
+            let profiled: &mut dyn Observer = if args.profile.is_some() {
+                &mut profiler
+            } else {
+                &mut no_profile
+            };
+            let mut recorders = Tee::new(metered, profiled);
+            let mut observer = Tee::new(trace, &mut recorders);
+            let outcome = drive_session(&engine, &data, platform.as_mut(), &mut observer, &args);
             let report = match outcome {
                 Ok(report) => report,
                 Err(RunError::PlatformExhausted { report }) => {

@@ -189,6 +189,72 @@ fn trace_flag_writes_one_parseable_event_per_line() {
 }
 
 #[test]
+fn all_three_observers_together_leave_the_report_unchanged() {
+    // `--trace`, `--metrics` and `--profile` in one run: every sink gets
+    // the whole stream, and the report equals an unobserved run's.
+    let data = write_temp("o_inc.csv", INCOMPLETE);
+    let complete = write_temp("o_com.csv", COMPLETE);
+    let dir = std::env::temp_dir().join("bayescrowd-cli-tests/observers");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("work dir");
+    let (trace, profile) = (dir.join("trace.jsonl"), dir.join("profile.json"));
+    let (observed, plain) = (dir.join("observed.txt"), dir.join("plain.txt"));
+    let run = |report: &std::path::Path, extra: &[&str]| {
+        let out = cli()
+            .args([
+                "simulate",
+                "--data",
+                data.to_str().unwrap(),
+                "--complete",
+                complete.to_str().unwrap(),
+                "--alpha",
+                "1.0",
+                "--budget",
+                "12",
+                "--latency",
+                "6",
+                "--report-out",
+                report.to_str().unwrap(),
+            ])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let stdout = run(
+        &observed,
+        &[
+            "--trace",
+            trace.to_str().unwrap(),
+            "--metrics",
+            "--profile",
+            profile.to_str().unwrap(),
+        ],
+    );
+    run(&plain, &[]);
+
+    assert!(stdout.contains("solver search: "), "no metrics: {stdout}");
+    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    assert!(text.lines().count() > 2, "short trace:\n{text}");
+    for (i, line) in text.lines().enumerate() {
+        let (seq, _) = bc_obs::Event::from_json_line(line)
+            .unwrap_or_else(|| panic!("line {i} does not parse: {line}"));
+        assert_eq!(seq, i as u64, "{line}");
+    }
+    let json = std::fs::read_to_string(&profile).expect("profile file written");
+    let tree = bc_obs::ProfileReport::from_json(&json).expect("profile JSON parses");
+    assert!(
+        tree.node("round").is_some_and(|r| r.count >= 1),
+        "no rounds"
+    );
+    let observed = std::fs::read_to_string(&observed).expect("observed report");
+    let plain = std::fs::read_to_string(&plain).expect("plain report");
+    assert!(plain.contains("result:"), "{plain}");
+    assert_eq!(observed, plain, "observing the run changed its report");
+}
+
+#[test]
 fn killed_run_resumes_to_the_identical_report() {
     // Clean run writing checkpoints and a deterministic report; a second
     // run killed (process abort) after round 2; a third run resumed from

@@ -44,6 +44,66 @@ fn golden_trace_is_deterministic_modulo_timing() {
     assert!(!a.events().is_empty());
 }
 
+/// A report with its wall-clock durations zeroed, printed: equal strings
+/// mean equal reports, every probability to the bit.
+fn untimed(report: &RunReport) -> String {
+    let mut report = report.clone();
+    report.modeling_time = std::time::Duration::ZERO;
+    report.total_time = std::time::Duration::ZERO;
+    format!("{report:?}")
+}
+
+/// A session stepped to the end and finalized is the run `try_run` and
+/// `run` drive: the same events, the same report, and between the last
+/// step and the finalize, `object_probabilities` reads exactly the
+/// probabilities the report gives.
+#[test]
+fn a_stepped_session_matches_try_run() {
+    let data = paper_dataset();
+    let platform = || SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 1.0, 42);
+    let mut saw_open = false;
+    for budget in [4, 20] {
+        let engine = BayesCrowd::new(BayesCrowdConfig {
+            budget,
+            ..sample_config()
+        });
+        let (mut p, mut run_events) = (platform(), MetricsRecorder::new());
+        let ran = engine.try_run(&data, &mut p, &mut run_events).unwrap();
+        let (mut p, mut step_events) = (platform(), MetricsRecorder::new());
+        let mut session = engine
+            .session_observed(&data, &mut p, &mut step_events)
+            .unwrap();
+        while session.step().unwrap() {}
+        let stepped = session.finalize().unwrap();
+        assert_eq!(
+            run_events.redacted_events(),
+            step_events.redacted_events(),
+            "budget {budget}: events"
+        );
+        assert_eq!(untimed(&ran), untimed(&stepped), "budget {budget}: report");
+
+        let mut p = platform();
+        let plain = engine.run(&data, &mut p);
+        let mut p = platform();
+        let mut session = engine.session(&data, &mut p).unwrap();
+        while session.step().unwrap() {}
+        let probs = session.object_probabilities().unwrap();
+        let unobserved = session.finalize().unwrap();
+        assert_eq!(untimed(&plain), untimed(&unobserved), "budget {budget}");
+        assert_eq!(probs.len(), data.n_objects(), "budget {budget}");
+        for (o, p) in probs {
+            let want = match unobserved.open_probabilities.get(&o) {
+                Some(&open) => open,
+                None if unobserved.certain.contains(&o) => 1.0,
+                None => 0.0,
+            };
+            assert_eq!(p.to_bits(), want.to_bits(), "budget {budget}: {o}");
+        }
+        saw_open |= !unobserved.open_probabilities.is_empty();
+    }
+    assert!(saw_open, "no run ended with an open object");
+}
+
 /// Structural invariants of any trace: RunStarted first, RunFinished last,
 /// and every RoundStarted paired with exactly one RoundFinished for the
 /// same round number, in order.
