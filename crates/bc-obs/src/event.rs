@@ -136,37 +136,26 @@ pub enum Event {
         /// straggling platforms may charge extra latency per batch).
         round: usize,
     },
-    /// A batch of condition probabilities was computed, with the search
-    /// effort of its compiles and plain solves.
+    /// A batch of condition probabilities was summed off factor tables,
+    /// with the effort of refreshing the tables and of the passes.
     ProbabilityBatch {
         /// Which phase requested the batch.
         phase: RunPhase,
-        /// Conditions solved (cached conditions are not re-solved and do
-        /// not appear here).
+        /// Conditions whose `Pr(φ)` was summed (cached conditions are not
+        /// re-summed and do not appear here).
         objects: usize,
-        /// Solver invocations: the compiles and plain solves (of a
-        /// condition whose circuit went stale).
+        /// Objects whose factor tables were built or updated: at least one
+        /// clause table computed.
         solver_calls: u64,
-        /// Conditions compiled to a kept circuit, against the model's
-        /// distributions (part of `solver_calls`).
-        compiles: u64,
-        /// Conditions whose kept circuit was re-evaluated under the current
-        /// distributions instead of solved: no search, not a solver call.
-        evaluations: u64,
-        /// Value-branching decisions taken by the solver.
+        /// Points of the own cells' joint supports the passes visited.
         branches: u64,
-        /// Component probabilities served from the solver's cache.
+        /// Clause tables reused from an earlier batch.
         cache_hits: u64,
-        /// Independent components closed directly by the disjunctive rule.
-        direct_components: u64,
-        /// Component decompositions that split a condition into more than
-        /// one independent sub-problem.
+        /// Factor groups the passes multiplied: distinct own-cell sets
+        /// among each condition's clauses.
         component_splits: u64,
-        /// Correlated components solved by branching (cache empty or
-        /// caching disabled).
+        /// Clause tables computed.
         cache_misses: u64,
-        /// Deepest branching recursion of any one solve in the batch.
-        max_depth: u64,
         /// Batch wall-clock time.
         nanos: u128,
     },
@@ -177,21 +166,13 @@ pub enum Event {
     UtilityBatch {
         /// Candidate expressions scored.
         candidates: u64,
-        /// Solver invocations: the compiles, one `Pr(φ ∧ e)` solve per
-        /// candidate whose `Pr(e)` lies strictly inside `(0, 1)` and that
-        /// no circuit scores (a var-var one whose clamped pass fails).
+        /// Outside passes over factor tables: one per object with a
+        /// candidate whose `Pr(e)` lies strictly inside `(0, 1)`.
         solver_calls: u64,
-        /// Conditions compiled, each scoring every open candidate of one
-        /// object (part of `solver_calls`).
-        compiles: u64,
-        /// Circuit nodes those compiles recorded.
-        circuit_nodes: u64,
-        /// Objects scored off the circuit their probability batch keeps,
-        /// with no compile.
-        reused: u64,
-        /// Value-branching decisions taken by those compiles and solves.
+        /// Points of the own cells' joint supports those passes visited.
         decisions: u64,
-        /// Component probabilities served from the solver's cache.
+        /// Clause tables those passes read as their probability batch
+        /// kept them (an object restored from a checkpoint builds its own).
         cache_hits: u64,
         /// Task-assembly wall-clock time (scoring plus candidate ordering).
         nanos: u128,
@@ -368,12 +349,9 @@ wire_format! {
     CTableBuilt { objects, open_objects, vars, exprs, pruned, candidates, bitset_words, nanos }
     RoundStarted { round }
     ProbabilityBatch {
-        phase, objects, solver_calls, compiles, evaluations, branches, cache_hits,
-        direct_components, component_splits, cache_misses, max_depth, nanos
+        phase, objects, solver_calls, branches, cache_hits, component_splits, cache_misses, nanos
     }
-    UtilityBatch {
-        candidates, solver_calls, compiles, circuit_nodes, reused, decisions, cache_hits, nanos
-    }
+    UtilityBatch { candidates, solver_calls, decisions, cache_hits, nanos }
     Propagated { answers, examined, decided, depth, nanos }
     RoundFinished { round, posted, answered, expired, requeued, retried, nanos }
     SpanFinished { phase, nanos }
@@ -472,22 +450,15 @@ mod tests {
                 phase: RunPhase::Select,
                 objects: 3,
                 solver_calls: 3,
-                compiles: 1,
-                evaluations: 1,
                 branches: 17,
                 cache_hits: 2,
-                direct_components: 4,
                 component_splits: 1,
                 cache_misses: 5,
-                max_depth: 3,
                 nanos: 777,
             },
             Event::UtilityBatch {
                 candidates: 9,
                 solver_calls: 8,
-                compiles: 3,
-                circuit_nodes: 212,
-                reused: 2,
                 decisions: 41,
                 cache_hits: 5,
                 nanos: 6_543,
@@ -595,9 +566,6 @@ mod tests {
         let u = Event::UtilityBatch {
             candidates: 3,
             solver_calls: 2,
-            compiles: 1,
-            circuit_nodes: 30,
-            reused: 4,
             decisions: 7,
             cache_hits: 1,
             nanos: 99,
@@ -607,9 +575,6 @@ mod tests {
             Event::UtilityBatch {
                 candidates: 3,
                 solver_calls: 2,
-                compiles: 1,
-                circuit_nodes: 30,
-                reused: 4,
                 decisions: 7,
                 cache_hits: 1,
                 nanos: 0,
@@ -661,72 +626,53 @@ mod tests {
     }
 
     #[test]
-    fn utility_batch_carries_the_compile_counts() {
-        let e = Event::UtilityBatch {
-            candidates: 12,
-            solver_calls: 4,
-            compiles: 3,
-            circuit_nodes: 587,
-            reused: 8,
-            decisions: 90,
-            cache_hits: 6,
-            nanos: 17,
-        };
-        let line = e.to_json_line(5);
-        for field in ["\"compiles\": 3", "\"circuit_nodes\": 587", "\"reused\": 8"] {
-            assert!(line.contains(field), "{line}");
-        }
-        assert_eq!(Event::from_json_line(&line), Some((5, e)));
-        // A line without any of the counts is rejected, not defaulted.
-        for field in [
-            ", \"compiles\": 3",
-            ", \"circuit_nodes\": 587",
-            ", \"reused\": 8",
-        ] {
-            let old = line.replace(field, "");
-            assert!(Event::from_json_line(&old).is_none(), "{old}");
-        }
-    }
-
-    #[test]
-    fn probability_batch_carries_the_circuit_and_search_counts() {
-        let e = Event::ProbabilityBatch {
-            phase: RunPhase::Finalize,
-            objects: 9,
-            solver_calls: 4,
-            compiles: 3,
-            evaluations: 5,
-            branches: 60,
-            cache_hits: 2,
-            direct_components: 7,
-            component_splits: 3,
-            cache_misses: 6,
-            max_depth: 2,
-            nanos: 21,
-        };
-        let line = e.to_json_line(6);
-        let fields = [
-            ", \"compiles\": 3",
-            ", \"evaluations\": 5",
-            ", \"direct_components\": 7",
-            ", \"component_splits\": 3",
-            ", \"cache_misses\": 6",
-            ", \"max_depth\": 2",
+    fn batches_carry_the_table_counts() {
+        let events = [
+            Event::UtilityBatch {
+                candidates: 12,
+                solver_calls: 4,
+                decisions: 90,
+                cache_hits: 6,
+                nanos: 17,
+            },
+            Event::ProbabilityBatch {
+                phase: RunPhase::Finalize,
+                objects: 9,
+                solver_calls: 4,
+                branches: 60,
+                cache_hits: 2,
+                component_splits: 3,
+                cache_misses: 6,
+                nanos: 21,
+            },
         ];
-        for field in fields {
-            assert!(line.contains(field), "{line}");
-        }
-        assert_eq!(Event::from_json_line(&line), Some((6, e)));
-        // A line without any of the counts is rejected, not defaulted.
-        for field in fields {
-            let old = line.replace(field, "");
-            assert!(Event::from_json_line(&old).is_none(), "{old}");
+        let fields: [&[&str]; 2] = [
+            &[", \"decisions\": 90", ", \"cache_hits\": 6"],
+            &[
+                ", \"branches\": 60",
+                ", \"component_splits\": 3",
+                ", \"cache_misses\": 6",
+            ],
+        ];
+        for (e, fields) in events.into_iter().zip(fields) {
+            let line = e.to_json_line(6);
+            for field in fields {
+                assert!(line.contains(field), "{line}");
+            }
+            assert_eq!(Event::from_json_line(&line), Some((6, e)));
+            // A line without any of the counts is rejected, not defaulted.
+            for field in fields {
+                let old = line.replace(field, "");
+                assert!(Event::from_json_line(&old).is_none(), "{old}");
+            }
         }
     }
 
     #[test]
-    fn lines_of_the_retired_search_format_are_rejected() {
+    fn lines_of_retired_formats_are_rejected() {
         for old in [
+            r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "compiles": 1, "evaluations": 1, "branches": 17, "cache_hits": 2, "direct_components": 4, "component_splits": 1, "cache_misses": 5, "max_depth": 3, "nanos": 777}"#,
+            r#"{"seq": 5, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "compiles": 3, "circuit_nodes": 212, "reused": 2, "decisions": 41, "cache_hits": 5, "nanos": 6543}"#,
             r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "compiles": 1, "evaluations": 1, "branches": 17, "cache_hits": 2, "fallbacks": 0, "nanos": 777}"#,
             r#"{"seq": 5, "event": "SolverSearch", "phase": "select", "decisions": 17, "direct_components": 4, "component_splits": 1, "cache_hits": 2, "cache_misses": 5, "max_depth": 3}"#,
             r#"{"seq": 6, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "compiles": 3, "circuit_nodes": 212, "reused": 2, "decisions": 41, "cache_hits": 5, "fallbacks": 0, "nanos": 6543}"#,
@@ -822,8 +768,8 @@ mod tests {
             r#"{"seq": 1, "event": "ModelTrained", "bic": -12.5, "edges": 2, "em_iters": 0, "search_iters": 3, "blanket_cells": 4, "ve_cells": 1, "blanket_keys": 3, "nanos": 1234}"#,
             r#"{"seq": 2, "event": "CTableBuilt", "objects": 5, "open_objects": 3, "vars": 4, "exprs": 13, "pruned": 0, "candidates": 7, "bitset_words": 25, "nanos": 99}"#,
             r#"{"seq": 3, "event": "RoundStarted", "round": 1}"#,
-            r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "compiles": 1, "evaluations": 1, "branches": 17, "cache_hits": 2, "direct_components": 4, "component_splits": 1, "cache_misses": 5, "max_depth": 3, "nanos": 777}"#,
-            r#"{"seq": 5, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "compiles": 3, "circuit_nodes": 212, "reused": 2, "decisions": 41, "cache_hits": 5, "nanos": 6543}"#,
+            r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "branches": 17, "cache_hits": 2, "component_splits": 1, "cache_misses": 5, "nanos": 777}"#,
+            r#"{"seq": 5, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "decisions": 41, "cache_hits": 5, "nanos": 6543}"#,
             r#"{"seq": 6, "event": "Propagated", "answers": 2, "examined": 5, "decided": 1, "depth": 2, "nanos": 55}"#,
             r#"{"seq": 7, "event": "RoundFinished", "round": 1, "posted": 2, "answered": 2, "expired": 0, "requeued": 0, "retried": 0, "nanos": 888}"#,
             r#"{"seq": 8, "event": "SpanFinished", "phase": "post", "nanos": 11}"#,

@@ -155,35 +155,19 @@ pub struct Counters {
     pub requeued: u64,
     /// Re-posts of previously failed tasks, summed over rounds.
     pub retried: u64,
-    /// Conditions solved across all probability batches.
+    /// Conditions whose `Pr(φ)` probability batches summed.
     pub probability_evals: u64,
-    /// Solver invocations: compiles and plain solves.
+    /// Objects whose factor tables a probability batch built or updated.
     pub solver_calls: u64,
-    /// Conditions compiled to a kept circuit by probability batches (part
-    /// of `solver_calls`).
-    pub circuit_compiles: u64,
-    /// Compiles after the run's first compiling probability batch: circuits
-    /// rebuilt because a var-var answer dropped them, a resume left them
-    /// unbuilt, or they went stale. Part of `circuit_compiles`.
-    pub circuit_recompiles: u64,
-    /// Probabilities read off a kept circuit's re-evaluation instead of a
-    /// solve (not solver calls).
-    pub circuit_evals: u64,
-    /// Solver value-branching decisions.
+    /// Points of the own cells' joint supports the batches' passes
+    /// visited.
     pub solver_branches: u64,
-    /// Solver component-cache hits.
+    /// Clause tables reused from an earlier batch.
     pub solver_cache_hits: u64,
-    /// Correlated components solved by branching (cache empty or caching
-    /// disabled).
+    /// Clause tables computed.
     pub solver_cache_misses: u64,
-    /// Independent components closed directly by the disjunctive rule.
-    pub solver_direct_components: u64,
-    /// Component decompositions that split a condition into more than one
-    /// independent sub-problem.
+    /// Factor groups the batches' passes multiplied.
     pub solver_component_splits: u64,
-    /// Deepest branching recursion of any one solve in any probability
-    /// batch (combined by max, not sum).
-    pub solver_max_depth: u64,
     /// Crowd answers folded into the constraint store.
     pub answers_propagated: u64,
     /// Conditions decided by propagation.
@@ -200,20 +184,11 @@ pub struct Counters {
     /// `UtilityBatch` events, like the two counters below; the `solver_*`
     /// counters above cover probability batches only.
     pub utility_evals: u64,
-    /// Solver invocations behind those scores: the compiles, one solve
-    /// per candidate whose `Pr(e)` is strictly inside `(0, 1)` and that no
-    /// circuit scores.
+    /// Outside passes behind those scores: one per object with an open
+    /// candidate.
     pub utility_solver_calls: u64,
-    /// Value-branching decisions taken by utility compiles and solves.
+    /// Joint-support points those passes visited.
     pub utility_decisions: u64,
-    /// Conditions compiled to score their candidates (part of
-    /// `utility_solver_calls`).
-    pub utility_compiles: u64,
-    /// Circuit nodes those compiles recorded.
-    pub utility_circuit_nodes: u64,
-    /// Objects scored off the circuit kept by their probability batch, with
-    /// no compile.
-    pub utility_reused: u64,
     /// Missing cells whose conditional came from the Markov-blanket closed
     /// form. From `ModelTrained` events, like the two counters below.
     pub model_blanket_cells: u64,
@@ -247,8 +222,6 @@ pub struct MetricsRecorder {
     counters: Counters,
     tasks_per_round: Histogram,
     propagation_depth: Histogram,
-    /// Whether this run has had a probability batch that compiled.
-    compiled_once: bool,
 }
 
 impl MetricsRecorder {
@@ -314,21 +287,13 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
-            "probability evals {}  solver calls {} (branches {}, cache hits {})",
-            c.probability_evals, c.solver_calls, c.solver_branches, c.solver_cache_hits
+            "probability evals {}  tables updated {} (points {}, groups {})",
+            c.probability_evals, c.solver_calls, c.solver_branches, c.solver_component_splits
         );
         let _ = writeln!(
             s,
-            "kept circuits: {} compiles ({} recompiles), {} evaluations",
-            c.circuit_compiles, c.circuit_recompiles, c.circuit_evals
-        );
-        let _ = writeln!(
-            s,
-            "solver search: {} cache misses, {} direct components, {} splits, max depth {}",
-            c.solver_cache_misses,
-            c.solver_direct_components,
-            c.solver_component_splits,
-            c.solver_max_depth
+            "clause tables: {} reused, {} computed",
+            c.solver_cache_hits, c.solver_cache_misses
         );
         let _ = writeln!(
             s,
@@ -337,13 +302,8 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
-            "utility evals {}  utility solver calls {} (decisions {}, {} compiles, {} circuit nodes, {} reused)",
-            c.utility_evals,
-            c.utility_solver_calls,
-            c.utility_decisions,
-            c.utility_compiles,
-            c.utility_circuit_nodes,
-            c.utility_reused
+            "utility evals {}  utility passes {} (points {})",
+            c.utility_evals, c.utility_solver_calls, c.utility_decisions
         );
         let _ = writeln!(
             s,
@@ -390,36 +350,21 @@ impl Observer for MetricsRecorder {
             Event::SpanFinished { phase, nanos } => {
                 *self.phase_nanos.entry(*phase).or_insert(0) += nanos;
             }
-            Event::RunStarted { .. } => {
-                self.compiled_once = false;
-            }
             Event::ProbabilityBatch {
                 objects,
                 solver_calls,
-                compiles,
-                evaluations,
                 branches,
                 cache_hits,
-                direct_components,
                 component_splits,
                 cache_misses,
-                max_depth,
                 ..
             } => {
                 self.counters.probability_evals += *objects as u64;
                 self.counters.solver_calls += solver_calls;
-                self.counters.circuit_compiles += compiles;
-                self.counters.circuit_evals += evaluations;
-                if self.compiled_once {
-                    self.counters.circuit_recompiles += compiles;
-                }
-                self.compiled_once |= *compiles > 0;
                 self.counters.solver_branches += branches;
                 self.counters.solver_cache_hits += cache_hits;
-                self.counters.solver_direct_components += direct_components;
                 self.counters.solver_component_splits += component_splits;
                 self.counters.solver_cache_misses += cache_misses;
-                self.counters.solver_max_depth = self.counters.solver_max_depth.max(*max_depth);
             }
             Event::ModelTrained {
                 blanket_cells,
@@ -434,17 +379,11 @@ impl Observer for MetricsRecorder {
             Event::UtilityBatch {
                 candidates,
                 solver_calls,
-                compiles,
-                circuit_nodes,
-                reused,
                 decisions,
                 ..
             } => {
-                self.counters.utility_reused += reused;
                 self.counters.utility_evals += candidates;
                 self.counters.utility_solver_calls += solver_calls;
-                self.counters.utility_compiles += compiles;
-                self.counters.utility_circuit_nodes += circuit_nodes;
                 self.counters.utility_decisions += decisions;
             }
             Event::Propagated {
@@ -558,44 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn a_new_run_starts_counting_recompiles_afresh() {
-        let batch = |compiles| Event::ProbabilityBatch {
-            phase: RunPhase::Select,
-            objects: compiles as usize,
-            solver_calls: compiles,
-            compiles,
-            evaluations: 0,
-            branches: 0,
-            cache_hits: 0,
-            direct_components: 0,
-            component_splits: 0,
-            cache_misses: 0,
-            max_depth: 0,
-            nanos: 0,
-        };
-        let started = Event::RunStarted {
-            objects: 1,
-            attrs: 1,
-            missing_vars: 1,
-            budget: 1,
-            latency: 1,
-        };
-        let mut rec = MetricsRecorder::new();
-        for e in [
-            started.clone(),
-            batch(0),
-            batch(4),
-            batch(2),
-            started,
-            batch(3),
-        ] {
-            rec.event(&e);
-        }
-        let c = rec.counters();
-        assert_eq!((c.circuit_compiles, c.circuit_recompiles), (9, 2));
-    }
-
-    #[test]
     fn recorder_aggregates_counters_and_spans() {
         let mut rec = MetricsRecorder::new();
         rec.event(&Event::RoundStarted { round: 1 });
@@ -603,28 +504,20 @@ mod tests {
             phase: RunPhase::Select,
             objects: 4,
             solver_calls: 4,
-            compiles: 2,
-            evaluations: 1,
             branches: 10,
             cache_hits: 3,
-            direct_components: 6,
             component_splits: 2,
             cache_misses: 7,
-            max_depth: 4,
             nanos: 100,
         });
         rec.event(&Event::ProbabilityBatch {
             phase: RunPhase::Select,
             objects: 3,
             solver_calls: 1,
-            compiles: 1,
-            evaluations: 2,
             branches: 0,
             cache_hits: 0,
-            direct_components: 1,
             component_splits: 0,
             cache_misses: 0,
-            max_depth: 0,
             nanos: 10,
         });
         rec.event(&Event::ModelTrained {
@@ -640,9 +533,6 @@ mod tests {
         rec.event(&Event::UtilityBatch {
             candidates: 6,
             solver_calls: 5,
-            compiles: 2,
-            circuit_nodes: 44,
-            reused: 3,
             decisions: 12,
             cache_hits: 2,
             nanos: 40,
@@ -675,23 +565,15 @@ mod tests {
         assert_eq!(c.rounds, 1);
         assert_eq!(c.posted, 2);
         assert_eq!(c.probability_evals, 7);
-        // The first compiling batch builds; later compiles rebuild.
-        assert_eq!(
-            (c.circuit_compiles, c.circuit_recompiles, c.circuit_evals),
-            (3, 1, 3)
-        );
-        assert_eq!(c.utility_reused, 3);
         assert_eq!(c.solver_branches, 10);
+        assert_eq!(c.solver_cache_hits, 3);
         assert_eq!(c.solver_cache_misses, 7);
         assert_eq!(c.solver_component_splits, 2);
-        assert_eq!(c.solver_direct_components, 7);
-        assert_eq!(c.solver_max_depth, 4);
         assert_eq!(c.answers_propagated, 2);
         assert_eq!(c.propagate_examined, 6);
         assert_eq!(c.utility_evals, 6);
         assert_eq!(c.utility_solver_calls, 5);
         assert_eq!(c.utility_decisions, 12);
-        assert_eq!((c.utility_compiles, c.utility_circuit_nodes), (2, 44));
         assert_eq!(
             (
                 c.model_blanket_cells,

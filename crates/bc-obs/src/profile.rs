@@ -261,17 +261,16 @@ fn solve_path(phase: RunPhase) -> String {
 /// │   └── build        (CTableBuilt)
 /// ├── round            (RoundFinished; count = rounds)
 /// │   ├── select       (SpanFinished, summed over rounds)
-/// │   │   ├── solve    (ProbabilityBatch; count = solver calls)
-/// │   │   │   ├── evaluate  (count = kept-circuit evaluations, nanos 0)
-/// │   │   │   └── adpll     (count = decisions, nanos 0)
-/// │   │   └── utility  (UtilityBatch; count = solver calls)
-/// │   │       ├── adpll    (count = decisions, nanos 0)
-/// │   │       └── compile  (count = compiles, nanos 0)
+/// │   │   ├── solve    (ProbabilityBatch; count = objects whose tables
+/// │   │   │   │         were built or updated)
+/// │   │   │   └── points  (count = joint-support points, nanos 0)
+/// │   │   └── utility  (UtilityBatch; count = outside passes)
+/// │   │       └── points  (count = joint-support points, nanos 0)
 /// │   ├── post
 /// │   └── propagate
 /// │       └── fixpoint (Propagated)
 /// └── finalize
-///     └── solve        (and its evaluate/adpll children)
+///     └── solve        (and its points child)
 /// ```
 ///
 /// Every `nanos` filed here was measured at the emission site, so the
@@ -318,7 +317,6 @@ impl Observer for RunProfiler {
             Event::ProbabilityBatch {
                 phase,
                 solver_calls,
-                evaluations,
                 branches,
                 nanos,
                 ..
@@ -326,13 +324,10 @@ impl Observer for RunProfiler {
                 let path = solve_path(*phase);
                 self.profiler.record_with(&path, *nanos, *solver_calls);
                 self.profiler
-                    .record_with(&format!("{path}/evaluate"), 0, *evaluations);
-                self.profiler
-                    .record_with(&format!("{path}/adpll"), 0, *branches);
+                    .record_with(&format!("{path}/points"), 0, *branches);
             }
             Event::UtilityBatch {
                 solver_calls,
-                compiles,
                 decisions,
                 nanos,
                 ..
@@ -340,9 +335,7 @@ impl Observer for RunProfiler {
                 self.profiler
                     .record_with("round/select/utility", *nanos, *solver_calls);
                 self.profiler
-                    .record_with("round/select/utility/adpll", 0, *decisions);
-                self.profiler
-                    .record_with("round/select/utility/compile", 0, *compiles);
+                    .record_with("round/select/utility/points", 0, *decisions);
             }
             Event::Propagated { nanos, .. } => {
                 self.profiler.record("round/propagate/fixpoint", *nanos);
@@ -460,22 +453,15 @@ mod tests {
             phase: RunPhase::Select,
             objects: 3,
             solver_calls: 3,
-            compiles: 1,
-            evaluations: 2,
             branches: 9,
             cache_hits: 1,
-            direct_components: 2,
             component_splits: 1,
             cache_misses: 4,
-            max_depth: 3,
             nanos: 200,
         });
         rp.event(&Event::UtilityBatch {
             candidates: 4,
             solver_calls: 3,
-            compiles: 2,
-            circuit_nodes: 25,
-            reused: 1,
             decisions: 11,
             cache_hits: 0,
             nanos: 300,
@@ -508,18 +494,14 @@ mod tests {
         let solve = r.node("round/select/solve").unwrap();
         assert_eq!(solve.nanos, 200);
         assert_eq!(solve.count, 3);
-        let adpll = r.node("round/select/solve/adpll").unwrap();
-        assert_eq!(adpll.count, 9);
-        assert_eq!(adpll.nanos, 0);
-        let evaluate = r.node("round/select/solve/evaluate").unwrap();
-        assert_eq!((evaluate.nanos, evaluate.count), (0, 2));
+        let points = r.node("round/select/solve/points").unwrap();
+        assert_eq!((points.nanos, points.count), (0, 9));
         let names: Vec<&str> = solve.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["evaluate", "adpll"]);
+        assert_eq!(names, ["points"]);
         let utility = r.node("round/select/utility").unwrap();
         assert_eq!((utility.nanos, utility.count), (300, 3));
-        assert_eq!(r.node("round/select/utility/adpll").unwrap().count, 11);
-        assert_eq!(r.node("round/select/utility/compile").unwrap().count, 2);
+        assert_eq!(r.node("round/select/utility/points").unwrap().count, 11);
         let text = r.render_text();
-        assert!(text.contains("adpll"), "text: {text}");
+        assert!(text.contains("points"), "text: {text}");
     }
 }

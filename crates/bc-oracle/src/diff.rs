@@ -15,8 +15,9 @@
 //! * **ADPLL**, **naive enumeration**, **ApproxCount** — must match the
 //!   oracle to [`DiffConfig::eps`] (ApproxCount falls back to exact
 //!   enumeration below its cutoff, which every in-envelope instance is);
-//!   ADPLL in every configuration: the default, first-variable branching,
-//!   no component caching, and the root of its compiled circuit,
+//!   ADPLL in every configuration: the default, first-variable branching
+//!   and no component caching; and the factor tables a session sums
+//!   ([`bc_solver::factored`]),
 //! * **naive model counts** — [`bc_solver::ModelCount`] internals must be
 //!   coherent (satisfying ≤ states, weight = probability),
 //! * **Monte Carlo** — must land within `mc_sigma` binomial standard
@@ -87,7 +88,7 @@ pub struct Divergence {
     /// The instance that produced it.
     pub instance: Instance,
     /// Which check failed (`"ctable"`, `"normalization"`, `"adpll"`,
-    /// `"adpll-first"`, `"adpll-uncached"`, `"adpll-compile"`, `"naive"`,
+    /// `"adpll-first"`, `"adpll-uncached"`, `"factored"`, `"naive"`,
     /// `"naive-count"`, `"approxcount"`, `"montecarlo"`, `"oracle"`).
     pub solver: String,
     /// The object whose probability diverged.
@@ -210,10 +211,8 @@ pub fn check_instance(
             ("adpll-first", adpll_first.probability(cond, &dists)),
             ("adpll-uncached", adpll_uncached.probability(cond, &dists)),
             (
-                "adpll-compile",
-                adpll
-                    .compile(cond, &dists)
-                    .map(|(circuit, _)| circuit.probability()),
+                "factored",
+                bc_solver::factored::probability(o, cond, &dists),
             ),
             ("naive", naive.probability(cond, &dists)),
             ("approxcount", approx.probability(cond, &dists)),

@@ -9,10 +9,9 @@
 //! The tests also pin ADPLL's probability bits and search-tree counters:
 //! per corpus condition and per `φ ∧ e` utility condition in
 //! `corpus/solve-stats.txt`, and aggregated over seeded tables large
-//! enough to split components and hit the cache, for the default solver,
-//! its compiled circuits, and both ablation configurations. A kernel
-//! change that moves a single decision, probability bit or circuit node
-//! fails them.
+//! enough to split components and hit the cache, for the default solver
+//! and both ablation configurations. A kernel change that moves a single
+//! decision or probability bit fails them.
 
 use bc_ctable::{Condition, Expr, ExprOrBool};
 use bc_data::Dataset;
@@ -234,10 +233,8 @@ mod tests {
 
     /// `solver` on every open condition of a seeded table, then on each of
     /// its `φ ∧ e` utility conditions: aggregate counters plus an FNV-1a
-    /// hash of every probability's bits, in object order. Then each
-    /// condition compiled: the compiles' aggregate counters and a hash of
-    /// every circuit's root bits, node count and `partials` conditionals.
-    fn seeded_table_summary(data: &bc_data::Dataset, solver: &AdpllSolver) -> (String, String) {
+    /// hash of every probability's bits, in object order.
+    fn seeded_table_summary(data: &bc_data::Dataset, solver: &AdpllSolver) -> String {
         use bc_solver::SolveStats;
         let (conds, dists) = seeded_conditions(data);
         let (mut phi, mut utility) = (SolveStats::default(), SolveStats::default());
@@ -254,29 +251,9 @@ mod tests {
                 bits.extend(p.to_bits().to_le_bytes());
             }
         }
-        let mut compiled = SolveStats::default();
-        let mut circuits = Vec::new();
-        for cond in &conds {
-            let (circuit, s) = solver.compile(cond, &dists).unwrap();
-            compiled += s;
-            circuits.extend(circuit.probability().to_bits().to_le_bytes());
-            circuits.extend((circuit.node_count() as u64).to_le_bytes());
-            let partials = circuit.partials();
-            for v in circuit.vars() {
-                for g in partials.conditional(v).unwrap() {
-                    circuits.extend(g.to_bits().to_le_bytes());
-                }
-            }
-        }
-        (
-            format!(
-                "phi {phi:?} utility {utility:?} bits {:016x}",
-                bc_snapshot::fnv1a64(&bits)
-            ),
-            format!(
-                "compile {compiled:?} circuits {:016x}",
-                bc_snapshot::fnv1a64(&circuits)
-            ),
+        format!(
+            "phi {phi:?} utility {utility:?} bits {:016x}",
+            bc_snapshot::fnv1a64(&bits)
         )
     }
 
@@ -298,47 +275,40 @@ mod tests {
             .map(|(name, data)| {
                 format!(
                     "{name}: {}",
-                    seeded_table_summary(data, &AdpllSolver::new()).0
+                    seeded_table_summary(data, &AdpllSolver::new())
                 )
             })
             .collect();
         assert_eq!(got, want);
     }
 
-    /// The same tables compiled by the default solver, and solved and
-    /// compiled by the two ablation configurations (first-variable
-    /// branching; no component cache or clause memo): counters, probability
-    /// bits and circuits pinned at the values of the search before its
-    /// clause-arena rewrite. Each `max_depth` is the deepest recursion of
-    /// one call in its group: the first-variable `utility` groups reach
-    /// 10, below the `φ` solves' 11.
+    /// The same tables solved by the two ablation configurations
+    /// (first-variable branching; no component cache or clause memo):
+    /// counters and probability bits pinned at the values of the search
+    /// before its clause-arena rewrite. Each `max_depth` is the deepest
+    /// recursion of one call in its group: the first-variable `utility`
+    /// groups reach 10, below the `φ` solves' 11.
     #[test]
-    fn seeded_table_circuits_and_ablations_are_pinned() {
+    fn seeded_table_ablations_are_pinned() {
         use bc_solver::BranchHeuristic;
         let want = [
-            "nba 1 default: compile SolveStats { branches: 930, direct_components: 1589, component_splits: 588, cache_hits: 48, cache_misses: 93, max_depth: 2 } circuits b945498b07a45032",
-            "nba 1 first: phi SolveStats { branches: 10180, direct_components: 2837, component_splits: 411, cache_hits: 4446, cache_misses: 1018, max_depth: 11 } utility SolveStats { branches: 44670, direct_components: 11563, component_splits: 1328, cache_hits: 16526, cache_misses: 4467, max_depth: 10 } bits fccba768b8fda7df compile SolveStats { branches: 10180, direct_components: 2837, component_splits: 411, cache_hits: 4446, cache_misses: 1018, max_depth: 11 } circuits 96e529a609d7c3cc",
-            "nba 1 uncached: phi SolveStats { branches: 1410, direct_components: 2256, component_splits: 837, cache_hits: 0, cache_misses: 141, max_depth: 2 } utility SolveStats { branches: 7540, direct_components: 9695, component_splits: 4003, cache_hits: 0, cache_misses: 754, max_depth: 2 } bits 31595e29cba7b53a compile SolveStats { branches: 1410, direct_components: 2256, component_splits: 837, cache_hits: 0, cache_misses: 141, max_depth: 2 } circuits 0ec82f3d9b91726a",
-            "synthetic 1 default: compile SolveStats { branches: 2208, direct_components: 2784, component_splits: 862, cache_hits: 97, cache_misses: 276, max_depth: 3 } circuits 31a395ea5b06762f",
-            "synthetic 1 first: phi SolveStats { branches: 78136, direct_components: 8097, component_splits: 595, cache_hits: 47895, cache_misses: 9767, max_depth: 13 } utility SolveStats { branches: 622096, direct_components: 72465, component_splits: 10956, cache_hits: 334613, cache_misses: 77762, max_depth: 13 } bits 13dffe3345bfe441 compile SolveStats { branches: 78136, direct_components: 8097, component_splits: 595, cache_hits: 47895, cache_misses: 9767, max_depth: 13 } circuits abfae2a2a91dd9a8",
-            "synthetic 1 uncached: phi SolveStats { branches: 3272, direct_components: 4071, component_splits: 1318, cache_hits: 0, cache_misses: 409, max_depth: 3 } utility SolveStats { branches: 32952, direct_components: 36031, component_splits: 11688, cache_hits: 0, cache_misses: 4119, max_depth: 3 } bits b35b1597b4819206 compile SolveStats { branches: 3272, direct_components: 4071, component_splits: 1318, cache_hits: 0, cache_misses: 409, max_depth: 3 } circuits 5806ae0596374c9e",
-            "nba 2 default: compile SolveStats { branches: 1760, direct_components: 2602, component_splits: 843, cache_hits: 158, cache_misses: 176, max_depth: 4 } circuits d71475705c2957d9",
-            "nba 2 first: phi SolveStats { branches: 12430, direct_components: 4354, component_splits: 514, cache_hits: 4855, cache_misses: 1243, max_depth: 11 } utility SolveStats { branches: 43290, direct_components: 10927, component_splits: 1057, cache_hits: 16751, cache_misses: 4329, max_depth: 10 } bits 45f51a237dd5b787 compile SolveStats { branches: 12430, direct_components: 4354, component_splits: 514, cache_hits: 4855, cache_misses: 1243, max_depth: 11 } circuits 5e7fe900649d8370",
-            "nba 2 uncached: phi SolveStats { branches: 7050, direct_components: 12261, component_splits: 3882, cache_hits: 0, cache_misses: 705, max_depth: 4 } utility SolveStats { branches: 42150, direct_components: 53521, component_splits: 22697, cache_hits: 0, cache_misses: 4215, max_depth: 4 } bits cd7978456eb7998a compile SolveStats { branches: 7050, direct_components: 12261, component_splits: 3882, cache_hits: 0, cache_misses: 705, max_depth: 4 } circuits 6590d161b303733f",
-            "synthetic 2 default: compile SolveStats { branches: 1352, direct_components: 1483, component_splits: 505, cache_hits: 43, cache_misses: 169, max_depth: 3 } circuits c4036cd8cf31bc77",
-            "synthetic 2 first: phi SolveStats { branches: 17120, direct_components: 3529, component_splits: 493, cache_hits: 7899, cache_misses: 2140, max_depth: 10 } utility SolveStats { branches: 144616, direct_components: 24127, component_splits: 6587, cache_hits: 66840, cache_misses: 18077, max_depth: 10 } bits cbaabe43f3ed1884 compile SolveStats { branches: 17120, direct_components: 3529, component_splits: 493, cache_hits: 7899, cache_misses: 2140, max_depth: 10 } circuits daf9f1e2d3c93c78",
-            "synthetic 2 uncached: phi SolveStats { branches: 1696, direct_components: 1713, component_splits: 588, cache_hits: 0, cache_misses: 212, max_depth: 3 } utility SolveStats { branches: 15480, direct_components: 14102, component_splits: 5202, cache_hits: 0, cache_misses: 1935, max_depth: 3 } bits ee3a4dbf3aecfe3a compile SolveStats { branches: 1696, direct_components: 1713, component_splits: 588, cache_hits: 0, cache_misses: 212, max_depth: 3 } circuits 1a33e7a4ccb529ba",
+            "nba 1 first: phi SolveStats { branches: 10180, direct_components: 2837, component_splits: 411, cache_hits: 4446, cache_misses: 1018, max_depth: 11 } utility SolveStats { branches: 44670, direct_components: 11563, component_splits: 1328, cache_hits: 16526, cache_misses: 4467, max_depth: 10 } bits fccba768b8fda7df",
+            "nba 1 uncached: phi SolveStats { branches: 1410, direct_components: 2256, component_splits: 837, cache_hits: 0, cache_misses: 141, max_depth: 2 } utility SolveStats { branches: 7540, direct_components: 9695, component_splits: 4003, cache_hits: 0, cache_misses: 754, max_depth: 2 } bits 31595e29cba7b53a",
+            "synthetic 1 first: phi SolveStats { branches: 78136, direct_components: 8097, component_splits: 595, cache_hits: 47895, cache_misses: 9767, max_depth: 13 } utility SolveStats { branches: 622096, direct_components: 72465, component_splits: 10956, cache_hits: 334613, cache_misses: 77762, max_depth: 13 } bits 13dffe3345bfe441",
+            "synthetic 1 uncached: phi SolveStats { branches: 3272, direct_components: 4071, component_splits: 1318, cache_hits: 0, cache_misses: 409, max_depth: 3 } utility SolveStats { branches: 32952, direct_components: 36031, component_splits: 11688, cache_hits: 0, cache_misses: 4119, max_depth: 3 } bits b35b1597b4819206",
+            "nba 2 first: phi SolveStats { branches: 12430, direct_components: 4354, component_splits: 514, cache_hits: 4855, cache_misses: 1243, max_depth: 11 } utility SolveStats { branches: 43290, direct_components: 10927, component_splits: 1057, cache_hits: 16751, cache_misses: 4329, max_depth: 10 } bits 45f51a237dd5b787",
+            "nba 2 uncached: phi SolveStats { branches: 7050, direct_components: 12261, component_splits: 3882, cache_hits: 0, cache_misses: 705, max_depth: 4 } utility SolveStats { branches: 42150, direct_components: 53521, component_splits: 22697, cache_hits: 0, cache_misses: 4215, max_depth: 4 } bits cd7978456eb7998a",
+            "synthetic 2 first: phi SolveStats { branches: 17120, direct_components: 3529, component_splits: 493, cache_hits: 7899, cache_misses: 2140, max_depth: 10 } utility SolveStats { branches: 144616, direct_components: 24127, component_splits: 6587, cache_hits: 66840, cache_misses: 18077, max_depth: 10 } bits cbaabe43f3ed1884",
+            "synthetic 2 uncached: phi SolveStats { branches: 1696, direct_components: 1713, component_splits: 588, cache_hits: 0, cache_misses: 212, max_depth: 3 } utility SolveStats { branches: 15480, direct_components: 14102, component_splits: 5202, cache_hits: 0, cache_misses: 1935, max_depth: 3 } bits ee3a4dbf3aecfe3a",
         ];
         let mut got = Vec::new();
         for (name, data) in seeded_tables() {
-            let (_, circuits) = seeded_table_summary(&data, &AdpllSolver::new());
-            got.push(format!("{name} default: {circuits}"));
             for (config, solver) in [
                 ("first", AdpllSolver::with_heuristic(BranchHeuristic::First)),
                 ("uncached", AdpllSolver::new().with_caching(false)),
             ] {
-                let (solves, circuits) = seeded_table_summary(&data, &solver);
-                got.push(format!("{name} {config}: {solves} {circuits}"));
+                let solves = seeded_table_summary(&data, &solver);
+                got.push(format!("{name} {config}: {solves}"));
             }
         }
         assert_eq!(got, want);

@@ -2,9 +2,8 @@
 //!
 //! The solver computes `G(o, e)` from `Pr(φ ∧ e)` and the complement
 //! `Pr(φ ∧ ¬e) = Pr(φ) − Pr(φ ∧ e)`, taking `Pr(φ ∧ e)` either from one
-//! solve of `φ ∧ e` or from ADPLL's compiled circuit of `φ`: its
-//! derivative pass, or for a var-var `e` whose variables it both reads,
-//! its clamped pass. [`utility_matches_worlds`] recomputes
+//! solve of `φ ∧ e` or from the factor tables of `φ`
+//! ([`bc_solver::factored`]). [`utility_matches_worlds`] recomputes
 //! every ingredient by brute force — `Pr(φ)`, `Pr(e)`, `Pr(φ ∧ e)` and
 //! `Pr(φ ∧ ¬e)` as weighted world counts, with no solver and no complement
 //! identity — derives `G` with its own entropy arithmetic, and compares
@@ -16,8 +15,9 @@ use crate::prob_close;
 use crate::worlds::PossibleWorlds;
 use bc_ctable::{Condition, Expr, Operand};
 use bc_data::ObjectId;
-use bc_solver::utility::{compile_utilities, marginal_utility_with_prior};
-use bc_solver::{AdpllSolver, ClampScratch, NaiveSolver, Solver, VarDists};
+use bc_solver::factored::{FactorTables, TableScratch};
+use bc_solver::utility::marginal_utility_with_prior;
+use bc_solver::{AdpllSolver, NaiveSolver, Solver, VarDists};
 
 /// Weighted world counts for one (object, expression) pair.
 #[derive(Default)]
@@ -57,13 +57,10 @@ impl Joint {
 /// `Pr(φ)` as the prior, as the framework does — match the possible-worlds
 /// value within `eps`.
 ///
-/// It also checks ADPLL's compiled path per object: the circuit's `Pr(φ)`
-/// is bit-identical to [`AdpllSolver`]'s plain solve and its search
-/// effort equal; every `Pr(φ ∧ e)` read off the circuit — by the
-/// derivative pass, or for a var-var `e` whose variables the circuit both
-/// reads, by the clamped pass — is within `1e-12` of the solve of `φ ∧ e`
-/// and within `eps` of the possible worlds; and so is every compiled
-/// `G(o, e)`.
+/// It also checks each object's factor tables: their `Pr(φ)` is within
+/// `1e-12` of [`AdpllSolver`]'s; every `Pr(φ ∧ e)` read off their outside
+/// pass is within `1e-12` of the solve of `φ ∧ e` and within `eps` of the
+/// possible worlds; and so is every `G(o, e)` scored off them.
 pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<UtilityCoverage, String> {
     let ctable = exact_ctable(&inst.data);
     let mut pairs: Vec<(ObjectId, Expr)> = Vec::new();
@@ -128,20 +125,21 @@ pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<UtilityCovera
     }
     let mut coverage = UtilityCoverage {
         pairs: pairs.len(),
-        var_var_on_circuit: 0,
+        var_var_on_tables: 0,
     };
     let mut start = 0;
     while start < pairs.len() {
         let o = pairs[start].0;
         let end = start + pairs[start..].iter().take_while(|(p, _)| *p == o).count();
-        coverage.var_var_on_circuit += compiled_matches(
+        coverage.var_var_on_tables += tables_match(
+            o,
             ctable.condition(o),
             &pairs[start..end],
             &joints[start..end],
             &dists,
             eps,
         )
-        .map_err(|what| format!("{}: compiled ADPLL on object {o}: {what}", inst.name))?;
+        .map_err(|what| format!("{}: factor tables of object {o}: {what}", inst.name))?;
         start = end;
     }
     Ok(coverage)
@@ -152,73 +150,66 @@ pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<UtilityCovera
 pub struct UtilityCoverage {
     /// (object, expression) pairs, each checked by ADPLL and naive solves.
     pub pairs: usize,
-    /// The var-var pairs among them, each also checked off the compiled
-    /// circuit.
-    pub var_var_on_circuit: usize,
+    /// The var-var pairs among them, each also checked off the factor
+    /// tables.
+    pub var_var_on_tables: usize,
 }
 
-/// The compiled-path checks of [`utility_matches_worlds`] for one object,
+/// The factor-table checks of [`utility_matches_worlds`] for object `o`,
 /// whose distinct expressions and world counts are `pairs` and `joints`.
-/// Returns the number of var-var pairs checked, all off the circuit.
-fn compiled_matches(
+/// Returns the number of var-var pairs checked.
+fn tables_match(
+    o: ObjectId,
     cond: &Condition,
     pairs: &[(ObjectId, Expr)],
     joints: &[Joint],
     dists: &VarDists,
     eps: f64,
 ) -> Result<usize, String> {
-    let (p_phi, plain) = AdpllSolver::new()
-        .probability_with_stats(cond, dists)
+    let adpll = AdpllSolver::new();
+    let p_phi = adpll
+        .probability(cond, dists)
         .map_err(|err| format!("Pr(φ) failed: {err}"))?;
-    let (circuit, compiled) = AdpllSolver::new()
-        .compile(cond, dists)
-        .map_err(|err| format!("compile failed: {err}"))?;
-    if circuit.probability().to_bits() != p_phi.to_bits() {
+    let mut scratch = TableScratch::default();
+    let mut tables = FactorTables::new(o);
+    tables
+        .refresh(cond, dists, &mut scratch)
+        .map_err(|err| format!("tables failed: {err}"))?;
+    let (p_tables, _) = tables
+        .probability(dists, &mut scratch)
+        .map_err(|err| format!("Pr(φ) off the tables failed: {err}"))?;
+    if !prob_close(p_tables, p_phi, 1e-12) {
         return Err(format!(
-            "circuit Pr(φ) = {:e}, the solve says {p_phi:e}",
-            circuit.probability()
+            "tables Pr(φ) = {p_tables:e}, the solve says {p_phi:e}"
         ));
     }
-    if compiled != plain {
-        return Err(format!(
-            "compile effort {compiled:?}, the solve's {plain:?}"
-        ));
-    }
-    let partials = circuit.partials();
-    let utilities = compile_utilities(&AdpllSolver::new(), cond, dists, p_phi)
-        .map_err(|err| format!("compile_utilities failed: {err}"))?;
-    let mut scratch = ClampScratch::default();
+    let mut outside = tables
+        .joints(dists, &mut scratch)
+        .map_err(|err| format!("outside pass failed: {err}"))?;
     let mut var_var = 0;
     for (&(_, e), joint) in pairs.iter().zip(joints) {
-        let got = match partials.joint(&e, dists) {
-            Ok(Some(joint)) => Ok(Some(joint)),
-            Ok(None) => circuit.var_var_joint(&e, &mut scratch),
-            Err(err) => Err(err),
-        }
-        .map_err(|err| format!("`{e}`: {err}"))?
-        .ok_or(format!("`{e}`: the circuit answers no Pr(φ ∧ e)"))?;
+        let got = outside.joint(&e).map_err(|err| format!("`{e}`: {err}"))?;
         var_var += usize::from(matches!(e.rhs(), Operand::Var(_)));
-        let solved = AdpllSolver::new()
+        let solved = adpll
             .probability(&cond.and_expr(e), dists)
             .map_err(|err| format!("`{e}`: Pr(φ ∧ e) failed: {err}"))?;
         if !prob_close(got, solved, 1e-12) {
             return Err(format!(
-                "`{e}`: Pr(φ ∧ e) = {got:e} off the circuit, {solved:e} by solve"
+                "`{e}`: Pr(φ ∧ e) = {got:e} off the tables, {solved:e} by solve"
             ));
         }
         if !prob_close(got, joint.phi_and_e, eps) {
             return Err(format!(
-                "`{e}`: Pr(φ ∧ e) = {got:e} off the circuit, possible worlds say {:e}",
+                "`{e}`: Pr(φ ∧ e) = {got:e} off the tables, possible worlds say {:e}",
                 joint.phi_and_e
             ));
         }
-        let g = utilities
-            .utility(&e, dists, &mut scratch)
-            .map_err(|err| format!("`{e}`: {err}"))?
-            .ok_or("a utility the circuit answers needs a solve")?;
+        let g = outside
+            .utility(&e, p_tables)
+            .map_err(|err| format!("`{e}`: {err}"))?;
         if !prob_close(g, joint.utility(), eps) {
             return Err(format!(
-                "`{e}`: compiled G = {g}, possible worlds say {}",
+                "`{e}`: G = {g} off the tables, possible worlds say {}",
                 joint.utility()
             ));
         }

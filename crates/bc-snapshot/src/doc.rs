@@ -11,9 +11,11 @@ pub const FORMAT_NAME: &str = "bc-snapshot";
 /// The newest document version this crate writes and understands. Older
 /// readers refuse newer documents. The version moves when the layout or
 /// the set of sections a writer emits changes; the domain layer reads
-/// [`Snapshot::version`] to decode older documents. Version 2 added the
-/// session's `compiled_from` section.
-pub const FORMAT_VERSION: u32 = 2;
+/// [`Snapshot::version`] and decides which older documents it still
+/// reads. Version 2 added a section of the conditions a session's kept
+/// circuits came from; version 3 removed it again, and sessions resume
+/// from version 3 only.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// FNV-1a 64-bit, the checksum of the footer (and the fingerprint hash the
 /// domain layer uses). Small, dependency-free, and plenty for detecting

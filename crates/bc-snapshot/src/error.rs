@@ -16,7 +16,8 @@ pub enum SnapshotError {
     },
     /// The header names a different format.
     UnsupportedFormat(String),
-    /// The header's format version is newer than this reader understands.
+    /// The header's format version is newer than this reader understands,
+    /// or older than the domain layer still reads.
     UnsupportedVersion(u32),
     /// The footer checksum does not match the document bytes — a torn
     /// write or a corrupted file.
@@ -52,7 +53,7 @@ impl fmt::Display for SnapshotError {
                 write!(f, "not a bc-snapshot document (format {found:?})")
             }
             SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "snapshot version {v} is newer than this reader")
+                write!(f, "snapshot version {v} is not one this reader resumes")
             }
             SnapshotError::ChecksumMismatch { declared, actual } => write!(
                 f,

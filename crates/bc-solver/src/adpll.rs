@@ -12,23 +12,21 @@
 //! the paper describes.
 
 use crate::arena::{Arena, ClauseId};
-use crate::circuit::{Circuit, CircuitBuilder, NodeId};
 use crate::dists::VarDists;
 use crate::{checked_probability, Solver, SolverError};
-use bc_ctable::{Condition, Expr};
-use bc_data::{FxMap, Value, VarId};
+use bc_ctable::Condition;
+use bc_data::{FxMap, Value};
 use std::cell::RefCell;
 use std::fmt;
 
 /// What one search memoizes: each correlated component it branched on,
 /// keyed by its run of clause ids, and each variable-disjoint clause it
-/// closed by the disjunctive rule, by id, with its probability and the
-/// recorder's node for it. Sibling branches recompute the latter for every
-/// clause the branching variable does not touch.
+/// closed by the disjunctive rule, by id. Sibling branches recompute the
+/// latter for every clause the branching variable does not touch.
 #[derive(Default)]
 struct Cache {
-    components: FxMap<Box<[ClauseId]>, (f64, NodeId)>,
-    clauses: Vec<Option<(f64, NodeId)>>,
+    components: FxMap<Box<[ClauseId]>, f64>,
+    clauses: Vec<Option<f64>>,
 }
 
 impl Cache {
@@ -38,76 +36,12 @@ impl Cache {
     }
 }
 
-/// What the search reports about the nodes of its trace, so one search
-/// routine serves both a plain solve ([`NoTrace`]) and a compile
-/// ([`CircuitBuilder`]). Every node comes with the probability the search
-/// computed for it; children are handed over one by one and closed by the
-/// node that owns them, from the frame opened at `mark`.
-pub(crate) trait Recorder {
-    /// `True` (`p = 1`) or `False` (`p = 0`).
-    fn constant(&mut self, p: f64) -> NodeId;
-    /// Notes expression `e`, with `Pr(e)`, of the clause leaf being built.
-    fn leaf_expr(&mut self, e: &Expr, p_e: f64, dists: &VarDists) -> Result<(), SolverError>;
-    /// Closes a disjunctive-rule leaf over the expressions noted since the
-    /// last leaf.
-    fn clause(&mut self, p: f64) -> NodeId;
-    /// Opens a frame of children.
-    fn mark(&self) -> usize;
-    /// Adds the branch `v = value` of an open decision, or a factor of an
-    /// open product (`value` unused).
-    fn child(&mut self, value: Value, node: NodeId);
-    /// Closes a decision on `v`, whose value distribution is `probs`.
-    fn decision(&mut self, v: VarId, probs: &[f64], mark: usize, p: f64) -> NodeId;
-    /// Closes a product of independent components; `cut` when it stopped
-    /// at a zero product before its last component.
-    fn and(&mut self, mark: usize, p: f64, cut: bool) -> NodeId;
-}
-
-/// The recorder of a plain solve: records nothing, and every node is 0.
-struct NoTrace;
-
-impl Recorder for NoTrace {
-    #[inline]
-    fn constant(&mut self, _: f64) -> NodeId {
-        0
-    }
-
-    #[inline]
-    fn leaf_expr(&mut self, _: &Expr, _: f64, _: &VarDists) -> Result<(), SolverError> {
-        Ok(())
-    }
-
-    #[inline]
-    fn clause(&mut self, _: f64) -> NodeId {
-        0
-    }
-
-    #[inline]
-    fn mark(&self) -> usize {
-        0
-    }
-
-    #[inline]
-    fn child(&mut self, _: Value, _: NodeId) {}
-
-    #[inline]
-    fn decision(&mut self, _: VarId, _: &[f64], _: usize, _: f64) -> NodeId {
-        0
-    }
-
-    #[inline]
-    fn and(&mut self, _: usize, _: f64, _: bool) -> NodeId {
-        0
-    }
-}
-
-/// The buffers a solver's searches reuse: the clause arena, the caches and
-/// the circuit builder, cleared (not freed) at the start of each call.
+/// The buffers a solver's searches reuse: the clause arena and the caches,
+/// cleared (not freed) at the start of each call.
 #[derive(Default)]
 struct Scratch {
     arena: Arena,
     cache: Cache,
-    builder: CircuitBuilder,
 }
 
 /// A solver's [`Scratch`]; a clone starts with empty buffers.
@@ -197,7 +131,7 @@ impl std::ops::AddAssign for SolveStats {
 /// ```
 ///
 /// By default the solver memoizes component probabilities *within one
-/// `probability` or `compile` call* (component/formula caching in the
+/// `probability` call* (component/formula caching in the
 /// style of Sang, Beame & Kautz — reference \[32\] of the paper).
 /// Sibling branches whose substitutions collapse to the same residual
 /// component are then solved once. It also memoizes the disjunctive-rule probability of each clause
@@ -206,8 +140,8 @@ impl std::ops::AddAssign for SolveStats {
 /// distributions are fixed for its duration; it is cleared between calls.
 ///
 /// The search runs over a clause arena (DESIGN.md, "Search kernel"). The
-/// solver keeps the arena, the caches and a circuit builder between
-/// calls, cleared but not freed, so a search allocates little; a clone
+/// solver keeps the arena and the caches between calls, cleared but not
+/// freed, so a search allocates little; a clone
 /// starts with empty buffers. The buffers make the solver `!Sync`: each
 /// thread builds its own. The solver keeps no counters: each call reports
 /// its own [`SolveStats`].
@@ -250,43 +184,16 @@ impl AdpllSolver {
         self
     }
 
-    /// Records the search [`probability`](Solver::probability) runs as a
-    /// [`Circuit`], whose one downward pass yields every var-const
-    /// `Pr(φ ∧ e)`, plus the effort of that search. The circuit's
-    /// [`probability`](Circuit::probability) is bit-identical to the
-    /// solve's, and the effort equals
-    /// [`probability_with_stats`](Solver::probability_with_stats)'s.
-    pub fn compile(
-        &self,
-        cond: &Condition,
-        dists: &VarDists,
-    ) -> Result<(Circuit, SolveStats), SolverError> {
-        let Scratch {
-            arena,
-            cache,
-            builder,
-        } = &mut *self.scratch.0.borrow_mut();
-        builder.begin();
-        let (p, root, stats) = self.search(cond, dists, builder, arena, cache)?;
-        Ok((builder.finish(root, p), stats))
-    }
-
-    /// Runs one search of `cond` on the solver's scratch buffers: `Pr`,
-    /// the recorder's root node and the search's own counters. A root that
-    /// is not a probability is [`SolverError::InvalidProbability`].
-    fn search<R: Recorder>(
-        &self,
-        cond: &Condition,
-        dists: &VarDists,
-        rec: &mut R,
-        arena: &mut Arena,
-        cache: &mut Cache,
-    ) -> Result<(f64, NodeId, SolveStats), SolverError> {
+    /// Runs one search of `cond` on the solver's scratch buffers: `Pr`
+    /// and the search's own counters. A root that is not a probability is
+    /// [`SolverError::InvalidProbability`].
+    fn search(&self, cond: &Condition, dists: &VarDists) -> Result<(f64, SolveStats), SolverError> {
         let clauses = match cond {
-            Condition::True => return Ok((1.0, rec.constant(1.0), SolveStats::default())),
-            Condition::False => return Ok((0.0, rec.constant(0.0), SolveStats::default())),
+            Condition::True => return Ok((1.0, SolveStats::default())),
+            Condition::False => return Ok((0.0, SolveStats::default())),
             Condition::Cnf(clauses) => clauses,
         };
+        let Scratch { arena, cache } = &mut *self.scratch.0.borrow_mut();
         arena.reset(clauses);
         cache.clear();
         let mut search = Search {
@@ -294,34 +201,32 @@ impl AdpllSolver {
             dists,
             arena,
             cache,
-            rec,
             stats: SolveStats::default(),
             depth: 0,
         };
-        let (p, root) = search.solve(0, clauses.len())?;
-        Ok((checked_probability(p)?, root, search.stats))
+        let p = search.solve(0, clauses.len())?;
+        Ok((checked_probability(p)?, search.stats))
     }
 }
 
 /// One search: Algorithm 3 over runs of clause ids on the arena's stack.
 /// Each run stands for the canonical `Condition` with those clauses, and
 /// every step is the one that condition's rewrites would take (DESIGN.md,
-/// "Search kernel"), so the counters, the recorder's calls and the
-/// probability bits do not depend on the representation.
-struct Search<'a, R> {
+/// "Search kernel"), so the counters and the probability bits do not
+/// depend on the representation.
+struct Search<'a> {
     solver: &'a AdpllSolver,
     dists: &'a VarDists,
     arena: &'a mut Arena,
     cache: &'a mut Cache,
-    rec: &'a mut R,
     /// This search's counters.
     stats: SolveStats,
     /// The current branching recursion depth.
     depth: u64,
 }
 
-impl<R: Recorder> Search<'_, R> {
-    fn clause_probability(&mut self, id: ClauseId) -> Result<(f64, NodeId), SolverError> {
+impl Search<'_> {
+    fn clause_probability(&mut self, id: ClauseId) -> Result<f64, SolverError> {
         // Within-clause expressions are variable-disjoint by construction;
         // a manually built clause that violates it falls back to local
         // branching.
@@ -345,24 +250,21 @@ impl<R: Recorder> Search<'_, R> {
         // 1e-16-scale slack in the complement products).
         let mut none = 1.0;
         for e in self.arena.exprs(id) {
-            let p_e = self.dists.expr_prob(e)?;
-            self.rec.leaf_expr(e, p_e, self.dists)?;
-            none *= (1.0 - p_e).clamp(0.0, 1.0);
+            none *= (1.0 - self.dists.expr_prob(e)?).clamp(0.0, 1.0);
         }
         let p = (1.0 - none).clamp(0.0, 1.0);
-        let out = (p, self.rec.clause(p));
         if self.solver.caching {
             let memo = &mut self.cache.clauses;
             if memo.len() <= id as usize {
                 memo.resize(id as usize + 1, None);
             }
-            memo[id as usize] = Some(out);
+            memo[id as usize] = Some(p);
         }
-        Ok(out)
+        Ok(p)
     }
 
     /// Branches on a variable of the condition `stack[at..end]`.
-    fn branch(&mut self, at: usize, end: usize) -> Result<(f64, NodeId), SolverError> {
+    fn branch(&mut self, at: usize, end: usize) -> Result<f64, SolverError> {
         let local = match self.solver.heuristic {
             BranchHeuristic::MostFrequent => self.arena.most_frequent_var(at, end),
             BranchHeuristic::First => self.arena.first_var(at, end),
@@ -371,14 +273,13 @@ impl<R: Recorder> Search<'_, R> {
         let pmf = self.dists.pmf(v)?;
         self.depth += 1;
         self.stats.max_depth = self.stats.max_depth.max(self.depth);
-        let mark = self.rec.mark();
         let mut total = 0.0;
         let branch = self.arena.open_branch(at, end, local, pmf.probs());
         // The support in value order: the values with nonzero probability.
         for (value, &p_value) in pmf.probs().iter().enumerate().filter(|(_, &p)| p > 0.0) {
             self.stats.branches += 1;
             let solved = match self.arena.substitute(at, end, branch, value as Value) {
-                None => Ok((0.0, self.rec.constant(0.0))),
+                None => Ok(0.0),
                 Some(sub) => {
                     let solved = self.solve(sub, self.arena.stack.len());
                     self.arena.stack.truncate(sub);
@@ -386,10 +287,7 @@ impl<R: Recorder> Search<'_, R> {
                 }
             };
             match solved {
-                Ok((p, node)) => {
-                    total += p_value * p;
-                    self.rec.child(value as Value, node);
-                }
+                Ok(p) => total += p_value * p,
                 Err(e) => {
                     self.arena.close_branch(branch);
                     return Err(e);
@@ -398,14 +296,13 @@ impl<R: Recorder> Search<'_, R> {
         }
         self.depth -= 1;
         self.arena.close_branch(branch);
-        let p = total.clamp(0.0, 1.0);
-        Ok((p, self.rec.decision(v, pmf.probs(), mark, p)))
+        Ok(total.clamp(0.0, 1.0))
     }
 
     /// `Pr` of the condition `stack[at..end]`.
-    fn solve(&mut self, at: usize, end: usize) -> Result<(f64, NodeId), SolverError> {
+    fn solve(&mut self, at: usize, end: usize) -> Result<f64, SolverError> {
         match end - at {
-            0 => return Ok((1.0, self.rec.constant(1.0))),
+            0 => return Ok(1.0),
             1 => {
                 self.stats.direct_components += 1;
                 return self.clause_probability(self.arena.stack[at]);
@@ -423,42 +320,33 @@ impl<R: Recorder> Search<'_, R> {
         } else {
             (at, 1)
         };
-        let mark = self.rec.mark();
         let mut total = 1.0;
-        let mut cut = false;
         for k in 0..n_comps {
             let stop = if split {
                 self.arena.bounds[first + k] as usize
             } else {
                 end
             };
-            let (p, node) = if stop - start == 1 {
+            let p = if stop - start == 1 {
                 self.stats.direct_components += 1;
                 self.clause_probability(self.arena.stack[start])?
             } else {
                 self.component_probability(start, stop)?
             };
-            self.rec.child(0, node);
             total *= p;
             if total == 0.0 {
-                cut = k + 1 < n_comps;
                 break;
             }
             start = stop;
         }
         self.arena.stack.truncate(top);
         self.arena.bounds.truncate(first);
-        let p = total.clamp(0.0, 1.0);
-        Ok((p, self.rec.and(mark, p, cut)))
+        Ok(total.clamp(0.0, 1.0))
     }
 
     /// `Pr` of the correlated component `stack[at..end]`, from the cache
     /// or by branching.
-    fn component_probability(
-        &mut self,
-        at: usize,
-        end: usize,
-    ) -> Result<(f64, NodeId), SolverError> {
+    fn component_probability(&mut self, at: usize, end: usize) -> Result<f64, SolverError> {
         if !self.solver.caching {
             self.stats.cache_misses += 1;
             return self.branch(at, end);
@@ -486,10 +374,7 @@ impl Solver for AdpllSolver {
         cond: &Condition,
         dists: &VarDists,
     ) -> Result<(f64, SolveStats), SolverError> {
-        let scratch = &mut *self.scratch.0.borrow_mut();
-        let (arena, cache) = (&mut scratch.arena, &mut scratch.cache);
-        let (p, _, stats) = self.search(cond, dists, &mut NoTrace, arena, cache)?;
-        Ok((p, stats))
+        self.search(cond, dists)
     }
 
     fn name(&self) -> &'static str {
@@ -502,6 +387,7 @@ mod tests {
     use super::*;
     use bc_bayes::Pmf;
     use bc_ctable::Expr;
+    use bc_data::VarId;
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
@@ -667,15 +553,13 @@ mod tests {
         let s = AdpllSolver::new();
         let (_, first) = s.probability_with_stats(&cond, &d).unwrap();
         assert!(first.branches > 0 && first.cache_misses > 0);
-        // A repeated call, a compile and a fresh solver each report the
-        // same search: nothing carries over from the calls before.
+        // A repeated call and a fresh solver each report the same search:
+        // nothing carries over from the calls before.
         let (_, second) = s.probability_with_stats(&cond, &d).unwrap();
-        let (_, compiled) = s.compile(&cond, &d).unwrap();
         let (_, fresh) = AdpllSolver::new()
             .probability_with_stats(&cond, &d)
             .unwrap();
         assert_eq!(second, first);
-        assert_eq!(compiled, first);
         assert_eq!(fresh, first);
     }
 
@@ -699,8 +583,6 @@ mod tests {
         assert!(first.max_depth > 1, "{first:?}");
         let (_, second) = s.probability_with_stats(&flat, &d).unwrap();
         assert_eq!((second.branches, second.max_depth), (0, 0), "{second:?}");
-        let (_, compiled) = s.compile(&flat, &d).unwrap();
-        assert_eq!(compiled.max_depth, 0);
     }
 
     #[test]

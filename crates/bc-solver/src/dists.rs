@@ -96,14 +96,7 @@ impl VarDists {
     pub fn expr_prob(&self, e: &Expr) -> Result<f64, SolverError> {
         let l = self.pmf(e.var())?;
         match e.rhs() {
-            Operand::Const(c) => Ok(match e.op() {
-                CmpOp::Lt => l.pr_lt(c),
-                CmpOp::Le => l.pr_le(c),
-                CmpOp::Gt => l.pr_gt(c),
-                CmpOp::Ge => l.pr_ge(c),
-                CmpOp::Eq => l.p(c),
-                CmpOp::Ne => 1.0 - l.p(c),
-            }),
+            Operand::Const(c) => Ok(const_prob(l, e.op(), c)),
             Operand::Var(rv) => {
                 // Both probability vectors in value order, entries that are
                 // not positive skipped: the products and summation order of
@@ -121,6 +114,18 @@ impl VarDists {
                 Ok(total.clamp(0.0, 1.0))
             }
         }
+    }
+}
+
+/// `Pr(X op c)` for `X` distributed as `pmf`.
+pub(crate) fn const_prob(pmf: &Pmf, op: CmpOp, c: Value) -> f64 {
+    match op {
+        CmpOp::Lt => pmf.pr_lt(c),
+        CmpOp::Le => pmf.pr_le(c),
+        CmpOp::Gt => pmf.pr_gt(c),
+        CmpOp::Ge => pmf.pr_ge(c),
+        CmpOp::Eq => pmf.p(c),
+        CmpOp::Ne => 1.0 - pmf.p(c),
     }
 }
 

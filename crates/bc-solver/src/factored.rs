@@ -1,0 +1,1352 @@
+//! Factor tables: `Pr(φ(o))` and every `Pr(φ(o) ∧ e)` of a c-table
+//! condition in closed form (DESIGN.md, "Factor tables").
+//!
+//! In the conditions Get-CTable builds and propagation rewrites, a
+//! variable that is not one of object `o`'s own cells occurs in exactly
+//! one expression. Once the own cells `x` are fixed, the clauses share no
+//! variable and each closes by the disjunctive rule, so ADPLL's search
+//! (Algorithm 3) sums
+//!
+//! ```text
+//! Pr(φ) = Σ_x θ(x) · Π_C T_C(x),   T_C(x) = 1 − κ_C · Π_a g_{C,a}(x_a)
+//! ```
+//!
+//! with `θ` the own cells' pmfs, `κ_C` the product of `1 − Pr(e)` over
+//! `C`'s expressions that mention no own cell, and `g_{C,a}(v)` the
+//! product of `1 − Pr(e | x_a = v)` over its expressions on own cell `a`.
+//! [`FactorTables`] keeps `κ_C` and the `g_{C,a}` per clause; sums out a
+//! cell only one clause reads; runs the sum over classes of values every
+//! clause weighs alike; multiplies clauses over the same shared cells into
+//! one group table; and sums groups that share no cell apart. Every kept
+//! table is a pure function of its clause and the current pmfs, so a
+//! [`refresh`](FactorTables::refresh) after [`forget`](FactorTables::forget)
+//! equals a fresh build bit for bit. [`FactorTables::joints`] gives every
+//! candidate's `Pr(φ ∧ e)` from outside messages and prefix and suffix
+//! products, with no division by a factor that may be 0.
+//!
+//! A condition outside this shape — a non-own variable in two
+//! expressions, or a var-var expression between two own cells — is
+//! [`SolverError::NotFactored`]; nothing falls back to another solver.
+
+use crate::dists::{const_prob, VarDists};
+use crate::utility::{is_open, utility_from_joint};
+use crate::{checked_probability, SolverError};
+use bc_ctable::{Clause, Condition, Expr, ExprOrBool, Operand};
+use bc_data::{ObjectId, Value, VarId};
+
+/// Effort of one refresh or pass, all plain counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TableStats {
+    /// Clause tables kept from the previous refresh.
+    pub reused: u64,
+    /// Clause tables computed.
+    pub computed: u64,
+    /// Factor groups: distinct sets of shared cells among the clauses.
+    pub groups: u64,
+    /// Points of the components' class products visited.
+    pub points: u64,
+}
+
+impl std::ops::AddAssign for TableStats {
+    fn add_assign(&mut self, rhs: TableStats) {
+        self.reused += rhs.reused;
+        self.computed += rhs.computed;
+        self.groups += rhs.groups;
+        self.points += rhs.points;
+    }
+}
+
+/// One clause and its table `T_C(y) = 1 − κ · Π_a g_a(y_a)`.
+#[derive(Clone, Debug)]
+struct ClauseTable {
+    clause: Clause,
+    kappa: f64,
+    /// `κ` with every own cell summed out, `κ · Π_a Σ_v p_a(v) g_a(v)`:
+    /// the clause's table when no other clause reads its cells.
+    summed: f64,
+    /// `g_a` over the support of each own cell `a` the clause reads, in
+    /// variable order, concatenated: `State::factors[factors.0..factors.1]`.
+    factors: (usize, usize),
+    /// Those cells with their support sizes: `State::cells[cells.0..cells.1]`.
+    cells: (usize, usize),
+    /// Its group, in `State::groups`.
+    group: usize,
+}
+
+/// The clauses that read one set of shared cells, and their product.
+#[derive(Clone, Debug)]
+struct GroupTable {
+    /// The shared cells, sorted: `State::keys[keys.0..keys.1]`.
+    keys: (usize, usize),
+    /// How many clauses it multiplies.
+    members: usize,
+    /// The product of their tables over the classes of its cells, the
+    /// first cell slowest.
+    table: Vec<f64>,
+}
+
+/// Everything [`FactorTables`] keeps, in flat buffers a refresh swaps with
+/// the scratch's rather than allocating.
+#[derive(Clone, Debug, Default)]
+struct State {
+    /// In the condition's clause order.
+    clauses: Vec<ClauseTable>,
+    factors: Vec<f64>,
+    cells: Vec<(VarId, usize)>,
+    /// The cells two or more clauses read, sorted, each with the range of
+    /// `class_of` that gives each of its support values' class: runs of
+    /// adjacent values every clause reading the cell weighs alike,
+    /// numbered from 0 up in value order.
+    shared: Vec<(VarId, usize, usize)>,
+    class_of: Vec<u32>,
+    /// In shared-cell-set order.
+    groups: Vec<GroupTable>,
+    keys: Vec<VarId>,
+}
+
+impl State {
+    /// Replaces this state with `other`'s, moving the clauses and group
+    /// tables and copying the rest, so each keeps its own buffers.
+    fn take_from(&mut self, other: &mut State) {
+        self.clear();
+        self.clauses.append(&mut other.clauses);
+        self.factors.extend_from_slice(&other.factors);
+        self.cells.extend_from_slice(&other.cells);
+        self.shared.extend_from_slice(&other.shared);
+        self.class_of.extend_from_slice(&other.class_of);
+        self.groups.append(&mut other.groups);
+        self.keys.extend_from_slice(&other.keys);
+    }
+
+    fn clear(&mut self) {
+        self.clauses.clear();
+        self.factors.clear();
+        self.cells.clear();
+        self.shared.clear();
+        self.class_of.clear();
+        self.groups.clear();
+        self.keys.clear();
+    }
+
+    /// The classes of `cell`'s support values, if two or more clauses read
+    /// it.
+    fn classes(&self, cell: VarId) -> Option<&[u32]> {
+        let at = self.shared.binary_search_by(|c| c.0.cmp(&cell)).ok()?;
+        let (_, from, to) = self.shared[at];
+        Some(&self.class_of[from..to])
+    }
+
+    fn cells(&self, t: &ClauseTable) -> &[(VarId, usize)] {
+        &self.cells[t.cells.0..t.cells.1]
+    }
+
+    fn keys(&self, g: &GroupTable) -> &[VarId] {
+        &self.keys[g.keys.0..g.keys.1]
+    }
+
+    /// `t`'s `κ` with every own cell no other clause reads summed out; the
+    /// `g_a` of each shared cell, one entry per class, and the class
+    /// counts go to `out`.
+    fn effective(
+        &self,
+        t: &ClauseTable,
+        dists: &VarDists,
+        out: &mut Effective,
+    ) -> Result<f64, SolverError> {
+        out.factors.clear();
+        out.sizes.clear();
+        if self
+            .cells(t)
+            .iter()
+            .all(|&(v, _)| self.classes(v).is_none())
+        {
+            return Ok(t.summed);
+        }
+        let mut kappa = t.kappa;
+        let mut at = t.factors.0;
+        for &(v, n) in self.cells(t) {
+            let g = &self.factors[at..at + n];
+            at += n;
+            match self.classes(v) {
+                Some(of) => {
+                    for (value, &gv) in g.iter().enumerate() {
+                        if value == 0 || of[value] != of[value - 1] {
+                            out.factors.push(gv);
+                        }
+                    }
+                    out.sizes.push(class_count(of));
+                }
+                None => {
+                    let positive = dists.pmf(v)?.probs().iter().filter(|&&p| p > 0.0);
+                    kappa *= positive.zip(g).map(|(p, g)| p * g).sum::<f64>();
+                }
+            }
+        }
+        Ok(kappa)
+    }
+}
+
+/// The clauses per block of a group of `m`: about `√m`, so leaving one
+/// clause out costs `O(√m)` tables and the blocks' products `O(√m)`.
+fn block_size(m: usize) -> usize {
+    (1..).find(|b| b * b >= m).unwrap_or(1)
+}
+
+/// The number of classes in a run of class numbers.
+fn class_count(of: &[u32]) -> usize {
+    of.last().map_or(0, |&k| k as usize + 1)
+}
+
+/// The clause and group tables of one object's condition.
+#[derive(Clone, Debug)]
+pub struct FactorTables {
+    object: ObjectId,
+    /// The condition is `false`.
+    falsum: bool,
+    state: State,
+}
+
+/// The buffers refreshes and passes reuse. One per thread; a pass clears
+/// and refills them, so once they have grown to the largest condition seen
+/// a pass allocates nothing.
+#[derive(Debug, Default)]
+pub struct TableScratch {
+    layout: Layout,
+    walk: Walk,
+    /// The non-own variables of a condition, packed, for the shape check;
+    /// each with the clause it occurs in, sorted.
+    seen: Vec<u64>,
+    others: Vec<(VarId, usize)>,
+    /// The state a refresh builds, then copies into the tables.
+    fresh: State,
+    /// The cells two or more clauses read; each clause's among those,
+    /// clause `c` at `keys_at[c]..`.
+    shared: Vec<VarId>,
+    keys: Vec<VarId>,
+    keys_at: Vec<usize>,
+    /// Every shared cell a clause reads, with the offset of its `g`.
+    reads: Vec<(VarId, usize)>,
+    /// The group each clause a refresh reused had.
+    prior: Vec<Option<usize>>,
+    /// One clause's table over its shared cells' classes, before and
+    /// after expansion.
+    eff: Effective,
+    expanded: Vec<f64>,
+    /// Each own cell only one clause reads, with that clause, sorted.
+    privates: Vec<(VarId, usize)>,
+    /// Per group, its outside message, at `Layout::group_at`.
+    outside: Vec<f64>,
+    /// Per shared cell and class, the sum over the points in that class
+    /// (laid out like the classes).
+    marginals: Vec<f64>,
+    /// Per component, its sum, and the product of the others'.
+    sums: Vec<f64>,
+    rest: Vec<f64>,
+    /// Per point, each group's value and the product of the groups before.
+    values: Vec<f64>,
+    excluded: Vec<f64>,
+    /// Clause indices by group, group `g` at `members_at[g]..`, and each
+    /// clause's place among its group's.
+    members: Vec<usize>,
+    members_at: Vec<usize>,
+    position: Vec<usize>,
+    /// Per group and block of its clauses, over the group's points, the
+    /// outside message times the blocks before, and the blocks after;
+    /// group `g`'s at `blocks_at[g]..`.
+    before: Vec<f64>,
+    after: Vec<f64>,
+    blocks_at: Vec<usize>,
+    /// One clause's sum with its own table left out.
+    left_out: Vec<f64>,
+    /// `Pr(e | x_a ∈ k)` per class `k` of one shared cell.
+    given: Vec<f64>,
+}
+
+/// The shared cells, their classes and the components of one pass.
+#[derive(Debug, Default)]
+struct Layout {
+    /// The shared cells, sorted.
+    cells: Vec<VarId>,
+    /// Support values, their probabilities and classes, cell `i` at
+    /// `values_at[i]..`.
+    values: Vec<Value>,
+    value_probs: Vec<f64>,
+    value_class: Vec<u32>,
+    values_at: Vec<usize>,
+    /// Class probabilities, cell `i` at `class_at[i]..`.
+    class_probs: Vec<f64>,
+    class_at: Vec<usize>,
+    /// Each group's cells as indices into `cells`, group `g` at
+    /// `group_cells_at[g]..`, and its offset in per-group buffers.
+    group_cells: Vec<usize>,
+    group_cells_at: Vec<usize>,
+    group_at: Vec<usize>,
+    /// Per cell, the groups that read it and the cell's stride in each
+    /// group's table; cell `i` at `reads_at[i]..reads_at[i + 1]`.
+    reads: Vec<(usize, usize)>,
+    reads_at: Vec<usize>,
+    /// Each cell's component, then the components' cells and groups:
+    /// component `k` at `comp_cells_at[k]..` and `comp_groups_at[k]..`.
+    comp_of: Vec<usize>,
+    comp_cells: Vec<usize>,
+    comp_cells_at: Vec<usize>,
+    comp_groups: Vec<usize>,
+    comp_groups_at: Vec<usize>,
+}
+
+/// The odometer over one component's classes.
+#[derive(Debug, Default)]
+struct Walk {
+    /// Each cell's class.
+    digits: Vec<usize>,
+    /// Each group's table index at the current point.
+    index: Vec<usize>,
+    /// `theta[i]`: the product of the first `i` cells' class probabilities.
+    theta: Vec<f64>,
+}
+
+impl FactorTables {
+    /// Empty tables for object `o`: the first [`refresh`](Self::refresh)
+    /// computes every clause's.
+    pub fn new(o: ObjectId) -> FactorTables {
+        FactorTables {
+            object: o,
+            falsum: false,
+            state: State::default(),
+        }
+    }
+
+    /// Forgets the table of every clause that reads a variable `changed`
+    /// accepts, and with it its group's product; returns whether it forgot
+    /// any. Call it for every variable whose pmf changes between two
+    /// refreshes: a kept table is only valid under the pmfs it was
+    /// computed with.
+    pub fn forget(&mut self, changed: impl Fn(VarId) -> bool) -> bool {
+        let before = self.state.clauses.len();
+        self.state
+            .clauses
+            .retain(|t| !t.clause.exprs().iter().flat_map(Expr::vars).any(&changed));
+        self.state.clauses.len() < before
+    }
+
+    /// Brings the tables up to `cond` (the object's condition) under
+    /// `dists`: keeps the table of every clause kept since the last
+    /// refresh and not [forgotten](Self::forget), and of every group all
+    /// of whose clauses and classes it keeps, and computes the others. A
+    /// condition outside the shape (module docs) is
+    /// [`SolverError::NotFactored`], and then nothing is kept.
+    pub fn refresh(
+        &mut self,
+        cond: &Condition,
+        dists: &VarDists,
+        scratch: &mut TableScratch,
+    ) -> Result<TableStats, SolverError> {
+        self.falsum = matches!(cond, Condition::False);
+        let built = self.build(cond, dists, scratch);
+        match built {
+            Ok(_) => self.state.take_from(&mut scratch.fresh),
+            Err(_) => self.state.clear(),
+        }
+        built
+    }
+
+    /// [`refresh`](Self::refresh)'s work: the new state, built in
+    /// `scratch.fresh` from `cond` and the current state.
+    fn build(
+        &mut self,
+        cond: &Condition,
+        dists: &VarDists,
+        scratch: &mut TableScratch,
+    ) -> Result<TableStats, SolverError> {
+        let o = self.object;
+        let s = scratch;
+        let (new, old) = (&mut s.fresh, &mut self.state);
+        new.clear();
+        check_shape(o, cond.clauses(), &mut s.seen)?;
+        let mut stats = TableStats::default();
+        s.prior.clear();
+        let mut kept = old.clauses.drain(..).peekable();
+        for clause in cond.clauses() {
+            while kept.next_if(|t| t.clause < *clause).is_some() {}
+            let (factors, cells) = (new.factors.len(), new.cells.len());
+            let t = match kept.next_if(|t| t.clause == *clause) {
+                Some(t) => {
+                    stats.reused += 1;
+                    s.prior.push(Some(t.group));
+                    new.factors
+                        .extend_from_slice(&old.factors[t.factors.0..t.factors.1]);
+                    new.cells
+                        .extend_from_slice(&old.cells[t.cells.0..t.cells.1]);
+                    t
+                }
+                None => {
+                    stats.computed += 1;
+                    s.prior.push(None);
+                    let (kappa, summed) =
+                        clause_factors(o, clause, dists, &mut new.cells, &mut new.factors)?;
+                    ClauseTable {
+                        clause: clause.clone(),
+                        kappa,
+                        summed,
+                        factors: (0, 0),
+                        cells: (0, 0),
+                        group: 0,
+                    }
+                }
+            };
+            new.clauses.push(ClauseTable {
+                factors: (factors, new.factors.len()),
+                cells: (cells, new.cells.len()),
+                ..t
+            });
+        }
+        drop(kept);
+        // The cells two or more clauses read, and each clause's among them.
+        s.shared.clear();
+        s.shared.extend(new.cells.iter().map(|&(v, _)| v));
+        s.shared.sort_unstable();
+        keep_repeated(&mut s.shared);
+        s.keys.clear();
+        s.keys_at.clear();
+        s.reads.clear();
+        for t in &new.clauses {
+            s.keys_at.push(s.keys.len());
+            let mut at = t.factors.0;
+            for &(v, n) in new.cells(t) {
+                if s.shared.binary_search(&v).is_ok() {
+                    s.keys.push(v);
+                    s.reads.push((v, at));
+                }
+                at += n;
+            }
+        }
+        s.keys_at.push(s.keys.len());
+        // Each shared cell's classes: a value starts a new class when some
+        // clause reading the cell weighs it unlike the value before.
+        s.reads.sort_unstable();
+        let mut i = 0;
+        while i < s.reads.len() {
+            let v = s.reads[i].0;
+            let mut j = i;
+            while j < s.reads.len() && s.reads[j].0 == v {
+                j += 1;
+            }
+            let n = new
+                .cells
+                .iter()
+                .find(|c| c.0 == v)
+                .expect("a clause reads it")
+                .1;
+            let from = new.class_of.len();
+            let mut class = 0;
+            for value in 0..n {
+                let differs = |&(_, at): &(VarId, usize)| {
+                    new.factors[at + value].to_bits() != new.factors[at + value - 1].to_bits()
+                };
+                if value > 0 && s.reads[i..j].iter().any(differs) {
+                    class += 1;
+                }
+                new.class_of.push(class);
+            }
+            new.shared.push((v, from, new.class_of.len()));
+            i = j;
+        }
+        // Group the clauses by their shared cells; keep the product of a
+        // group whose clauses are exactly an old group's, all reused, over
+        // the same classes.
+        s.members.clear();
+        s.members.extend(0..new.clauses.len());
+        {
+            let (keys, at) = (&s.keys, &s.keys_at);
+            let key = |c: usize| &keys[at[c]..at[c + 1]];
+            s.members
+                .sort_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+        }
+        let mut start = 0;
+        while start < s.members.len() {
+            let first = s.members[start];
+            let key = &s.keys[s.keys_at[first]..s.keys_at[first + 1]];
+            let mut end = start + 1;
+            while end < s.members.len() {
+                let c = s.members[end];
+                if &s.keys[s.keys_at[c]..s.keys_at[c + 1]] != key {
+                    break;
+                }
+                end += 1;
+            }
+            let run = &s.members[start..end];
+            let reusable = |&g: &usize| {
+                let group = &old.groups[g];
+                group.members == run.len()
+                    && old.keys(group) == key
+                    && run.iter().all(|&c| s.prior[c] == Some(g))
+                    && key.iter().all(|&v| old.classes(v) == new.classes(v))
+            };
+            let table = match s.prior[first].filter(reusable) {
+                Some(g) => std::mem::take(&mut old.groups[g].table),
+                None if key.is_empty() => {
+                    // No shared cell: every member is its summed constant.
+                    let mut product = 1.0;
+                    for &c in run {
+                        product *= (1.0 - new.clauses[c].summed).clamp(0.0, 1.0);
+                    }
+                    vec![product]
+                }
+                None => {
+                    let mut table = Vec::new();
+                    for &c in run {
+                        let kappa = new.effective(&new.clauses[c], dists, &mut s.eff)?;
+                        expand(kappa, &s.eff.factors, &s.eff.sizes, &mut s.expanded);
+                        if table.is_empty() {
+                            table.resize(s.expanded.len(), 1.0);
+                        }
+                        for (g, &x) in table.iter_mut().zip(&s.expanded) {
+                            *g *= x;
+                        }
+                    }
+                    table
+                }
+            };
+            for &c in run {
+                new.clauses[c].group = new.groups.len();
+            }
+            let keys = (new.keys.len(), new.keys.len() + key.len());
+            new.keys.extend_from_slice(key);
+            new.groups.push(GroupTable {
+                keys,
+                members: run.len(),
+                table,
+            });
+            start = end;
+        }
+        stats.groups = new.groups.len() as u64;
+        Ok(stats)
+    }
+
+    /// `Pr(φ)` under `dists`, the pmfs of the last refresh, by one pass
+    /// over each component's classes; with the points of the passes. A
+    /// value that is not a probability is
+    /// [`SolverError::InvalidProbability`].
+    pub fn probability(
+        &self,
+        dists: &VarDists,
+        scratch: &mut TableScratch,
+    ) -> Result<(f64, TableStats), SolverError> {
+        if self.falsum {
+            return Ok((0.0, TableStats::default()));
+        }
+        self.lay_out(dists, &mut scratch.layout)?;
+        let layout = &scratch.layout;
+        let (mut total, mut points) = (1.0, 0);
+        for k in 0..layout.comp_cells_at.len() - 1 {
+            let groups = layout.comp_groups(k);
+            let mut sum = 0.0;
+            points += walk(
+                layout,
+                layout.comp_cells(k),
+                &mut scratch.walk,
+                |theta, index, _| {
+                    let mut p = theta;
+                    for &g in groups {
+                        p *= self.state.groups[g].table[index[g]];
+                    }
+                    sum += p;
+                },
+            );
+            total *= sum;
+        }
+        let stats = TableStats {
+            points,
+            ..TableStats::default()
+        };
+        Ok((checked_probability(total.clamp(0.0, 1.0))?, stats))
+    }
+
+    /// Every `Pr(φ ∧ e)` for the expressions `e` of the condition, under
+    /// `dists`, the pmfs of the last refresh: one outside pass (module
+    /// docs).
+    pub fn joints<'s>(
+        &'s self,
+        dists: &'s VarDists,
+        scratch: &'s mut TableScratch,
+    ) -> Result<Joints<'s>, SolverError> {
+        let st = &self.state;
+        scratch.others.clear();
+        for (c, t) in st.clauses.iter().enumerate() {
+            let vars = t.clause.exprs().iter().flat_map(Expr::vars);
+            let others = vars.filter(|v| v.object != self.object);
+            scratch.others.extend(others.map(|v| (v, c)));
+        }
+        scratch.others.sort_unstable();
+        self.lay_out(dists, &mut scratch.layout)?;
+        let s = scratch;
+        let layout = &s.layout;
+        let n_groups = st.groups.len();
+        s.outside.clear();
+        s.outside.resize(layout.group_at[n_groups], 0.0);
+        s.marginals.clear();
+        s.marginals.resize(layout.class_probs.len(), 0.0);
+        s.values.resize(n_groups, 0.0);
+        s.excluded.resize(n_groups, 0.0);
+        s.sums.clear();
+        let mut points = 0;
+        for k in 0..layout.comp_cells_at.len() - 1 {
+            let (cells, groups) = (layout.comp_cells(k), layout.comp_groups(k));
+            let (outside, marginals) = (&mut s.outside, &mut s.marginals);
+            let (values, excluded) = (&mut s.values, &mut s.excluded);
+            let mut sum = 0.0;
+            points += walk(layout, cells, &mut s.walk, |theta, index, digits| {
+                let mut before = theta;
+                for &g in groups {
+                    values[g] = st.groups[g].table[index[g]];
+                    excluded[g] = before;
+                    before *= values[g];
+                }
+                let mut after = 1.0;
+                for &g in groups.iter().rev() {
+                    outside[layout.group_at[g] + index[g]] += excluded[g] * after;
+                    after *= values[g];
+                }
+                sum += before;
+                for (&i, &d) in cells.iter().zip(digits) {
+                    marginals[layout.class_at[i] + d] += before;
+                }
+            });
+            s.sums.push(sum);
+        }
+        // Scale each component's messages by the other components' sums.
+        let n_comps = s.sums.len();
+        s.rest.clear();
+        s.rest.resize(n_comps, 1.0);
+        let mut before = 1.0;
+        for k in 0..n_comps {
+            s.rest[k] = before;
+            before *= s.sums[k];
+        }
+        let mut after = 1.0;
+        for k in (0..n_comps).rev() {
+            s.rest[k] *= after;
+            after *= s.sums[k];
+            let rest = s.rest[k];
+            for &g in layout.comp_groups(k) {
+                for m in &mut s.outside[layout.group_at[g]..layout.group_at[g + 1]] {
+                    *m *= rest;
+                }
+            }
+            for &i in layout.comp_cells(k) {
+                for m in &mut s.marginals[layout.class_at[i]..layout.class_at[i + 1]] {
+                    *m *= rest;
+                }
+            }
+        }
+        // Each group's clauses, in clause order, cut into blocks of about
+        // the square root of their number; per block, the product of the
+        // outside message and every block before it, and of every block
+        // after it. A clause's sum with its own table left out is then its
+        // block's two products times the block's other clauses
+        // (`Joints::joint`).
+        s.members.clear();
+        s.members.extend(0..st.clauses.len());
+        s.members.sort_by_key(|&c| st.clauses[c].group);
+        s.members_at.clear();
+        s.position.clear();
+        s.position.resize(st.clauses.len(), 0);
+        s.privates.clear();
+        for (k, &c) in s.members.iter().enumerate() {
+            let g = st.clauses[c].group;
+            while s.members_at.len() <= g {
+                s.members_at.push(k);
+            }
+            for &(v, _) in st.cells(&st.clauses[c]) {
+                if st.classes(v).is_none() {
+                    s.privates.push((v, c));
+                }
+            }
+        }
+        while s.members_at.len() <= n_groups {
+            s.members_at.push(s.members.len());
+        }
+        for g in 0..n_groups {
+            for k in s.members_at[g]..s.members_at[g + 1] {
+                s.position[s.members[k]] = k - s.members_at[g];
+            }
+        }
+        s.privates.sort_unstable();
+        s.before.clear();
+        s.after.clear();
+        s.blocks_at.clear();
+        for g in 0..n_groups {
+            let m = s.members_at[g + 1] - s.members_at[g];
+            let (len, size) = (st.groups[g].table.len(), block_size(m));
+            s.blocks_at.push(s.before.len());
+            // The blocks' products, each at `before`'s slot of the next.
+            let n_blocks = m.div_ceil(size);
+            s.before.resize(s.before.len() + n_blocks * len, 1.0);
+            s.after.resize(s.before.len(), 1.0);
+            let at = s.blocks_at[g];
+            for k in 0..m {
+                let c = s.members[s.members_at[g] + k];
+                let kappa = st.effective(&st.clauses[c], dists, &mut s.eff)?;
+                expand(kappa, &s.eff.factors, &s.eff.sizes, &mut s.expanded);
+                let block = &mut s.after[at + (k / size) * len..][..len];
+                for (x, &t) in block.iter_mut().zip(&s.expanded) {
+                    *x *= t;
+                }
+            }
+            // `after` holds each block's product; fold it into the running
+            // products from the front and from the back.
+            let outside = &s.outside[layout.group_at[g]..layout.group_at[g + 1]];
+            s.before[at..at + len].copy_from_slice(outside);
+            for b in 1..n_blocks {
+                for y in 0..len {
+                    s.before[at + b * len + y] =
+                        s.before[at + (b - 1) * len + y] * s.after[at + (b - 1) * len + y];
+                }
+            }
+            s.expanded.clear();
+            s.expanded.resize(len, 1.0);
+            for b in (0..n_blocks).rev() {
+                for y in 0..len {
+                    let product = s.after[at + b * len + y];
+                    s.after[at + b * len + y] = s.expanded[y];
+                    s.expanded[y] *= product;
+                }
+            }
+        }
+        s.blocks_at.push(s.before.len());
+        let stats = TableStats {
+            reused: st.clauses.len() as u64,
+            groups: n_groups as u64,
+            points,
+            ..TableStats::default()
+        };
+        Ok(Joints {
+            tables: self,
+            dists,
+            scratch: s,
+            stats,
+        })
+    }
+
+    /// Fills `layout` for the current groups under `dists`.
+    fn lay_out(&self, dists: &VarDists, layout: &mut Layout) -> Result<(), SolverError> {
+        let st = &self.state;
+        layout.cells.clear();
+        layout.cells.extend(st.shared.iter().map(|c| c.0));
+        layout.values.clear();
+        layout.value_probs.clear();
+        layout.value_class.clear();
+        layout.values_at.clear();
+        layout.class_probs.clear();
+        layout.class_at.clear();
+        for &(v, from, to) in &st.shared {
+            layout.values_at.push(layout.values.len());
+            layout.class_at.push(layout.class_probs.len());
+            let positive = dists.pmf(v)?.probs().iter().enumerate();
+            let positive = positive.filter(|(_, &p)| p > 0.0);
+            for ((value, &p), &k) in positive.zip(&st.class_of[from..to]) {
+                layout.values.push(value as Value);
+                layout.value_probs.push(p);
+                layout.value_class.push(k);
+                if k as usize == layout.class_probs.len() - layout.class_at.last().unwrap() {
+                    layout.class_probs.push(p);
+                } else {
+                    *layout.class_probs.last_mut().expect("a class started") += p;
+                }
+            }
+        }
+        layout.values_at.push(layout.values.len());
+        layout.class_at.push(layout.class_probs.len());
+        layout.group_cells.clear();
+        layout.group_cells_at.clear();
+        layout.group_at.clear();
+        let mut at = 0;
+        for g in &st.groups {
+            layout.group_cells_at.push(layout.group_cells.len());
+            layout.group_at.push(at);
+            at += g.table.len();
+            for v in st.keys(g) {
+                let i = layout.cells.binary_search(v).expect("a shared cell");
+                layout.group_cells.push(i);
+            }
+        }
+        layout.group_cells_at.push(layout.group_cells.len());
+        layout.group_at.push(at);
+        debug_assert!(
+            (0..st.groups.len())
+                .all(|g| layout.group_sizes(g).product::<usize>() == st.groups[g].table.len()),
+            "a group table outlived a change of its cells' classes"
+        );
+        // Each cell's stride in the tables of the groups that read it.
+        layout.reads.clear();
+        layout.reads_at.clear();
+        for i in 0..layout.cells.len() {
+            layout.reads_at.push(layout.reads.len());
+            for g in 0..st.groups.len() {
+                let cells = layout.cells_of(g);
+                if let Some(k) = cells.iter().position(|&j| j == i) {
+                    let stride = cells[k + 1..].iter().map(|&j| layout.size(j)).product();
+                    layout.reads.push((g, stride));
+                }
+            }
+        }
+        layout.reads_at.push(layout.reads.len());
+        // Components: cells joined by a group that reads both. A group that
+        // reads no cell is a component of its own, with one point.
+        let n = layout.cells.len();
+        layout.comp_of.clear();
+        layout.comp_of.extend(0..n);
+        for g in 0..st.groups.len() {
+            let cells = &layout.group_cells[layout.group_cells_at[g]..layout.group_cells_at[g + 1]];
+            if let Some(&first) = cells.first() {
+                let into = layout.comp_of[first];
+                for &i in &cells[1..] {
+                    let from = layout.comp_of[i];
+                    if from != into {
+                        for c in &mut layout.comp_of {
+                            if *c == from {
+                                *c = into;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        layout.comp_cells.clear();
+        layout.comp_cells_at.clear();
+        layout.comp_groups.clear();
+        layout.comp_groups_at.clear();
+        if st.groups.first().is_some_and(|g| g.keys.0 == g.keys.1) {
+            layout.comp_cells_at.push(0);
+            layout.comp_groups_at.push(0);
+            layout.comp_groups.push(0);
+        }
+        for root in 0..n {
+            if layout.comp_of[root] != root {
+                continue;
+            }
+            layout.comp_cells_at.push(layout.comp_cells.len());
+            layout.comp_groups_at.push(layout.comp_groups.len());
+            for i in 0..n {
+                if layout.comp_of[i] == root {
+                    layout.comp_cells.push(i);
+                }
+            }
+            for g in 0..st.groups.len() {
+                if layout
+                    .cells_of(g)
+                    .first()
+                    .is_some_and(|&i| layout.comp_of[i] == root)
+                {
+                    layout.comp_groups.push(g);
+                }
+            }
+        }
+        layout.comp_cells_at.push(layout.comp_cells.len());
+        layout.comp_groups_at.push(layout.comp_groups.len());
+        Ok(())
+    }
+}
+
+impl Layout {
+    /// The class count of cell `i`.
+    fn size(&self, i: usize) -> usize {
+        self.class_at[i + 1] - self.class_at[i]
+    }
+
+    /// The cells group `g` reads.
+    fn cells_of(&self, g: usize) -> &[usize] {
+        &self.group_cells[self.group_cells_at[g]..self.group_cells_at[g + 1]]
+    }
+
+    /// The class counts of the cells group `g` reads.
+    fn group_sizes(&self, g: usize) -> impl Iterator<Item = usize> + '_ {
+        self.cells_of(g).iter().map(|&i| self.size(i))
+    }
+
+    /// The cells of component `k`.
+    fn comp_cells(&self, k: usize) -> &[usize] {
+        &self.comp_cells[self.comp_cells_at[k]..self.comp_cells_at[k + 1]]
+    }
+
+    /// The groups of component `k`.
+    fn comp_groups(&self, k: usize) -> &[usize] {
+        &self.comp_groups[self.comp_groups_at[k]..self.comp_groups_at[k + 1]]
+    }
+}
+
+/// A clause's table over its shared cells' classes: their `g_a` and class
+/// counts.
+#[derive(Debug, Default)]
+struct Effective {
+    factors: Vec<f64>,
+    sizes: Vec<usize>,
+}
+
+/// Keeps one copy of each value `sorted` holds twice or more.
+fn keep_repeated(sorted: &mut Vec<VarId>) {
+    let mut kept = 0;
+    for i in 1..sorted.len() {
+        if sorted[i] == sorted[i - 1] && (kept == 0 || sorted[kept - 1] != sorted[i]) {
+            sorted[kept] = sorted[i];
+            kept += 1;
+        }
+    }
+    sorted.truncate(kept);
+}
+
+/// Checks the shape of `clauses` for object `o` (module docs), with
+/// `seen` as a buffer.
+fn check_shape<'c>(
+    o: ObjectId,
+    clauses: impl IntoIterator<Item = &'c Clause>,
+    seen: &mut Vec<u64>,
+) -> Result<(), SolverError> {
+    let key = |v: VarId| u64::from(v.object.0) << 16 | u64::from(v.attr.0);
+    seen.clear();
+    for clause in clauses {
+        for e in clause.exprs() {
+            match e.rhs_var() {
+                Some(w) if e.var().object == o && w.object == o => {
+                    return Err(SolverError::NotFactored(w));
+                }
+                _ => {}
+            }
+            seen.extend(e.vars().filter(|v| v.object != o).map(key));
+        }
+    }
+    seen.sort_unstable();
+    match seen.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(SolverError::NotFactored(VarId::new(
+            (w[0] >> 16) as u32,
+            w[0] as u16,
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Appends `clause`'s `g_a` for each own cell `a` of object `o` it reads,
+/// in variable order, to `factors`, and those cells with their support
+/// sizes to `cells`; returns its `κ`, and `κ` with every own cell summed
+/// out.
+fn clause_factors(
+    o: ObjectId,
+    clause: &Clause,
+    dists: &VarDists,
+    cells: &mut Vec<(VarId, usize)>,
+    factors: &mut Vec<f64>,
+) -> Result<(f64, f64), SolverError> {
+    let mut kappa = 1.0;
+    for e in clause.exprs().iter().filter(|e| own_cell(o, e).is_none()) {
+        kappa *= (1.0 - dists.expr_prob(e)?).clamp(0.0, 1.0);
+    }
+    let start = cells.len();
+    for e in clause.exprs() {
+        if let Some(v) = own_cell(o, e) {
+            if !cells[start..].iter().any(|&(u, _)| u == v) {
+                cells.push((v, 0));
+            }
+        }
+    }
+    cells[start..].sort_unstable();
+    let mut summed = kappa;
+    for cell in &mut cells[start..] {
+        let v = cell.0;
+        let probs = dists.pmf(v)?.probs();
+        let from = factors.len();
+        factors.extend(probs.iter().filter(|&&p| p > 0.0).map(|_| 1.0));
+        cell.1 = factors.len() - from;
+        for e in clause.exprs().iter().filter(|e| e.mentions(v)) {
+            let other = e
+                .vars()
+                .find(|&w| w != v)
+                .map(|w| dists.pmf(w))
+                .transpose()?;
+            let values = probs.iter().enumerate().filter(|(_, &p)| p > 0.0);
+            for ((value, _), g) in values.zip(&mut factors[from..]) {
+                let p_e = match (e.substitute(v, value as Value), other) {
+                    (ExprOrBool::Bool(b), _) => f64::from(u8::from(b)),
+                    (ExprOrBool::Expr(rest), Some(w)) => {
+                        let Operand::Const(c) = rest.rhs() else {
+                            unreachable!("one variable substituted, one left")
+                        };
+                        const_prob(w, rest.op(), c)
+                    }
+                    (ExprOrBool::Expr(rest), None) => dists.expr_prob(&rest)?,
+                };
+                *g *= (1.0 - p_e).clamp(0.0, 1.0);
+            }
+        }
+        let positive = probs.iter().filter(|&&p| p > 0.0);
+        summed *= positive
+            .zip(&factors[from..])
+            .map(|(p, g)| p * g)
+            .sum::<f64>();
+    }
+    Ok((kappa, summed))
+}
+
+/// Writes `1 − κ · Π_a g_a(y_a)` for every point `y` of the cells with
+/// `sizes` classes, whose `g_a` are concatenated in `factors`, the first
+/// cell slowest, into `out`.
+fn expand(kappa: f64, factors: &[f64], sizes: &[usize], out: &mut Vec<f64>) {
+    out.clear();
+    out.push(kappa);
+    let mut factors = factors;
+    for &n in sizes {
+        let (g, rest) = factors.split_at(n);
+        factors = rest;
+        // Grow in place from the back: entry `j` becomes entries
+        // `j·n .. j·n + n`.
+        let m = out.len();
+        out.resize(m * n, 0.0);
+        for j in (0..m).rev() {
+            let x = out[j];
+            for (v, &gv) in g.iter().enumerate().rev() {
+                out[j * n + v] = x * gv;
+            }
+        }
+    }
+    for x in out.iter_mut() {
+        *x = (1.0 - *x).clamp(0.0, 1.0);
+    }
+}
+
+/// The own cell of object `o` that `e` mentions, if any. A condition that
+/// passed [`check_shape`] has at most one per expression.
+fn own_cell(o: ObjectId, e: &Expr) -> Option<VarId> {
+    e.vars().find(|v| v.object == o)
+}
+
+/// `Pr(e | v = value)` for an expression `e` mentioning `v`.
+fn given(e: &Expr, v: VarId, value: Value, dists: &VarDists) -> Result<f64, SolverError> {
+    match e.substitute(v, value) {
+        ExprOrBool::Bool(b) => Ok(if b { 1.0 } else { 0.0 }),
+        ExprOrBool::Expr(rest) => dists.expr_prob(&rest),
+    }
+}
+
+/// Visits every point of the classes of `cells` (indices into
+/// `layout.cells`), the last cell fastest, with `θ` of the point, each
+/// group's table index (those of groups reading none of `cells` stay 0)
+/// and each of `cells`' class. Returns the number of points.
+fn walk(
+    layout: &Layout,
+    cells: &[usize],
+    w: &mut Walk,
+    mut visit: impl FnMut(f64, &[usize], &[usize]),
+) -> u64 {
+    let k = cells.len();
+    w.digits.clear();
+    w.digits.resize(k, 0);
+    w.index.clear();
+    w.index.resize(layout.group_cells_at.len() - 1, 0);
+    w.theta.clear();
+    w.theta.push(1.0);
+    for (j, &i) in cells.iter().enumerate() {
+        let p = w.theta[j] * layout.class_probs[layout.class_at[i]];
+        w.theta.push(p);
+    }
+    let mut points = 0;
+    loop {
+        visit(w.theta[k], &w.index, &w.digits);
+        points += 1;
+        // Advance the odometer: the last cell that has a next class steps,
+        // every cell after it wraps to its first.
+        let mut j = k;
+        loop {
+            if j == 0 {
+                return points;
+            }
+            j -= 1;
+            let i = cells[j];
+            let reads = &layout.reads[layout.reads_at[i]..layout.reads_at[i + 1]];
+            if w.digits[j] + 1 < layout.size(i) {
+                w.digits[j] += 1;
+                for &(g, stride) in reads {
+                    w.index[g] += stride;
+                }
+                break;
+            }
+            for &(g, stride) in reads {
+                w.index[g] -= w.digits[j] * stride;
+            }
+            w.digits[j] = 0;
+        }
+        for (l, &i) in cells.iter().enumerate().skip(j) {
+            w.theta[l + 1] = w.theta[l] * layout.class_probs[layout.class_at[i] + w.digits[l]];
+        }
+    }
+}
+
+/// `Pr(φ ∧ e)` for the expressions of one object's condition, read off
+/// the outside pass of [`FactorTables::joints`].
+#[derive(Debug)]
+pub struct Joints<'s> {
+    tables: &'s FactorTables,
+    dists: &'s VarDists,
+    scratch: &'s mut TableScratch,
+    stats: TableStats,
+}
+
+impl Joints<'_> {
+    /// The pass's effort: every clause table read, the groups and the
+    /// points.
+    pub fn stats(&self) -> TableStats {
+        self.stats
+    }
+
+    /// `Pr(φ ∧ e)` for an expression `e` of the condition. An `e` that is
+    /// not one is [`SolverError::NotFactored`].
+    pub fn joint(&mut self, e: &Expr) -> Result<f64, SolverError> {
+        let o = self.tables.object;
+        let s = &mut *self.scratch;
+        let layout = &s.layout;
+        // The shared cell `e` reads, if any.
+        let shared =
+            own_cell(o, e).and_then(|v| layout.cells.binary_search(&v).ok().map(|i| (v, i)));
+        let other = e.vars().find(|v| v.object != o);
+        if let (Some((_, i)), None) = (shared, other) {
+            // A var-const expression on a shared cell: split each class
+            // by its values' probabilities.
+            let mut sum = 0.0;
+            for at in layout.values_at[i]..layout.values_at[i + 1] {
+                if e.eval(|_| layout.values[at]) {
+                    let k = layout.class_at[i] + layout.value_class[at] as usize;
+                    sum += s.marginals[k] * (layout.value_probs[at] / layout.class_probs[k]);
+                }
+            }
+            return Ok(sum);
+        }
+        // The clause of `e`: the one its non-own variable, or else its
+        // private own cell, occurs in.
+        let key = other.unwrap_or(e.var());
+        let list = if other.is_some() {
+            &s.others
+        } else {
+            &s.privates
+        };
+        let st = &self.tables.state;
+        let c = match list.binary_search_by(|&(u, _)| u.cmp(&key)) {
+            Ok(at) if st.clauses[list[at].1].clause.exprs().contains(e) => list[at].1,
+            _ => return Err(SolverError::NotFactored(key)),
+        };
+        let g = st.clauses[c].group;
+        let len = st.groups[g].table.len();
+        let members = &s.members[s.members_at[g]..s.members_at[g + 1]];
+        let size = block_size(members.len());
+        let (k, block) = (s.position[c], s.position[c] / size);
+        let at = s.blocks_at[g] + block * len;
+        s.left_out.clear();
+        let sides = s.before[at..at + len].iter().zip(&s.after[at..at + len]);
+        s.left_out.extend(sides.map(|(b, a)| b * a));
+        let end = members.len().min((block + 1) * size);
+        for (j, &other) in members.iter().enumerate().take(end).skip(block * size) {
+            if j != k {
+                let kappa = st.effective(&st.clauses[other], self.dists, &mut s.eff)?;
+                expand(kappa, &s.eff.factors, &s.eff.sizes, &mut s.expanded);
+                for (x, &t) in s.left_out.iter_mut().zip(&s.expanded) {
+                    *x *= t;
+                }
+            }
+        }
+        let outside = &s.left_out[..];
+        let Some((v, i)) = shared else {
+            // `e` reads no cell another clause reads: it is independent of
+            // the other clauses, and `e` implies its own.
+            return Ok(self.dists.expr_prob(e)? * outside.iter().sum::<f64>());
+        };
+        // A var-var expression on shared cell `v`: weigh each point of the
+        // clause's table by `Pr(e | v)` over its class of `v`.
+        let cells = layout.cells_of(g);
+        let k = cells
+            .iter()
+            .position(|&j| j == i)
+            .expect("the clause reads v");
+        let stride: usize = cells[k + 1..].iter().map(|&j| layout.size(j)).product();
+        let n = layout.size(i);
+        s.given.clear();
+        s.given.resize(n, 0.0);
+        for at in layout.values_at[i]..layout.values_at[i + 1] {
+            let class = layout.value_class[at] as usize;
+            let share = layout.value_probs[at] / layout.class_probs[layout.class_at[i] + class];
+            s.given[class] += share * given(e, v, layout.values[at], self.dists)?;
+        }
+        let mut sum = 0.0;
+        for (y, &m) in outside.iter().enumerate() {
+            sum += m * s.given[(y / stride) % n];
+        }
+        Ok(sum)
+    }
+
+    /// `G(o, e)` (Definition 6) for an expression `e` of the condition,
+    /// with `p_phi` as `Pr(φ)`: 0 for a decided `e`, else from
+    /// [`joint`](Self::joint).
+    pub fn utility(&mut self, e: &Expr, p_phi: f64) -> Result<f64, SolverError> {
+        let p_e = self.dists.expr_prob(e)?;
+        if !is_open(p_e) {
+            return Ok(0.0);
+        }
+        let p_and_true = self.joint(e)?;
+        let p_and_false = (p_phi - p_and_true).clamp(0.0, 1.0);
+        Ok(utility_from_joint(p_phi, p_e, p_and_true, p_and_false))
+    }
+}
+
+/// `Pr(φ(o))` by fresh factor tables: a convenience for one-off checks.
+/// `True` and `False` need no tables.
+pub fn probability(o: ObjectId, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
+    let mut scratch = TableScratch::default();
+    let mut tables = FactorTables::new(o);
+    tables.refresh(cond, dists, &mut scratch)?;
+    Ok(tables.probability(dists, &mut scratch)?.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AdpllSolver, Solver};
+    use bc_bayes::Pmf;
+
+    fn v(o: u32, a: u16) -> VarId {
+        VarId::new(o, a)
+    }
+
+    /// φ(o0) over own cells x = (0,0), y = (0,1) and dominator cells:
+    /// (x > 2 ∨ p < 3) ∧ (x > q ∨ y > 1) ∧ (r > 4 ∨ s < 2) ∧ (y > t).
+    fn shaped() -> (Condition, VarDists) {
+        let (x, y) = (v(0, 0), v(0, 1));
+        let (p, q, r, s, t) = (v(1, 0), v(2, 0), v(3, 0), v(4, 1), v(5, 1));
+        let cond = Condition::from_clauses(vec![
+            vec![Expr::gt(x, 2), Expr::lt(p, 3)],
+            vec![Expr::var_gt(x, q), Expr::gt(y, 1)],
+            vec![Expr::gt(r, 4), Expr::lt(s, 2)],
+            vec![Expr::var_gt(y, t)],
+        ]);
+        let weights = [
+            vec![1.0, 2.0, 0.0, 3.0, 1.0, 2.0],
+            vec![0.5, 1.0, 1.0, 2.0, 0.0, 1.0],
+        ];
+        let dists = [x, y, p, q, r, s, t]
+            .into_iter()
+            .enumerate()
+            .map(|(i, var)| (var, Pmf::from_weights(weights[i % 2].clone())))
+            .collect();
+        (cond, dists)
+    }
+
+    #[test]
+    fn probability_matches_adpll() {
+        let (cond, dists) = shaped();
+        let want = AdpllSolver::new().probability(&cond, &dists).unwrap();
+        let got = probability(ObjectId(0), &cond, &dists).unwrap();
+        assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
+        assert_eq!(probability(ObjectId(0), &Condition::True, &dists), Ok(1.0));
+        assert_eq!(probability(ObjectId(0), &Condition::False, &dists), Ok(0.0));
+    }
+
+    #[test]
+    fn every_joint_matches_a_solve_of_the_conjunction() {
+        let (cond, dists) = shaped();
+        let solver = AdpllSolver::new();
+        let mut scratch = TableScratch::default();
+        let mut tables = FactorTables::new(ObjectId(0));
+        tables.refresh(&cond, &dists, &mut scratch).unwrap();
+        let mut joints = tables.joints(&dists, &mut scratch).unwrap();
+        for e in cond.exprs() {
+            let want = solver.probability(&cond.and_expr(*e), &dists).unwrap();
+            let got = joints.joint(e).unwrap();
+            assert!((got - want).abs() <= 1e-12, "{e}: {got} vs {want}");
+        }
+        let stranger = Expr::lt(v(9, 0), 2);
+        assert_eq!(
+            joints.joint(&stranger),
+            Err(SolverError::NotFactored(v(9, 0)))
+        );
+    }
+
+    #[test]
+    fn refresh_reuses_unchanged_clauses_and_recomputes_forgotten_ones() {
+        let (cond, mut dists) = shaped();
+        let mut scratch = TableScratch::default();
+        let mut tables = FactorTables::new(ObjectId(0));
+        let first = tables.refresh(&cond, &dists, &mut scratch).unwrap();
+        assert_eq!((first.reused, first.computed), (0, 4));
+        let again = tables.refresh(&cond, &dists, &mut scratch).unwrap();
+        assert_eq!((again.reused, again.computed), (4, 0));
+        // Narrow q: only the clause reading it is recomputed, and the
+        // result is the fresh tables' bit for bit.
+        let q = v(2, 0);
+        let narrowed = dists.pmf(q).unwrap().conditioned(0b111000).unwrap();
+        dists.insert(q, narrowed);
+        tables.forget(|w| w == q);
+        let stats = tables.refresh(&cond, &dists, &mut scratch).unwrap();
+        assert_eq!((stats.reused, stats.computed), (3, 1));
+        // Groups {}, {x}, {x, y} and {y}: the last two and the constant
+        // one are kept, {x} (q's clause) is recomputed.
+        assert_eq!(stats.groups, 4);
+        let (p, pass) = tables.probability(&dists, &mut scratch).unwrap();
+        let fresh = probability(ObjectId(0), &cond, &dists).unwrap();
+        assert_eq!(p.to_bits(), fresh.to_bits());
+        // One component over x and y, at most 5 × 5 points (fewer where
+        // values fall into one class), and the constant group's one.
+        assert!(pass.points <= 5 * 5 + 1, "{pass:?}");
+    }
+
+    #[test]
+    fn values_every_clause_weighs_alike_share_one_class() {
+        // x has 100 values; its clauses split them only at 30 and 70, so
+        // the pass visits 3 classes; y is read by one clause and is summed
+        // out.
+        let (x, y, p, q) = (v(0, 0), v(0, 1), v(1, 0), v(2, 0));
+        let cond = Condition::from_clauses(vec![
+            vec![Expr::gt(x, 29), Expr::lt(p, 3)],
+            vec![Expr::lt(x, 70), Expr::gt(y, 4), Expr::lt(q, 2)],
+        ]);
+        let dists: VarDists = [
+            (x, Pmf::uniform(100)),
+            (y, Pmf::uniform(10)),
+            (p, Pmf::uniform(6)),
+            (q, Pmf::uniform(6)),
+        ]
+        .into_iter()
+        .collect();
+        let mut scratch = TableScratch::default();
+        let mut tables = FactorTables::new(ObjectId(0));
+        tables.refresh(&cond, &dists, &mut scratch).unwrap();
+        let (got, pass) = tables.probability(&dists, &mut scratch).unwrap();
+        assert_eq!(pass.points, 3);
+        let want = AdpllSolver::new().probability(&cond, &dists).unwrap();
+        assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
+        let mut joints = tables.joints(&dists, &mut scratch).unwrap();
+        let solver = AdpllSolver::new();
+        for e in cond.exprs() {
+            let want = solver.probability(&cond.and_expr(*e), &dists).unwrap();
+            let got = joints.joint(e).unwrap();
+            assert!((got - want).abs() <= 1e-12, "{e}: {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn conditions_outside_the_shape_are_typed_errors() {
+        let (x, y, p) = (v(0, 0), v(0, 1), v(1, 0));
+        let dists: VarDists = [x, y, p]
+            .into_iter()
+            .map(|var| (var, Pmf::uniform(4)))
+            .collect();
+        // A dominator cell in two clauses.
+        let shared = Condition::from_clauses(vec![
+            vec![Expr::gt(x, 1), Expr::lt(p, 2)],
+            vec![Expr::gt(y, 2), Expr::gt(p, 0)],
+        ]);
+        // A var-var expression between two own cells.
+        let own_pair = Condition::from_clauses(vec![vec![Expr::var_gt(x, y), Expr::lt(p, 1)]]);
+        for (cond, var) in [(shared, p), (own_pair, y)] {
+            assert_eq!(
+                probability(ObjectId(0), &cond, &dists),
+                Err(SolverError::NotFactored(var)),
+                "{cond}"
+            );
+        }
+    }
+}

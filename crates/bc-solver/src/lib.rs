@@ -13,31 +13,30 @@
 //! * [`ApproxCountSolver`] — the generalized weighted ApproxCount the paper
 //!   compares against (and finds inferior),
 //! * [`MonteCarloSolver`] — a plain sampling estimator,
-//! * [`Circuit`] — an ADPLL search recorded as a decision-DNNF circuit,
-//!   which re-evaluates `Pr(φ)` under narrowed distributions without a
-//!   search, and whose derivative pass yields every var-const `Pr(φ ∧ e)`
-//!   at once (and, clamped one value at a time, every var-var one),
+//! * [`factored`] — ADPLL's sum in closed form on the conditions Get-CTable
+//!   builds: one table per clause over the object's own cells, from which
+//!   one pass gives `Pr(φ)` and another every `Pr(φ ∧ e)` of its
+//!   candidates; what a session scores with,
 //! * [`VarDists`] — per-variable value distributions (from the Bayesian
 //!   network) with expression-probability helpers, and
 //! * [`utility`] — the marginal-utility function `G(o, e)` (Definition 6).
 //!
-//! ADPLL and [`Circuit::evaluate`] check the root they return with
-//! [`checked_probability`]: a value that is not a probability is
-//! [`SolverError::InvalidProbability`] where it is produced, so no caller
-//! re-checks a solve, a compile or an evaluation.
+//! ADPLL and [`factored::FactorTables::probability`] check the value they
+//! return with [`checked_probability`]: a value that is not a probability
+//! is [`SolverError::InvalidProbability`] where it is produced, so no
+//! caller re-checks one.
 
 pub mod adpll;
 pub mod approxcount;
 mod arena;
-pub mod circuit;
 pub mod dists;
+pub mod factored;
 pub mod montecarlo;
 pub mod naive;
 pub mod utility;
 
 pub use adpll::{AdpllSolver, BranchHeuristic, SolveStats};
 pub use approxcount::ApproxCountSolver;
-pub use circuit::{Circuit, ClampScratch, Partials};
 pub use dists::VarDists;
 pub use montecarlo::MonteCarloSolver;
 pub use naive::{ModelCount, NaiveSolver};
@@ -60,18 +59,11 @@ pub enum SolverError {
     /// A solver returned a probability that is not finite or lies outside
     /// `[0, 1]` by more than rounding slack.
     InvalidProbability(f64),
-    /// A caller's cached `Pr(φ)` differs from the one a compile of `φ`
-    /// just computed under the same distributions: the cache is stale.
-    StalePrior {
-        /// The `Pr(φ)` the caller passed in.
-        cached: f64,
-        /// The `Pr(φ)` the compile computed.
-        fresh: f64,
-    },
-    /// A circuit was re-evaluated under distributions it cannot replay: a
-    /// value with mass outside the support it was compiled over, or a
-    /// product the compile found to be zero that no longer is.
-    StaleCircuit,
+    /// A condition is outside the shape factor tables evaluate
+    /// ([`factored`]): this variable, not one of the object's own cells,
+    /// occurs in two expressions, or it is the second own cell of a var-var
+    /// expression.
+    NotFactored(bc_data::VarId),
 }
 
 impl fmt::Display for SolverError {
@@ -86,14 +78,8 @@ impl fmt::Display for SolverError {
             SolverError::InvalidProbability(p) => {
                 write!(f, "solver returned {p}, which is not a probability")
             }
-            SolverError::StalePrior { cached, fresh } => {
-                write!(f, "stale prior: Pr(φ) is {fresh}, not the cached {cached}")
-            }
-            SolverError::StaleCircuit => {
-                write!(
-                    f,
-                    "stale circuit: the distributions left its compiled support"
-                )
+            SolverError::NotFactored(v) => {
+                write!(f, "condition is not factored by its object's cells at {v}")
             }
         }
     }

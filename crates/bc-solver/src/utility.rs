@@ -10,36 +10,21 @@
 //! its utility is zero and costs nothing. For the open ones, `Pr(φ ∧ e)`
 //! comes one of two ways:
 //!
-//! * [`compile_utilities`] compiles `φ` once with ADPLL (see
-//!   [`crate::circuit`]) and [`CompiledUtilities::utility`] reads every
-//!   candidate's `Pr(φ ∧ e)` off that circuit, with no further solve: off
-//!   the circuit's one derivative pass, or for a var-var candidate whose
-//!   variables the circuit both reads, off a pass that clamps one of them
-//!   to each of its values ([`Circuit::var_var_joint`]);
+//! * a session reads it off the factor tables of `φ`
+//!   ([`crate::factored::Joints::utility`]): one pass per object, and
+//!   nothing per candidate after it;
 //! * [`marginal_utility_with_prior`] solves `φ` with the unit clause `[e]`
-//!   conjoined: one solver call per candidate. A var-var candidate whose
-//!   clamped pass fails takes this path, and so does any solver's
-//!   reference utility.
-//!
-//! So scoring one object costs one compile, at its first open candidate,
-//! and nothing per candidate after it. A circuit the caller already keeps
-//! and has evaluated under `dists` saves the compile too:
-//! [`CompiledUtilities::of_circuit`].
+//!   conjoined: one solver call per candidate. Any solver's reference
+//!   utility takes this path.
 //!
 //! **Precondition.** The `p_phi` passed in must be `Pr(φ)` under the
-//! *same* `dists`. [`compile_utilities`] and
-//! [`CompiledUtilities::of_circuit`] check it against the circuit's root,
-//! and a `p_phi` whose bits differ is [`SolverError::StalePrior`].
-//! [`marginal_utility_with_prior`] cannot check it: there a stale `p_phi`
-//! silently skews the utility.
+//! *same* `dists`; a stale one silently skews the utility.
 
-use crate::adpll::{AdpllSolver, SolveStats};
-use crate::circuit::{Circuit, ClampScratch, Partials};
+use crate::adpll::SolveStats;
 use crate::dists::VarDists;
 use crate::{Solver, SolverError};
 use bc_bayes::pmf::binary_entropy;
 use bc_ctable::{Condition, Expr};
-use std::borrow::Cow;
 
 /// The entropy `H(o)` of an object whose condition holds with probability
 /// `p` (Eq. 3): maximal at a fair coin flip, zero when decided.
@@ -89,113 +74,9 @@ pub fn is_open(p_e: f64) -> bool {
     p_e > f64::EPSILON && p_e < 1.0 - f64::EPSILON
 }
 
-/// The circuit of an object's condition `φ`, from which every candidate's
-/// utility follows without a solve: a compile's own circuit, or one the
-/// caller keeps (`'c`).
-#[derive(Debug)]
-pub struct CompiledUtilities<'c> {
-    partials: Partials,
-    /// The circuit the partials came from; var-var candidates clamp it.
-    circuit: Cow<'c, Circuit>,
-    stats: SolveStats,
-}
-
-/// Compiles `cond` for scoring. `p_phi` must be `Pr(cond)` under `dists`;
-/// if its bits differ from the compile's, the error is
-/// [`SolverError::StalePrior`].
-pub fn compile_utilities(
-    solver: &AdpllSolver,
-    cond: &Condition,
-    dists: &VarDists,
-    p_phi: f64,
-) -> Result<CompiledUtilities<'static>, SolverError> {
-    let (circuit, stats) = solver.compile(cond, dists)?;
-    CompiledUtilities::new(Cow::Owned(circuit), stats, p_phi)
-}
-
-impl<'c> CompiledUtilities<'c> {
-    /// The utilities of `circuit`, compiled from the condition and last
-    /// evaluated under the `dists` that scoring will use. `p_phi` must be
-    /// `Pr(cond)` under those `dists`; if its bits differ from the
-    /// circuit's root, the error is [`SolverError::StalePrior`]. No search
-    /// runs, so [`stats`](CompiledUtilities::stats) is empty.
-    pub fn of_circuit(
-        circuit: &'c Circuit,
-        p_phi: f64,
-    ) -> Result<CompiledUtilities<'c>, SolverError> {
-        CompiledUtilities::new(Cow::Borrowed(circuit), SolveStats::default(), p_phi)
-    }
-
-    fn new(
-        circuit: Cow<'c, Circuit>,
-        stats: SolveStats,
-        p_phi: f64,
-    ) -> Result<CompiledUtilities<'c>, SolverError> {
-        let fresh = circuit.probability();
-        if fresh.to_bits() != p_phi.to_bits() {
-            return Err(SolverError::StalePrior {
-                cached: p_phi,
-                fresh,
-            });
-        }
-        Ok(CompiledUtilities {
-            partials: circuit.partials(),
-            circuit,
-            stats,
-        })
-    }
-
-    /// `G(o, e)` for an expression `e` of the compiled condition, with no
-    /// solve.
-    ///
-    /// `Pr(φ ∧ e)` comes off the derivative pass ([`Partials::joint`]),
-    /// or, for a var-var `e` whose variables the circuit both reads, off
-    /// the circuit by [`Circuit::var_var_joint`], in `scratch`. `None` when
-    /// that pass cannot answer — a variable the circuit does not read, or
-    /// a [`SolverError::StaleCircuit`] — and `e` needs
-    /// [`marginal_utility_with_prior`].
-    pub fn utility(
-        &self,
-        e: &Expr,
-        dists: &VarDists,
-        scratch: &mut ClampScratch,
-    ) -> Result<Option<f64>, SolverError> {
-        let p_e = dists.expr_prob(e)?;
-        if !is_open(p_e) {
-            return Ok(Some(0.0));
-        }
-        let p_and_true = match self.partials.joint(e, dists)? {
-            Some(p) => p,
-            None => match self.circuit.var_var_joint(e, scratch) {
-                Ok(Some(p)) => p,
-                Ok(None) | Err(_) => return Ok(None),
-            },
-        };
-        let p_phi = self.partials.probability();
-        let p_and_false = (p_phi - p_and_true).clamp(0.0, 1.0);
-        Ok(Some(utility_from_joint(
-            p_phi,
-            p_e,
-            p_and_true,
-            p_and_false,
-        )))
-    }
-
-    /// The circuit the utilities are read off.
-    pub fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-
-    /// Effort of the compile's search: that of a plain solve of `φ`
-    /// (empty for [`of_circuit`](CompiledUtilities::of_circuit)).
-    pub fn stats(&self) -> SolveStats {
-        self.stats
-    }
-}
-
 /// `G` from `Pr(φ)`, `Pr(e)` (strictly inside `(0, 1)`), `Pr(φ ∧ e)` and
 /// `Pr(φ ∧ ¬e)`.
-fn utility_from_joint(p_phi: f64, p_e: f64, p_and_true: f64, p_and_false: f64) -> f64 {
+pub(crate) fn utility_from_joint(p_phi: f64, p_e: f64, p_and_true: f64, p_and_false: f64) -> f64 {
     let p_true = (p_and_true / p_e).clamp(0.0, 1.0);
     let p_false = (p_and_false / (1.0 - p_e)).clamp(0.0, 1.0);
     let expected = p_e * binary_entropy(p_true) + (1.0 - p_e) * binary_entropy(p_false);
@@ -205,6 +86,7 @@ fn utility_from_joint(p_phi: f64, p_e: f64, p_and_true: f64, p_and_false: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AdpllSolver;
     use bc_bayes::Pmf;
     use bc_data::VarId;
     use std::cell::Cell;

@@ -25,7 +25,7 @@ use bc_crowd::{CrowdStats, FaultStats, PlatformState, RetryPolicy, Task, TaskAns
 use bc_ctable::Relation;
 use bc_ctable::{CTable, CmpOp, Condition, ConstraintStore, Expr, Operand};
 use bc_data::{Dataset, Domain, ObjectId, VarId};
-use bc_snapshot::{fnv1a64, Snapshot, SnapshotError, SnapshotWriter, Value};
+use bc_snapshot::{fnv1a64, Snapshot, SnapshotError, SnapshotWriter, Value, FORMAT_VERSION};
 use bc_solver::{checked_probability, VarDists};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -52,8 +52,6 @@ pub(crate) fn write_checkpoint(
     w.section("progress", enc_progress(state, elapsed))?;
     w.section("pending", enc_pending(&state.pending))?;
     w.section("prob_cache", enc_prob_cache(state.cache.probabilities()))?;
-    let kept = enc_compiled_from(state.cache.compiled_from());
-    w.section("compiled_from", kept)?;
     w.section("platform", enc_platform_state(platform))?;
     w.finish()
 }
@@ -62,11 +60,16 @@ pub(crate) fn write_checkpoint(
 /// elapsed wall-clock as its `prior_elapsed`, and the platform state to
 /// restore. The fingerprint, checksum and every section's shape are
 /// checked; a torn or foreign checkpoint is an error, never a half-read
-/// state.
+/// state. So is one of an older format version: its cached probabilities
+/// were summed in ADPLL's order, so a run resumed from it would match
+/// neither the run that wrote it nor one of this version.
 pub(crate) fn read_checkpoint(
     reader: impl Read,
 ) -> Result<(RunState, PlatformState), SnapshotError> {
     let snap = Snapshot::parse(reader)?;
+    if snap.version() != FORMAT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion(snap.version()));
+    }
     let config_v = snap.section("config")?;
     let dataset_v = snap.section("dataset")?;
     let fp = fingerprint_of(config_v, dataset_v);
@@ -89,13 +92,8 @@ pub(crate) fn read_checkpoint(
             eligible_round: p.field("eligible_round")?,
         })
     })?;
-    // Version 1 kept no circuits: every condition compiles afresh.
-    let compiled_from = match snap.version() {
-        1 => Vec::new(),
-        _ => dec_compiled_from(snap.section("compiled_from")?, &ctable)?,
-    };
     let probs = dec_prob_cache(snap.section("prob_cache")?, &ctable)?;
-    let cache = ProbCache::restore(probs, compiled_from, &ctable);
+    let cache = ProbCache::restore(probs);
     let platform = dec_platform_state(snap.section("platform")?)?;
     let p = snap.section("progress")?;
     let state = RunState {
@@ -464,48 +462,6 @@ fn dec_prob_cache(v: &Value, ctable: &CTable) -> Result<BTreeMap<ObjectId, f64>,
     Ok(out)
 }
 
-/// Kept circuits as `[object]`, or `[object, condition]` when the circuit
-/// was compiled from a condition other than the object's current one.
-fn enc_compiled_from<'c>(kept: impl Iterator<Item = (ObjectId, Option<&'c Condition>)>) -> Value {
-    Value::List(
-        kept.map(|(o, from)| {
-            let mut entry = vec![o.0.into()];
-            entry.extend(from.map(enc_cond));
-            Value::List(entry)
-        })
-        .collect(),
-    )
-}
-
-fn dec_compiled_from(
-    v: &Value,
-    ctable: &CTable,
-) -> Result<Vec<(ObjectId, Option<Condition>)>, SnapshotError> {
-    let mut out: Vec<(ObjectId, Option<Condition>)> = Vec::new();
-    for entry in v.read::<&[Value]>("compiled_from")? {
-        let (o, from) = match entry.read::<&[Value]>("compiled_from entry")? {
-            [o] => (o, None),
-            [o, cond] => (o, Some(dec_cond(cond)?)),
-            _ => {
-                return Err(inv(
-                    "compiled_from entry must be [object] or [object, condition]",
-                ))
-            }
-        };
-        let o: u32 = o.read("kept circuit's object id")?;
-        if o as usize >= ctable.n_objects() {
-            return Err(inv("kept circuit's object id out of range"));
-        }
-        if out.last().is_some_and(|&(prev, _)| prev.0 >= o) {
-            return Err(inv(
-                "compiled_from entries must be in ascending object order",
-            ));
-        }
-        out.push((ObjectId(o), from));
-    }
-    Ok(out)
-}
-
 // -- platform state -----------------------------------------------------------
 
 fn enc_rng(rng: &[u64; 4]) -> Value {
@@ -691,7 +647,7 @@ fn enc_config(c: &BayesCrowdConfig) -> Value {
 /// The config keys that hold what the paper fixes: ADPLL with
 /// most-frequent branching and caching, the fast dominator index, and
 /// [`ANSWER_THRESHOLD`]. Each is written with its one value, which keeps
-/// the version-2 format and its fingerprints; a checkpoint holding another
+/// the fingerprints of earlier checkpoints; a checkpoint holding another
 /// value is rejected, never read as this one.
 fn fixed_keys() -> [(&'static str, Value); 5] {
     [

@@ -198,7 +198,7 @@ mod tests {
         blocked: &BTreeSet<VarId>,
     ) -> Vec<Task> {
         let mut cache = ProbCache::default();
-        let mut scorer = UtilityScorer::new(&mut cache, dists, dists);
+        let mut scorer = UtilityScorer::new(&mut cache, dists);
         assemble_round(
             ranked,
             ctable,
@@ -289,10 +289,11 @@ mod tests {
     }
 
     #[test]
-    fn a_ubs_round_compiles_once_per_object() {
+    fn a_ubs_round_runs_one_pass_per_object() {
         // z is confined to {0, 1}, so "z < 7" is decided in both conditions.
         // Every other distinct candidate is an open var-const one, so each
-        // object costs exactly one compile and no further solve.
+        // object costs exactly one outside pass. Neither condition mentions
+        // an own cell, so each pass visits one point.
         let (x, y, z) = (v(9, 0), v(9, 1), v(9, 2));
         let ct = CTable::new(vec![
             Condition::from_clauses(vec![
@@ -315,7 +316,7 @@ mod tests {
             .collect();
         let ranked = rank_by_entropy(&probs);
         let mut cache = ProbCache::default();
-        let mut scorer = UtilityScorer::new(&mut cache, &dists, &dists);
+        let mut scorer = UtilityScorer::new(&mut cache, &dists);
         let tasks = assemble_round(
             &ranked,
             &ct,
@@ -343,17 +344,7 @@ mod tests {
         let tally = scorer.tally();
         assert_eq!((candidates, open), (6, 4));
         assert_eq!(tally.candidates, candidates);
-        assert_eq!((tally.compiles, tally.solver_calls), (2, 2));
-        // The compiles' effort is exactly that of the two plain solves.
-        let mut plain = 0;
-        for o in [ObjectId(0), ObjectId(1)] {
-            plain += solver
-                .probability_with_stats(ct.condition(o), &dists)
-                .unwrap()
-                .1
-                .branches;
-        }
-        assert_eq!(tally.stats.branches, plain);
+        assert_eq!((tally.passes, tally.points), (2, 2));
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub(crate) struct PendingTask {
 pub(crate) struct RunState {
     pub config: BayesCrowdConfig,
     pub data: Dataset,
-    /// The model's pmfs, before any crowd answer: what circuits compile
-    /// against.
+    /// The model's pmfs, before any crowd answer: what an answered
+    /// variable's mask conditions.
     pub base: VarDists,
     pub dists: VarDists,
     pub ctable: CTable,
@@ -108,26 +108,18 @@ impl RunState {
         let stale = self.cache.stale(&open);
         if !stale.is_empty() {
             let t = Instant::now();
-            let work = self.cache.solve_batch(
-                self.config.parallel,
-                &self.ctable,
-                &stale,
-                &self.base,
-                &self.dists,
-            )?;
+            let work =
+                self.cache
+                    .solve_batch(self.config.parallel, &self.ctable, &stale, &self.dists)?;
             let stats = work.stats;
             observer.event(&Event::ProbabilityBatch {
                 phase,
                 objects: stale.len(),
                 solver_calls: work.solver_calls,
-                compiles: work.compiles,
-                evaluations: work.evaluations,
-                branches: stats.branches,
-                cache_hits: stats.cache_hits,
-                direct_components: stats.direct_components,
-                component_splits: stats.component_splits,
-                cache_misses: stats.cache_misses,
-                max_depth: stats.max_depth,
+                branches: stats.points,
+                cache_hits: stats.reused,
+                component_splits: stats.groups,
+                cache_misses: stats.computed,
                 nanos: t.elapsed().as_nanos(),
             });
             self.evals += stale.len() as u64;
@@ -388,14 +380,13 @@ impl<'a> Session<'a> {
 
         if batch.len() < limit {
             // Utilities take `Pr(φ)` from the cache: an entry survives only
-            // while no answered variable touches the condition its circuit
-            // was compiled from, and only the answered variables' masks
-            // (hence pmfs) change, so every entry is `Pr(φ)` under the
-            // current `dists`.
+            // while no answered variable touches its condition, and only
+            // the answered variables' masks (hence pmfs) change, so every
+            // entry is `Pr(φ)` under the current `dists`.
             let probs = s.open_probabilities(RunPhase::Select, observer)?;
             let ranked = rank_objects(&probs, s.config.ranking);
             let t = Instant::now();
-            let mut scorer = UtilityScorer::new(&mut s.cache, &s.base, &s.dists);
+            let mut scorer = UtilityScorer::new(&mut s.cache, &s.dists);
             let fresh_tasks = assemble_round(
                 &ranked,
                 &s.ctable,
@@ -408,12 +399,9 @@ impl<'a> Session<'a> {
             let tally = scorer.tally();
             observer.event(&Event::UtilityBatch {
                 candidates: tally.candidates,
-                solver_calls: tally.solver_calls,
-                compiles: tally.compiles,
-                circuit_nodes: tally.circuit_nodes,
-                reused: tally.reused,
-                decisions: tally.stats.branches,
-                cache_hits: tally.stats.cache_hits,
+                solver_calls: tally.passes,
+                decisions: tally.points,
+                cache_hits: tally.reused,
                 nanos: t.elapsed().as_nanos(),
             });
             attempts_in_batch.resize(batch.len() + fresh_tasks.len(), 0);
@@ -491,21 +479,13 @@ impl<'a> Session<'a> {
         }
         let propagate_span = Span::start(RunPhase::Propagate);
         // Invalidate cached probabilities of conditions touching any
-        // variable the round asked about (their pmfs and/or conditions
-        // change below), and drop the circuits that re-evaluation cannot
-        // carry over (see `ProbCache::invalidate`).
+        // variable the round asked about, and the tables of the clauses
+        // that read one: their pmfs and clauses change below, and no
+        // other's do (see `ProbCache::invalidate`).
         let mut touched: Vec<VarId> = answers.iter().flat_map(|a| a.task.vars()).collect();
         touched.sort_unstable();
         touched.dedup();
-        let var_var: Vec<(VarId, VarId)> = answers
-            .iter()
-            .filter_map(|a| match a.task.rhs {
-                Operand::Var(w) => Some((a.task.var, w)),
-                Operand::Const(_) => None,
-            })
-            .collect();
-        s.cache
-            .invalidate(&s.ctable, &touched, &var_var, !s.config.propagate_answers);
+        s.cache.invalidate(&s.ctable, &touched);
         if s.config.propagate_answers {
             let mut narrowed = BTreeSet::new();
             for a in &answers {
@@ -514,31 +494,18 @@ impl<'a> Session<'a> {
             // The store changed only on the answered variables, and every
             // earlier pass left each open condition at its fixpoint; so
             // after the first (full) pass, only conditions mentioning an
-            // answered variable can move. A kept circuit compiled from a
-            // condition the pass rewrites keeps that condition.
+            // answered variable can move.
             let touching = (!first_pass).then_some(touched.as_slice());
-            let prop_stats = s
-                .ctable
-                .propagate_replacing(&s.store, touching, |o, old| s.cache.replaced(o, old));
-            // Re-condition only the variables whose candidate set narrowed;
-            // every other distribution is unchanged (the base pmf while the
-            // mask is the full domain). A mask with no base mass leaves the
-            // pmf as it was, which no kept circuit can follow.
-            let mut unconditioned = Vec::new();
+            let prop_stats = s.ctable.propagate_touching(&s.store, touching);
+            // Re-condition only the variables whose candidate set narrowed
+            // (all answered ones); every other distribution is unchanged
+            // (the base pmf while the mask is the full domain). A mask with
+            // no base mass leaves the pmf as it was.
             for var in narrowed {
-                match s
-                    .base
-                    .pmf(var)
-                    .ok()
-                    .map(|b| b.conditioned(s.store.mask(var)))
-                {
-                    Some(Some(pmf)) => s.dists.insert(var, pmf),
-                    Some(None) => unconditioned.push(var),
-                    None => {}
+                let pmf = s.base.pmf(var).ok();
+                if let Some(pmf) = pmf.and_then(|b| b.conditioned(s.store.mask(var))) {
+                    s.dists.insert(var, pmf);
                 }
-            }
-            if !unconditioned.is_empty() {
-                s.cache.drop_circuits_mentioning(&unconditioned);
             }
             observer.event(&Event::Propagated {
                 answers: answers.len(),

@@ -1,12 +1,11 @@
 //! Task-selection strategies (Section 6.2): FBS, UBS, HHS.
 
-use crate::kept::{Kept, ProbCache};
+use crate::kept::ProbCache;
 use bc_ctable::{Condition, Expr};
 use bc_data::{FxMap, ObjectId, VarId};
-use bc_solver::utility::{
-    compile_utilities, is_open, marginal_utility_with_prior, CompiledUtilities,
-};
-use bc_solver::{AdpllSolver, ClampScratch, SolveStats, SolverError, VarDists};
+use bc_solver::factored::Joints;
+use bc_solver::utility::is_open;
+use bc_solver::{SolverError, VarDists};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
@@ -127,66 +126,46 @@ fn candidates(cond: &Condition, freq: &FxMap<Expr, usize>, blocked: &BTreeSet<Va
     out
 }
 
-/// The solver effort behind a batch of marginal-utility evaluations.
+/// The effort behind a batch of marginal-utility evaluations.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct UtilityTally {
     /// Candidate expressions scored.
     pub(crate) candidates: u64,
-    /// Solver invocations: one compile per object with an open candidate
-    /// and no kept circuit to score off, and one `Pr(φ ∧ e)` solve per
-    /// var-var candidate whose clamped pass fails. A candidate is open
-    /// when its `Pr(e)` lies strictly inside `(0, 1)`.
-    pub(crate) solver_calls: u64,
-    /// Conditions compiled: the part of `solver_calls` that scored the
-    /// open candidates of one object.
-    pub(crate) compiles: u64,
-    /// Circuit nodes those compiles recorded.
-    pub(crate) circuit_nodes: u64,
-    /// Objects whose candidates were scored off a kept circuit, with no
-    /// compile.
+    /// Outside passes: one per object with an open candidate (its `Pr(e)`
+    /// strictly inside `(0, 1)`).
+    pub(crate) passes: u64,
+    /// Joint-support points those passes visited.
+    pub(crate) points: u64,
+    /// Clause tables those passes read from the cache.
     pub(crate) reused: u64,
-    /// Search effort of the successful compiles and solves.
-    pub(crate) stats: SolveStats,
 }
 
-/// Scores candidate expressions by marginal utility (Definition 6) and
-/// tallies the solver effort.
+/// Scores candidate expressions by marginal utility (Definition 6) off
+/// the objects' factor tables, and tallies the effort.
 ///
 /// Scoring goes one object at a time, through [`UtilityScorer::object`].
-/// At an object's first open candidate the scorer takes the circuit its
-/// utilities are read off: the object's kept circuit, rebuilt first if it
-/// was restored from a checkpoint, or without one (it went stale) a
-/// compile under the scorer's distributions, which is not kept. Every
-/// utility is read off that one circuit: off its derivative pass, or for
-/// a var-var candidate whose variables it both reads, off a clamped pass
-/// ([`Circuit::var_var_joint`](bc_solver::Circuit::var_var_joint)) in
-/// buffers the scorer reuses. A var-var candidate whose clamped pass
-/// fails costs one solve.
+/// At an object's first open candidate the scorer runs one outside pass
+/// over its tables ([`FactorTables::joints`]), building them first if the
+/// object has none (restored from a checkpoint), and reads every
+/// candidate's `Pr(φ ∧ e)` off that pass, in buffers it reuses.
 ///
-/// Every probability a compile or solve returns is checked, like the
-/// per-round probability batch's. A solver error, an invalid probability
-/// included, is returned at once; it is never scored as zero utility.
+/// An error, a condition outside the tables' shape included, is returned
+/// at once; it is never scored as zero utility.
+///
+/// [`FactorTables::joints`]: bc_solver::factored::FactorTables::joints
 pub(crate) struct UtilityScorer<'a> {
     cache: &'a mut ProbCache,
-    base: &'a VarDists,
     dists: &'a VarDists,
-    scratch: ClampScratch,
     tally: UtilityTally,
 }
 
 impl<'a> UtilityScorer<'a> {
-    /// A scorer over the circuits `cache` keeps, compiled against `base`
-    /// and evaluated under `dists`, the distributions it scores under.
-    pub(crate) fn new(
-        cache: &'a mut ProbCache,
-        base: &'a VarDists,
-        dists: &'a VarDists,
-    ) -> UtilityScorer<'a> {
+    /// A scorer over the tables `cache` keeps, under `dists`, the pmfs
+    /// they were last refreshed under.
+    pub(crate) fn new(cache: &'a mut ProbCache, dists: &'a VarDists) -> UtilityScorer<'a> {
         UtilityScorer {
             cache,
-            base,
             dists,
-            scratch: ClampScratch::default(),
             tally: UtilityTally::default(),
         }
     }
@@ -197,93 +176,60 @@ impl<'a> UtilityScorer<'a> {
     }
 
     /// Starts scoring the candidates of object `o`, whose condition is
-    /// `cond`; `p_phi` is `Pr(cond)` under the scorer's distributions. The
-    /// circuit scored off checks it, and a stale one is
-    /// [`SolverError::StalePrior`].
+    /// `cond`; `p_phi` is `Pr(cond)` under the scorer's distributions.
     pub(crate) fn object<'s>(
         &'s mut self,
         o: ObjectId,
         cond: &'s Condition,
         p_phi: f64,
     ) -> ObjectScorer<'s> {
-        let (solver, kept) = self.cache.scoring(o);
         ObjectScorer {
-            solver,
-            base: self.base,
+            cache: Some(&mut *self.cache),
             dists: self.dists,
-            scratch: &mut self.scratch,
             tally: &mut self.tally,
+            o,
             cond,
             p_phi,
-            kept,
-            utilities: None,
+            joints: None,
         }
     }
 }
 
 /// Scores the candidates of one object; see [`UtilityScorer::object`].
 pub(crate) struct ObjectScorer<'s> {
-    solver: &'s AdpllSolver,
-    base: &'s VarDists,
+    /// The cache, until the first open candidate takes the object's
+    /// tables from it.
+    cache: Option<&'s mut ProbCache>,
     dists: &'s VarDists,
-    scratch: &'s mut ClampScratch,
     tally: &'s mut UtilityTally,
+    o: ObjectId,
     cond: &'s Condition,
     p_phi: f64,
-    /// The object's kept circuit, until the first open candidate reads it.
-    kept: Option<&'s mut Kept>,
-    /// From the first open candidate on: the utilities of the circuit
-    /// scored off.
-    utilities: Option<CompiledUtilities<'s>>,
+    /// From the first open candidate on: the outside pass.
+    joints: Option<Joints<'s>>,
 }
 
-impl<'s> ObjectScorer<'s> {
+impl ObjectScorer<'_> {
     /// `G(o, e)` for `e` in the object's condition.
     pub(crate) fn score(&mut self, e: &Expr) -> Result<f64, SolverError> {
         self.tally.candidates += 1;
-        if self.utilities.is_none() && self.dists.expr_prob(e).is_ok_and(is_open) {
-            self.utilities = Some(self.read_utilities()?);
-        }
-        if let Some(utilities) = &self.utilities {
-            if let Some(g) = utilities.utility(e, self.dists, self.scratch)? {
-                return Ok(g);
+        if self.joints.is_none() {
+            if !is_open(self.dists.expr_prob(e)?) {
+                return Ok(0.0);
             }
-        }
-        let eval = marginal_utility_with_prior(self.solver, self.cond, e, self.dists, self.p_phi)?;
-        if let Some(stats) = eval.solve {
-            self.tally.solver_calls += 1;
-            self.tally.stats += stats;
-        }
-        Ok(eval.utility)
-    }
-
-    /// The utilities of the object's kept circuit, or of a compile of its
-    /// condition when it has none, tallied.
-    fn read_utilities(&mut self) -> Result<CompiledUtilities<'s>, SolverError> {
-        let kept = match self.kept.take() {
-            Some(kept) => kept.scoring_circuit(self.cond, self.solver, self.base, self.dists)?,
-            None => None,
-        };
-        let (utilities, compiled) = match kept {
-            Some((circuit, rebuilt)) => {
-                (CompiledUtilities::of_circuit(circuit, self.p_phi)?, rebuilt)
+            let cache = self.cache.take().expect("taken once, with the joints");
+            let (tables, scratch, built) = cache.scoring(self.o, self.cond, self.dists)?;
+            let joints = tables.joints(self.dists, scratch)?;
+            let stats = joints.stats();
+            self.tally.passes += 1;
+            self.tally.points += stats.points;
+            if built.is_none() {
+                self.tally.reused += stats.reused;
             }
-            None => {
-                let utilities = compile_utilities(self.solver, self.cond, self.dists, self.p_phi)?;
-                let stats = utilities.stats();
-                (utilities, Some(stats))
-            }
-        };
-        match compiled {
-            Some(stats) => {
-                self.tally.solver_calls += 1;
-                self.tally.compiles += 1;
-                self.tally.circuit_nodes += utilities.circuit().node_count() as u64;
-                self.tally.stats += stats;
-            }
-            None => self.tally.reused += 1,
+            self.joints = Some(joints);
         }
-        Ok(utilities)
+        let joints = self.joints.as_mut().expect("set above");
+        joints.utility(e, self.p_phi)
     }
 }
 
@@ -291,8 +237,8 @@ impl<'s> ObjectScorer<'s> {
 /// the given strategy. `blocked` holds variables already used by tasks
 /// selected this round (conflict avoidance); `p_phi` is the object's
 /// current condition probability under the scorer's distributions (the
-/// utility computation relies on it being fresh, and a kept or compiled
-/// circuit checks it). Returns `Ok(None)` if every expression conflicts.
+/// utility computation relies on it being fresh). Returns `Ok(None)` if
+/// every expression conflicts.
 ///
 /// The candidates are the distinct expressions of `cond` that touch no
 /// blocked variable, ordered by descending `freq` (see
@@ -338,7 +284,8 @@ mod tests {
     use super::*;
     use bc_bayes::Pmf;
     use bc_ctable::CTable;
-    use bc_solver::{NaiveSolver, Solver};
+    use bc_solver::utility::marginal_utility_with_prior;
+    use bc_solver::{AdpllSolver, Solver};
     use proptest::prelude::*;
 
     fn v(o: u32, a: u16) -> VarId {
@@ -355,7 +302,7 @@ mod tests {
         p_phi: f64,
     ) -> Option<Expr> {
         let mut cache = ProbCache::default();
-        let mut scorer = UtilityScorer::new(&mut cache, dists, dists);
+        let mut scorer = UtilityScorer::new(&mut cache, dists);
         select_expression(
             strategy,
             ObjectId(0),
@@ -464,26 +411,28 @@ mod tests {
     #[test]
     fn only_open_candidates_cost_work() {
         // x is confined to {0, 1}, so "x < 5" is decided and costs nothing.
-        // The open candidates "y < 4", "z > 3" and the var-var "y > z" are
-        // all read off one compile of φ.
-        let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
-        let var_var = Expr::var_gt(y, z);
+        // The open candidates "y < 4", "z > 3" and the var-var "u > w" are
+        // all read off one outside pass over the tables of φ(o0), whose own
+        // cells are x and u.
+        let (x, u, y, z, w) = (v(0, 0), v(0, 1), v(1, 0), v(2, 0), v(3, 1));
+        let var_var = Expr::var_gt(u, w);
         let cond = Condition::from_clauses(vec![
             vec![Expr::lt(x, 5), Expr::lt(y, 4)],
             vec![Expr::gt(z, 3), var_var],
         ]);
         let dists: VarDists = [
             (x, Pmf::uniform(10).conditioned(0b11).unwrap()),
+            (u, Pmf::uniform(10)),
             (y, Pmf::uniform(10)),
             (z, Pmf::uniform(10)),
+            (w, Pmf::uniform(10)),
         ]
         .into_iter()
         .collect();
         let freq = expression_frequencies([&cond]);
-        let solver = AdpllSolver::new();
-        let p = solver.probability(&cond, &dists).unwrap();
+        let p = AdpllSolver::new().probability(&cond, &dists).unwrap();
         let mut cache = ProbCache::default();
-        let mut scorer = UtilityScorer::new(&mut cache, &dists, &dists);
+        let mut scorer = UtilityScorer::new(&mut cache, &dists);
         let picked = select_expression(
             TaskStrategy::Ubs,
             ObjectId(0),
@@ -495,142 +444,85 @@ mod tests {
         )
         .unwrap();
         assert!(picked.is_some());
-        let open = |e: &&Expr| {
-            let p_e = dists.expr_prob(e).unwrap();
-            p_e > f64::EPSILON && p_e < 1.0 - f64::EPSILON
-        };
+        let open = |e: &&Expr| is_open(dists.expr_prob(e).unwrap());
         assert!(cond.exprs().any(|e| e == &var_var && open(&e)));
         let tally = scorer.tally();
         assert_eq!(tally.candidates, 4);
         assert_eq!(cond.exprs().filter(open).count(), 3);
-        assert_eq!((tally.compiles, tally.solver_calls), (1, 1));
-        // The search effort is exactly one compile: a plain solve of φ.
-        let (_, compile) = solver.probability_with_stats(&cond, &dists).unwrap();
-        assert_eq!(tally.stats, compile);
-        assert!(tally.circuit_nodes > 2);
+        // One pass, over one point: x and u are each read by one clause
+        // only, so both are summed out into their clauses. The tables
+        // were built for scoring, so none was read from the cache.
+        assert_eq!((tally.passes, tally.points, tally.reused), (1, 1, 0));
     }
 
-    #[test]
-    fn var_var_candidates_score_off_the_circuit_like_a_solve() {
-        // Every candidate of the condition, var-var ones included, scores
-        // within 1e-12 of its one-solve utility, and the var-var ones cost
-        // no solve, also off a kept circuit.
-        let (x, y, z) = (v(0, 0), v(1, 0), v(2, 0));
+    /// φ(o0) over own cells x and u, with three var-var expressions, and
+    /// pmfs with zero entries.
+    fn var_var_setup() -> (Condition, VarDists) {
+        let (x, u) = (v(0, 0), v(0, 1));
+        let (y, z, w, q, r) = (v(1, 0), v(2, 1), v(3, 1), v(4, 0), v(5, 1));
         let cond = Condition::from_clauses(vec![
             vec![Expr::var_gt(x, y), Expr::lt(z, 3)],
-            vec![Expr::var_gt(z, x), Expr::gt(y, 1)],
-            vec![Expr::lt(x, 7), Expr::var_gt(y, z)],
+            vec![Expr::var_gt(u, w), Expr::gt(q, 1)],
+            vec![Expr::lt(x, 7), Expr::var_gt(r, u)],
         ]);
+        let skewed = Pmf::from_weights(vec![1.0, 2.0, 0.0, 3.0, 4.0, 5.0, 1.0, 2.0]);
+        let gapped = Pmf::from_weights(vec![3.0, 0.5, 0.5, 2.0, 1.0, 0.0, 1.0, 1.0]);
         let dists: VarDists = [
-            (
-                x,
-                Pmf::from_weights(vec![1.0, 2.0, 0.0, 3.0, 4.0, 5.0, 1.0, 2.0]),
-            ),
+            (x, skewed.clone()),
+            (u, gapped.clone()),
             (y, Pmf::uniform(8)),
-            (
-                z,
-                Pmf::from_weights(vec![3.0, 0.5, 0.5, 2.0, 1.0, 0.0, 1.0, 1.0]),
-            ),
+            (z, gapped),
+            (w, skewed),
+            (q, Pmf::uniform(8)),
+            (r, Pmf::uniform(8)),
         ]
         .into_iter()
         .collect();
-        let solver = AdpllSolver::new();
-        let p = solver.probability(&cond, &dists).unwrap();
-        let (mut fresh, mut kept) = (ProbCache::default(), batch_solved(&cond, &dists));
-        let mut compiled = UtilityScorer::new(&mut fresh, &dists, &dists);
-        let mut off_kept = UtilityScorer::new(&mut kept, &dists, &dists);
-        let (mut a, mut b) = (
-            compiled.object(ObjectId(0), &cond, p),
-            off_kept.object(ObjectId(0), &cond, p),
-        );
-        let var_var: Vec<Expr> = cond
-            .exprs()
-            .filter(|e| e.rhs_var().is_some())
-            .copied()
-            .collect();
-        assert_eq!(var_var.len(), 3);
-        let mut solves = 0;
-        for e in cond.exprs() {
-            let want = marginal_utility_with_prior(&solver, &cond, e, &dists, p).unwrap();
-            solves += u64::from(want.solve.is_some());
-            for got in [a.score(e).unwrap(), b.score(e).unwrap()] {
-                assert!(
-                    (got - want.utility).abs() <= 1e-12,
-                    "{e}: {got} vs one-solve {}",
-                    want.utility
-                );
-            }
-        }
-        let (compiled, off_kept) = (compiled.tally(), off_kept.tally());
-        assert_eq!((compiled.compiles, compiled.solver_calls), (1, 1));
-        assert_eq!((off_kept.reused, off_kept.solver_calls), (1, 0));
-        assert!(solves >= var_var.len() as u64);
+        (cond, dists)
     }
 
     #[test]
-    fn a_stale_prior_is_an_error() {
-        let (cond, dists) = simple_setup();
+    fn every_candidate_scores_like_a_solve() {
+        // Every candidate of the condition, var-var ones included, scores
+        // within 1e-12 of its one-solve utility, off fresh tables and off
+        // the tables a probability batch kept.
+        let (cond, dists) = var_var_setup();
         let solver = AdpllSolver::new();
         let p = solver.probability(&cond, &dists).unwrap();
-        let e = *cond.exprs().next().unwrap();
-        let stale = p + 0.125;
-        let mut cache = ProbCache::default();
-        let mut scorer = UtilityScorer::new(&mut cache, &dists, &dists);
-        assert_eq!(
-            scorer.object(ObjectId(0), &cond, stale).score(&e),
-            Err(SolverError::StalePrior {
-                cached: stale,
-                fresh: p
-            })
+        let (mut fresh, mut kept) = (ProbCache::default(), batch_solved(&cond, &dists));
+        let mut built = UtilityScorer::new(&mut fresh, &dists);
+        let mut off_kept = UtilityScorer::new(&mut kept, &dists);
+        let (mut a, mut b) = (
+            built.object(ObjectId(0), &cond, p),
+            off_kept.object(ObjectId(0), &cond, p),
         );
-        // A one-solve utility cannot check the prior.
-        let naive = NaiveSolver::new();
-        assert!(marginal_utility_with_prior(&naive, &cond, &e, &dists, stale).is_ok());
+        let var_var = cond.exprs().filter(|e| e.rhs_var().is_some()).count();
+        assert_eq!(var_var, 3);
+        for e in cond.exprs() {
+            let want = marginal_utility_with_prior(&solver, &cond, e, &dists, p).unwrap();
+            let (got_a, got_b) = (a.score(e).unwrap(), b.score(e).unwrap());
+            assert_eq!(got_a.to_bits(), got_b.to_bits(), "{e}");
+            assert!(
+                (got_a - want.utility).abs() <= 1e-12,
+                "{e}: {got_a} vs one-solve {}",
+                want.utility
+            );
+        }
+        let (built, off_kept) = (built.tally(), off_kept.tally());
+        assert_eq!((built.passes, built.reused), (1, 0));
+        assert_eq!((off_kept.passes, off_kept.reused), (1, 3));
     }
 
-    /// A cache holding the kept circuit of object 0, whose condition is
-    /// `cond`, batch-solved under `dists`.
+    /// A cache holding the tables of object 0, whose condition is `cond`,
+    /// batch-solved under `dists`.
     fn batch_solved(cond: &Condition, dists: &VarDists) -> ProbCache {
         let ctable = CTable::new(vec![cond.clone()]);
         let mut cache = ProbCache::default();
         let work = cache
-            .solve_batch(false, &ctable, &[ObjectId(0)], dists, dists)
+            .solve_batch(false, &ctable, &[ObjectId(0)], dists)
             .unwrap();
-        assert_eq!(work.compiles, 1);
+        assert_eq!(work.solver_calls, 1);
         cache
-    }
-
-    #[test]
-    fn a_kept_circuit_scores_without_a_compile() {
-        let (cond, dists) = simple_setup();
-        let solver = AdpllSolver::new();
-        let p = solver.probability(&cond, &dists).unwrap();
-        let (mut kept, mut fresh) = (batch_solved(&cond, &dists), ProbCache::default());
-        let mut scorer = UtilityScorer::new(&mut kept, &dists, &dists);
-        let mut plain = UtilityScorer::new(&mut fresh, &dists, &dists);
-        for e in cond.exprs().filter(|e| e.rhs_var().is_none()) {
-            for o in [ObjectId(0), ObjectId(1)] {
-                let g = scorer.object(o, &cond, p).score(e).unwrap();
-                let want = plain.object(o, &cond, p).score(e).unwrap();
-                assert_eq!(g.to_bits(), want.to_bits(), "{e}");
-            }
-        }
-        let (reused, compiled) = (scorer.tally(), plain.tally());
-        // Object 0 reuses the kept circuit; object 1 has none and compiles.
-        assert_eq!(
-            (reused.reused, reused.compiles),
-            (compiled.compiles / 2, compiled.compiles / 2)
-        );
-        // The kept circuit's root is checked against the prior like a compile.
-        let stale = p + 0.125;
-        let e = cond.exprs().find(|e| e.rhs_var().is_none()).unwrap();
-        assert_eq!(
-            scorer.object(ObjectId(0), &cond, stale).score(e),
-            Err(SolverError::StalePrior {
-                cached: stale,
-                fresh: p
-            })
-        );
     }
 
     #[test]
@@ -639,7 +531,7 @@ mod tests {
         let freq = expression_frequencies([&cond]);
         dists.remove(v(2, 0));
         let mut cache = ProbCache::default();
-        let mut scorer = UtilityScorer::new(&mut cache, &dists, &dists);
+        let mut scorer = UtilityScorer::new(&mut cache, &dists);
         let err = select_expression(
             TaskStrategy::Hhs { m: 3 },
             ObjectId(0),
@@ -662,10 +554,26 @@ mod tests {
         )
         .unwrap()
         .is_some());
+        // Nor is a condition outside the tables' shape scored: y is in
+        // two clauses.
+        let (x, y) = (v(0, 0), v(1, 0));
+        let shared = Condition::from_clauses(vec![
+            vec![Expr::lt(x, 5), Expr::lt(y, 1)],
+            vec![Expr::gt(x, 2), Expr::gt(y, 3)],
+        ]);
+        let mut scorer = UtilityScorer::new(&mut cache, &dists);
+        let e = Expr::lt(x, 5);
+        assert_eq!(
+            scorer.object(ObjectId(0), &shared, 0.5).score(&e),
+            Err(SolverError::NotFactored(y))
+        );
     }
 
-    /// A random condition over five variables (about one expression in ten
-    /// var-var) and random pmfs, some entries zero.
+    /// A random condition of the c-table's shape for object 0: each clause
+    /// is one dominator's, with one expression on each of some of three
+    /// attributes: on the own cell, on the dominator's cell, or a var-var
+    /// one between them (about one in five). Random pmfs, some entries
+    /// zero.
     fn random_case(rng: &mut rand::rngs::StdRng) -> (Condition, VarDists) {
         use bc_ctable::{CmpOp, Operand};
         use rand::Rng;
@@ -678,23 +586,29 @@ mod tests {
             CmpOp::Eq,
             CmpOp::Ne,
         ];
-        let clauses: Vec<Vec<Expr>> = (0..rng.gen_range(2..7))
-            .map(|_| {
-                (0..rng.gen_range(1..4))
-                    .map(|_| {
-                        let (l, r) = (rng.gen_range(0..5u32), rng.gen_range(0..5u32));
-                        let op = ops[rng.gen_range(0..ops.len())];
-                        if l != r && rng.gen_bool(0.1) {
-                            Expr::new(v(l, 0), op, Operand::Var(v(r, 0)))
-                        } else {
-                            Expr::new(v(l, 0), op, Operand::Const(rng.gen_range(0..CARD)))
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let dists = (0..5)
-            .map(|o| {
+        let dominators = rng.gen_range(2..7u32);
+        let mut clauses: Vec<Vec<Expr>> = Vec::new();
+        for p in 1..=dominators {
+            let mut clause = Vec::new();
+            for a in 0..3u16 {
+                if !rng.gen_bool(0.6) {
+                    continue;
+                }
+                let op = ops[rng.gen_range(0..ops.len())];
+                let c = Operand::Const(rng.gen_range(0..CARD));
+                clause.push(match rng.gen_range(0..5) {
+                    0 => Expr::new(v(0, a), op, Operand::Var(v(p, a))),
+                    1 | 2 => Expr::new(v(0, a), op, c),
+                    _ => Expr::new(v(p, a), op, c),
+                });
+            }
+            if !clause.is_empty() {
+                clauses.push(clause);
+            }
+        }
+        let dists = (0..=dominators)
+            .flat_map(|o| (0..3).map(move |a| v(o, a)))
+            .map(|var| {
                 let mut w: Vec<f64> = (0..CARD)
                     .map(|_| {
                         if rng.gen_bool(0.2) {
@@ -705,7 +619,7 @@ mod tests {
                     })
                     .collect();
                 w[0] += 0.01;
-                (v(o, 0), Pmf::from_weights(w))
+                (var, Pmf::from_weights(w))
             })
             .collect();
         (Condition::from_clauses(clauses), dists)
@@ -766,11 +680,12 @@ mod tests {
         best.map(|(_, e)| e)
     }
 
-    /// Compiled scoring picks the one-solve reference's expression, except
-    /// where the reference's own walk hinges on utilities within 1e-12 of
-    /// each other: a tie the ~1e-14 re-association may break either way.
+    /// Scoring off tables picks the one-solve reference's expression,
+    /// except where the reference's own walk hinges on utilities within
+    /// 1e-12 of each other: a tie the ~1e-14 re-association may break
+    /// either way.
     #[test]
-    fn compiled_scoring_picks_the_reference_expression_except_at_ties() {
+    fn table_scoring_picks_the_reference_expression_except_at_ties() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let (mut picks, mut flips) = (0, 0);

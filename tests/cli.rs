@@ -148,8 +148,8 @@ fn profile_flag_writes_a_parseable_span_tree() {
 
 #[test]
 fn trace_flag_writes_one_parseable_event_per_line() {
-    let data = write_temp("t_inc.csv", INCOMPLETE);
-    let complete = write_temp("t_com.csv", COMPLETE);
+    let data = write_temp("r_inc.csv", INCOMPLETE);
+    let complete = write_temp("r_com.csv", COMPLETE);
     let trace = std::env::temp_dir().join("bayescrowd-cli-tests/trace.jsonl");
     let _ = std::fs::remove_file(&trace);
     let out = cli()
@@ -173,19 +173,19 @@ fn trace_flag_writes_one_parseable_event_per_line() {
         .expect("binary runs");
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("solver search: "), "{stdout}");
+    assert!(stdout.contains("clause tables: "), "{stdout}");
     let text = std::fs::read_to_string(&trace).expect("trace file written");
-    let mut batches_with_depth = 0;
+    let mut batches_with_points = 0;
     for (i, line) in text.lines().enumerate() {
         let (seq, event) = bc_obs::Event::from_json_line(line)
             .unwrap_or_else(|| panic!("line {i} does not parse: {line}"));
         assert_eq!(seq, i as u64, "{line}");
         assert_ne!(event.kind(), "SolverSearch", "{line}");
-        if event.kind() == "ProbabilityBatch" && line.contains("\"max_depth\": ") {
-            batches_with_depth += 1;
+        if event.kind() == "ProbabilityBatch" && line.contains("\"branches\": ") {
+            batches_with_points += 1;
         }
     }
-    assert!(batches_with_depth > 0, "no ProbabilityBatch line:\n{text}");
+    assert!(batches_with_points > 0, "no ProbabilityBatch line:\n{text}");
 }
 
 #[test]
@@ -234,7 +234,7 @@ fn all_three_observers_together_leave_the_report_unchanged() {
     );
     run(&plain, &[]);
 
-    assert!(stdout.contains("solver search: "), "no metrics: {stdout}");
+    assert!(stdout.contains("clause tables: "), "no metrics: {stdout}");
     let text = std::fs::read_to_string(&trace).expect("trace file written");
     assert!(text.lines().count() > 2, "short trace:\n{text}");
     for (i, line) in text.lines().enumerate() {

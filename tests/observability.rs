@@ -238,92 +238,80 @@ fn select_children_account_for_select_time_on_hhs() {
 
 /// Utility work is counted apart from probability batches, one
 /// `UtilityBatch` per selecting round. Each scored object with an open
-/// var-const candidate is scored off the circuit its probability batch
-/// keeps, or compiles one, so the solver calls split exactly into compiles
-/// plus one solve per open var-var candidate, and no scored candidate
-/// costs more than one call.
+/// candidate costs one outside pass over the tables its probability batch
+/// kept, and no scored candidate costs more than one pass.
 #[test]
 fn utility_counters_reconcile_with_utility_batches() {
     let (metrics, profile) = profiled_hhs_run();
     let c = metrics.counters();
-    let (mut batches, mut calls, mut compiles, mut nodes, mut decisions) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut reused = 0u64;
+    let (mut batches, mut calls, mut points, mut reused) = (0u64, 0u64, 0u64, 0u64);
     for e in metrics.events() {
         if let Event::UtilityBatch {
             solver_calls,
-            compiles: k,
-            circuit_nodes: n,
-            reused: r,
-            decisions: d,
+            decisions,
+            cache_hits,
             ..
         } = *e
         {
             batches += 1;
-            assert!(k <= solver_calls, "{k} compiles > {solver_calls} calls");
-            // Every circuit holds the two constants plus its root.
-            assert!(n >= 3 * k, "{n} nodes for {k} compiles");
+            // Every pass visits at least one point and reads at least one
+            // kept clause table.
+            assert!(decisions >= solver_calls, "{decisions} points");
+            assert!(cache_hits >= solver_calls, "{cache_hits} tables read");
             calls += solver_calls;
-            compiles += k;
-            nodes += n;
-            reused += r;
-            decisions += d;
+            points += decisions;
+            reused += cache_hits;
         }
     }
     assert_eq!(batches, c.rounds, "one utility batch per selecting round");
     assert_eq!(c.utility_solver_calls, calls);
-    assert_eq!(c.utility_compiles, compiles);
-    assert_eq!(c.utility_circuit_nodes, nodes);
-    assert_eq!(c.utility_reused, reused);
-    assert_eq!(c.utility_decisions, decisions);
+    assert_eq!(c.utility_decisions, points);
     assert!(
-        c.utility_compiles + c.utility_reused > 0,
-        "HHS scored no object off a circuit"
+        calls > 0 && reused > 0,
+        "HHS scored no object off its tables"
     );
     assert!(c.utility_solver_calls <= c.utility_evals);
     let utility = profile.node("round/select/utility").unwrap();
     assert_eq!(utility.count, c.utility_solver_calls);
-    let compile = profile.node("round/select/utility/compile").unwrap();
-    assert_eq!(compile.count, c.utility_compiles);
+    let points = profile.node("round/select/utility/points").unwrap();
+    assert_eq!(points.count, c.utility_decisions);
 }
 
-/// Every condition a probability batch computes is a compile, a kept
-/// circuit's re-evaluation, or a plain solve; solver calls count the
-/// compiles and the plain solves, never the evaluations.
-/// On an ADPLL run, later rounds re-evaluate instead of solving.
+/// Every condition a probability batch sums is an object whose tables
+/// were built or updated, or one whose every clause table was kept; the
+/// clause tables a batch reuses and computes add up to the clauses it
+/// read. Later rounds reuse tables instead of computing them.
 #[test]
-fn probability_batches_split_into_compiles_evaluations_and_solves() {
+fn probability_batches_count_tables_reused_and_computed() {
     let (metrics, profile) = profiled_hhs_run();
     let c = metrics.counters();
-    let (mut objects, mut calls, mut compiles, mut evaluations) = (0u64, 0u64, 0u64, 0u64);
+    let (mut objects, mut calls) = (0u64, 0u64);
+    let mut first = true;
     for e in metrics.events() {
         if let Event::ProbabilityBatch {
             objects: n,
             solver_calls,
-            compiles: k,
-            evaluations: v,
+            cache_hits,
+            cache_misses,
             ..
         } = *e
         {
-            let plain = solver_calls - k;
-            assert_eq!(n as u64, k + v + plain, "batch of {n}: {k} + {v} + {plain}");
+            assert!(solver_calls <= n as u64, "{solver_calls} of {n} updated");
+            assert!(cache_misses >= solver_calls);
+            if first {
+                assert_eq!(cache_hits, 0, "the first batch computes every table");
+                first = false;
+            }
             objects += n as u64;
             calls += solver_calls;
-            compiles += k;
-            evaluations += v;
         }
     }
     assert_eq!(c.probability_evals, objects);
     assert_eq!(c.solver_calls, calls);
-    assert_eq!(
-        (c.circuit_compiles, c.circuit_evals),
-        (compiles, evaluations)
-    );
-    assert!(c.circuit_recompiles <= c.circuit_compiles);
-    assert!(c.circuit_evals > 0, "no kept circuit was re-evaluated");
+    assert!(c.solver_cache_hits > 0, "no clause table was reused");
     let solve = profile.node("round/select/solve").unwrap();
-    let evaluate = profile.node("round/select/solve/evaluate").unwrap();
-    assert!(evaluate.count > 0 && evaluate.count <= c.circuit_evals);
+    let points = profile.node("round/select/solve/points").unwrap();
+    assert!(points.count > 0 && points.count <= c.solver_branches);
     assert!(solve.count <= c.solver_calls);
 }
 

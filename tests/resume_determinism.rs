@@ -16,8 +16,9 @@ use bc_crowd::{CrowdPlatform, FaultConfig, FaultyPlatform, GroundTruthOracle, Si
 use bc_data::generators::nba::nba_like;
 use bc_data::generators::sample::{paper_completion, paper_dataset};
 use bc_data::missing::inject_mcar;
-use bc_data::Dataset;
+use bc_data::{Dataset, VarId};
 use bc_snapshot::{fnv1a64, Snapshot, SnapshotError, Value};
+use bc_solver::SolverError;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -178,11 +179,11 @@ fn synthetic_table(seed: u64) -> (Dataset, Dataset) {
     (complete, incomplete)
 }
 
-/// Kept circuits at branching scale, under HHS (`m = 50`) and FBS: the
-/// clean run re-evaluates kept circuits and recompiles some after var-var
-/// answers, and a kill and resume at every round still reproduces it
-/// exactly. Resumed sessions rebuild their circuits from the conditions
-/// the checkpoint stores.
+/// Factor tables at scale, under HHS (`m = 50`) and FBS: the clean run
+/// reuses clause tables across rounds and recomputes the ones answers
+/// touch, and a kill and resume at every round still reproduces it
+/// exactly. Resumed sessions rebuild their tables from the c-table and
+/// pmfs the checkpoint stores.
 #[test]
 fn synthetic_tables_resume_identically_at_every_round() {
     let (complete, data) = synthetic_table(11);
@@ -207,15 +208,15 @@ fn synthetic_tables_resume_identically_at_every_round() {
             &mut metrics,
         ));
         let c = metrics.counters();
-        assert!(c.circuit_evals > 0, "{ctx}: nothing re-evaluated");
-        // With perfect workers no mask loses all its mass and no circuit
-        // goes stale (every call is a compile), so every recompile
-        // replaces a circuit a var-var answer dropped.
-        assert_eq!(
-            c.solver_calls, c.circuit_compiles,
-            "{ctx}: plain solves ran"
+        assert!(c.solver_cache_hits > 0, "{ctx}: no clause table reused");
+        let first = metrics.events().iter().find_map(|e| match e {
+            Event::ProbabilityBatch { cache_misses, .. } => Some(*cache_misses),
+            _ => None,
+        });
+        assert!(
+            first.is_some_and(|n| c.solver_cache_misses > n),
+            "{ctx}: no clause table recomputed after an answer"
         );
-        assert!(c.circuit_recompiles > 0, "{ctx}: no var-var recompile");
         assert_all_resume_points_match(config, &data, mk, &ctx);
     }
     // Erring workers too: some of their answers contradict earlier ones.
@@ -265,24 +266,10 @@ fn timeless_checkpoint_hashes(snaps: &[Vec<u8>]) -> Vec<u64> {
         .collect()
 }
 
-/// Whether any checkpoint keeps a circuit compiled from a condition other
-/// than its object's current one (an `[object, condition]` entry).
-fn has_rewritten_kept_circuit(snaps: &[Vec<u8>]) -> bool {
-    snaps.iter().any(|bytes| {
-        let snap = Snapshot::parse(&bytes[..]).expect("checkpoint parses");
-        let kept = snap.section("compiled_from").expect("format 2");
-        kept.as_list()
-            .expect("a list")
-            .iter()
-            .any(|entry| entry.as_list().is_some_and(|e| e.len() == 2))
-    })
-}
-
 /// The exact bytes of every checkpoint of five seeded runs, timing aside:
 /// the 800-object synthetic table under HHS and FBS, a fault-injecting run
 /// with retries and expiries (non-empty `pending` and `faults`), and the
-/// erring-worker FBS run, whose kept circuits include ones compiled from a
-/// rewritten condition.
+/// erring-worker FBS run, some of whose answers contradict earlier ones.
 #[test]
 fn checkpoint_bytes_are_pinned() {
     let (complete, data) = synthetic_table(11);
@@ -343,11 +330,6 @@ fn checkpoint_bytes_are_pinned() {
         queued,
         "the faulty run never queued a retry after an expiry"
     );
-    assert!(
-        runs.iter()
-            .any(|(_, snaps)| has_rewritten_kept_circuit(snaps)),
-        "no checkpoint keeps a circuit of a rewritten condition"
-    );
     let got: Vec<(&str, Vec<u64>)> = runs
         .iter()
         .map(|(name, snaps)| (*name, timeless_checkpoint_hashes(snaps)))
@@ -356,57 +338,57 @@ fn checkpoint_bytes_are_pinned() {
         (
             "synthetic HHS",
             &[
-                0x97d57a4e8a3953bc,
-                0x6536a18ea768cb93,
-                0xdab4945b3012e4bf,
-                0xf773e18fe8ea1af6,
-                0xe1fd0dff00a16539,
-                0x6fde7bbc7a6a5a7b,
-                0x80e02d90236ac83e,
-                0xd2b7573f2dc0f836,
-                0xa8ee7a2ae0f3107e,
-                0xad54c2557139e619,
-                0xc90a6c88b0fdb0a2,
+                0xcf003ef3559e3691,
+                0xae175e9ac85c47fa,
+                0x7843d709c5145b90,
+                0xa17aa9d04e0e03ad,
+                0xb999677bbf9c80a,
+                0xa0084ce3f1039a57,
+                0x5ccfee328242bfee,
+                0x6a583245ef0151aa,
+                0xf69354329cbcfff6,
+                0xbedfd8d51dfcd147,
+                0xb34eca0ee545488f,
             ],
         ),
         (
             "synthetic FBS",
             &[
-                0xae98c6f7a3c40939,
-                0x36b2f3bf82ed1ae6,
-                0xd9e1a6848d9bc034,
-                0x549792779e0b193,
-                0xda1c5e0b860db65c,
-                0x231da98444740177,
-                0xbf09f8d4f0660b7,
-                0xcaf5f357682fc827,
-                0x6e8035e021ea7897,
+                0x5a291cfc5a9c656b,
+                0x4c2822ad8d13e128,
+                0xc5876b2944396d66,
+                0xbe08b524bc4a2a8a,
+                0x27e2091340150051,
+                0x9d67714a21119ebb,
+                0x4bb2bb0205dc60a4,
+                0x770be431c437302a,
+                0xb73cecf4cfa37cef,
             ],
         ),
         (
             "synthetic FBS, erring",
             &[
-                0x3a8a5fe6358366d3,
-                0x51881bb0407bcf56,
-                0xe7596f00914c9d40,
-                0xdcc52ac90c38cb60,
-                0xf1f91a16064d9bfe,
-                0x7a8985cebff86872,
-                0xaf7396b241cd6036,
-                0x6eee5e18b8e11957,
-                0xd2e81fb3bd0f8276,
-                0x7f88a81bdb5fbdaf,
-                0x45a01a216cab6a77,
+                0xe6bd4c43e3c7c383,
+                0xffac14b125bed782,
+                0xccb4654697fb88a0,
+                0x977782e381ddf8b1,
+                0x57be966a3cc793e4,
+                0x984dbbb409a5a24c,
+                0x3b75b25f31da8d9e,
+                0x77cd2908457db86e,
+                0x9719566c163f5331,
+                0x33fe33e651995774,
+                0xb874d176f400b9bc,
             ],
         ),
         (
             "faulty",
             &[
-                0x45628be3df93e44e,
-                0x92cc631c62c750f,
-                0x44d5b87c9b29693d,
-                0xc00963cf2aa6adce,
-                0xbbcad56117bf636e,
+                0x77ea797b1d1f8527,
+                0x4c7f6eb67c90f424,
+                0x8a5e81993cf13222,
+                0xb327e55dfdd28f35,
+                0xd54b26e51eb6da00,
             ],
         ),
     ];
@@ -416,8 +398,8 @@ fn checkpoint_bytes_are_pinned() {
 }
 
 /// Re-frames `snap`'s sections as a checksummed document with header
-/// version `version`, keeping only the sections `keep` accepts.
-fn reframe(snap: &Snapshot, version: u32, keep: impl Fn(&str) -> bool) -> Vec<u8> {
+/// version `version`.
+fn reframe(snap: &Snapshot, version: u32) -> Vec<u8> {
     let header = Value::obj(vec![
         ("format", Value::Str(bc_snapshot::FORMAT_NAME.into())),
         ("version", Value::Int(version as i128)),
@@ -425,7 +407,7 @@ fn reframe(snap: &Snapshot, version: u32, keep: impl Fn(&str) -> bool) -> Vec<u8
     ]);
     let mut body = header.to_json() + "\n";
     let mut n = 0;
-    for (name, data) in snap.sections().iter().filter(|(name, _)| keep(name)) {
+    for (name, data) in snap.sections() {
         let line = Value::obj(vec![
             ("section", Value::Str(name.clone())),
             ("data", data.clone()),
@@ -443,93 +425,102 @@ fn reframe(snap: &Snapshot, version: u32, keep: impl Fn(&str) -> bool) -> Vec<u8
     (body + &footer.to_json() + "\n").into_bytes()
 }
 
-/// A version-1 checkpoint, written before sessions kept circuits, has no
-/// `compiled_from` section. It still resumes: every open condition
-/// compiles afresh, so the first batch re-evaluates nothing.
+/// A checkpoint of an older format version is a typed snapshot error,
+/// never a resumed session: versions 1 and 2 cached probabilities summed
+/// in ADPLL's order, so a run resumed from them would match neither the
+/// run that wrote them nor one of this version. A newer version is
+/// refused too; the current one, re-framed, resumes.
 #[test]
-fn a_version_one_checkpoint_resumes_without_kept_circuits() {
-    let data = paper_dataset();
-    let mk = || SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 1.0, 7);
-    let mut platform = mk();
-    let (clean, snaps) =
-        run_collecting_checkpoints(&BayesCrowd::new(sample_config()), &data, &mut platform);
-    let snap = Snapshot::parse(&snaps[1][..]).expect("checkpoint parses");
-    assert!(snap.section("compiled_from").is_ok());
-    let v1 = reframe(&snap, 1, |name| name != "compiled_from");
-    assert_eq!(Snapshot::parse(&v1[..]).expect("v1 parses").version(), 1);
-    let mut platform = mk();
-    let mut metrics = MetricsRecorder::new();
-    let mut session =
-        Session::resume_observed(&v1[..], &mut platform, &mut metrics).expect("v1 resumes");
-    while session.step().expect("resumed step") {}
-    let resumed = unwrap_report(session.finalize());
-    assert_eq!(resumed.crowd.tasks_posted, clean.crowd.tasks_posted);
-    let first = metrics.events().iter().find_map(|e| match e {
-        Event::ProbabilityBatch {
-            compiles,
-            evaluations,
-            ..
-        } => Some((*compiles, *evaluations)),
-        _ => None,
-    });
-    let (compiles, evaluations) = first.expect("the resumed run computes probabilities");
-    assert!(compiles > 0);
-    assert_eq!(evaluations, 0, "a v1 checkpoint brought circuits along");
-    // A current-version document without the section is torn, not old.
-    let torn = reframe(&snap, bc_snapshot::FORMAT_VERSION, |name| {
-        name != "compiled_from"
-    });
-    let mut platform = mk();
-    match Session::resume(&torn[..], &mut platform) {
-        Err(RunError::Snapshot(e)) => {
-            assert!(matches!(*e, SnapshotError::MissingSection(ref s) if s == "compiled_from"))
-        }
-        Err(e) => panic!("wrong error: {e}"),
-        Ok(_) => panic!("a v2 checkpoint without compiled_from resumed"),
-    }
-}
-
-/// A `compiled_from` section that does not decode is a typed snapshot
-/// error, never a panic or a half-resumed session.
-#[test]
-fn a_corrupt_compiled_from_section_is_a_typed_error() {
+fn older_checkpoint_versions_are_typed_errors() {
     let data = paper_dataset();
     let mk = || SimulatedPlatform::new(GroundTruthOracle::new(paper_completion()), 1.0, 7);
     let mut platform = mk();
     let (_, snaps) =
         run_collecting_checkpoints(&BayesCrowd::new(sample_config()), &data, &mut platform);
     let snap = Snapshot::parse(&snaps[1][..]).expect("checkpoint parses");
-    let n = data.n_objects() as i128;
-    let corrupt = [
-        Value::Str("not a list".into()),
-        Value::List(vec![Value::Int(0)]),
-        Value::List(vec![Value::List(vec![])]),
-        Value::List(vec![Value::List(vec![Value::Int(n)])]),
-        Value::List(vec![Value::List(vec![Value::Int(-1)])]),
-        Value::List(vec![
-            Value::List(vec![Value::Int(1)]),
-            Value::List(vec![Value::Int(1)]),
-        ]),
-        Value::List(vec![Value::List(vec![
-            Value::Int(0),
-            Value::Str("x".into()),
-        ])]),
-        Value::List(vec![Value::List(vec![
-            Value::Int(0),
-            Value::Int(1),
-            Value::Int(2),
-        ])]),
-    ];
-    for bad in corrupt {
-        let bytes = resealed(&snap, "compiled_from", bad.clone());
+    let current = bc_snapshot::FORMAT_VERSION;
+    assert_eq!(current, 3);
+    for version in [1, 2, current + 1] {
+        let bytes = reframe(&snap, version);
         let mut platform = mk();
         match Session::resume(&bytes[..], &mut platform) {
-            Err(RunError::Snapshot(e)) => {
-                assert!(matches!(*e, SnapshotError::Invalid(_)), "{bad:?}: {e}")
-            }
-            Err(e) => panic!("{bad:?}: wrong error: {e}"),
-            Ok(_) => panic!("{bad:?}: a corrupt compiled_from section resumed"),
+            Err(RunError::Snapshot(e)) => assert!(
+                matches!(*e, SnapshotError::UnsupportedVersion(v) if v == version),
+                "version {version}: {e}"
+            ),
+            Err(e) => panic!("version {version}: wrong error: {e}"),
+            Ok(_) => panic!("a version-{version} checkpoint resumed"),
         }
+    }
+    let mut platform = mk();
+    let same = reframe(&snap, current);
+    assert!(Session::resume(&same[..], &mut platform).is_ok());
+}
+
+/// A checkpoint whose c-table gives one object a dominator variable in two
+/// clauses — a condition Get-CTable and propagation never produce, and
+/// outside the factor tables' shape — still resumes, and its first step
+/// fails with [`SolverError::NotFactored`] naming that variable, not a
+/// panic and not a probability from another solver.
+#[test]
+fn a_condition_outside_the_table_shape_fails_the_first_step() {
+    let complete = nba_like(60, 5);
+    let (incomplete, _) = inject_mcar(&complete, 0.15, 5);
+    let mk = || SimulatedPlatform::new(GroundTruthOracle::new(complete.clone()), 1.0, 7);
+    let config = BayesCrowdConfig {
+        strategy: TaskStrategy::Fbs,
+        ..sample_config()
+    };
+    let mut platform = mk();
+    let (_, snaps) =
+        run_collecting_checkpoints(&BayesCrowd::new(config), &incomplete, &mut platform);
+    let snap = Snapshot::parse(&snaps[0][..]).expect("checkpoint parses");
+    assert_eq!(
+        snap.section("prob_cache")
+            .unwrap()
+            .as_list()
+            .map(|l| l.len()),
+        Some(0),
+        "the first checkpoint caches no probability"
+    );
+    // The first open condition with a clause on a dominator's cell: that
+    // clause's expression, negated, becomes a clause of its own.
+    let mut conditions = snap.section("ctable").unwrap().as_list().unwrap().to_vec();
+    let mut broken = None;
+    for (o, cond) in conditions.iter_mut().enumerate() {
+        let Value::List(clauses) = cond else { continue };
+        let dominated = clauses.iter().flat_map(|c| c.as_list().unwrap()).find(|e| {
+            let v = e.get("v").unwrap().as_list().unwrap();
+            v[0] != Value::Int(o as i128)
+        });
+        if let Some(e) = dominated.cloned() {
+            let Value::Map(mut fields) = e else {
+                unreachable!()
+            };
+            let v: (u32, u16) = fields[0].1.read("variable id").unwrap();
+            let op = fields[1].1.as_str().unwrap();
+            let negated = match op {
+                "lt" => "ge",
+                "ge" => "lt",
+                "gt" => "le",
+                "le" => "gt",
+                "eq" => "ne",
+                _ => "eq",
+            };
+            fields[1].1 = Value::Str(negated.into());
+            clauses.push(Value::List(vec![Value::Map(fields)]));
+            broken = Some(VarId::new(v.0, v.1));
+            break;
+        }
+    }
+    let w = broken.expect("some condition has a dominator's cell");
+    let bytes = resealed(&snap, "ctable", Value::List(conditions));
+    let mut platform = mk();
+    let mut session = Session::resume(&bytes[..], &mut platform).expect("the checkpoint resumes");
+    match session.step() {
+        Err(RunError::Solver(SolverError::NotFactored(v))) => assert_eq!(v, w),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("a condition outside the shape was scored"),
     }
 }
 
