@@ -137,25 +137,22 @@ pub enum Event {
         round: usize,
     },
     /// A batch of condition probabilities was summed off factor tables,
-    /// with the effort of refreshing the tables and of the passes.
+    /// with the effort of building the tables and of the passes.
     ProbabilityBatch {
         /// Which phase requested the batch.
         phase: RunPhase,
         /// Conditions whose `Pr(φ)` was summed (cached conditions are not
         /// re-summed and do not appear here).
         objects: usize,
-        /// Objects whose factor tables were built or updated: at least one
-        /// clause table computed.
-        solver_calls: u64,
+        /// Open conditions whose `Pr(φ)` the batch found cached.
+        cached: usize,
         /// Points of the own cells' joint supports the passes visited.
-        branches: u64,
-        /// Clause tables reused from an earlier batch.
-        cache_hits: u64,
+        points: u64,
         /// Factor groups the passes multiplied: distinct own-cell sets
         /// among each condition's clauses.
-        component_splits: u64,
-        /// Clause tables computed.
-        cache_misses: u64,
+        groups: u64,
+        /// Clause tables built.
+        clause_tables: u64,
         /// Batch wall-clock time.
         nanos: u128,
     },
@@ -170,10 +167,9 @@ pub enum Event {
         /// candidate whose `Pr(e)` lies strictly inside `(0, 1)`.
         solver_calls: u64,
         /// Points of the own cells' joint supports those passes visited.
-        decisions: u64,
-        /// Clause tables those passes read as their probability batch
-        /// kept them (an object restored from a checkpoint builds its own).
-        cache_hits: u64,
+        points: u64,
+        /// Clause tables built for those passes.
+        clause_tables: u64,
         /// Task-assembly wall-clock time (scoring plus candidate ordering).
         nanos: u128,
     },
@@ -348,10 +344,8 @@ wire_format! {
     }
     CTableBuilt { objects, open_objects, vars, exprs, pruned, candidates, bitset_words, nanos }
     RoundStarted { round }
-    ProbabilityBatch {
-        phase, objects, solver_calls, branches, cache_hits, component_splits, cache_misses, nanos
-    }
-    UtilityBatch { candidates, solver_calls, decisions, cache_hits, nanos }
+    ProbabilityBatch { phase, objects, cached, points, groups, clause_tables, nanos }
+    UtilityBatch { candidates, solver_calls, points, clause_tables, nanos }
     Propagated { answers, examined, decided, depth, nanos }
     RoundFinished { round, posted, answered, expired, requeued, retried, nanos }
     SpanFinished { phase, nanos }
@@ -449,18 +443,17 @@ mod tests {
             Event::ProbabilityBatch {
                 phase: RunPhase::Select,
                 objects: 3,
-                solver_calls: 3,
-                branches: 17,
-                cache_hits: 2,
-                component_splits: 1,
-                cache_misses: 5,
+                cached: 2,
+                points: 17,
+                groups: 4,
+                clause_tables: 5,
                 nanos: 777,
             },
             Event::UtilityBatch {
                 candidates: 9,
                 solver_calls: 8,
-                decisions: 41,
-                cache_hits: 5,
+                points: 41,
+                clause_tables: 12,
                 nanos: 6_543,
             },
             Event::Propagated {
@@ -566,8 +559,8 @@ mod tests {
         let u = Event::UtilityBatch {
             candidates: 3,
             solver_calls: 2,
-            decisions: 7,
-            cache_hits: 1,
+            points: 7,
+            clause_tables: 1,
             nanos: 99,
         };
         assert_eq!(
@@ -575,8 +568,8 @@ mod tests {
             Event::UtilityBatch {
                 candidates: 3,
                 solver_calls: 2,
-                decisions: 7,
-                cache_hits: 1,
+                points: 7,
+                clause_tables: 1,
                 nanos: 0,
             }
         );
@@ -631,27 +624,27 @@ mod tests {
             Event::UtilityBatch {
                 candidates: 12,
                 solver_calls: 4,
-                decisions: 90,
-                cache_hits: 6,
+                points: 90,
+                clause_tables: 6,
                 nanos: 17,
             },
             Event::ProbabilityBatch {
                 phase: RunPhase::Finalize,
                 objects: 9,
-                solver_calls: 4,
-                branches: 60,
-                cache_hits: 2,
-                component_splits: 3,
-                cache_misses: 6,
+                cached: 2,
+                points: 60,
+                groups: 3,
+                clause_tables: 6,
                 nanos: 21,
             },
         ];
         let fields: [&[&str]; 2] = [
-            &[", \"decisions\": 90", ", \"cache_hits\": 6"],
+            &[", \"points\": 90", ", \"clause_tables\": 6"],
             &[
-                ", \"branches\": 60",
-                ", \"component_splits\": 3",
-                ", \"cache_misses\": 6",
+                ", \"cached\": 2",
+                ", \"points\": 60",
+                ", \"groups\": 3",
+                ", \"clause_tables\": 6",
             ],
         ];
         for (e, fields) in events.into_iter().zip(fields) {
@@ -676,6 +669,8 @@ mod tests {
             r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "compiles": 1, "evaluations": 1, "branches": 17, "cache_hits": 2, "fallbacks": 0, "nanos": 777}"#,
             r#"{"seq": 5, "event": "SolverSearch", "phase": "select", "decisions": 17, "direct_components": 4, "component_splits": 1, "cache_hits": 2, "cache_misses": 5, "max_depth": 3}"#,
             r#"{"seq": 6, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "compiles": 3, "circuit_nodes": 212, "reused": 2, "decisions": 41, "cache_hits": 5, "fallbacks": 0, "nanos": 6543}"#,
+            r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "branches": 17, "cache_hits": 2, "component_splits": 1, "cache_misses": 5, "nanos": 777}"#,
+            r#"{"seq": 5, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "decisions": 41, "cache_hits": 5, "nanos": 6543}"#,
         ] {
             assert_eq!(Event::from_json_line(old), None, "{old}");
         }
@@ -768,8 +763,8 @@ mod tests {
             r#"{"seq": 1, "event": "ModelTrained", "bic": -12.5, "edges": 2, "em_iters": 0, "search_iters": 3, "blanket_cells": 4, "ve_cells": 1, "blanket_keys": 3, "nanos": 1234}"#,
             r#"{"seq": 2, "event": "CTableBuilt", "objects": 5, "open_objects": 3, "vars": 4, "exprs": 13, "pruned": 0, "candidates": 7, "bitset_words": 25, "nanos": 99}"#,
             r#"{"seq": 3, "event": "RoundStarted", "round": 1}"#,
-            r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "branches": 17, "cache_hits": 2, "component_splits": 1, "cache_misses": 5, "nanos": 777}"#,
-            r#"{"seq": 5, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "decisions": 41, "cache_hits": 5, "nanos": 6543}"#,
+            r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "cached": 2, "points": 17, "groups": 4, "clause_tables": 5, "nanos": 777}"#,
+            r#"{"seq": 5, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "points": 41, "clause_tables": 12, "nanos": 6543}"#,
             r#"{"seq": 6, "event": "Propagated", "answers": 2, "examined": 5, "decided": 1, "depth": 2, "nanos": 55}"#,
             r#"{"seq": 7, "event": "RoundFinished", "round": 1, "posted": 2, "answered": 2, "expired": 0, "requeued": 0, "retried": 0, "nanos": 888}"#,
             r#"{"seq": 8, "event": "SpanFinished", "phase": "post", "nanos": 11}"#,

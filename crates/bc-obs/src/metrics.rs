@@ -157,16 +157,17 @@ pub struct Counters {
     pub retried: u64,
     /// Conditions whose `Pr(φ)` probability batches summed.
     pub probability_evals: u64,
-    /// Objects whose factor tables a probability batch built or updated.
+    /// Objects whose factor tables probability batches built: one per
+    /// summed condition (`objects`), so equal to `probability_evals`.
     pub solver_calls: u64,
     /// Points of the own cells' joint supports the batches' passes
-    /// visited.
+    /// visited (`points`).
     pub solver_branches: u64,
-    /// Clause tables reused from an earlier batch.
+    /// Open conditions whose `Pr(φ)` a batch found cached (`cached`).
     pub solver_cache_hits: u64,
-    /// Clause tables computed.
+    /// Clause tables the batches built (`clause_tables`).
     pub solver_cache_misses: u64,
-    /// Factor groups the batches' passes multiplied.
+    /// Factor groups the batches' passes multiplied (`groups`).
     pub solver_component_splits: u64,
     /// Crowd answers folded into the constraint store.
     pub answers_propagated: u64,
@@ -287,14 +288,10 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
-            "probability evals {}  tables updated {} (points {}, groups {})",
-            c.probability_evals, c.solver_calls, c.solver_branches, c.solver_component_splits
+            "probability evals {}  cached {} (points {}, groups {})",
+            c.probability_evals, c.solver_cache_hits, c.solver_branches, c.solver_component_splits
         );
-        let _ = writeln!(
-            s,
-            "clause tables: {} reused, {} computed",
-            c.solver_cache_hits, c.solver_cache_misses
-        );
+        let _ = writeln!(s, "clause tables: {} built", c.solver_cache_misses);
         let _ = writeln!(
             s,
             "model conditionals: {} blanket cells ({} distinct), {} by elimination",
@@ -352,19 +349,18 @@ impl Observer for MetricsRecorder {
             }
             Event::ProbabilityBatch {
                 objects,
-                solver_calls,
-                branches,
-                cache_hits,
-                component_splits,
-                cache_misses,
+                cached,
+                points,
+                groups,
+                clause_tables,
                 ..
             } => {
                 self.counters.probability_evals += *objects as u64;
-                self.counters.solver_calls += solver_calls;
-                self.counters.solver_branches += branches;
-                self.counters.solver_cache_hits += cache_hits;
-                self.counters.solver_component_splits += component_splits;
-                self.counters.solver_cache_misses += cache_misses;
+                self.counters.solver_calls += *objects as u64;
+                self.counters.solver_branches += points;
+                self.counters.solver_cache_hits += *cached as u64;
+                self.counters.solver_component_splits += groups;
+                self.counters.solver_cache_misses += clause_tables;
             }
             Event::ModelTrained {
                 blanket_cells,
@@ -379,12 +375,12 @@ impl Observer for MetricsRecorder {
             Event::UtilityBatch {
                 candidates,
                 solver_calls,
-                decisions,
+                points,
                 ..
             } => {
                 self.counters.utility_evals += candidates;
                 self.counters.utility_solver_calls += solver_calls;
-                self.counters.utility_decisions += decisions;
+                self.counters.utility_decisions += points;
             }
             Event::Propagated {
                 answers,
@@ -503,21 +499,19 @@ mod tests {
         rec.event(&Event::ProbabilityBatch {
             phase: RunPhase::Select,
             objects: 4,
-            solver_calls: 4,
-            branches: 10,
-            cache_hits: 3,
-            component_splits: 2,
-            cache_misses: 7,
+            cached: 3,
+            points: 10,
+            groups: 2,
+            clause_tables: 7,
             nanos: 100,
         });
         rec.event(&Event::ProbabilityBatch {
             phase: RunPhase::Select,
             objects: 3,
-            solver_calls: 1,
-            branches: 0,
-            cache_hits: 0,
-            component_splits: 0,
-            cache_misses: 0,
+            cached: 0,
+            points: 0,
+            groups: 0,
+            clause_tables: 0,
             nanos: 10,
         });
         rec.event(&Event::ModelTrained {
@@ -533,8 +527,8 @@ mod tests {
         rec.event(&Event::UtilityBatch {
             candidates: 6,
             solver_calls: 5,
-            decisions: 12,
-            cache_hits: 2,
+            points: 12,
+            clause_tables: 2,
             nanos: 40,
         });
         rec.event(&Event::Propagated {
@@ -583,7 +577,7 @@ mod tests {
             (9, 2, 3)
         );
         // Utility work stays out of the probability-batch counters.
-        assert_eq!(c.solver_calls, 5);
+        assert_eq!(c.solver_calls, 7);
         assert_eq!(rec.phase_nanos(RunPhase::Select), 150);
         assert_eq!(rec.phase_nanos(RunPhase::Post), 0);
         assert_eq!(rec.tasks_per_round().count(), 1);

@@ -261,8 +261,8 @@ fn solve_path(phase: RunPhase) -> String {
 /// │   └── build        (CTableBuilt)
 /// ├── round            (RoundFinished; count = rounds)
 /// │   ├── select       (SpanFinished, summed over rounds)
-/// │   │   ├── solve    (ProbabilityBatch; count = objects whose tables
-/// │   │   │   │         were built or updated)
+/// │   │   ├── solve    (ProbabilityBatch; count = objects whose
+/// │   │   │   │         `Pr(φ)` was summed)
 /// │   │   │   └── points  (count = joint-support points, nanos 0)
 /// │   │   └── utility  (UtilityBatch; count = outside passes)
 /// │   │       └── points  (count = joint-support points, nanos 0)
@@ -316,26 +316,26 @@ impl Observer for RunProfiler {
             }
             Event::ProbabilityBatch {
                 phase,
-                solver_calls,
-                branches,
+                objects,
+                points,
                 nanos,
                 ..
             } => {
                 let path = solve_path(*phase);
-                self.profiler.record_with(&path, *nanos, *solver_calls);
+                self.profiler.record_with(&path, *nanos, *objects as u64);
                 self.profiler
-                    .record_with(&format!("{path}/points"), 0, *branches);
+                    .record_with(&format!("{path}/points"), 0, *points);
             }
             Event::UtilityBatch {
                 solver_calls,
-                decisions,
+                points,
                 nanos,
                 ..
             } => {
                 self.profiler
                     .record_with("round/select/utility", *nanos, *solver_calls);
                 self.profiler
-                    .record_with("round/select/utility/points", 0, *decisions);
+                    .record_with("round/select/utility/points", 0, *points);
             }
             Event::Propagated { nanos, .. } => {
                 self.profiler.record("round/propagate/fixpoint", *nanos);
@@ -452,18 +452,17 @@ mod tests {
         rp.event(&Event::ProbabilityBatch {
             phase: RunPhase::Select,
             objects: 3,
-            solver_calls: 3,
-            branches: 9,
-            cache_hits: 1,
-            component_splits: 1,
-            cache_misses: 4,
+            cached: 1,
+            points: 9,
+            groups: 1,
+            clause_tables: 4,
             nanos: 200,
         });
         rp.event(&Event::UtilityBatch {
             candidates: 4,
             solver_calls: 3,
-            decisions: 11,
-            cache_hits: 0,
+            points: 11,
+            clause_tables: 5,
             nanos: 300,
         });
         rp.event(&Event::RoundFinished {

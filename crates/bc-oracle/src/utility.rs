@@ -15,7 +15,7 @@ use crate::prob_close;
 use crate::worlds::PossibleWorlds;
 use bc_ctable::{Condition, Expr, Operand};
 use bc_data::ObjectId;
-use bc_solver::factored::{FactorTables, TableScratch};
+use bc_solver::factored::Workspace;
 use bc_solver::utility::marginal_utility_with_prior;
 use bc_solver::{AdpllSolver, NaiveSolver, Solver, VarDists};
 
@@ -60,7 +60,10 @@ impl Joint {
 /// It also checks each object's factor tables: their `Pr(φ)` is within
 /// `1e-12` of [`AdpllSolver`]'s; every `Pr(φ ∧ e)` read off their outside
 /// pass is within `1e-12` of the solve of `φ ∧ e` and within `eps` of the
-/// possible worlds; and so is every `G(o, e)` scored off them.
+/// possible worlds; and so is every `G(o, e)` scored off them. Every
+/// object's tables are built in one workspace, one after the other, as a
+/// session builds them, so what one object leaves in its buffers must not
+/// reach the next's values.
 pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<UtilityCoverage, String> {
     let ctable = exact_ctable(&inst.data);
     let mut pairs: Vec<(ObjectId, Expr)> = Vec::new();
@@ -127,11 +130,13 @@ pub fn utility_matches_worlds(inst: &Instance, eps: f64) -> Result<UtilityCovera
         pairs: pairs.len(),
         var_var_on_tables: 0,
     };
+    let mut workspace = Workspace::default();
     let mut start = 0;
     while start < pairs.len() {
         let o = pairs[start].0;
         let end = start + pairs[start..].iter().take_while(|(p, _)| *p == o).count();
         coverage.var_var_on_tables += tables_match(
+            &mut workspace,
             o,
             ctable.condition(o),
             &pairs[start..end],
@@ -156,9 +161,11 @@ pub struct UtilityCoverage {
 }
 
 /// The factor-table checks of [`utility_matches_worlds`] for object `o`,
-/// whose distinct expressions and world counts are `pairs` and `joints`.
-/// Returns the number of var-var pairs checked.
+/// whose distinct expressions and world counts are `pairs` and `joints`,
+/// with its tables built in `workspace`. Returns the number of var-var
+/// pairs checked.
 fn tables_match(
+    workspace: &mut Workspace,
     o: ObjectId,
     cond: &Condition,
     pairs: &[(ObjectId, Expr)],
@@ -170,21 +177,19 @@ fn tables_match(
     let p_phi = adpll
         .probability(cond, dists)
         .map_err(|err| format!("Pr(φ) failed: {err}"))?;
-    let mut scratch = TableScratch::default();
-    let mut tables = FactorTables::new(o);
-    tables
-        .refresh(cond, dists, &mut scratch)
+    workspace
+        .build(o, cond, dists)
         .map_err(|err| format!("tables failed: {err}"))?;
-    let (p_tables, _) = tables
-        .probability(dists, &mut scratch)
+    let (p_tables, _) = workspace
+        .probability(dists)
         .map_err(|err| format!("Pr(φ) off the tables failed: {err}"))?;
     if !prob_close(p_tables, p_phi, 1e-12) {
         return Err(format!(
             "tables Pr(φ) = {p_tables:e}, the solve says {p_phi:e}"
         ));
     }
-    let mut outside = tables
-        .joints(dists, &mut scratch)
+    let mut outside = workspace
+        .joints(cond, dists)
         .map_err(|err| format!("outside pass failed: {err}"))?;
     let mut var_var = 0;
     for (&(_, e), joint) in pairs.iter().zip(joints) {

@@ -14,15 +14,20 @@
 //! with `θ` the own cells' pmfs, `κ_C` the product of `1 − Pr(e)` over
 //! `C`'s expressions that mention no own cell, and `g_{C,a}(v)` the
 //! product of `1 − Pr(e | x_a = v)` over its expressions on own cell `a`.
-//! [`FactorTables`] keeps `κ_C` and the `g_{C,a}` per clause; sums out a
-//! cell only one clause reads; runs the sum over classes of values every
-//! clause weighs alike; multiplies clauses over the same shared cells into
-//! one group table; and sums groups that share no cell apart. Every kept
-//! table is a pure function of its clause and the current pmfs, so a
-//! [`refresh`](FactorTables::refresh) after [`forget`](FactorTables::forget)
-//! equals a fresh build bit for bit. [`FactorTables::joints`] gives every
-//! candidate's `Pr(φ ∧ e)` from outside messages and prefix and suffix
-//! products, with no division by a factor that may be 0.
+//! [`Workspace::build`] computes `κ_C` and the `g_{C,a}` per clause; sums
+//! out a cell only one clause reads; runs the sum over classes of values
+//! every clause weighs alike; multiplies clauses over the same shared
+//! cells into one group table; and sums groups that share no cell apart.
+//! Every table is a pure function of its clause and the current pmfs, so
+//! tables built in a workspace that held another object's equal a fresh
+//! workspace's bit for bit. [`Workspace::probability`] sums `Pr(φ)` and
+//! [`Workspace::joints`] gives every candidate's `Pr(φ ∧ e)` from outside
+//! messages and prefix and suffix products, with no division by a factor
+//! that may be 0.
+//!
+//! A workspace holds one object's tables at a time, in flat buffers it
+//! clears and refills, so once they have grown to the largest condition
+//! seen a build, a sum and a pass allocate nothing. One per thread.
 //!
 //! A condition outside this shape — a non-own variable in two
 //! expressions, or a var-var expression between two own cells — is
@@ -34,13 +39,11 @@ use crate::{checked_probability, SolverError};
 use bc_ctable::{Clause, Condition, Expr, ExprOrBool, Operand};
 use bc_data::{ObjectId, Value, VarId};
 
-/// Effort of one refresh or pass, all plain counts.
+/// Effort of one build or pass, all plain counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
-    /// Clause tables kept from the previous refresh.
-    pub reused: u64,
     /// Clause tables computed.
-    pub computed: u64,
+    pub clause_tables: u64,
     /// Factor groups: distinct sets of shared cells among the clauses.
     pub groups: u64,
     /// Points of the components' class products visited.
@@ -49,46 +52,42 @@ pub struct TableStats {
 
 impl std::ops::AddAssign for TableStats {
     fn add_assign(&mut self, rhs: TableStats) {
-        self.reused += rhs.reused;
-        self.computed += rhs.computed;
+        self.clause_tables += rhs.clause_tables;
         self.groups += rhs.groups;
         self.points += rhs.points;
     }
 }
 
-/// One clause and its table `T_C(y) = 1 − κ · Π_a g_a(y_a)`.
-#[derive(Clone, Debug)]
+/// One clause's table `T_C(y) = 1 − κ · Π_a g_a(y_a)`.
+#[derive(Debug)]
 struct ClauseTable {
-    clause: Clause,
     kappa: f64,
     /// `κ` with every own cell summed out, `κ · Π_a Σ_v p_a(v) g_a(v)`:
     /// the clause's table when no other clause reads its cells.
     summed: f64,
     /// `g_a` over the support of each own cell `a` the clause reads, in
-    /// variable order, concatenated: `State::factors[factors.0..factors.1]`.
+    /// variable order, concatenated: `Tables::factors[factors.0..factors.1]`.
     factors: (usize, usize),
-    /// Those cells with their support sizes: `State::cells[cells.0..cells.1]`.
+    /// Those cells with their support sizes: `Tables::cells[cells.0..cells.1]`.
     cells: (usize, usize),
-    /// Its group, in `State::groups`.
+    /// Its group, in `Tables::groups`.
     group: usize,
 }
 
 /// The clauses that read one set of shared cells, and their product.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct GroupTable {
-    /// The shared cells, sorted: `State::keys[keys.0..keys.1]`.
+    /// The shared cells, sorted: `Tables::keys[keys.0..keys.1]`.
     keys: (usize, usize),
-    /// How many clauses it multiplies.
-    members: usize,
-    /// The product of their tables over the classes of its cells, the
-    /// first cell slowest.
-    table: Vec<f64>,
+    /// The product of its clauses' tables over the classes of its cells,
+    /// the first cell slowest: `Tables::products[table.0..table.1]`.
+    table: (usize, usize),
 }
 
-/// Everything [`FactorTables`] keeps, in flat buffers a refresh swaps with
-/// the scratch's rather than allocating.
-#[derive(Clone, Debug, Default)]
-struct State {
+/// One object's clause and group tables, in flat buffers addressed by
+/// range.
+#[derive(Debug, Default)]
+struct Tables {
     /// In the condition's clause order.
     clauses: Vec<ClauseTable>,
     factors: Vec<f64>,
@@ -102,22 +101,10 @@ struct State {
     /// In shared-cell-set order.
     groups: Vec<GroupTable>,
     keys: Vec<VarId>,
+    products: Vec<f64>,
 }
 
-impl State {
-    /// Replaces this state with `other`'s, moving the clauses and group
-    /// tables and copying the rest, so each keeps its own buffers.
-    fn take_from(&mut self, other: &mut State) {
-        self.clear();
-        self.clauses.append(&mut other.clauses);
-        self.factors.extend_from_slice(&other.factors);
-        self.cells.extend_from_slice(&other.cells);
-        self.shared.extend_from_slice(&other.shared);
-        self.class_of.extend_from_slice(&other.class_of);
-        self.groups.append(&mut other.groups);
-        self.keys.extend_from_slice(&other.keys);
-    }
-
+impl Tables {
     fn clear(&mut self) {
         self.clauses.clear();
         self.factors.clear();
@@ -126,6 +113,7 @@ impl State {
         self.class_of.clear();
         self.groups.clear();
         self.keys.clear();
+        self.products.clear();
     }
 
     /// The classes of `cell`'s support values, if two or more clauses read
@@ -142,6 +130,12 @@ impl State {
 
     fn keys(&self, g: &GroupTable) -> &[VarId] {
         &self.keys[g.keys.0..g.keys.1]
+    }
+
+    /// Group `g`'s table.
+    fn table(&self, g: usize) -> &[f64] {
+        let (from, to) = self.groups[g].table;
+        &self.products[from..to]
     }
 
     /// `t`'s `κ` with every own cell no other clause reads summed out; the
@@ -197,28 +191,38 @@ fn class_count(of: &[u32]) -> usize {
     of.last().map_or(0, |&k| k as usize + 1)
 }
 
-/// The clause and group tables of one object's condition.
-#[derive(Clone, Debug)]
-pub struct FactorTables {
+/// One object's factor tables and the buffers that build, sum and pass
+/// over them. [`build`](Self::build) replaces the tables with another
+/// object's; one workspace per thread serves every object it scores.
+#[derive(Debug)]
+pub struct Workspace {
     object: ObjectId,
     /// The condition is `false`.
     falsum: bool,
-    state: State,
+    tables: Tables,
+    scratch: Scratch,
 }
 
-/// The buffers refreshes and passes reuse. One per thread; a pass clears
-/// and refills them, so once they have grown to the largest condition seen
-/// a pass allocates nothing.
+impl Default for Workspace {
+    fn default() -> Workspace {
+        Workspace {
+            object: ObjectId(0),
+            falsum: false,
+            tables: Tables::default(),
+            scratch: Scratch::default(),
+        }
+    }
+}
+
+/// The buffers builds and passes clear and refill.
 #[derive(Debug, Default)]
-pub struct TableScratch {
+struct Scratch {
     layout: Layout,
     walk: Walk,
     /// The non-own variables of a condition, packed, for the shape check;
     /// each with the clause it occurs in, sorted.
     seen: Vec<u64>,
     others: Vec<(VarId, usize)>,
-    /// The state a refresh builds, then copies into the tables.
-    fresh: State,
     /// The cells two or more clauses read; each clause's among those,
     /// clause `c` at `keys_at[c]..`.
     shared: Vec<VarId>,
@@ -226,8 +230,6 @@ pub struct TableScratch {
     keys_at: Vec<usize>,
     /// Every shared cell a clause reads, with the offset of its `g`.
     reads: Vec<(VarId, usize)>,
-    /// The group each clause a refresh reused had.
-    prior: Vec<Option<usize>>,
     /// One clause's table over its shared cells' classes, before and
     /// after expansion.
     eff: Effective,
@@ -305,238 +307,36 @@ struct Walk {
     theta: Vec<f64>,
 }
 
-impl FactorTables {
-    /// Empty tables for object `o`: the first [`refresh`](Self::refresh)
-    /// computes every clause's.
-    pub fn new(o: ObjectId) -> FactorTables {
-        FactorTables {
-            object: o,
-            falsum: false,
-            state: State::default(),
-        }
-    }
-
-    /// Forgets the table of every clause that reads a variable `changed`
-    /// accepts, and with it its group's product; returns whether it forgot
-    /// any. Call it for every variable whose pmf changes between two
-    /// refreshes: a kept table is only valid under the pmfs it was
-    /// computed with.
-    pub fn forget(&mut self, changed: impl Fn(VarId) -> bool) -> bool {
-        let before = self.state.clauses.len();
-        self.state
-            .clauses
-            .retain(|t| !t.clause.exprs().iter().flat_map(Expr::vars).any(&changed));
-        self.state.clauses.len() < before
-    }
-
-    /// Brings the tables up to `cond` (the object's condition) under
-    /// `dists`: keeps the table of every clause kept since the last
-    /// refresh and not [forgotten](Self::forget), and of every group all
-    /// of whose clauses and classes it keeps, and computes the others. A
-    /// condition outside the shape (module docs) is
-    /// [`SolverError::NotFactored`], and then nothing is kept.
-    pub fn refresh(
+impl Workspace {
+    /// Builds object `o`'s tables from `cond`, its condition, under
+    /// `dists`, in place of whatever the workspace held. A condition
+    /// outside the shape (module docs) is [`SolverError::NotFactored`],
+    /// and then the workspace holds no tables.
+    pub fn build(
         &mut self,
+        o: ObjectId,
         cond: &Condition,
         dists: &VarDists,
-        scratch: &mut TableScratch,
     ) -> Result<TableStats, SolverError> {
+        self.object = o;
         self.falsum = matches!(cond, Condition::False);
-        let built = self.build(cond, dists, scratch);
-        match built {
-            Ok(_) => self.state.take_from(&mut scratch.fresh),
-            Err(_) => self.state.clear(),
+        let built = self.tables.build(o, cond, dists, &mut self.scratch);
+        if built.is_err() {
+            self.tables.clear();
         }
         built
     }
 
-    /// [`refresh`](Self::refresh)'s work: the new state, built in
-    /// `scratch.fresh` from `cond` and the current state.
-    fn build(
-        &mut self,
-        cond: &Condition,
-        dists: &VarDists,
-        scratch: &mut TableScratch,
-    ) -> Result<TableStats, SolverError> {
-        let o = self.object;
-        let s = scratch;
-        let (new, old) = (&mut s.fresh, &mut self.state);
-        new.clear();
-        check_shape(o, cond.clauses(), &mut s.seen)?;
-        let mut stats = TableStats::default();
-        s.prior.clear();
-        let mut kept = old.clauses.drain(..).peekable();
-        for clause in cond.clauses() {
-            while kept.next_if(|t| t.clause < *clause).is_some() {}
-            let (factors, cells) = (new.factors.len(), new.cells.len());
-            let t = match kept.next_if(|t| t.clause == *clause) {
-                Some(t) => {
-                    stats.reused += 1;
-                    s.prior.push(Some(t.group));
-                    new.factors
-                        .extend_from_slice(&old.factors[t.factors.0..t.factors.1]);
-                    new.cells
-                        .extend_from_slice(&old.cells[t.cells.0..t.cells.1]);
-                    t
-                }
-                None => {
-                    stats.computed += 1;
-                    s.prior.push(None);
-                    let (kappa, summed) =
-                        clause_factors(o, clause, dists, &mut new.cells, &mut new.factors)?;
-                    ClauseTable {
-                        clause: clause.clone(),
-                        kappa,
-                        summed,
-                        factors: (0, 0),
-                        cells: (0, 0),
-                        group: 0,
-                    }
-                }
-            };
-            new.clauses.push(ClauseTable {
-                factors: (factors, new.factors.len()),
-                cells: (cells, new.cells.len()),
-                ..t
-            });
-        }
-        drop(kept);
-        // The cells two or more clauses read, and each clause's among them.
-        s.shared.clear();
-        s.shared.extend(new.cells.iter().map(|&(v, _)| v));
-        s.shared.sort_unstable();
-        keep_repeated(&mut s.shared);
-        s.keys.clear();
-        s.keys_at.clear();
-        s.reads.clear();
-        for t in &new.clauses {
-            s.keys_at.push(s.keys.len());
-            let mut at = t.factors.0;
-            for &(v, n) in new.cells(t) {
-                if s.shared.binary_search(&v).is_ok() {
-                    s.keys.push(v);
-                    s.reads.push((v, at));
-                }
-                at += n;
-            }
-        }
-        s.keys_at.push(s.keys.len());
-        // Each shared cell's classes: a value starts a new class when some
-        // clause reading the cell weighs it unlike the value before.
-        s.reads.sort_unstable();
-        let mut i = 0;
-        while i < s.reads.len() {
-            let v = s.reads[i].0;
-            let mut j = i;
-            while j < s.reads.len() && s.reads[j].0 == v {
-                j += 1;
-            }
-            let n = new
-                .cells
-                .iter()
-                .find(|c| c.0 == v)
-                .expect("a clause reads it")
-                .1;
-            let from = new.class_of.len();
-            let mut class = 0;
-            for value in 0..n {
-                let differs = |&(_, at): &(VarId, usize)| {
-                    new.factors[at + value].to_bits() != new.factors[at + value - 1].to_bits()
-                };
-                if value > 0 && s.reads[i..j].iter().any(differs) {
-                    class += 1;
-                }
-                new.class_of.push(class);
-            }
-            new.shared.push((v, from, new.class_of.len()));
-            i = j;
-        }
-        // Group the clauses by their shared cells; keep the product of a
-        // group whose clauses are exactly an old group's, all reused, over
-        // the same classes.
-        s.members.clear();
-        s.members.extend(0..new.clauses.len());
-        {
-            let (keys, at) = (&s.keys, &s.keys_at);
-            let key = |c: usize| &keys[at[c]..at[c + 1]];
-            s.members
-                .sort_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
-        }
-        let mut start = 0;
-        while start < s.members.len() {
-            let first = s.members[start];
-            let key = &s.keys[s.keys_at[first]..s.keys_at[first + 1]];
-            let mut end = start + 1;
-            while end < s.members.len() {
-                let c = s.members[end];
-                if &s.keys[s.keys_at[c]..s.keys_at[c + 1]] != key {
-                    break;
-                }
-                end += 1;
-            }
-            let run = &s.members[start..end];
-            let reusable = |&g: &usize| {
-                let group = &old.groups[g];
-                group.members == run.len()
-                    && old.keys(group) == key
-                    && run.iter().all(|&c| s.prior[c] == Some(g))
-                    && key.iter().all(|&v| old.classes(v) == new.classes(v))
-            };
-            let table = match s.prior[first].filter(reusable) {
-                Some(g) => std::mem::take(&mut old.groups[g].table),
-                None if key.is_empty() => {
-                    // No shared cell: every member is its summed constant.
-                    let mut product = 1.0;
-                    for &c in run {
-                        product *= (1.0 - new.clauses[c].summed).clamp(0.0, 1.0);
-                    }
-                    vec![product]
-                }
-                None => {
-                    let mut table = Vec::new();
-                    for &c in run {
-                        let kappa = new.effective(&new.clauses[c], dists, &mut s.eff)?;
-                        expand(kappa, &s.eff.factors, &s.eff.sizes, &mut s.expanded);
-                        if table.is_empty() {
-                            table.resize(s.expanded.len(), 1.0);
-                        }
-                        for (g, &x) in table.iter_mut().zip(&s.expanded) {
-                            *g *= x;
-                        }
-                    }
-                    table
-                }
-            };
-            for &c in run {
-                new.clauses[c].group = new.groups.len();
-            }
-            let keys = (new.keys.len(), new.keys.len() + key.len());
-            new.keys.extend_from_slice(key);
-            new.groups.push(GroupTable {
-                keys,
-                members: run.len(),
-                table,
-            });
-            start = end;
-        }
-        stats.groups = new.groups.len() as u64;
-        Ok(stats)
-    }
-
-    /// `Pr(φ)` under `dists`, the pmfs of the last refresh, by one pass
-    /// over each component's classes; with the points of the passes. A
-    /// value that is not a probability is
-    /// [`SolverError::InvalidProbability`].
-    pub fn probability(
-        &self,
-        dists: &VarDists,
-        scratch: &mut TableScratch,
-    ) -> Result<(f64, TableStats), SolverError> {
+    /// `Pr(φ)` under `dists`, the pmfs of the last build, by one pass over
+    /// each component's classes; with the points of the passes. A value
+    /// that is not a probability is [`SolverError::InvalidProbability`].
+    pub fn probability(&mut self, dists: &VarDists) -> Result<(f64, TableStats), SolverError> {
         if self.falsum {
             return Ok((0.0, TableStats::default()));
         }
-        self.lay_out(dists, &mut scratch.layout)?;
-        let layout = &scratch.layout;
+        let (st, s) = (&self.tables, &mut self.scratch);
+        st.lay_out(dists, &mut s.layout)?;
+        let layout = &s.layout;
         let (mut total, mut points) = (1.0, 0);
         for k in 0..layout.comp_cells_at.len() - 1 {
             let groups = layout.comp_groups(k);
@@ -544,11 +344,11 @@ impl FactorTables {
             points += walk(
                 layout,
                 layout.comp_cells(k),
-                &mut scratch.walk,
+                &mut s.walk,
                 |theta, index, _| {
                     let mut p = theta;
                     for &g in groups {
-                        p *= self.state.groups[g].table[index[g]];
+                        p *= st.table(g)[index[g]];
                     }
                     sum += p;
                 },
@@ -562,24 +362,24 @@ impl FactorTables {
         Ok((checked_probability(total.clamp(0.0, 1.0))?, stats))
     }
 
-    /// Every `Pr(φ ∧ e)` for the expressions `e` of the condition, under
-    /// `dists`, the pmfs of the last refresh: one outside pass (module
-    /// docs).
+    /// Every `Pr(φ ∧ e)` for the expressions `e` of `cond`, the condition
+    /// of the last build, under `dists`, the pmfs of the last build: one
+    /// outside pass (module docs).
     pub fn joints<'s>(
-        &'s self,
+        &'s mut self,
+        cond: &'s Condition,
         dists: &'s VarDists,
-        scratch: &'s mut TableScratch,
     ) -> Result<Joints<'s>, SolverError> {
-        let st = &self.state;
-        scratch.others.clear();
-        for (c, t) in st.clauses.iter().enumerate() {
-            let vars = t.clause.exprs().iter().flat_map(Expr::vars);
+        let (st, s) = (&self.tables, &mut self.scratch);
+        debug_assert_eq!(cond.clauses().len(), st.clauses.len(), "built from {cond}");
+        s.others.clear();
+        for (c, clause) in cond.clauses().iter().enumerate() {
+            let vars = clause.exprs().iter().flat_map(Expr::vars);
             let others = vars.filter(|v| v.object != self.object);
-            scratch.others.extend(others.map(|v| (v, c)));
+            s.others.extend(others.map(|v| (v, c)));
         }
-        scratch.others.sort_unstable();
-        self.lay_out(dists, &mut scratch.layout)?;
-        let s = scratch;
+        s.others.sort_unstable();
+        st.lay_out(dists, &mut s.layout)?;
         let layout = &s.layout;
         let n_groups = st.groups.len();
         s.outside.clear();
@@ -598,7 +398,7 @@ impl FactorTables {
             points += walk(layout, cells, &mut s.walk, |theta, index, digits| {
                 let mut before = theta;
                 for &g in groups {
-                    values[g] = st.groups[g].table[index[g]];
+                    values[g] = st.table(g)[index[g]];
                     excluded[g] = before;
                     before *= values[g];
                 }
@@ -677,7 +477,7 @@ impl FactorTables {
         s.blocks_at.clear();
         for g in 0..n_groups {
             let m = s.members_at[g + 1] - s.members_at[g];
-            let (len, size) = (st.groups[g].table.len(), block_size(m));
+            let (len, size) = (st.table(g).len(), block_size(m));
             s.blocks_at.push(s.before.len());
             // The blocks' products, each at `before`'s slot of the next.
             let n_blocks = m.div_ceil(size);
@@ -715,22 +515,159 @@ impl FactorTables {
         }
         s.blocks_at.push(s.before.len());
         let stats = TableStats {
-            reused: st.clauses.len() as u64,
             groups: n_groups as u64,
             points,
             ..TableStats::default()
         };
         Ok(Joints {
-            tables: self,
+            object: self.object,
+            cond,
+            tables: st,
             dists,
             scratch: s,
             stats,
         })
     }
+}
 
-    /// Fills `layout` for the current groups under `dists`.
+impl Tables {
+    /// Replaces the tables with those of object `o`'s condition `cond`
+    /// under `dists`, with `s`'s buffers.
+    fn build(
+        &mut self,
+        o: ObjectId,
+        cond: &Condition,
+        dists: &VarDists,
+        s: &mut Scratch,
+    ) -> Result<TableStats, SolverError> {
+        self.clear();
+        check_shape(o, cond.clauses(), &mut s.seen)?;
+        for clause in cond.clauses() {
+            let (factors, cells) = (self.factors.len(), self.cells.len());
+            let (kappa, summed) =
+                clause_factors(o, clause, dists, &mut self.cells, &mut self.factors)?;
+            self.clauses.push(ClauseTable {
+                kappa,
+                summed,
+                factors: (factors, self.factors.len()),
+                cells: (cells, self.cells.len()),
+                group: 0,
+            });
+        }
+        // The cells two or more clauses read, and each clause's among them.
+        s.shared.clear();
+        s.shared.extend(self.cells.iter().map(|&(v, _)| v));
+        s.shared.sort_unstable();
+        keep_repeated(&mut s.shared);
+        s.keys.clear();
+        s.keys_at.clear();
+        s.reads.clear();
+        for t in &self.clauses {
+            s.keys_at.push(s.keys.len());
+            let mut at = t.factors.0;
+            for &(v, n) in self.cells(t) {
+                if s.shared.binary_search(&v).is_ok() {
+                    s.keys.push(v);
+                    s.reads.push((v, at));
+                }
+                at += n;
+            }
+        }
+        s.keys_at.push(s.keys.len());
+        // Each shared cell's classes: a value starts a new class when some
+        // clause reading the cell weighs it unlike the value before.
+        s.reads.sort_unstable();
+        let mut i = 0;
+        while i < s.reads.len() {
+            let v = s.reads[i].0;
+            let mut j = i;
+            while j < s.reads.len() && s.reads[j].0 == v {
+                j += 1;
+            }
+            let n = self
+                .cells
+                .iter()
+                .find(|c| c.0 == v)
+                .expect("a clause reads it")
+                .1;
+            let from = self.class_of.len();
+            let mut class = 0;
+            for value in 0..n {
+                let differs = |&(_, at): &(VarId, usize)| {
+                    self.factors[at + value].to_bits() != self.factors[at + value - 1].to_bits()
+                };
+                if value > 0 && s.reads[i..j].iter().any(differs) {
+                    class += 1;
+                }
+                self.class_of.push(class);
+            }
+            self.shared.push((v, from, self.class_of.len()));
+            i = j;
+        }
+        // Group the clauses by their shared cells, and multiply each
+        // group's tables.
+        s.members.clear();
+        s.members.extend(0..self.clauses.len());
+        {
+            let (keys, at) = (&s.keys, &s.keys_at);
+            let key = |c: usize| &keys[at[c]..at[c + 1]];
+            s.members
+                .sort_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+        }
+        let mut start = 0;
+        while start < s.members.len() {
+            let first = s.members[start];
+            let key = &s.keys[s.keys_at[first]..s.keys_at[first + 1]];
+            let mut end = start + 1;
+            while end < s.members.len() {
+                let c = s.members[end];
+                if &s.keys[s.keys_at[c]..s.keys_at[c + 1]] != key {
+                    break;
+                }
+                end += 1;
+            }
+            let run = &s.members[start..end];
+            let from = self.products.len();
+            if key.is_empty() {
+                // No shared cell: every member is its summed constant.
+                let mut product = 1.0;
+                for &c in run {
+                    product *= (1.0 - self.clauses[c].summed).clamp(0.0, 1.0);
+                }
+                self.products.push(product);
+            } else {
+                for &c in run {
+                    let kappa = self.effective(&self.clauses[c], dists, &mut s.eff)?;
+                    expand(kappa, &s.eff.factors, &s.eff.sizes, &mut s.expanded);
+                    if self.products.len() == from {
+                        self.products.resize(from + s.expanded.len(), 1.0);
+                    }
+                    for (g, &x) in self.products[from..].iter_mut().zip(&s.expanded) {
+                        *g *= x;
+                    }
+                }
+            }
+            for &c in run {
+                self.clauses[c].group = self.groups.len();
+            }
+            let keys = (self.keys.len(), self.keys.len() + key.len());
+            self.keys.extend_from_slice(key);
+            self.groups.push(GroupTable {
+                keys,
+                table: (from, self.products.len()),
+            });
+            start = end;
+        }
+        Ok(TableStats {
+            clause_tables: self.clauses.len() as u64,
+            groups: self.groups.len() as u64,
+            points: 0,
+        })
+    }
+
+    /// Fills `layout` for the groups under `dists`.
     fn lay_out(&self, dists: &VarDists, layout: &mut Layout) -> Result<(), SolverError> {
-        let st = &self.state;
+        let st = self;
         layout.cells.clear();
         layout.cells.extend(st.shared.iter().map(|c| c.0));
         layout.values.clear();
@@ -764,7 +701,7 @@ impl FactorTables {
         for g in &st.groups {
             layout.group_cells_at.push(layout.group_cells.len());
             layout.group_at.push(at);
-            at += g.table.len();
+            at += g.table.1 - g.table.0;
             for v in st.keys(g) {
                 let i = layout.cells.binary_search(v).expect("a shared cell");
                 layout.group_cells.push(i);
@@ -774,8 +711,8 @@ impl FactorTables {
         layout.group_at.push(at);
         debug_assert!(
             (0..st.groups.len())
-                .all(|g| layout.group_sizes(g).product::<usize>() == st.groups[g].table.len()),
-            "a group table outlived a change of its cells' classes"
+                .all(|g| layout.group_sizes(g).product::<usize>() == st.table(g).len()),
+            "a group table's size is not its cells' class product"
         );
         // Each cell's stride in the tables of the groups that read it.
         layout.reads.clear();
@@ -1080,18 +1017,19 @@ fn walk(
 }
 
 /// `Pr(φ ∧ e)` for the expressions of one object's condition, read off
-/// the outside pass of [`FactorTables::joints`].
+/// the outside pass of [`Workspace::joints`].
 #[derive(Debug)]
 pub struct Joints<'s> {
-    tables: &'s FactorTables,
+    object: ObjectId,
+    cond: &'s Condition,
+    tables: &'s Tables,
     dists: &'s VarDists,
-    scratch: &'s mut TableScratch,
+    scratch: &'s mut Scratch,
     stats: TableStats,
 }
 
 impl Joints<'_> {
-    /// The pass's effort: every clause table read, the groups and the
-    /// points.
+    /// The pass's effort: the groups and the points.
     pub fn stats(&self) -> TableStats {
         self.stats
     }
@@ -1099,7 +1037,7 @@ impl Joints<'_> {
     /// `Pr(φ ∧ e)` for an expression `e` of the condition. An `e` that is
     /// not one is [`SolverError::NotFactored`].
     pub fn joint(&mut self, e: &Expr) -> Result<f64, SolverError> {
-        let o = self.tables.object;
+        let o = self.object;
         let s = &mut *self.scratch;
         let layout = &s.layout;
         // The shared cell `e` reads, if any.
@@ -1126,13 +1064,13 @@ impl Joints<'_> {
         } else {
             &s.privates
         };
-        let st = &self.tables.state;
+        let st = self.tables;
         let c = match list.binary_search_by(|&(u, _)| u.cmp(&key)) {
-            Ok(at) if st.clauses[list[at].1].clause.exprs().contains(e) => list[at].1,
+            Ok(at) if self.cond.clauses()[list[at].1].exprs().contains(e) => list[at].1,
             _ => return Err(SolverError::NotFactored(key)),
         };
         let g = st.clauses[c].group;
-        let len = st.groups[g].table.len();
+        let len = st.table(g).len();
         let members = &s.members[s.members_at[g]..s.members_at[g + 1]];
         let size = block_size(members.len());
         let (k, block) = (s.position[c], s.position[c] / size);
@@ -1193,13 +1131,12 @@ impl Joints<'_> {
     }
 }
 
-/// `Pr(φ(o))` by fresh factor tables: a convenience for one-off checks.
+/// `Pr(φ(o))` by a fresh workspace: a convenience for one-off checks.
 /// `True` and `False` need no tables.
 pub fn probability(o: ObjectId, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
-    let mut scratch = TableScratch::default();
-    let mut tables = FactorTables::new(o);
-    tables.refresh(cond, dists, &mut scratch)?;
-    Ok(tables.probability(dists, &mut scratch)?.0)
+    let mut workspace = Workspace::default();
+    workspace.build(o, cond, dists)?;
+    Ok(workspace.probability(dists)?.0)
 }
 
 #[cfg(test)]
@@ -1239,8 +1176,15 @@ mod tests {
     fn probability_matches_adpll() {
         let (cond, dists) = shaped();
         let want = AdpllSolver::new().probability(&cond, &dists).unwrap();
-        let got = probability(ObjectId(0), &cond, &dists).unwrap();
+        let mut workspace = Workspace::default();
+        let built = workspace.build(ObjectId(0), &cond, &dists).unwrap();
+        // Groups {}, {x}, {x, y} and {y}.
+        assert_eq!((built.clause_tables, built.groups), (4, 4));
+        let (got, pass) = workspace.probability(&dists).unwrap();
         assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
+        // One component over x and y, at most 5 × 5 points (fewer where
+        // values fall into one class), and the constant group's one.
+        assert!(pass.points <= 5 * 5 + 1, "{pass:?}");
         assert_eq!(probability(ObjectId(0), &Condition::True, &dists), Ok(1.0));
         assert_eq!(probability(ObjectId(0), &Condition::False, &dists), Ok(0.0));
     }
@@ -1249,10 +1193,9 @@ mod tests {
     fn every_joint_matches_a_solve_of_the_conjunction() {
         let (cond, dists) = shaped();
         let solver = AdpllSolver::new();
-        let mut scratch = TableScratch::default();
-        let mut tables = FactorTables::new(ObjectId(0));
-        tables.refresh(&cond, &dists, &mut scratch).unwrap();
-        let mut joints = tables.joints(&dists, &mut scratch).unwrap();
+        let mut workspace = Workspace::default();
+        workspace.build(ObjectId(0), &cond, &dists).unwrap();
+        let mut joints = workspace.joints(&cond, &dists).unwrap();
         for e in cond.exprs() {
             let want = solver.probability(&cond.and_expr(*e), &dists).unwrap();
             let got = joints.joint(e).unwrap();
@@ -1263,34 +1206,6 @@ mod tests {
             joints.joint(&stranger),
             Err(SolverError::NotFactored(v(9, 0)))
         );
-    }
-
-    #[test]
-    fn refresh_reuses_unchanged_clauses_and_recomputes_forgotten_ones() {
-        let (cond, mut dists) = shaped();
-        let mut scratch = TableScratch::default();
-        let mut tables = FactorTables::new(ObjectId(0));
-        let first = tables.refresh(&cond, &dists, &mut scratch).unwrap();
-        assert_eq!((first.reused, first.computed), (0, 4));
-        let again = tables.refresh(&cond, &dists, &mut scratch).unwrap();
-        assert_eq!((again.reused, again.computed), (4, 0));
-        // Narrow q: only the clause reading it is recomputed, and the
-        // result is the fresh tables' bit for bit.
-        let q = v(2, 0);
-        let narrowed = dists.pmf(q).unwrap().conditioned(0b111000).unwrap();
-        dists.insert(q, narrowed);
-        tables.forget(|w| w == q);
-        let stats = tables.refresh(&cond, &dists, &mut scratch).unwrap();
-        assert_eq!((stats.reused, stats.computed), (3, 1));
-        // Groups {}, {x}, {x, y} and {y}: the last two and the constant
-        // one are kept, {x} (q's clause) is recomputed.
-        assert_eq!(stats.groups, 4);
-        let (p, pass) = tables.probability(&dists, &mut scratch).unwrap();
-        let fresh = probability(ObjectId(0), &cond, &dists).unwrap();
-        assert_eq!(p.to_bits(), fresh.to_bits());
-        // One component over x and y, at most 5 × 5 points (fewer where
-        // values fall into one class), and the constant group's one.
-        assert!(pass.points <= 5 * 5 + 1, "{pass:?}");
     }
 
     #[test]
@@ -1311,14 +1226,13 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let mut scratch = TableScratch::default();
-        let mut tables = FactorTables::new(ObjectId(0));
-        tables.refresh(&cond, &dists, &mut scratch).unwrap();
-        let (got, pass) = tables.probability(&dists, &mut scratch).unwrap();
+        let mut workspace = Workspace::default();
+        workspace.build(ObjectId(0), &cond, &dists).unwrap();
+        let (got, pass) = workspace.probability(&dists).unwrap();
         assert_eq!(pass.points, 3);
         let want = AdpllSolver::new().probability(&cond, &dists).unwrap();
         assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
-        let mut joints = tables.joints(&dists, &mut scratch).unwrap();
+        let mut joints = workspace.joints(&cond, &dists).unwrap();
         let solver = AdpllSolver::new();
         for e in cond.exprs() {
             let want = solver.probability(&cond.and_expr(*e), &dists).unwrap();

@@ -21,7 +21,7 @@
 //!   network) with expression-probability helpers, and
 //! * [`utility`] — the marginal-utility function `G(o, e)` (Definition 6).
 //!
-//! ADPLL and [`factored::FactorTables::probability`] check the value they
+//! ADPLL and [`factored::Workspace::probability`] check the value they
 //! return with [`checked_probability`]: a value that is not a probability
 //! is [`SolverError::InvalidProbability`] where it is produced, so no
 //! caller re-checks one.

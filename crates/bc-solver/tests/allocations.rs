@@ -2,15 +2,16 @@
 //!
 //! A solver keeps its clause arena and caches between calls, so a search
 //! allocates only what it must: a component-cache key per cache miss. A
-//! factor-table pass, for `Pr(φ)` or for the outside messages scoring
-//! reads, and scoring every candidate off it, allocate nothing once the
-//! pass buffers have grown. This binary counts the heap allocations of the
+//! factor-table workspace builds an object's tables, sums `Pr(φ)`, runs
+//! the outside pass and scores every candidate off it in buffers it
+//! keeps, so once they have grown a sweep over every open condition
+//! allocates nothing. This binary counts the heap allocations of the
 //! calling thread (its own `#[global_allocator]`) over every open
 //! condition of seeded NBA-400 and Synthetic-800 tables.
 
 use bc_ctable::{build_ctable, CTableConfig, Condition, DominatorStrategy};
 use bc_data::{Dataset, ObjectId};
-use bc_solver::factored::{FactorTables, TableScratch};
+use bc_solver::factored::Workspace;
 use bc_solver::{AdpllSolver, Solver, VarDists};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -117,24 +118,25 @@ fn searches_stay_within_their_allocation_budget() {
 }
 
 #[test]
-fn table_passes_and_scoring_allocate_nothing_once_the_buffers_have_grown() {
+fn builds_sums_and_scoring_allocate_nothing_once_the_buffers_have_grown() {
     for (name, data) in tables() {
         let (conds, dists) = open_conditions(&data);
-        let mut scratch = TableScratch::default();
-        let mut jobs = Vec::new();
-        for (o, cond) in &conds {
-            let mut tables = FactorTables::new(*o);
-            tables.refresh(cond, &dists, &mut scratch).unwrap();
-            let mut exprs: Vec<_> = cond.exprs().copied().collect();
-            exprs.sort();
-            exprs.dedup();
-            jobs.push((tables, exprs));
-        }
-        let pass = |scratch: &mut TableScratch| {
+        let jobs: Vec<_> = conds
+            .iter()
+            .map(|(o, cond)| {
+                let mut exprs: Vec<_> = cond.exprs().copied().collect();
+                exprs.sort();
+                exprs.dedup();
+                (*o, cond, exprs)
+            })
+            .collect();
+        let mut workspace = Workspace::default();
+        let sweep = |workspace: &mut Workspace| {
             let mut scored = 0;
-            for (tables, exprs) in &jobs {
-                let (p, _) = tables.probability(&dists, scratch).unwrap();
-                let mut joints = tables.joints(&dists, scratch).unwrap();
+            for (o, cond, exprs) in &jobs {
+                workspace.build(*o, cond, &dists).unwrap();
+                let (p, _) = workspace.probability(&dists).unwrap();
+                let mut joints = workspace.joints(cond, &dists).unwrap();
                 for e in exprs {
                     joints.utility(e, p).unwrap();
                     scored += 1;
@@ -142,13 +144,16 @@ fn table_passes_and_scoring_allocate_nothing_once_the_buffers_have_grown() {
             }
             scored
         };
-        // The first round grows the buffers to the largest condition.
-        let scored = pass(&mut scratch);
+        // The first sweep grows the buffers to the largest condition.
+        let scored = sweep(&mut workspace);
         let before = allocations();
-        assert_eq!(pass(&mut scratch), scored);
+        assert_eq!(sweep(&mut workspace), scored);
         let n = allocations() - before;
-        println!("{name}: {scored} candidates scored, {n} allocations once grown");
+        println!(
+            "{name}: {} conditions built, {scored} candidates scored, {n} allocations once grown",
+            jobs.len()
+        );
         assert!(scored > 100, "{name}: only {scored} candidates scored");
-        assert_eq!(n, 0, "{name}: passes and scoring allocated");
+        assert_eq!(n, 0, "{name}: builds, sums and scoring allocated");
     }
 }

@@ -1,23 +1,26 @@
 //! Property tests: factor tables agree with ADPLL on conditions of the
 //! c-table's shape.
 //!
-//! Random conditions for object 0, one clause per dominator `p`, each
-//! expression on one attribute: on the object's own cell, on `p`'s cell,
-//! or a var-var one between the two (what Get-CTable builds and
-//! propagation leaves). Pmfs have zero entries; one family has NBA's
-//! cardinality 100 with three to five own cells. For each:
+//! Random conditions for an object `o`, one clause per dominator `p`,
+//! each expression on one attribute: on `o`'s own cell, on `p`'s cell, or
+//! a var-var one between the two (what Get-CTable builds and propagation
+//! leaves). Pmfs have zero entries; one family has NBA's cardinality 100
+//! with three to five own cells. For each:
 //!
 //! * `Pr(φ)` off the tables is within `1e-12` of ADPLL's;
 //! * every `Pr(φ ∧ e)` off the outside pass is within `1e-12` of ADPLL's
 //!   solve of `φ ∧ e`, and every `G(o, e)` within `1e-12` of
-//!   [`marginal_utility_with_prior`]'s;
-//! * after a random mask narrowing, forgetting the narrowed variable's
-//!   tables and refreshing gives fresh tables' `Pr(φ)` bit for bit.
+//!   [`marginal_utility_with_prior`]'s.
+//!
+//! And for a sequence of such conditions, for different objects and both
+//! before and after a random mask narrowing, built one after the other in
+//! one workspace: each `Pr(φ)` and every `Pr(φ ∧ e)` equals a fresh
+//! workspace's bit for bit.
 
 use bc_bayes::Pmf;
 use bc_ctable::{CmpOp, Condition, Expr, Operand};
 use bc_data::{ObjectId, VarId};
-use bc_solver::factored::{FactorTables, TableScratch};
+use bc_solver::factored::Workspace;
 use bc_solver::utility::marginal_utility_with_prior;
 use bc_solver::{AdpllSolver, Solver, VarDists};
 use proptest::prelude::*;
@@ -60,21 +63,37 @@ const NBA: Family = Family {
     support: 4,
 };
 
-/// One expression per drawn attribute of each dominator's clause, and a
-/// pmf per cell with at most `support` values of mass.
-fn arb_case(f: Family) -> impl Strategy<Value = (Condition, VarDists)> {
+/// An object, its condition and the pmfs.
+type Case = (ObjectId, Condition, VarDists);
+
+/// Small cases, and one in three like NBA's.
+fn mixed_case() -> impl Strategy<Value = Case> {
+    prop_oneof![arb_case(SMALL), arb_case(SMALL), arb_case(NBA)]
+}
+
+/// A condition of object `o`: one expression per drawn attribute of each
+/// dominator's clause, and a pmf per cell with at most `support` values of
+/// mass. Objects are numbered from 0 with `o` swapped in for 0, so `o`'s
+/// cells sort before, between or after its dominators'.
+fn arb_case(f: Family) -> impl Strategy<Value = Case> {
     let clause = prop::collection::vec(
         (0..f.attrs, 0usize..6, 0..f.card + 1, 0u8..5),
         1..f.attrs as usize + 1,
     );
     let n_cells = f.dominators.end * f.attrs as usize;
+    let object = 0..f.dominators.end as u32 + 2;
     let clauses = prop::collection::vec(clause, f.dominators);
     let pmfs = prop::collection::vec(
         prop::collection::vec((0..f.card, 0.05f64..1.0), 1..f.support as usize + 1),
         n_cells,
     );
-    (f.own, clauses, pmfs).prop_map(move |(own, clauses, pmfs)| {
-        let var = |o: u32, a: u16| VarId::new(o, a);
+    (f.own, clauses, pmfs, object).prop_map(move |(own, clauses, pmfs, k)| {
+        let swap = |o: u32| match o {
+            0 => k,
+            o if o == k => 0,
+            o => o,
+        };
+        let var = |o: u32, a: u16| VarId::new(swap(o), a);
         let raw: Vec<Vec<Expr>> = clauses
             .iter()
             .enumerate()
@@ -110,7 +129,7 @@ fn arb_case(f: Family) -> impl Strategy<Value = (Condition, VarDists)> {
                 (var(o, a), Pmf::from_weights(w))
             })
             .collect();
-        (Condition::from_clauses(raw), dists)
+        (ObjectId(k), Condition::from_clauses(raw), dists)
     })
 }
 
@@ -118,18 +137,15 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-12
 }
 
-/// The agreement checks of the module docs for one case; `narrow` picks
-/// the variable to narrow and the values it keeps.
-fn agrees(cond: &Condition, dists: &VarDists, narrow: (usize, u64)) -> Result<(), TestCaseError> {
-    let o = ObjectId(0);
+/// The agreement checks with ADPLL of the module docs for one case.
+fn agrees(o: ObjectId, cond: &Condition, dists: &VarDists) -> Result<(), TestCaseError> {
     let adpll = AdpllSolver::new();
-    let mut scratch = TableScratch::default();
-    let mut tables = FactorTables::new(o);
-    tables.refresh(cond, dists, &mut scratch).unwrap();
-    let (p, _) = tables.probability(dists, &mut scratch).unwrap();
+    let mut workspace = Workspace::default();
+    workspace.build(o, cond, dists).unwrap();
+    let (p, _) = workspace.probability(dists).unwrap();
     let want = adpll.probability(cond, dists).unwrap();
     prop_assert!(close(p, want), "Pr(φ) {p} vs ADPLL {want} in {cond}");
-    let mut joints = tables.joints(dists, &mut scratch).unwrap();
+    let mut joints = workspace.joints(cond, dists).unwrap();
     for e in cond.exprs() {
         let got = joints.joint(e).unwrap();
         let solved = adpll.probability(&cond.and_expr(*e), dists).unwrap();
@@ -140,11 +156,17 @@ fn agrees(cond: &Condition, dists: &VarDists, narrow: (usize, u64)) -> Result<()
             .utility;
         prop_assert!(close(g, reference), "{e}: G {g} vs {reference} in {cond}");
     }
-    // Narrow one variable of the condition; keep the values of `mask`
-    // that have mass, or the pmf as it is when none does.
+    Ok(())
+}
+
+/// `dists` with one variable of `cond` narrowed: `narrow` picks the
+/// variable and the values it keeps of those with mass, or the pmf stays
+/// as it is when it keeps none.
+fn narrowed(cond: &Condition, dists: &VarDists, narrow: (usize, u64)) -> VarDists {
+    let mut after = dists.clone();
     let vars: Vec<VarId> = cond.vars().into_iter().collect();
     if vars.is_empty() {
-        return Ok(());
+        return after;
     }
     let v = vars[narrow.0 % vars.len()];
     let pmf = dists.pmf(v).unwrap();
@@ -156,28 +178,28 @@ fn agrees(cond: &Condition, dists: &VarDists, narrow: (usize, u64)) -> Result<()
         .fold(0u64, |m, (_, &value)| {
             m | 1u64.checked_shl(value.into()).unwrap_or(0)
         });
-    let Some(narrowed) = pmf.conditioned(keep) else {
-        return Ok(());
-    };
-    let mut after = dists.clone();
-    after.insert(v, narrowed);
-    tables.forget(|w| w == v);
-    tables.refresh(cond, &after, &mut scratch).unwrap();
-    let (kept, _) = tables.probability(&after, &mut scratch).unwrap();
-    let fresh = bc_solver::factored::probability(o, cond, &after).unwrap();
-    prop_assert_eq!(kept.to_bits(), fresh.to_bits(), "after narrowing {}", v);
-    Ok(())
+    if let Some(narrowed) = pmf.conditioned(keep) {
+        after.insert(v, narrowed);
+    }
+    after
+}
+
+/// `Pr(φ)` and every `Pr(φ ∧ e)` of `cond` off `workspace`, as bits.
+fn bits(workspace: &mut Workspace, o: ObjectId, cond: &Condition, dists: &VarDists) -> Vec<u64> {
+    workspace.build(o, cond, dists).unwrap();
+    let (p, _) = workspace.probability(dists).unwrap();
+    let mut joints = workspace.joints(cond, dists).unwrap();
+    let mut out = vec![p.to_bits()];
+    out.extend(cond.exprs().map(|e| joints.joint(e).unwrap().to_bits()));
+    out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn small_tables_agree_with_adpll(
-        (cond, dists) in arb_case(SMALL),
-        narrow in (0usize..64, any::<u64>()),
-    ) {
-        agrees(&cond, &dists, narrow)?;
+    fn small_tables_agree_with_adpll((o, cond, dists) in arb_case(SMALL)) {
+        agrees(o, &cond, &dists)?;
     }
 }
 
@@ -185,10 +207,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn nba_like_tables_agree_with_adpll(
-        (cond, dists) in arb_case(NBA),
-        narrow in (0usize..64, any::<u64>()),
+    fn nba_like_tables_agree_with_adpll((o, cond, dists) in arb_case(NBA)) {
+        agrees(o, &cond, &dists)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_reused_workspace_gives_a_fresh_ones_bits(
+        cases in prop::collection::vec(
+            (mixed_case(), (0usize..64, any::<u64>())),
+            1..8,
+        ),
     ) {
-        agrees(&cond, &dists, narrow)?;
+        let mut reused = Workspace::default();
+        for ((o, cond, dists), narrow) in &cases {
+            for dists in [dists.clone(), narrowed(cond, dists, *narrow)] {
+                let fresh = bits(&mut Workspace::default(), *o, cond, &dists);
+                let got = bits(&mut reused, *o, cond, &dists);
+                prop_assert_eq!(got, fresh, "{} in {}", o, cond);
+            }
+        }
     }
 }

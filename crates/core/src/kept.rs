@@ -1,282 +1,159 @@
 //! The session's per-object cache: each open object's probability, valid
-//! until a crowd answer touches it, and its factor tables
-//! ([`bc_solver::factored`]) for the whole session.
+//! until a crowd answer touches its condition, and the workspace
+//! ([`bc_solver::factored::Workspace`]) probabilities and scores are
+//! computed in.
 //!
-//! The first time a round needs `Pr(φ(o))`, every clause of `φ(o)` gets a
-//! table over the object's own cells, and one pass over their joint
-//! support sums the probability. After a round's answers, the tables of
-//! the clauses that read an answered variable are forgotten: those
-//! variables' pmfs change, and propagation rewrites only clauses that
-//! mention them. The next batch keeps every other table whose clause is
-//! unchanged and computes the rest. A table is a pure function of its
-//! clause and the current pmfs, so kept tables equal fresh ones bit for
-//! bit, and a session resumed from a checkpoint, which stores no tables,
-//! rebuilds the same ones from its c-table and pmfs.
+//! The first time a round needs `Pr(φ(o))`, the workspace builds a table
+//! for every clause of `φ(o)` over the object's own cells, and one pass
+//! over their joint support sums the probability; only the probability is
+//! kept. After a round's answers, every decided object and every object
+//! whose condition mentions an answered variable is forgotten: those
+//! variables' pmfs change, and propagation rewrites only conditions that
+//! mention them. Every other probability stays valid, and a session
+//! resumed from a checkpoint restores them with their bits.
 //!
-//! Task selection scores an object off its tables
-//! ([`ProbCache::scoring`]), building them first when the object has none
-//! (restored from a checkpoint).
+//! Task selection scores an object in the same workspace
+//! ([`ProbCache::workspace`]), rebuilding its tables there: a table is a
+//! pure function of its clause and the current pmfs, so they equal the
+//! ones its probability was summed off.
 //!
 //! Every probability cached here is checked where the tables sum it
 //! ([`bc_solver::checked_probability`]); one that is not a probability is
 //! [`SolverError::InvalidProbability`] and aborts the run. A condition
 //! outside the tables' shape is [`SolverError::NotFactored`] and aborts
 //! the run too.
+//!
+//! [`SolverError::InvalidProbability`]: bc_solver::SolverError::InvalidProbability
+//! [`SolverError::NotFactored`]: bc_solver::SolverError::NotFactored
 
 use crate::error::RunError;
-use bc_ctable::{CTable, Condition, Expr};
+use bc_ctable::CTable;
 use bc_data::{ObjectId, VarId};
-use bc_solver::factored::{FactorTables, TableScratch, TableStats};
-use bc_solver::{SolverError, VarDists};
+use bc_solver::factored::{TableStats, Workspace};
+use bc_solver::VarDists;
 use std::collections::BTreeMap;
 
-/// What the session remembers about one object between rounds.
-struct Entry {
-    /// `Pr(φ(o))` under the current pmfs, while no answer has touched it.
-    p: Option<f64>,
-    /// `None` until first built, and after a restore.
-    tables: Option<FactorTables>,
-}
-
-/// The effort behind one probability batch.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct BatchWork {
-    /// Objects whose tables were built or updated: at least one clause
-    /// table computed.
-    pub solver_calls: u64,
-    /// Clause tables reused and computed, factor groups and joint-support
-    /// points of the batch's passes.
-    pub stats: TableStats,
-}
-
-impl std::ops::AddAssign for BatchWork {
-    fn add_assign(&mut self, rhs: BatchWork) {
-        self.solver_calls += rhs.solver_calls;
-        self.stats += rhs.stats;
-    }
-}
-
-/// An object of a batch, its current condition and its tables.
-type Job<'t> = (ObjectId, &'t Condition, Option<FactorTables>);
-
-/// What a batch computed for one object.
-type Solved = (ObjectId, f64, FactorTables);
-
-/// Each open object's probability and factor tables.
+/// Each open object's probability, and the workspace of sequential
+/// batches and of scoring.
 #[derive(Default)]
 pub(crate) struct ProbCache {
-    entries: BTreeMap<ObjectId, Entry>,
-    /// The buffers of sequential batches and of scoring.
-    scratch: TableScratch,
+    probs: BTreeMap<ObjectId, f64>,
+    workspace: Workspace,
 }
 
 impl ProbCache {
-    /// A cache restored from a checkpoint's cached probabilities; tables
-    /// are rebuilt when first needed.
+    /// A cache restored from a checkpoint's cached probabilities.
     pub(crate) fn restore(probs: BTreeMap<ObjectId, f64>) -> ProbCache {
-        let entries = probs
-            .into_iter()
-            .map(|(o, p)| {
-                let entry = Entry {
-                    p: Some(p),
-                    tables: None,
-                };
-                (o, entry)
-            })
-            .collect();
         ProbCache {
-            entries,
-            scratch: TableScratch::default(),
+            probs,
+            workspace: Workspace::default(),
         }
     }
 
     /// The cached probability of `o`.
     pub(crate) fn get(&self, o: ObjectId) -> Option<f64> {
-        self.entries.get(&o).and_then(|e| e.p)
+        self.probs.get(&o).copied()
     }
 
     /// The objects of `open` with no cached probability.
     pub(crate) fn stale(&self, open: &[ObjectId]) -> Vec<ObjectId> {
         open.iter()
             .copied()
-            .filter(|&o| self.get(o).is_none())
+            .filter(|o| !self.probs.contains_key(o))
             .collect()
     }
 
     /// Every cached probability, by object.
     pub(crate) fn probabilities(&self) -> impl Iterator<Item = (ObjectId, f64)> + '_ {
-        self.entries
-            .iter()
-            .filter_map(|(&o, e)| e.p.map(|p| (o, p)))
+        self.probs.iter().map(|(&o, &p)| (o, p))
+    }
+
+    /// The workspace scoring builds tables in.
+    pub(crate) fn workspace(&mut self) -> &mut Workspace {
+        &mut self.workspace
     }
 
     /// The per-round invalidation, run after a round's answers arrive and
-    /// before they are propagated. It forgets every decided object, the
-    /// probability of every object whose condition mentions a `touched`
-    /// variable (sorted), and the table of every clause that reads one.
-    /// An object with a probability has tables of exactly its condition's
-    /// clauses, or none (restored from a checkpoint).
+    /// before they are propagated: forgets every decided object and every
+    /// object whose condition mentions a `touched` variable (sorted).
     pub(crate) fn invalidate(&mut self, ctable: &CTable, touched: &[VarId]) {
-        let touched = VarSet::new(touched);
-        self.entries.retain(|&o, entry| {
+        self.probs.retain(|&o, _| {
             let cond = ctable.condition(o);
-            if cond.is_decided() {
-                return false;
-            }
-            let mentioned = match &mut entry.tables {
-                Some(tables) => tables.forget(|v| touched.contains(v)),
-                None => cond
-                    .exprs()
-                    .flat_map(Expr::vars)
-                    .any(|v| touched.contains(v)),
-            };
-            if mentioned {
-                entry.p = None;
-            }
-            true
+            !cond.is_decided() && !cond.mentions_any(touched)
         });
     }
 
     /// Caches `Pr(φ(o))` for every object of `objects` under `dists`,
-    /// refreshing its tables first. With `parallel`, batches above 64
-    /// objects split over threads, each with its own buffers, with the
-    /// same bits as the sequential path.
+    /// building its tables first; returns the builds' and passes' effort.
+    /// With `parallel`, batches above 64 objects split over threads, each
+    /// with its own workspace, with the same bits as the sequential path.
     pub(crate) fn solve_batch(
         &mut self,
         parallel: bool,
         ctable: &CTable,
         objects: &[ObjectId],
         dists: &VarDists,
-    ) -> Result<BatchWork, RunError> {
-        let mut jobs: Vec<Job> = objects
-            .iter()
-            .map(|&o| {
-                let tables = self.entries.get_mut(&o).and_then(|e| e.tables.take());
-                (o, ctable.condition(o), tables)
-            })
-            .collect();
-        let (solved, work) = if parallel && objects.len() > 64 {
+    ) -> Result<TableStats, RunError> {
+        let mut stats = TableStats::default();
+        if parallel && objects.len() > 64 {
             let n_threads = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
                 .min(objects.len());
             let chunk = objects.len().div_ceil(n_threads);
-            let mut chunks = Vec::with_capacity(n_threads);
-            while !jobs.is_empty() {
-                let rest = jobs.split_off(chunk.min(jobs.len()));
-                chunks.push(std::mem::replace(&mut jobs, rest));
-            }
-            let mut solved = Vec::with_capacity(objects.len());
-            let mut work = BatchWork::default();
             let mut first_err: Option<RunError> = None;
             std::thread::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
+                let handles: Vec<_> = objects
+                    .chunks(chunk)
                     .map(|chunk| {
-                        s.spawn(move || solve_chunk(&mut TableScratch::default(), chunk, dists))
+                        s.spawn(move || {
+                            let mut workspace = Workspace::default();
+                            let mut solved = Vec::with_capacity(chunk.len());
+                            let stats =
+                                solve_chunk(&mut workspace, ctable, chunk, dists, &mut solved)?;
+                            Ok::<_, RunError>((solved, stats))
+                        })
                     })
                     .collect();
                 for h in handles {
                     match join_worker(h).and_then(|r| r) {
-                        Ok((chunk_solved, chunk_work)) => {
-                            solved.extend(chunk_solved);
-                            work += chunk_work;
+                        Ok((solved, chunk_stats)) => {
+                            self.probs.extend(solved);
+                            stats += chunk_stats;
                         }
                         Err(e) => first_err = first_err.take().or(Some(e)),
                     }
                 }
             });
-            match first_err {
-                Some(e) => return Err(e),
-                None => (solved, work),
+            if let Some(e) = first_err {
+                return Err(e);
             }
         } else {
-            solve_chunk(&mut self.scratch, jobs, dists)?
-        };
-        for (o, p, tables) in solved {
-            let entry = Entry {
-                p: Some(p),
-                tables: Some(tables),
-            };
-            self.entries.insert(o, entry);
+            let mut solved = Vec::with_capacity(objects.len());
+            stats = solve_chunk(&mut self.workspace, ctable, objects, dists, &mut solved)?;
+            self.probs.extend(solved);
         }
-        Ok(work)
-    }
-
-    /// Object `o`'s tables, to score it off, whose condition is `cond`,
-    /// under `dists`, and the buffers to score in. An object without
-    /// tables (restored from a checkpoint) builds them here and keeps
-    /// them; the refresh's effort comes back with them. Every other
-    /// object's tables were refreshed when its probability was cached,
-    /// and no pmf they read has changed since (an answer touching one
-    /// would have invalidated the probability).
-    pub(crate) fn scoring(
-        &mut self,
-        o: ObjectId,
-        cond: &Condition,
-        dists: &VarDists,
-    ) -> Result<(&FactorTables, &mut TableScratch, Option<TableStats>), SolverError> {
-        let entry = self.entries.entry(o).or_insert(Entry {
-            p: None,
-            tables: None,
-        });
-        let mut built = None;
-        if entry.tables.is_none() {
-            let mut tables = FactorTables::new(o);
-            built = Some(tables.refresh(cond, dists, &mut self.scratch)?);
-            entry.tables = Some(tables);
-        }
-        let tables = entry.tables.as_ref().expect("built above");
-        Ok((tables, &mut self.scratch, built))
+        Ok(stats)
     }
 }
 
-/// A sorted list of variables with a per-object pre-check, so that a pass
-/// over every cached object tests membership with one bit lookup for most
-/// variables.
-struct VarSet<'v> {
-    sorted: &'v [VarId],
-    /// `objects[i]`: a variable of `sorted` belongs to object `i`.
-    objects: Vec<bool>,
-}
-
-impl<'v> VarSet<'v> {
-    fn new(sorted: &'v [VarId]) -> VarSet<'v> {
-        let mut objects = Vec::new();
-        for v in sorted {
-            let i = v.object.index();
-            if i >= objects.len() {
-                objects.resize(i + 1, false);
-            }
-            objects[i] = true;
-        }
-        VarSet { sorted, objects }
-    }
-
-    fn contains(&self, v: VarId) -> bool {
-        self.objects.get(v.object.index()).copied().unwrap_or(false)
-            && self.sorted.binary_search(&v).is_ok()
-    }
-}
-
-/// One worker's share of a batch, in order.
+/// One worker's share of a batch, in order: each object's probability
+/// goes to `solved`.
 fn solve_chunk(
-    scratch: &mut TableScratch,
-    jobs: Vec<Job>,
+    workspace: &mut Workspace,
+    ctable: &CTable,
+    objects: &[ObjectId],
     dists: &VarDists,
-) -> Result<(Vec<Solved>, BatchWork), RunError> {
-    let mut work = BatchWork::default();
-    let mut out = Vec::with_capacity(jobs.len());
-    for (o, cond, tables) in jobs {
-        let mut tables = tables.unwrap_or_else(|| FactorTables::new(o));
-        let refreshed = tables.refresh(cond, dists, scratch)?;
-        let (p, pass) = tables.probability(dists, scratch)?;
-        work.solver_calls += u64::from(refreshed.computed > 0);
-        work.stats += refreshed;
-        work.stats += pass;
-        out.push((o, p, tables));
+    solved: &mut Vec<(ObjectId, f64)>,
+) -> Result<TableStats, RunError> {
+    let mut stats = TableStats::default();
+    for &o in objects {
+        stats += workspace.build(o, ctable.condition(o), dists)?;
+        let (p, pass) = workspace.probability(dists)?;
+        stats += pass;
+        solved.push((o, p));
     }
-    Ok((out, work))
+    Ok(stats)
 }
 
 /// Joins a worker thread; a panic becomes [`RunError::WorkerPanicked`]
@@ -296,7 +173,8 @@ pub(crate) fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> Re
 mod tests {
     use super::*;
     use bc_bayes::Pmf;
-    use bc_solver::{AdpllSolver, Solver};
+    use bc_ctable::{Condition, Expr};
+    use bc_solver::{AdpllSolver, Solver, SolverError};
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
@@ -324,8 +202,8 @@ mod tests {
             .collect()
     }
 
-    /// Every open object solved under `dists`.
-    fn solve_all(cache: &mut ProbCache, ctable: &CTable, dists: &VarDists) -> BatchWork {
+    /// Every open object without a probability solved under `dists`.
+    fn solve_all(cache: &mut ProbCache, ctable: &CTable, dists: &VarDists) -> TableStats {
         let objects = cache.stale(&ctable.open_objects());
         cache
             .solve_batch(false, ctable, &objects, dists)
@@ -333,23 +211,22 @@ mod tests {
     }
 
     #[test]
-    fn an_answer_recomputes_only_the_clauses_that_read_it() {
+    fn an_answer_forgets_only_the_objects_that_read_it() {
         let ctable = table();
         let mut cache = ProbCache::default();
         let mut dists = dists();
-        let work = solve_all(&mut cache, &ctable, &dists);
-        assert_eq!(work.solver_calls, 2);
-        assert_eq!((work.stats.reused, work.stats.computed), (0, 4));
-        // An answer narrows q: only φ(o0)'s second clause reads it.
+        let stats = solve_all(&mut cache, &ctable, &dists);
+        assert_eq!(stats.clause_tables, 4);
+        // An answer narrows q: only φ(o0) reads it, and its three clause
+        // tables are built again.
         let q = v(3, 0);
         cache.invalidate(&ctable, &[q]);
         assert_eq!(cache.get(ObjectId(0)), None);
-        assert!(cache.get(ObjectId(1)).is_some());
+        let kept = cache.get(ObjectId(1)).expect("o1 does not read q");
         let narrowed = dists.pmf(q).unwrap().conditioned(0b11010).unwrap();
         dists.insert(q, narrowed);
-        let work = solve_all(&mut cache, &ctable, &dists);
-        assert_eq!(work.solver_calls, 1);
-        assert_eq!((work.stats.reused, work.stats.computed), (2, 1));
+        assert_eq!(solve_all(&mut cache, &ctable, &dists).clause_tables, 3);
+        assert_eq!(cache.get(ObjectId(1)).unwrap().to_bits(), kept.to_bits());
         let fresh =
             bc_solver::factored::probability(ObjectId(0), ctable.condition(ObjectId(0)), &dists);
         assert_eq!(
@@ -360,51 +237,21 @@ mod tests {
             .probability(ctable.condition(ObjectId(0)), &dists)
             .unwrap();
         assert!((cache.get(ObjectId(0)).unwrap() - solved).abs() <= 1e-12);
+        // A restored cache holds the same bits.
+        let probs: BTreeMap<ObjectId, f64> = cache.probabilities().collect();
+        let restored = ProbCache::restore(probs.clone());
+        assert_eq!(restored.probabilities().collect::<BTreeMap<_, _>>(), probs);
     }
 
     #[test]
-    fn a_rewritten_clause_is_recomputed_and_a_decided_object_forgotten() {
+    fn a_decided_object_is_forgotten() {
         let mut ctable = table();
         let mut cache = ProbCache::default();
-        let dists = dists();
-        solve_all(&mut cache, &ctable, &dists);
-        // Propagation decided `p < 3` false after an answer on p.
-        let (x0, y0, q, r) = (v(0, 0), v(1, 0), v(3, 0), v(4, 0));
-        let p = v(2, 1);
-        cache.invalidate(&ctable, &[p]);
-        ctable.set_condition(
-            ObjectId(0),
-            Condition::from_clauses(vec![
-                vec![Expr::var_gt(x0, y0)],
-                vec![Expr::gt(x0, 1), Expr::lt(q, 2)],
-                vec![Expr::gt(r, 2)],
-            ]),
-        );
-        let work = solve_all(&mut cache, &ctable, &dists);
-        assert_eq!((work.stats.reused, work.stats.computed), (2, 1));
-        // A decided condition forgets everything.
+        solve_all(&mut cache, &ctable, &dists());
         ctable.set_condition(ObjectId(1), Condition::True);
         cache.invalidate(&ctable, &[]);
-        assert!(!cache.entries.contains_key(&ObjectId(1)));
+        assert_eq!(cache.get(ObjectId(1)), None);
         assert!(cache.get(ObjectId(0)).is_some());
-    }
-
-    #[test]
-    fn a_restored_cache_builds_the_same_tables_when_scoring() {
-        let ctable = table();
-        let dists = dists();
-        let mut cache = ProbCache::default();
-        solve_all(&mut cache, &ctable, &dists);
-        let probs: BTreeMap<ObjectId, f64> = cache.probabilities().collect();
-        let mut restored = ProbCache::restore(probs.clone());
-        assert_eq!(restored.probabilities().collect::<BTreeMap<_, _>>(), probs);
-        let cond = ctable.condition(ObjectId(0));
-        let (tables, scratch, built) = restored.scoring(ObjectId(0), cond, &dists).unwrap();
-        assert_eq!(built.map(|s| s.computed), Some(3));
-        let (p, _) = tables.probability(&dists, scratch).unwrap();
-        assert_eq!(p.to_bits(), probs[&ObjectId(0)].to_bits());
-        let (_, _, again) = restored.scoring(ObjectId(0), cond, &dists).unwrap();
-        assert_eq!(again, None, "built once, then kept");
     }
 
     #[test]

@@ -148,9 +148,9 @@ pub(crate) fn assemble_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kept::ProbCache;
     use bc_bayes::Pmf;
     use bc_ctable::{Condition, Expr};
+    use bc_solver::factored::Workspace;
     use bc_solver::{AdpllSolver, Solver, VarDists};
 
     fn v(o: u32, a: u16) -> VarId {
@@ -187,7 +187,7 @@ mod tests {
         assert_eq!(ranked[0].object, ObjectId(1));
     }
 
-    /// [`assemble_round`] with a fresh scorer over an empty cache.
+    /// [`assemble_round`] with a fresh scorer and workspace.
     fn round(
         ranked: &[RankedObject],
         ctable: &CTable,
@@ -197,8 +197,8 @@ mod tests {
         conflict_free: bool,
         blocked: &BTreeSet<VarId>,
     ) -> Vec<Task> {
-        let mut cache = ProbCache::default();
-        let mut scorer = UtilityScorer::new(&mut cache, dists);
+        let mut workspace = Workspace::default();
+        let mut scorer = UtilityScorer::new(&mut workspace, dists);
         assemble_round(
             ranked,
             ctable,
@@ -315,8 +315,8 @@ mod tests {
             .map(|o| (o, solver.probability(ct.condition(o), &dists).unwrap()))
             .collect();
         let ranked = rank_by_entropy(&probs);
-        let mut cache = ProbCache::default();
-        let mut scorer = UtilityScorer::new(&mut cache, &dists);
+        let mut workspace = Workspace::default();
+        let mut scorer = UtilityScorer::new(&mut workspace, &dists);
         let tasks = assemble_round(
             &ranked,
             &ct,

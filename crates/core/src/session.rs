@@ -108,18 +108,16 @@ impl RunState {
         let stale = self.cache.stale(&open);
         if !stale.is_empty() {
             let t = Instant::now();
-            let work =
+            let stats =
                 self.cache
                     .solve_batch(self.config.parallel, &self.ctable, &stale, &self.dists)?;
-            let stats = work.stats;
             observer.event(&Event::ProbabilityBatch {
                 phase,
                 objects: stale.len(),
-                solver_calls: work.solver_calls,
-                branches: stats.points,
-                cache_hits: stats.reused,
-                component_splits: stats.groups,
-                cache_misses: stats.computed,
+                cached: open.len() - stale.len(),
+                points: stats.points,
+                groups: stats.groups,
+                clause_tables: stats.clause_tables,
                 nanos: t.elapsed().as_nanos(),
             });
             self.evals += stale.len() as u64;
@@ -386,7 +384,7 @@ impl<'a> Session<'a> {
             let probs = s.open_probabilities(RunPhase::Select, observer)?;
             let ranked = rank_objects(&probs, s.config.ranking);
             let t = Instant::now();
-            let mut scorer = UtilityScorer::new(&mut s.cache, &s.dists);
+            let mut scorer = UtilityScorer::new(s.cache.workspace(), &s.dists);
             let fresh_tasks = assemble_round(
                 &ranked,
                 &s.ctable,
@@ -400,8 +398,8 @@ impl<'a> Session<'a> {
             observer.event(&Event::UtilityBatch {
                 candidates: tally.candidates,
                 solver_calls: tally.passes,
-                decisions: tally.points,
-                cache_hits: tally.reused,
+                points: tally.points,
+                clause_tables: tally.clause_tables,
                 nanos: t.elapsed().as_nanos(),
             });
             attempts_in_batch.resize(batch.len() + fresh_tasks.len(), 0);
@@ -479,9 +477,8 @@ impl<'a> Session<'a> {
         }
         let propagate_span = Span::start(RunPhase::Propagate);
         // Invalidate cached probabilities of conditions touching any
-        // variable the round asked about, and the tables of the clauses
-        // that read one: their pmfs and clauses change below, and no
-        // other's do (see `ProbCache::invalidate`).
+        // variable the round asked about: their pmfs and conditions change
+        // below, and no other's do (see `ProbCache::invalidate`).
         let mut touched: Vec<VarId> = answers.iter().flat_map(|a| a.task.vars()).collect();
         touched.sort_unstable();
         touched.dedup();

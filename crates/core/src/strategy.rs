@@ -1,9 +1,8 @@
 //! Task-selection strategies (Section 6.2): FBS, UBS, HHS.
 
-use crate::kept::ProbCache;
 use bc_ctable::{Condition, Expr};
 use bc_data::{FxMap, ObjectId, VarId};
-use bc_solver::factored::Joints;
+use bc_solver::factored::{Joints, Workspace};
 use bc_solver::utility::is_open;
 use bc_solver::{SolverError, VarDists};
 use std::cmp::Reverse;
@@ -136,35 +135,32 @@ pub(crate) struct UtilityTally {
     pub(crate) passes: u64,
     /// Joint-support points those passes visited.
     pub(crate) points: u64,
-    /// Clause tables those passes read from the cache.
-    pub(crate) reused: u64,
+    /// Clause tables built for those passes.
+    pub(crate) clause_tables: u64,
 }
 
 /// Scores candidate expressions by marginal utility (Definition 6) off
 /// the objects' factor tables, and tallies the effort.
 ///
 /// Scoring goes one object at a time, through [`UtilityScorer::object`].
-/// At an object's first open candidate the scorer runs one outside pass
-/// over its tables ([`FactorTables::joints`]), building them first if the
-/// object has none (restored from a checkpoint), and reads every
-/// candidate's `Pr(φ ∧ e)` off that pass, in buffers it reuses.
+/// At an object's first open candidate the scorer builds the object's
+/// tables in its workspace and runs one outside pass over them
+/// ([`Workspace::joints`]), and reads every candidate's `Pr(φ ∧ e)` off
+/// that pass, in buffers the workspace reuses.
 ///
 /// An error, a condition outside the tables' shape included, is returned
 /// at once; it is never scored as zero utility.
-///
-/// [`FactorTables::joints`]: bc_solver::factored::FactorTables::joints
 pub(crate) struct UtilityScorer<'a> {
-    cache: &'a mut ProbCache,
+    workspace: &'a mut Workspace,
     dists: &'a VarDists,
     tally: UtilityTally,
 }
 
 impl<'a> UtilityScorer<'a> {
-    /// A scorer over the tables `cache` keeps, under `dists`, the pmfs
-    /// they were last refreshed under.
-    pub(crate) fn new(cache: &'a mut ProbCache, dists: &'a VarDists) -> UtilityScorer<'a> {
+    /// A scorer building tables in `workspace`, under `dists`.
+    pub(crate) fn new(workspace: &'a mut Workspace, dists: &'a VarDists) -> UtilityScorer<'a> {
         UtilityScorer {
-            cache,
+            workspace,
             dists,
             tally: UtilityTally::default(),
         }
@@ -184,7 +180,7 @@ impl<'a> UtilityScorer<'a> {
         p_phi: f64,
     ) -> ObjectScorer<'s> {
         ObjectScorer {
-            cache: Some(&mut *self.cache),
+            workspace: Some(&mut *self.workspace),
             dists: self.dists,
             tally: &mut self.tally,
             o,
@@ -197,9 +193,9 @@ impl<'a> UtilityScorer<'a> {
 
 /// Scores the candidates of one object; see [`UtilityScorer::object`].
 pub(crate) struct ObjectScorer<'s> {
-    /// The cache, until the first open candidate takes the object's
-    /// tables from it.
-    cache: Option<&'s mut ProbCache>,
+    /// The workspace, until the first open candidate builds the
+    /// object's tables in it.
+    workspace: Option<&'s mut Workspace>,
     dists: &'s VarDists,
     tally: &'s mut UtilityTally,
     o: ObjectId,
@@ -217,15 +213,12 @@ impl ObjectScorer<'_> {
             if !is_open(self.dists.expr_prob(e)?) {
                 return Ok(0.0);
             }
-            let cache = self.cache.take().expect("taken once, with the joints");
-            let (tables, scratch, built) = cache.scoring(self.o, self.cond, self.dists)?;
-            let joints = tables.joints(self.dists, scratch)?;
-            let stats = joints.stats();
+            let workspace = self.workspace.take().expect("taken once, with the joints");
+            let built = workspace.build(self.o, self.cond, self.dists)?;
+            let joints = workspace.joints(self.cond, self.dists)?;
             self.tally.passes += 1;
-            self.tally.points += stats.points;
-            if built.is_none() {
-                self.tally.reused += stats.reused;
-            }
+            self.tally.points += joints.stats().points;
+            self.tally.clause_tables += built.clause_tables;
             self.joints = Some(joints);
         }
         let joints = self.joints.as_mut().expect("set above");
@@ -283,7 +276,6 @@ pub(crate) fn select_expression(
 mod tests {
     use super::*;
     use bc_bayes::Pmf;
-    use bc_ctable::CTable;
     use bc_solver::utility::marginal_utility_with_prior;
     use bc_solver::{AdpllSolver, Solver};
     use proptest::prelude::*;
@@ -292,7 +284,7 @@ mod tests {
         VarId::new(o, a)
     }
 
-    /// [`select_expression`] with a fresh scorer over an empty cache.
+    /// [`select_expression`] with a fresh scorer and workspace.
     fn pick(
         strategy: TaskStrategy,
         cond: &Condition,
@@ -301,8 +293,8 @@ mod tests {
         dists: &VarDists,
         p_phi: f64,
     ) -> Option<Expr> {
-        let mut cache = ProbCache::default();
-        let mut scorer = UtilityScorer::new(&mut cache, dists);
+        let mut workspace = Workspace::default();
+        let mut scorer = UtilityScorer::new(&mut workspace, dists);
         select_expression(
             strategy,
             ObjectId(0),
@@ -431,8 +423,8 @@ mod tests {
         .collect();
         let freq = expression_frequencies([&cond]);
         let p = AdpllSolver::new().probability(&cond, &dists).unwrap();
-        let mut cache = ProbCache::default();
-        let mut scorer = UtilityScorer::new(&mut cache, &dists);
+        let mut workspace = Workspace::default();
+        let mut scorer = UtilityScorer::new(&mut workspace, &dists);
         let picked = select_expression(
             TaskStrategy::Ubs,
             ObjectId(0),
@@ -450,9 +442,9 @@ mod tests {
         assert_eq!(tally.candidates, 4);
         assert_eq!(cond.exprs().filter(open).count(), 3);
         // One pass, over one point: x and u are each read by one clause
-        // only, so both are summed out into their clauses. The tables
-        // were built for scoring, so none was read from the cache.
-        assert_eq!((tally.passes, tally.points, tally.reused), (1, 1, 0));
+        // only, so both are summed out into their clauses. Both clause
+        // tables were built for it.
+        assert_eq!((tally.passes, tally.points, tally.clause_tables), (1, 1, 2));
     }
 
     /// φ(o0) over own cells x and u, with three var-var expressions, and
@@ -484,17 +476,19 @@ mod tests {
     #[test]
     fn every_candidate_scores_like_a_solve() {
         // Every candidate of the condition, var-var ones included, scores
-        // within 1e-12 of its one-solve utility, off fresh tables and off
-        // the tables a probability batch kept.
+        // within 1e-12 of its one-solve utility, and a workspace that
+        // built another object's tables first gives a fresh one's bits.
         let (cond, dists) = var_var_setup();
         let solver = AdpllSolver::new();
         let p = solver.probability(&cond, &dists).unwrap();
-        let (mut fresh, mut kept) = (ProbCache::default(), batch_solved(&cond, &dists));
+        let (mut fresh, mut used) = (Workspace::default(), Workspace::default());
+        let (other, other_dists) = simple_setup();
+        used.build(ObjectId(0), &other, &other_dists).unwrap();
         let mut built = UtilityScorer::new(&mut fresh, &dists);
-        let mut off_kept = UtilityScorer::new(&mut kept, &dists);
+        let mut reused = UtilityScorer::new(&mut used, &dists);
         let (mut a, mut b) = (
             built.object(ObjectId(0), &cond, p),
-            off_kept.object(ObjectId(0), &cond, p),
+            reused.object(ObjectId(0), &cond, p),
         );
         let var_var = cond.exprs().filter(|e| e.rhs_var().is_some()).count();
         assert_eq!(var_var, 3);
@@ -508,21 +502,9 @@ mod tests {
                 want.utility
             );
         }
-        let (built, off_kept) = (built.tally(), off_kept.tally());
-        assert_eq!((built.passes, built.reused), (1, 0));
-        assert_eq!((off_kept.passes, off_kept.reused), (1, 3));
-    }
-
-    /// A cache holding the tables of object 0, whose condition is `cond`,
-    /// batch-solved under `dists`.
-    fn batch_solved(cond: &Condition, dists: &VarDists) -> ProbCache {
-        let ctable = CTable::new(vec![cond.clone()]);
-        let mut cache = ProbCache::default();
-        let work = cache
-            .solve_batch(false, &ctable, &[ObjectId(0)], dists)
-            .unwrap();
-        assert_eq!(work.solver_calls, 1);
-        cache
+        for tally in [built.tally(), reused.tally()] {
+            assert_eq!((tally.passes, tally.clause_tables), (1, 3));
+        }
     }
 
     #[test]
@@ -530,8 +512,8 @@ mod tests {
         let (cond, mut dists) = simple_setup();
         let freq = expression_frequencies([&cond]);
         dists.remove(v(2, 0));
-        let mut cache = ProbCache::default();
-        let mut scorer = UtilityScorer::new(&mut cache, &dists);
+        let mut workspace = Workspace::default();
+        let mut scorer = UtilityScorer::new(&mut workspace, &dists);
         let err = select_expression(
             TaskStrategy::Hhs { m: 3 },
             ObjectId(0),
@@ -561,7 +543,7 @@ mod tests {
             vec![Expr::lt(x, 5), Expr::lt(y, 1)],
             vec![Expr::gt(x, 2), Expr::gt(y, 3)],
         ]);
-        let mut scorer = UtilityScorer::new(&mut cache, &dists);
+        let mut scorer = UtilityScorer::new(&mut workspace, &dists);
         let e = Expr::lt(x, 5);
         assert_eq!(
             scorer.object(ObjectId(0), &shared, 0.5).score(&e),

@@ -173,19 +173,26 @@ fn trace_flag_writes_one_parseable_event_per_line() {
         .expect("binary runs");
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("clause tables: "), "{stdout}");
+    assert!(reports_tables_built(&stdout), "{stdout}");
     let text = std::fs::read_to_string(&trace).expect("trace file written");
-    let mut batches_with_points = 0;
+    let mut batches_with_tables = 0;
     for (i, line) in text.lines().enumerate() {
         let (seq, event) = bc_obs::Event::from_json_line(line)
             .unwrap_or_else(|| panic!("line {i} does not parse: {line}"));
         assert_eq!(seq, i as u64, "{line}");
         assert_ne!(event.kind(), "SolverSearch", "{line}");
-        if event.kind() == "ProbabilityBatch" && line.contains("\"branches\": ") {
-            batches_with_points += 1;
+        if event.kind() == "ProbabilityBatch" && line.contains("\"clause_tables\": ") {
+            batches_with_tables += 1;
         }
     }
-    assert!(batches_with_points > 0, "no ProbabilityBatch line:\n{text}");
+    assert!(batches_with_tables > 0, "no ProbabilityBatch line:\n{text}");
+}
+
+/// Whether a `--metrics` summary has its line of clause tables built.
+fn reports_tables_built(stdout: &str) -> bool {
+    stdout
+        .lines()
+        .any(|l| l.starts_with("clause tables: ") && l.ends_with(" built"))
 }
 
 #[test]
@@ -234,7 +241,7 @@ fn all_three_observers_together_leave_the_report_unchanged() {
     );
     run(&plain, &[]);
 
-    assert!(stdout.contains("clause tables: "), "no metrics: {stdout}");
+    assert!(reports_tables_built(&stdout), "no metrics: {stdout}");
     let text = std::fs::read_to_string(&trace).expect("trace file written");
     assert!(text.lines().count() > 2, "short trace:\n{text}");
     for (i, line) in text.lines().enumerate() {

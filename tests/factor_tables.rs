@@ -1,10 +1,9 @@
 //! Factor tables in a live session: after every round, every open
 //! condition has the tables' shape, and each open object's probability —
-//! summed off clause tables kept across rounds, some computed under pmfs
-//! and conditions that answers have since changed elsewhere — agrees with
-//! a plain ADPLL solve of its current condition within `1e-12`. The
-//! parallel batch gives the same bits and the same trace as the sequential
-//! one.
+//! some cached from an earlier round, summed under pmfs and conditions
+//! that answers have since changed elsewhere — agrees with a plain ADPLL
+//! solve of its current condition within `1e-12`. The parallel batch
+//! gives the same bits and the same trace as the sequential one.
 
 use bayescrowd::prelude::*;
 use bayescrowd::BayesCrowd;
@@ -136,8 +135,9 @@ fn parallel_batches_give_the_sequential_bits() {
                 .collect()
         };
         assert_eq!(bits(&a), bits(&b), "{}", strategy.name());
-        // Every solve counts its own search, so a batch's counters do not
-        // depend on which solver, the session's or a worker's, ran it.
+        // Every build counts its own tables, so a batch's counters do not
+        // depend on which workspace, the session's or a worker's, built
+        // them.
         assert_eq!(a_events, b_events, "{}", strategy.name());
     }
 }

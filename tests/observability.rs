@@ -238,36 +238,39 @@ fn select_children_account_for_select_time_on_hhs() {
 
 /// Utility work is counted apart from probability batches, one
 /// `UtilityBatch` per selecting round. Each scored object with an open
-/// candidate costs one outside pass over the tables its probability batch
-/// kept, and no scored candidate costs more than one pass.
+/// candidate costs one build of its tables and one outside pass over
+/// them, and no scored candidate costs more than one pass.
 #[test]
 fn utility_counters_reconcile_with_utility_batches() {
     let (metrics, profile) = profiled_hhs_run();
     let c = metrics.counters();
-    let (mut batches, mut calls, mut points, mut reused) = (0u64, 0u64, 0u64, 0u64);
+    let (mut batches, mut calls, mut points, mut built) = (0u64, 0u64, 0u64, 0u64);
     for e in metrics.events() {
         if let Event::UtilityBatch {
             solver_calls,
-            decisions,
-            cache_hits,
+            points: n,
+            clause_tables,
             ..
         } = *e
         {
             batches += 1;
-            // Every pass visits at least one point and reads at least one
-            // kept clause table.
-            assert!(decisions >= solver_calls, "{decisions} points");
-            assert!(cache_hits >= solver_calls, "{cache_hits} tables read");
+            // Every pass visits at least one point, over tables of at
+            // least one clause.
+            assert!(n >= solver_calls, "{n} points");
+            assert!(
+                clause_tables >= solver_calls,
+                "{clause_tables} tables built"
+            );
             calls += solver_calls;
-            points += decisions;
-            reused += cache_hits;
+            points += n;
+            built += clause_tables;
         }
     }
     assert_eq!(batches, c.rounds, "one utility batch per selecting round");
     assert_eq!(c.utility_solver_calls, calls);
     assert_eq!(c.utility_decisions, points);
     assert!(
-        calls > 0 && reused > 0,
+        calls > 0 && built > 0,
         "HHS scored no object off its tables"
     );
     assert!(c.utility_solver_calls <= c.utility_evals);
@@ -277,42 +280,48 @@ fn utility_counters_reconcile_with_utility_batches() {
     assert_eq!(points.count, c.utility_decisions);
 }
 
-/// Every condition a probability batch sums is an object whose tables
-/// were built or updated, or one whose every clause table was kept; the
-/// clause tables a batch reuses and computes add up to the clauses it
-/// read. Later rounds reuse tables instead of computing them.
+/// Every condition a probability batch sums gets its tables built, at
+/// least one clause table each; the first batch finds nothing cached, and
+/// later rounds find the probabilities no answer touched. The counters
+/// and the select phase's `solve` node add the batches up.
 #[test]
-fn probability_batches_count_tables_reused_and_computed() {
+fn probability_batches_count_objects_cached_and_tables_built() {
     let (metrics, profile) = profiled_hhs_run();
     let c = metrics.counters();
-    let (mut objects, mut calls) = (0u64, 0u64);
+    let (mut objects, mut cached, mut built) = (0u64, 0u64, 0u64);
+    let mut select_objects = 0u64;
     let mut first = true;
     for e in metrics.events() {
         if let Event::ProbabilityBatch {
+            phase,
             objects: n,
-            solver_calls,
-            cache_hits,
-            cache_misses,
+            cached: k,
+            clause_tables,
             ..
         } = *e
         {
-            assert!(solver_calls <= n as u64, "{solver_calls} of {n} updated");
-            assert!(cache_misses >= solver_calls);
+            assert!(clause_tables >= n as u64, "{clause_tables} tables for {n}");
             if first {
-                assert_eq!(cache_hits, 0, "the first batch computes every table");
+                assert_eq!(k, 0, "the first batch finds nothing cached");
                 first = false;
             }
             objects += n as u64;
-            calls += solver_calls;
+            cached += k as u64;
+            built += clause_tables;
+            if phase == RunPhase::Select {
+                select_objects += n as u64;
+            }
         }
     }
     assert_eq!(c.probability_evals, objects);
-    assert_eq!(c.solver_calls, calls);
-    assert!(c.solver_cache_hits > 0, "no clause table was reused");
+    assert_eq!(c.solver_calls, objects);
+    assert_eq!(c.solver_cache_hits, cached);
+    assert_eq!(c.solver_cache_misses, built);
+    assert!(cached > 0, "no probability was kept across a round");
     let solve = profile.node("round/select/solve").unwrap();
     let points = profile.node("round/select/solve/points").unwrap();
     assert!(points.count > 0 && points.count <= c.solver_branches);
-    assert!(solve.count <= c.solver_calls);
+    assert_eq!(solve.count, select_objects);
 }
 
 proptest! {

@@ -167,9 +167,9 @@ fn faulty_platform_resumes_identically_at_every_round() {
 }
 
 /// A seeded 800-object table sampled from the Adult-like network, with 10%
-/// of its cells missing: big enough that ADPLL branches, compiles circuits
-/// of hundreds of nodes, and gets var-var answers. Returns the complete
-/// table and the incomplete one.
+/// of its cells missing: big enough that conditions have several factor
+/// groups and get var-var answers. Returns the complete table and the
+/// incomplete one.
 fn synthetic_table(seed: u64) -> (Dataset, Dataset) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let complete = adult_like()
@@ -180,10 +180,10 @@ fn synthetic_table(seed: u64) -> (Dataset, Dataset) {
 }
 
 /// Factor tables at scale, under HHS (`m = 50`) and FBS: the clean run
-/// reuses clause tables across rounds and recomputes the ones answers
-/// touch, and a kill and resume at every round still reproduces it
-/// exactly. Resumed sessions rebuild their tables from the c-table and
-/// pmfs the checkpoint stores.
+/// keeps probabilities across rounds and re-sums the ones answers touch,
+/// and a kill and resume at every round still reproduces it exactly.
+/// Resumed sessions restore the cached probabilities with their bits and
+/// build tables from the c-table and pmfs the checkpoint stores.
 #[test]
 fn synthetic_tables_resume_identically_at_every_round() {
     let (complete, data) = synthetic_table(11);
@@ -208,14 +208,14 @@ fn synthetic_tables_resume_identically_at_every_round() {
             &mut metrics,
         ));
         let c = metrics.counters();
-        assert!(c.solver_cache_hits > 0, "{ctx}: no clause table reused");
+        assert!(c.solver_cache_hits > 0, "{ctx}: no probability kept");
         let first = metrics.events().iter().find_map(|e| match e {
-            Event::ProbabilityBatch { cache_misses, .. } => Some(*cache_misses),
+            Event::ProbabilityBatch { objects, .. } => Some(*objects as u64),
             _ => None,
         });
         assert!(
-            first.is_some_and(|n| c.solver_cache_misses > n),
-            "{ctx}: no clause table recomputed after an answer"
+            first.is_some_and(|n| c.probability_evals > n),
+            "{ctx}: no probability re-summed after an answer"
         );
         assert_all_resume_points_match(config, &data, mk, &ctx);
     }
