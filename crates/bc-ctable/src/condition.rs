@@ -5,8 +5,9 @@
 //! `o[1] > p[1] ∨ … ∨ o[d] > p[d]` restricted to the expressions that
 //! actually involve a missing value.
 
+use crate::constraint::ConstraintStore;
 use crate::expr::{Expr, ExprOrBool};
-use crate::kernel::{self, Merged, Normalized, Plain};
+use crate::kernel::{self, ClauseSet, Merged, Normalized, Plain};
 use bc_data::{Value, VarId};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -78,9 +79,14 @@ impl ExprList {
         }
     }
 
+    /// Keeps the first `n` expressions; a heap list short enough to fit
+    /// inline moves inline, as a list built by pushing them would be.
     fn truncate(&mut self, n: usize) {
         match self {
             ExprList::Inline { len, .. } => *len = (*len).min(n as u8),
+            ExprList::Heap(v) if n <= INLINE_EXPRS && n < v.len() => {
+                *self = ExprList::from_slice(&v[..n]);
+            }
             ExprList::Heap(v) => v.truncate(n),
         }
     }
@@ -149,6 +155,14 @@ impl Clause {
         }
     }
 
+    /// An empty clause, which stands where a clause was moved out and is
+    /// never part of a condition. Allocates nothing.
+    fn placeholder() -> Clause {
+        Clause {
+            exprs: ExprList::new(),
+        }
+    }
+
     /// The one-expression clause `{e}`.
     fn unit(e: Expr) -> Clause {
         let mut exprs = ExprList::new();
@@ -177,6 +191,11 @@ impl Clause {
     /// Evaluates the clause under a complete assignment.
     pub fn eval(&self, lookup: impl Fn(VarId) -> Value + Copy) -> bool {
         self.exprs().iter().any(|e| e.eval(lookup))
+    }
+
+    /// Whether an expression mentions a variable of `vars`.
+    fn mentions_any(&self, vars: &VarSet) -> bool {
+        self.exprs().iter().any(|e| vars.mentioned_by(e))
     }
 }
 
@@ -293,6 +312,12 @@ impl Condition {
                 .any(|v| sorted_vars.binary_search(&v).is_ok())
     }
 
+    /// [`Condition::mentions_any`] for a set built once for many
+    /// conditions.
+    pub(crate) fn mentions_set(&self, vars: &VarSet) -> bool {
+        self.clauses().iter().any(|c| c.mentions_any(vars))
+    }
+
     /// Substitutes `v = value` everywhere and re-normalizes. Only clauses
     /// mentioning `v` are rewritten; the others are kept verbatim.
     pub fn substitute(&self, v: VarId, value: Value) -> Condition {
@@ -371,6 +396,428 @@ impl Condition {
             Condition::False => false,
             Condition::Cnf(clauses) => clauses.iter().all(|c| c.eval(lookup)),
         }
+    }
+
+    /// Rewrites the condition in place to its fixpoint under `store`, the
+    /// condition [`Condition::simplify`] with `store.decide` and then
+    /// [`Condition::substitute`] of every pinned variable reach when
+    /// iterated until nothing changes.
+    ///
+    /// In a [touching](Scope::touching) scope only the expressions that
+    /// mention a touched variable are decided, and only touched variables
+    /// are substituted; a [full](Scope::full) scope takes every expression
+    /// and variable. One step of each reaches the fixpoint when the
+    /// condition was at its fixpoint under a store that differed from
+    /// `store` only on the touched variables: no other expression is
+    /// decidable and no other variable is pinned. A substitution leaves no
+    /// pinned variable behind, and it makes no expression decidable that
+    /// was not: `x op y` with `y` pinned to `c` was decided by the same
+    /// interval test as `x op c`, since `y`'s candidates are `{c}`.
+    ///
+    /// Each step edits the clause list in place and restores the canonical
+    /// form from what it rewrote ([`restore`]).
+    pub(crate) fn settle(
+        &mut self,
+        store: &ConstraintStore,
+        scope: &Scope,
+        scratch: &mut SettleScratch,
+    ) -> Settled {
+        let mut settled = Settled::default();
+        let Condition::Cnf(clauses) = self else {
+            return settled;
+        };
+        debug_assert!(is_canonical(clauses), "settle on non-canonical {self:?}");
+        let SettleScratch {
+            marks,
+            fresh,
+            kernel,
+        } = scratch;
+        marks.clear();
+        marks.resize(clauses.len(), Mark::Dirty);
+        let may_decide = |e: &Expr| scope.touched.as_ref().is_none_or(|t| t.mentioned_by(e));
+        let Some(decided) = decide_dirty(clauses, marks, store, may_decide, &mut settled.visited)
+        else {
+            settled.changed = true;
+            *self = Condition::False;
+            return settled;
+        };
+        if decided {
+            restore(clauses, marks, fresh, kernel);
+        }
+        let pin = |v| scope.pinned_value(v, store);
+        let pins = scope.may_pin()
+            && clauses.iter().zip(marks.iter()).any(|(clause, mark)| {
+                matches!(mark, Mark::Dirty | Mark::Shrunk)
+                    && clause
+                        .exprs()
+                        .iter()
+                        .flat_map(Expr::vars)
+                        .any(|v| pin(v).is_some())
+            });
+        if !decided && !pins {
+            return settled;
+        }
+        settled.changed = true;
+        if pins {
+            if substitute_pinned(clauses, marks, pin).is_none() {
+                *self = Condition::False;
+                return settled;
+            }
+            restore(clauses, marks, fresh, kernel);
+        }
+        if clauses.is_empty() {
+            *self = Condition::True;
+        }
+        debug_assert!(
+            self.is_decided() || is_canonical(self.clauses()),
+            "settle left non-canonical {self:?}"
+        );
+        settled
+    }
+}
+
+/// Where a propagation pass looks for decidable expressions and pinned
+/// variables ([`Condition::settle`]).
+pub(crate) struct Scope {
+    /// The variables whose store knowledge changed since the last pass, or
+    /// `None` for every variable.
+    touched: Option<VarSet>,
+    /// The variables of the scope with a narrowed mask of one value, and
+    /// those values, in the same order.
+    pinned: VarSet,
+    values: Vec<Value>,
+    /// In a full scope, which attributes have a one-value domain: each of
+    /// their variables is pinned while its mask is not narrowed.
+    single: Vec<bool>,
+}
+
+impl Scope {
+    /// Every expression and variable.
+    pub(crate) fn full(store: &ConstraintStore) -> Scope {
+        let pinned = store.masks().filter(|&(_, m)| m.is_power_of_two());
+        let (vars, values) = pinned
+            .map(|(v, m)| (v, m.trailing_zeros() as Value))
+            .unzip();
+        Scope {
+            touched: None,
+            pinned: VarSet::new(vars),
+            values,
+            single: store.attr_cards().iter().map(|&c| c == 1).collect(),
+        }
+    }
+
+    /// The variables of `sorted` (ascending): the store changed on them
+    /// alone since the last pass.
+    pub(crate) fn touching(sorted: &[VarId], store: &ConstraintStore) -> Scope {
+        let pinned = sorted
+            .iter()
+            .filter_map(|&v| store.pinned_value(v).map(|x| (v, x)));
+        let (vars, values) = pinned.unzip();
+        Scope {
+            touched: Some(VarSet::new(sorted.to_vec())),
+            pinned: VarSet::new(vars),
+            values,
+            single: Vec::new(),
+        }
+    }
+
+    /// Whether any variable of the scope may be pinned.
+    fn may_pin(&self) -> bool {
+        !self.values.is_empty() || self.single.contains(&true)
+    }
+
+    /// The value `v` is pinned to, if it is in the scope and pinned.
+    fn pinned_value(&self, v: VarId, store: &ConstraintStore) -> Option<Value> {
+        match self.pinned.position(v) {
+            Some(at) => Some(self.values[at]),
+            None if self.single.get(v.attr.index()) == Some(&true) => store.pinned_value(v),
+            None => None,
+        }
+    }
+}
+
+/// A sorted set of variables behind a 1024-bit filter, for the membership
+/// test a propagation pass makes for every variable of the clauses it
+/// examines: a variable outside the set mostly costs one multiplication.
+pub(crate) struct VarSet {
+    sorted: Vec<VarId>,
+    filter: [u64; 16],
+}
+
+impl VarSet {
+    /// The set of `sorted` (ascending).
+    pub(crate) fn new(sorted: Vec<VarId>) -> VarSet {
+        debug_assert!(sorted.is_sorted(), "a VarSet needs sorted vars");
+        let mut filter = [0; 16];
+        for &v in &sorted {
+            let bit = VarSet::bit(v);
+            filter[bit / 64] |= 1 << (bit % 64);
+        }
+        VarSet { sorted, filter }
+    }
+
+    /// `v`'s filter bit: the top ten bits of its hash.
+    #[inline]
+    fn bit(v: VarId) -> usize {
+        (kernel::var_hash(v) >> 54) as usize
+    }
+
+    /// Where `v` sits in the set, if it is in it.
+    #[inline]
+    fn position(&self, v: VarId) -> Option<usize> {
+        let bit = VarSet::bit(v);
+        if self.filter[bit / 64] & 1 << (bit % 64) == 0 {
+            return None;
+        }
+        self.sorted.binary_search(&v).ok()
+    }
+
+    /// Whether `e` mentions a variable of the set.
+    #[inline]
+    fn mentioned_by(&self, e: &Expr) -> bool {
+        self.position(e.var()).is_some() || e.rhs_var().is_some_and(|r| self.position(r).is_some())
+    }
+}
+
+/// What [`Condition::settle`] did to one condition.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Settled {
+    /// Whether the condition changed: its fixpoint took one iteration,
+    /// not none.
+    pub changed: bool,
+    /// Expressions handed to the store to decide.
+    pub visited: usize,
+}
+
+/// The buffers [`Condition::settle`] reuses from one condition to the next.
+#[derive(Default)]
+pub(crate) struct SettleScratch {
+    /// The step's view of each clause, by position.
+    marks: Vec<Mark>,
+    /// The rewritten clauses while [`restore`] merges them back.
+    fresh: Vec<(Clause, Mark)>,
+    /// The subsumption check's buffers.
+    kernel: kernel::Scratch,
+}
+
+/// What the current step of [`Condition::settle`] knows of one clause.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Mark {
+    /// Not this step's to rewrite; verbatim from the canonical list.
+    Kept,
+    /// This step decides it or substitutes into it.
+    Dirty,
+    /// Lost decided-false expressions in place: a strict subset of a clause
+    /// of the canonical list, and still sorted and distinct.
+    Shrunk,
+    /// Rewritten by a substitution and normalized again.
+    Substituted,
+    /// Holds a true expression: the next [`restore`] drops it.
+    Dropped,
+}
+
+/// The [`ClauseSet`] of the clauses [`restore`] merges, with their marks.
+struct Tagged;
+
+impl ClauseSet<(Clause, Mark)> for Tagged {
+    fn exprs<'t>(&'t self, clause: &'t (Clause, Mark)) -> &'t [Expr] {
+        clause.0.exprs()
+    }
+}
+
+/// Decides the expressions `may_decide` admits of every `Dirty` clause in
+/// place, as [`Condition::simplify`] does: a clause with a true expression
+/// is marked `Dropped`, one that lost false expressions `Shrunk`, and one
+/// with no expression admitted `Kept`. Counts the expressions decided into
+/// `visited`. `None` when a clause lost every expression, making the
+/// condition false; otherwise whether any clause changed.
+fn decide_dirty(
+    clauses: &mut [Clause],
+    marks: &mut [Mark],
+    store: &ConstraintStore,
+    may_decide: impl Fn(&Expr) -> bool,
+    visited: &mut usize,
+) -> Option<bool> {
+    let mut changed = false;
+    for (clause, mark) in clauses.iter_mut().zip(marks.iter_mut()) {
+        if *mark != Mark::Dirty {
+            continue;
+        }
+        if !clause.exprs().iter().any(&may_decide) {
+            *mark = Mark::Kept;
+            continue;
+        }
+        let exprs = clause.exprs.as_mut_slice();
+        let n = exprs.len();
+        let mut undecided = 0;
+        for i in 0..n {
+            let e = exprs[i];
+            let truth = if may_decide(&e) {
+                *visited += 1;
+                store.decide(&e)
+            } else {
+                None
+            };
+            match truth {
+                Some(true) => {
+                    *mark = Mark::Dropped;
+                    break;
+                }
+                Some(false) => {}
+                None => {
+                    if undecided != i {
+                        exprs[undecided] = e;
+                    }
+                    undecided += 1;
+                }
+            }
+        }
+        if *mark == Mark::Dropped {
+            changed = true;
+        } else if undecided < n {
+            if undecided == 0 {
+                return None;
+            }
+            clause.exprs.truncate(undecided);
+            *mark = Mark::Shrunk;
+            changed = true;
+        }
+    }
+    Some(changed)
+}
+
+/// Substitutes the values variables are pinned to (`value`) into every
+/// `Dirty` or `Shrunk` clause that mentions a pinned one, as
+/// [`Condition::substitute`] does, and normalizes it again: it is marked
+/// `Substituted`, or `Dropped` when it became true. Every other clause is
+/// marked `Kept`. `None` when a clause lost every expression, making the
+/// condition false.
+fn substitute_pinned(
+    clauses: &mut [Clause],
+    marks: &mut [Mark],
+    value: impl Fn(VarId) -> Option<Value>,
+) -> Option<()> {
+    for (clause, mark) in clauses.iter_mut().zip(marks.iter_mut()) {
+        let candidate = matches!(mark, Mark::Dirty | Mark::Shrunk);
+        *mark = Mark::Kept;
+        let mentions = |e: &Expr| e.vars().any(|v| value(v).is_some());
+        if !candidate || !clause.exprs().iter().any(mentions) {
+            continue;
+        }
+        let exprs = clause.exprs.as_mut_slice();
+        let mut len = 0;
+        for i in 0..exprs.len() {
+            let mut e = ExprOrBool::Expr(exprs[i]);
+            for v in exprs[i].vars() {
+                if let (ExprOrBool::Expr(current), Some(val)) = (e, value(v)) {
+                    e = current.substitute(v, val);
+                }
+            }
+            match e {
+                ExprOrBool::Bool(true) => {
+                    *mark = Mark::Dropped;
+                    break;
+                }
+                ExprOrBool::Bool(false) => {}
+                ExprOrBool::Expr(e) => {
+                    exprs[len] = e;
+                    len += 1;
+                }
+            }
+        }
+        if *mark == Mark::Dropped {
+            continue;
+        }
+        match kernel::normalize(&mut exprs[..len]) {
+            Normalized::Empty => return None,
+            Normalized::Tautology => *mark = Mark::Dropped,
+            Normalized::Clause(n) => {
+                clause.exprs.truncate(n);
+                *mark = Mark::Substituted;
+            }
+        }
+    }
+    Some(())
+}
+
+/// Restores the canonical form of a clause list a step of
+/// [`Condition::settle`] edited in place, keeping `marks` aligned; it
+/// gives exactly what [`Condition::from_clauses`] gives on the whole list.
+///
+/// `Dropped` clauses go. The `Shrunk` and `Substituted` ones are sorted
+/// and deduplicated, the survivors drop their own supersets, and each
+/// `Kept` or `Dirty` clause with a strict subset among them goes
+/// (backward subsumption). A `Substituted` clause also goes when an
+/// untouched clause is a subset of it. A `Shrunk` one never does: it is a
+/// strict subset of a clause of the canonical list, so a subset of it would
+/// have subsumed that clause. What is left merges back in clause order.
+fn restore(
+    clauses: &mut Vec<Clause>,
+    marks: &mut Vec<Mark>,
+    fresh: &mut Vec<(Clause, Mark)>,
+    scratch: &mut kernel::Scratch,
+) {
+    fresh.clear();
+    let mut at = 0;
+    clauses.retain_mut(|clause| {
+        let mark = marks[at];
+        at += 1;
+        match mark {
+            Mark::Kept | Mark::Dirty => true,
+            Mark::Dropped => false,
+            Mark::Shrunk | Mark::Substituted => {
+                fresh.push((std::mem::replace(clause, Clause::placeholder()), mark));
+                false
+            }
+        }
+    });
+    marks.retain(|m| matches!(m, Mark::Kept | Mark::Dirty));
+    if fresh.is_empty() {
+        return;
+    }
+    fresh.sort_unstable_by(|a, b| a.0.exprs().cmp(b.0.exprs()).then(a.1.cmp(&b.1)));
+    fresh.dedup_by(|a, b| a.0 == b.0);
+    fresh.retain(|(f, mark)| {
+        *mark == Mark::Shrunk
+            || !clauses
+                .iter()
+                .any(|k| k.len() <= f.len() && kernel::is_subset(k.exprs(), f.exprs()))
+    });
+    kernel::drop_subsumed(&Tagged, fresh, scratch);
+    let mut subsumed = false;
+    for (k, mark) in clauses.iter().zip(marks.iter_mut()) {
+        if fresh
+            .iter()
+            .any(|(f, _)| f.len() < k.len() && kernel::is_subset(f.exprs(), k.exprs()))
+        {
+            *mark = Mark::Dropped;
+            subsumed = true;
+        }
+    }
+    if subsumed {
+        let mut at = 0;
+        clauses.retain(|_| {
+            at += 1;
+            marks[at - 1] != Mark::Dropped
+        });
+        marks.retain(|&m| m != Mark::Dropped);
+    }
+    // Merge from the back: the survivors below `i` are still to place, the
+    // clauses from `at` on are placed, and the placeholders between them
+    // are one per fresh clause left. Each survivor moves once.
+    let mut i = clauses.len();
+    clauses.resize_with(i + fresh.len(), Clause::placeholder);
+    marks.resize(i + fresh.len(), Mark::Kept);
+    let mut at = clauses.len();
+    while let Some((f, mark)) = fresh.pop() {
+        let p = clauses[..i].partition_point(|k| *k < f);
+        let gap = at - i;
+        clauses[p..at].rotate_right(gap);
+        marks[p..at].rotate_right(gap);
+        at = p + gap - 1;
+        clauses[at] = f;
+        marks[at] = mark;
+        i = p;
     }
 }
 

@@ -1,16 +1,20 @@
 //! The c-table itself: one condition per object, plus bulk update plumbing.
 
-use crate::condition::Condition;
+use crate::condition::{Condition, Scope, SettleScratch, VarSet};
 use crate::constraint::ConstraintStore;
-use crate::expr::Expr;
 use bc_data::{ObjectId, Value, VarId};
 use std::collections::BTreeSet;
+use std::fmt;
 
 /// What one [`CTable::propagate`] pass did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PropagateStats {
     /// Open conditions examined.
     pub examined: usize,
+    /// Expressions the pass handed to the constraint store to decide: all
+    /// of a full pass's conditions, and only those that mention a touched
+    /// variable in a [touching](CTable::propagate_touching) pass.
+    pub visited: usize,
     /// Conditions that became decided (true or false) during the pass.
     pub decided: usize,
     /// Deepest simplify/substitute fixpoint iteration over all conditions —
@@ -20,15 +24,38 @@ pub struct PropagateStats {
 
 /// A conditional table: `entries[i]` is the condition `φ(o_i)` of object
 /// `o_i` being a skyline answer (Definition 3).
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Beside the conditions it keeps an occurrence index from each variable
+/// to the objects whose condition mentions it. The index is derived: the
+/// first propagation pass builds it ([`CTable::propagate`]), and it is
+/// never compared or written out.
+#[derive(Clone)]
 pub struct CTable {
     entries: Vec<Condition>,
+    occurrences: Option<Occurrences>,
+}
+
+impl PartialEq for CTable {
+    fn eq(&self, other: &CTable) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl fmt::Debug for CTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CTable")
+            .field("entries", &self.entries)
+            .finish_non_exhaustive()
+    }
 }
 
 impl CTable {
     /// Wraps one condition per object (indexed by object id).
     pub fn new(entries: Vec<Condition>) -> CTable {
-        CTable { entries }
+        CTable {
+            entries,
+            occurrences: None,
+        }
     }
 
     /// Number of objects.
@@ -47,8 +74,14 @@ impl CTable {
         &self.entries[o.index()]
     }
 
-    /// Overwrites the condition of object `o`.
+    /// Overwrites the condition of object `o`. A condition that mentions a
+    /// variable the old one did not drops the occurrence index, which the
+    /// next propagation pass builds again.
     pub fn set_condition(&mut self, o: ObjectId, c: Condition) {
+        let old = &self.entries[o.index()];
+        if self.occurrences.is_some() && !c.vars().is_subset(&old.vars()) {
+            self.occurrences = None;
+        }
         self.entries[o.index()] = c;
     }
 
@@ -66,6 +99,52 @@ impl CTable {
             .filter(|(_, c)| !c.is_decided())
             .map(|(o, _)| o)
             .collect()
+    }
+
+    /// Whether any condition is still undecided.
+    pub fn any_open(&self) -> bool {
+        self.entries.iter().any(|c| !c.is_decided())
+    }
+
+    /// The objects whose condition is undecided and mentions a variable of
+    /// `vars` (sorted ascending), in object order. The candidates are
+    /// looked up in the occurrence index, once a propagation pass has built
+    /// it; without one, every condition is a candidate. Either way each
+    /// candidate is kept if it is undecided and
+    /// [mentions](Condition::mentions_any) a variable of `vars`, so both
+    /// give exactly the objects a scan finds.
+    pub fn open_mentioning(&self, vars: &[VarId]) -> Vec<ObjectId> {
+        if vars.is_empty() {
+            return Vec::new();
+        }
+        let set = VarSet::new(vars.to_vec());
+        let holds = |o: ObjectId| {
+            let cond = self.condition(o);
+            !cond.is_decided() && cond.mentions_set(&set)
+        };
+        let Some(index) = &self.occurrences else {
+            return self.iter().map(|(o, _)| o).filter(|&o| holds(o)).collect();
+        };
+        // The candidates as a bitset over objects: deduplicated and in
+        // object order.
+        let mut candidates = vec![0u64; self.entries.len().div_ceil(64)];
+        for &v in vars {
+            for o in index.objects(v) {
+                candidates[o.index() / 64] |= 1 << (o.index() % 64);
+            }
+        }
+        let mut objects = Vec::new();
+        for (w, &word) in candidates.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let o = ObjectId((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+                if holds(o) {
+                    objects.push(o);
+                }
+            }
+        }
+        objects
     }
 
     /// Objects whose condition is `true` (certain answers).
@@ -100,85 +179,141 @@ impl CTable {
     /// variable pinned to a single value, iterating to a fixpoint per
     /// condition. Returns counters describing the pass.
     pub fn propagate(&mut self, store: &ConstraintStore) -> PropagateStats {
-        self.propagate_where(store, |_| true)
+        let open = self.open_objects();
+        self.settle(store, &open, &Scope::full(store))
     }
 
-    /// [`CTable::propagate`], restricted with `touching` to the open
-    /// conditions that mention one of its variables (sorted ascending): the
-    /// variables whose store knowledge changed since the last pass; `None`
-    /// examines every open condition.
+    /// [`CTable::propagate`], restricted to `objects`, which must be
+    /// [`CTable::open_mentioning`]`(touched)`: `touched` are the variables
+    /// whose store knowledge changed since the last pass (sorted
+    /// ascending), and inside each condition only the clauses that mention
+    /// one of them are rewritten.
     ///
     /// A condition's fixpoint depends only on the store's masks and facts
-    /// for its own variables. So if the previous pass left every open
-    /// condition at its fixpoint, and the store changed only on `touching`,
-    /// the conditions skipped are already at the new fixpoint. The c-table
-    /// then ends exactly as after a full pass, and only
-    /// [`PropagateStats::examined`] differs.
+    /// for its own variables, and a clause's only on its own. So if the
+    /// previous pass left every open condition at its fixpoint, and the
+    /// store changed only on `touched`, the conditions and clauses skipped
+    /// are already at the new fixpoint. The c-table then ends exactly as
+    /// after a full pass, and only [`PropagateStats::examined`] and
+    /// [`PropagateStats::visited`] differ.
     pub fn propagate_touching(
         &mut self,
         store: &ConstraintStore,
-        touching: Option<&[VarId]>,
+        touched: &[VarId],
+        objects: &[ObjectId],
     ) -> PropagateStats {
-        match touching {
-            Some(vars) => self.propagate_where(store, |c| c.mentions_any(vars)),
-            None => self.propagate_where(store, |_| true),
-        }
+        debug_assert_eq!(objects, self.open_mentioning(touched), "stale objects");
+        self.settle(store, objects, &Scope::touching(touched, store))
     }
 
-    fn propagate_where(
+    /// Settles the conditions of `objects` ([`Condition::settle`]), then
+    /// builds the occurrence index if there is none: from the table the
+    /// pass leaves, where conditions are at their smallest.
+    fn settle(
         &mut self,
         store: &ConstraintStore,
-        examine: impl Fn(&Condition) -> bool,
+        objects: &[ObjectId],
+        scope: &Scope,
     ) -> PropagateStats {
         let mut stats = PropagateStats::default();
-        for cond in self.entries.iter_mut() {
-            if cond.is_decided() || !examine(cond) {
-                continue;
-            }
+        let mut scratch = SettleScratch::default();
+        for &o in objects {
+            let cond = &mut self.entries[o.index()];
+            let settled = cond.settle(store, scope, &mut scratch);
             stats.examined += 1;
-            let original = std::mem::replace(cond, Condition::True);
-            // The latest rewrite, once the pass changed anything.
-            let mut rewritten: Option<Condition> = None;
-            let mut depth = 0;
-            loop {
-                let current = rewritten.as_ref().unwrap_or(&original);
-                let mut next = current.simplify(|e| store.decide(e));
-                // Substitute pinned variables to expose further collapses
-                // (e.g. a var-var expression becoming var-const).
-                let mut pinned: Vec<(VarId, Value)> = next
-                    .exprs()
-                    .flat_map(Expr::vars)
-                    .filter_map(|v| store.pinned_value(v).map(|val| (v, val)))
-                    .collect();
-                pinned.sort_unstable();
-                pinned.dedup();
-                for &(v, val) in &pinned {
-                    next = next.substitute(v, val);
-                }
-                if next == *current {
-                    break;
-                }
-                rewritten = Some(next);
-                depth += 1;
-                // `simplify` leaves only undecided expressions, so with
-                // nothing substituted another iteration would change
-                // nothing: `current` is the fixpoint.
-                if pinned.is_empty() {
-                    break;
-                }
-            }
-            stats.max_depth = stats.max_depth.max(depth);
-            match rewritten {
-                Some(current) => {
-                    if current.is_decided() {
-                        stats.decided += 1;
-                    }
-                    *cond = current;
-                }
-                None => *cond = original,
+            stats.visited += settled.visited;
+            stats.max_depth = stats.max_depth.max(usize::from(settled.changed));
+            if cond.is_decided() {
+                stats.decided += 1;
             }
         }
+        if self.occurrences.is_none() {
+            self.occurrences = Occurrences::build(&self.entries, store.attr_cards().len());
+        }
         stats
+    }
+}
+
+/// The widest table the occurrence index covers: its slot arrays hold
+/// `attrs` entries per object whether or not the cells are missing, so a
+/// wider table is not indexed and its lookups scan.
+const INDEXED_ATTRS: usize = 64;
+
+/// The occurrence index: for each variable, the objects whose condition
+/// mentioned it when the index was built (Eén & Biere's occurrence lists,
+/// SAT 2005, at the granularity of conditions). Propagation never adds a
+/// variable to a condition, so an entry may go stale but is never missing.
+///
+/// The lists sit in one buffer, a segment per variable slot
+/// (`object · attrs + attr`), each in object order.
+#[derive(Clone, Debug)]
+struct Occurrences {
+    /// Attributes per object, giving each variable its slot.
+    attrs: usize,
+    /// Slot `s`'s segment is `objects[bounds[s]..bounds[s + 1]]`.
+    bounds: Vec<u32>,
+    objects: Vec<ObjectId>,
+}
+
+impl Occurrences {
+    /// The index of every open condition in `entries`, whose variables
+    /// have fewer than `attrs` attributes and belong to the objects of
+    /// `entries`; `None` when one does not, or when the table is wider
+    /// than [`INDEXED_ATTRS`].
+    fn build(entries: &[Condition], attrs: usize) -> Option<Occurrences> {
+        if attrs > INDEXED_ATTRS {
+            return None;
+        }
+        let n = attrs * entries.len();
+        // Each condition's distinct variables by slot, in object order, and
+        // each slot's count; `last` is the object a slot last counted.
+        let mut last = vec![u32::MAX; n];
+        let mut bounds = vec![0u32; n + 1];
+        let mut slots: Vec<(u32, ObjectId)> = Vec::new();
+        for (i, cond) in entries.iter().enumerate() {
+            for clause in cond.clauses() {
+                for e in clause.exprs() {
+                    for v in e.vars() {
+                        if v.attr.index() >= attrs || v.object.index() >= entries.len() {
+                            return None;
+                        }
+                        let s = v.object.index() * attrs + v.attr.index();
+                        if last[s] != i as u32 {
+                            last[s] = i as u32;
+                            bounds[s] += 1;
+                            slots.push((s as u32, ObjectId(i as u32)));
+                        }
+                    }
+                }
+            }
+        }
+        // A counting sort: each slot's count summed into its end, then
+        // counted down to its start while filling from the back.
+        let mut end = 0;
+        for b in bounds.iter_mut() {
+            end += *b;
+            *b = end;
+        }
+        let mut list = vec![ObjectId(0); slots.len()];
+        for &(s, o) in slots.iter().rev() {
+            let at = &mut bounds[s as usize];
+            *at -= 1;
+            list[*at as usize] = o;
+        }
+        Some(Occurrences {
+            attrs,
+            bounds,
+            objects: list,
+        })
+    }
+
+    /// The objects listed for `v`.
+    fn objects(&self, v: VarId) -> &[ObjectId] {
+        let s = v.object.index() * self.attrs + v.attr.index();
+        if v.attr.index() >= self.attrs || s + 1 >= self.bounds.len() {
+            return &[];
+        }
+        &self.objects[self.bounds[s] as usize..self.bounds[s + 1] as usize]
     }
 }
 
@@ -189,7 +324,8 @@ mod tests {
     use crate::constraint::Relation;
     use crate::expr::{Expr, Operand};
     use bc_data::generators::sample::paper_dataset;
-    use bc_data::VarId;
+    use bc_data::{Dataset, Domain, VarId};
+    use proptest::prelude::*;
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
@@ -306,16 +442,40 @@ mod tests {
         store.record(v(4, 2), Operand::Const(3), Relation::Eq);
         let mut plain = before.clone();
         let want = plain.propagate(&store);
-        for touching in [None, Some(&[v(4, 2), v(4, 3)][..])] {
-            let mut ct = before.clone();
-            let stats = ct.propagate_touching(&store, touching);
-            assert_eq!(stats.decided, want.decided);
-            assert_eq!(
-                ct.iter().collect::<Vec<_>>(),
-                plain.iter().collect::<Vec<_>>()
-            );
-            assert!(before.iter().any(|(o, c)| c != ct.condition(o)));
-        }
+        let touched = [v(4, 2), v(4, 3)];
+        let mut ct = before.clone();
+        let objects = ct.open_mentioning(&touched);
+        assert_eq!(objects, vec![ObjectId(0), ObjectId(3), ObjectId(4)]);
+        let stats = ct.propagate_touching(&store, &touched, &objects);
+        assert_eq!(stats.decided, want.decided);
+        assert_eq!(stats.max_depth, want.max_depth);
+        assert!(stats.visited < want.visited, "{stats:?} against {want:?}");
+        assert_eq!(
+            ct.iter().collect::<Vec<_>>(),
+            plain.iter().collect::<Vec<_>>()
+        );
+        assert!(before.iter().any(|(o, c)| c != ct.condition(o)));
+    }
+
+    /// A condition that gains a variable drops the index, so lookups
+    /// still find it; one that only loses variables keeps the index.
+    #[test]
+    fn set_condition_keeps_lookups_exact() {
+        let (data, mut ct) = sample_ctable();
+        ct.propagate(&crate::constraint::ConstraintStore::new(&data));
+        assert!(ct.occurrences.is_some());
+        let fresh = v(2, 0);
+        assert!(ct.open_mentioning(&[fresh]).is_empty());
+        let shrunk = Condition::from_clauses(vec![vec![Expr::lt(v(1, 1), 3)]]);
+        ct.set_condition(ObjectId(3), shrunk);
+        assert!(ct.occurrences.is_some());
+        assert_eq!(ct.open_mentioning(&[v(1, 1)]), scan(&ct, &[v(1, 1)]));
+        ct.set_condition(
+            ObjectId(3),
+            Condition::from_clauses(vec![vec![Expr::gt(fresh, 1)]]),
+        );
+        assert!(ct.occurrences.is_none());
+        assert_eq!(ct.open_mentioning(&[fresh]), vec![ObjectId(3)]);
     }
 
     #[test]
@@ -333,5 +493,246 @@ mod tests {
         );
         // φ(o4)'s first clause (Var(o2,a2) < 3) is now true and disappears.
         assert_eq!(ct.condition(ObjectId(3)).clauses().len(), 1);
+    }
+
+    /// The reference for propagation: the whole-condition fixpoint,
+    /// `simplify` against the store, then `substitute` every pinned
+    /// variable, until nothing changes. Returns the condition and the
+    /// iterations that changed it.
+    fn reference_fixpoint(cond: &Condition, store: &ConstraintStore) -> (Condition, usize) {
+        let (mut current, mut depth) = (cond.clone(), 0);
+        loop {
+            let mut next = current.simplify(|e| store.decide(e));
+            let mut pinned: Vec<(VarId, Value)> = next
+                .exprs()
+                .flat_map(Expr::vars)
+                .filter_map(|v| store.pinned_value(v).map(|x| (v, x)))
+                .collect();
+            pinned.sort_unstable();
+            pinned.dedup();
+            for &(v, x) in &pinned {
+                next = next.substitute(v, x);
+            }
+            if next == current {
+                return (current, depth);
+            }
+            current = next;
+            depth += 1;
+            if pinned.is_empty() {
+                return (current, depth);
+            }
+        }
+    }
+
+    /// A full reference pass over every open condition; returns the
+    /// conditions decided and the deepest fixpoint.
+    fn reference_pass(entries: &mut [Condition], store: &ConstraintStore) -> (usize, usize) {
+        let (mut decided, mut max_depth) = (0, 0);
+        for cond in entries.iter_mut().filter(|c| !c.is_decided()) {
+            let (next, depth) = reference_fixpoint(cond, store);
+            decided += usize::from(next.is_decided());
+            max_depth = max_depth.max(depth);
+            *cond = next;
+        }
+        (decided, max_depth)
+    }
+
+    /// The objects a scan finds: undecided and mentioning a variable of
+    /// `vars`.
+    fn scan(ct: &CTable, vars: &[VarId]) -> Vec<ObjectId> {
+        ct.iter()
+            .filter(|(_, c)| !c.is_decided() && c.mentions_any(vars))
+            .map(|(o, _)| o)
+            .collect()
+    }
+
+    /// One crowd answer, drawn before the dataset is known: `pick` and
+    /// `other` choose missing variables, `value` a constant, `relation`
+    /// the answer; var-var answers compare two cells of one attribute.
+    #[derive(Clone, Debug)]
+    struct Answer {
+        var_var: bool,
+        pick: usize,
+        other: usize,
+        value: u16,
+        relation: Relation,
+    }
+
+    fn answer() -> impl Strategy<Value = Answer> {
+        let relation = prop_oneof![Just(Relation::Lt), Just(Relation::Eq), Just(Relation::Gt)];
+        (
+            any::<bool>(),
+            any::<usize>(),
+            any::<usize>(),
+            0u16..9,
+            relation,
+        )
+            .prop_map(|(var_var, pick, other, value, relation)| Answer {
+                var_var,
+                pick,
+                other,
+                value,
+                relation,
+            })
+    }
+
+    /// A small incomplete dataset: two to eight objects over one to three
+    /// attributes of cardinality one to eight, each cell missing with
+    /// probability about 0.4; and one to six rounds of one to four answers.
+    fn campaign() -> impl Strategy<Value = (Dataset, Vec<Vec<Answer>>)> {
+        let cards = prop::collection::vec(1u16..9, 1..4);
+        let data = cards.prop_flat_map(|cards| {
+            let cell = (any::<u16>(), 0u8..5);
+            let row = prop::collection::vec(cell, cards.len());
+            (Just(cards), prop::collection::vec(row, 2..9))
+        });
+        let data = data.prop_map(|(cards, rows)| {
+            let domains = cards.iter().enumerate();
+            let domains = domains.map(|(a, &c)| Domain::new(format!("a{a}"), c).unwrap());
+            let rows = rows.iter().map(|row| {
+                let cells = row.iter().zip(&cards);
+                cells
+                    .map(|(&(v, m), &c)| (m >= 2).then_some(v % c))
+                    .collect()
+            });
+            Dataset::from_rows("random", domains.collect(), rows.collect()).unwrap()
+        });
+        let rounds = prop::collection::vec(prop::collection::vec(answer(), 1..5), 1..7);
+        (data, rounds)
+    }
+
+    /// What [`run_campaign`] exercised.
+    #[derive(Default)]
+    struct Tally {
+        var_var: usize,
+        contradictions: usize,
+        single_values: usize,
+        deepest: usize,
+        decided_by_touching: usize,
+    }
+
+    /// Round by round, the occurrence path (a full first pass, then only
+    /// the conditions the index finds and, inside them, only the clauses
+    /// an answer touches) must leave every condition byte for byte where
+    /// the whole-condition reference fixpoint does, with the same decided
+    /// count and depth; and the index must find exactly the objects a scan
+    /// finds.
+    fn run_campaign(data: &Dataset, rounds: &[Vec<Answer>]) -> Result<Tally, String> {
+        let mut tally = Tally::default();
+        let missing = data.missing_vars();
+        if missing.is_empty() {
+            return Ok(tally);
+        }
+        tally.single_values = data
+            .domains()
+            .iter()
+            .filter(|d| d.cardinality() == 1)
+            .count();
+        let config = CTableConfig {
+            alpha: 1.0,
+            strategy: DominatorStrategy::FastIndex,
+        };
+        let mut ct = build_ctable(data, &config);
+        let mut reference: Vec<Condition> = ct.iter().map(|(_, c)| c.clone()).collect();
+        let mut store = ConstraintStore::new(data);
+        for (round, answers) in rounds.iter().enumerate() {
+            let mut touched = Vec::new();
+            for a in answers {
+                let var = missing[a.pick % missing.len()];
+                let peers: Vec<VarId> = missing
+                    .iter()
+                    .copied()
+                    .filter(|w| w.attr == var.attr && *w != var)
+                    .collect();
+                let rhs = match (a.var_var, peers.is_empty()) {
+                    (true, false) => Operand::Var(peers[a.other % peers.len()]),
+                    _ => Operand::Const(a.value),
+                };
+                store.record(var, rhs, a.relation);
+                touched.push(var);
+                if let Operand::Var(w) = rhs {
+                    touched.push(w);
+                    tally.var_var += 1;
+                }
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            tally.contradictions += touched.iter().filter(|&&v| store.mask(v) == 0).count();
+            let objects = ct.open_mentioning(&touched);
+            if objects != scan(&ct, &touched) {
+                return Err(format!("round {round}: the index found {objects:?}"));
+            }
+            let stats = if round == 0 {
+                ct.propagate(&store)
+            } else {
+                ct.propagate_touching(&store, &touched, &objects)
+            };
+            let (decided, max_depth) = reference_pass(&mut reference, &store);
+            let got: Vec<Condition> = ct.iter().map(|(_, c)| c.clone()).collect();
+            if format!("{got:?}") != format!("{reference:?}") || got != reference {
+                return Err(format!("round {round}: {got:?} against {reference:?}"));
+            }
+            if (stats.decided, stats.max_depth) != (decided, max_depth) {
+                return Err(format!(
+                    "round {round}: {stats:?} against {decided}, {max_depth}"
+                ));
+            }
+            tally.deepest = tally.deepest.max(max_depth);
+            if round > 0 {
+                tally.decided_by_touching += decided;
+            }
+            // Any set of variables: the index finds what a scan finds.
+            for vars in [&missing[..], &missing[..missing.len() / 2]] {
+                if ct.open_mentioning(vars) != scan(&ct, vars) {
+                    return Err(format!("round {round}: the index missed on {vars:?}"));
+                }
+            }
+        }
+        Ok(tally)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// See [`run_campaign`].
+        #[test]
+        fn occurrence_propagation_matches_the_whole_condition_fixpoint(
+            (data, rounds) in campaign()
+        ) {
+            let outcome = run_campaign(&data, &rounds);
+            prop_assert!(outcome.is_ok(), "{}", outcome.err().unwrap_or_default());
+        }
+    }
+
+    /// The random campaigns reach what the property is about: var-var
+    /// answers, contradictory answers, one-value domains, conditions
+    /// rewritten, and conditions decided after the first pass. The
+    /// reference never iterates twice: a substitution makes no expression
+    /// decidable that was not ([`Condition::settle`]).
+    #[test]
+    fn random_campaigns_cover_the_hard_cases() {
+        let mut runner = proptest::TestRunner::new(
+            ProptestConfig::with_cases(512),
+            "random_campaigns_cover_the_hard_cases",
+        );
+        let mut total = Tally::default();
+        for _ in 0..512 {
+            let (data, rounds) = campaign().generate(runner.rng());
+            let tally = run_campaign(&data, &rounds).expect("the paths agree");
+            total.var_var += tally.var_var;
+            total.contradictions += tally.contradictions;
+            total.single_values += tally.single_values;
+            total.deepest = total.deepest.max(tally.deepest);
+            total.decided_by_touching += tally.decided_by_touching;
+        }
+        assert!(total.var_var > 100, "{}", total.var_var);
+        assert!(total.contradictions > 10, "{}", total.contradictions);
+        assert!(total.single_values > 10, "{}", total.single_values);
+        assert_eq!(total.deepest, 1);
+        assert!(
+            total.decided_by_touching > 100,
+            "{}",
+            total.decided_by_touching
+        );
     }
 }

@@ -64,7 +64,7 @@ impl<T: Borrow<Clause>> ClauseSet<T> for Plain {
 /// A variable's hash, which picks its mask bit and occurrence key from its
 /// top bits: one multiplication (Fibonacci hashing).
 #[inline]
-fn var_hash(v: VarId) -> u64 {
+pub(crate) fn var_hash(v: VarId) -> u64 {
     (u64::from(v.object.0) << 16 | u64::from(v.attr.0)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 

@@ -177,6 +177,9 @@ pub struct Counters {
     /// condition on a run's first pass, then only those mentioning an
     /// answered variable. From `Propagated` events.
     pub propagate_examined: u64,
+    /// Expressions propagation passes handed to the constraint store to
+    /// decide (`visited`).
+    pub propagate_visited: u64,
     /// Tasks abandoned at finalization (from `Degraded`).
     pub tasks_abandoned: u64,
     /// Durable checkpoints written.
@@ -304,8 +307,9 @@ impl MetricsRecorder {
         );
         let _ = writeln!(
             s,
-            "propagated {} answers ({} conditions examined), {} conditions decided",
-            c.answers_propagated, c.propagate_examined, c.conditions_decided
+            "propagated {} answers ({} conditions examined, {} expressions visited), \
+             {} conditions decided",
+            c.answers_propagated, c.propagate_examined, c.propagate_visited, c.conditions_decided
         );
         match peak_rss_bytes() {
             Some(bytes) => {
@@ -385,12 +389,14 @@ impl Observer for MetricsRecorder {
             Event::Propagated {
                 answers,
                 examined,
+                visited,
                 decided,
                 depth,
                 ..
             } => {
                 self.counters.answers_propagated += *answers as u64;
                 self.counters.propagate_examined += *examined as u64;
+                self.counters.propagate_visited += *visited as u64;
                 self.counters.conditions_decided += *decided as u64;
                 self.propagation_depth.record(*depth as u64);
             }
@@ -534,6 +540,7 @@ mod tests {
         rec.event(&Event::Propagated {
             answers: 2,
             examined: 6,
+            visited: 9,
             decided: 1,
             depth: 3,
             nanos: 50,
@@ -565,6 +572,7 @@ mod tests {
         assert_eq!(c.solver_component_splits, 2);
         assert_eq!(c.answers_propagated, 2);
         assert_eq!(c.propagate_examined, 6);
+        assert_eq!(c.propagate_visited, 9);
         assert_eq!(c.utility_evals, 6);
         assert_eq!(c.utility_solver_calls, 5);
         assert_eq!(c.utility_decisions, 12);

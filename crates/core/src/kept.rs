@@ -28,7 +28,7 @@
 
 use crate::error::RunError;
 use bc_ctable::CTable;
-use bc_data::{ObjectId, VarId};
+use bc_data::ObjectId;
 use bc_solver::factored::{TableStats, Workspace};
 use bc_solver::VarDists;
 use std::collections::BTreeMap;
@@ -39,6 +39,10 @@ use std::collections::BTreeMap;
 pub(crate) struct ProbCache {
     probs: BTreeMap<ObjectId, f64>,
     workspace: Workspace,
+    /// Whether `probs` may hold decided objects: after a full propagation
+    /// pass, which may decide any object, and after a restore. Otherwise a
+    /// pass decides only objects the invalidation before it forgot.
+    decided_held: bool,
 }
 
 impl ProbCache {
@@ -47,6 +51,7 @@ impl ProbCache {
         ProbCache {
             probs,
             workspace: Workspace::default(),
+            decided_held: true,
         }
     }
 
@@ -75,12 +80,22 @@ impl ProbCache {
 
     /// The per-round invalidation, run after a round's answers arrive and
     /// before they are propagated: forgets every decided object and every
-    /// object whose condition mentions a `touched` variable (sorted).
-    pub(crate) fn invalidate(&mut self, ctable: &CTable, touched: &[VarId]) {
-        self.probs.retain(|&o, _| {
-            let cond = ctable.condition(o);
-            !cond.is_decided() && !cond.mentions_any(touched)
-        });
+    /// object of `touched`, the open objects whose condition mentions an
+    /// answered variable ([`CTable::open_mentioning`]). The cache is
+    /// searched for decided objects only while it may hold some.
+    pub(crate) fn invalidate(&mut self, ctable: &CTable, touched: &[ObjectId]) {
+        if std::mem::take(&mut self.decided_held) {
+            self.probs.retain(|&o, _| !ctable.condition(o).is_decided());
+        }
+        for o in touched {
+            self.probs.remove(o);
+        }
+    }
+
+    /// Notes that a full propagation pass ran: it may have decided objects
+    /// the cache holds, which the next invalidation forgets.
+    pub(crate) fn full_pass_ran(&mut self) {
+        self.decided_held = true;
     }
 
     /// Caches `Pr(φ(o))` for every object of `objects` under `dists`,
@@ -174,6 +189,7 @@ mod tests {
     use super::*;
     use bc_bayes::Pmf;
     use bc_ctable::{Condition, Expr};
+    use bc_data::VarId;
     use bc_solver::{AdpllSolver, Solver, SolverError};
 
     fn v(o: u32, a: u16) -> VarId {
@@ -220,7 +236,7 @@ mod tests {
         // An answer narrows q: only φ(o0) reads it, and its three clause
         // tables are built again.
         let q = v(3, 0);
-        cache.invalidate(&ctable, &[q]);
+        cache.invalidate(&ctable, &ctable.open_mentioning(&[q]));
         assert_eq!(cache.get(ObjectId(0)), None);
         let kept = cache.get(ObjectId(1)).expect("o1 does not read q");
         let narrowed = dists.pmf(q).unwrap().conditioned(0b11010).unwrap();
@@ -248,10 +264,19 @@ mod tests {
         let mut ctable = table();
         let mut cache = ProbCache::default();
         solve_all(&mut cache, &ctable, &dists());
+        // A full propagation pass may decide any object; the next
+        // invalidation forgets it, whatever the round's answers touched.
         ctable.set_condition(ObjectId(1), Condition::True);
+        cache.full_pass_ran();
         cache.invalidate(&ctable, &[]);
         assert_eq!(cache.get(ObjectId(1)), None);
         assert!(cache.get(ObjectId(0)).is_some());
+        // So does a restored cache.
+        let probs = BTreeMap::from([(ObjectId(0), 0.5), (ObjectId(1), 0.25)]);
+        let mut restored = ProbCache::restore(probs);
+        restored.invalidate(&ctable, &[]);
+        assert_eq!(restored.get(ObjectId(1)), None);
+        assert_eq!(restored.get(ObjectId(0)), Some(0.5));
     }
 
     #[test]

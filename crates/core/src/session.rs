@@ -28,7 +28,7 @@ use crate::selection::{assemble_round, rank_objects};
 use crate::strategy::UtilityScorer;
 use bc_bayes::MissingValueModel;
 use bc_crowd::{CrowdPlatform, Task, TaskAnswer, TaskOutcome};
-use bc_ctable::{CTable, Condition, ConstraintStore, Operand, Relation};
+use bc_ctable::{CTable, Condition, ConstraintStore, Relation};
 use bc_data::{Accuracy, Dataset, ObjectId, VarId};
 use bc_obs::{Event, NoopObserver, Observer, RunPhase, Span};
 use bc_snapshot::SnapshotError;
@@ -82,15 +82,9 @@ pub(crate) struct RunState {
 /// decided everything its variables touch, in which case the answer would
 /// be useless.
 fn task_still_open(ctable: &CTable, task: &Task) -> bool {
-    let rhs = match task.rhs {
-        Operand::Var(v) => v,
-        Operand::Const(_) => task.var,
-    };
-    let mut vars = [task.var, rhs];
+    let mut vars: Vec<VarId> = task.vars().collect();
     vars.sort_unstable();
-    ctable
-        .iter()
-        .any(|(_, c)| !c.is_decided() && c.mentions_any(&vars))
+    !ctable.open_mentioning(&vars).is_empty()
 }
 
 impl RunState {
@@ -289,6 +283,14 @@ impl<'a> Session<'a> {
         &self.state.dists
     }
 
+    /// The constraint store: every crowd answer propagated so far, as
+    /// candidate-value masks and variable-pair facts. Propagating the
+    /// session's initial c-table against it in one full pass gives
+    /// [`Session::ctable`].
+    pub fn store(&self) -> &ConstraintStore {
+        &self.state.store
+    }
+
     /// Every object's probability of being a skyline answer under the
     /// current posterior: `1.0` for conditions already decided true, `0.0`
     /// for false, and `Pr(φ(o))` from ADPLL otherwise.
@@ -327,7 +329,7 @@ impl<'a> Session<'a> {
         }
         let retry = s.config.retry;
 
-        if s.budget == 0 || s.ctable.n_open_exprs() == 0 {
+        if s.budget == 0 || !s.ctable.any_open() {
             s.finished = true;
             return Ok(false);
         }
@@ -482,7 +484,8 @@ impl<'a> Session<'a> {
         let mut touched: Vec<VarId> = answers.iter().flat_map(|a| a.task.vars()).collect();
         touched.sort_unstable();
         touched.dedup();
-        s.cache.invalidate(&s.ctable, &touched);
+        let touched_objects = s.ctable.open_mentioning(&touched);
+        s.cache.invalidate(&s.ctable, &touched_objects);
         if s.config.propagate_answers {
             let mut narrowed = BTreeSet::new();
             for a in &answers {
@@ -492,8 +495,13 @@ impl<'a> Session<'a> {
             // earlier pass left each open condition at its fixpoint; so
             // after the first (full) pass, only conditions mentioning an
             // answered variable can move.
-            let touching = (!first_pass).then_some(touched.as_slice());
-            let prop_stats = s.ctable.propagate_touching(&s.store, touching);
+            let prop_stats = if first_pass {
+                s.cache.full_pass_ran();
+                s.ctable.propagate(&s.store)
+            } else {
+                s.ctable
+                    .propagate_touching(&s.store, &touched, &touched_objects)
+            };
             // Re-condition only the variables whose candidate set narrowed
             // (all answered ones); every other distribution is unchanged
             // (the base pmf while the mask is the full domain). A mask with
@@ -507,6 +515,7 @@ impl<'a> Session<'a> {
             observer.event(&Event::Propagated {
                 answers: answers.len(),
                 examined: prop_stats.examined,
+                visited: prop_stats.visited,
                 decided: prop_stats.decided,
                 depth: prop_stats.max_depth,
                 nanos: propagate_span.elapsed_nanos(),

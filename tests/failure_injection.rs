@@ -269,6 +269,81 @@ fn thirty_percent_expiry_with_retries_stays_close_to_fault_free() {
     }
 }
 
+/// A faulty campaign's report and work counters, as one line: the answer
+/// sets, the crowd's accounting, the degradation counts, the open
+/// probabilities (hashed to the bit) and every `bc_obs::Counters` field.
+fn faulty_campaign_digest(strategy: TaskStrategy, retry: RetryPolicy) -> String {
+    let complete = complete_random(150, 4, 8, 31);
+    let (incomplete, _) = bc_data::missing::inject_mcar(&complete, 0.3, 32);
+    let cfg = BayesCrowdConfig {
+        budget: 40,
+        latency: 4,
+        alpha: 1.0,
+        strategy,
+        retry,
+        ..Default::default()
+    };
+    let inner = SimulatedPlatform::new(GroundTruthOracle::new(complete), 1.0, 23);
+    let faults = FaultConfig {
+        expiry_prob: 0.3,
+        attrition: 0.1,
+        ..FaultConfig::default()
+    };
+    let mut platform = FaultyPlatform::new(inner, faults, 24);
+    let mut metrics = bc_obs::MetricsRecorder::new();
+    let report = match BayesCrowd::new(cfg).try_run(&incomplete, &mut platform, &mut metrics) {
+        Ok(r) => r,
+        Err(bayescrowd::RunError::PlatformExhausted { report }) => *report,
+        Err(e) => panic!("unexpected run error: {e}"),
+    };
+    // FNV-1a over each open object and its probability's bits.
+    let mut probs: u64 = 0xcbf2_9ce4_8422_2325;
+    for (o, p) in &report.open_probabilities {
+        for word in [u64::from(o.0), p.to_bits()] {
+            probs = (probs ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    format!(
+        "result {:?} certain {:?} {:?} budget_left {} evals {} open_exprs {} expired {} \
+         retried {} stalled {} degraded {} probs {probs:016x} | {:?}",
+        report.result,
+        report.certain,
+        report.crowd,
+        report.budget_left,
+        report.probability_evals,
+        report.open_exprs_left,
+        report.tasks_expired,
+        report.tasks_retried,
+        report.rounds_stalled,
+        report.degraded,
+        metrics.counters()
+    )
+}
+
+/// Campaigns with expiries, attrition and retries, pinned exactly: the
+/// re-post check (is a failed task's condition still open?) and the end of
+/// the loop (is any condition open?) must give the same reports and
+/// counters however they find the open conditions.
+#[test]
+fn faulty_campaigns_with_retries_are_pinned() {
+    let retry_twice = RetryPolicy {
+        max_attempts: 3,
+        escalate_workers: 0,
+        backoff_base: 1,
+    };
+    let want = [
+        "result [o19, o23, o34, o36, o49, o82, o93, o149] certain [] CrowdStats { tasks_posted: 40, rounds: 4, worker_answers: 72, money_spent: 72 } budget_left 0 evals 588 open_exprs 12628 expired 8 retried 8 stalled 0 degraded true probs 9ebedbe5e2c1fa07 | Counters { rounds: 4, posted: 40, answered: 24, expired: 2, requeued: 14, retried: 8, probability_evals: 588, solver_calls: 588, solver_branches: 54947, solver_cache_hits: 2, solver_cache_misses: 25815, solver_component_splits: 1575, answers_propagated: 24, conditions_decided: 0, propagate_examined: 470, propagate_visited: 16564, tasks_abandoned: 6, checkpoints_written: 0, utility_evals: 0, utility_solver_calls: 0, utility_decisions: 0, model_blanket_cells: 180, model_ve_cells: 0, model_blanket_keys: 4 }",
+        "result [o19, o23, o34, o36, o49, o93, o125, o149] certain [] CrowdStats { tasks_posted: 40, rounds: 4, worker_answers: 72, money_spent: 72 } budget_left 0 evals 586 open_exprs 12293 expired 9 retried 7 stalled 0 degraded true probs eb8e2e7a9f728bed | Counters { rounds: 4, posted: 40, answered: 24, expired: 0, requeued: 16, retried: 7, probability_evals: 586, solver_calls: 586, solver_branches: 55829, solver_cache_hits: 4, solver_cache_misses: 25485, solver_component_splits: 1537, answers_propagated: 24, conditions_decided: 0, propagate_examined: 468, propagate_visited: 16667, tasks_abandoned: 9, checkpoints_written: 0, utility_evals: 181, utility_solver_calls: 33, utility_decisions: 2285, model_blanket_cells: 180, model_ve_cells: 0, model_blanket_keys: 4 }",
+    ];
+    let got = [
+        faulty_campaign_digest(TaskStrategy::Fbs, RetryPolicy::default()),
+        faulty_campaign_digest(TaskStrategy::Hhs { m: 3 }, retry_twice),
+    ];
+    for (got, want) in got.iter().zip(want) {
+        assert_eq!(got, want);
+    }
+}
+
 /// Total workforce attrition after the first round: everything later
 /// expires, retries can't help, and the run must degrade instead of hanging.
 #[test]
