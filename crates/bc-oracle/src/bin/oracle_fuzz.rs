@@ -10,7 +10,9 @@
 //! through the differential harness (every solver vs the possible-worlds
 //! oracle, and every condition's incremental rewrites vs full
 //! normalization) and the marginal-utility check. Every `--metamorphic-every`-th instance additionally runs the
-//! run-level metamorphic suite. On the first divergence the driver
+//! run-level metamorphic suite, and a larger table drawn from its seed
+//! runs a session whose c-table is checked against propagation from
+//! scratch after every round. On the first divergence the driver
 //! greedily minimizes the failing instance, writes it (with the divergence
 //! record) to `--artifact`, prints the replay instructions, and exits 1 —
 //! CI uploads the artifact, and `--corpus` gains a regression seed.
@@ -131,6 +133,20 @@ fn fuzz_one(inst: &Instance, cfg: &DiffConfig, deep: bool) -> Result<(), Box<Div
             metamorphic::reflection_preserves_skyline(inst, &dirs, cfg).map_err(&wrap)?;
         }
         metamorphic::session_invariants(inst, inst.seed ^ 0xfeed, cfg.eps).map_err(&wrap)?;
+        // The same seed drawn as a table too large to enumerate, for the
+        // session's c-table against propagation from scratch.
+        let wide = random_instance(inst.seed, &metamorphic::wide_gen_config());
+        metamorphic::propagation_matches_fixpoint(&wide, inst.seed ^ 0xfeed).map_err(|detail| {
+            Box::new(Divergence {
+                instance: wide.clone(),
+                solver: "propagation".into(),
+                object: bc_data::ObjectId(0),
+                got: f64::NAN,
+                want: f64::NAN,
+                tolerance: 0.0,
+                detail,
+            })
+        })?;
     }
     Ok(())
 }
