@@ -84,20 +84,23 @@ fn escape_clause(data: &Dataset, o: ObjectId, p: ObjectId) -> Option<Vec<Expr>> 
                     ));
                 }
             }
-            // Both missing: escape is Var(o, a) > Var(p, a).
+            // Both missing: escape is Var(o, a) > Var(p, a); impossible
+            // over a one-value domain.
             (None, None) => {
                 saw_missing = true;
-                exprs.push(Expr::new(
-                    VarId {
-                        object: o,
-                        attr: bc_data::AttrId(attr),
-                    },
-                    CmpOp::Gt,
-                    Operand::Var(VarId {
-                        object: p,
-                        attr: bc_data::AttrId(attr),
-                    }),
-                ));
+                if max > 0 {
+                    exprs.push(Expr::new(
+                        VarId {
+                            object: o,
+                            attr: bc_data::AttrId(attr),
+                        },
+                        CmpOp::Gt,
+                        Operand::Var(VarId {
+                            object: p,
+                            attr: bc_data::AttrId(attr),
+                        }),
+                    ));
+                }
             }
         }
     }
@@ -142,6 +145,13 @@ pub struct CTableBuildStats {
 }
 
 /// Algorithm 2: builds the c-table of the skyline query over `data`.
+///
+/// The table is at its propagation fixpoint under an empty constraint store
+/// ([`ConstraintStore::new`](crate::ConstraintStore::new)): every escape
+/// expression can go either way over its full domains, so none is decided,
+/// and no variable of a one-value domain is mentioned, so none is pinned.
+/// Propagation therefore only ever rewrites what an answer touches
+/// ([`CTable::propagate`]).
 ///
 /// ```
 /// use bc_ctable::{build_ctable, CTableConfig, Condition, DominatorStrategy};
@@ -314,6 +324,23 @@ mod tests {
             ],
         ]);
         assert_eq!(*ct.condition(ObjectId(4)), expected_o5);
+    }
+
+    /// Over a one-value domain `Var(o,a) > Var(p,a)` is always false, so
+    /// the builder emits no such escape and the table starts at its
+    /// fixpoint: here the only escape left, o0's from o1, is impossible.
+    #[test]
+    fn a_one_value_domain_has_no_escape() {
+        let domains = vec![
+            bc_data::Domain::new("single", 1).unwrap(),
+            bc_data::Domain::new("a1", 4).unwrap(),
+        ];
+        let rows = vec![vec![None, Some(1)], vec![None, Some(2)], vec![None, None]];
+        let data = Dataset::from_rows("single", domains, rows).unwrap();
+        let ct = build_ctable(&data, &paper_config());
+        assert_eq!(*ct.condition(ObjectId(0)), Condition::False);
+        assert!(ct.vars().iter().all(|v| v.attr.index() == 1), "{ct:?}");
+        assert!(ct.any_open(), "{ct:?}");
     }
 
     #[test]

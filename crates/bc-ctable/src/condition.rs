@@ -403,28 +403,28 @@ impl Condition {
     /// [`Condition::substitute`] of every pinned variable reach when
     /// iterated until nothing changes.
     ///
-    /// In a [touching](Scope::touching) scope only the expressions that
-    /// mention a touched variable are decided, and only touched variables
-    /// are substituted; a [full](Scope::full) scope takes every expression
-    /// and variable. One step of each reaches the fixpoint when the
-    /// condition was at its fixpoint under a store that differed from
-    /// `store` only on the touched variables: no other expression is
-    /// decidable and no other variable is pinned. A substitution leaves no
-    /// pinned variable behind, and it makes no expression decidable that
-    /// was not: `x op y` with `y` pinned to `c` was decided by the same
-    /// interval test as `x op c`, since `y`'s candidates are `{c}`.
+    /// Only the expressions that mention a variable the [`Scope`] touched
+    /// are decided, and only touched variables are substituted. One step of
+    /// each reaches the fixpoint when the condition was at its fixpoint
+    /// under a store that differed from `store` only on the touched
+    /// variables: no other expression is decidable and no other variable is
+    /// pinned. A substitution leaves no pinned variable behind, and it
+    /// makes no expression decidable that was not: `x op y` with `y` pinned
+    /// to `c` was decided by the same interval test as `x op c`, since
+    /// `y`'s candidates are `{c}`.
     ///
     /// Each step edits the clause list in place and restores the canonical
-    /// form from what it rewrote ([`restore`]).
+    /// form from what it rewrote ([`restore`]). Returns the number of
+    /// expressions handed to the store to decide.
     pub(crate) fn settle(
         &mut self,
         store: &ConstraintStore,
         scope: &Scope,
         scratch: &mut SettleScratch,
-    ) -> Settled {
-        let mut settled = Settled::default();
+    ) -> usize {
+        let mut visited = 0;
         let Condition::Cnf(clauses) = self else {
-            return settled;
+            return visited;
         };
         debug_assert!(is_canonical(clauses), "settle on non-canonical {self:?}");
         let SettleScratch {
@@ -434,18 +434,16 @@ impl Condition {
         } = scratch;
         marks.clear();
         marks.resize(clauses.len(), Mark::Dirty);
-        let may_decide = |e: &Expr| scope.touched.as_ref().is_none_or(|t| t.mentioned_by(e));
-        let Some(decided) = decide_dirty(clauses, marks, store, may_decide, &mut settled.visited)
-        else {
-            settled.changed = true;
+        let may_decide = |e: &Expr| scope.touched.mentioned_by(e);
+        let Some(decided) = decide_dirty(clauses, marks, store, may_decide, &mut visited) else {
             *self = Condition::False;
-            return settled;
+            return visited;
         };
         if decided {
             restore(clauses, marks, fresh, kernel);
         }
-        let pin = |v| scope.pinned_value(v, store);
-        let pins = scope.may_pin()
+        let pin = |v| scope.pinned_value(v);
+        let pins = !scope.values.is_empty()
             && clauses.iter().zip(marks.iter()).any(|(clause, mark)| {
                 matches!(mark, Mark::Dirty | Mark::Shrunk)
                     && clause
@@ -455,13 +453,12 @@ impl Condition {
                         .any(|v| pin(v).is_some())
             });
         if !decided && !pins {
-            return settled;
+            return visited;
         }
-        settled.changed = true;
         if pins {
             if substitute_pinned(clauses, marks, pin).is_none() {
                 *self = Condition::False;
-                return settled;
+                return visited;
             }
             restore(clauses, marks, fresh, kernel);
         }
@@ -472,67 +469,39 @@ impl Condition {
             self.is_decided() || is_canonical(self.clauses()),
             "settle left non-canonical {self:?}"
         );
-        settled
+        visited
     }
 }
 
 /// Where a propagation pass looks for decidable expressions and pinned
-/// variables ([`Condition::settle`]).
+/// variables ([`Condition::settle`]): the variables whose store knowledge
+/// changed since the last pass.
 pub(crate) struct Scope {
-    /// The variables whose store knowledge changed since the last pass, or
-    /// `None` for every variable.
-    touched: Option<VarSet>,
-    /// The variables of the scope with a narrowed mask of one value, and
-    /// those values, in the same order.
+    touched: VarSet,
+    /// The touched variables with one candidate value left, and those
+    /// values, in the same order.
     pinned: VarSet,
     values: Vec<Value>,
-    /// In a full scope, which attributes have a one-value domain: each of
-    /// their variables is pinned while its mask is not narrowed.
-    single: Vec<bool>,
 }
 
 impl Scope {
-    /// Every expression and variable.
-    pub(crate) fn full(store: &ConstraintStore) -> Scope {
-        let pinned = store.masks().filter(|&(_, m)| m.is_power_of_two());
-        let (vars, values) = pinned
-            .map(|(v, m)| (v, m.trailing_zeros() as Value))
-            .unzip();
-        Scope {
-            touched: None,
-            pinned: VarSet::new(vars),
-            values,
-            single: store.attr_cards().iter().map(|&c| c == 1).collect(),
-        }
-    }
-
     /// The variables of `sorted` (ascending): the store changed on them
     /// alone since the last pass.
-    pub(crate) fn touching(sorted: &[VarId], store: &ConstraintStore) -> Scope {
+    pub(crate) fn new(sorted: &[VarId], store: &ConstraintStore) -> Scope {
         let pinned = sorted
             .iter()
             .filter_map(|&v| store.pinned_value(v).map(|x| (v, x)));
         let (vars, values) = pinned.unzip();
         Scope {
-            touched: Some(VarSet::new(sorted.to_vec())),
+            touched: VarSet::new(sorted.to_vec()),
             pinned: VarSet::new(vars),
             values,
-            single: Vec::new(),
         }
     }
 
-    /// Whether any variable of the scope may be pinned.
-    fn may_pin(&self) -> bool {
-        !self.values.is_empty() || self.single.contains(&true)
-    }
-
-    /// The value `v` is pinned to, if it is in the scope and pinned.
-    fn pinned_value(&self, v: VarId, store: &ConstraintStore) -> Option<Value> {
-        match self.pinned.position(v) {
-            Some(at) => Some(self.values[at]),
-            None if self.single.get(v.attr.index()) == Some(&true) => store.pinned_value(v),
-            None => None,
-        }
+    /// The value `v` is pinned to, if it is touched and pinned.
+    fn pinned_value(&self, v: VarId) -> Option<Value> {
+        self.pinned.position(v).map(|at| self.values[at])
     }
 }
 
@@ -577,16 +546,6 @@ impl VarSet {
     fn mentioned_by(&self, e: &Expr) -> bool {
         self.position(e.var()).is_some() || e.rhs_var().is_some_and(|r| self.position(r).is_some())
     }
-}
-
-/// What [`Condition::settle`] did to one condition.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Settled {
-    /// Whether the condition changed: its fixpoint took one iteration,
-    /// not none.
-    pub changed: bool,
-    /// Expressions handed to the store to decide.
-    pub visited: usize,
 }
 
 /// The buffers [`Condition::settle`] reuses from one condition to the next.

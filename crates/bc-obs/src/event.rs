@@ -177,17 +177,14 @@ pub enum Event {
     Propagated {
         /// Answers folded in.
         answers: usize,
-        /// Open conditions re-simplified: every open condition on a run's
-        /// first pass, then only those mentioning an answered variable.
+        /// Open conditions re-simplified: those mentioning an answered
+        /// variable.
         examined: usize,
-        /// Expressions handed to the constraint store to decide: every
-        /// expression on a run's first pass, then only those mentioning an
-        /// answered variable.
+        /// Expressions handed to the constraint store to decide: those
+        /// mentioning an answered variable.
         visited: usize,
         /// Conditions that became decided.
         decided: usize,
-        /// Deepest per-condition simplify/substitute fixpoint iteration.
-        depth: usize,
         /// Propagation wall-clock time.
         nanos: u128,
     },
@@ -350,7 +347,7 @@ wire_format! {
     RoundStarted { round }
     ProbabilityBatch { phase, objects, cached, points, groups, clause_tables, nanos }
     UtilityBatch { candidates, solver_calls, points, clause_tables, nanos }
-    Propagated { answers, examined, visited, decided, depth, nanos }
+    Propagated { answers, examined, visited, decided, nanos }
     RoundFinished { round, posted, answered, expired, requeued, retried, nanos }
     SpanFinished { phase, nanos }
     Degraded { tasks_abandoned }
@@ -465,7 +462,6 @@ mod tests {
                 examined: 5,
                 visited: 14,
                 decided: 1,
-                depth: 2,
                 nanos: 55,
             },
             Event::RoundFinished {
@@ -613,7 +609,6 @@ mod tests {
             examined: 41,
             visited: 97,
             decided: 2,
-            depth: 1,
             nanos: 9,
         };
         let line = e.to_json_line(4);
@@ -680,6 +675,7 @@ mod tests {
             r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "solver_calls": 3, "branches": 17, "cache_hits": 2, "component_splits": 1, "cache_misses": 5, "nanos": 777}"#,
             r#"{"seq": 5, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "decisions": 41, "cache_hits": 5, "nanos": 6543}"#,
             r#"{"seq": 6, "event": "Propagated", "answers": 2, "examined": 5, "decided": 1, "depth": 2, "nanos": 55}"#,
+            r#"{"seq": 6, "event": "Propagated", "answers": 2, "examined": 5, "visited": 14, "decided": 1, "depth": 2, "nanos": 55}"#,
         ] {
             assert_eq!(Event::from_json_line(old), None, "{old}");
         }
@@ -774,7 +770,7 @@ mod tests {
             r#"{"seq": 3, "event": "RoundStarted", "round": 1}"#,
             r#"{"seq": 4, "event": "ProbabilityBatch", "phase": "select", "objects": 3, "cached": 2, "points": 17, "groups": 4, "clause_tables": 5, "nanos": 777}"#,
             r#"{"seq": 5, "event": "UtilityBatch", "candidates": 9, "solver_calls": 8, "points": 41, "clause_tables": 12, "nanos": 6543}"#,
-            r#"{"seq": 6, "event": "Propagated", "answers": 2, "examined": 5, "visited": 14, "decided": 1, "depth": 2, "nanos": 55}"#,
+            r#"{"seq": 6, "event": "Propagated", "answers": 2, "examined": 5, "visited": 14, "decided": 1, "nanos": 55}"#,
             r#"{"seq": 7, "event": "RoundFinished", "round": 1, "posted": 2, "answered": 2, "expired": 0, "requeued": 0, "retried": 0, "nanos": 888}"#,
             r#"{"seq": 8, "event": "SpanFinished", "phase": "post", "nanos": 11}"#,
             r#"{"seq": 9, "event": "Degraded", "tasks_abandoned": 1}"#,

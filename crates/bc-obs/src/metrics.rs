@@ -3,8 +3,8 @@
 //! [`MetricsRecorder`] is the sink tests and the bench harness assert on:
 //! it keeps the raw event list, per-phase wall-clock totals (reconciled
 //! against the run total via [`MetricsRecorder::unattributed_nanos`]),
-//! scalar counters, and exact-count [`Histogram`]s of per-round task
-//! counts and propagation depth.
+//! scalar counters, and an exact-count [`Histogram`] of per-round task
+//! counts.
 
 use crate::event::{Event, RunPhase};
 use crate::sink::Observer;
@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 /// An exact-count histogram of `u64` samples with quantile extraction.
 ///
 /// Stores one counter per distinct value. The sample spaces we record
-/// (round sizes, propagation depths, trial timings) have few distinct
+/// (round sizes, trial timings) have few distinct
 /// values, so exact storage is cheaper than sketching and makes
 /// [`Histogram::quantile`] exact rather than bucket-approximate. A
 /// coarse log₂ view is still available via [`Histogram::buckets`].
@@ -225,7 +225,6 @@ pub struct MetricsRecorder {
     total_nanos: u128,
     counters: Counters,
     tasks_per_round: Histogram,
-    propagation_depth: Histogram,
 }
 
 impl MetricsRecorder {
@@ -320,7 +319,6 @@ impl MetricsRecorder {
             }
         }
         let _ = writeln!(s, "tasks/round: {}", self.tasks_per_round);
-        let _ = writeln!(s, "propagation depth: {}", self.propagation_depth);
         let _ = write!(s, "phase timings:");
         for phase in RunPhase::ALL {
             let nanos = self.phase_nanos(phase);
@@ -337,11 +335,6 @@ impl MetricsRecorder {
     /// Histogram of tasks posted per round.
     pub fn tasks_per_round(&self) -> &Histogram {
         &self.tasks_per_round
-    }
-
-    /// Histogram of propagation fixpoint depth per round.
-    pub fn propagation_depth(&self) -> &Histogram {
-        &self.propagation_depth
     }
 }
 
@@ -391,14 +384,12 @@ impl Observer for MetricsRecorder {
                 examined,
                 visited,
                 decided,
-                depth,
                 ..
             } => {
                 self.counters.answers_propagated += *answers as u64;
                 self.counters.propagate_examined += *examined as u64;
                 self.counters.propagate_visited += *visited as u64;
                 self.counters.conditions_decided += *decided as u64;
-                self.propagation_depth.record(*depth as u64);
             }
             Event::RoundFinished {
                 posted,
@@ -542,7 +533,6 @@ mod tests {
             examined: 6,
             visited: 9,
             decided: 1,
-            depth: 3,
             nanos: 50,
         });
         rec.event(&Event::RoundFinished {
@@ -589,7 +579,6 @@ mod tests {
         assert_eq!(rec.phase_nanos(RunPhase::Select), 150);
         assert_eq!(rec.phase_nanos(RunPhase::Post), 0);
         assert_eq!(rec.tasks_per_round().count(), 1);
-        assert_eq!(rec.propagation_depth().max(), 3);
         assert_eq!(rec.events().len(), 9);
         assert!(rec.summary().contains("posted 2"));
     }

@@ -72,7 +72,8 @@ pub fn conditioning_decomposes(inst: &Instance, eps: f64) -> Result<usize, Strin
             let mut store = ConstraintStore::new(&inst.data);
             store.record(var, Operand::Const(v), Relation::Eq);
             let mut conditioned = ctable.clone();
-            conditioned.propagate(&store);
+            let objects = conditioned.open_mentioning(&[var]);
+            conditioned.propagate(&store, &[var], &objects);
             let mut map = BTreeMap::new();
             for (&w, base) in &inst.pmfs {
                 if let Some(p) = base.conditioned(store.mask(w)) {

@@ -84,17 +84,17 @@ pub(crate) fn read_checkpoint(
     let base = VarDists::new(dec_pmf_map(snap.section("model")?, &data)?);
     let dists = VarDists::new(dec_pmf_map(snap.section("dists")?, &data)?);
     let store = dec_store(snap.section("store")?, &data)?;
-    let ctable = CTable::new(snap.section("ctable")?.list_of("ctable", dec_cond)?);
+    let ctable = dec_ctable(snap.section("ctable")?, &data)?;
     let pending = snap.section("pending")?.list_of("pending queue", |p| {
         Ok(PendingTask {
-            task: dec_task(p.field("task")?)?,
+            task: dec_task(p.field("task")?, &data)?,
             attempts: p.field("attempts")?,
             eligible_round: p.field("eligible_round")?,
         })
     })?;
     let probs = dec_prob_cache(snap.section("prob_cache")?, &ctable)?;
-    let cache = ProbCache::restore(probs);
-    let platform = dec_platform_state(snap.section("platform")?)?;
+    let cache = ProbCache::restore(probs, &ctable);
+    let platform = dec_platform_state(snap.section("platform")?, &data)?;
     let p = snap.section("progress")?;
     let state = RunState {
         budget: p.field("budget")?,
@@ -199,15 +199,12 @@ fn enc_vid(v: VarId) -> Value {
     Value::List(vec![v.object.0.into(), v.attr.0.into()])
 }
 
-fn dec_vid(v: &Value) -> Result<VarId, SnapshotError> {
-    let (object, attr) = v.read("variable id")?;
-    Ok(VarId::new(object, attr))
-}
-
-/// A variable id that must name a missing cell of `data`: the hashed
-/// tables a resume fills key only on cells a run can produce.
+/// A variable id that must name a missing cell of `data`: the tables a
+/// resume fills, the c-table's occurrence index among them, key only on
+/// cells a run can produce.
 fn dec_cell(v: &Value, data: &Dataset) -> Result<VarId, SnapshotError> {
-    let var = dec_vid(v)?;
+    let (object, attr) = v.read("variable id")?;
+    let var = VarId::new(object, attr);
     let in_range = var.object.index() < data.n_objects() && var.attr.index() < data.n_attrs();
     if in_range && data.get(var.object, var.attr).is_none() {
         Ok(var)
@@ -223,11 +220,11 @@ fn enc_operand(rhs: Operand) -> Value {
     }
 }
 
-fn dec_operand(v: &Value) -> Result<Operand, SnapshotError> {
+fn dec_operand(v: &Value, data: &Dataset) -> Result<Operand, SnapshotError> {
     if let Some(c) = v.get("c") {
         Ok(Operand::Const(c.read("constant operand")?))
     } else if let Some(var) = v.get("v") {
-        Ok(Operand::Var(dec_vid(var)?))
+        Ok(Operand::Var(dec_cell(var, data)?))
     } else {
         Err(inv("operand must carry \"c\" or \"v\""))
     }
@@ -241,11 +238,11 @@ fn enc_expr(e: &Expr) -> Value {
     ])
 }
 
-fn dec_expr(v: &Value) -> Result<Expr, SnapshotError> {
+fn dec_expr(v: &Value, data: &Dataset) -> Result<Expr, SnapshotError> {
     Ok(Expr::new(
-        dec_vid(v.field("v")?)?,
+        dec_cell(v.field("v")?, data)?,
         by_name(&OPS, v.field("op")?, "comparison operator")?,
-        dec_operand(v.field("rhs")?)?,
+        dec_operand(v.field("rhs")?, data)?,
     ))
 }
 
@@ -262,23 +259,36 @@ fn enc_cond(c: &Condition) -> Value {
     }
 }
 
-fn dec_cond(v: &Value) -> Result<Condition, SnapshotError> {
+/// A condition whose variables are missing cells of `data`.
+fn dec_cond(v: &Value, data: &Dataset) -> Result<Condition, SnapshotError> {
     match v {
         Value::Bool(true) => Ok(Condition::True),
         Value::Bool(false) => Ok(Condition::False),
         // `from_clauses` canonicalizes; serialized conditions are already
         // canonical, so the rebuild is an identity.
-        Value::List(_) => {
-            Ok(Condition::from_clauses(v.list_of("condition", |cl| {
-                cl.list_of("clause", dec_expr)
-            })?))
-        }
+        Value::List(_) => Ok(Condition::from_clauses(v.list_of("condition", |cl| {
+            cl.list_of("clause", |e| dec_expr(e, data))
+        })?)),
         _ => Err(inv("condition must be a bool or a clause list")),
     }
 }
 
 fn enc_ctable(ctable: &CTable) -> Value {
     Value::List(ctable.iter().map(|(_, c)| enc_cond(c)).collect())
+}
+
+/// One condition per object of `data`, each over its missing cells: the
+/// occurrence index is sized from the variables a table mentions.
+fn dec_ctable(v: &Value, data: &Dataset) -> Result<CTable, SnapshotError> {
+    let conditions = v.list_of("ctable", |c| dec_cond(c, data))?;
+    if conditions.len() != data.n_objects() {
+        return Err(inv(format!(
+            "ctable holds {} conditions for {} objects",
+            conditions.len(),
+            data.n_objects()
+        )));
+    }
+    Ok(CTable::new(conditions))
 }
 
 // -- constraint store and distributions --------------------------------------
@@ -412,10 +422,11 @@ fn enc_task(t: &Task) -> Value {
     Value::obj(vec![("v", enc_vid(t.var)), ("rhs", enc_operand(t.rhs))])
 }
 
-fn dec_task(v: &Value) -> Result<Task, SnapshotError> {
+/// A task over missing cells of `data`.
+fn dec_task(v: &Value, data: &Dataset) -> Result<Task, SnapshotError> {
     Ok(Task {
-        var: dec_vid(v.field("v")?)?,
-        rhs: dec_operand(v.field("rhs")?)?,
+        var: dec_cell(v.field("v")?, data)?,
+        rhs: dec_operand(v.field("rhs")?, data)?,
     })
 }
 
@@ -534,7 +545,7 @@ fn enc_platform_state(state: &PlatformState) -> Value {
     }
 }
 
-fn dec_platform_state(v: &Value) -> Result<PlatformState, SnapshotError> {
+fn dec_platform_state(v: &Value, data: &Dataset) -> Result<PlatformState, SnapshotError> {
     match v.field::<&str>("kind")? {
         "simulated" => Ok(PlatformState::Simulated {
             rng: v.field("rng")?,
@@ -542,7 +553,7 @@ fn dec_platform_state(v: &Value) -> Result<PlatformState, SnapshotError> {
             escalated: v.field("escalated")?,
             log: v.field::<&Value>("log")?.list_of("answer log", |a| {
                 Ok(TaskAnswer {
-                    task: dec_task(a.field("task")?)?,
+                    task: dec_task(a.field("task")?, data)?,
                     relation: by_name(&RELATIONS, a.field("rel")?, "relation")?,
                 })
             })?,
@@ -559,7 +570,7 @@ fn dec_platform_state(v: &Value) -> Result<PlatformState, SnapshotError> {
                     duplicates_injected: faults.field("duplicates")?,
                     straggler_rounds: faults.field("straggler_rounds")?,
                 },
-                inner: Box::new(dec_platform_state(v.field("inner")?)?),
+                inner: Box::new(dec_platform_state(v.field("inner")?, data)?),
             })
         }
         other => Err(inv(format!("unknown platform state kind {other:?}"))),
@@ -729,6 +740,13 @@ fn dec_config(v: &Value) -> Result<BayesCrowdConfig, SnapshotError> {
 mod tests {
     use super::*;
 
+    /// Six objects over three attributes of cardinality eight, every cell
+    /// missing: any variable of a test condition is one of its cells.
+    fn holes() -> Dataset {
+        let domains = (0..3).map(|a| Domain::new(format!("a{a}"), 8).unwrap());
+        Dataset::from_rows("holes", domains.collect(), vec![vec![None; 3]; 6]).unwrap()
+    }
+
     #[test]
     fn store_bytes_do_not_depend_on_insertion_order() {
         use bc_ctable::Operand;
@@ -828,7 +846,7 @@ mod tests {
             vec![Expr::gt(v2, 1)],
         ]);
         for c in [Condition::True, Condition::False, cond] {
-            let decoded = dec_cond(&enc_cond(&c)).expect("decodes");
+            let decoded = dec_cond(&enc_cond(&c), &holes()).expect("decodes");
             assert_eq!(decoded, c);
             // Canonicalization is idempotent: re-encoding is byte-stable.
             assert_eq!(enc_cond(&decoded).to_json(), enc_cond(&c).to_json());
@@ -871,7 +889,7 @@ mod tests {
             ),
         ];
         for (what, clauses) in lists {
-            let decoded = dec_cond(&Value::List(clauses)).expect("decodes");
+            let decoded = dec_cond(&Value::List(clauses), &holes()).expect("decodes");
             assert_eq!(decoded, canonical, "{what}");
             assert_eq!(
                 enc_cond(&decoded).to_json(),
@@ -917,7 +935,7 @@ mod tests {
                 log: vec![answer],
             }),
         };
-        let decoded = dec_platform_state(&enc_platform_state(&state)).expect("decodes");
+        let decoded = dec_platform_state(&enc_platform_state(&state), &holes()).expect("decodes");
         assert_eq!(decoded, state);
     }
 
@@ -943,7 +961,7 @@ mod tests {
             Value::List(vec![Value::Int(1)]),
             Value::obj(vec![("kind", Value::Str("martian".into()))]),
         ] {
-            assert!(dec_platform_state(&bad).is_err());
+            assert!(dec_platform_state(&bad, &holes()).is_err());
             assert!(dec_config(&bad).is_err());
             assert!(dec_dataset(&bad).is_err());
         }
@@ -996,6 +1014,41 @@ mod tests {
                 ("facts", Value::List(vec![])),
             ]);
             assert!(dec_store(&store, &data).is_err(), "{var} as a mask");
+            // So must every variable of a condition or a pending task, on
+            // either side of an expression.
+            let cell = enc_vid(missing);
+            let exprs = [
+                (enc_vid(var), Value::obj(vec![("c", 1u64.into())])),
+                (cell.clone(), Value::obj(vec![("v", enc_vid(var))])),
+                (enc_vid(var), Value::obj(vec![("v", cell.clone())])),
+            ];
+            for (lhs, rhs) in exprs {
+                let task = Value::obj(vec![("v", lhs.clone()), ("rhs", rhs.clone())]);
+                let expr = Value::obj(vec![("v", lhs), ("op", "lt".into()), ("rhs", rhs)]);
+                let mut conditions = vec![Value::Bool(true); data.n_objects()];
+                conditions[0] = Value::List(vec![Value::List(vec![expr])]);
+                for got in [
+                    dec_task(&task, &data).map(|_| ()),
+                    dec_ctable(&Value::List(conditions), &data).map(|_| ()),
+                ] {
+                    match got {
+                        Err(SnapshotError::Invalid(m)) => {
+                            assert!(m.contains("missing cell"), "{m}")
+                        }
+                        other => panic!("{var}: {other:?}"),
+                    }
+                }
+            }
+        }
+        // A c-table holds one condition per object.
+        let conditions = |n| Value::List(vec![Value::Bool(true); n]);
+        let n = data.n_objects();
+        assert_eq!(dec_ctable(&conditions(n), &data).unwrap().n_objects(), n);
+        for wrong in [0, n - 1, n + 1] {
+            match dec_ctable(&conditions(wrong), &data) {
+                Err(SnapshotError::Invalid(m)) => assert!(m.contains("conditions"), "{m}"),
+                other => panic!("{wrong} conditions: {other:?}"),
+            }
         }
         // Cached probabilities name objects of the table, in ascending
         // order, and are probabilities: the first use would otherwise

@@ -6,11 +6,12 @@
 //! The first time a round needs `Pr(φ(o))`, the workspace builds a table
 //! for every clause of `φ(o)` over the object's own cells, and one pass
 //! over their joint support sums the probability; only the probability is
-//! kept. After a round's answers, every decided object and every object
-//! whose condition mentions an answered variable is forgotten: those
-//! variables' pmfs change, and propagation rewrites only conditions that
-//! mention them. Every other probability stays valid, and a session
-//! resumed from a checkpoint restores them with their bits.
+//! kept. After a round's answers, every object whose condition mentions an
+//! answered variable is forgotten: those variables' pmfs change, and
+//! propagation rewrites, and may decide, only conditions that mention them.
+//! So the cache holds only open objects. Every other probability stays
+//! valid, and a session resumed from a checkpoint restores them with their
+//! bits.
 //!
 //! Task selection scores an object in the same workspace
 //! ([`ProbCache::workspace`]), rebuilding its tables there: a table is a
@@ -39,19 +40,16 @@ use std::collections::BTreeMap;
 pub(crate) struct ProbCache {
     probs: BTreeMap<ObjectId, f64>,
     workspace: Workspace,
-    /// Whether `probs` may hold decided objects: after a full propagation
-    /// pass, which may decide any object, and after a restore. Otherwise a
-    /// pass decides only objects the invalidation before it forgot.
-    decided_held: bool,
 }
 
 impl ProbCache {
-    /// A cache restored from a checkpoint's cached probabilities.
-    pub(crate) fn restore(probs: BTreeMap<ObjectId, f64>) -> ProbCache {
+    /// A cache restored from a checkpoint's cached probabilities, keeping
+    /// only the objects `ctable` leaves open.
+    pub(crate) fn restore(mut probs: BTreeMap<ObjectId, f64>, ctable: &CTable) -> ProbCache {
+        probs.retain(|&o, _| !ctable.condition(o).is_decided());
         ProbCache {
             probs,
             workspace: Workspace::default(),
-            decided_held: true,
         }
     }
 
@@ -79,23 +77,13 @@ impl ProbCache {
     }
 
     /// The per-round invalidation, run after a round's answers arrive and
-    /// before they are propagated: forgets every decided object and every
-    /// object of `touched`, the open objects whose condition mentions an
-    /// answered variable ([`CTable::open_mentioning`]). The cache is
-    /// searched for decided objects only while it may hold some.
-    pub(crate) fn invalidate(&mut self, ctable: &CTable, touched: &[ObjectId]) {
-        if std::mem::take(&mut self.decided_held) {
-            self.probs.retain(|&o, _| !ctable.condition(o).is_decided());
-        }
+    /// before they are propagated: forgets every object of `touched`, the
+    /// open objects whose condition mentions an answered variable
+    /// ([`CTable::open_mentioning`]).
+    pub(crate) fn invalidate(&mut self, touched: &[ObjectId]) {
         for o in touched {
             self.probs.remove(o);
         }
-    }
-
-    /// Notes that a full propagation pass ran: it may have decided objects
-    /// the cache holds, which the next invalidation forgets.
-    pub(crate) fn full_pass_ran(&mut self) {
-        self.decided_held = true;
     }
 
     /// Caches `Pr(φ(o))` for every object of `objects` under `dists`,
@@ -236,7 +224,7 @@ mod tests {
         // An answer narrows q: only φ(o0) reads it, and its three clause
         // tables are built again.
         let q = v(3, 0);
-        cache.invalidate(&ctable, &ctable.open_mentioning(&[q]));
+        cache.invalidate(&ctable.open_mentioning(&[q]));
         assert_eq!(cache.get(ObjectId(0)), None);
         let kept = cache.get(ObjectId(1)).expect("o1 does not read q");
         let narrowed = dists.pmf(q).unwrap().conditioned(0b11010).unwrap();
@@ -255,26 +243,16 @@ mod tests {
         assert!((cache.get(ObjectId(0)).unwrap() - solved).abs() <= 1e-12);
         // A restored cache holds the same bits.
         let probs: BTreeMap<ObjectId, f64> = cache.probabilities().collect();
-        let restored = ProbCache::restore(probs.clone());
+        let restored = ProbCache::restore(probs.clone(), &ctable);
         assert_eq!(restored.probabilities().collect::<BTreeMap<_, _>>(), probs);
     }
 
     #[test]
-    fn a_decided_object_is_forgotten() {
+    fn a_restored_cache_forgets_decided_objects() {
         let mut ctable = table();
-        let mut cache = ProbCache::default();
-        solve_all(&mut cache, &ctable, &dists());
-        // A full propagation pass may decide any object; the next
-        // invalidation forgets it, whatever the round's answers touched.
         ctable.set_condition(ObjectId(1), Condition::True);
-        cache.full_pass_ran();
-        cache.invalidate(&ctable, &[]);
-        assert_eq!(cache.get(ObjectId(1)), None);
-        assert!(cache.get(ObjectId(0)).is_some());
-        // So does a restored cache.
         let probs = BTreeMap::from([(ObjectId(0), 0.5), (ObjectId(1), 0.25)]);
-        let mut restored = ProbCache::restore(probs);
-        restored.invalidate(&ctable, &[]);
+        let restored = ProbCache::restore(probs, &ctable);
         assert_eq!(restored.get(ObjectId(1)), None);
         assert_eq!(restored.get(ObjectId(0)), Some(0.5));
     }

@@ -332,8 +332,8 @@ fn faulty_campaigns_with_retries_are_pinned() {
         backoff_base: 1,
     };
     let want = [
-        "result [o19, o23, o34, o36, o49, o82, o93, o149] certain [] CrowdStats { tasks_posted: 40, rounds: 4, worker_answers: 72, money_spent: 72 } budget_left 0 evals 588 open_exprs 12628 expired 8 retried 8 stalled 0 degraded true probs 9ebedbe5e2c1fa07 | Counters { rounds: 4, posted: 40, answered: 24, expired: 2, requeued: 14, retried: 8, probability_evals: 588, solver_calls: 588, solver_branches: 54947, solver_cache_hits: 2, solver_cache_misses: 25815, solver_component_splits: 1575, answers_propagated: 24, conditions_decided: 0, propagate_examined: 470, propagate_visited: 16564, tasks_abandoned: 6, checkpoints_written: 0, utility_evals: 0, utility_solver_calls: 0, utility_decisions: 0, model_blanket_cells: 180, model_ve_cells: 0, model_blanket_keys: 4 }",
-        "result [o19, o23, o34, o36, o49, o93, o125, o149] certain [] CrowdStats { tasks_posted: 40, rounds: 4, worker_answers: 72, money_spent: 72 } budget_left 0 evals 586 open_exprs 12293 expired 9 retried 7 stalled 0 degraded true probs eb8e2e7a9f728bed | Counters { rounds: 4, posted: 40, answered: 24, expired: 0, requeued: 16, retried: 7, probability_evals: 586, solver_calls: 586, solver_branches: 55829, solver_cache_hits: 4, solver_cache_misses: 25485, solver_component_splits: 1537, answers_propagated: 24, conditions_decided: 0, propagate_examined: 468, propagate_visited: 16667, tasks_abandoned: 9, checkpoints_written: 0, utility_evals: 181, utility_solver_calls: 33, utility_decisions: 2285, model_blanket_cells: 180, model_ve_cells: 0, model_blanket_keys: 4 }",
+        "result [o19, o23, o34, o36, o49, o82, o93, o149] certain [] CrowdStats { tasks_posted: 40, rounds: 4, worker_answers: 72, money_spent: 72 } budget_left 0 evals 588 open_exprs 12628 expired 8 retried 8 stalled 0 degraded true probs 9ebedbe5e2c1fa07 | Counters { rounds: 4, posted: 40, answered: 24, expired: 2, requeued: 14, retried: 8, probability_evals: 588, solver_calls: 588, solver_branches: 54947, solver_cache_hits: 2, solver_cache_misses: 25815, solver_component_splits: 1575, answers_propagated: 24, conditions_decided: 0, propagate_examined: 470, propagate_visited: 2758, tasks_abandoned: 6, checkpoints_written: 0, utility_evals: 0, utility_solver_calls: 0, utility_decisions: 0, model_blanket_cells: 180, model_ve_cells: 0, model_blanket_keys: 4 }",
+        "result [o19, o23, o34, o36, o49, o93, o125, o149] certain [] CrowdStats { tasks_posted: 40, rounds: 4, worker_answers: 72, money_spent: 72 } budget_left 0 evals 586 open_exprs 12293 expired 9 retried 7 stalled 0 degraded true probs eb8e2e7a9f728bed | Counters { rounds: 4, posted: 40, answered: 24, expired: 0, requeued: 16, retried: 7, probability_evals: 586, solver_calls: 586, solver_branches: 55829, solver_cache_hits: 4, solver_cache_misses: 25485, solver_component_splits: 1537, answers_propagated: 24, conditions_decided: 0, propagate_examined: 468, propagate_visited: 2750, tasks_abandoned: 9, checkpoints_written: 0, utility_evals: 181, utility_solver_calls: 33, utility_decisions: 2285, model_blanket_cells: 180, model_ve_cells: 0, model_blanket_keys: 4 }",
     ];
     let got = [
         faulty_campaign_digest(TaskStrategy::Fbs, RetryPolicy::default()),
