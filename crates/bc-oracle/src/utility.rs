@@ -177,17 +177,17 @@ fn tables_match(
     let p_phi = adpll
         .probability(cond, dists)
         .map_err(|err| format!("Pr(φ) failed: {err}"))?;
-    workspace
-        .build(o, cond, dists)
-        .map_err(|err| format!("tables failed: {err}"))?;
     let (p_tables, _) = workspace
-        .probability(dists)
+        .probability(o, cond, dists)
         .map_err(|err| format!("Pr(φ) off the tables failed: {err}"))?;
     if !prob_close(p_tables, p_phi, 1e-12) {
         return Err(format!(
             "tables Pr(φ) = {p_tables:e}, the solve says {p_phi:e}"
         ));
     }
+    workspace
+        .build(o, cond, dists)
+        .map_err(|err| format!("tables failed: {err}"))?;
     let mut outside = workspace
         .joints(cond, dists)
         .map_err(|err| format!("outside pass failed: {err}"))?;

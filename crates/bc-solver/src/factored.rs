@@ -14,14 +14,16 @@
 //! with `θ` the own cells' pmfs, `κ_C` the product of `1 − Pr(e)` over
 //! `C`'s expressions that mention no own cell, and `g_{C,a}(v)` the
 //! product of `1 − Pr(e | x_a = v)` over its expressions on own cell `a`.
-//! [`Workspace::build`] computes `κ_C` and the `g_{C,a}` per clause; sums
-//! out a cell only one clause reads; runs the sum over classes of values
-//! every clause weighs alike; multiplies clauses over the same shared
-//! cells into one group table; and sums groups that share no cell apart.
-//! Every table is a pure function of its clause and the current pmfs, so
-//! tables built in a workspace that held another object's equal a fresh
-//! workspace's bit for bit. [`Workspace::probability`] sums `Pr(φ)` and
-//! [`Workspace::joints`] gives every candidate's `Pr(φ ∧ e)` from outside
+//! Every step starts from `κ_C` and the `g_{C,a}` per clause, and sums out
+//! a cell only one clause reads. [`Workspace::probability`] sums `Pr(φ)`
+//! straight from them when at most one own cell is read by two clauses.
+//! Otherwise, and for [`Workspace::build`], the values of each shared cell
+//! fall into classes every clause weighs alike, clauses over the same
+//! shared cells multiply into one group table, and groups that share no
+//! cell are summed apart. Every table is a pure function of its clause and
+//! the current pmfs, so tables built in a workspace that held another
+//! object's equal a fresh workspace's bit for bit. [`Workspace::joints`]
+//! gives every candidate's `Pr(φ ∧ e)` of the last build from outside
 //! messages and prefix and suffix products, with no division by a factor
 //! that may be 0.
 //!
@@ -39,7 +41,7 @@ use crate::{checked_probability, SolverError};
 use bc_ctable::{Clause, Condition, Expr, ExprOrBool, Operand};
 use bc_data::{ObjectId, Value, VarId};
 
-/// Effort of one build or pass, all plain counts.
+/// Effort of one build, sum or pass, all plain counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Clause tables computed.
@@ -92,6 +94,9 @@ struct Tables {
     clauses: Vec<ClauseTable>,
     factors: Vec<f64>,
     cells: Vec<(VarId, usize)>,
+    /// Per entry of `cells`, `Σ_v p_a(v) g_a(v)` over its support: the
+    /// factor that sums the cell out of its clause.
+    sums: Vec<f64>,
     /// The cells two or more clauses read, sorted, each with the range of
     /// `class_of` that gives each of its support values' class: runs of
     /// adjacent values every clause reading the cell weighs alike,
@@ -109,6 +114,7 @@ impl Tables {
         self.clauses.clear();
         self.factors.clear();
         self.cells.clear();
+        self.sums.clear();
         self.shared.clear();
         self.class_of.clear();
         self.groups.clear();
@@ -128,6 +134,10 @@ impl Tables {
         &self.cells[t.cells.0..t.cells.1]
     }
 
+    fn sums(&self, t: &ClauseTable) -> &[f64] {
+        &self.sums[t.cells.0..t.cells.1]
+    }
+
     fn keys(&self, g: &GroupTable) -> &[VarId] {
         &self.keys[g.keys.0..g.keys.1]
     }
@@ -141,12 +151,7 @@ impl Tables {
     /// `t`'s `κ` with every own cell no other clause reads summed out; the
     /// `g_a` of each shared cell, one entry per class, and the class
     /// counts go to `out`.
-    fn effective(
-        &self,
-        t: &ClauseTable,
-        dists: &VarDists,
-        out: &mut Effective,
-    ) -> Result<f64, SolverError> {
+    fn effective(&self, t: &ClauseTable, out: &mut Effective) -> f64 {
         out.factors.clear();
         out.sizes.clear();
         if self
@@ -154,11 +159,11 @@ impl Tables {
             .iter()
             .all(|&(v, _)| self.classes(v).is_none())
         {
-            return Ok(t.summed);
+            return t.summed;
         }
         let mut kappa = t.kappa;
         let mut at = t.factors.0;
-        for &(v, n) in self.cells(t) {
+        for (&(v, n), &sum) in self.cells(t).iter().zip(self.sums(t)) {
             let g = &self.factors[at..at + n];
             at += n;
             match self.classes(v) {
@@ -170,13 +175,10 @@ impl Tables {
                     }
                     out.sizes.push(class_count(of));
                 }
-                None => {
-                    let positive = dists.pmf(v)?.probs().iter().filter(|&&p| p > 0.0);
-                    kappa *= positive.zip(g).map(|(p, g)| p * g).sum::<f64>();
-                }
+                None => kappa *= sum,
             }
         }
-        Ok(kappa)
+        kappa
     }
 }
 
@@ -194,24 +196,14 @@ fn class_count(of: &[u32]) -> usize {
 /// One object's factor tables and the buffers that build, sum and pass
 /// over them. [`build`](Self::build) replaces the tables with another
 /// object's; one workspace per thread serves every object it scores.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Workspace {
-    object: ObjectId,
-    /// The condition is `false`.
-    falsum: bool,
+    /// The object of the last build, or that build's error; `None` before
+    /// the first build and after [`probability`](Self::probability), which
+    /// reuses the tables' buffers.
+    built: Option<Result<ObjectId, SolverError>>,
     tables: Tables,
     scratch: Scratch,
-}
-
-impl Default for Workspace {
-    fn default() -> Workspace {
-        Workspace {
-            object: ObjectId(0),
-            falsum: false,
-            tables: Tables::default(),
-            scratch: Scratch::default(),
-        }
-    }
 }
 
 /// The buffers builds and passes clear and refill.
@@ -262,6 +254,10 @@ struct Scratch {
     left_out: Vec<f64>,
     /// `Pr(e | x_a ∈ k)` per class `k` of one shared cell.
     given: Vec<f64>,
+    /// The closed form's clauses that read its shared cell: where the
+    /// cell's `g` starts in `Tables::factors`, and `κ` with the clause's
+    /// other cells summed out.
+    readers: Vec<(usize, f64)>,
 }
 
 /// The shared cells, their classes and the components of one pass.
@@ -309,31 +305,59 @@ struct Walk {
 
 impl Workspace {
     /// Builds object `o`'s tables from `cond`, its condition, under
-    /// `dists`, in place of whatever the workspace held. A condition
-    /// outside the shape (module docs) is [`SolverError::NotFactored`],
-    /// and then the workspace holds no tables.
+    /// `dists`, in place of whatever the workspace held, for
+    /// [`joints`](Self::joints). A condition outside the shape (module
+    /// docs) is [`SolverError::NotFactored`], and `joints` returns it too.
     pub fn build(
         &mut self,
         o: ObjectId,
         cond: &Condition,
         dists: &VarDists,
     ) -> Result<TableStats, SolverError> {
-        self.object = o;
-        self.falsum = matches!(cond, Condition::False);
-        let built = self.tables.build(o, cond, dists, &mut self.scratch);
-        if built.is_err() {
-            self.tables.clear();
-        }
+        let s = &mut self.scratch;
+        let built = self.tables.factor(o, cond, dists, &mut s.seen);
+        let built = built.map(|_| self.tables.group(s));
+        self.built = Some(built.as_ref().map(|_| o).map_err(Clone::clone));
         built
     }
 
-    /// `Pr(φ)` under `dists`, the pmfs of the last build, by one pass over
-    /// each component's classes; with the points of the passes. A value
-    /// that is not a probability is [`SolverError::InvalidProbability`].
-    pub fn probability(&mut self, dists: &VarDists) -> Result<(f64, TableStats), SolverError> {
-        if self.falsum {
+    /// `Pr(φ)` of object `o`'s condition `cond` under `dists`, with the
+    /// effort: the clause tables, the groups a build would make and the
+    /// points a pass over their classes would visit. When at most one own
+    /// cell is read by two clauses, the sum comes straight from the clause
+    /// tables (DESIGN.md, "Factor tables"); otherwise the workspace builds
+    /// the group tables and passes over each component's classes. Either
+    /// way the bits are the pass's. A condition outside the shape is
+    /// [`SolverError::NotFactored`], and a value that is not a probability
+    /// [`SolverError::InvalidProbability`].
+    pub fn probability(
+        &mut self,
+        o: ObjectId,
+        cond: &Condition,
+        dists: &VarDists,
+    ) -> Result<(f64, TableStats), SolverError> {
+        self.built = None;
+        if matches!(cond, Condition::False) {
             return Ok((0.0, TableStats::default()));
         }
+        let (st, s) = (&mut self.tables, &mut self.scratch);
+        match st.factor(o, cond, dists, &mut s.seen)? {
+            Some(shared) if shared.count_ones() <= 1 => {
+                let x = (shared != 0).then(|| VarId::new(o.0, shared.trailing_zeros() as u16));
+                st.closed_form(x, dists, &mut s.readers)
+            }
+            _ => {
+                let mut stats = st.group(s);
+                let (p, points) = self.walk_sum(dists)?;
+                stats.points = points;
+                Ok((p, stats))
+            }
+        }
+    }
+
+    /// `Pr(φ)` of the group tables under `dists`, their pmfs, by one pass
+    /// over each component's classes; with the points visited.
+    fn walk_sum(&mut self, dists: &VarDists) -> Result<(f64, u64), SolverError> {
         let (st, s) = (&self.tables, &mut self.scratch);
         st.lay_out(dists, &mut s.layout)?;
         let layout = &s.layout;
@@ -355,27 +379,33 @@ impl Workspace {
             );
             total *= sum;
         }
-        let stats = TableStats {
-            points,
-            ..TableStats::default()
-        };
-        Ok((checked_probability(total.clamp(0.0, 1.0))?, stats))
+        Ok((checked_probability(total.clamp(0.0, 1.0))?, points))
     }
 
     /// Every `Pr(φ ∧ e)` for the expressions `e` of `cond`, the condition
     /// of the last build, under `dists`, the pmfs of the last build: one
-    /// outside pass (module docs).
+    /// outside pass (module docs). A build that failed returns its error
+    /// here too.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no build came since the workspace was made or last ran
+    /// [`probability`](Self::probability).
     pub fn joints<'s>(
         &'s mut self,
         cond: &'s Condition,
         dists: &'s VarDists,
     ) -> Result<Joints<'s>, SolverError> {
+        let object = match &self.built {
+            Some(built) => built.clone()?,
+            None => panic!("joints reads the last build, and there is none"),
+        };
         let (st, s) = (&self.tables, &mut self.scratch);
         debug_assert_eq!(cond.clauses().len(), st.clauses.len(), "built from {cond}");
         s.others.clear();
         for (c, clause) in cond.clauses().iter().enumerate() {
             let vars = clause.exprs().iter().flat_map(Expr::vars);
-            let others = vars.filter(|v| v.object != self.object);
+            let others = vars.filter(|v| v.object != object);
             s.others.extend(others.map(|v| (v, c)));
         }
         s.others.sort_unstable();
@@ -486,7 +516,7 @@ impl Workspace {
             let at = s.blocks_at[g];
             for k in 0..m {
                 let c = s.members[s.members_at[g] + k];
-                let kappa = st.effective(&st.clauses[c], dists, &mut s.eff)?;
+                let kappa = st.effective(&st.clauses[c], &mut s.eff);
                 expand(kappa, &s.eff.factors, &s.eff.sizes, &mut s.expanded);
                 let block = &mut s.after[at + (k / size) * len..][..len];
                 for (x, &t) in block.iter_mut().zip(&s.expanded) {
@@ -520,7 +550,7 @@ impl Workspace {
             ..TableStats::default()
         };
         Ok(Joints {
-            object: self.object,
+            object,
             cond,
             tables: st,
             dists,
@@ -531,21 +561,23 @@ impl Workspace {
 }
 
 impl Tables {
-    /// Replaces the tables with those of object `o`'s condition `cond`
-    /// under `dists`, with `s`'s buffers.
-    fn build(
+    /// Replaces the tables with the clause tables of object `o`'s condition
+    /// `cond` under `dists`, with `seen` as a buffer. Returns the own cells
+    /// two or more clauses read, as a mask over their attributes, or `None`
+    /// when an attribute lies past the mask.
+    fn factor(
         &mut self,
         o: ObjectId,
         cond: &Condition,
         dists: &VarDists,
-        s: &mut Scratch,
-    ) -> Result<TableStats, SolverError> {
+        seen: &mut Vec<u64>,
+    ) -> Result<Option<u64>, SolverError> {
         self.clear();
-        check_shape(o, cond.clauses(), &mut s.seen)?;
+        check_shape(o, cond.clauses(), seen)?;
+        let (mut read, mut shared, mut fits) = (0u64, 0u64, true);
         for clause in cond.clauses() {
             let (factors, cells) = (self.factors.len(), self.cells.len());
-            let (kappa, summed) =
-                clause_factors(o, clause, dists, &mut self.cells, &mut self.factors)?;
+            let (kappa, summed) = self.clause_factors(o, clause, dists)?;
             self.clauses.push(ClauseTable {
                 kappa,
                 summed,
@@ -553,7 +585,105 @@ impl Tables {
                 cells: (cells, self.cells.len()),
                 group: 0,
             });
+            let mut mask = 0;
+            for &(v, _) in &self.cells[cells..] {
+                match 1u64.checked_shl(v.attr.0.into()) {
+                    Some(bit) => mask |= bit,
+                    None => fits = false,
+                }
+            }
+            shared |= read & mask;
+            read |= mask;
         }
+        Ok(fits.then_some(shared))
+    }
+
+    /// `Pr(φ)` off the clause tables when `x`, if any, is the one own cell
+    /// two clauses read, with the effort a build and a pass would report:
+    /// the pass's sum in the pass's order, with no group tables, no layout
+    /// and no odometer (DESIGN.md, "Factor tables"). `readers` is a buffer.
+    fn closed_form(
+        &self,
+        x: Option<VarId>,
+        dists: &VarDists,
+        readers: &mut Vec<(usize, f64)>,
+    ) -> Result<(f64, TableStats), SolverError> {
+        // The clauses that read no shared cell multiply, in clause order,
+        // into the table of the group with the empty key; each clause that
+        // reads `x` weighs its classes by its `g` and its other cells'
+        // sums.
+        let mut constant = None;
+        readers.clear();
+        for t in &self.clauses {
+            let cells = self.cells(t);
+            match x.and_then(|x| cells.iter().position(|&(v, _)| v == x)) {
+                None => *constant.get_or_insert(1.0) *= (1.0 - t.summed).clamp(0.0, 1.0),
+                Some(k) => {
+                    let (mut kappa, mut at, mut g) = (t.kappa, t.factors.0, 0);
+                    for (j, (&(_, n), &sum)) in cells.iter().zip(self.sums(t)).enumerate() {
+                        if j == k {
+                            g = at;
+                        } else {
+                            kappa *= sum;
+                        }
+                        at += n;
+                    }
+                    readers.push((g, kappa));
+                }
+            }
+        }
+        let mut stats = TableStats {
+            clause_tables: self.clauses.len() as u64,
+            ..TableStats::default()
+        };
+        // The pass multiplies the components' sums from 1.0, the empty
+        // key's first; that component's one point has `θ = 1`.
+        let mut total = 1.0;
+        if let Some(constant) = constant {
+            total *= constant;
+            stats.groups += 1;
+            stats.points += 1;
+        }
+        if let Some(x) = x {
+            // A class starts where some reader weighs a value unlike the
+            // one before; its probability sums its values' in value order,
+            // and its table is its first value's, its readers multiplied in
+            // clause order.
+            let table = |value: usize| {
+                readers.iter().fold(1.0, |t, &(at, kappa)| {
+                    t * (1.0 - kappa * self.factors[at + value]).clamp(0.0, 1.0)
+                })
+            };
+            let starts = |value: usize| {
+                let bits = |at: usize| self.factors[at].to_bits();
+                readers
+                    .iter()
+                    .any(|&(at, _)| bits(at + value) != bits(at + value - 1))
+            };
+            let mut probs = dists.pmf(x)?.probs().iter().filter(|&&p| p > 0.0);
+            let (mut p, mut t) = (*probs.next().expect("a pmf has mass"), table(0));
+            let (mut sum, mut classes) = (0.0, 1);
+            for (value, &q) in (1..).zip(probs) {
+                if starts(value) {
+                    sum += p * t;
+                    (p, t) = (q, table(value));
+                    classes += 1;
+                } else {
+                    p += q;
+                }
+            }
+            sum += p * t;
+            total *= sum;
+            stats.groups += 1;
+            stats.points += classes;
+        }
+        Ok((checked_probability(total.clamp(0.0, 1.0))?, stats))
+    }
+
+    /// Groups the clause tables of the last [`factor`](Self::factor) by
+    /// their shared cells and multiplies each group's tables, with `s`'s
+    /// buffers.
+    fn group(&mut self, s: &mut Scratch) -> TableStats {
         // The cells two or more clauses read, and each clause's among them.
         s.shared.clear();
         s.shared.extend(self.cells.iter().map(|&(v, _)| v));
@@ -637,7 +767,7 @@ impl Tables {
                 self.products.push(product);
             } else {
                 for &c in run {
-                    let kappa = self.effective(&self.clauses[c], dists, &mut s.eff)?;
+                    let kappa = self.effective(&self.clauses[c], &mut s.eff);
                     expand(kappa, &s.eff.factors, &s.eff.sizes, &mut s.expanded);
                     if self.products.len() == from {
                         self.products.resize(from + s.expanded.len(), 1.0);
@@ -658,11 +788,88 @@ impl Tables {
             });
             start = end;
         }
-        Ok(TableStats {
+        TableStats {
             clause_tables: self.clauses.len() as u64,
             groups: self.groups.len() as u64,
             points: 0,
-        })
+        }
+    }
+
+    /// Appends `clause`'s `g_a` for each own cell `a` of object `o` it
+    /// reads, in variable order, to `factors`, and those cells with their
+    /// support sizes to `cells` and their sums to `sums`; returns its `κ`,
+    /// and `κ` with every own cell summed out.
+    fn clause_factors(
+        &mut self,
+        o: ObjectId,
+        clause: &Clause,
+        dists: &VarDists,
+    ) -> Result<(f64, f64), SolverError> {
+        let mut kappa = 1.0;
+        for e in clause.exprs().iter().filter(|e| own_cell(o, e).is_none()) {
+            kappa *= (1.0 - dists.expr_prob(e)?).clamp(0.0, 1.0);
+        }
+        let start = self.cells.len();
+        for e in clause.exprs() {
+            if let Some(v) = own_cell(o, e) {
+                if !self.cells[start..].iter().any(|&(u, _)| u == v) {
+                    self.cells.push((v, 0));
+                }
+            }
+        }
+        self.cells[start..].sort_unstable();
+        let mut summed = kappa;
+        for cell in &mut self.cells[start..] {
+            let v = cell.0;
+            let probs = dists.pmf(v)?.probs();
+            let from = self.factors.len();
+            self.factors
+                .extend(probs.iter().filter(|&&p| p > 0.0).map(|_| 1.0));
+            cell.1 = self.factors.len() - from;
+            let values = || {
+                let positive = probs.iter().enumerate().filter(|(_, &p)| p > 0.0);
+                positive.map(|(value, _)| value as Value)
+            };
+            // `g *= (1 − Pr(e | v)).clamp(0, 1)`, which for a var-const
+            // `e` is `g · 0.0` where `e` holds and `g · 1.0 = g` elsewhere.
+            for e in clause.exprs().iter().filter(|e| e.mentions(v)) {
+                let g = &mut self.factors[from..];
+                match e.rhs() {
+                    Operand::Const(c) => {
+                        for (value, g) in values().zip(g) {
+                            if e.op().eval(value, c) {
+                                *g *= 0.0;
+                            }
+                        }
+                    }
+                    Operand::Var(r) => {
+                        // `e` with `v = value` is `w op value`, as
+                        // `Expr::substitute` writes it.
+                        let (w, op) = if e.var() == v {
+                            (r, e.op().converse())
+                        } else {
+                            (e.var(), e.op())
+                        };
+                        let other = dists.pmf(w)?;
+                        for (value, g) in values().zip(g) {
+                            let rest = Expr::new(w, op, Operand::Const(value));
+                            let Operand::Const(c) = rest.rhs() else {
+                                unreachable!("a var-const expression")
+                            };
+                            *g *= (1.0 - const_prob(other, rest.op(), c)).clamp(0.0, 1.0);
+                        }
+                    }
+                }
+            }
+            let positive = probs.iter().filter(|&&p| p > 0.0);
+            let sum = positive
+                .zip(&self.factors[from..])
+                .map(|(p, g)| p * g)
+                .sum::<f64>();
+            self.sums.push(sum);
+            summed *= sum;
+        }
+        Ok((kappa, summed))
     }
 
     /// Fills `layout` for the groups under `dists`.
@@ -862,67 +1069,6 @@ fn check_shape<'c>(
     }
 }
 
-/// Appends `clause`'s `g_a` for each own cell `a` of object `o` it reads,
-/// in variable order, to `factors`, and those cells with their support
-/// sizes to `cells`; returns its `κ`, and `κ` with every own cell summed
-/// out.
-fn clause_factors(
-    o: ObjectId,
-    clause: &Clause,
-    dists: &VarDists,
-    cells: &mut Vec<(VarId, usize)>,
-    factors: &mut Vec<f64>,
-) -> Result<(f64, f64), SolverError> {
-    let mut kappa = 1.0;
-    for e in clause.exprs().iter().filter(|e| own_cell(o, e).is_none()) {
-        kappa *= (1.0 - dists.expr_prob(e)?).clamp(0.0, 1.0);
-    }
-    let start = cells.len();
-    for e in clause.exprs() {
-        if let Some(v) = own_cell(o, e) {
-            if !cells[start..].iter().any(|&(u, _)| u == v) {
-                cells.push((v, 0));
-            }
-        }
-    }
-    cells[start..].sort_unstable();
-    let mut summed = kappa;
-    for cell in &mut cells[start..] {
-        let v = cell.0;
-        let probs = dists.pmf(v)?.probs();
-        let from = factors.len();
-        factors.extend(probs.iter().filter(|&&p| p > 0.0).map(|_| 1.0));
-        cell.1 = factors.len() - from;
-        for e in clause.exprs().iter().filter(|e| e.mentions(v)) {
-            let other = e
-                .vars()
-                .find(|&w| w != v)
-                .map(|w| dists.pmf(w))
-                .transpose()?;
-            let values = probs.iter().enumerate().filter(|(_, &p)| p > 0.0);
-            for ((value, _), g) in values.zip(&mut factors[from..]) {
-                let p_e = match (e.substitute(v, value as Value), other) {
-                    (ExprOrBool::Bool(b), _) => f64::from(u8::from(b)),
-                    (ExprOrBool::Expr(rest), Some(w)) => {
-                        let Operand::Const(c) = rest.rhs() else {
-                            unreachable!("one variable substituted, one left")
-                        };
-                        const_prob(w, rest.op(), c)
-                    }
-                    (ExprOrBool::Expr(rest), None) => dists.expr_prob(&rest)?,
-                };
-                *g *= (1.0 - p_e).clamp(0.0, 1.0);
-            }
-        }
-        let positive = probs.iter().filter(|&&p| p > 0.0);
-        summed *= positive
-            .zip(&factors[from..])
-            .map(|(p, g)| p * g)
-            .sum::<f64>();
-    }
-    Ok((kappa, summed))
-}
-
 /// Writes `1 − κ · Π_a g_a(y_a)` for every point `y` of the cells with
 /// `sizes` classes, whose `g_a` are concatenated in `factors`, the first
 /// cell slowest, into `out`.
@@ -1081,7 +1227,7 @@ impl Joints<'_> {
         let end = members.len().min((block + 1) * size);
         for (j, &other) in members.iter().enumerate().take(end).skip(block * size) {
             if j != k {
-                let kappa = st.effective(&st.clauses[other], self.dists, &mut s.eff)?;
+                let kappa = st.effective(&st.clauses[other], &mut s.eff);
                 expand(kappa, &s.eff.factors, &s.eff.sizes, &mut s.expanded);
                 for (x, &t) in s.left_out.iter_mut().zip(&s.expanded) {
                     *x *= t;
@@ -1131,12 +1277,10 @@ impl Joints<'_> {
     }
 }
 
-/// `Pr(φ(o))` by a fresh workspace: a convenience for one-off checks.
-/// `True` and `False` need no tables.
+/// `Pr(φ(o))` by a fresh workspace ([`Workspace::probability`]): a
+/// convenience for one-off checks.
 pub fn probability(o: ObjectId, cond: &Condition, dists: &VarDists) -> Result<f64, SolverError> {
-    let mut workspace = Workspace::default();
-    workspace.build(o, cond, dists)?;
-    Ok(workspace.probability(dists)?.0)
+    Ok(Workspace::default().probability(o, cond, dists)?.0)
 }
 
 #[cfg(test)]
@@ -1177,10 +1321,9 @@ mod tests {
         let (cond, dists) = shaped();
         let want = AdpllSolver::new().probability(&cond, &dists).unwrap();
         let mut workspace = Workspace::default();
-        let built = workspace.build(ObjectId(0), &cond, &dists).unwrap();
+        let (got, pass) = workspace.probability(ObjectId(0), &cond, &dists).unwrap();
         // Groups {}, {x}, {x, y} and {y}.
-        assert_eq!((built.clause_tables, built.groups), (4, 4));
-        let (got, pass) = workspace.probability(&dists).unwrap();
+        assert_eq!((pass.clause_tables, pass.groups), (4, 4));
         assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
         // One component over x and y, at most 5 × 5 points (fewer where
         // values fall into one class), and the constant group's one.
@@ -1227,11 +1370,11 @@ mod tests {
         .into_iter()
         .collect();
         let mut workspace = Workspace::default();
-        workspace.build(ObjectId(0), &cond, &dists).unwrap();
-        let (got, pass) = workspace.probability(&dists).unwrap();
+        let (got, pass) = workspace.probability(ObjectId(0), &cond, &dists).unwrap();
         assert_eq!(pass.points, 3);
         let want = AdpllSolver::new().probability(&cond, &dists).unwrap();
         assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
+        workspace.build(ObjectId(0), &cond, &dists).unwrap();
         let mut joints = workspace.joints(&cond, &dists).unwrap();
         let solver = AdpllSolver::new();
         for e in cond.exprs() {
@@ -1261,6 +1404,226 @@ mod tests {
                 Err(SolverError::NotFactored(var)),
                 "{cond}"
             );
+        }
+    }
+
+    #[test]
+    fn a_failed_build_is_an_error_not_a_sum() {
+        let (x, y, p) = (v(0, 0), v(0, 1), v(1, 0));
+        let dists: VarDists = [x, y, p]
+            .into_iter()
+            .map(|var| (var, Pmf::uniform(4)))
+            .collect();
+        let fine = Condition::from_clauses(vec![vec![Expr::gt(x, 1), Expr::lt(p, 2)]]);
+        let broken = Condition::from_clauses(vec![
+            vec![Expr::gt(x, 1), Expr::lt(p, 2)],
+            vec![Expr::gt(y, 2), Expr::gt(p, 0)],
+        ]);
+        let not_factored = Err(SolverError::NotFactored(p));
+        let mut workspace = Workspace::default();
+        workspace.build(ObjectId(0), &fine, &dists).unwrap();
+        assert_eq!(
+            workspace.build(ObjectId(0), &broken, &dists),
+            not_factored.clone()
+        );
+        // Neither the tables of the build before nor an empty sum.
+        let joints = workspace.joints(&broken, &dists).map(|_| ());
+        assert_eq!(joints, not_factored.clone().map(|_| ()));
+        let summed = workspace.probability(ObjectId(0), &broken, &dists);
+        assert_eq!(summed, not_factored.map(|_| (0.0, TableStats::default())));
+    }
+
+    mod closed_form {
+        use super::*;
+        use bc_ctable::CmpOp;
+        use proptest::prelude::*;
+        use proptest::TestRunner;
+
+        const OPS: [CmpOp; 6] = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ];
+        const ATTRS: u16 = 4;
+        const CARD: u16 = 6;
+
+        /// A condition of object 0 of the c-table's shape, and the pmfs of
+        /// its cells. The first `own` attributes are the object's missing
+        /// cells; dominator `p` gives one clause, each expression on one
+        /// attribute: a var-const or var-var one on the own cell, or a
+        /// var-const one on `p`'s. One draw in about forty leaves the
+        /// shape: an expression on another dominator's cell, or a var-var
+        /// one between two own cells. Pmfs have one to six values of mass.
+        fn arb_condition() -> impl Strategy<Value = (Condition, VarDists)> {
+            let expr = (0..ATTRS, 0u8..40, 0usize..6, 0..CARD + 1);
+            let clauses = prop::collection::vec(prop::collection::vec(expr, 1..5), 1..7);
+            let pmfs = prop::collection::vec(
+                prop::collection::vec((0..CARD, 0.05f64..1.0), 1..7),
+                7 * ATTRS as usize,
+            );
+            (1..ATTRS + 1, clauses, pmfs).prop_map(|(own, clauses, pmfs)| {
+                let raw: Vec<Vec<Expr>> = clauses
+                    .iter()
+                    .enumerate()
+                    .map(|(i, exprs)| {
+                        let p = i as u32 + 1;
+                        let mut seen = Vec::new();
+                        let mut clause = Vec::new();
+                        for &(a, kind, op, c) in exprs {
+                            if seen.contains(&a) {
+                                continue;
+                            }
+                            seen.push(a);
+                            let (op, c) = (OPS[op], Operand::Const(c));
+                            let b = (a + 1) % own;
+                            clause.push(match kind {
+                                0 if p > 1 => Expr::new(v(p - 1, a), op, c),
+                                1 if a < own && b != a => {
+                                    Expr::new(v(0, a), op, Operand::Var(v(0, b)))
+                                }
+                                2..=11 if a < own => Expr::new(v(0, a), op, Operand::Var(v(p, a))),
+                                12..=27 if a < own => Expr::new(v(0, a), op, c),
+                                _ => Expr::new(v(p, a), op, c),
+                            });
+                        }
+                        clause
+                    })
+                    .collect();
+                let dists = pmfs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, entries)| {
+                        let mut w = vec![0.0; CARD as usize];
+                        for &(value, m) in entries {
+                            w[value as usize] += m;
+                        }
+                        let cell = v((i / ATTRS as usize) as u32, (i % ATTRS as usize) as u16);
+                        (cell, Pmf::from_weights(w))
+                    })
+                    .collect();
+                (Condition::from_clauses(raw), dists)
+            })
+        }
+
+        /// The own cells of object 0 two or more clauses of `cond` read.
+        fn shared_cells(cond: &Condition) -> Vec<VarId> {
+            let mut cells: Vec<VarId> = Vec::new();
+            for clause in cond.clauses() {
+                let mut own: Vec<VarId> = clause
+                    .exprs()
+                    .iter()
+                    .filter_map(|e| own_cell(ObjectId(0), e))
+                    .collect();
+                own.sort_unstable();
+                own.dedup();
+                cells.extend(own);
+            }
+            cells.sort_unstable();
+            keep_repeated(&mut cells);
+            cells
+        }
+
+        /// [`Workspace::probability`] by the group tables and the pass over
+        /// every condition: the reference the closed form is checked
+        /// against.
+        fn probability_by_walk(
+            workspace: &mut Workspace,
+            o: ObjectId,
+            cond: &Condition,
+            dists: &VarDists,
+        ) -> Result<(f64, TableStats), SolverError> {
+            if matches!(cond, Condition::False) {
+                return Ok((0.0, TableStats::default()));
+            }
+            let mut stats = workspace.build(o, cond, dists)?;
+            let (p, points) = workspace.walk_sum(dists)?;
+            stats.points = points;
+            Ok((p, stats))
+        }
+
+        /// Every `g` the last factoring of `workspace` holds for `cond`,
+        /// against `Expr::substitute`'s `Pr(e | v = value)`, bit for bit.
+        fn factors_match_substitution(
+            workspace: &Workspace,
+            cond: &Condition,
+            dists: &VarDists,
+        ) -> Result<(), TestCaseError> {
+            let st = &workspace.tables;
+            for (clause, t) in cond.clauses().iter().zip(&st.clauses) {
+                let mut at = t.factors.0;
+                for &(cell, n) in st.cells(t) {
+                    let values = dists.pmf(cell).unwrap().support();
+                    for (i, value) in values.enumerate() {
+                        let mut g = 1.0;
+                        for e in clause.exprs().iter().filter(|e| e.mentions(cell)) {
+                            g *= (1.0 - given(e, cell, value, dists).unwrap()).clamp(0.0, 1.0);
+                        }
+                        prop_assert_eq!(st.factors[at + i].to_bits(), g.to_bits(), "{}", cell);
+                    }
+                    at += n;
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(
+                if cfg!(debug_assertions) { 512 } else { 4096 }
+            ))]
+
+            /// The closed form against the group tables and their pass, in
+            /// one reused workspace each: the same bits, the same effort,
+            /// the same error.
+            #[test]
+            fn closed_form_has_the_walks_bits(
+                cases in prop::collection::vec(arb_condition(), 1..4),
+            ) {
+                let (mut closed, mut walked) = (Workspace::default(), Workspace::default());
+                for (cond, dists) in &cases {
+                    let o = ObjectId(0);
+                    let bits = |r: Result<(f64, TableStats), SolverError>| {
+                        r.map(|(p, stats)| (p.to_bits(), stats))
+                    };
+                    let got = bits(closed.probability(o, cond, dists));
+                    let want = bits(probability_by_walk(&mut walked, o, cond, dists));
+                    prop_assert_eq!(&got, &want, "{}", cond);
+                    if got.is_ok() {
+                        factors_match_substitution(&closed, cond, dists)?;
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn conditions_cover_every_path() {
+            let mut runner = TestRunner::new(ProptestConfig::default(), "cover");
+            let strategy = arb_condition();
+            // Out of shape; no, one and two or more shared cells; a
+            // var-var expression on the one shared cell; a one-value
+            // shared cell.
+            let mut seen = [0; 6];
+            for _ in 0..1000 {
+                let (cond, dists) = strategy.generate(runner.rng());
+                let shared = shared_cells(&cond);
+                let x = shared.first().copied();
+                let path = probability(ObjectId(0), &cond, &dists);
+                let var_var = |x| cond.exprs().any(|e| e.mentions(x) && e.rhs_var().is_some());
+                let one_value = |x| dists.pmf(x).unwrap().support_size() == 1;
+                match (path, shared.len(), x) {
+                    (Err(_), _, _) => seen[0] += 1,
+                    (Ok(_), 0, _) => seen[1] += 1,
+                    (Ok(_), 1, Some(x)) => {
+                        seen[2] += 1;
+                        seen[4] += usize::from(var_var(x));
+                        seen[5] += usize::from(one_value(x));
+                    }
+                    (Ok(_), _, _) => seen[3] += 1,
+                }
+            }
+            assert!(seen.iter().all(|&n| n >= 20), "{seen:?}");
         }
     }
 }

@@ -15,8 +15,9 @@
 //! * [`MonteCarloSolver`] — a plain sampling estimator,
 //! * [`factored`] — ADPLL's sum in closed form on the conditions Get-CTable
 //!   builds: one table per clause over the object's own cells, from which
-//!   one pass gives `Pr(φ)` and another every `Pr(φ ∧ e)` of its
-//!   candidates; what a session scores with,
+//!   `Pr(φ)` follows, straight off them when at most one own cell is
+//!   shared and by one pass otherwise, and one more pass gives every
+//!   `Pr(φ ∧ e)` of its candidates; what a session scores with,
 //! * [`VarDists`] — per-variable value distributions (from the Bayesian
 //!   network) with expression-probability helpers, and
 //! * [`utility`] — the marginal-utility function `G(o, e)` (Definition 6).

@@ -2,8 +2,8 @@
 //!
 //! A solver keeps its clause arena and caches between calls, so a search
 //! allocates only what it must: a component-cache key per cache miss. A
-//! factor-table workspace builds an object's tables, sums `Pr(φ)`, runs
-//! the outside pass and scores every candidate off it in buffers it
+//! factor-table workspace sums an object's `Pr(φ)`, builds its tables,
+//! runs the outside pass and scores every candidate off it in buffers it
 //! keeps, so once they have grown a sweep over every open condition
 //! allocates nothing. This binary counts the heap allocations of the
 //! calling thread (its own `#[global_allocator]`) over every open
@@ -134,8 +134,8 @@ fn builds_sums_and_scoring_allocate_nothing_once_the_buffers_have_grown() {
         let sweep = |workspace: &mut Workspace| {
             let mut scored = 0;
             for (o, cond, exprs) in &jobs {
+                let (p, _) = workspace.probability(*o, cond, &dists).unwrap();
                 workspace.build(*o, cond, &dists).unwrap();
-                let (p, _) = workspace.probability(&dists).unwrap();
                 let mut joints = workspace.joints(cond, &dists).unwrap();
                 for e in exprs {
                     joints.utility(e, p).unwrap();

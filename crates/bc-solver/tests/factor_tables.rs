@@ -141,8 +141,8 @@ fn close(a: f64, b: f64) -> bool {
 fn agrees(o: ObjectId, cond: &Condition, dists: &VarDists) -> Result<(), TestCaseError> {
     let adpll = AdpllSolver::new();
     let mut workspace = Workspace::default();
+    let (p, _) = workspace.probability(o, cond, dists).unwrap();
     workspace.build(o, cond, dists).unwrap();
-    let (p, _) = workspace.probability(dists).unwrap();
     let want = adpll.probability(cond, dists).unwrap();
     prop_assert!(close(p, want), "Pr(φ) {p} vs ADPLL {want} in {cond}");
     let mut joints = workspace.joints(cond, dists).unwrap();
@@ -186,8 +186,8 @@ fn narrowed(cond: &Condition, dists: &VarDists, narrow: (usize, u64)) -> VarDist
 
 /// `Pr(φ)` and every `Pr(φ ∧ e)` of `cond` off `workspace`, as bits.
 fn bits(workspace: &mut Workspace, o: ObjectId, cond: &Condition, dists: &VarDists) -> Vec<u64> {
+    let (p, _) = workspace.probability(o, cond, dists).unwrap();
     workspace.build(o, cond, dists).unwrap();
-    let (p, _) = workspace.probability(dists).unwrap();
     let mut joints = workspace.joints(cond, dists).unwrap();
     let mut out = vec![p.to_bits()];
     out.extend(cond.exprs().map(|e| joints.joint(e).unwrap().to_bits()));

@@ -3,20 +3,22 @@
 //! ([`bc_solver::factored::Workspace`]) probabilities and scores are
 //! computed in.
 //!
-//! The first time a round needs `Pr(φ(o))`, the workspace builds a table
-//! for every clause of `φ(o)` over the object's own cells, and one pass
-//! over their joint support sums the probability; only the probability is
-//! kept. After a round's answers, every object whose condition mentions an
-//! answered variable is forgotten: those variables' pmfs change, and
-//! propagation rewrites, and may decide, only conditions that mention them.
-//! So the cache holds only open objects. Every other probability stays
-//! valid, and a session resumed from a checkpoint restores them with their
-//! bits.
+//! A round sums `Pr(φ(o))` for each open object without one in one call
+//! ([`bc_solver::factored::Workspace::probability`]): in closed form from
+//! the clause tables when at most one own cell is read by two clauses, and
+//! by group tables and a pass over their classes otherwise. Only the
+//! probability is kept. After a round's answers, every object whose
+//! condition mentions an answered variable is forgotten: those variables'
+//! pmfs change, and propagation rewrites, and may decide, only conditions
+//! that mention them. So the cache holds only open objects. Every other
+//! probability stays valid, and a session resumed from a checkpoint
+//! restores them with their bits.
 //!
 //! Task selection scores an object in the same workspace
-//! ([`ProbCache::workspace`]), rebuilding its tables there: a table is a
-//! pure function of its clause and the current pmfs, so they equal the
-//! ones its probability was summed off.
+//! ([`ProbCache::workspace`]), building its tables there: a table is a
+//! pure function of its clause and the current pmfs, and the closed form
+//! sums what a pass over them would, bit for bit, so scoring reads the
+//! tables of the same `Pr(φ)`.
 //!
 //! Every probability cached here is checked where the tables sum it
 //! ([`bc_solver::checked_probability`]); one that is not a probability is
@@ -86,8 +88,8 @@ impl ProbCache {
         }
     }
 
-    /// Caches `Pr(φ(o))` for every object of `objects` under `dists`,
-    /// building its tables first; returns the builds' and passes' effort.
+    /// Caches `Pr(φ(o))` for every object of `objects` under `dists`;
+    /// returns the effort of the sums.
     /// With `parallel`, batches above 64 objects split over threads, each
     /// with its own workspace, with the same bits as the sequential path.
     pub(crate) fn solve_batch(
@@ -151,9 +153,8 @@ fn solve_chunk(
 ) -> Result<TableStats, RunError> {
     let mut stats = TableStats::default();
     for &o in objects {
-        stats += workspace.build(o, ctable.condition(o), dists)?;
-        let (p, pass) = workspace.probability(dists)?;
-        stats += pass;
+        let (p, work) = workspace.probability(o, ctable.condition(o), dists)?;
+        stats += work;
         solved.push((o, p));
     }
     Ok(stats)
