@@ -1,11 +1,11 @@
 //! C-table construction (Algorithm 2, `Get-CTable`).
 
-use crate::condition::Condition;
+use crate::bitset::BitSet;
+use crate::condition::{Clause, Condition};
 use crate::ctable::CTable;
-use crate::dominators::{baseline_dominator_set, certainly_dominates, DominatorIndex};
-use crate::expr::{CmpOp, Expr, Operand};
-use crate::stats::count_distinct;
-use bc_data::{Dataset, ObjectId, VarId};
+use crate::dominators::{baseline_dominator_set, DominatorIndex};
+use crate::expr::Expr;
+use bc_data::{AttrId, Dataset, ObjectId, VarId};
 
 /// How dominator sets are derived.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,83 +37,85 @@ impl Default for CTableConfig {
     }
 }
 
-/// Builds the condition clause `p ⊀ o` — the disjunction of the per-attribute
-/// escapes `o[i] > p[i]` — keeping only expressions that involve a missing
-/// value (observed-observed comparisons are constants by construction).
+/// Writes the condition clause `p ⊀ o` — the disjunction of the
+/// per-attribute escapes `o[i] > p[i]` — into `exprs`, keeping only
+/// expressions that involve a missing value (observed-observed comparisons
+/// are constants by construction).
 ///
-/// Returns `None` when the clause is certainly true (the pair is a fully
-/// observed tie, which never dominates) and `Some(exprs)` otherwise; an
-/// empty vector means `p` dominates `o` in every completion.
-fn escape_clause(data: &Dataset, o: ObjectId, p: ObjectId) -> Option<Vec<Expr>> {
+/// The clause comes out sorted as a [`Clause`]'s expressions are. Every
+/// expression's left variable is `Var(o,a)` or `Var(p,a)` on its own
+/// attribute `a`, so the expressions whose left variable is the lower
+/// object's, `min(o, p)`'s, come first, each run in attribute order;
+/// `upper` holds the other run until it is appended. No two expressions share a left variable, so the clause is
+/// distinct and holds no `e ∨ ¬e`.
+///
+/// Returns `false` when the clause is certainly true (the pair is a fully
+/// observed tie, which never dominates). Otherwise `exprs` holds the
+/// clause; empty means `p` dominates `o` in every completion, which covers
+/// a fully observed `p` that strictly dominates a fully observed `o`.
+fn escape_clause(
+    data: &Dataset,
+    o: ObjectId,
+    p: ObjectId,
+    exprs: &mut Vec<Expr>,
+    upper: &mut Vec<Expr>,
+) -> bool {
+    exprs.clear();
+    upper.clear();
     let o_row = data.row(o);
     let p_row = data.row(p);
-    let mut exprs = Vec::new();
+    let o_lower = o < p;
     let mut saw_missing = false;
     for (a, (oc, pc)) in o_row.iter().zip(p_row).enumerate() {
-        let attr = a as u16;
-        let max = data.domain(bc_data::AttrId(attr)).max_value();
-        match (oc, pc) {
+        let attr = AttrId(a as u16);
+        let max = data.domain(attr).max_value();
+        let o_var = VarId { object: o, attr };
+        let p_var = VarId { object: p, attr };
+        // The expression, and whether its left variable is the lower
+        // object's.
+        let (e, lower) = match (oc, pc) {
             // Both observed: p ∈ D(o) implies o[i] <= p[i], so the escape
             // o[i] > p[i] is constant false — contribute nothing.
-            (Some(_), Some(_)) => {}
+            (Some(_), Some(_)) => continue,
             // o observed, p missing: escape is Var(p, a) < o[i];
             // impossible when o[i] is the domain minimum.
             (Some(ov), None) => {
                 saw_missing = true;
-                if *ov > 0 {
-                    exprs.push(Expr::lt(
-                        VarId {
-                            object: p,
-                            attr: bc_data::AttrId(attr),
-                        },
-                        *ov,
-                    ));
+                if *ov == 0 {
+                    continue;
                 }
+                (Expr::lt(p_var, *ov), !o_lower)
             }
             // o missing, p observed: escape is Var(o, a) > p[i];
             // impossible when p[i] is the domain maximum.
             (None, Some(pv)) => {
                 saw_missing = true;
-                if *pv < max {
-                    exprs.push(Expr::gt(
-                        VarId {
-                            object: o,
-                            attr: bc_data::AttrId(attr),
-                        },
-                        *pv,
-                    ));
+                if *pv >= max {
+                    continue;
                 }
+                (Expr::gt(o_var, *pv), o_lower)
             }
-            // Both missing: escape is Var(o, a) > Var(p, a); impossible
-            // over a one-value domain.
+            // Both missing: escape is Var(o, a) > Var(p, a), whose left
+            // variable is the lower object's; impossible over a one-value
+            // domain.
             (None, None) => {
                 saw_missing = true;
-                if max > 0 {
-                    exprs.push(Expr::new(
-                        VarId {
-                            object: o,
-                            attr: bc_data::AttrId(attr),
-                        },
-                        CmpOp::Gt,
-                        Operand::Var(VarId {
-                            object: p,
-                            attr: bc_data::AttrId(attr),
-                        }),
-                    ));
+                if max == 0 {
+                    continue;
                 }
+                (Expr::var_gt(o_var, p_var), true)
             }
+        };
+        if lower {
+            exprs.push(e);
+        } else {
+            upper.push(e);
         }
     }
-    if !saw_missing {
-        // Fully observed pair inside D(o): either p strictly dominates o
-        // (handled by the caller's certain-dominance check) or the rows tie,
-        // and a tie never dominates — drop the clause.
-        let tie = o_row == p_row;
-        if tie {
-            return None;
-        }
-    }
-    Some(exprs)
+    exprs.extend_from_slice(upper);
+    // A fully observed pair inside D(o) either ties, and a tie never
+    // dominates, or p strictly dominates o: its clause is empty.
+    saw_missing || o_row != p_row
 }
 
 /// What [`build_ctable_with_stats`] produced, for telemetry.
@@ -191,6 +193,7 @@ pub fn build_ctable_with_stats(
     };
     let words_per_set = n.div_ceil(64) as u64;
     let mut conditions = Vec::with_capacity(n);
+    let (mut exprs, mut upper) = (Vec::new(), Vec::new());
     for o in data.objects() {
         let dom = match &index {
             Some(idx) => {
@@ -214,34 +217,27 @@ pub fn build_ctable_with_stats(
             // α-pruning: deemed not to be a skyline object.
             stats.pruned += 1;
             Condition::False
-        } else if dom
-            .iter()
-            .any(|p| certainly_dominates(data, ObjectId(p as u32), o))
-        {
-            stats.falsified += 1;
-            Condition::False
         } else {
             let mut clauses = Vec::with_capacity(dom_size);
             let mut falsified = false;
             for p in dom.iter() {
-                match escape_clause(data, o, ObjectId(p as u32)) {
-                    None => {} // certain tie: clause is true, drop it
-                    Some(exprs) if exprs.is_empty() => {
-                        falsified = true;
-                        break;
-                    }
-                    Some(exprs) => clauses.push(exprs),
+                if !escape_clause(data, o, ObjectId(p as u32), &mut exprs, &mut upper) {
+                    continue; // certain tie: clause is true, drop it
                 }
+                if exprs.is_empty() {
+                    falsified = true;
+                    break;
+                }
+                clauses.push(Clause::from_sorted(&exprs));
             }
             if falsified {
                 stats.falsified += 1;
                 Condition::False
             } else {
-                let cond = Condition::from_clauses(clauses);
-                match &cond {
+                let cond = Condition::from_escape_clauses(o, clauses);
+                match cond {
                     Condition::True => stats.certain += 1,
-                    Condition::False => stats.falsified += 1,
-                    Condition::Cnf(_) => stats.open += 1,
+                    _ => stats.open += 1,
                 }
                 cond
             }
@@ -249,14 +245,17 @@ pub fn build_ctable_with_stats(
         conditions.push(condition);
     }
 
-    let mut vars: Vec<VarId> = Vec::new();
+    // One bit per cell, `object · d + attr`.
+    let mut vars = BitSet::empty(n * data.n_attrs());
     for cond in &conditions {
         if !cond.is_decided() {
             stats.exprs += cond.n_exprs();
-            vars.extend(cond.exprs().flat_map(Expr::vars));
+            for v in cond.exprs().flat_map(Expr::vars) {
+                vars.insert(v.object.index() * data.n_attrs() + v.attr.index());
+            }
         }
     }
-    stats.vars = count_distinct(vars);
+    stats.vars = vars.count();
     (CTable::new(conditions), stats)
 }
 
@@ -266,6 +265,7 @@ mod tests {
     use bc_data::generators::sample::paper_dataset;
     use bc_data::missing::inject_mcar;
     use bc_data::VarId;
+    use proptest::prelude::*;
 
     fn v(o: u32, a: u16) -> VarId {
         VarId::new(o, a)
@@ -456,5 +456,264 @@ mod tests {
             *ct.condition(ObjectId(1)),
             Condition::from_clauses(vec![vec![Expr::gt(v(1, 0), 0)]])
         );
+    }
+
+    /// The builder as it was before it emitted each condition in canonical
+    /// form: one `Vec` per escape clause, a certain-dominance pre-scan, and
+    /// the generic [`Condition::from_clauses`]. The reference the builder
+    /// is checked against.
+    mod reference {
+        use super::*;
+        use crate::expr::{CmpOp, Operand};
+        use crate::stats::count_distinct;
+
+        /// The escape clause `p ⊀ o`, unsorted: `None` for a fully
+        /// observed tie, empty when `p` dominates `o` in every completion.
+        pub(super) fn escape_clause(data: &Dataset, o: ObjectId, p: ObjectId) -> Option<Vec<Expr>> {
+            let o_row = data.row(o);
+            let p_row = data.row(p);
+            let mut exprs = Vec::new();
+            let mut saw_missing = false;
+            for (a, (oc, pc)) in o_row.iter().zip(p_row).enumerate() {
+                let attr = AttrId(a as u16);
+                let max = data.domain(attr).max_value();
+                let (o_var, p_var) = (VarId { object: o, attr }, VarId { object: p, attr });
+                match (oc, pc) {
+                    (Some(_), Some(_)) => {}
+                    (Some(ov), None) => {
+                        saw_missing = true;
+                        if *ov > 0 {
+                            exprs.push(Expr::lt(p_var, *ov));
+                        }
+                    }
+                    (None, Some(pv)) => {
+                        saw_missing = true;
+                        if *pv < max {
+                            exprs.push(Expr::gt(o_var, *pv));
+                        }
+                    }
+                    (None, None) => {
+                        saw_missing = true;
+                        if max > 0 {
+                            exprs.push(Expr::new(o_var, CmpOp::Gt, Operand::Var(p_var)));
+                        }
+                    }
+                }
+            }
+            if !saw_missing && o_row == p_row {
+                return None;
+            }
+            Some(exprs)
+        }
+
+        /// Whether `p` dominates `o` with both rows fully observed.
+        pub(super) fn certainly_dominates(data: &Dataset, p: ObjectId, o: ObjectId) -> bool {
+            let mut strictly = false;
+            for (pc, oc) in data.row(p).iter().zip(data.row(o)) {
+                match (pc, oc) {
+                    (Some(pv), Some(ov)) if pv < ov => return false,
+                    (Some(pv), Some(ov)) => strictly |= pv > ov,
+                    _ => return false,
+                }
+            }
+            strictly
+        }
+
+        /// `o`'s dominator set under `config`'s strategy.
+        pub(super) fn dominators(
+            data: &Dataset,
+            config: &CTableConfig,
+            o: ObjectId,
+        ) -> Vec<ObjectId> {
+            let dom = match config.strategy {
+                DominatorStrategy::FastIndex => DominatorIndex::build(data).dominator_set(data, o),
+                DominatorStrategy::Baseline => baseline_dominator_set(data, o),
+            };
+            dom.iter().map(|p| ObjectId(p as u32)).collect()
+        }
+
+        /// Every condition and the build's counters.
+        pub(super) fn build(
+            data: &Dataset,
+            config: &CTableConfig,
+        ) -> (Vec<Condition>, CTableBuildStats) {
+            let n = data.n_objects();
+            let mut stats = CTableBuildStats {
+                objects: n,
+                ..Default::default()
+            };
+            let mut conditions = Vec::with_capacity(n);
+            for o in data.objects() {
+                let dom = dominators(data, config, o);
+                stats.candidates += dom.len() as u64;
+                stats.max_dominators = stats.max_dominators.max(dom.len());
+                if config.strategy == DominatorStrategy::FastIndex {
+                    let observed = data.row(o).iter().filter(|c| c.is_some()).count() as u64;
+                    stats.bitset_words += n.div_ceil(64) as u64 * (observed + 1);
+                }
+                let condition = if dom.is_empty() {
+                    stats.certain += 1;
+                    Condition::True
+                } else if dom.len() as f64 > config.alpha * n as f64 {
+                    stats.pruned += 1;
+                    Condition::False
+                } else if dom.iter().any(|&p| certainly_dominates(data, p, o)) {
+                    stats.falsified += 1;
+                    Condition::False
+                } else {
+                    let clauses: Option<Vec<Vec<Expr>>> = dom
+                        .iter()
+                        .filter_map(|&p| escape_clause(data, o, p))
+                        .map(|exprs| (!exprs.is_empty()).then_some(exprs))
+                        .collect();
+                    let cond = clauses.map_or(Condition::False, Condition::from_clauses);
+                    match cond {
+                        Condition::True => stats.certain += 1,
+                        Condition::False => stats.falsified += 1,
+                        Condition::Cnf(_) => stats.open += 1,
+                    }
+                    cond
+                };
+                conditions.push(condition);
+            }
+            let open = conditions.iter().filter(|c| !c.is_decided());
+            stats.exprs = open.clone().map(Condition::n_exprs).sum();
+            stats.vars =
+                count_distinct(open.flat_map(|c| c.exprs().flat_map(Expr::vars)).collect());
+            (conditions, stats)
+        }
+    }
+
+    /// Small random datasets and build configurations: 2–40 objects, 1–5
+    /// attributes of one to six values, missing rates from 0 to 0.7, α
+    /// of 1.0 (no pruning) or small, and either dominator strategy. Half
+    /// the draws have four or five attributes, so that clauses longer than
+    /// a clause's inline expressions are common.
+    fn arb_build() -> impl Strategy<Value = (Dataset, CTableConfig)> {
+        let attrs: proptest::OneOf<usize> = prop_oneof![1usize..6, 4usize..6];
+        let shape = (2usize..41, attrs, 0.0f64..0.7);
+        shape.prop_flat_map(|(n, d, rate)| {
+            let cards = prop::collection::vec(1u16..7, d);
+            let cells = prop::collection::vec((0u16..6, 0.0f64..1.0), n * d);
+            (cards, cells, 0usize..4, any::<bool>()).prop_map(move |(cards, cells, alpha, fast)| {
+                let domains = cards
+                    .iter()
+                    .enumerate()
+                    .map(|(a, &card)| bc_data::Domain::new(format!("a{a}"), card).unwrap())
+                    .collect();
+                let rows = cells
+                    .chunks(d)
+                    .map(|row| {
+                        row.iter()
+                            .zip(&cards)
+                            .map(|(&(value, draw), &card)| (draw >= rate).then_some(value % card))
+                            .collect()
+                    })
+                    .collect();
+                let data = Dataset::from_rows("random", domains, rows).unwrap();
+                let config = CTableConfig {
+                    alpha: [1.0, 1.0, 0.3, 0.05][alpha],
+                    strategy: if fast {
+                        DominatorStrategy::FastIndex
+                    } else {
+                        DominatorStrategy::Baseline
+                    },
+                };
+                (data, config)
+            })
+        })
+    }
+
+    mod canonical {
+        use super::*;
+        use proptest::TestRunner;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(
+                if cfg!(debug_assertions) { 512 } else { 4096 }
+            ))]
+
+            /// The builder gives the reference's conditions and counters.
+            #[test]
+            fn builds_what_from_clauses_builds((data, config) in arb_build()) {
+                let (table, stats) = build_ctable_with_stats(&data, &config);
+                let (want, want_stats) = reference::build(&data, &config);
+                for (o, cond) in table.iter() {
+                    prop_assert_eq!(cond, &want[o.index()], "object {}", o);
+                }
+                prop_assert_eq!(stats, want_stats);
+            }
+        }
+
+        /// Which of the builder's paths one object of `data` takes under
+        /// `config`, by the reference's raw escape clauses:
+        /// 0. an own-cell clause is a strict subset of a dominator's clause;
+        /// 1. two own-cell clauses are equal;
+        /// 2. a var-var escape from a dominator `p < o`;
+        /// 3. a var-var escape from a dominator `p > o`;
+        /// 4. a clause longer than the four expressions a clause keeps inline;
+        /// 5. a fully observed dominator falsifies the condition.
+        fn paths(data: &Dataset, config: &CTableConfig, o: ObjectId, seen: &mut [bool; 6]) {
+            let dom = reference::dominators(data, config, o);
+            if dom.is_empty() || dom.len() as f64 > config.alpha * data.n_objects() as f64 {
+                return;
+            }
+            if dom
+                .iter()
+                .any(|&p| reference::certainly_dominates(data, p, o))
+            {
+                seen[5] = true;
+                return;
+            }
+            let mut clauses = Vec::new();
+            for &p in &dom {
+                match reference::escape_clause(data, o, p) {
+                    Some(exprs) if exprs.is_empty() => return,
+                    Some(mut exprs) => {
+                        exprs.sort_unstable();
+                        clauses.push((p, exprs));
+                    }
+                    None => {}
+                }
+            }
+            let own = |exprs: &[Expr]| {
+                exprs
+                    .iter()
+                    .all(|e| e.var().object == o && e.rhs_var().is_none())
+            };
+            for (i, (p, exprs)) in clauses.iter().enumerate() {
+                let var_var = exprs.iter().any(|e| e.rhs_var().is_some());
+                seen[2] |= var_var && *p < o;
+                seen[3] |= var_var && *p > o;
+                seen[4] |= exprs.len() > 4;
+                for (j, (_, other)) in clauses.iter().enumerate() {
+                    if i == j || !own(other) {
+                        continue;
+                    }
+                    seen[0] |= !own(exprs)
+                        && other.len() < exprs.len()
+                        && crate::kernel::is_subset(other, exprs);
+                    seen[1] |= own(exprs) && other == exprs;
+                }
+            }
+        }
+
+        #[test]
+        fn random_builds_cover_every_path() {
+            let mut runner = TestRunner::new(ProptestConfig::default(), "cover");
+            let strategy = arb_build();
+            let mut drawn = [0; 6];
+            for _ in 0..1000 {
+                let (data, config) = strategy.generate(runner.rng());
+                let mut seen = [false; 6];
+                for o in data.objects() {
+                    paths(&data, &config, o, &mut seen);
+                }
+                for (n, seen) in drawn.iter_mut().zip(seen) {
+                    *n += usize::from(seen);
+                }
+            }
+            assert!(drawn.iter().all(|&n| n >= 20), "{drawn:?}");
+        }
     }
 }

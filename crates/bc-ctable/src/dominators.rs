@@ -101,29 +101,6 @@ pub fn baseline_dominator_set(data: &Dataset, o: ObjectId) -> BitSet {
     result
 }
 
-/// Whether complete-cells-only dominance holds: `p` dominates `o` with both
-/// rows fully observed (Algorithm 2's line-8 early `false`). Returns `false`
-/// when either row has a missing value.
-pub fn certainly_dominates(data: &Dataset, p: ObjectId, o: ObjectId) -> bool {
-    let p_row = data.row(p);
-    let o_row = data.row(o);
-    let mut strictly = false;
-    for (pc, oc) in p_row.iter().zip(o_row) {
-        match (pc, oc) {
-            (Some(pv), Some(ov)) => {
-                if pv < ov {
-                    return false;
-                }
-                if pv > ov {
-                    strictly = true;
-                }
-            }
-            _ => return false,
-        }
-    }
-    strictly
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,28 +146,5 @@ mod tests {
         }
         let idx = DominatorIndex::build(&data);
         assert_eq!(idx.dominator_set(&data, ObjectId(0)).count(), 19);
-    }
-
-    #[test]
-    fn certain_dominance_requires_complete_rows_and_strictness() {
-        let data = paper_dataset();
-        // o4 = (4,3,1,2,1) vs o1 = (5,2,3,4,1): o1 does not dominate o4
-        // (worse in a2), and vice versa.
-        assert!(!certainly_dominates(&data, ObjectId(0), ObjectId(3)));
-        // Any pair involving o5 (missing values) is never certain.
-        assert!(!certainly_dominates(&data, ObjectId(4), ObjectId(0)));
-
-        // Build a clear-cut case.
-        let complete = bc_data::Dataset::from_complete_rows(
-            "x",
-            bc_data::domain::uniform_domains(2, 8).unwrap(),
-            vec![vec![5, 5], vec![3, 5], vec![3, 5]],
-        )
-        .unwrap();
-        assert!(certainly_dominates(&complete, ObjectId(0), ObjectId(1)));
-        assert!(
-            !certainly_dominates(&complete, ObjectId(1), ObjectId(2)),
-            "ties never dominate"
-        );
     }
 }

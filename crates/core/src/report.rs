@@ -26,7 +26,8 @@ pub struct RunReport {
     /// Wall-clock time of the modeling phase (BN training + c-table build).
     pub modeling_time: Duration,
     /// Wall-clock time of the algorithm (excluding, per the paper, the time
-    /// workers spend answering — which the simulator makes instantaneous).
+    /// workers spend answering — which the simulator makes instantaneous —
+    /// and the scoring of [`RunReport::accuracy`]).
     pub total_time: Duration,
     /// Number of condition-probability evaluations performed.
     pub probability_evals: u64,

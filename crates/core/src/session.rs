@@ -579,14 +579,16 @@ impl<'a> Session<'a> {
                 .map(|&(o, _)| o),
         );
         result.sort_unstable();
+        finalize_span.finish(observer);
+
+        let total_time = s.prior_elapsed + self.started.elapsed();
+        // Evaluation, not the query: the ground truth's skyline is computed
+        // outside the finalize span and `total_time`.
         let truth = self
             .platform
             .ground_truth()
             .and_then(|complete| bc_data::skyline::skyline_sfs(complete).ok());
         let accuracy = truth.map(|t| Accuracy::of(&result, &t));
-        finalize_span.finish(observer);
-
-        let total_time = s.prior_elapsed + self.started.elapsed();
         let report = RunReport {
             result,
             certain,
